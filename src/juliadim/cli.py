@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .config import Config
 from .numerics import Angle, LogPolar
-from .params import check_permissible, verify_inequalities, alpha_beta_window
+from .params import (CertificateReport, alpha_beta_window, build_params,
+                     check_permissible, verify_inequalities)
 from .report import make_report, render_value, write_csv
 
 
@@ -82,7 +83,6 @@ def cmd_verify(args) -> int:
     sm = seam_mismatch(m, t.N, samples=max(256, args.samples // 16))
     summaries["seam_mismatch"] = {"inner_log2": repr(sm.inner_max_log2_ratio),
                                   "outer_log2": repr(sm.outer_max_log2_ratio)}
-    from .params import CertificateReport
     seam_rep = CertificateReport("seam deviation")
     seam_rep.add("seam_inner_within_2_bits", t.N,
                  sm.inner_max_log2_ratio <= 2.0,
@@ -183,8 +183,6 @@ def cmd_dims(args) -> int:
         rows = []
         ts = [float(x) for x in args.sweep.split(",")]
         for N in range(5, args.sweep_Nmax + 1):
-            t = cfg.build_table() if N == cfg.N else None
-            from .params import build_params
             t = build_params(N, max(cfg.kmax, 12), cfg.Cprime, cfg.p)
             for td in ts:
                 rows.append([N, td,

@@ -14,9 +14,10 @@ Inverse branches come in three kinds:
 * ``OriginBranch(i)``       -- Newton on the origin polynomial, seeded at
                                t/r_N (i = 0) or at zero_i + t/q'(zero_i).
 
-The inclusion certificates sample circle extrema of log2 |f| and compare
-them against the target annuli in exact exponent arithmetic, with the seam
-deviation carried as an explicit bit margin.
+The inclusion certificates take circle extrema of log2 |f| -- exact on
+power pieces, sampled elsewhere -- and compare them against the target
+annuli in exact exponent arithmetic, with the seam deviation carried as an
+explicit bit margin.
 """
 
 from __future__ import annotations
@@ -32,13 +33,15 @@ from .numerics import (
     ANG_BITS,
     DomainError,
     LogPolar,
+    const_log2_frac,
     lp_add,
     lp_sub,
     lp_perturb,
+    mpf_to_frac,
     pi_over_ln2_frac,
 )
-from .geometry import Region, classify
-from .modelmap import ModelMap, qN_landmarks
+from .geometry import LOG2_2_5, LOG2_3_5, Region, classify
+from .modelmap import ModelMap, PieceId, qN_landmarks
 from .params import CertificateReport, omega_from_rho
 
 ONE = LogPolar(Fraction(0), 0)
@@ -171,16 +174,12 @@ def inverse_step(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
         else:
             w = qN_landmarks(m).zeros[branch.index - 1]
             # q'(zero) = r_N (1 - M_N): real negative
-            dq = LogPolar(Fraction(t.r_exp(N)) + _log2_int(deg - 1), Fraction(1, 2))
+            dq = LogPolar(Fraction(t.r_exp(N)) + const_log2_frac(deg - 1, 1),
+                          Fraction(1, 2))
             z0 = lp_add(w, target.div(dq), guard=max(m.guard, 512), prec=m.prec).value
         return _newton_polish(m, z0, target, tol)
 
     raise BranchError(f"unknown branch kind {branch!r}")
-
-
-def _log2_int(n: int) -> Fraction:
-    from .numerics import const_log2_frac
-    return const_log2_frac(n, 1)
 
 
 def branch_of_point(m: ModelMap, z: LogPolar) -> Optional[InverseBranchSpec]:
@@ -347,6 +346,11 @@ def _classify_window(regions, orbit_seq, backwards, truncated, escaped) -> Class
 # ---------------------------------------------------------------------------
 
 def _circle_extrema(m: ModelMap, rho: Fraction, samples: int) -> Tuple[Fraction, Fraction]:
+    # the piece depends on rho alone, and on a power piece log2 |f| is
+    # c_exp(j) + M_j rho at every angle: one evaluation is the exact extremum
+    if m.piece_of(rho).kind == "power":
+        w, _ = m.eval(LogPolar(rho, 0))
+        return w.rho, w.rho
     lo = hi = None
     for i in range(samples):
         w, _ = m.eval(LogPolar(rho, Fraction(i, samples)))
@@ -361,33 +365,46 @@ def _circle_extrema(m: ModelMap, rho: Fraction, samples: int) -> Tuple[Fraction,
 
 def _petal_boundary_extrema(m: ModelMap, k: int, samples: int) -> Tuple[Fraction, Fraction]:
     # the blend depends on z only through z**n_k, so every petal is an exact
-    # rotation of the first: sampling one boundary covers them all
-    import mpmath
+    # rotation of the first: sampling one boundary covers them all.  On the
+    # boundary z = zeta (1 + u) of the first ring zero zeta, log2 |f(z)| is an
+    # exact constant plus a closed form in u (ModelMap.seam_zero_offset_ln),
+    # even under u -> conj(u): sample i and sample samples - i agree, so the
+    # first half of the samples carries the extrema of all of them
     t = m.table
     nk = t.n(k)
-    w = m.ring_zero(k + t.N - 1, 1)
+    j = k + t.N - 1
     rad_rel = -nk - pi_over_ln2_frac(4 * nk)
+    # |u| <= 2**-n_k, so |log2 |1 + u|| < 3 |u| bounds the boundary's rho range
+    reach = Fraction(3, 1 << nk)
+    zeta_rho = m.ring_zero_rho(j)
+    seam = PieceId("seam", j)
+    if m.piece_of(zeta_rho - reach) != seam or m.piece_of(zeta_rho + reach) != seam:
+        raise DomainError(f"petal boundary at level {k} leaves piece {seam}")
     lo = hi = None
     with mpmath.workprec(m.prec + 32):
         base = mpmath.power(2, mpmath.mpf(rad_rel.numerator) / rad_rel.denominator)
-        for i in range(samples):
+        for i in range(samples // 2 + 1):
             ang = mpmath.mpf(2) * mpmath.pi * i / samples
             u = base * mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
-            z = lp_perturb(w, u, m.prec)
-            fz, _ = m.eval(z)
-            if fz.is_zero:
-                raise DomainError("petal boundary hit a zero")
-            if lo is None or fz.rho < lo:
-                lo = fz.rho
-            if hi is None or fz.rho > hi:
-                hi = fz.rho
-    return lo, hi
+            v = m.seam_zero_offset_ln(j, u)  # DomainError if u hits a zero
+            if lo is None or v < lo:
+                lo = v
+            if hi is None or v > hi:
+                hi = v
+        const = m.seam_zero_log2_base(j)
+        ln2 = mpmath.ln(2)
+        return const + mpf_to_frac(lo / ln2), const + mpf_to_frac(hi / ln2)
 
 
 def verify_inclusions(m: ModelMap, k: int, samples: int = 4096,
                       margin_bits: Optional[float] = None) -> CertificateReport:
-    """Sampled circle extrema of log2 |f| against the target annuli.
+    """Circle extrema of log2 |f| against the target annuli.
 
+    A circle on a power piece has one exact value of log2 |f|; origin, bump
+    and seam circles take the extrema of `samples` evenly spaced points; the
+    petal boundary takes them over `samples` evenly spaced points of its
+    closed form log2 |S_j(zeta (1 + u))| (ModelMap.seam_zero_offset_ln),
+    evaluating the half that the conjugation symmetry does not mirror.
     Upper-bound rows pass when max + margin < target, lower-bound rows when
     min - margin > target; the margin defaults to the seam deviation budget.
     """
@@ -397,8 +414,6 @@ def verify_inclusions(m: ModelMap, k: int, samples: int = 4096,
     mb = Fraction(m.seam_margin_bits if margin_bits is None else margin_bits
                   ).limit_denominator(1 << 20)
     rep = CertificateReport(f"mapping inclusions k={k}")
-
-    from .geometry import LOG2_2_5, LOG2_3_5
 
     def upper(name, got, target_rho):
         rep.add(name, k, got + mb < target_rho, f"{float(got):.6f}", f"{float(target_rho):.6f}")
@@ -419,7 +434,7 @@ def verify_inclusions(m: ModelMap, k: int, samples: int = 4096,
     for name, rho in (
         ("gap_inner_circle", Fraction(e1 + 2)),
         ("gap_outer_circle", Fraction(e2 - 2)),
-        ("ring54_circle", e1 + const_log2(5, 4)),
+        ("ring54_circle", e1 + const_log2_frac(5, 4)),
     ):
         lo, hi = _circle_extrema(m, rho, samples)
         lower(f"{name}_min_above_8Rk1", lo, Fraction(e2 + 3))
@@ -429,11 +444,6 @@ def verify_inclusions(m: ModelMap, k: int, samples: int = 4096,
     lower("petal_boundary_min_above_4Rk1", lo, Fraction(e2 + 2))
     upper("petal_boundary_max_below_quarter_Rk2", hi, Fraction(e3 - 2))
     return rep
-
-
-def const_log2(a: int, b: int) -> Fraction:
-    from .numerics import const_log2_frac
-    return const_log2_frac(a, b)
 
 
 def check_singular_values(m: ModelMap) -> CertificateReport:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import mpmath
-from mpmath import mpf
+from mpmath import mpc, mpf
 
 from .numerics import (
     ADD_GUARD,
@@ -37,7 +37,9 @@ from .numerics import (
     LpSum,
     SIG_BITS,
     DyadicReal,
+    expm1_series,
     frac_to_mpf,
+    log1p_mpc,
     lp_add,
     lp_sub,
     mpf_to_frac,
@@ -196,6 +198,34 @@ class ModelMap:
         num = v.mul(diff.value)
         return LogPolar(t.c_exp(j) + num.rho - Mj * t.r_exp(j), num.theta)
 
+    def seam_zero_log2_base(self, j: int) -> Fraction:
+        """c_j - M_j log2 r_j + 2 log2 |Z_j|, exact: the constant part of
+        log2 |S_j| near the zeros of ring j (see :meth:`seam_zero_offset_ln`)."""
+        t = self.table
+        return t.c_exp(j) - (1 << j) * t.r_exp(j) + 2 * self.zcap_log2(j)
+
+    def seam_zero_offset_ln(self, j: int, u: mpc) -> mpf:
+        """Re L + ln |e**L - 1|, L = M_j log(1 + u), for an mpc u with |u| < 1.
+
+        At z = zeta (1 + u), zeta a zero of ring j, zeta**M_j = Z_j exactly,
+        so z**M_j = Z_j e**L, z**M_j - Z_j = Z_j (e**L - 1) and
+
+            log2 |S_j(z)| = seam_zero_log2_base(j) + seam_zero_offset_ln(j, u) / ln 2
+
+        for every z on piece seam(j).  Both series follow the scale of u, so
+        a u far below 2**-prec costs a few multiplies and loses nothing.
+        The result carries prec + 32 bits.
+        """
+        if u == 0:
+            raise DomainError(f"point is a zero of ring {j}")
+        with mpmath.workprec(self.prec + 32):
+            L = (1 << j) * log1p_mpc(u, self.prec)
+            lmag = mpmath.mag(L)
+            e = mpmath.exp(L) - 1 if lmag > -16 else expm1_series(L, -lmag, self.prec)
+            if e == 0:  # zeta (1 + u) is another zero of the ring
+                raise DomainError(f"point is a zero of ring {j}")
+            return L.real + mpmath.log(abs(e))
+
     def eval(self, z: LogPolar) -> Tuple[LogPolar, PieceId]:
         piece = self.piece_of(z)
         if piece.kind == "origin":
@@ -210,12 +240,8 @@ class ModelMap:
 
     def boundary_distance(self, rho: Fraction) -> Fraction:
         """Distance in log2 units from rho to the nearest piece boundary."""
-        t = self.table
-        cuts = [Fraction(t.r_exp(t.N))]
-        for j in range(t.N, t.jmax):
-            cuts.append(self.seam_top(j))
-            cuts.append(Fraction(t.r_exp(j + 1)))
-        return min(abs(rho - c) for c in cuts)
+        d = abs(rho - self.table.r_exp(self.table.N))
+        return min(d, min(abs(rho - c) for c, _ in self._cuts()))
 
     def deriv(self, z: LogPolar, straddle_margin: Fraction = Fraction(1, 1 << 48)
               ) -> Tuple[LogPolar, PieceId]:

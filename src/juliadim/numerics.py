@@ -741,6 +741,42 @@ def lp_sub(a: LogPolar, b: LogPolar, guard: int = ADD_GUARD,
     return lp_add(a, b.neg(), guard, prec)
 
 
+def log1p_mpc(u: mpc, prec: int = SIG_BITS) -> mpc:
+    """log(1 + u) for an mpc u with |u| < 1, at any scale of u.
+
+    Runs at the caller's working precision (prec + 32 bits in this module).
+    A tiny u takes the series, whose depth follows the scale of u, so 1 + u
+    never rounds the perturbation away.
+    """
+    emag = mpmath.mag(u)  # |u| < 2**emag
+    if emag > -16:
+        return mpmath.log(1 + u)
+    # log(1+u) = u (1 - u/2 + u^2/3 - ...), depth set by the scale
+    nterms = max(1, (prec + 48) // max(15, -int(emag)))
+    series = mpc(1)
+    term = mpc(1)
+    for i in range(2, nterms + 2):
+        term = term * (-u)
+        series += term / i
+    return u * series
+
+
+def expm1_series(L: mpc, scale: int, prec: int = SIG_BITS) -> mpc:
+    """e**L - 1 = L (1 + L/2 + L^2/6 + ...) for |L| < 2**-scale.
+
+    Runs at the caller's working precision.  The term count adapts to the
+    scale, so ultra-tiny inputs cost a couple of multiplies; it assumes
+    scale >= 16 and falls short of prec bits for larger L.
+    """
+    nterms = max(2, (prec + 48) // max(16, scale) + 1)
+    term = mpc(1)
+    series = mpc(1)
+    for i in range(2, nterms + 2):
+        term = term * L / i
+        series += term
+    return L * series
+
+
 def lp_perturb(z: LogPolar, u: mpc, prec: int = SIG_BITS) -> LogPolar:
     """z * (1 + u) for an mpc u with |u| < 1, at any scale of u.
 
@@ -753,18 +789,7 @@ def lp_perturb(z: LogPolar, u: mpc, prec: int = SIG_BITS) -> LogPolar:
     if u == 0:
         return z
     with mpmath.workprec(prec + 32):
-        emag = mpmath.mag(u)  # |u| < 2**emag
-        if emag > -16:
-            v = mpmath.log(1 + u)
-        else:
-            # log(1+u) = u (1 - u/2 + u^2/3 - ...), depth set by the scale
-            nterms = max(1, (prec + 48) // max(15, -int(emag)))
-            series = mpc(1)
-            term = mpc(1)
-            for i in range(2, nterms + 2):
-                term = term * (-u)
-                series += term / i
-            v = u * series
+        v = log1p_mpc(u, prec)
         lre = mpf_to_frac(v.real / mpmath.ln(2))
         lim = mpf_to_frac(v.imag / (2 * mpmath.pi))
     return LogPolar(z.rho + lre, z.theta.add(Angle(lim)))
@@ -807,15 +832,7 @@ def expm1_lp(drho: Fraction, dtheta: Fraction, prec: int = SIG_BITS) -> LogPolar
             if v == 0:
                 return LogPolar.zero_point()
             return LogPolar.from_mpc_scaled(v, Fraction(0), prec)
-        # e^L - 1 = L * (1 + L/2 + L^2/6 + ...); term count adapted to the
-        # scale of L so ultra-tiny inputs cost a couple of multiplies
-        nterms = max(2, (prec + 48) // max(16, -frac_ilog2(size)) + 1)
-        term = mpc(1)
-        series = mpc(1)
-        for i in range(2, nterms + 2):
-            term = term * L / i
-            series += term
-        v = L * series
+        v = expm1_series(L, -frac_ilog2(size), prec)
         return LogPolar.from_mpc_scaled(v, Fraction(0), prec)
 
 

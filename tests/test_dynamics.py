@@ -18,7 +18,7 @@ from juliadim.dynamics import (
 )
 from juliadim.geometry import classify
 from juliadim.modelmap import ModelMap
-from juliadim.numerics import LogPolar, const_log2_frac
+from juliadim.numerics import DomainError, LogPolar, const_log2_frac
 from juliadim.params import build_params
 
 M5 = ModelMap(table=build_params(5, 25))
@@ -189,6 +189,57 @@ def test_inclusion_suite_k1():
     names = {c.name for c in rep.certificates}
     assert "inner_circle_max_below_quarter_next" in names
     assert "petal_boundary_min_above_4Rk1" in names
+
+
+def _sampled_circle_extrema(m, rho, samples):
+    """Circle extrema by evaluating every sample point through ModelMap.eval."""
+    vals = [m.eval(LogPolar(rho, Fraction(i, samples)))[0].rho for i in range(samples)]
+    return min(vals), max(vals)
+
+
+def test_inclusion_extrema_match_pointwise_evaluation():
+    import mpmath
+    from juliadim.dynamics import _circle_extrema, _petal_boundary_extrema
+    from juliadim.numerics import lp_perturb, mpf_to_frac, pi_over_ln2_frac
+
+    samples = 4096
+    tol = Fraction(1, 1 << (M5.prec - 8))
+    # petal boundary z = zeta_j (1 + u): closed form against the seam piece
+    for k in range(1, 7):
+        nk, j = T5.n(k), k + T5.N - 1
+        zeta = M5.ring_zero(j, 1)
+        const = M5.seam_zero_log2_base(j)
+        rad_rel = -nk - pi_over_ln2_frac(4 * nk)
+        old_vals = []
+        with mpmath.workprec(M5.prec + 32):
+            base = mpmath.power(2, mpmath.mpf(rad_rel.numerator) / rad_rel.denominator)
+            for i in range(0, samples, samples // 64):
+                ang = mpmath.mpf(2) * mpmath.pi * i / samples
+                u = base * mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
+                old, piece = M5.eval(lp_perturb(zeta, u, M5.prec))
+                assert str(piece) == f"seam({j})"
+                new = const + mpf_to_frac(M5.seam_zero_offset_ln(j, u) / mpmath.ln(2))
+                assert abs(new - old.rho) <= tol, (k, i)
+                old_vals.append(old.rho)
+        if k == 1:
+            # the indices span both halves of the boundary, so this also
+            # covers the extrema taken over the first half only
+            lo, hi = _petal_boundary_extrema(M5, k, samples)
+            assert lo - tol <= min(old_vals) and max(old_vals) <= hi + tol
+    # power-piece circles: one evaluation is the exact extremum
+    k = 2
+    for rho in (Fraction(T5.R_exp(k) + 2), T5.R_exp(k) + const_log2_frac(5, 4)):
+        assert M5.piece_of(rho).kind == "power"
+        assert _circle_extrema(M5, rho, samples) == _sampled_circle_extrema(M5, rho, samples)
+
+
+def test_petal_boundary_must_lie_on_its_seam_piece(monkeypatch):
+    from juliadim.dynamics import _petal_boundary_extrema
+    from juliadim.modelmap import PieceId
+    m = ModelMap(table=T5)
+    monkeypatch.setattr(ModelMap, "piece_of", lambda self, rho: PieceId("power", 6))
+    with pytest.raises(DomainError, match="leaves piece seam"):
+        _petal_boundary_extrema(m, 1, 4096)
 
 
 def test_inclusion_requires_enough_samples():

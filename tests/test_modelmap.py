@@ -195,6 +195,23 @@ def test_dilatation_rejects_small_grid():
         dilatation_sup(M5, 6, grid=32)
 
 
+def test_boundary_distance_covers_every_cut():
+    t = M5.table
+    cuts = [Fraction(t.r_exp(t.N))]
+    for j in range(t.N, t.jmax):
+        cuts += [M5.seam_top(j), Fraction(t.r_exp(j + 1))]
+    for c in cuts:
+        for rho in (c, c - Fraction(1, 7), c + Fraction(1, 1 << 60)):
+            assert M5.boundary_distance(rho) == min(abs(rho - x) for x in cuts)
+
+
+def test_seam_zero_offset_rejects_the_zero():
+    import mpmath
+    from juliadim.numerics import DomainError
+    with pytest.raises(DomainError):
+        M5.seam_zero_offset_ln(6, mpmath.mpc(0))
+
+
 # seam mismatch -------------------------------------------------------------------
 
 def test_seam_mismatch_bounds():
