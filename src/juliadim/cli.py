@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Subcommands: params, verify, eval, orbit, backward, dims, trace, render,
-report.  Outputs are deterministic for a fixed config: JSON with sorted
-keys, CSV with fixed headers, SVG up to a build-stamp comment.
+Subcommands: params, verify, eval, orbit, backward, dims, trace, render.
+Outputs are deterministic for a fixed config: JSON with sorted keys, CSV
+with fixed headers, SVG up to a build-stamp comment.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -80,7 +81,7 @@ def cmd_verify(args) -> int:
     for k in range(5, min(5 + 9, t.jmax - 1)):
         sups[k] = dilatation_sup(m, k).sup_log2
     summaries["dilatation_sup_log2"] = {str(k): repr(v) for k, v in sups.items()}
-    sm = seam_mismatch(m, t.N, samples=max(256, args.samples // 16))
+    sm = seam_mismatch(m, t.N)
     summaries["seam_mismatch"] = {"inner_log2": repr(sm.inner_max_log2_ratio),
                                   "outer_log2": repr(sm.outer_max_log2_ratio)}
     seam_rep = CertificateReport("seam deviation")
@@ -268,12 +269,9 @@ def cmd_render(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    rc = cmd_verify(args)
-    return rc
-
-
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(prog="juliadim",
                                  description="exact dyadic-scale model-map laboratory")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -337,13 +335,11 @@ def main(argv=None) -> int:
     sp.add_argument("--khi", type=int, default=4)
     sp.set_defaults(fn=cmd_render)
 
-    sp = sub.add_parser("report", help="alias of verify with a JSON bundle")
-    _add_common(sp)
-    sp.add_argument("--khi", type=int, default=6)
-    sp.add_argument("--samples", type=int, default=4096)
-    sp.set_defaults(fn=cmd_report)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

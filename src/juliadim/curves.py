@@ -137,9 +137,6 @@ class SyntheticOmega:
         return 1.0 + a * u + z_eps_z
 
 
-DistortionModel = object  # Identity | SyntheticOmega
-
-
 # ---------------------------------------------------------------------------
 # curve traces
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ Inverse branches come in three kinds:
                                t/r_N (i = 0) or at zero_i + t/q'(zero_i).
 
 The inclusion certificates take circle extrema of log2 |f| -- exact on
-power pieces, sampled elsewhere -- and compare them against the target
-annuli in exact exponent arithmetic, with the seam deviation carried as an
-explicit bit margin.
+radial circles and on the petal boundary, sampled elsewhere -- and compare
+them against the target annuli in exact exponent arithmetic, with the seam
+deviation carried as an explicit bit margin.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ class OriginBranch:
 InverseBranchSpec = Union[VkRoot, PetalInverse, OriginBranch]
 
 
-def _residual(m: ModelMap, z: LogPolar, target: LogPolar) -> Tuple[float, float]:
-    got, _ = m.eval(z)
+def _residual(got: LogPolar, target: LogPolar) -> Tuple[float, float]:
     if got.is_zero or target.is_zero:
         return math.inf, math.inf
     return abs(float(got.rho - target.rho)), float(got.theta.dist(target.theta))
@@ -89,10 +88,10 @@ def _residual(m: ModelMap, z: LogPolar, target: LogPolar) -> Tuple[float, float]
 def _newton_polish(m: ModelMap, z: LogPolar, target: LogPolar, tol: float,
                    max_iter: int = 64) -> LogPolar:
     for _ in range(max_iter):
-        dr, dth = _residual(m, z, target)
+        fz, _ = m.eval(z)
+        dr, dth = _residual(fz, target)
         if dr < tol and dth < tol:
             return z
-        fz, _ = m.eval(z)
         diff = lp_sub(fz, target, guard=m.guard, prec=m.prec).value
         if diff.is_zero:
             return z
@@ -103,7 +102,7 @@ def _newton_polish(m: ModelMap, z: LogPolar, target: LogPolar, tol: float,
         wide = max(m.guard, 96 - step.rho_int())
         upd = lp_sub(ONE, step, guard=wide, prec=m.prec).value
         z = z.mul(upd)
-    dr, dth = _residual(m, z, target)
+    dr, dth = _residual(m.eval(z)[0], target)
     raise BranchError(f"newton stagnated: residual log2-mag {dr:.3g}, turns {dth:.3g}")
 
 
@@ -346,11 +345,11 @@ def _classify_window(regions, orbit_seq, backwards, truncated, escaped) -> Class
 # ---------------------------------------------------------------------------
 
 def _circle_extrema(m: ModelMap, rho: Fraction, samples: int) -> Tuple[Fraction, Fraction]:
-    # the piece depends on rho alone, and on a power piece log2 |f| is
-    # c_exp(j) + M_j rho at every angle: one evaluation is the exact extremum
-    if m.piece_of(rho).kind == "power":
-        w, _ = m.eval(LogPolar(rho, 0))
-        return w.rho, w.rho
+    # on a radial circle log2 |f| does not depend on the angle, so one
+    # evaluation is the exact extremum (ModelMap.radial_log2)
+    c = m.radial_log2(rho)
+    if c is not None:
+        return c, c
     lo = hi = None
     for i in range(samples):
         w, _ = m.eval(LogPolar(rho, Fraction(i, samples)))
@@ -363,34 +362,50 @@ def _circle_extrema(m: ModelMap, rho: Fraction, samples: int) -> Tuple[Fraction,
     return lo, hi
 
 
-def _petal_boundary_extrema(m: ModelMap, k: int, samples: int) -> Tuple[Fraction, Fraction]:
-    # the blend depends on z only through z**n_k, so every petal is an exact
-    # rotation of the first: sampling one boundary covers them all.  On the
-    # boundary z = zeta (1 + u) of the first ring zero zeta, log2 |f(z)| is an
-    # exact constant plus a closed form in u (ModelMap.seam_zero_offset_ln),
-    # even under u -> conj(u): sample i and sample samples - i agree, so the
-    # first half of the samples carries the extrema of all of them
+def _petal_boundary_extrema(m: ModelMap, k: int) -> Tuple[Fraction, Fraction]:
+    """Exact extrema of log2 |f| over the whole level-k petal boundary.
+
+    The blend depends on z only through z**n_k, so every petal is an exact
+    rotation of the first.  On its boundary z = zeta (1 + u), u = eps e**(i phi),
+    eps = 2**rad_rel, log2 |f| is an exact constant plus v(phi) / ln 2 with
+    (ModelMap.seam_zero_offset_ln, M = n_k)
+
+        v(phi) = M ln |1 + u| + ln |(1 + u)**M - 1|.
+
+    Maximum: |1 + u| <= 1 + eps, and by the triangle inequality on the
+    binomial sum |(1 + u)**M - 1| <= (1 + eps)**M - 1; both hold with
+    equality at phi = 0.
+
+    Minimum: v = ln eps + Re F(u), F(u) = M log(1 + u) + log(((1 + u)**M - 1) / u)
+    a power series sum b_k u**k with real coefficients, b_1 = (3M - 1) / 2.
+    On |u| = 1/(4M), |F - F(0)| < 1/2, so Cauchy's bound gives |b_k| <= (4M)**k.
+    So v = const + sum b_k eps**k cos(k phi) and, U the Chebyshev polynomials
+    of the second kind,
+
+        dv/dphi = -sin(phi) sum k b_k eps**k U_{k-1}(cos phi),  |U_{k-1}| <= k,
+
+    whose sum is at least eps (b_1 - 4M ((1+x)/(1-x)**3 - 1)), x = 4 M eps.
+    For M eps <= 2**-8 that is above eps (1.25 M - 0.27 M) > 0, so v strictly
+    decreases on (0, pi), and by v(-phi) = v(phi) the minimum is at phi = pi.
+    The condition is checked exactly as log2 M + rad_rel <= -8 (every table
+    with N >= 5 has M eps <= 2**-27) and a failure raises DomainError.
+    """
     t = m.table
     nk = t.n(k)
     j = k + t.N - 1
     rad_rel = -nk - pi_over_ln2_frac(4 * nk)
+    if j + rad_rel > -8:
+        raise DomainError(f"petal boundary at level {k} too wide for its monotone extrema")
     # |u| <= 2**-n_k, so |log2 |1 + u|| < 3 |u| bounds the boundary's rho range
     reach = Fraction(3, 1 << nk)
     zeta_rho = m.ring_zero_rho(j)
     seam = PieceId("seam", j)
     if m.piece_of(zeta_rho - reach) != seam or m.piece_of(zeta_rho + reach) != seam:
         raise DomainError(f"petal boundary at level {k} leaves piece {seam}")
-    lo = hi = None
     with mpmath.workprec(m.prec + 32):
-        base = mpmath.power(2, mpmath.mpf(rad_rel.numerator) / rad_rel.denominator)
-        for i in range(samples // 2 + 1):
-            ang = mpmath.mpf(2) * mpmath.pi * i / samples
-            u = base * mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
-            v = m.seam_zero_offset_ln(j, u)  # DomainError if u hits a zero
-            if lo is None or v < lo:
-                lo = v
-            if hi is None or v > hi:
-                hi = v
+        eps = mpmath.power(2, mpmath.mpf(rad_rel.numerator) / rad_rel.denominator)
+        hi = m.seam_zero_offset_ln(j, mpmath.mpc(eps))
+        lo = m.seam_zero_offset_ln(j, mpmath.mpc(-eps))
         const = m.seam_zero_log2_base(j)
         ln2 = mpmath.ln(2)
         return const + mpf_to_frac(lo / ln2), const + mpf_to_frac(hi / ln2)
@@ -400,11 +415,13 @@ def verify_inclusions(m: ModelMap, k: int, samples: int = 4096,
                       margin_bits: Optional[float] = None) -> CertificateReport:
     """Circle extrema of log2 |f| against the target annuli.
 
-    A circle on a power piece has one exact value of log2 |f|; origin, bump
-    and seam circles take the extrema of `samples` evenly spaced points; the
-    petal boundary takes them over `samples` evenly spaced points of its
-    closed form log2 |S_j(zeta (1 + u))| (ModelMap.seam_zero_offset_ln),
-    evaluating the half that the conjugation symmetry does not mirror.
+    A radial circle (ModelMap.radial_log2: a power piece, or the origin
+    piece where one term of the polynomial is negligible) has one exact
+    value of log2 |f|; the petal boundary takes its exact extrema over the
+    whole circle at u = +-|u|, where _petal_boundary_extrema shows they
+    lie.  Only the other circles (bump, seam, origin with both terms alive)
+    take the extrema of `samples` evenly spaced points; at N = 5, k = 1..6
+    there are none, so every row is the exact extremum.
     Upper-bound rows pass when max + margin < target, lower-bound rows when
     min - margin > target; the margin defaults to the seam deviation budget.
     """
@@ -440,7 +457,7 @@ def verify_inclusions(m: ModelMap, k: int, samples: int = 4096,
         lower(f"{name}_min_above_8Rk1", lo, Fraction(e2 + 3))
         upper(f"{name}_max_below_eighth_Rk2", hi, Fraction(e3 - 3))
 
-    lo, hi = _petal_boundary_extrema(m, k, samples)
+    lo, hi = _petal_boundary_extrema(m, k)
     lower("petal_boundary_min_above_4Rk1", lo, Fraction(e2 + 2))
     upper("petal_boundary_max_below_quarter_Rk2", hi, Fraction(e3 - 2))
     return rep

@@ -99,9 +99,6 @@ class ModelMap:
             raise DomainError(f"zero index {i} out of range for ring {j}")
         return LogPolar(self.ring_zero_rho(j), Fraction(2 * i - 1, 2 * Mj))
 
-    def seam_zeta(self, j: int) -> LogPolar:
-        return self.ring_zero(j, 1)
-
     # -- piece selection ------------------------------------------------------
 
     def _below_origin_top(self, rho: Fraction) -> bool:
@@ -225,6 +222,25 @@ class ModelMap:
             if e == 0:  # zeta (1 + u) is another zero of the ring
                 raise DomainError(f"point is a zero of ring {j}")
             return L.real + mpmath.log(abs(e))
+
+    def radial_log2(self, rho: Fraction) -> Optional[Fraction]:
+        """log2 |f| on the circle |z| = 2**rho when it is the same at every
+        angle, else None.
+
+        On a power piece |f| = |c_j| |z|**M_j.  On the origin piece the ratio
+        |r_N z| / |c_N z**M_N| depends on rho alone, so whether lp_add drops
+        one term as negligible is decided the same way at every angle, and
+        then |f| is the modulus of the dominant term.
+        """
+        piece = self.piece_of(rho)
+        z = LogPolar(rho, 0)
+        if piece.kind == "power":
+            return self._eval_power(z, piece.index).rho
+        if piece.kind == "origin":
+            s = self._eval_origin(z)
+            if s.negligible:
+                return s.value.rho
+        return None
 
     def eval(self, z: LogPolar) -> Tuple[LogPolar, PieceId]:
         piece = self.piece_of(z)
@@ -372,9 +388,9 @@ BUMP_DERIV_ARGMAX = (1.0 / 3.0) ** 0.25  # |b'| peaks here, value < e
 
 @dataclass(frozen=True)
 class PolyLandmarks:
-    zeros: List[LogPolar]
-    crit_points: List[LogPolar]
-    crit_values: List[LogPolar]
+    zeros: Tuple[LogPolar, ...]
+    crit_points: Tuple[LogPolar, ...]
+    crit_values: Tuple[LogPolar, ...]
     deriv_at_zero: DyadicReal
     zero_rho: Fraction
     crit_rho: Fraction
@@ -387,25 +403,31 @@ def qN_landmarks(m: ModelMap) -> PolyLandmarks:
     crit points:  (-r_N/(c_N M_N))**(1/(M_N-1))
     crit values:  modulus (r_N/(c_N M_N))**(1/(M_N-1)) r_N (1 - 1/M_N)
     q'(0) = r_N;  |q'| at each nonzero zero = r_N (M_N - 1).
+
+    Built once per model and stored on it, like ModelMap._cuts().
     """
+    cache = getattr(m, "_qN_landmarks", None)
+    if cache is not None:
+        return cache
     t = m.table
     N = t.N
     MN = 1 << N
     d = MN - 1
     zero_rho = Fraction(t.r_exp(N) - t.c_exp(N), d)
     crit_rho = Fraction(t.r_exp(N) - t.c_exp(N) - N, d)
-    zeros = [LogPolar(zero_rho, Fraction(2 * i - 1, 2 * d)) for i in range(1, d + 1)]
-    crits = [LogPolar(crit_rho, Fraction(2 * i - 1, 2 * d)) for i in range(1, d + 1)]
+    zeros = tuple(LogPolar(zero_rho, Fraction(2 * i - 1, 2 * d)) for i in range(1, d + 1))
+    crits = tuple(LogPolar(crit_rho, Fraction(2 * i - 1, 2 * d)) for i in range(1, d + 1))
     with mpmath.workprec(m.prec + 16):
         l2fac = mpf_to_frac(mpmath.log(1 - mpmath.ldexp(mpf(1), -N), 2))
     cv_rho = crit_rho + t.r_exp(N) + l2fac
     cvals = []
-    for i in range(1, d + 1):
-        cp = crits[i - 1]
+    for cp in crits:
         val, _ = m.eval(cp)
         cvals.append(val if not val.is_zero else LogPolar(cv_rho, cp.theta))
     dz = DyadicReal.from_int(d, m.prec).mul_pow2(t.r_exp(N))
-    return PolyLandmarks(zeros, crits, cvals, dz, zero_rho, crit_rho)
+    cache = PolyLandmarks(zeros, crits, tuple(cvals), dz, zero_rho, crit_rho)
+    object.__setattr__(m, "_qN_landmarks", cache)
+    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -493,29 +515,31 @@ class SeamMismatch:
     j: int
     inner_max_log2_ratio: float
     outer_max_log2_ratio: float
-    samples: int
 
 
-def seam_mismatch(m: ModelMap, j: int, samples: int = 256) -> SeamMismatch:
-    """Max over sampled angles of |log2(S_j / adjacent power map)| on both
+def seam_mismatch(m: ModelMap, j: int) -> SeamMismatch:
+    """Max over the whole circle of |log2(S_j / adjacent power map)| on both
     seam circles.  Inner bound ~log2(e**(pi/4)+1) < 2; outer
-    ~log2(1+e**(-3pi/4)) < 0.15, independent of j up to 1/M_j terms."""
-    if samples < 256:
-        raise DomainError("samples must be >= 256")
+    ~log2(1+e**(-3pi/4)) < 0.15, independent of j up to 1/M_j terms.
+
+    The ratio is |v - Z_j| / |v| (inner: / r_j**M_j) with v = z**M_j, and it
+    depends on z only through psi = M_j theta mod 1.  Z_j = -|Z_j|, so
+    |v - Z_j| = |Z_j| |1 + q e**(2 pi i psi)|, q = |v| / |Z_j|, which decreases
+    in psi on [0, 1/2] and is even in psi: its log2 minus a constant takes
+    its largest absolute value at psi = 0 or psi = 1/2, the only two points
+    evaluated.
+    """
     t = m.table
     Mj = 1 << j
     zc = m.zcap(j)
     inner_max = 0.0
     outer_max = 0.0
     outer_rho = m.seam_top(j)
-    # the ratio depends on theta only through psi = M_j theta mod 1, so the
-    # grid samples psi directly (a theta grid would alias once M_j >= samples)
-    for i in range(samples):
-        psi = Fraction(i, samples)
+    for psi in (Fraction(0), Fraction(1, 2)):
         v_in = LogPolar(Fraction(Mj * t.r_exp(j)), psi)
         d_in = lp_sub(v_in, zc, guard=m.guard, prec=m.prec).value
         inner_max = max(inner_max, abs(float(d_in.rho - Mj * t.r_exp(j))))
         v_out = LogPolar(Fraction(Mj) * outer_rho, psi)
         d_out = lp_sub(v_out, zc, guard=m.guard, prec=m.prec).value
         outer_max = max(outer_max, abs(float(d_out.rho - v_out.rho)))
-    return SeamMismatch(j, inner_max, outer_max, samples)
+    return SeamMismatch(j, inner_max, outer_max)

@@ -521,15 +521,6 @@ class LogPolar:
         return cls(d.log2_frac(bits), th)
 
     @classmethod
-    def from_complex(cls, z: complex, bits: int = SIG_BITS) -> "LogPolar":
-        if z == 0:
-            return cls.zero_point()
-        r = abs(z)
-        rho = frac_quantize(Fraction(math.log2(r)), bits)
-        th = frac_quantize(Fraction(math.atan2(z.imag, z.real) / (2 * math.pi)), bits)
-        return cls(rho, Angle(th))
-
-    @classmethod
     def from_mpc_scaled(cls, w: mpc, rho0: Fraction = Fraction(0),
                         prec: int = SIG_BITS) -> "LogPolar":
         """LogPolar of w * 2**rho0 for an mpc w of moderate size."""
@@ -762,13 +753,15 @@ def log1p_mpc(u: mpc, prec: int = SIG_BITS) -> mpc:
 
 
 def expm1_series(L: mpc, scale: int, prec: int = SIG_BITS) -> mpc:
-    """e**L - 1 = L (1 + L/2 + L^2/6 + ...) for |L| < 2**-scale.
+    """e**L - 1 = L (1 + L/2 + L^2/6 + ...) for |L| < 2**-scale, scale >= 16.
 
     Runs at the caller's working precision.  The term count adapts to the
-    scale, so ultra-tiny inputs cost a couple of multiplies; it assumes
-    scale >= 16 and falls short of prec bits for larger L.
+    scale, so ultra-tiny inputs cost a couple of multiplies.  Larger L
+    would need more terms than this count; it takes exp(L) - 1 instead.
     """
-    nterms = max(2, (prec + 48) // max(16, scale) + 1)
+    if scale < 16:
+        raise DomainError(f"expm1_series needs |L| < 2**-16, got scale {scale}")
+    nterms = max(2, (prec + 48) // scale + 1)
     term = mpc(1)
     series = mpc(1)
     for i in range(2, nterms + 2):
@@ -793,11 +786,6 @@ def lp_perturb(z: LogPolar, u: mpc, prec: int = SIG_BITS) -> LogPolar:
         lre = mpf_to_frac(v.real / mpmath.ln(2))
         lim = mpf_to_frac(v.imag / (2 * mpmath.pi))
     return LogPolar(z.rho + lre, z.theta.add(Angle(lim)))
-
-
-def lp_ratio_mpc(a: LogPolar, b: LogPolar, prec: int = SIG_BITS) -> mpc:
-    """a / b as an mpc; requires a moderate magnitude gap."""
-    return a.div(b).to_mpc_scaled(Fraction(0), prec)
 
 
 def frac_ilog2(fr: Fraction) -> int:
@@ -827,7 +815,8 @@ def expm1_lp(drho: Fraction, dtheta: Fraction, prec: int = SIG_BITS) -> LogPolar
     with mpmath.workprec(wp):
         L = mpc(frac_to_mpf(drho, wp) * mpmath.ln(2),
                 frac_to_mpf(dtheta, wp) * 2 * mpmath.pi)
-        if size > Fraction(1, 64):
+        # at size > 2**-16, exp(L) - 1 loses at most 17 of the 64 guard bits
+        if size > Fraction(1, 1 << 16):
             v = mpmath.exp(L) - 1
             if v == 0:
                 return LogPolar.zero_point()

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from juliadim.cli import main, parse_point
+from juliadim.cli import _parser, main, parse_point
 from juliadim.config import Config
+
+VERIFY_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                    / "verify_N5_kmax12_khi6_s4096.json")
 
 
 def run(args):
@@ -47,6 +50,22 @@ def test_verify_subcommand_exit_zero(tmp_path):
     assert doc["config"]["N"] == 5
     assert any(c["name"] == "inner_circle_max_below_quarter_next"
                for c in doc["certificates"])
+
+
+def test_verify_report_matches_reference_bytes(tmp_path):
+    # the stored report of the benchmark's inclusions workload: exact
+    # extrema must not move a single byte of the certificate output
+    out = tmp_path / "v.json"
+    rc = run(["verify", "--N", "5", "--kmax", "12", "--khi", "6",
+              "--samples", "4096", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == VERIFY_REFERENCE.read_bytes()
+
+
+def test_parser_built_once_and_report_alias_gone():
+    assert _parser() is _parser()
+    with pytest.raises(SystemExit):
+        run(["report", "--N", "5"])
 
 
 def test_eval_and_orbit_subcommands(tmp_path):

@@ -222,9 +222,8 @@ def test_inclusion_extrema_match_pointwise_evaluation():
                 assert abs(new - old.rho) <= tol, (k, i)
                 old_vals.append(old.rho)
         if k == 1:
-            # the indices span both halves of the boundary, so this also
-            # covers the extrema taken over the first half only
-            lo, hi = _petal_boundary_extrema(M5, k, samples)
+            # the indices span both halves of the boundary
+            lo, hi = _petal_boundary_extrema(M5, k)
             assert lo - tol <= min(old_vals) and max(old_vals) <= hi + tol
     # power-piece circles: one evaluation is the exact extremum
     k = 2
@@ -239,7 +238,58 @@ def test_petal_boundary_must_lie_on_its_seam_piece(monkeypatch):
     m = ModelMap(table=T5)
     monkeypatch.setattr(ModelMap, "piece_of", lambda self, rho: PieceId("power", 6))
     with pytest.raises(DomainError, match="leaves piece seam"):
-        _petal_boundary_extrema(m, 1, 4096)
+        _petal_boundary_extrema(m, 1)
+
+
+def test_petal_boundary_extrema_equal_the_half_grid():
+    # the two closed-form points against the 2049-point half grid of
+    # 4096 samples that the conjugation symmetry leaves to evaluate
+    import mpmath
+    from juliadim.dynamics import _petal_boundary_extrema
+    from juliadim.numerics import mpf_to_frac, pi_over_ln2_frac
+
+    samples = 4096
+    for k in (1, 2):
+        nk, j = T5.n(k), k + T5.N - 1
+        rad_rel = -nk - pi_over_ln2_frac(4 * nk)
+        with mpmath.workprec(M5.prec + 32):
+            base = mpmath.power(2, mpmath.mpf(rad_rel.numerator) / rad_rel.denominator)
+            vals = []
+            for i in range(samples // 2 + 1):
+                ang = mpmath.mpf(2) * mpmath.pi * i / samples
+                u = base * mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
+                vals.append(M5.seam_zero_offset_ln(j, u))
+            const, ln2 = M5.seam_zero_log2_base(j), mpmath.ln(2)
+            want = (const + mpf_to_frac(min(vals) / ln2),
+                    const + mpf_to_frac(max(vals) / ln2))
+        # the grid is monotone, as the docstring's argument says
+        assert vals == sorted(vals, reverse=True)
+        assert _petal_boundary_extrema(M5, k) == want
+
+
+def test_petal_boundary_monotonicity_guard(monkeypatch):
+    # a table whose petal radius eps has M eps > 2**-8 voids the
+    # monotonicity argument: the extrema must refuse, not guess
+    from juliadim.dynamics import _petal_boundary_extrema
+    m = ModelMap(table=build_params(5, 25))
+    monkeypatch.setattr(type(m.table), "n", lambda self, k: 4)
+    with pytest.raises(DomainError, match="monotone extrema"):
+        _petal_boundary_extrema(m, 1)
+
+
+def test_origin_circles_are_radial_and_exact():
+    from juliadim.dynamics import _circle_extrema
+    from juliadim.geometry import LOG2_2_5, LOG2_3_5
+
+    k, samples = 1, 4096
+    e1, e2 = T5.R_exp(k), T5.R_exp(k + 1)
+    circles = (e1 + LOG2_2_5, e1 + LOG2_3_5, Fraction(e1 + 2), Fraction(e2 - 2),
+               e1 + const_log2_frac(5, 4))
+    origin = [rho for rho in circles if M5.piece_of(rho).kind == "origin"]
+    assert len(origin) == 2
+    for rho in origin:
+        assert M5.radial_log2(rho) is not None
+        assert _circle_extrema(M5, rho, samples) == _sampled_circle_extrema(M5, rho, samples)
 
 
 def test_inclusion_requires_enough_samples():

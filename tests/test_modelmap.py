@@ -100,6 +100,30 @@ def test_derivative_vanishes_at_critical_points():
         assert d.is_zero
 
 
+def test_landmarks_built_once_per_model():
+    import dataclasses
+    m = model()
+    lm = qN_landmarks(m)
+    assert qN_landmarks(m) is lm
+    assert all(isinstance(f, tuple) for f in (lm.zeros, lm.crit_points, lm.crit_values))
+    # the critical values depend on prec: a replaced model builds its own
+    assert qN_landmarks(dataclasses.replace(m, prec=m.prec + 64)) is not lm
+
+
+def test_radial_circles():
+    t = M5.table
+    # power piece: |f| = |c_j| |z|**M_j
+    rho = Fraction(t.r_exp(6) + 3)
+    assert str(M5.piece_of(rho)) == "power(7)"
+    assert M5.radial_log2(rho) == t.c_exp(7) + 128 * rho
+    # origin piece, linear term dominant by far more than the guard
+    assert M5.radial_log2(Fraction(10)) == t.r_exp(5) + 10
+    # origin piece at the zeros of the polynomial, and a seam circle: no
+    lm = qN_landmarks(M5)
+    assert M5.radial_log2(lm.zero_rho) is None
+    assert M5.radial_log2(t.r_exp(5) + Fraction(1, 10**9)) is None
+
+
 def test_critical_values_inside_first_gap():
     # moduli in (8 r_N, r_{N+1} / (16 sqrt 2))
     t = M5.table
@@ -216,7 +240,7 @@ def test_seam_zero_offset_rejects_the_zero():
 
 def test_seam_mismatch_bounds():
     for j in (5, 6, 8):
-        sm = seam_mismatch(M5, j, samples=256)
+        sm = seam_mismatch(M5, j)
         assert sm.inner_max_log2_ratio <= 2.0
         assert sm.outer_max_log2_ratio <= 0.15
         # analytic extremes: log2(e^(pi/4)+1) and -log2(1-e^(-3pi/4))
@@ -225,10 +249,33 @@ def test_seam_mismatch_bounds():
 
 
 def test_seam_mismatch_stable_across_rings():
-    a = seam_mismatch(M5, 5, 256)
-    b = seam_mismatch(M5, 6, 256)
+    a = seam_mismatch(M5, 5)
+    b = seam_mismatch(M5, 6)
     assert abs(a.inner_max_log2_ratio - b.inner_max_log2_ratio) < 1.0 / 32
     assert abs(a.outer_max_log2_ratio - b.outer_max_log2_ratio) < 1.0 / 32
+
+
+def _sampled_seam_mismatch(m, j, samples=256):
+    """Both seam-circle deviations as maxima over a psi = M_j theta grid."""
+    t = m.table
+    Mj = 1 << j
+    zc = m.zcap(j)
+    inner_max = outer_max = 0.0
+    for i in range(samples):
+        psi = Fraction(i, samples)
+        v_in = LogPolar(Fraction(Mj * t.r_exp(j)), psi)
+        d_in = lp_sub(v_in, zc, guard=m.guard, prec=m.prec).value
+        inner_max = max(inner_max, abs(float(d_in.rho - Mj * t.r_exp(j))))
+        v_out = LogPolar(Fraction(Mj) * m.seam_top(j), psi)
+        d_out = lp_sub(v_out, zc, guard=m.guard, prec=m.prec).value
+        outer_max = max(outer_max, abs(float(d_out.rho - v_out.rho)))
+    return inner_max, outer_max
+
+
+def test_seam_mismatch_equals_the_psi_grid():
+    for j in (5, 6):
+        sm = seam_mismatch(M5, j)
+        assert (sm.inner_max_log2_ratio, sm.outer_max_log2_ratio) == _sampled_seam_mismatch(M5, j)
 
 
 # seam zeros ----------------------------------------------------------------------

@@ -8,9 +8,13 @@ from hypothesis import given, settings, strategies as st
 from juliadim.numerics import (
     Angle,
     DivisionByZero,
+    DomainError,
     DyadicReal,
     LogPolar,
+    SIG_BITS,
     dyadic_arith,
+    expm1_lp,
+    expm1_series,
     lp_add,
     lp_mul_pow_root,
     lp_perturb,
@@ -245,6 +249,34 @@ def test_lp_sub_close_scales():
         got = d.value.to_mpc_scaled(Fraction(58), 200)
         err = abs(got - (za - zb)) / abs(za - zb)
         assert err < mpmath.mpf(2) ** -100
+
+
+@pytest.mark.parametrize("drho, dtheta", [
+    (Fraction(0), Fraction(1, 64)),
+    (Fraction(0), Fraction(1, 100)),
+    (Fraction(1, 64), Fraction(0)),
+    (Fraction(0), Fraction(1, 4096)),
+    (Fraction(0), Fraction(1, 1 << 17)),
+    (Fraction(-3, 1 << 40), Fraction(5, 1 << 43)),
+])
+def test_expm1_lp_full_precision(drho, dtheta):
+    # against exp(L) - 1 at 600 bits, on both sides of the series cut-over
+    got = expm1_lp(drho, dtheta)
+    with mpmath.workprec(600):
+        L = mpmath.mpc(mpmath.mpf(drho.numerator) / drho.denominator * mpmath.ln(2),
+                       mpmath.mpf(dtheta.numerator) / dtheta.denominator * 2 * mpmath.pi)
+        v = mpmath.exp(L) - 1
+        rho_err = abs(mpmath.log(abs(v), 2) - mpmath.mpf(got.rho.numerator) / got.rho.denominator)
+        turns = mpmath.mpf(got.theta.turns.numerator) / got.theta.turns.denominator
+        d = turns - mpmath.arg(v) / (2 * mpmath.pi)
+        th_err = abs(d - mpmath.nint(d))
+        bound = mpmath.mpf(2) ** -(SIG_BITS + 8)
+        assert rho_err <= bound and th_err <= bound, (rho_err, th_err)
+
+
+def test_expm1_series_rejects_wide_inputs():
+    with pytest.raises(DomainError):
+        expm1_series(mpmath.mpc(0, mpmath.mpf(2) ** -10), 10)
 
 
 def test_pow2_minus1_log2_tiny():
