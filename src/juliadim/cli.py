@@ -54,6 +54,16 @@ def parse_point(s: str) -> LogPolar:
     return LogPolar(rho, Angle(Fraction(th).limit_denominator(1 << 64)))
 
 
+def _read_points(args) -> list:
+    """The --point argument, then the rows of the --input CSV (header skipped)."""
+    points = [parse_point(args.point)] if args.point else []
+    if args.input:
+        for line in Path(args.input).read_text().splitlines()[1:]:
+            if line.strip():
+                points.append(parse_point(line))
+    return points
+
+
 def cmd_params(args) -> int:
     cfg = _load_config(args)
     t = cfg.build_table()
@@ -105,14 +115,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     m = cfg.build_model()
     rows = []
-    points = []
-    if args.point:
-        points.append(parse_point(args.point))
-    if args.input:
-        for line in Path(args.input).read_text().splitlines()[1:]:
-            if line.strip():
-                points.append(parse_point(line))
-    for z in points:
+    for z in _read_points(args):
         w, piece = m.eval(z)
         if w.is_zero:
             rows.append([z.rho_int(), z.rho_frac_float(), z.theta.to_float(),
@@ -123,12 +126,7 @@ def cmd_eval(args) -> int:
                          str(piece)])
     header = ["rho_int", "rho_frac", "theta", "out_rho_int", "out_rho_frac",
               "out_theta", "piece"]
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(",".join(header) + "\n")
-        for r in rows:
-            sys.stdout.write(",".join(str(render_value(v)) for v in r) + "\n")
+    write_csv(args.out, header, rows)
     return 0
 
 
@@ -137,15 +135,8 @@ def cmd_orbit(args) -> int:
 
     cfg = _load_config(args)
     m = cfg.build_model()
-    points = []
-    if args.point:
-        points.append(parse_point(args.point))
-    if args.input:
-        for line in Path(args.input).read_text().splitlines()[1:]:
-            if line.strip():
-                points.append(parse_point(line))
     lines = []
-    for z in points:
+    for z in _read_points(args):
         rec = iterate_orbit(m, z, nmax=args.nmax, phi_budget=args.phi_budget)
         lines.append(json.dumps({
             "start": render_value(z),
@@ -192,12 +183,7 @@ def cmd_dims(args) -> int:
                              "pass" if layer_checks(t, td, cfg.Lpp).all_pass else "fail",
                              z2_tail(t, 1, td, Pp=cfg.Pp).verdict])
         header = ["N", "t", "origin", "backwards", "layers", "singleton"]
-        if args.out:
-            write_csv(args.out, header, rows)
-        else:
-            sys.stdout.write(",".join(header) + "\n")
-            for r in rows:
-                sys.stdout.write(",".join(str(v) for v in r) + "\n")
+        write_csv(args.out, header, rows)
         return 0
     t = cfg.build_table()
     td = args.t
@@ -284,7 +270,10 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the full certificate suite")
     _add_common(sp)
     sp.add_argument("--khi", type=int, default=6)
-    sp.add_argument("--samples", type=int, default=4096)
+    sp.add_argument("--samples", type=int, default=4096,
+                    help="samples per non-radial inclusion circle (N=5, k<=6 "
+                         "has none: every circle there is radial or the petal "
+                         "boundary, whose extrema are exact)")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("eval", help="evaluate the model map on points")

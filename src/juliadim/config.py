@@ -28,6 +28,8 @@ class Config:
     output_dir: str = "."
 
     FILE_KEYS = {"lambda": "lam"}
+    # kept only because every report embeds to_dict(); nothing reads them
+    UNCONSUMED = ("delta", "output_dir")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -47,6 +49,8 @@ class Config:
 
     def set_key(self, key: str, val: str):
         key = self.FILE_KEYS.get(key, key)
+        if key in self.UNCONSUMED:
+            raise KeyError(f"config key {key!r} has no consumer")
         for f in fields(self):
             if f.name == key:
                 cur = getattr(self, key)
@@ -67,5 +71,5 @@ class Config:
 
     def build_model(self):
         from .modelmap import ModelMap
-        return ModelMap(table=self.build_table(), lam=self.lam, delta=self.delta,
-                        prec=self.P_sig, guard=self.guard)
+        return ModelMap(table=self.build_table(), lam=self.lam, prec=self.P_sig,
+                        guard=self.guard, ang_bits=self.P_ang)

@@ -55,7 +55,7 @@ class Identity:
     def eps(self, z: LogPolar) -> complex:
         return 0.0 + 0.0j
 
-    def phi(self, z: LogPolar) -> LogPolar:
+    def phi(self, z: LogPolar, prec: int) -> LogPolar:
         return z
 
     def phi_prime(self, z: LogPolar) -> complex:
@@ -115,11 +115,11 @@ class SyntheticOmega:
         u = sum(w * cmath.exp(1j * g) for w, g in zip(self.weights, args))
         return a * u
 
-    def phi(self, z: LogPolar) -> LogPolar:
+    def phi(self, z: LogPolar, prec: int) -> LogPolar:
         e = self.eps(z)
         if e == 0:
             return z
-        return lp_perturb(z, mpmath.mpc(e))
+        return lp_perturb(z, mpmath.mpc(e), prec)
 
     def phi_prime(self, z: LogPolar) -> complex:
         """1 + eps + z eps_z with the Wirtinger derivative in closed form:
@@ -157,22 +157,29 @@ class CurveTrace:
         return i_osc, o_osc
 
 
-def _pullback_point(m: ModelMap, phi, k: int, depth: int, theta: Fraction,
-                    seed_rho: Fraction) -> LogPolar:
-    """w_0(theta) for the depth-fold pullback of the circle log2-radius
-    seed_rho sitting at level k + depth + 1."""
+def _pullback_chain(m: ModelMap, phi, k: int, depth: int, theta: Fraction,
+                    seed_rho: Fraction) -> List[LogPolar]:
+    """w_0, ..., w_depth for the depth-fold pullback through angle theta of
+    the circle log2-radius seed_rho sitting at level k + depth + 1.
+
+    w_depth is the seed point and w_j = f^j(w_0) lies in the level-(k+j+1)
+    curve zone; each root branch is the one containing the angle that
+    theta reaches after j steps."""
     t = m.table
     params = [Fraction(theta)]
     for j in range(depth):
         params.append(params[-1] * t.n(k + j + 1))
     z = LogPolar(seed_rho, Angle(frac_mod1(params[depth])))
+    chain = [z]
     for j in range(depth - 1, -1, -1):
         n = t.n(k + j + 1)
         pj = frac_mod1(params[j])
         b = (pj * n).numerator // (pj * n).denominator  # floor(n frac(p_j))
         z = LogPolar(z.rho - t.C_exp(k + j + 1), z.theta).root(n, b % n)
-        z = phi.phi(z)
-    return z
+        z = phi.phi(z, m.prec)
+        chain.append(z)
+    chain.reverse()
+    return chain
 
 
 def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveTrace:
@@ -188,19 +195,18 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
     if depth < 1:
         raise DomainError("depth must be >= 1")
     t = m.table
-    from .numerics import ANG_BITS
     ang_cost = sum(t.N + k + j for j in range(1, depth + 1))
-    if ang_cost > ANG_BITS - 64:
+    if ang_cost > m.ang_bits - 64:
         raise DomainError(f"pullback depth needs {ang_cost + 64} angle bits "
-                          f"(budget {ANG_BITS})")
+                          f"(budget {m.ang_bits})")
     top = t.R_exp(k + depth + 1)
     seeds = (Fraction(top - 2), top + const_log2_frac(3, 4))
     thetas = [Fraction(i, grid) for i in range(grid)]
     inner: List[Fraction] = []
     outer: List[Fraction] = []
     for th in thetas:
-        inner.append(_pullback_point(m, phi, k, depth, th, seeds[0]).rho)
-        outer.append(_pullback_point(m, phi, k, depth, th, seeds[1]).rho)
+        inner.append(_pullback_chain(m, phi, k, depth, th, seeds[0])[0].rho)
+        outer.append(_pullback_chain(m, phi, k, depth, th, seeds[1])[0].rho)
     for name, arr in (("inner", inner), ("outer", outer)):
         for i in range(grid):
             gap = abs(float(arr[(i + 1) % grid] - arr[i]))
@@ -307,21 +313,8 @@ def tangent_products(m: ModelMap, phi, theta0: Angle, mmax: int,
     if k + mmax + 2 > t.kmax_shifted() + 1:
         raise DomainError("table too small for the requested depth")
     # orbit points: pull the mid-circle anchor back through the V chain
-    seed = Fraction(t.R_exp(k + mmax + 1) - 1)
-    pts: List[LogPolar] = []
-    params = [Fraction(theta0.turns)]
-    for j in range(mmax):
-        params.append(params[-1] * t.n(k + j + 1))
-    z = LogPolar(seed, Angle(frac_mod1(params[mmax])))
-    chain = [z]
-    for j in range(mmax - 1, -1, -1):
-        n = t.n(k + j + 1)
-        pj = frac_mod1(params[j])
-        b = ((pj * n).numerator // (pj * n).denominator) % n
-        z = LogPolar(z.rho - t.C_exp(k + j + 1), z.theta).root(n, b)
-        z = phi.phi(z)
-        chain.append(z)
-    chain.reverse()  # chain[j] = f^j(z_0)
+    chain = _pullback_chain(m, phi, k, mmax, theta0.turns,
+                            Fraction(t.R_exp(k + mmax + 1) - 1))
     Cp = getattr(phi, "Cprime", 0.0)
     partials: List[complex] = []
     pair_actual: List[float] = []
@@ -351,8 +344,8 @@ def angle_check(m: ModelMap, phi, k: int, n1: int, n2: int,
     t = m.table
     worst = 0.0
     for i in range(samples):
-        th = Angle(Fraction(i, samples))
-        chain = _orbit_chain(m, phi, th, n2 + 1, k)
+        chain = _pullback_chain(m, phi, k, n2 + 1, Fraction(i, samples),
+                                Fraction(t.R_exp(k + n2 + 2) - 1))
         prod = 1.0 + 0.0j
         for j in range(n1, n2):
             prod *= (1.0 + phi.eps(chain[j])) / phi.phi_prime(chain[j])
@@ -361,24 +354,6 @@ def angle_check(m: ModelMap, phi, k: int, n1: int, n2: int,
     budget = sum(math.atan(48.0 * Cp * 2.0 ** (-math.sqrt(l + t.N + 2) / 4.0))
                  for l in range(n1, n2))
     return worst, budget
-
-
-def _orbit_chain(m: ModelMap, phi, theta0: Angle, mmax: int, k: int) -> List[LogPolar]:
-    t = m.table
-    params = [Fraction(theta0.turns)]
-    for j in range(mmax):
-        params.append(params[-1] * t.n(k + j + 1))
-    z = LogPolar(Fraction(t.R_exp(k + mmax + 1) - 1), Angle(frac_mod1(params[mmax])))
-    chain = [z]
-    for j in range(mmax - 1, -1, -1):
-        n = t.n(k + j + 1)
-        pj = frac_mod1(params[j])
-        b = ((pj * n).numerator // (pj * n).denominator) % n
-        z = LogPolar(z.rho - t.C_exp(k + j + 1), z.theta).root(n, b)
-        z = phi.phi(z)
-        chain.append(z)
-    chain.reverse()
-    return chain
 
 
 # ---------------------------------------------------------------------------

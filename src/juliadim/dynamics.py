@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .numerics import (
-    ANG_BITS,
     DomainError,
     LogPolar,
     const_log2_frac,
@@ -252,14 +251,13 @@ def _backfill_negative_indices(regions: List[Region]) -> List[Region]:
 
 
 def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int,
-                  margin_bits: float = 0.0, phi_budget: bool = False,
-                  ang_bits: int = ANG_BITS) -> OrbitRecord:
+                  margin_bits: float = 0.0, phi_budget: bool = False) -> OrbitRecord:
     """Forward orbit with region bookkeeping.
 
     Stops early on entering an escape gap (FatouEscape) or when the angular
-    amplification budget runs out (Truncated).  With phi_budget=True the
-    classification margin grows by the distortion budget C' omega(1/|z|) at
-    each point, on top of `margin_bits`.
+    amplification budget m.ang_bits runs out (Truncated).  With
+    phi_budget=True the classification margin grows by the distortion budget
+    C' omega(1/|z|) at each point, on top of `margin_bits`.
     """
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
@@ -291,7 +289,7 @@ def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int,
             break
         piece = m.piece_of(zn) if not zn.is_zero else None
         cost = t.N if piece is None or piece.kind in ("origin", "bump") else piece.index + 1
-        if bits_used + cost > ang_bits - 64:
+        if bits_used + cost > m.ang_bits - 64:
             truncated = f"angular budget: needs {bits_used + cost + 64} bits"
             break
         bits_used += cost
@@ -571,15 +569,16 @@ def backward_construct(m: ModelMap, itinerary: Sequence[ItinEntry],
     entries = _normalize_itinerary(itinerary)
     if not entries:
         raise ItineraryError("empty itinerary")
-    budget = budget_bits if budget_bits is not None else ANG_BITS
+    budget = budget_bits if budget_bits is not None else m.ang_bits
     need = itinerary_precision(m, entries, anchor)
     if need > budget:
         raise DomainError(
             f"itinerary needs about {need} working bits, budget is {budget}; "
             "deep or backwards petal visits are out of the configured resolution")
-    if need > m.prec:
+    if need > m.prec or need + 64 > m.ang_bits:
         import dataclasses
-        m = dataclasses.replace(m, prec=need, guard=max(m.guard, need))
+        m = dataclasses.replace(m, prec=max(m.prec, need), guard=max(m.guard, need),
+                                ang_bits=max(m.ang_bits, need + 64))
     for i in range(len(entries) - 1):
         cur, nxt = entries[i][0], entries[i + 1][0]
         lc, ln = region_level(cur), region_level(nxt)
@@ -603,8 +602,7 @@ def backward_construct(m: ModelMap, itinerary: Sequence[ItinEntry],
         else:
             raise ItineraryError(f"unsupported itinerary tag {reg}")
     if verify:
-        got = iterate_orbit(m, z, nmax=len(entries),
-                            ang_bits=max(ANG_BITS, need + 64)).regions[:len(entries)]
+        got = iterate_orbit(m, z, nmax=len(entries)).regions[:len(entries)]
         for i, ((want, _), have) in enumerate(zip(entries, got)):
             ok = want.kind == have.kind and want.k == have.k and (
                 want.kind != "P" or want.j is None or want.j == have.j)

@@ -32,6 +32,7 @@ from mpmath import mpc, mpf
 
 from .numerics import (
     ADD_GUARD,
+    ANG_BITS,
     DomainError,
     LogPolar,
     LpSum,
@@ -67,10 +68,10 @@ class PieceId:
 class ModelMap:
     table: ParamTable
     lam: float = 0.05      # petal conformal-ball shape constant
-    delta: float = 0.25    # petal image-ball shape constant
     seam_margin_bits: float = 2.0
     prec: int = SIG_BITS
     guard: int = ADD_GUARD
+    ang_bits: int = ANG_BITS   # angle resolution orbits and pullbacks budget against
 
     # -- ring geometry -------------------------------------------------------
 
@@ -166,21 +167,6 @@ class ModelMap:
         t2 = LogPolar(t.r_exp(N) + z.rho, z.theta)
         return lp_add(t1, t2, guard=self.guard, prec=self.prec)
 
-    def _strip_s(self, z: LogPolar) -> mpf:
-        """s = |z| - (r_N - 1) in [0, 1] for a point in the bump strip."""
-        return _strip_s_for(self.table, self.table.N, z, self.prec)
-
-    def _eval_bump(self, z: LogPolar) -> LpSum:
-        t = self.table
-        N = t.N
-        s = self._strip_s(z)
-        l2eta = bump_log2(s)
-        t1 = LogPolar(t.c_exp(N) + (1 << N) * z.rho, z.theta.mul_int(1 << N))
-        if l2eta is None:  # eta = 0: pure power already
-            return LpSum(t1)
-        t2 = LogPolar(t.r_exp(N) + z.rho + mpf_to_frac(l2eta), z.theta)
-        return lp_add(t1, t2, guard=self.guard, prec=self.prec)
-
     def _eval_power(self, z: LogPolar, j: int) -> LogPolar:
         Mj = 1 << j
         return LogPolar(self.table.c_exp(j) + Mj * z.rho, z.theta.mul_int(Mj))
@@ -247,7 +233,7 @@ class ModelMap:
         if piece.kind == "origin":
             return self._eval_origin(z).value, piece
         if piece.kind == "bump":
-            return self._eval_bump(z).value, piece
+            return eval_bump_gk(self, piece.index, z), piece
         if piece.kind == "power":
             return self._eval_power(z, piece.index), piece
         return self._eval_seam(z, piece.index), piece
@@ -292,7 +278,7 @@ class ModelMap:
             return lead.mul(w.value), piece
         # bump piece: z-component of the Wirtinger derivative of the blend
         N = t.N
-        s = self._strip_s(z)
+        s = _strip_s_for(t, N, z, self.prec)
         t1 = LogPolar(t.c_exp(N) + N + ((1 << N) - 1) * z.rho,
                       z.theta.mul_int((1 << N) - 1))
         terms = [t1]
@@ -312,7 +298,8 @@ class ModelMap:
 
 def eval_bump_gk(m: ModelMap, k: int, z: LogPolar) -> LogPolar:
     """The blend family member g_k(z) = c_k z**M_k + r_k z eta_k(|z|) for any
-    ring index k >= 5, independent of which piece the model uses at z.
+    ring index k >= 5, independent of which piece the model uses at z; the
+    model's own bump piece is g_N.
 
     eta_k is 1 below |z| = r_k - 1 and 0 above r_k; on the strip it follows
     the bump profile in the shifted coordinate s = |z| - (r_k - 1), computed
@@ -337,6 +324,7 @@ def eval_bump_gk(m: ModelMap, k: int, z: LogPolar) -> LogPolar:
 
 
 def _strip_s_for(t, k: int, z: LogPolar, prec: int) -> mpf:
+    """s = |z| - (r_k - 1) in [0, 1] for a point in the ring-k bump strip."""
     ek = t.r_exp(k)
     d = z.rho - ek
     with mpmath.workprec(prec + 32):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import mpmath
 from mpmath import mpc, mpf
@@ -395,19 +395,6 @@ class DyadicReal:
         return hash((self.sign, self.man, self.exp))
 
 
-def dyadic_arith(a: DyadicReal, b: Union[DyadicReal, int, None], op: str, n: Optional[int] = None):
-    """Dispatch wrapper: op in {'mul', 'div', 'pow_int', 'cmp'}."""
-    if op == "mul":
-        return a.mul(b)
-    if op == "div":
-        return a.div(b)
-    if op == "pow_int":
-        return a.pow_int(n if n is not None else b)
-    if op == "cmp":
-        return a.cmp(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Angle
 # ---------------------------------------------------------------------------
@@ -622,18 +609,6 @@ class LogPolar:
 
     def __hash__(self):
         return hash((self.zero, self.rho, self.theta.turns))
-
-
-def lp_mul_pow_root(z: LogPolar, op: str, w: Optional[LogPolar] = None,
-                    n: Optional[int] = None, branch: int = 0) -> LogPolar:
-    """Dispatch wrapper: op in {'mul', 'pow', 'root'}."""
-    if op == "mul":
-        return z.mul(w)
-    if op == "pow":
-        return z.pow_int(n)
-    if op == "root":
-        return z.root(n, branch)
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional
 
@@ -202,9 +202,7 @@ def build_params(N: int, kmax: int, Cprime: float = 1.0, p: float = SQRT8,
         beta[k] = 1.0 / (1.0 + w)
     t = ParamTable(N=N, kmax=kmax, jmax=jmax, e=tuple(e), eps=tuple(eps),
                    Cprime=Cprime, p=p, alpha=tuple(alpha), beta=tuple(beta), k0=None)
-    return ParamTable(N=N, kmax=kmax, jmax=jmax, e=tuple(e), eps=tuple(eps),
-                      Cprime=Cprime, p=p, alpha=tuple(alpha), beta=tuple(beta),
-                      k0=compute_k0(t))
+    return replace(t, k0=compute_k0(t))
 
 
 # ---------------------------------------------------------------------------
@@ -330,29 +328,20 @@ def omega_eval(p: float, r: DyadicReal) -> float:
     """
     if r.is_zero or r.sign < 0 or r.exp >= 0:
         raise DomainError("need 0 < r < 1")
-    lnsig = math.log(float(r.significand_fraction()))
     # ln(1/r) = -exp*ln2 - ln(sig)
-    if (-r.exp).bit_length() <= 900:
-        ln_inv = (-r.exp) * math.log(2.0) - lnsig
-        if ln_inv < 1.0 - 1e-12:
-            raise DomainError("modulus scale undefined for r > 1/e")
-        lnln = math.log(ln_inv) if ln_inv > 1.0 else 0.0
-    else:
-        lnln = ln_big(-r.exp)
-    return 0.5 ** (math.sqrt(lnln) / p)
+    lnln = ln_big(-r.exp, -math.log(float(r.significand_fraction())))
+    if lnln < -1e-12:
+        raise DomainError("modulus scale undefined for r > 1/e")
+    return 0.5 ** (math.sqrt(max(lnln, 0.0)) / p)
 
 
 def omega_from_rho(p: float, rho_int: int, rho_frac: float = 0.0) -> float:
     """omega_p(1/|z|) for |z| = 2**(rho_int + rho_frac), |z| large."""
     if rho_int <= 0:
         raise DomainError("need |z| > 1")
-    if rho_int.bit_length() <= 900:
-        ln_abs = rho_int * math.log(2.0) + rho_frac * math.log(2.0)
-        if ln_abs <= 1.0:
-            raise DomainError("point too small for modulus scale")
-        lnln = math.log(ln_abs)
-    else:
-        lnln = ln_big(rho_int)
+    lnln = ln_big(rho_int, rho_frac * math.log(2.0))
+    if lnln <= 0.0:
+        raise DomainError("point too small for modulus scale")
     return 0.5 ** (math.sqrt(lnln) / p)
 
 
@@ -363,11 +352,7 @@ def compute_k0(t: ParamTable, R: float = 1.0) -> Optional[int]:
     for k in range(1, t.kmax + 1):
         ek = t.r_exp(k)
         try:
-            if ek.bit_length() <= 900:
-                ln_val = ek * math.log(2.0) - math.log(20.0)
-                cond = ln_val > 0 and math.log(ln_val) >= k / 2.0
-            else:
-                cond = ln_big(ek, -math.log(20.0)) >= k / 2.0
+            cond = ln_big(ek, -math.log(20.0)) >= k / 2.0
         except DomainError:
             cond = False
         size_ok = True if ek.bit_length() > 60 else ek >= math.log2(20.0 * R)

@@ -7,7 +7,9 @@ Schema: {"config": {...}, "certificates": [{name, index, pass, lhs, rhs}],
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional
 
@@ -60,7 +62,9 @@ def make_report(cfg: Config, reports: Iterable[CertificateReport],
 
 
 def write_csv(path, header: List[str], rows: Iterable[Iterable]) -> None:
-    with open(path, "w") as fh:
+    """Header plus rendered rows to the file at `path`, or to stdout when
+    `path` is None."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(render_value(v)) for v in row) + "\n")

@@ -27,8 +27,9 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.N == 7 and cfg.kmax == 9 and cfg.lam == 0.06 and cfg.Cprime == 0.5
     d = cfg.to_dict()
     assert "lambda" in d and "lam" not in d
-    with pytest.raises(KeyError):
-        cfg.set_key("nope", "1")
+    for key in ("nope", "delta", "output_dir"):
+        with pytest.raises(KeyError):
+            cfg.set_key(key, "1")
 
 
 def test_params_subcommand(tmp_path, capsys):
@@ -93,6 +94,16 @@ def test_backward_subcommand(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["regions"] == ["V(1)", "V(2)", "V(3)"]
+
+
+def test_csv_stdout_matches_file(tmp_path, capsys):
+    for argv in (["eval", "--N", "5", "--kmax", "6", "--point", "23008,0.0,0.125"],
+                 ["dims", "--sweep", "0.5", "--sweep-Nmax", "5"]):
+        out = tmp_path / "o.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
 
 
 def test_dims_subcommand_and_sweep(tmp_path):

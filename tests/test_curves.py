@@ -1,6 +1,12 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from juliadim.config import Config
 from juliadim.curves import (
     Identity,
     SyntheticOmega,
@@ -11,13 +17,15 @@ from juliadim.curves import (
     width_check,
 )
 from juliadim.modelmap import ModelMap
-from juliadim.numerics import Angle, DyadicReal, LogPolar
+from juliadim.numerics import Angle, DomainError, DyadicReal, LogPolar
 from juliadim.params import SQRT8, build_params, omega_from_rho
 
 M5 = ModelMap(table=build_params(5, 16))
 T5 = M5.table
 IDENT = Identity()
 SYN = SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=7)
+CURVES_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                    / "curves.json")
 
 
 # traces -------------------------------------------------------------------------
@@ -81,6 +89,41 @@ def test_synthetic_trace_oscillation_within_budget():
         w = omega_from_rho(SQRT8, T5.R_exp(1 + j) - 1)
         budget += 2.0 * math.log2(1.0 + min(w, SyntheticOmega.CAP))
     assert 0.0 < max(i_osc, o_osc) <= budget
+
+
+def _trace_digest(tr, wc) -> str:
+    # sha256 over the numeric hashes of the exact radii and width log2 values
+    h = hashlib.sha256()
+    for v in tr.inner_radii + tr.outer_radii + [wc.measured_log2, wc.bound_log2]:
+        h.update(hash(v).to_bytes(8, "little", signed=True))
+    return h.hexdigest()[:24]
+
+
+def test_trace_digests_match_reference():
+    # the stored traces of the benchmark's curves workload: one pullback for
+    # traces, tangents and angles must not move a single exact radius
+    ref = json.loads(CURVES_REFERENCE.read_text())["traces"]
+    for phi in (IDENT, SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=1)):
+        for depth in (1, 2, 3):
+            tr = trace_gamma(M5, phi, 1, depth, grid=256)
+            key = f"{phi.kind}:{getattr(phi, 'phase_seed', 0)}:1:{depth}"
+            assert _trace_digest(tr, width_check(M5, tr)) == ref[key], key
+
+
+def test_trace_depth_budget_reads_P_ang():
+    # depth 1 at k = 1 needs N + 2 = 7 angle bits above the 64-bit reserve,
+    # depth 2 needs 15
+    m = Config(N=5, kmax=16, P_ang=64 + 7).build_model()
+    trace_gamma(m, IDENT, 1, 1, grid=256)
+    with pytest.raises(DomainError, match="angle bits"):
+        trace_gamma(m, IDENT, 1, 2, grid=256)
+
+
+def test_synthetic_trace_follows_P_sig():
+    lo = trace_gamma(Config(N=5, kmax=16, P_sig=128).build_model(), SYN, 1, 1, grid=256)
+    hi = trace_gamma(Config(N=5, kmax=16, P_sig=256).build_model(), SYN, 1, 1, grid=256)
+    assert lo.inner_radii != hi.inner_radii
+    assert max(abs(float(a - b)) for a, b in zip(lo.inner_radii, hi.inner_radii)) < 2.0 ** -100
 
 
 # field invariants ----------------------------------------------------------------

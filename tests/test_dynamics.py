@@ -16,6 +16,7 @@ from juliadim.dynamics import (
     iterate_orbit,
     verify_inclusions,
 )
+from juliadim.config import Config
 from juliadim.geometry import classify
 from juliadim.modelmap import ModelMap
 from juliadim.numerics import DomainError, LogPolar, const_log2_frac
@@ -350,13 +351,12 @@ def test_petal_derivative_expansion_bound():
 
 def test_orbit_truncates_on_angular_budget():
     z = LogPolar(Fraction(T5.R_exp(1)), Fraction(1, 3))
-    rec = iterate_orbit(M5, z, 3, ang_bits=68)  # first step already needs 5 bits
+    m = Config(N=5, kmax=25, P_ang=68).build_model()
+    rec = iterate_orbit(m, z, 3)  # first step already needs 5 bits
     assert str(rec.classification).startswith("Truncated(angular budget")
 
 
 def test_orbit_truncates_on_table_exhaustion():
-    import dataclasses
-    small = ModelMap(table=build_params(5, 2, extra_j=0)) if False else None
     t = build_params(5, 1)
     m = ModelMap(table=t)
     z = LogPolar(Fraction(t.R_exp(1)), Fraction(1, 3))

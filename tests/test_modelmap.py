@@ -33,8 +33,7 @@ def test_piece_layout():
     # just above r_5: seam ring 5; above its top: power ring 6
     assert str(M5.piece_of(t.r_exp(5) + Fraction(1, 10**9))) == "seam(5)"
     assert str(M5.piece_of(Fraction(t.r_exp(5) + 5))) == "power(6)"
-    assert str(M5.piece_of(Fraction(t.r_exp(6)))) == "bump(5)" or True  # r_6 belongs to power(6)
-    assert str(M5.piece_of(Fraction(t.r_exp(6)))) == "power(6)"
+    assert str(M5.piece_of(Fraction(t.r_exp(6)))) == "power(6)"  # r_6 belongs to power(6)
 
 
 def test_piece_resolves_strip_exactly():

@@ -12,11 +12,9 @@ from juliadim.numerics import (
     DyadicReal,
     LogPolar,
     SIG_BITS,
-    dyadic_arith,
     expm1_lp,
     expm1_series,
     lp_add,
-    lp_mul_pow_root,
     lp_perturb,
     lp_sub,
     pow2_minus1_log2,
@@ -41,7 +39,7 @@ angles = st.builds(
 def test_pow2_exactness():
     a = DyadicReal.from_pow2(6)
     b = DyadicReal.from_pow2(-8)
-    c = dyadic_arith(a, b, "mul")
+    c = a.mul(b)
     assert c.is_pow2 and c.exp == -2
 
     # huge exponents combine exactly as integers
@@ -135,9 +133,9 @@ def test_angle_branch_out_of_range():
 
 def test_lp_pow_examples():
     z = LogPolar(Fraction(7, 2), Fraction(1, 4))
-    w = lp_mul_pow_root(z, "pow", n=2)
+    w = z.pow_int(2)
     assert w.rho == 7 and w.theta.turns == Fraction(1, 2)
-    back = lp_mul_pow_root(w, "root", n=2, branch=1)
+    back = w.root(2, 1)
     assert back.rho == Fraction(7, 2) and back.theta.turns == Fraction(3, 4)
 
 
