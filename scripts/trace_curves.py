@@ -12,7 +12,7 @@ from juliadim.config import Config
 from juliadim.curves import Identity, SyntheticOmega, trace_gamma, width_check
 from juliadim.numerics import Angle
 from juliadim.curves import tangent_products
-from juliadim.report import write_csv
+from juliadim.report import pow2_str, write_csv
 from juliadim.svgplot import render_atlas
 
 if __name__ == "__main__":
@@ -25,8 +25,8 @@ if __name__ == "__main__":
             tr = trace_gamma(m, phi, 1, depth, grid=256)
             wc = width_check(m, tr)
             i_osc, o_osc = tr.oscillation_log2()
-            print(f"{name} depth {depth}: width {wc.measured.str_pow2()} <= "
-                  f"{wc.bound.str_pow2()} ({wc.ok}); oscillation log2 "
+            print(f"{name} depth {depth}: width {pow2_str(wc.measured_log2)} <= "
+                  f"{pow2_str(wc.bound_log2)} ({wc.ok}); oscillation log2 "
                   f"{max(i_osc, o_osc):.3g}")
             write_csv(f"trace_{name}_m{depth}.csv",
                       ["theta", "inner_rho", "outer_rho"],

@@ -18,7 +18,7 @@ from .config import Config
 from .numerics import Angle, LogPolar
 from .params import (CertificateReport, alpha_beta_window, build_params,
                      check_permissible, verify_inequalities)
-from .report import make_report, render_value, write_csv
+from .report import make_report, pow2_str, render_value, write_csv
 
 
 def _add_common(sp):
@@ -220,8 +220,8 @@ def cmd_trace(args) -> int:
     write_csv(out, header, rows)
     sys.stdout.write(json.dumps({
         "k": args.k, "depth": args.depth, "grid": args.grid,
-        "width_measured": wc.measured.str_pow2(),
-        "width_bound": wc.bound.str_pow2(),
+        "width_measured": pow2_str(wc.measured_log2),
+        "width_bound": pow2_str(wc.bound_log2),
         "width_ok": wc.ok,
         "csv": out,
     }, sort_keys=True) + "\n")

@@ -27,17 +27,14 @@ import mpmath
 from .numerics import (
     Angle,
     DomainError,
-    DyadicReal,
     LogPolar,
     const_log2_frac,
     frac_mod1,
-    frac_to_mpf,
     lp_perturb,
-    mpf_to_frac,
     pow2_minus1_log2,
 )
 from .modelmap import ModelMap
-from .params import ParamTable, omega_eval, omega_from_rho
+from .params import ParamTable, omega_from_rho
 
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
@@ -221,24 +218,14 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
                       tangent_partials=partials)
 
 
-def _dyadic_from_log2(fr: Fraction, prec: int = 64) -> DyadicReal:
-    ip = fr.numerator // fr.denominator
-    frac_part = fr - ip
-    with mpmath.workprec(prec + 8):
-        sig = mpmath.power(2, frac_to_mpf(frac_part, prec + 8))
-    return DyadicReal.from_fraction(mpf_to_frac(sig), prec).mul_pow2(ip)
-
-
 @dataclass(frozen=True)
 class WidthCheck:
-    measured: DyadicReal
-    bound: DyadicReal
     measured_log2: Fraction
     bound_log2: Fraction
 
     @property
     def ok(self) -> bool:
-        return self.measured.cmp(self.bound) <= 0
+        return self.measured_log2 <= self.bound_log2
 
 
 def width_check(m: ModelMap, trace: CurveTrace) -> WidthCheck:
@@ -256,8 +243,7 @@ def width_check(m: ModelMap, trace: CurveTrace) -> WidthCheck:
             measured_log2 = w
     bound_log2 = Fraction(3 * (depth - 1) + t.R_exp(k + 1)
                           - sum(t.N + k + i - 1 for i in range(1, depth + 1)))
-    return WidthCheck(_dyadic_from_log2(measured_log2), _dyadic_from_log2(bound_log2),
-                      measured_log2, bound_log2)
+    return WidthCheck(measured_log2, bound_log2)
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +359,19 @@ class DilatationIntegral:
         return self.I_estimate / self.omega1
 
 
-def dilatation_integral(t: ParamTable, r: DyadicReal) -> DilatationIntegral:
-    """Per-ring estimate of the normalized dilatation mass below radius r
-    (for the inverted map), summed from the first ring crossing 1/r:
+def dilatation_integral(t: ParamTable, r_log2: int) -> DilatationIntegral:
+    """Per-ring estimate of the normalized dilatation mass below radius
+    r = 2**r_log2 (for the inverted map), summed from the first ring
+    crossing 1/r:
 
         sum_j pi ((r_j/(r_j-1))**2 e**(2 pi/M_j) - 1)  ~  (1/2)**j(r),
 
     compared against omega_1(r)."""
-    if r.is_zero or r.sign < 0 or r.exp >= 0:
+    if r_log2 >= 0:
         raise DomainError("need 0 < r < 1")
-    neg_log2_r = -r.log2_frac(64)
     j_start = None
     for j in range(1, t.jmax + 1):
-        if neg_log2_r < t.r_exp(j) + math.pi / ((1 << j) * LN2):
+        if -r_log2 < t.r_exp(j) + math.pi / ((1 << j) * LN2):
             j_start = j
             break
     if j_start is None:
@@ -404,6 +390,6 @@ def dilatation_integral(t: ParamTable, r: DyadicReal) -> DilatationIntegral:
         j += 1
     # geometric tail over the remaining rings: summand_j <= 2.2 pi^2 / M_j
     tail = 4.4 * math.pi ** 2 / (1 << min(j, 1060))
-    om1 = omega_eval(1.0, r)
-    return DilatationIntegral(r_log2=r.exp, j_start=j_start,
+    om1 = omega_from_rho(1.0, -r_log2)
+    return DilatationIntegral(r_log2=r_log2, j_start=j_start,
                               I_estimate=total + tail, omega1=om1, tail_bound=tail)

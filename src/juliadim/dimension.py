@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .numerics import DomainError, DyadicReal
+from .numerics import DomainError
 from .params import CertificateReport, ParamTable, build_params
 
 
@@ -264,20 +264,14 @@ def min_N_for_dimension(tdim: float, Lpp: float = 10.0, Pp: float = 10.0,
     return None
 
 
-def hausdorff_sum(diams: List[DyadicReal], tdim: float) -> float:
-    """sum(diam**t) accumulated in log space; underflows report 0.0 with the
-    exact exponent available from hausdorff_sum_log2."""
-    l = hausdorff_sum_log2(diams, tdim)
+def hausdorff_sum(diams_log2: List[Fraction], tdim: float) -> float:
+    """sum(diam**t) over diameters given by their exact log2, accumulated in
+    log space; underflows report 0.0 with the exact exponent available from
+    hausdorff_sum_log2."""
+    l = hausdorff_sum_log2(diams_log2, tdim)
     return 0.0 if l < -1000 else (math.inf if l == math.inf else 2.0 ** l)
 
 
-def hausdorff_sum_log2(diams: List[DyadicReal], tdim: float) -> float:
+def hausdorff_sum_log2(diams_log2: List[Fraction], tdim: float) -> float:
     tf = _tfrac(tdim)
-    if not diams:
-        return -math.inf
-    terms = []
-    for d in diams:
-        if d.is_zero or d.sign < 0:
-            raise DomainError("diameters must be positive")
-        terms.append(tf * d.log2_frac())
-    return log_sum_terms(terms)
+    return log_sum_terms([tf * d for d in diams_log2])

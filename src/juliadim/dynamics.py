@@ -39,7 +39,7 @@ from .numerics import (
     mpf_to_frac,
     pi_over_ln2_frac,
 )
-from .geometry import LOG2_2_5, LOG2_3_5, Region, classify
+from .geometry import LOG2_2_5, LOG2_3_5, Region, classify, petal_radius_rel_log2
 from .modelmap import ModelMap, PieceId, qN_landmarks
 from .params import CertificateReport, omega_from_rho
 
@@ -170,11 +170,10 @@ def inverse_step(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
                 return LogPolar.zero_point()
             z0 = LogPolar(target.rho - t.r_exp(N), target.theta)
         else:
-            w = qN_landmarks(m).zeros[branch.index - 1]
-            # q'(zero) = r_N (1 - M_N): real negative
-            dq = LogPolar(Fraction(t.r_exp(N)) + const_log2_frac(deg - 1, 1),
-                          Fraction(1, 2))
-            z0 = lp_add(w, target.div(dq), guard=max(m.guard, 512), prec=m.prec).value
+            lm = qN_landmarks(m)
+            w = lm.zeros[branch.index - 1]
+            z0 = lp_add(w, target.div(lm.deriv_at_zero), guard=max(m.guard, 512),
+                        prec=m.prec).value
         return _newton_polish(m, z0, target, tol)
 
     raise BranchError(f"unknown branch kind {branch!r}")
@@ -391,7 +390,7 @@ def _petal_boundary_extrema(m: ModelMap, k: int) -> Tuple[Fraction, Fraction]:
     t = m.table
     nk = t.n(k)
     j = k + t.N - 1
-    rad_rel = -nk - pi_over_ln2_frac(4 * nk)
+    rad_rel = petal_radius_rel_log2(nk)
     if j + rad_rel > -8:
         raise DomainError(f"petal boundary at level {k} too wide for its monotone extrema")
     # |u| <= 2**-n_k, so |log2 |1 + u|| < 3 |u| bounds the boundary's rho range

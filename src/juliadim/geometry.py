@@ -18,7 +18,6 @@ from typing import List, Optional
 
 from .numerics import (
     DomainError,
-    DyadicReal,
     LogPolar,
     const_log2_frac,
     expm1_lp,
@@ -59,13 +58,14 @@ class PetalSpec:
     k: int
     j: int
     center: LogPolar
-    radius: DyadicReal             # R_k / 2**n_k
-    conformal_radius: DyadicReal   # lam (e**(pi/n_k) - 1) R_k
+    radius_log2: int                 # log2 R_k 2**-n_k
+    conformal_radius_log2: Fraction  # log2 lam (e**(pi/n_k) - 1) R_k
 
-    @property
-    def radius_rel_log2(self) -> Fraction:
-        """log2 of radius / |center|."""
-        return self.radius.log2_frac() - self.center.rho
+
+def petal_radius_rel_log2(nk: int) -> Fraction:
+    """log2(petal radius / |petal center|) at a level with n_k petals: the
+    ball B(w, R_k 2**-n_k) around a zero of modulus R_k e**(pi/(4 n_k))."""
+    return -nk - pi_over_ln2_frac(4 * nk)
 
 
 def petal_spec(m: ModelMap, k: int, j: int) -> PetalSpec:
@@ -74,9 +74,9 @@ def petal_spec(m: ModelMap, k: int, j: int) -> PetalSpec:
     if not 1 <= j <= nk:
         raise DomainError(f"petal index {j} out of range (n_k = {nk})")
     center = m.ring_zero(k + t.N - 1, j)
-    radius = DyadicReal.from_pow2(t.R_exp(k) - nk)
-    conf = DyadicReal.from_float(m.lam * math.expm1(math.pi / nk)).mul_pow2(t.R_exp(k))
-    return PetalSpec(k, j, center, radius, conf)
+    shape = Fraction(m.lam * math.expm1(math.pi / nk))
+    conf = t.R_exp(k) + const_log2_frac(shape.numerator, shape.denominator)
+    return PetalSpec(k, j, center, t.R_exp(k) - nk, conf)
 
 
 def zeros_in_annulus(t: ParamTable, k: int) -> List[LogPolar]:
@@ -108,9 +108,8 @@ def petal_membership(m: ModelMap, k: int, z: LogPolar) -> Optional[int]:
     """Index j when z lies in the petal ball B(w_j, R_k 2**-n_k), else None."""
     t = m.table
     nk = t.n(k)
-    rad_rel = -nk - pi_over_ln2_frac(4 * nk)  # log2(radius / |center|)
-    zero_rho = t.R_exp(k) + pi_over_ln2_frac(4 * nk)
-    dr = z.rho - zero_rho
+    rad_rel = petal_radius_rel_log2(nk)
+    dr = z.rho - m.ring_zero_rho(k + t.N - 1)
     if dr != 0 and frac_ilog2(abs(dr)) > int(rad_rel) + 3:
         return None
     for j in _nearest_petal_candidates(nk, z.theta.turns):

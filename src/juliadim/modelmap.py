@@ -37,7 +37,7 @@ from .numerics import (
     LogPolar,
     LpSum,
     SIG_BITS,
-    DyadicReal,
+    const_log2_frac,
     expm1_series,
     frac_to_mpf,
     log1p_mpc,
@@ -48,7 +48,10 @@ from .numerics import (
 )
 from .params import ParamTable
 
-LOG2E = 1.0 / math.log(2.0)
+# ModelMap.deriv refuses points closer than this (log2 units) to a piece
+# boundary.  The bump strip r_N - 1 <= |z| <= r_N is about 1.44 * 2**-e_N
+# wide in rho (e_N >= 752), so every bump point lies inside it.
+STRADDLE_MARGIN = Fraction(1, 1 << 48)
 
 
 class AmbiguousPieceError(DomainError):
@@ -245,16 +248,16 @@ class ModelMap:
         d = abs(rho - self.table.r_exp(self.table.N))
         return min(d, min(abs(rho - c) for c, _ in self._cuts()))
 
-    def deriv(self, z: LogPolar, straddle_margin: Fraction = Fraction(1, 1 << 48)
-              ) -> Tuple[LogPolar, PieceId]:
+    def deriv(self, z: LogPolar) -> Tuple[LogPolar, PieceId]:
         piece = self.piece_of(z)
         t = self.table
         if not z.is_zero and piece.kind != "origin":
-            if self.boundary_distance(z.rho) < straddle_margin:
-                below = self.piece_of(z.rho - straddle_margin)
-                above = self.piece_of(z.rho + straddle_margin)
+            if self.boundary_distance(z.rho) < STRADDLE_MARGIN:
+                below = self.piece_of(z.rho - STRADDLE_MARGIN)
+                above = self.piece_of(z.rho + STRADDLE_MARGIN)
                 raise AmbiguousPieceError(
-                    f"point within guard of the boundary between {below} and {above}")
+                    f"{piece} point within guard of the boundary between "
+                    f"{below} and {above}")
         if piece.kind == "power":
             Mj = 1 << piece.index
             return (LogPolar(t.c_exp(piece.index) + piece.index + (Mj - 1) * z.rho,
@@ -267,33 +270,15 @@ class ModelMap:
                           z.theta.mul_int((1 << N) - 1))
             t2 = LogPolar(Fraction(t.r_exp(N)), 0)
             return lp_add(t1, t2, guard=self.guard, prec=self.prec).value, piece
-        if piece.kind == "seam":
-            j = piece.index
-            Mj = 1 << j
-            v = z.pow_int(Mj)
-            w = lp_sub(v.mul_pow2(1), self.zcap(j),
-                       guard=max(self.guard, Mj + 64), prec=self.prec)
-            lead = LogPolar(t.c_exp(j) + j + (Mj - 1) * z.rho - Mj * t.r_exp(j),
-                            z.theta.mul_int(Mj - 1))
-            return lead.mul(w.value), piece
-        # bump piece: z-component of the Wirtinger derivative of the blend
-        N = t.N
-        s = _strip_s_for(t, N, z, self.prec)
-        t1 = LogPolar(t.c_exp(N) + N + ((1 << N) - 1) * z.rho,
-                      z.theta.mul_int((1 << N) - 1))
-        terms = [t1]
-        l2eta = bump_log2(s)
-        if l2eta is not None:
-            terms.append(LogPolar(t.r_exp(N) + mpf_to_frac(l2eta), 0))
-        l2d = bump_deriv_log2(s)
-        if l2d is not None:
-            # r_N z eta_z = r_N |z| b'(s)/2, real and negative
-            terms.append(LogPolar(t.r_exp(N) + z.rho + mpf_to_frac(l2d) - 1,
-                                  Fraction(1, 2)))
-        acc = terms[0]
-        for term in terms[1:]:
-            acc = lp_add(acc, term, guard=self.guard, prec=self.prec).value
-        return acc, piece
+        # seam piece (the bump strip raised above)
+        j = piece.index
+        Mj = 1 << j
+        v = z.pow_int(Mj)
+        w = lp_sub(v.mul_pow2(1), self.zcap(j),
+                   guard=max(self.guard, Mj + 64), prec=self.prec)
+        lead = LogPolar(t.c_exp(j) + j + (Mj - 1) * z.rho - Mj * t.r_exp(j),
+                        z.theta.mul_int(Mj - 1))
+        return lead.mul(w.value), piece
 
 
 def eval_bump_gk(m: ModelMap, k: int, z: LogPolar) -> LogPolar:
@@ -379,7 +364,7 @@ class PolyLandmarks:
     zeros: Tuple[LogPolar, ...]
     crit_points: Tuple[LogPolar, ...]
     crit_values: Tuple[LogPolar, ...]
-    deriv_at_zero: DyadicReal
+    deriv_at_zero: LogPolar   # q'(zero_i) = r_N (1 - M_N), the same for every i
     zero_rho: Fraction
     crit_rho: Fraction
 
@@ -390,7 +375,7 @@ def qN_landmarks(m: ModelMap) -> PolyLandmarks:
     zeros:        (-r_N/c_N)**(1/(M_N-1)),        M_N - 1 of them
     crit points:  (-r_N/(c_N M_N))**(1/(M_N-1))
     crit values:  modulus (r_N/(c_N M_N))**(1/(M_N-1)) r_N (1 - 1/M_N)
-    q'(0) = r_N;  |q'| at each nonzero zero = r_N (M_N - 1).
+    q'(0) = r_N;  q' at each nonzero zero = r_N (1 - M_N), real negative.
 
     Built once per model and stored on it, like ModelMap._cuts().
     """
@@ -412,7 +397,7 @@ def qN_landmarks(m: ModelMap) -> PolyLandmarks:
     for cp in crits:
         val, _ = m.eval(cp)
         cvals.append(val if not val.is_zero else LogPolar(cv_rho, cp.theta))
-    dz = DyadicReal.from_int(d, m.prec).mul_pow2(t.r_exp(N))
+    dz = LogPolar(t.r_exp(N) + const_log2_frac(d, 1), Fraction(1, 2))
     cache = PolyLandmarks(zeros, crits, tuple(cvals), dz, zero_rho, crit_rho)
     object.__setattr__(m, "_qN_landmarks", cache)
     return cache

@@ -1,14 +1,13 @@
-"""Exact-exponent dyadic and log-polar complex arithmetic.
+"""Exact-exponent log-polar complex arithmetic.
 
 The magnitudes in this project span ranges like 2**(2**60), so no fixed
 floating-point format can hold them.  Numbers are therefore kept in log2
 space:
 
-* a positive real magnitude is stored as an exact rational log2
-  (``Fraction``), whose integer part is an arbitrary-size integer;
-* an angle is an exact rational number of turns in [0, 1);
-* a ``DyadicReal`` is a signed significand in [1, 2) at a configurable
-  bit width together with an arbitrary-size integer exponent.
+* a positive real magnitude is stored as an exact log2: an ``int`` for a
+  pure power of two, a ``Fraction`` otherwise, whose integer part is an
+  arbitrary-size integer;
+* an angle is an exact rational number of turns in [0, 1).
 
 All structural arithmetic (multiplying, powering, extracting roots,
 comparing) is exact.  The only rounding happens at transcendental entry
@@ -28,8 +27,8 @@ from typing import Tuple, Union
 import mpmath
 from mpmath import mpc, mpf
 
-SIG_BITS = 128          # significand / fractional-log2 working precision
-ANG_BITS = 4096         # guaranteed angle resolution (turns)
+SIG_BITS = 128          # fractional-log2 working precision
+ANG_BITS = 4096         # default angle budget (bits of turns)
 ADD_GUARD = 256         # default dominance gap for lp_add, in bits
 MAX_EXP_BITS = 1_000_000  # bit-length budget for exponent integers
 
@@ -68,18 +67,6 @@ def _check_budget(e: int, context: str = "") -> int:
 # ---------------------------------------------------------------------------
 # small integer / Fraction helpers
 # ---------------------------------------------------------------------------
-
-def round_shift(x: int, s: int) -> int:
-    """x / 2**s rounded to nearest, ties to even.  x >= 0."""
-    if s <= 0:
-        return x << (-s)
-    q = x >> s
-    rem = x & ((1 << s) - 1)
-    half = 1 << (s - 1)
-    if rem > half or (rem == half and (q & 1)):
-        q += 1
-    return q
-
 
 def frac_mod1(fr: Fraction) -> Fraction:
     return fr - (fr.numerator // fr.denominator)
@@ -122,7 +109,7 @@ def ln_big(e: int, add: float = 0.0) -> float:
     """ln(e * ln 2 + add) for an arbitrary-size positive exponent e.
 
     Used for iterated logs of magnitudes 2**e; `add` is a small scalar
-    correction such as ln(significand).
+    correction such as (fractional part of log2) * ln 2.
     """
     if e <= 0:
         raise DomainError("ln_big needs a positive exponent")
@@ -148,16 +135,6 @@ def const_log2_frac(num: int, den: int, bits: int = 192) -> Fraction:
     return _CONST_CACHE[key]
 
 
-def const_mul_log2e(scale: Fraction, bits: int = 192) -> Fraction:
-    """scale * log2(e) quantized at `bits` bits; e.g. log2(exp(pi/4))."""
-    key = ("log2e", scale, bits)
-    if key not in _CONST_CACHE:
-        with mpmath.workprec(bits + 16):
-            v = frac_to_mpf(scale, bits + 16) / mpmath.ln(2)
-        _CONST_CACHE[key] = frac_quantize(mpf_to_frac(v), bits)
-    return _CONST_CACHE[key]
-
-
 def pi_over_ln2_frac(den: int, bits: int = 192) -> Fraction:
     """pi / (den * ln 2) quantized; the log2-width of ring j is pi/(M_j ln2)."""
     key = ("pi_ln2", den, bits)
@@ -169,233 +146,6 @@ def pi_over_ln2_frac(den: int, bits: int = 192) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# DyadicReal
-# ---------------------------------------------------------------------------
-
-class DyadicReal:
-    """sign * (man / 2**(prec-1)) * 2**exp with man in [2**(prec-1), 2**prec).
-
-    The exponent is an arbitrary-size integer; the significand
-    man / 2**(prec-1) lies in [1, 2).  Values constructed from pure powers
-    of two keep significand exactly 1 through mul/div/pow, so the dyadic
-    parameter sequences of this project never round.
-    """
-
-    __slots__ = ("sign", "man", "exp", "prec")
-
-    def __init__(self, sign: int, man: int, exp: int, prec: int = SIG_BITS):
-        if sign == 0 or man == 0:
-            self.sign, self.man, self.exp, self.prec = 0, 0, 0, prec
-            return
-        if man.bit_length() != prec:
-            raise NumericsError("unnormalized mantissa")
-        self.sign = 1 if sign > 0 else -1
-        self.man = man
-        self.exp = _check_budget(exp)
-        self.prec = prec
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, prec: int = SIG_BITS) -> "DyadicReal":
-        return cls(0, 0, 0, prec)
-
-    @classmethod
-    def from_pow2(cls, e: int, sign: int = 1, prec: int = SIG_BITS) -> "DyadicReal":
-        return cls(sign, 1 << (prec - 1), e, prec)
-
-    @classmethod
-    def from_int(cls, n: int, prec: int = SIG_BITS) -> "DyadicReal":
-        if n == 0:
-            return cls.zero(prec)
-        return cls.from_fraction(Fraction(n), prec)
-
-    @classmethod
-    def from_float(cls, x: float, prec: int = SIG_BITS) -> "DyadicReal":
-        if x == 0.0:
-            return cls.zero(prec)
-        if not math.isfinite(x):
-            raise DomainError("non-finite float")
-        return cls.from_fraction(Fraction(x), prec)
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction, prec: int = SIG_BITS) -> "DyadicReal":
-        if fr == 0:
-            return cls.zero(prec)
-        sign = 1 if fr > 0 else -1
-        num, den = abs(fr.numerator), fr.denominator
-        e0 = num.bit_length() - den.bit_length()
-        # scale so the integer quotient has prec+1 or prec+2 bits
-        shift = prec + 1 - e0
-        if shift >= 0:
-            q, r = divmod(num << shift, den)
-        else:
-            q, r = divmod(num, den << (-shift))
-        s = q.bit_length() - prec
-        rem = q & ((1 << s) - 1)
-        q >>= s
-        half = 1 << (s - 1)
-        if rem > half or (rem == half and (r or (q & 1))):
-            q += 1
-            if q.bit_length() > prec:
-                q >>= 1
-                s += 1
-        # value ~= q * 2**(s - shift), q normalized to prec bits
-        return cls(sign, q, prec - 1 + s - shift, prec)
-
-    # -- accessors ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    @property
-    def is_pow2(self) -> bool:
-        return self.sign != 0 and self.man == 1 << (self.prec - 1)
-
-    def significand_fraction(self) -> Fraction:
-        if self.sign == 0:
-            return Fraction(0)
-        return Fraction(self.man, 1 << (self.prec - 1))
-
-    def to_fraction(self) -> Fraction:
-        if self.sign == 0:
-            return Fraction(0)
-        v = Fraction(self.man, 1 << (self.prec - 1))
-        v = v * Fraction(2) ** self.exp if self.exp >= 0 else v / (1 << -self.exp)
-        return self.sign * v
-
-    def log2_frac(self, bits: int = SIG_BITS) -> Fraction:
-        """log2 |self| as an exact-integer-part dyadic rational."""
-        if self.sign == 0:
-            raise DomainError("log2 of zero")
-        if self.is_pow2:
-            return Fraction(self.exp)
-        return self.exp + const_log2_frac(self.man, 1 << (self.prec - 1), bits)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def mul(self, other: "DyadicReal") -> "DyadicReal":
-        if self.sign == 0 or other.sign == 0:
-            return DyadicReal.zero(self.prec)
-        prec = self.prec
-        p = self.man * other.man
-        bl = p.bit_length()  # 2*prec or 2*prec - 1
-        q = round_shift(p, bl - prec)
-        e = self.exp + other.exp + (bl - (2 * prec - 1))
-        if q.bit_length() > prec:
-            q >>= 1
-            e += 1
-        return DyadicReal(self.sign * other.sign, q, _check_budget(e, "mul"), prec)
-
-    def div(self, other: "DyadicReal") -> "DyadicReal":
-        if other.sign == 0:
-            raise DivisionByZero("dyadic division by zero")
-        if self.sign == 0:
-            return DyadicReal.zero(self.prec)
-        prec = self.prec
-        t = self.man << (prec + 1)
-        q, r = divmod(t, other.man)
-        bl = q.bit_length()  # prec+1 or prec+2
-        s = bl - prec
-        rem = q & ((1 << s) - 1)
-        q >>= s
-        half = 1 << (s - 1)
-        if rem > half or (rem == half and (r or (q & 1))):
-            q += 1
-        e = self.exp - other.exp + (s - 2)
-        if q.bit_length() > prec:
-            q >>= 1
-            e += 1
-        return DyadicReal(self.sign * other.sign, q, _check_budget(e, "div"), prec)
-
-    def pow_int(self, n: int) -> "DyadicReal":
-        if n == 0:
-            return DyadicReal.from_pow2(0, prec=self.prec)
-        if self.sign == 0:
-            if n < 0:
-                raise DivisionByZero("0 to a negative power")
-            return DyadicReal.zero(self.prec)
-        if n < 0:
-            return DyadicReal.from_pow2(0, prec=self.prec).div(self.pow_int(-n))
-        if self.is_pow2:  # exact fast path
-            sign = self.sign if n % 2 == 1 or self.sign > 0 else 1
-            return DyadicReal(sign, self.man, _check_budget(self.exp * n, "pow_int"), self.prec)
-        acc = DyadicReal.from_pow2(0, prec=self.prec)
-        base = self
-        m = n
-        while m:
-            if m & 1:
-                acc = acc.mul(base)
-            m >>= 1
-            if m:
-                base = base.mul(base)
-        return acc
-
-    def mul_pow2(self, e: int) -> "DyadicReal":
-        if self.sign == 0:
-            return self
-        return DyadicReal(self.sign, self.man, _check_budget(self.exp + e), self.prec)
-
-    def abs(self) -> "DyadicReal":
-        if self.sign >= 0:
-            return self
-        return DyadicReal(1, self.man, self.exp, self.prec)
-
-    def neg(self) -> "DyadicReal":
-        if self.sign == 0:
-            return self
-        return DyadicReal(-self.sign, self.man, self.exp, self.prec)
-
-    def cmp(self, other: "DyadicReal") -> int:
-        """-1 / 0 / +1; exponents compared first, significands second."""
-        if self.sign != other.sign:
-            return 1 if self.sign > other.sign else -1
-        if self.sign == 0:
-            return 0
-        flip = self.sign
-        if self.exp != other.exp:
-            return flip if self.exp > other.exp else -flip
-        if self.man != other.man:
-            return flip if self.man > other.man else -flip
-        return 0
-
-    # -- rendering ----------------------------------------------------------
-
-    def str_pow2(self, digits: int = 24) -> str:
-        """'m x2^e' rendering with an arbitrary-length decimal exponent."""
-        if self.sign == 0:
-            return "0"
-        sig = self.significand_fraction()
-        num = sig.numerator * 10**digits // sig.denominator
-        s = str(num)
-        mant = (s[0] + "." + s[1:].rstrip("0")).rstrip(".")
-        return f"{'-' if self.sign < 0 else ''}{mant}x2^{self.exp}"
-
-    def str_decimal(self, digits: int = 12) -> str:
-        """'d.ddde+X' with exact arbitrary-size decimal exponent X."""
-        if self.sign == 0:
-            return "0"
-        bits = self.exp.bit_length() + 64 if self.exp else 64
-        with mpmath.workprec(bits + 64):
-            log10v = (mpf(self.exp) + mpmath.log(frac_to_mpf(self.significand_fraction(), 80), 2)) * mpmath.log(2, 10)
-            d10 = int(mpmath.floor(log10v))
-            m10 = mpmath.power(10, log10v - d10)
-            mant = mpmath.nstr(m10, digits)
-        sign = "-" if self.sign < 0 else ""
-        return f"{sign}{mant}e{'+' if d10 >= 0 else ''}{d10}"
-
-    def __repr__(self) -> str:
-        return f"DyadicReal({self.str_pow2()})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DyadicReal) and self.cmp(other) == 0
-
-    def __hash__(self):
-        return hash((self.sign, self.man, self.exp))
-
-
-# ---------------------------------------------------------------------------
 # Angle
 # ---------------------------------------------------------------------------
 
@@ -404,8 +154,8 @@ class Angle:
 
     Addition and integer multiplication reduce mod 1 exactly; division by n
     with a branch choice is exact as well, so root-then-power round trips
-    reproduce the angle bit for bit.  ``ANG_BITS`` is the guaranteed
-    resolution for quantized I/O, not a cap on internal accuracy.
+    reproduce the angle bit for bit.  ``ANG_BITS`` is the default angle
+    budget of orbits and pullbacks, not a cap on internal accuracy.
     """
 
     __slots__ = ("turns",)
@@ -416,10 +166,6 @@ class Angle:
     @classmethod
     def from_float(cls, t: float) -> "Angle":
         return cls(Fraction(t).limit_denominator(1 << 60))
-
-    @classmethod
-    def from_fixed(cls, t_int: int, bits: int = ANG_BITS) -> "Angle":
-        return cls(Fraction(t_int, 1 << bits))
 
     def add(self, other: "Angle") -> "Angle":
         return Angle(self.turns + other.turns)
@@ -444,9 +190,6 @@ class Angle:
         """Circular distance in turns, in [0, 1/2]."""
         d = frac_mod1(self.turns - other.turns)
         return min(d, 1 - d)
-
-    def quantized(self, bits: int = ANG_BITS) -> Fraction:
-        return frac_mod1(frac_quantize(self.turns, bits))
 
     def to_float(self) -> float:
         return float(self.turns)
@@ -496,16 +239,6 @@ class LogPolar:
     @classmethod
     def from_pow2(cls, e: int, theta: Union[Angle, Fraction, int] = 0) -> "LogPolar":
         return cls(Fraction(e), theta)
-
-    @classmethod
-    def from_dyadic(cls, d: DyadicReal, theta: Union[Angle, Fraction, int] = 0,
-                    bits: int = SIG_BITS) -> "LogPolar":
-        if d.is_zero:
-            return cls.zero_point()
-        th = theta if isinstance(theta, Angle) else Angle(theta)
-        if d.sign < 0:
-            th = th.half_turn()
-        return cls(d.log2_frac(bits), th)
 
     @classmethod
     def from_mpc_scaled(cls, w: mpc, rho0: Fraction = Fraction(0),
@@ -561,16 +294,6 @@ class LogPolar:
         if self.zero:
             return self
         return LogPolar(self.rho, self.theta.half_turn())
-
-    def conj(self) -> "LogPolar":
-        if self.zero:
-            return self
-        return LogPolar(self.rho, Angle(-self.theta.turns))
-
-    def mul_dyadic(self, d: DyadicReal, bits: int = SIG_BITS) -> "LogPolar":
-        if self.zero or d.is_zero:
-            return LogPolar.zero_point()
-        return self.mul(LogPolar.from_dyadic(d, 0, bits))
 
     def mul_pow2(self, e: int) -> "LogPolar":
         if self.zero:

@@ -27,7 +27,6 @@ plus the distortion envelopes alpha_k, beta_k = 1 / (1 -+ C' 2**(-sqrt(k+N-1)/4)
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -35,7 +34,6 @@ from typing import List, Optional
 
 from .numerics import (
     DomainError,
-    DyadicReal,
     ExponentBudgetError,
     MAX_EXP_BITS,
     ln_big,
@@ -76,18 +74,12 @@ class CertificateReport:
     def add(self, name, index, passed, lhs, rhs, note=""):
         self.certificates.append(Certificate(name, index, bool(passed), str(lhs), str(rhs), note))
 
-    def extend(self, other: "CertificateReport"):
-        self.certificates.extend(other.certificates)
-
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.certificates)
 
     def failures(self) -> List[Certificate]:
         return [c for c in self.certificates if not c.passed]
-
-    def to_json(self) -> str:
-        return json.dumps([c.to_json_obj() for c in self.certificates], sort_keys=True)
 
     def __len__(self):
         return len(self.certificates)
@@ -125,14 +117,6 @@ class ParamTable:
             raise DomainError(f"c_{j} not built (jmax={self.jmax})")
         return self.eps[j]
 
-    def r(self, j: int, prec: int = None) -> DyadicReal:
-        kw = {} if prec is None else {"prec": prec}
-        return DyadicReal.from_pow2(self.r_exp(j), **kw)
-
-    def c(self, j: int, prec: int = None) -> DyadicReal:
-        kw = {} if prec is None else {"prec": prec}
-        return DyadicReal.from_pow2(self.c_exp(j), **kw)
-
     # -- shifted indexing ------------------------------------------------------
 
     def n(self, k: int) -> int:
@@ -144,21 +128,9 @@ class ParamTable:
     def C_exp(self, k: int) -> int:
         return self.c_exp(k + self.N - 1)
 
-    def R(self, k: int) -> DyadicReal:
-        return DyadicReal.from_pow2(self.R_exp(k))
-
-    def C(self, k: int) -> DyadicReal:
-        return DyadicReal.from_pow2(self.C_exp(k))
-
     def kmax_shifted(self) -> int:
         """Largest k with R_{k+2} available."""
         return self.jmax - self.N - 1
-
-    def alpha_k(self, k: int) -> float:
-        return self.alpha[k]
-
-    def beta_k(self, k: int) -> float:
-        return self.beta[k]
 
     def table_rows(self, jhi: Optional[int] = None) -> List[dict]:
         jhi = self.jmax if jhi is None else min(jhi, self.jmax)
@@ -320,29 +292,19 @@ def alpha_beta_window(t: ParamTable) -> CertificateReport:
 # modulus-of-continuity scale and its onset index
 # ---------------------------------------------------------------------------
 
-def omega_eval(p: float, r: DyadicReal) -> float:
-    """(1/2)**(p^-1 sqrt(ln ln 1/r)) for 0 < r < 1/e.
-
-    Logs come from the exponent field, so r near 2**-(2**k) evaluates
-    without underflow.
-    """
-    if r.is_zero or r.sign < 0 or r.exp >= 0:
-        raise DomainError("need 0 < r < 1")
-    # ln(1/r) = -exp*ln2 - ln(sig)
-    lnln = ln_big(-r.exp, -math.log(float(r.significand_fraction())))
-    if lnln < -1e-12:
-        raise DomainError("modulus scale undefined for r > 1/e")
-    return 0.5 ** (math.sqrt(max(lnln, 0.0)) / p)
-
-
 def omega_from_rho(p: float, rho_int: int, rho_frac: float = 0.0) -> float:
-    """omega_p(1/|z|) for |z| = 2**(rho_int + rho_frac), |z| large."""
+    """omega_p(1/|z|) = (1/2)**(p^-1 sqrt(ln ln |z|)), |z| = 2**(rho_int + rho_frac).
+
+    Logs come from the exponent, so |z| near 2**(2**k) evaluates without
+    overflow.  Needs |z| >= e; ln ln |z| in [-1e-12, 0], i.e. |z| = e up to
+    rounding, counts as 0.
+    """
     if rho_int <= 0:
         raise DomainError("need |z| > 1")
     lnln = ln_big(rho_int, rho_frac * math.log(2.0))
-    if lnln <= 0.0:
-        raise DomainError("point too small for modulus scale")
-    return 0.5 ** (math.sqrt(lnln) / p)
+    if lnln < -1e-12:
+        raise DomainError("modulus scale undefined for |z| < e")
+    return 0.5 ** (math.sqrt(max(lnln, 0.0)) / p)
 
 
 def compute_k0(t: ParamTable, R: float = 1.0) -> Optional[int]:

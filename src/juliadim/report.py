@@ -1,8 +1,8 @@
 """Deterministic JSON/CSV emission.
 
 Schema: {"config": {...}, "certificates": [{name, index, pass, lhs, rhs}],
-"summaries": {...}}.  Magnitudes outside float range render as exact
-'m x2^e' strings with decimal exponents of arbitrary length.
+"summaries": {...}}.  A magnitude kept as its exact log2 renders through
+pow2_str as an 'm x2^e' string with a decimal exponent of arbitrary length.
 """
 
 from __future__ import annotations
@@ -13,14 +13,29 @@ import sys
 from fractions import Fraction
 from typing import Iterable, List, Optional
 
+import mpmath
+
 from .config import Config
-from .numerics import DyadicReal, LogPolar
+from .numerics import LogPolar, frac_to_mpf, mpf_to_frac
 from .params import CertificateReport
 
 
+def pow2_str(log2) -> str:
+    """2**log2 as 'm x2^e': the significand 2**frac(log2), computed at 72
+    bits and rounded to 64, printed to 24 decimals; e is the exact integer
+    exponent of any size."""
+    log2 = Fraction(log2)
+    e = log2.numerator // log2.denominator
+    with mpmath.workprec(72):
+        sig = mpmath.power(2, frac_to_mpf(log2 - e, 72))
+    man = round(mpf_to_frac(sig) * (1 << 63))  # ties to even
+    if man >> 64:  # rounded up to 2
+        man, e = man >> 1, e + 1
+    s = str(man * 10 ** 24 >> 63)
+    return f"{(s[0] + '.' + s[1:].rstrip('0')).rstrip('.')}x2^{e}"
+
+
 def render_value(v) -> object:
-    if isinstance(v, DyadicReal):
-        return v.str_pow2()
     if isinstance(v, LogPolar):
         if v.is_zero:
             return "0"

@@ -122,11 +122,16 @@ def test_dims_subcommand_and_sweep(tmp_path):
     assert len(lines) == 5
 
 
-def test_trace_and_render_subcommands(tmp_path, monkeypatch):
+def test_trace_and_render_subcommands(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = run(["trace", "--N", "5", "--kmax", "10", "--k", "1", "--depth", "2",
               "--grid", "256", "--out", "t.csv"])
     assert rc == 0
+    assert capsys.readouterr().out == (
+        '{"csv": "t.csv", "depth": 2, "grid": 256, "k": 1, '
+        '"width_bound": "1x2^22998", '
+        '"width_measured": "1.086667020426856490470171x2^22994", '
+        '"width_ok": true}\n')
     lines = Path("t.csv").read_text().splitlines()
     assert lines[0] == "theta,inner_rho,outer_rho"
     assert len(lines) == 257

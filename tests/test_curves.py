@@ -17,7 +17,7 @@ from juliadim.curves import (
     width_check,
 )
 from juliadim.modelmap import ModelMap
-from juliadim.numerics import Angle, DomainError, DyadicReal, LogPolar
+from juliadim.numerics import Angle, DomainError, LogPolar
 from juliadim.params import SQRT8, build_params, omega_from_rho
 
 M5 = ModelMap(table=build_params(5, 16))
@@ -183,22 +183,22 @@ def test_angle_checks():
 def test_dilatation_integral_sweep():
     ratios = []
     for s in range(4, 15):
-        di = dilatation_integral(T5, DyadicReal.from_pow2(-(2 ** s)))
+        di = dilatation_integral(T5, -(2 ** s))
         assert di.I_estimate > 0 and di.omega1 > 0
         ratios.append(di.ratio)
     K = max(ratios)
     assert K <= 16.0
     assert min(ratios) > 1.0  # bounded away from zero as well
     # decay: the estimate halves as the start ring advances
-    d4 = dilatation_integral(T5, DyadicReal.from_pow2(-(2 ** 4)))
-    d14 = dilatation_integral(T5, DyadicReal.from_pow2(-(2 ** 14)))
+    d4 = dilatation_integral(T5, -(2 ** 4))
+    d14 = dilatation_integral(T5, -(2 ** 14))
     assert d14.I_estimate < d4.I_estimate
     assert d14.j_start > d4.j_start
 
 
 def test_dilatation_integral_summand_shape():
     # summand ~ pi (e^(2 pi / M_j) - 1) ~ 2 pi^2 / M_j once r_j is huge
-    di = dilatation_integral(T5, DyadicReal.from_pow2(-(2 ** 14)))
+    di = dilatation_integral(T5, -(2 ** 14))
     first = math.pi * (math.exp(2 * math.pi / (1 << di.j_start)) - 1.0)
     assert di.I_estimate >= first
     assert di.I_estimate <= 2.2 * first + di.tail_bound + 1e-9

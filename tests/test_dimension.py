@@ -13,7 +13,6 @@ from juliadim.dimension import (
     origin_dim_bound,
     z2_tail,
 )
-from juliadim.numerics import DyadicReal
 from juliadim.params import build_params
 
 T5 = build_params(5, 12)
@@ -105,7 +104,7 @@ def test_min_N_values_and_monotonicity():
 
 
 def test_hausdorff_sum_trivials():
-    d = DyadicReal.from_float(0.125)
+    d = -3  # log2 of 0.125
     assert abs(hausdorff_sum([d], 1.0) - 0.125) < 1e-12
     assert abs(hausdorff_sum([d] * 7, 0.5) - 7 * 0.125 ** 0.5) < 1e-12
 
@@ -114,7 +113,7 @@ def test_hausdorff_sum_petal_family():
     # n_k petals of diameter 2 R_k 2^-n_k: log2 sum = (N+k-1) + t(1 + e - n_k)
     k, tdim = 2, 0.25
     nk = T5.n(k)
-    diam = DyadicReal.from_pow2(T5.R_exp(k) + 1 - nk)
+    diam = T5.R_exp(k) + 1 - nk
     got = hausdorff_sum_log2([diam] * nk, tdim)
     want = (5 + k - 1) + tdim * (1 + T5.R_exp(k) - nk)
     assert abs(got - want) < 1e-6
@@ -125,9 +124,8 @@ def test_hausdorff_sum_petal_family():
        st.floats(min_value=0.05, max_value=1.5))
 def test_hausdorff_sum_reordering_invariant(exps, tdim):
     rng = Random(7)
-    diams = [DyadicReal.from_pow2(e) for e in exps]
-    a = hausdorff_sum_log2(diams, tdim)
-    shuffled = diams[:]
+    a = hausdorff_sum_log2(exps, tdim)
+    shuffled = exps[:]
     rng.shuffle(shuffled)
     b = hausdorff_sum_log2(shuffled, tdim)
     assert abs(a - b) < 1e-9

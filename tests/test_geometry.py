@@ -67,10 +67,10 @@ def test_zero_ring_layout():
 
 def test_petal_spec_radii():
     ps = petal_spec(M5, 1, 1)
-    assert ps.radius.exp == T5.R_exp(1) - T5.n(1)
+    assert ps.radius_log2 == T5.R_exp(1) - T5.n(1)
     # ball inside the conformal ball once n_k 2^-n_k < lam pi
     assert T5.n(1) * 2.0 ** -T5.n(1) < M5.lam * math.pi
-    assert ps.radius.cmp(ps.conformal_radius) < 0
+    assert ps.radius_log2 < ps.conformal_radius_log2
 
 
 def test_petals_disjoint_and_off_V():

@@ -77,11 +77,12 @@ def test_landmarks_match_closed_forms():
     # r_N / c_N = 2^752 / 2^-1024 = 2^1776, degree M_N - 1 = 31
     assert lm.zero_rho == Fraction(752 + 1024, 31)
     assert lm.crit_rho == Fraction(752 + 1024 - 5, 31)
-    # q'(0) = r_N; |q'| at a zero = r_N (M_N - 1) = 31 * 2^752
+    # q'(0) = r_N; q' at a zero = r_N (1 - M_N) = -31 * 2^752
     d0, _ = M5.deriv(LogPolar.zero_point())
     assert d0.rho == 752
-    assert lm.deriv_at_zero.exp == 756
-    assert lm.deriv_at_zero.significand_fraction() == Fraction(31, 16)
+    assert lm.deriv_at_zero.rho_int() == 756
+    assert abs(2 ** lm.deriv_at_zero.rho_frac_float() - 31 / 16) < 1e-15
+    assert lm.deriv_at_zero.theta == Angle(Fraction(1, 2))
 
 
 def test_polynomial_vanishes_at_its_zeros():
@@ -168,6 +169,12 @@ def test_deriv_boundary_straddle_raises():
     t = M5.table
     with pytest.raises(AmbiguousPieceError):
         M5.deriv(LogPolar(Fraction(t.r_exp(6)), Fraction(1, 3)))
+    # the bump strip is narrower than the guard, so every bump point raises;
+    # |z| = r_5 2^(-2^-756) lies inside r_5 - 1 <= |z| <= r_5
+    z = LogPolar(t.r_exp(5) - Fraction(1, 1 << (t.r_exp(5) + 4)), Fraction(1, 3))
+    assert str(M5.piece_of(z)) == "bump(5)"
+    with pytest.raises(AmbiguousPieceError, match=r"bump\(5\)"):
+        M5.deriv(z)
 
 
 # bump blend ---------------------------------------------------------------------
@@ -368,7 +375,9 @@ def test_big_N_model_smoke():
     assert str(piece) == f"power({2 + 13})"
     assert w.rho == t.C_exp(2) + t.n(2) * (t.R_exp(2) - 1)
     lm = qN_landmarks(m14)
-    assert lm.deriv_at_zero.significand_fraction() == Fraction((1 << 14) - 1, 1 << 13)
+    assert lm.deriv_at_zero.rho_int() == t.r_exp(14) + 13
+    assert abs(2 ** lm.deriv_at_zero.rho_frac_float()
+               - ((1 << 14) - 1) / (1 << 13)) < 1e-15
     v, _ = m14.eval(lm.zeros[0])
     assert v.is_zero
 

@@ -3,14 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from juliadim.numerics import DomainError, DyadicReal
+from juliadim.numerics import DomainError
 from juliadim.params import (
     SQRT8,
     alpha_beta_window,
     build_params,
     check_permissible,
     compute_k0,
-    omega_eval,
     omega_from_rho,
     verify_inequalities,
 )
@@ -50,8 +49,8 @@ def test_matches_exponent_oracle_deep():
 def test_r_values_are_exact_powers_of_two():
     t = build_params(5, 59)  # r_j for j <= 64
     for j in range(1, 65):
-        assert t.r(j).is_pow2
-        assert t.c(j).is_pow2
+        assert type(t.r_exp(j)) is int
+        assert type(t.c_exp(j)) is int
 
 
 def test_shifted_indices():
@@ -122,31 +121,34 @@ def test_alpha_beta_monotone_toward_one():
 
 # omega ------------------------------------------------------------------------
 
+def omega_at(p, log2_inv_r):
+    """omega_p(r) for 0 < r < 1 given by log2(1/r) as a float."""
+    rho_int = math.floor(log2_inv_r)
+    return omega_from_rho(p, rho_int, log2_inv_r - rho_int)
+
+
 def test_omega_boundary_and_first_scale():
     # omega(1/e) = 1 for every p; omega(e^-e) = 2^(-1/p)
-    r1 = DyadicReal.from_float(math.exp(-1.0))
-    assert abs(omega_eval(1.0, r1) - 1.0) < 1e-6
-    re = DyadicReal.from_float(math.exp(-math.e))
+    assert abs(omega_at(1.0, math.log2(math.e)) - 1.0) < 1e-6
     for p in (1.0, 2.0, SQRT8):
-        assert abs(omega_eval(p, re) - 0.5 ** (1.0 / p)) < 1e-12
+        assert abs(omega_at(p, math.e / math.log(2.0)) - 0.5 ** (1.0 / p)) < 1e-12
 
 
 def test_omega_quarter():
-    r = DyadicReal.from_float(math.exp(-math.exp(4)))
-    assert abs(omega_eval(1.0, r) - 0.25) < 1e-12
+    assert abs(omega_at(1.0, math.exp(4) / math.log(2.0)) - 0.25) < 1e-12
 
 
 def test_omega_huge_scale():
     # r = 2^-(2^16), p = 2 sqrt 2
-    r = DyadicReal.from_pow2(-(2**16))
     want = 0.5 ** (math.sqrt(math.log(2**16 * math.log(2.0))) / SQRT8)
-    assert abs(omega_eval(SQRT8, r) - want) < 1e-14
     assert abs(omega_from_rho(SQRT8, 2**16) - want) < 1e-14
 
 
 def test_omega_domain_error():
     with pytest.raises(DomainError):
-        omega_eval(1.0, DyadicReal.from_float(0.5))
+        omega_from_rho(1.0, 1)  # r = 1/2 > 1/e
+    with pytest.raises(DomainError):
+        omega_from_rho(1.0, 0)
 
 
 @settings(max_examples=40)
