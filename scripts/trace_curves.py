@@ -38,7 +38,7 @@ if __name__ == "__main__":
           f"limit modulus {rep.limit_modulus():.6f} >= "
           f"{rep.limit_lower_bound(cfg.N):.3g}")
     tr = trace_gamma(m, Identity(), 1, 2, grid=256)
-    svg = render_atlas(m.table, m, 1, 4,
+    svg = render_atlas(m, 1, 4,
                        traces=[("trace-inner",
                                 [(r, th.to_float()) for th, r in
                                  zip(tr.theta_grid, tr.inner_radii)])],

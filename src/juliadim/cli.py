@@ -232,7 +232,6 @@ def cmd_render(args) -> int:
     from .svgplot import render_atlas
 
     cfg = _load_config(args)
-    t = cfg.build_table()
     m = cfg.build_model()
     orbits = None
     if args.what == "orbit" and args.point:
@@ -247,7 +246,7 @@ def cmd_render(args) -> int:
                                    zip(tr.theta_grid, tr.inner_radii)]),
                   ("trace-outer", [(r, th.to_float()) for th, r in
                                    zip(tr.theta_grid, tr.outer_radii)])]
-    svg = render_atlas(t, m, k_lo=args.klo, k_hi=args.khi, orbits=orbits,
+    svg = render_atlas(m, k_lo=args.klo, k_hi=args.khi, orbits=orbits,
                        traces=traces, stamp=f"juliadim N={cfg.N}")
     out = args.out or f"atlas_{args.what}.svg"
     Path(out).write_text(svg)

@@ -87,6 +87,9 @@ class SyntheticOmega:
         self.freqs = (0, 1, 2)                     # angular frequencies
         self.rho_freqs = tuple(rng.uniform(0.3, 1.0) for _ in range(3))
         self.phases = tuple(rng.uniform(0.0, TWO_PI) for _ in range(3))
+        # exact rational rho multipliers of the modes, per unit of rho
+        self._rho_mults = tuple(Fraction(rf).limit_denominator(1 << 20)
+                                / int(self.RHO_SCALE) for rf in self.rho_freqs)
 
     # -- field ----------------------------------------------------------------
 
@@ -100,9 +103,8 @@ class SyntheticOmega:
     def _mode_args(self, z: LogPolar) -> List[float]:
         th = float(z.theta.turns)
         out = []
-        for w, fq, rf, ph in zip(self.weights, self.freqs, self.rho_freqs, self.phases):
-            rho_phase = float(frac_mod1(z.rho * Fraction(rf).limit_denominator(1 << 20)
-                                        / int(self.RHO_SCALE)))
+        for fq, mult, ph in zip(self.freqs, self._rho_mults, self.phases):
+            rho_phase = float(frac_mod1(z.rho * mult))
             out.append(TWO_PI * (fq * th + rho_phase) + ph)
         return out
 

@@ -264,14 +264,8 @@ def min_N_for_dimension(tdim: float, Lpp: float = 10.0, Pp: float = 10.0,
     return None
 
 
-def hausdorff_sum(diams_log2: List[Fraction], tdim: float) -> float:
-    """sum(diam**t) over diameters given by their exact log2, accumulated in
-    log space; underflows report 0.0 with the exact exponent available from
-    hausdorff_sum_log2."""
-    l = hausdorff_sum_log2(diams_log2, tdim)
-    return 0.0 if l < -1000 else (math.inf if l == math.inf else 2.0 ** l)
-
-
 def hausdorff_sum_log2(diams_log2: List[Fraction], tdim: float) -> float:
+    """log2 of sum(diam**t) over diameters given by their exact log2,
+    accumulated in log space."""
     tf = _tfrac(tdim)
     return log_sum_terms([tf * d for d in diams_log2])

@@ -171,9 +171,8 @@ def inverse_step(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
             z0 = LogPolar(target.rho - t.r_exp(N), target.theta)
         else:
             lm = qN_landmarks(m)
-            w = lm.zeros[branch.index - 1]
-            z0 = lp_add(w, target.div(lm.deriv_at_zero), guard=max(m.guard, 512),
-                        prec=m.prec).value
+            z0 = lp_add(lm.zero(branch.index), target.div(lm.deriv_at_zero),
+                        guard=max(m.guard, 512), prec=m.prec).value
         return _newton_polish(m, z0, target, tol)
 
     raise BranchError(f"unknown branch kind {branch!r}")
@@ -192,12 +191,9 @@ def branch_of_point(m: ModelMap, z: LogPolar) -> Optional[InverseBranchSpec]:
     if reg.kind == "D":
         lm = qN_landmarks(m)
         if not z.is_zero and z.rho > lm.zero_rho - 2:
-            best, bd = 0, None
-            for i, w in enumerate(lm.zeros, start=1):
-                d = z.theta.dist(w.theta)
-                if bd is None or d < bd:
-                    best, bd = i, d
-            return OriginBranch(best)
+            # nearest zero: zero i sits at (i - 1/2)/d turns, so theta in
+            # ((i-1)/d, i/d] is nearest to it, ties to the lower index
+            return OriginBranch(max(1, math.ceil(z.theta.turns * lm.degree)))
         return OriginBranch(0)
     return None
 
@@ -467,12 +463,11 @@ def check_singular_values(m: ModelMap) -> CertificateReport:
     lm = qN_landmarks(m)
     lo = Fraction(t.r_exp(t.N) + 3)
     hi = Fraction(t.r_exp(t.N + 1)) - 4 - Fraction(1, 2)
-    worst_lo = min(cv.rho for cv in lm.crit_values)
-    worst_hi = max(cv.rho for cv in lm.crit_values)
-    rep.add("poly_crit_values_above_8rN", t.N, worst_lo > lo,
-            f"{float(worst_lo):.6f}", f"{float(lo):.6f}")
-    rep.add("poly_crit_values_below_rN1_16sqrt2", t.N, worst_hi < hi,
-            f"{float(worst_hi):.6f}", f"{float(hi):.6f}")
+    cv_rho = lm.first_crit_value.rho   # every critical value has this modulus
+    rep.add("poly_crit_values_above_8rN", t.N, cv_rho > lo,
+            f"{float(cv_rho):.6f}", f"{float(lo):.6f}")
+    rep.add("poly_crit_values_below_rN1_16sqrt2", t.N, cv_rho < hi,
+            f"{float(cv_rho):.6f}", f"{float(hi):.6f}")
 
     half_pi_log2e = pi_over_ln2_frac(2)
     for k in range(1, min(t.kmax_shifted(), t.kmax) + 1):
@@ -520,7 +515,7 @@ def region_level(r: Region) -> Optional[int]:
     return r.k if r.kind in ("A", "V", "P", "B") else None
 
 
-def itinerary_precision(m: ModelMap, entries, anchor: LogPolar) -> int:
+def itinerary_precision(m: ModelMap, entries) -> int:
     """Working bits needed to re-verify an itinerary by forward iteration.
 
     A step through a degree-n piece amplifies any earlier evaluation error
@@ -569,7 +564,7 @@ def backward_construct(m: ModelMap, itinerary: Sequence[ItinEntry],
     if not entries:
         raise ItineraryError("empty itinerary")
     budget = budget_bits if budget_bits is not None else m.ang_bits
-    need = itinerary_precision(m, entries, anchor)
+    need = itinerary_precision(m, entries)
     if need > budget:
         raise DomainError(
             f"itinerary needs about {need} working bits, budget is {budget}; "

@@ -79,16 +79,6 @@ def petal_spec(m: ModelMap, k: int, j: int) -> PetalSpec:
     return PetalSpec(k, j, center, t.R_exp(k) - nk, conf)
 
 
-def zeros_in_annulus(t: ParamTable, k: int) -> List[LogPolar]:
-    """The n_k simple zeros inside A_k: modulus R_k e**(pi/(4 n_k)), angles
-    (2j-1)/(2 n_k) turns."""
-    if k < 1:
-        raise DomainError("zeros enumerated for k >= 1 only")
-    nk = t.n(k)
-    rho = t.R_exp(k) + pi_over_ln2_frac(4 * nk)
-    return [LogPolar(rho, Fraction(2 * j - 1, 2 * nk)) for j in range(1, nk + 1)]
-
-
 LOG2_2_5 = const_log2_frac(2, 5)
 LOG2_3_5 = const_log2_frac(3, 5)
 

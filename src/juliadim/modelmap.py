@@ -22,10 +22,10 @@ close to a ring (relative distance 2**-r_N) still classify correctly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import mpmath
 from mpmath import mpc, mpf
@@ -33,6 +33,7 @@ from mpmath import mpc, mpf
 from .numerics import (
     ADD_GUARD,
     ANG_BITS,
+    Angle,
     DomainError,
     LogPolar,
     LpSum,
@@ -324,15 +325,6 @@ def _strip_s_for(t, k: int, z: LogPolar, prec: int) -> mpf:
 # bump profile
 # ---------------------------------------------------------------------------
 
-def bump(s: float) -> float:
-    """exp(1 + 1/(s**2 - 1)) on [0, 1), 0 from 1 on; b(0) = 1."""
-    if s >= 1.0:
-        return 0.0
-    if s <= 0.0:
-        return 1.0
-    return math.exp(1.0 + 1.0 / (s * s - 1.0))
-
-
 def bump_log2(s) -> Optional[mpf]:
     """log2 b(s), or None where b = 0; stays finite arbitrarily close to 1."""
     s = mpf(s)
@@ -361,21 +353,51 @@ BUMP_DERIV_ARGMAX = (1.0 / 3.0) ** 0.25  # |b'| peaks here, value < e
 
 @dataclass(frozen=True)
 class PolyLandmarks:
-    zeros: Tuple[LogPolar, ...]
-    crit_points: Tuple[LogPolar, ...]
-    crit_values: Tuple[LogPolar, ...]
-    deriv_at_zero: LogPolar   # q'(zero_i) = r_N (1 - M_N), the same for every i
+    """Nonzero zeros, critical points and critical values of the origin
+    polynomial q(z) = c_N z**M_N + r_N z, indexed i = 1..M_N - 1.
+
+    Zeros and critical points share the angles (2i-1)/(2(M_N-1)) turns, so
+    each is a closed form like ModelMap.ring_zero; critical value i is
+    critical value 1 rotated by (i-1)/(M_N-1) turns (see qN_landmarks).
+    """
+    degree: int               # M_N - 1
     zero_rho: Fraction
     crit_rho: Fraction
+    first_crit_value: LogPolar   # q(crit_point(1))
+    deriv_at_zero: LogPolar   # q'(zero_i) = r_N (1 - M_N), the same for every i
+
+    def _turns(self, i: int) -> Fraction:
+        if not 1 <= i <= self.degree:
+            raise DomainError(f"landmark index {i} out of range 1..{self.degree}")
+        return Fraction(2 * i - 1, 2 * self.degree)
+
+    def zero(self, i: int) -> LogPolar:
+        return LogPolar(self.zero_rho, self._turns(i))
+
+    def crit_point(self, i: int) -> LogPolar:
+        return LogPolar(self.crit_rho, self._turns(i))
+
+    def crit_value(self, i: int) -> LogPolar:
+        cv = self.first_crit_value
+        return LogPolar(cv.rho, cv.theta.add(Angle(self._turns(i) - self._turns(1))))
 
 
 def qN_landmarks(m: ModelMap) -> PolyLandmarks:
-    """Nonzero zeros, critical points and values of the origin polynomial.
+    """Landmarks of the origin polynomial, from one evaluation.
 
     zeros:        (-r_N/c_N)**(1/(M_N-1)),        M_N - 1 of them
     crit points:  (-r_N/(c_N M_N))**(1/(M_N-1))
     crit values:  modulus (r_N/(c_N M_N))**(1/(M_N-1)) r_N (1 - 1/M_N)
     q'(0) = r_N;  q' at each nonzero zero = r_N (1 - M_N), real negative.
+
+    At critical point i, w_i = |w| e**(2 pi i theta_i) with theta_i =
+    (2i-1)/(2(M_N-1)), the power term c_N w_i**M_N differs from the linear
+    term r_N w_i by exactly drho = -N in log2 modulus and dtheta = M_N
+    theta_i - theta_i = i - 1/2 = 1/2 turn.  lp_add anchors on the larger
+    term, here the linear one, and its result depends on (drho, dtheta)
+    alone; it adds that result's rho and turn offset to the anchor.  So q(w_i)
+    is q(w_1) turned by theta_i - theta_1 = (i-1)/(M_N-1), bit for bit, and
+    one eval of critical point 1 stands for all M_N - 1.
 
     Built once per model and stored on it, like ModelMap._cuts().
     """
@@ -384,21 +406,12 @@ def qN_landmarks(m: ModelMap) -> PolyLandmarks:
         return cache
     t = m.table
     N = t.N
-    MN = 1 << N
-    d = MN - 1
+    d = (1 << N) - 1
     zero_rho = Fraction(t.r_exp(N) - t.c_exp(N), d)
     crit_rho = Fraction(t.r_exp(N) - t.c_exp(N) - N, d)
-    zeros = tuple(LogPolar(zero_rho, Fraction(2 * i - 1, 2 * d)) for i in range(1, d + 1))
-    crits = tuple(LogPolar(crit_rho, Fraction(2 * i - 1, 2 * d)) for i in range(1, d + 1))
-    with mpmath.workprec(m.prec + 16):
-        l2fac = mpf_to_frac(mpmath.log(1 - mpmath.ldexp(mpf(1), -N), 2))
-    cv_rho = crit_rho + t.r_exp(N) + l2fac
-    cvals = []
-    for cp in crits:
-        val, _ = m.eval(cp)
-        cvals.append(val if not val.is_zero else LogPolar(cv_rho, cp.theta))
+    cv1, _ = m.eval(LogPolar(crit_rho, Fraction(1, 2 * d)))
     dz = LogPolar(t.r_exp(N) + const_log2_frac(d, 1), Fraction(1, 2))
-    cache = PolyLandmarks(zeros, crits, tuple(cvals), dz, zero_rho, crit_rho)
+    cache = PolyLandmarks(d, zero_rho, crit_rho, cv1, dz)
     object.__setattr__(m, "_qN_landmarks", cache)
     return cache
 
@@ -407,62 +420,68 @@ def qN_landmarks(m: ModelMap) -> PolyLandmarks:
 # dilatation of the bump blend
 # ---------------------------------------------------------------------------
 
+DILATATION_GRID = 64   # |mu| is sampled at s = i / DILATATION_GRID, 0 < i < 64
+
+
 @dataclass(frozen=True)
 class DilatationReport:
     k: int
     sup_log2: float
-    sup: float
-    grid: int
-    flagged: List[float] = field(default_factory=list)
 
     @property
     def below_one(self) -> bool:
         return self.sup_log2 < 0.0
 
 
-def dilatation_sup(m: ModelMap, k: int, grid: int = 64) -> DilatationReport:
+@functools.lru_cache(maxsize=None)
+def _bump_grid_max_log2() -> Tuple[float, float]:
+    """(max log2 b, max log2 |b'|) over the grid s = i / DILATATION_GRID,
+    0 < i < DILATATION_GRID, as floats; computed once per process at 53
+    bits, mpmath's default precision, whatever the caller's context."""
+    with mpmath.workprec(53):
+        grid = [i / DILATATION_GRID for i in range(1, DILATATION_GRID)]
+        return (max(float(bump_log2(s)) for s in grid),
+                max(float(bump_deriv_log2(s)) for s in grid))
+
+
+def dilatation_sup(m: ModelMap, k: int) -> DilatationReport:
     """Grid supremum of |mu| = |g_zbar / g_z| for the blend at ring k.
 
-    Magnitude ratios run in exponent arithmetic.  On the strip the blend
-    terms sit ~(M_k-3) e_k bits below the leading power term, so |mu| is
-    2**-(thousands); the angular dependence perturbs the denominator only at
-    that same depth and is absorbed into the reported bound.
+    Magnitude ratios run in exponent arithmetic, as floats.  At grid point s
+    the numerator is |r_k z eta_zbar|, log2 = 2 e_k + log2|b'(s)| - 1, and
+    the denominator is the leading term |M_k c_k z**(M_k-1)|, log2 = lead,
+    less the two blend terms |r_k eta| and |r_k z eta_z| at gaps g2, g3 below
+    it: den = lead + log2(1 - 2**g2 - 2**g3).
+
+    On every ring k >= 5 both gaps are below -20000 bits, so the 2**g values
+    underflow to 0.0 and den equals lead exactly; any gap <= -64 already
+    leaves 1 - 2**g2 - 2**g3 == 1.0 in floats.  What remains, num - lead,
+    is a chain of float additions of constants to log2|b'(s)|, each monotone
+    non-decreasing, so its maximum over the grid is the same expression at
+    the largest grid value of log2|b'|.  The gaps are monotone in log2 b and
+    log2|b'| in the same way, so checking them at the two grid maxima checks
+    every grid point; a gap above -64 bits raises DomainError.  Each ring
+    therefore costs one float expression on two values computed once.
     """
     if k < 5:
         raise DomainError("blend dilatation defined for ring index >= 5")
-    if grid < 64:
-        raise DomainError("grid must be >= 64")
     t = m.table
     ek, epsk, Mk = t.r_exp(k), t.c_exp(k), 1 << k
-    lead_log2 = epsk + k + (Mk - 1) * ek  # |M_k c_k z^(M_k-1)| at |z| ~ r_k
-    sup = -math.inf
-    flagged: List[float] = []
-    for i in range(1, grid):
-        s = i / grid
-        ld = bump_deriv_log2(s)
-        if ld is None:
-            continue
-        ld = float(ld)
-        num_log2 = 2.0 * _f(ek) + ld - 1.0                     # |r_k z eta_zbar|
-        t2 = _f(ek) + float(bump_log2(s))                      # |r_k eta|
-        t3 = num_log2                                          # |r_k z eta_z|
-        gap2 = t2 - _f(lead_log2)
-        gap3 = t3 - _f(lead_log2)
-        if max(gap2, gap3) > -8.0:
-            flagged.append(s)
-            continue
-        den_log2 = _f(lead_log2) + math.log2(max(1.0 - 2.0 ** gap2 - 2.0 ** gap3, 0.5))
-        sup = max(sup, num_log2 - den_log2)
-    return DilatationReport(k=k, sup_log2=sup,
-                            sup=2.0 ** sup if sup > -1000 else 0.0,
-                            grid=grid, flagged=flagged)
+    lead = _f(epsk + k + (Mk - 1) * ek)  # |M_k c_k z^(M_k-1)| at |z| ~ r_k
+    lb_max, ld_max = _bump_grid_max_log2()
+    num_log2 = 2.0 * _f(ek) + ld_max - 1.0                     # |r_k z eta_zbar|
+    gap = max(_f(ek) + lb_max, num_log2) - lead
+    if gap > -64.0:
+        raise DomainError(
+            f"blend terms within {-gap:.1f} bits of the leading term at ring {k}")
+    return DilatationReport(k=k, sup_log2=num_log2 - lead)
 
 
-def dilatation_onset(m: ModelMap, khi: int, grid: int = 64) -> int:
+def dilatation_onset(m: ModelMap, khi: int) -> int:
     """Smallest ring index >= 5 from which every sampled |mu| stays below 1."""
     kp = None
     for k in range(min(khi, m.table.jmax - 1), 4, -1):
-        if dilatation_sup(m, k, grid).below_one:
+        if dilatation_sup(m, k).below_one:
             kp = k
         else:
             break

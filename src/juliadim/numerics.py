@@ -163,10 +163,6 @@ class Angle:
     def __init__(self, turns: Union[Fraction, int, str]):
         self.turns = frac_mod1(Fraction(turns))
 
-    @classmethod
-    def from_float(cls, t: float) -> "Angle":
-        return cls(Fraction(t).limit_denominator(1 << 60))
-
     def add(self, other: "Angle") -> "Angle":
         return Angle(self.turns + other.turns)
 

@@ -12,10 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
-from .geometry import zeros_in_annulus
 from .modelmap import ModelMap
 from .numerics import LogPolar
-from .params import ParamTable
 
 W, H, PAD = 900, 420, 40
 
@@ -62,12 +60,13 @@ class LogPolarCanvas:
         return "\n".join([head, stamp, axes, *self.parts, "</svg>"])
 
 
-def render_atlas(t: ParamTable, model: Optional[ModelMap] = None,
-                 k_lo: int = 1, k_hi: int = 4,
+def render_atlas(m: ModelMap, k_lo: int = 1, k_hi: int = 4,
                  orbits: Optional[List[List[LogPolar]]] = None,
                  traces: Optional[List[Tuple[str, List[Tuple[Fraction, float]]]]] = None,
                  stamp: str = "") -> str:
-    """Annulus bands, petal dots, optional orbits and curve traces."""
+    """Annulus bands, petal dots (the ring zeros of the model), optional
+    orbits and curve traces."""
+    t = m.table
     k_hi = min(k_hi, t.kmax_shifted() - 1)
     lo = Fraction(t.R_exp(k_lo) - 4)
     hi = Fraction(t.R_exp(k_hi + 1) + 4)
@@ -84,11 +83,10 @@ def render_atlas(t: ParamTable, model: Optional[ModelMap] = None,
                     "#f4f4f4", 0.4)
     cv.parts.append("</g>")
     cv.parts.append('<g id="petals">')
-    if model is not None:
-        for k in range(k_lo, k_hi + 1):
-            if t.n(k) <= 1 << 10:
-                for j, z in enumerate(zeros_in_annulus(t, k), start=1):
-                    cv.dot(f"petal-{k}-{j}", z, "#8a2d2d", 1.5)
+    for k in range(k_lo, k_hi + 1):
+        if t.n(k) <= 1 << 10:
+            for j in range(1, t.n(k) + 1):
+                cv.dot(f"petal-{k}-{j}", m.ring_zero(k + t.N - 1, j), "#8a2d2d", 1.5)
     cv.parts.append("</g>")
     cv.parts.append('<g id="orbits">')
     for i, orbit in enumerate(orbits or []):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from juliadim.dimension import (
-    hausdorff_sum,
     hausdorff_sum_log2,
     holesum_eval,
     layer_checks,
@@ -105,8 +104,8 @@ def test_min_N_values_and_monotonicity():
 
 def test_hausdorff_sum_trivials():
     d = -3  # log2 of 0.125
-    assert abs(hausdorff_sum([d], 1.0) - 0.125) < 1e-12
-    assert abs(hausdorff_sum([d] * 7, 0.5) - 7 * 0.125 ** 0.5) < 1e-12
+    assert abs(2.0 ** hausdorff_sum_log2([d], 1.0) - 0.125) < 1e-12
+    assert abs(2.0 ** hausdorff_sum_log2([d] * 7, 0.5) - 7 * 0.125 ** 0.5) < 1e-12
 
 
 def test_hausdorff_sum_petal_family():

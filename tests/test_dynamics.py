@@ -18,7 +18,7 @@ from juliadim.dynamics import (
 )
 from juliadim.config import Config
 from juliadim.geometry import classify
-from juliadim.modelmap import ModelMap
+from juliadim.modelmap import ModelMap, qN_landmarks
 from juliadim.numerics import DomainError, LogPolar, const_log2_frac
 from juliadim.params import build_params
 
@@ -111,6 +111,29 @@ def test_inverse_then_forward_branch_recovery():
         z = inverse_step(M5, target, VkRoot(k, b), TOL)
         spec = branch_of_point(M5, z)
         assert spec == VkRoot(k, b)
+
+
+def test_origin_branch_of_point_equals_nearest_zero():
+    # reference: the nearest of the M_N - 1 zeros by circular distance,
+    # first index on ties, against the closed form; on every tie angle
+    # i/(M_N - 1) and on 2000 seeded angles
+    lm = qN_landmarks(M5)
+    zeros = [lm.zero(i) for i in range(1, lm.degree + 1)]
+
+    def nearest(theta):
+        best, bd = 0, None
+        for i, w in enumerate(zeros, start=1):
+            d = theta.dist(w.theta)
+            if bd is None or d < bd:
+                best, bd = i, d
+        return best
+
+    rng = Random(77)
+    angles = [Fraction(i, lm.degree) for i in range(lm.degree)]
+    angles += [Fraction(rng.randrange(1 << 40), 1 << 40) for _ in range(2000)]
+    for a in angles:
+        z = LogPolar(lm.zero_rho, a)
+        assert branch_of_point(M5, z) == OriginBranch(nearest(z.theta)), a
 
 
 def test_branch_contract_violations():

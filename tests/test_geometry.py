@@ -9,7 +9,6 @@ from juliadim.geometry import (
     level_lines,
     petal_membership,
     petal_spec,
-    zeros_in_annulus,
 )
 from juliadim.modelmap import ModelMap
 from juliadim.numerics import LogPolar
@@ -55,7 +54,7 @@ def test_partition_above_central_disk(num, den_pow):
 def test_zero_ring_layout():
     for k in (1, 2):
         nk = T5.n(k)
-        zz = zeros_in_annulus(T5, k)
+        zz = [M5.ring_zero(k + T5.N - 1, j) for j in range(1, T5.n(k) + 1)]
         assert len(zz) == nk == 2 ** (5 + k - 1)
         assert all(z.rho == zz[0].rho for z in zz)
         # all moduli in A((3/5) R_k, (5/4) R_k)
@@ -79,7 +78,7 @@ def test_petals_disjoint_and_off_V():
     nk = T5.n(1)
     assert Fraction(1, nk) > Fraction(4, 2 ** nk)
     # petal moduli sit above the V zone
-    zz = zeros_in_annulus(T5, 1)
+    zz = [M5.ring_zero(T5.N, j) for j in range(1, T5.n(1) + 1)]
     v_hi = T5.R_exp(1) - Fraction(74, 100)
     assert all(z.rho > v_hi for z in zz)
 

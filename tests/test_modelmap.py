@@ -6,14 +6,16 @@ import pytest
 from juliadim.modelmap import (
     AmbiguousPieceError,
     BUMP_DERIV_ARGMAX,
+    DILATATION_GRID,
     ModelMap,
-    bump,
+    bump_deriv_log2,
+    bump_log2,
     dilatation_onset,
     dilatation_sup,
     qN_landmarks,
     seam_mismatch,
 )
-from juliadim.numerics import Angle, LogPolar, lp_sub, pow2_minus1_log2
+from juliadim.numerics import Angle, DomainError, LogPolar, lp_sub, pow2_minus1_log2
 from juliadim.params import build_params
 
 
@@ -73,7 +75,11 @@ def test_power_piece_big_scale_value():
 def test_landmarks_match_closed_forms():
     lm = qN_landmarks(M5)
     t = M5.table
-    assert len(lm.zeros) == 31 and len(lm.crit_points) == 31
+    assert lm.degree == 31
+    for i in (0, 32):
+        for accessor in (lm.zero, lm.crit_point, lm.crit_value):
+            with pytest.raises(DomainError):
+                accessor(i)
     # r_N / c_N = 2^752 / 2^-1024 = 2^1776, degree M_N - 1 = 31
     assert lm.zero_rho == Fraction(752 + 1024, 31)
     assert lm.crit_rho == Fraction(752 + 1024 - 5, 31)
@@ -87,27 +93,51 @@ def test_landmarks_match_closed_forms():
 
 def test_polynomial_vanishes_at_its_zeros():
     lm = qN_landmarks(M5)
-    for z in lm.zeros[:5]:
-        w, piece = M5.eval(z)
+    for i in range(1, 6):
+        w, piece = M5.eval(lm.zero(i))
         assert str(piece) == "origin"
         assert w.is_zero  # exact cancellation in exact arithmetic
 
 
 def test_derivative_vanishes_at_critical_points():
     lm = qN_landmarks(M5)
-    for cp in lm.crit_points[:5]:
-        d, _ = M5.deriv(cp)
+    for i in range(1, 6):
+        d, _ = M5.deriv(lm.crit_point(i))
         assert d.is_zero
 
 
-def test_landmarks_built_once_per_model():
+def test_landmarks_built_once_per_model(monkeypatch):
     import dataclasses
+    calls = []
+    orig_eval = ModelMap.eval
+    monkeypatch.setattr(ModelMap, "eval", lambda self, z: calls.append(z) or orig_eval(self, z))
     m = model()
     lm = qN_landmarks(m)
     assert qN_landmarks(m) is lm
-    assert all(isinstance(f, tuple) for f in (lm.zeros, lm.crit_points, lm.crit_values))
+    # one evaluation, no per-landmark sequence; all 31 points come from
+    # the accessors without evaluating again
+    assert len(calls) == 1
+    assert not any(isinstance(v, (tuple, list)) for v in vars(lm).values())
+    pts = [(lm.zero(i), lm.crit_point(i), lm.crit_value(i)) for i in range(1, 32)]
+    assert len(calls) == 1
+    assert len({p for row in pts for p in row}) == 3 * 31
     # the critical values depend on prec: a replaced model builds its own
     assert qN_landmarks(dataclasses.replace(m, prec=m.prec + 64)) is not lm
+
+
+@pytest.mark.parametrize("N,kmax,sample", [(5, 8, None), (6, 8, None), (7, 8, None),
+                                           (8, 8, None), (10, 6, 40), (14, 6, 40)])
+def test_critical_values_equal_evaluation(N, kmax, sample):
+    # reference: evaluate the polynomial at every (or a seeded sample of)
+    # critical point(s) and compare with the rotated closed form, exactly
+    from random import Random
+    m = model(N=N, kmax=kmax)
+    lm = qN_landmarks(m)
+    idx = range(1, lm.degree + 1)
+    if sample is not None:
+        idx = [1, lm.degree] + Random(N).sample(range(2, lm.degree), sample - 2)
+    for i in idx:
+        assert lm.crit_value(i) == m.eval(lm.crit_point(i))[0], i
 
 
 def test_radial_circles():
@@ -130,8 +160,8 @@ def test_critical_values_inside_first_gap():
     lm = qN_landmarks(M5)
     lo = t.r_exp(5) + 3
     hi = Fraction(t.r_exp(6)) - 4 - Fraction(1, 2)
-    for cv in lm.crit_values:
-        assert lo < cv.rho < hi
+    for i in range(1, lm.degree + 1):
+        assert lo < lm.crit_value(i).rho < hi
 
 
 def test_polynomial_sandwich_on_middle_annulus():
@@ -180,9 +210,14 @@ def test_deriv_boundary_straddle_raises():
 # bump blend ---------------------------------------------------------------------
 
 def test_bump_profile_edges():
-    assert bump(0.0) == 1.0
-    assert bump(1.0) == 0.0
-    assert 0.0 < bump(0.5) < 1.0
+    def bump(s):
+        l2 = bump_log2(s)
+        return 0.0 if l2 is None else 2.0 ** float(l2)
+
+    assert bump_log2(0.0) == 0
+    assert bump_log2(1.0) is None
+    assert bump_log2(0.5) < 0
+    assert bump(0.0) == 1.0 and bump(1.0) == 0.0 and 0.0 < bump(0.5) < 1.0
     # |b'| peaks at (1/3)^(1/4) with value < e
     xs = [i / 1000 for i in range(1, 1000)]
     db = [abs(bump(x + 1e-7) - bump(x - 1e-7)) / 2e-7 for x in xs]
@@ -212,17 +247,50 @@ def test_bump_blend_edges_match_neighbours():
 def test_dilatation_far_below_one_and_decreasing():
     sups = []
     for k in range(5, 14):
-        rep = dilatation_sup(M5, k, grid=64)
+        rep = dilatation_sup(M5, k)
         assert rep.below_one
-        assert not rep.flagged
         sups.append(rep.sup_log2)
     assert all(a > b for a, b in zip(sups, sups[1:]))
     assert dilatation_onset(M5, 13) == 5
 
 
-def test_dilatation_rejects_small_grid():
-    with pytest.raises(Exception):
-        dilatation_sup(M5, 6, grid=32)
+def _grid_dilatation_sup(m, k, grid=DILATATION_GRID):
+    # reference: the per-point loop over the grid, with its gap exclusion
+    t = m.table
+    ek, epsk, Mk = t.r_exp(k), t.c_exp(k), 1 << k
+    lead = float(epsk + k + (Mk - 1) * ek)
+    sup = -math.inf
+    for i in range(1, grid):
+        s = i / grid
+        ld = float(bump_deriv_log2(s))
+        num_log2 = 2.0 * float(ek) + ld - 1.0
+        gap2 = float(ek) + float(bump_log2(s)) - lead
+        gap3 = num_log2 - lead
+        if max(gap2, gap3) > -8.0:
+            continue
+        den_log2 = lead + math.log2(max(1.0 - 2.0 ** gap2 - 2.0 ** gap3, 0.5))
+        sup = max(sup, num_log2 - den_log2)
+    return sup
+
+
+@pytest.mark.parametrize("N", [5, 6, 8])
+def test_dilatation_sup_equals_the_grid_loop(N):
+    m = model(N=N, kmax=16)
+    for k in range(5, 14):
+        assert repr(dilatation_sup(m, k).sup_log2) == repr(_grid_dilatation_sup(m, k))
+
+
+def test_dilatation_rejects_blend_terms_near_the_lead(monkeypatch):
+    # a grid maximum of log2|b'| that lifts the blend term to within 64 bits
+    # of the leading term must raise, naming the ring
+    import juliadim.modelmap as mm
+    t = M5.table
+    k = 6
+    ek, lead = t.r_exp(k), t.c_exp(k) + k + ((1 << k) - 1) * t.r_exp(k)
+    ld_max = float(lead - 2 * ek + 1) - 32.0   # num_log2 = lead - 32
+    monkeypatch.setattr(mm, "_bump_grid_max_log2", lambda: (0.0, ld_max))
+    with pytest.raises(DomainError, match="ring 6"):
+        dilatation_sup(M5, k)
 
 
 def test_boundary_distance_covers_every_cut():
@@ -378,7 +446,7 @@ def test_big_N_model_smoke():
     assert lm.deriv_at_zero.rho_int() == t.r_exp(14) + 13
     assert abs(2 ** lm.deriv_at_zero.rho_frac_float()
                - ((1 << 14) - 1) / (1 << 13)) < 1e-15
-    v, _ = m14.eval(lm.zeros[0])
+    v, _ = m14.eval(lm.zero(1))
     assert v.is_zero
 
 
