@@ -6,7 +6,9 @@ branch-consistent root pullback
     w_j(theta) = phi( (w_{j+1}(n theta) / C)**(1/n) ),
 
 seeded on circles.  With the identity correction the traces are exact
-circles; the synthetic correction model perturbs each pullback step by a
+circles: the root maps rho to (rho - C)/n at every angle, so an identity
+trace is one pullback chain per seed, not one per grid angle.  The
+synthetic correction model perturbs each pullback step by a
 seeded band-limited field epsilon with |epsilon| <= C' omega_p(1/|z|),
 the only property the downstream estimates use.  Its closed-form
 z-derivative keeps |phi' - 1| below C' omega_p as well, so tangent
@@ -22,14 +24,11 @@ from fractions import Fraction
 from random import Random
 from typing import List, Tuple
 
-import mpmath
-
 from .numerics import (
     Angle,
     DomainError,
     LogPolar,
     const_log2_frac,
-    frac_mod1,
     lp_perturb,
     pow2_minus1_log2,
 )
@@ -102,9 +101,13 @@ class SyntheticOmega:
 
     def _mode_args(self, z: LogPolar) -> List[float]:
         th = float(z.theta.turns)
+        num, den = z.rho.numerator, z.rho.denominator
         out = []
         for fq, mult, ph in zip(self.freqs, self._rho_mults, self.phases):
-            rho_phase = float(frac_mod1(z.rho * mult))
+            # frac(rho * mult) in integers, unreduced: int / int is still
+            # the correctly rounded float of the exact fraction
+            d = den * mult.denominator
+            rho_phase = num * mult.numerator % d / d
             out.append(TWO_PI * (fq * th + rho_phase) + ph)
         return out
 
@@ -115,10 +118,7 @@ class SyntheticOmega:
         return a * u
 
     def phi(self, z: LogPolar, prec: int) -> LogPolar:
-        e = self.eps(z)
-        if e == 0:
-            return z
-        return lp_perturb(z, mpmath.mpc(e), prec)
+        return lp_perturb(z, self.eps(z), prec)
 
     def phi_prime(self, z: LogPolar) -> complex:
         """1 + eps + z eps_z with the Wirtinger derivative in closed form:
@@ -165,16 +165,19 @@ def _pullback_chain(m: ModelMap, phi, k: int, depth: int, theta: Fraction,
     curve zone; each root branch is the one containing the angle that
     theta reaches after j steps."""
     t = m.table
-    params = [Fraction(theta)]
-    for j in range(depth):
-        params.append(params[-1] * t.n(k + j + 1))
-    z = LogPolar(seed_rho, Angle(frac_mod1(params[depth])))
+    theta = Fraction(theta)
+    q = theta.denominator
+    ns = [t.n(k + j + 1) for j in range(depth)]
+    # frac(theta n_{k+1} ... n_{k+j}) = turns[j] / q, in integers
+    turns = [theta.numerator % q]
+    for n in ns:
+        turns.append(turns[-1] * n % q)
+    z = LogPolar(seed_rho, Angle(Fraction(turns[depth], q)))
     chain = [z]
     for j in range(depth - 1, -1, -1):
-        n = t.n(k + j + 1)
-        pj = frac_mod1(params[j])
-        b = (pj * n).numerator // (pj * n).denominator  # floor(n frac(p_j))
-        z = LogPolar(z.rho - t.C_exp(k + j + 1), z.theta).root(n, b % n)
+        n = ns[j]
+        b = turns[j] * n // q  # floor(n frac(theta_j)), in [0, n)
+        z = LogPolar(z.rho - t.C_exp(k + j + 1), z.theta).root(n, b)
         z = phi.phi(z, m.prec)
         chain.append(z)
     chain.reverse()
@@ -201,11 +204,16 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
     top = t.R_exp(k + depth + 1)
     seeds = (Fraction(top - 2), top + const_log2_frac(3, 4))
     thetas = [Fraction(i, grid) for i in range(grid)]
-    inner: List[Fraction] = []
-    outer: List[Fraction] = []
-    for th in thetas:
-        inner.append(_pullback_chain(m, phi, k, depth, th, seeds[0])[0].rho)
-        outer.append(_pullback_chain(m, phi, k, depth, th, seeds[1])[0].rho)
+    if isinstance(phi, Identity):
+        # root maps rho to (rho - C)/n whatever the angle or branch, so one
+        # chain per seed gives the radius at every theta
+        inner = [_pullback_chain(m, phi, k, depth, thetas[0], seeds[0])[0].rho] * grid
+        outer = [_pullback_chain(m, phi, k, depth, thetas[0], seeds[1])[0].rho] * grid
+    else:
+        inner = [_pullback_chain(m, phi, k, depth, th, seeds[0])[0].rho
+                 for th in thetas]
+        outer = [_pullback_chain(m, phi, k, depth, th, seeds[1])[0].rho
+                 for th in thetas]
     for name, arr in (("inner", inner), ("outer", outer)):
         for i in range(grid):
             gap = abs(float(arr[(i + 1) % grid] - arr[i]))
@@ -236,7 +244,8 @@ def width_check(m: ModelMap, trace: CurveTrace) -> WidthCheck:
     t = m.table
     k, depth = trace.k, trace.m
     measured_log2 = None
-    for r_in, r_out in zip(trace.inner_radii, trace.outer_radii):
+    # one evaluation per distinct pair: an identity trace has a single one
+    for r_in, r_out in dict.fromkeys(zip(trace.inner_radii, trace.outer_radii)):
         gap = r_out - r_in
         if gap <= 0:
             raise DomainError("inverted trace radii")

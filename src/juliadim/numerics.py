@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 import mpmath
-from mpmath import mpc, mpf
+from mpmath import libmp, mpc, mpf
 
 SIG_BITS = 128          # fractional-log2 working precision
 ANG_BITS = 4096         # default angle budget (bits of turns)
@@ -96,13 +96,18 @@ def frac_to_mpf(fr: Fraction, prec: int = SIG_BITS) -> mpf:
 
 def mpf_to_frac(x: mpf) -> Fraction:
     """Exact conversion; every finite mpf is a dyadic rational."""
-    sign, man, exp, _ = x._mpf_
+    return _frac_of(x._mpf_)
+
+
+def _frac_of(t: tuple) -> Fraction:
+    """The exact Fraction of a finite libmp tuple (sign, man, exp, bc)."""
+    sign, man, exp, _ = t
     man, exp = int(man), int(exp)  # mpmath may hand back gmpy2 mpz
     if man == 0 and exp != 0:
-        raise DomainError(f"non-finite mpf {x!r}")
-    v = Fraction(man, 1)
-    v = v * Fraction(2) ** exp if exp >= 0 else v / (1 << -exp)
-    return -v if sign else v
+        raise DomainError(f"non-finite mpf {mpmath.mp.make_mpf(t)!r}")
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def ln_big(e: int, add: float = 0.0) -> float:
@@ -464,22 +469,46 @@ def expm1_series(L: mpc, scale: int, prec: int = SIG_BITS) -> mpc:
     return L * series
 
 
-def lp_perturb(z: LogPolar, u: mpc, prec: int = SIG_BITS) -> LogPolar:
-    """z * (1 + u) for an mpc u with |u| < 1, at any scale of u.
+def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int = SIG_BITS) -> LogPolar:
+    """z * (1 + u) for a complex or mpc u with |u| < 1, at any scale of u.
 
     The relative size of u may be far below 2**-prec; the result's rho then
     carries an exact tiny rational correction rather than losing it.
+
+    Runs on mpmath's ``libmp`` tuples at prec + 32 bits with round-to-nearest,
+    step for step what ``mpmath.log(1 + u)`` divided by ``ln(2)`` and by
+    ``2 * pi`` gives at that precision, bit for bit: 1 + u by ``mpf_add``,
+    the log by ``mpc_log``, the divisions by ``mpf_ln2`` and 2 ``mpf_pi``.
+    Tiny u (|u| < 2**-16) takes the :func:`log1p_mpc` series.  An mpc u is
+    read as ``mpc(u)``, at the caller's working precision.
     """
     if z.zero:
         return z
-    u = mpc(u)
-    if u == 0:
+    if isinstance(u, complex):
+        ur, ui = libmp.from_float(u.real), libmp.from_float(u.imag)
+    else:
+        ur, ui = mpc(u)._mpc_
+    if ur == libmp.fzero and ui == libmp.fzero:
         return z
-    with mpmath.workprec(prec + 32):
-        v = log1p_mpc(u, prec)
-        lre = mpf_to_frac(v.real / mpmath.ln(2))
-        lim = mpf_to_frac(v.imag / (2 * mpmath.pi))
-    return LogPolar(z.rho + lre, z.theta.add(Angle(lim)))
+    wp, rnd = prec + 32, libmp.round_nearest
+    if _mpc_mag(ur, ui) > -16:
+        vr, vi = libmp.mpc_log((libmp.mpf_add(ur, libmp.fone, wp, rnd), ui), wp, rnd)
+    else:
+        with mpmath.workprec(wp):
+            vr, vi = log1p_mpc(mpmath.mp.make_mpc((ur, ui)), prec)._mpc_
+    lre = _frac_of(libmp.mpf_div(vr, libmp.mpf_ln2(wp, rnd), wp, rnd))
+    lim = _frac_of(libmp.mpf_div(vi, libmp.mpf_shift(libmp.mpf_pi(wp, rnd), 1), wp, rnd))
+    return LogPolar(z.rho + lre, Angle(z.theta.turns + lim))
+
+
+def _mpc_mag(re: tuple, im: tuple) -> int:
+    """mpmath.mag of the nonzero complex (re, im) given as libmp tuples:
+    the larger part's exp + bc, plus one only when both parts are nonzero."""
+    if re == libmp.fzero:
+        return im[2] + im[3]
+    if im == libmp.fzero:
+        return re[2] + re[3]
+    return 1 + max(re[2] + re[3], im[2] + im[3])
 
 
 def frac_ilog2(fr: Fraction) -> int:

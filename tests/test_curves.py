@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from juliadim import curves
 from juliadim.config import Config
 from juliadim.curves import (
     Identity,
@@ -17,7 +19,7 @@ from juliadim.curves import (
     width_check,
 )
 from juliadim.modelmap import ModelMap
-from juliadim.numerics import Angle, DomainError, LogPolar
+from juliadim.numerics import Angle, DomainError, LogPolar, const_log2_frac
 from juliadim.params import SQRT8, build_params, omega_from_rho
 
 M5 = ModelMap(table=build_params(5, 16))
@@ -101,13 +103,62 @@ def _trace_digest(tr, wc) -> str:
 
 def test_trace_digests_match_reference():
     # the stored traces of the benchmark's curves workload: one pullback for
-    # traces, tangents and angles must not move a single exact radius
+    # traces, tangents and angles must not move a single exact radius; depth
+    # 6 at k = 2 is the deepest chain the workload draws
     ref = json.loads(CURVES_REFERENCE.read_text())["traces"]
-    for phi in (IDENT, SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=1)):
-        for depth in (1, 2, 3):
-            tr = trace_gamma(M5, phi, 1, depth, grid=256)
-            key = f"{phi.kind}:{getattr(phi, 'phase_seed', 0)}:1:{depth}"
-            assert _trace_digest(tr, width_check(M5, tr)) == ref[key], key
+    for phi, k, depth in itertools.product(
+            (IDENT, SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=1)), (1, 2), range(1, 7)):
+        tr = trace_gamma(M5, phi, k, depth, grid=256)
+        key = f"{phi.kind}:{getattr(phi, 'phase_seed', 0)}:{k}:{depth}"
+        assert _trace_digest(tr, width_check(M5, tr)) == ref[key], key
+
+
+def _reference_radii(m, phi, k, depth, grid, seed_rho):
+    # the per-theta pullback loop, with the angle bookkeeping in Fractions
+    t = m.table
+    radii = []
+    for i in range(grid):
+        params = [Fraction(i, grid)]
+        for j in range(depth):
+            params.append(params[-1] * t.n(k + j + 1))
+        z = LogPolar(seed_rho, Angle(params[depth]))
+        for j in range(depth - 1, -1, -1):
+            n = t.n(k + j + 1)
+            b = math.floor(n * (params[j] % 1))
+            z = phi.phi(LogPolar(z.rho - t.C_exp(k + j + 1), z.theta).root(n, b), m.prec)
+        radii.append(z.rho)
+    return radii
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_identity_trace_is_one_chain_per_seed(k, monkeypatch):
+    top = T5.R_exp
+    for depth in (1, 2, 3, 4):
+        tr = trace_gamma(M5, IDENT, k, depth, grid=256)
+        seeds = (Fraction(top(k + depth + 1) - 2),
+                 top(k + depth + 1) + const_log2_frac(3, 4))
+        assert tr.inner_radii == _reference_radii(M5, IDENT, k, depth, 256, seeds[0])
+        assert tr.outer_radii == _reference_radii(M5, IDENT, k, depth, 256, seeds[1])
+        assert tr.theta_grid == [Angle(Fraction(i, 256)) for i in range(256)]
+    # the synthetic model still pulls back every theta, through the same chain
+    tr = trace_gamma(M5, SYN, k, 2, grid=256)
+    assert tr.inner_radii == _reference_radii(M5, SYN, k, 2, 256, Fraction(top(k + 3) - 2))
+
+    chains, widths = [], []
+    real_chain, real_width = curves._pullback_chain, curves.pow2_minus1_log2
+    monkeypatch.setattr(curves, "_pullback_chain",
+                        lambda *a: chains.append(1) or real_chain(*a))
+    monkeypatch.setattr(curves, "pow2_minus1_log2",
+                        lambda *a: widths.append(1) or real_width(*a))
+    counts = []
+    for grid in (256, 1024):
+        chains.clear()
+        tr = trace_gamma(M5, IDENT, k, 3, grid=grid)
+        counts.append(len(chains))
+        assert len(tr.inner_radii) == grid
+    assert counts[0] == counts[1] <= 3  # two seeds and one tangent chain
+    width_check(M5, tr)
+    assert len(widths) == 1
 
 
 def test_trace_depth_budget_reads_P_ang():

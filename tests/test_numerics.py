@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,7 @@ from juliadim.numerics import (
     const_log2_frac,
     expm1_lp,
     expm1_series,
+    log1p_mpc,
     lp_add,
     lp_perturb,
     lp_sub,
@@ -194,6 +196,66 @@ def test_lp_perturb_tiny_scale():
     big = zp.pow_int(1 << 1210)
     shift = float(big.rho - (1000 << 1210))
     assert abs(shift - 3 * (1 << 10) / math.log(2)) < 1e-3
+
+
+def _mpf_to_frac_ref(x):
+    sign, man, exp, _ = x._mpf_
+    v = Fraction(int(man)) * Fraction(2) ** int(exp)
+    return -v if sign else v
+
+
+def _lp_perturb_mpc(z, u, prec):
+    # the mpc body lp_perturb had before it ran on libmp tuples
+    if z.zero:
+        return z
+    u = mpmath.mpc(u)
+    if u == 0:
+        return z
+    with mpmath.workprec(prec + 32):
+        v = log1p_mpc(u, prec)
+        lre = _mpf_to_frac_ref(v.real / mpmath.ln(2))
+        lim = _mpf_to_frac_ref(v.imag / (2 * mpmath.pi))
+    return LogPolar(z.rho + lre, z.theta.add(Angle(lim)))
+
+
+def _perturbations(rng, prec):
+    """Seeded u with |u| from 2^-400 to 2^-1 in every shape: full complex,
+    purely real and purely imaginary (mpmath.mag drops its +1 there), as
+    Python complex and as mpc carrying prec + 32 bits, plus both sides of
+    the series switch at mag(u) = -16."""
+    us = [0j, mpmath.mpc(0)]
+    for e in (-18, -17, -16):           # mag(u) = e + 1 for one part, e + 2 for two
+        for re, im in ((1.5, 0.0), (0.0, -1.5), (1.5, 1.25), (-1.25, 1.5)):
+            us.append(complex(math.ldexp(re, e), math.ldexp(im, e)))
+    for i in range(160):
+        e = rng.randint(-400, -1) if i % 2 else rng.randint(-16, -1)
+        re, im = math.ldexp(rng.uniform(-1, 1), e), math.ldexp(rng.uniform(-1, 1), e)
+        shape = rng.randrange(3)
+        re, im = (re, 0.0) if shape == 1 else (0.0, im) if shape == 2 else (re, im)
+        us.append(complex(re, im))
+        with mpmath.workprec(prec + 32):
+            us.append(mpmath.mpc(re, im) * (1 + mpmath.mpf(rng.getrandbits(prec)) / 2 ** prec))
+    return us
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_lp_perturb_equals_the_mpc_path(prec):
+    rng = random.Random(prec)
+    z = LogPolar(Fraction(rng.getrandbits(80), 1 << 40) - (1 << 39),
+                 Angle(Fraction(rng.getrandbits(64), 1 << 64)))
+    branches = set()
+    # mpc(u) reads u at the caller's precision: the default 53 bits, and
+    # prec + 32 inside inverse_step, where u keeps all its bits
+    for wp in (mpmath.mp.prec, prec + 32):
+        with mpmath.workprec(wp):
+            for u in _perturbations(rng, prec):
+                want = _lp_perturb_mpc(z, u, prec)
+                got = lp_perturb(z, u, prec)
+                assert (got.rho, got.theta.turns) == (want.rho, want.theta.turns), u
+                if u != 0:
+                    branches.add(mpmath.mag(mpmath.mpc(u)) > -16)
+    assert branches == {True, False}
+    assert lp_perturb(LogPolar.zero_point(), 0.25j, prec).is_zero
 
 
 def test_lp_sub_close_scales():
