@@ -150,14 +150,15 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_backward(args) -> int:
-    from .dynamics import backward_construct, iterate_orbit
+    from .dynamics import backward_construct, itinerary_orbit
 
     cfg = _load_config(args)
     m = cfg.build_model()
     itinerary = [s.strip() for s in args.itinerary.split(";")]
     anchor = parse_point(args.anchor)
     z = backward_construct(m, itinerary, anchor, tol=cfg.tol)
-    rec = iterate_orbit(m, z, nmax=len(itinerary))
+    # the orbit the construction verified, at the same per-step precision
+    rec = itinerary_orbit(m, z, itinerary)
     _emit(args, json.dumps({
         "point": render_value(z),
         "regions": rec.region_strs()[:len(itinerary)],

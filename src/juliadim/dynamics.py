@@ -22,6 +22,7 @@ deviation carried as an explicit bit margin.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath
@@ -245,14 +246,26 @@ def _backfill_negative_indices(regions: List[Region]) -> List[Region]:
     return out
 
 
+def _at_precision(m: ModelMap, bits: int) -> ModelMap:
+    """m with its working precision and lp_add guard raised to `bits`."""
+    if bits <= m.prec and bits <= m.guard:
+        return m
+    return dataclasses.replace(m, prec=max(m.prec, bits), guard=max(m.guard, bits))
+
+
 def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int,
-                  margin_bits: float = 0.0, phi_budget: bool = False) -> OrbitRecord:
+                  margin_bits: float = 0.0, phi_budget: bool = False,
+                  schedule: Sequence[int] = ()) -> OrbitRecord:
     """Forward orbit with region bookkeeping.
 
     Stops early on entering an escape gap (FatouEscape) or when the angular
     amplification budget m.ang_bits runs out (Truncated).  With
     phi_budget=True the classification margin grows by the distortion budget
     C' omega(1/|z|) at each point, on top of `margin_bits`.
+
+    schedule[n], where given, raises the working precision and guard of
+    step n (classifying the n-th point and evaluating it) to that many
+    bits; later steps run at m's own.
     """
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
@@ -264,12 +277,13 @@ def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int,
     escaped = False
     for n in range(nmax + 1):
         zn = points[-1]
+        mn = _at_precision(m, schedule[n]) if n < len(schedule) else m
         mb = margin_bits
         if phi_budget and not zn.is_zero and zn.rho > 4:
             w = t.Cprime * omega_from_rho(t.p, zn.rho_int())
             mb += math.log2(1.0 + w) + m.seam_margin_bits
         try:
-            reg = classify(t, zn, margin=mb, model=m)
+            reg = classify(t, zn, margin=mb, model=mn)
         except DomainError:
             truncated = f"table exhausted at step {n}"
             break
@@ -288,7 +302,7 @@ def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int,
             truncated = f"angular budget: needs {bits_used + cost + 64} bits"
             break
         bits_used += cost
-        w, _ = m.eval(zn)
+        w, _ = mn.eval(zn)
         points.append(w)
     regions = _backfill_negative_indices(regions)
     orbit_seq: List[Optional[int]] = [
@@ -515,14 +529,21 @@ def region_level(r: Region) -> Optional[int]:
     return r.k if r.kind in ("A", "V", "P", "B") else None
 
 
-def itinerary_precision(m: ModelMap, entries) -> int:
-    """Working bits needed to re-verify an itinerary by forward iteration.
+def itinerary_precision(m: ModelMap, entries) -> List[int]:
+    """Working bits needed to re-verify an itinerary by forward iteration,
+    one figure per suffix: need[s] is what re-verifying entries[s:] from the
+    s-th point needs.
 
     A step through a degree-n piece amplifies any earlier evaluation error
     by n; a petal step at level k targeting level j amplifies it by about
     2**(n_k + (log2 R_{k+1} - log2 R_j)) because the blend is evaluated that
     deep inside its zero.  Classifying the step-i tag then needs the
-    accumulated error below the tag's own resolution.
+    error accumulated since step s below the tag's own resolution.  An
+    evaluation error made at step s is covered by need[s] whatever the
+    precision of the steps after it, so step s of the re-verification runs
+    at need[s] bits.  need[0] is the figure for the whole itinerary: the
+    construction runs at it and the budget is checked against it.  The
+    list never increases.
     """
     t = m.table
     amp: List[int] = []
@@ -542,12 +563,26 @@ def itinerary_precision(m: ModelMap, entries) -> int:
             gap = max(0, t.R_exp(k + 1) - t.R_exp(jlvl))
         amp.append(t.n(k) + gap + 8)
         tol.append(t.n(k) + 8)
-    acc = 0
-    need = 192
-    for i in range(len(entries)):
-        need = max(need, acc + tol[i] + 128)
-        acc += amp[i]
-    return need
+    # reach: the largest amplification from step s to a later tag plus that
+    # tag's resolution and 128 bits
+    need: List[int] = []
+    reach = -math.inf
+    for a, tl in zip(reversed(amp), reversed(tol)):
+        reach = max(tl + 128, a + reach)
+        need.append(max(192, reach))
+    return need[::-1]
+
+
+def itinerary_orbit(m: ModelMap, z: LogPolar, itinerary: Sequence[ItinEntry]) -> OrbitRecord:
+    """The forward orbit of z over one step per itinerary entry, as
+    backward_construct re-verifies it: step s runs at need[s] bits of
+    :func:`itinerary_precision` (or m's own, if higher), and the angle
+    budget, which the whole orbit spends, is raised to need[0] + 64."""
+    entries = _normalize_itinerary(itinerary)
+    need = itinerary_precision(m, entries)
+    if need[0] + 64 > m.ang_bits:
+        m = dataclasses.replace(m, ang_bits=need[0] + 64)
+    return iterate_orbit(m, z, nmax=len(entries), schedule=need)
 
 
 def backward_construct(m: ModelMap, itinerary: Sequence[ItinEntry],
@@ -559,20 +594,27 @@ def backward_construct(m: ModelMap, itinerary: Sequence[ItinEntry],
     itinerary[i] prescribes the region of f^i(z); `anchor` is the point the
     orbit reaches after the last step.  Entries are regions ('V(2)',
     'P(3,17)', Region objects) with an optional branch choice 'V(2):5'.
+
+    The inverse steps run at need[0] working bits of
+    :func:`itinerary_precision`, the figure for the whole itinerary, which
+    must fit the budget.  With verify=True the point's forward orbit is then
+    re-classified by :func:`itinerary_orbit`, where step s runs at need[s]
+    bits: only the first steps of a backwards itinerary need the full
+    figure.
     """
     entries = _normalize_itinerary(itinerary)
     if not entries:
         raise ItineraryError("empty itinerary")
     budget = budget_bits if budget_bits is not None else m.ang_bits
-    need = itinerary_precision(m, entries)
+    need = itinerary_precision(m, entries)[0]
     if need > budget:
         raise DomainError(
             f"itinerary needs about {need} working bits, budget is {budget}; "
             "deep or backwards petal visits are out of the configured resolution")
+    hi = m
     if need > m.prec or need + 64 > m.ang_bits:
-        import dataclasses
-        m = dataclasses.replace(m, prec=max(m.prec, need), guard=max(m.guard, need),
-                                ang_bits=max(m.ang_bits, need + 64))
+        hi = dataclasses.replace(m, prec=max(m.prec, need), guard=max(m.guard, need),
+                                 ang_bits=max(m.ang_bits, need + 64))
     for i in range(len(entries) - 1):
         cur, nxt = entries[i][0], entries[i + 1][0]
         lc, ln = region_level(cur), region_level(nxt)
@@ -590,13 +632,13 @@ def backward_construct(m: ModelMap, itinerary: Sequence[ItinEntry],
     z = anchor
     for reg, br in reversed(entries):
         if reg.kind == "V":
-            z = inverse_step(m, z, VkRoot(reg.k, br or 0), tol)
+            z = inverse_step(hi, z, VkRoot(reg.k, br or 0), tol)
         elif reg.kind == "P":
-            z = inverse_step(m, z, PetalInverse(reg.k, reg.j or 1), tol)
+            z = inverse_step(hi, z, PetalInverse(reg.k, reg.j or 1), tol)
         else:
             raise ItineraryError(f"unsupported itinerary tag {reg}")
     if verify:
-        got = iterate_orbit(m, z, nmax=len(entries)).regions[:len(entries)]
+        got = itinerary_orbit(m, z, entries).regions[:len(entries)]
         for i, ((want, _), have) in enumerate(zip(entries, got)):
             ok = want.kind == have.kind and want.k == have.k and (
                 want.kind != "P" or want.j is None or want.j == have.j)

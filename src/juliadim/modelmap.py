@@ -38,6 +38,7 @@ from .numerics import (
     LogPolar,
     LpSum,
     SIG_BITS,
+    below_log2_one_minus_pow2,
     const_log2_frac,
     expm1_series,
     frac_to_mpf,
@@ -112,6 +113,8 @@ class ModelMap:
         The threshold sits in (-2**(1-eN), -2**-eN) below eN; a dyadic rho
         whose resolution is coarser than 2**-(eN-2) cannot land in between,
         so the comparison reduces to a sign test unless rho is ultra-fine.
+        An ultra-fine rho is compared against the series of the threshold
+        in integer fixed point (:func:`below_log2_one_minus_pow2`).
         """
         eN = self.table.r_exp(self.table.N)
         d = rho - eN
@@ -120,21 +123,21 @@ class ModelMap:
         res_bits = d.denominator.bit_length()
         if eN > res_bits + 4 or eN.bit_length() > 30:
             return True
-        with mpmath.workprec(res_bits + 64):
-            thr = mpmath.log(1 - mpmath.ldexp(mpf(1), -eN), 2)
-            return d < mpf_to_frac(thr)
+        return below_log2_one_minus_pow2(d, eN)
 
     def _cuts(self):
-        """(threshold, piece) pairs above r_N, ascending; built lazily and
-        stored on the instance (frozen dataclass, hence object.__setattr__)."""
-        cache = getattr(self, "_piece_cuts", None)
+        """(threshold, piece) pairs above r_N, ascending.  They depend on the
+        table alone, so they are built lazily and stored on it (frozen
+        dataclass, hence object.__setattr__): models that differ only in
+        precision share them."""
+        t = self.table
+        cache = getattr(t, "_piece_cuts", None)
         if cache is None:
-            t = self.table
             cache = []
             for j in range(t.N, t.jmax):
                 cache.append((self.seam_top(j), PieceId("seam", j)))
                 cache.append((Fraction(t.r_exp(j + 1)), PieceId("power", j + 1)))
-            object.__setattr__(self, "_piece_cuts", cache)
+            object.__setattr__(t, "_piece_cuts", cache)
         return cache
 
     def piece_of(self, z_or_rho) -> PieceId:
@@ -399,7 +402,7 @@ def qN_landmarks(m: ModelMap) -> PolyLandmarks:
     is q(w_1) turned by theta_i - theta_1 = (i-1)/(M_N-1), bit for bit, and
     one eval of critical point 1 stands for all M_N - 1.
 
-    Built once per model and stored on it, like ModelMap._cuts().
+    Built once per model and stored on it (it depends on the precision).
     """
     cache = getattr(m, "_qN_landmarks", None)
     if cache is not None:

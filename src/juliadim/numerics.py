@@ -480,17 +480,19 @@ def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int = SIG_BITS) -> Log
     ``2 * pi`` gives at that precision, bit for bit: 1 + u by ``mpf_add``,
     the log by ``mpc_log``, the divisions by ``mpf_ln2`` and 2 ``mpf_pi``.
     Tiny u (|u| < 2**-16) takes the :func:`log1p_mpc` series.  An mpc u is
-    read as ``mpc(u)``, at the caller's working precision.
+    read as ``mpc(u)`` at prec + 32 bits, whatever the caller's working
+    precision, so an mpc carrying that many bits is never cut short.
     """
     if z.zero:
         return z
+    wp, rnd = prec + 32, libmp.round_nearest
     if isinstance(u, complex):
         ur, ui = libmp.from_float(u.real), libmp.from_float(u.imag)
     else:
-        ur, ui = mpc(u)._mpc_
+        with mpmath.workprec(wp):
+            ur, ui = mpc(u)._mpc_
     if ur == libmp.fzero and ui == libmp.fzero:
         return z
-    wp, rnd = prec + 32, libmp.round_nearest
     if _mpc_mag(ur, ui) > -16:
         vr, vi = libmp.mpc_log((libmp.mpf_add(ur, libmp.fone, wp, rnd), ui), wp, rnd)
     else:
@@ -559,3 +561,33 @@ def pow2_minus1_log2(delta: Fraction, prec: int = SIG_BITS) -> Fraction:
     with mpmath.workprec(prec + 32):
         v = mpmath.expm1(frac_to_mpf(delta, prec + 32) * mpmath.ln(2))
         return mpf_to_frac(mpmath.log(v, 2))
+
+
+def below_log2_one_minus_pow2(d: Fraction, e: int) -> bool:
+    """d < log2(1 - 2**-e) for an integer e >= 1, decided exactly.
+
+    With D = -d and x = 2**-e this asks whether D ln 2 > -ln(1 - x) =
+    sum_{k>=1} x**k / k.  In p-bit fixed point the K = floor(p / e) terms
+    with k e <= p, each rounded down, sum to S with S <= 2**p (-ln(1 - x))
+    < S + K + 2: each term is short by under one unit and the dropped tail
+    is under two.  libmp's cached ``ln2_fixed(p)`` is within one unit of
+    2**p ln 2 (the premise of mpmath's own directed roundings of ln 2);
+    2**16 units are allowed.  That encloses both sides in integer
+    intervals; p starts 64 bits past d's resolution and doubles until the
+    intervals separate, which they do because the threshold is irrational.
+    """
+    if d >= 0:
+        return False
+    a, b = -d.numerator, d.denominator
+    slack = 1 << 16
+    p = b.bit_length() + 64
+    while True:
+        terms = [(1 << (p - k * e)) // k for k in range(1, p // e + 1)]
+        s_lo = sum(terms)
+        s_hi = s_lo + len(terms) + 2
+        ln2 = libmp.ln2_fixed(p)
+        if a * (ln2 - slack) > b * s_hi:
+            return True
+        if a * (ln2 + slack) < b * s_lo:
+            return False
+        p *= 2

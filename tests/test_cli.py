@@ -96,6 +96,25 @@ def test_backward_subcommand(tmp_path):
     assert doc["regions"] == ["V(1)", "V(2)", "V(3)"]
 
 
+def test_backward_prints_the_orbit_it_verified(tmp_path):
+    # a backwards move needs 22683 bits for its first step only; the printed
+    # orbit is re-iterated at the construction's per-step precision, not at
+    # the configured 128 bits, where it ran off into B(13) after V(13)
+    from juliadim.params import build_params
+
+    cfg = tmp_path / "cfg"
+    cfg.write_text("P_ang=65536\n")
+    itin = ["P(1,3)"] + [f"V({k})" for k in range(1, 20)]
+    out = tmp_path / "b.json"
+    rc = run(["backward", "--config", str(cfg), "--N", "5", "--kmax", "25",
+              "--itinerary", ";".join(itin),
+              "--anchor", f"{build_params(5, 25).R_exp(20)},0.5,0.2", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["regions"] == itin
+    assert doc["classification"] == "YLike(1)"
+
+
 def test_csv_stdout_matches_file(tmp_path, capsys):
     for argv in (["eval", "--N", "5", "--kmax", "6", "--point", "23008,0.0,0.125"],
                  ["dims", "--sweep", "0.5", "--sweep-Nmax", "5"]):

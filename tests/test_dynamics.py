@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -9,10 +10,12 @@ from juliadim.dynamics import (
     OriginBranch,
     PetalInverse,
     VkRoot,
+    _normalize_itinerary,
     backward_construct,
     branch_of_point,
     check_singular_values,
     inverse_step,
+    itinerary_precision,
     iterate_orbit,
     verify_inclusions,
 )
@@ -193,6 +196,91 @@ def test_orbit_monotone_rule_on_constructed_orbits():
     rec = iterate_orbit(M5, z, 6)
     seq = [k for k in rec.orbit_seq if k is not None]
     assert all(b <= a + 1 for a, b in zip(seq, seq[1:]))
+
+
+def _construction_shapes(seed):
+    """The three itinerary shapes of the inverse benchmark (climb, forward
+    petal visits, one backwards move), seeded branches and anchor angles."""
+    rng = Random(f"backward-pin:{seed}")
+    climb = [f"V({k}):{rng.randrange(T5.n(k))}" for k in range(1, 21)]
+    forward = (["V(1)", f"P(2,{rng.randrange(1, T5.n(2) + 1)})", "V(3)",
+                f"P(4,{rng.randrange(1, T5.n(4) + 1)})"] + [f"V({k})" for k in range(5, 21)])
+    backwards = [f"P(1,{rng.randrange(1, T5.n(1) + 1)})"] + [f"V({k})" for k in range(1, 20)]
+    return {name: (itin, LogPolar(Fraction(T5.R_exp(top)),
+                                  Fraction(rng.randrange(1, 1 << 30), 1 << 30)))
+            for name, itin, top in (("climb", climb, 21), ("forward", forward, 21),
+                                    ("backwards", backwards, 20))}
+
+
+def _point_digest(z):
+    h = hashlib.sha256()
+    for v in (z.rho.numerator, z.rho.denominator,
+              z.theta.turns.numerator, z.theta.turns.denominator):
+        h.update(format(v, "x").encode() + b";")
+    return h.hexdigest()[:24]
+
+
+# digests of the constructed points and the whole-itinerary precision need[0],
+# recorded before the re-verification ran at a per-step precision
+CONSTRUCTION_PINS = {
+    1: {"climb": "b6878cd2715ee9d95c340b93", "forward": "b06f88ad3426f55b7af940a1",
+        "backwards": "56dd4f9eabbcf7165996703c"},
+    2: {"climb": "a212a61078ccbfb39f1dffef", "forward": "236f366bc553724cf4c44d60",
+        "backwards": "00b3595138a01dbf60cc4b72"},
+    3: {"climb": "bcd13583797fbe0473b5cf99", "forward": "8207bbc321a65ab2f583225a",
+        "backwards": "f60ea8f3ca6ffea725d0ebf6"},
+}
+NEED0_PINS = {"climb": 410, "forward": 732, "backwards": 22683}
+
+
+@pytest.mark.parametrize("seed", sorted(CONSTRUCTION_PINS))
+def test_constructed_points_are_pinned(seed):
+    for name, (itin, anchor) in _construction_shapes(seed).items():
+        z = backward_construct(M5, itin, anchor, tol=TOL, budget_bits=1 << 16)
+        assert _point_digest(z) == CONSTRUCTION_PINS[seed][name], name
+        need = itinerary_precision(M5, _normalize_itinerary(itin))
+        assert need[0] == NEED0_PINS[name], name
+
+
+def test_itinerary_precision_per_suffix():
+    # need[s] is the figure of the suffix entries[s:] on its own
+    itin = _normalize_itinerary(_construction_shapes(1)["forward"][0])
+    need = itinerary_precision(M5, itin)
+    assert len(need) == len(itin)
+    for s in range(len(itin)):
+        assert need[s] == itinerary_precision(M5, itin[s:])[0]
+    assert all(a >= b for a, b in zip(need, need[1:]))
+
+
+def test_backwards_verification_runs_only_step_0_above_1024_bits(monkeypatch):
+    # the construction runs at need[0] = 22683 bits; the re-verification
+    # evaluates step s at need[s], and only step 0 needs more than 1024
+    import juliadim.dynamics as dyn
+
+    evals, verifying = [], []
+    real_eval, real_iterate = ModelMap.eval, dyn.iterate_orbit
+
+    def eval_(self, z):
+        if verifying:
+            evals.append((self.prec, self.guard, self.ang_bits))
+        return real_eval(self, z)
+
+    def iterate(*args, **kwargs):
+        verifying.append(True)
+        try:
+            return real_iterate(*args, **kwargs)
+        finally:
+            verifying.pop()
+
+    monkeypatch.setattr(ModelMap, "eval", eval_)
+    monkeypatch.setattr(dyn, "iterate_orbit", iterate)
+    itin, anchor = _construction_shapes(1)["backwards"]
+    backward_construct(M5, itin, anchor, tol=TOL, budget_bits=1 << 16)
+    need = itinerary_precision(M5, _normalize_itinerary(itin))
+    assert [(p, g) for p, g, _ in evals] == [(max(M5.prec, b), max(M5.guard, b)) for b in need]
+    assert evals[0][0] == 22683 and max(p for p, _, _ in evals[1:]) <= 1024
+    # the angle budget is spent over the whole orbit: raised at every step
+    assert {a for _, _, a in evals} == {need[0] + 64}
 
 
 def test_illegal_itineraries_rejected():

@@ -1,6 +1,9 @@
+import functools
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from juliadim.modelmap import (
@@ -15,7 +18,8 @@ from juliadim.modelmap import (
     qN_landmarks,
     seam_mismatch,
 )
-from juliadim.numerics import Angle, DomainError, LogPolar, lp_sub, pow2_minus1_log2
+from juliadim.numerics import (Angle, DomainError, LogPolar, lp_sub, mpf_to_frac,
+                               pow2_minus1_log2)
 from juliadim.params import build_params
 
 
@@ -44,6 +48,70 @@ def test_piece_resolves_strip_exactly():
     t = M5.table
     assert str(M5.piece_of(t.r_exp(5) - Fraction(1, 1 << 740))) == "origin"
     assert str(M5.piece_of(t.r_exp(5) - Fraction(1, 1 << 800))) == "bump(5)"
+
+
+@functools.lru_cache(maxsize=None)
+def _mpmath_origin_threshold(eN, res_bits):
+    # the threshold _below_origin_top compared against before it summed the
+    # series: log2(1 - 2^-eN) by mpmath.log at res_bits + 64 bits
+    with mpmath.workprec(res_bits + 64):
+        return mpf_to_frac(mpmath.log(1 - mpmath.ldexp(mpmath.mpf(1), -eN), 2))
+
+
+def _below_origin_top_mpmath(m, rho):
+    eN = m.table.r_exp(m.table.N)
+    d = rho - eN
+    if d >= 0:
+        return False
+    res_bits = d.denominator.bit_length()
+    if eN > res_bits + 4 or eN.bit_length() > 30:
+        return True
+    return d < _mpmath_origin_threshold(eN, res_bits)
+
+
+@pytest.mark.parametrize("N, fine", [(5, (748, 752, 753, 2000, 45005)),
+                                     (6, (23009,))])
+def test_origin_threshold_matches_mpmath_log(N, fine):
+    m = model(N, 2)
+    eN = m.table.r_exp(N)
+    rng = random.Random(N)
+    cases = []
+    # coarse rho: the sign test alone decides
+    for r in (0, 8, eN - 5):
+        cases += [eN - Fraction(rng.randrange(1, 1 << 12), 1 << r), Fraction(eN)]
+    # ultra-fine rho, far from the threshold and at it, both sides: c / 2^r is
+    # the last multiple of 2^-r below the threshold, (c + 1) / 2^r the first above
+    for r in fine:
+        cases += [eN - Fraction(rng.getrandbits(r + 4) | 1, 1 << r),
+                  eN - Fraction(rng.getrandbits(max(1, r - eN + 2)) | 1, 1 << r)]
+        with mpmath.workprec(r + eN + 64):
+            thr = mpmath.log(1 - mpmath.ldexp(mpmath.mpf(1), -eN), 2)
+            c = int(mpmath.floor(thr * mpmath.ldexp(1, r)))
+        for off in (-2, -1, 0, 1, 2, 3):
+            rho = eN + Fraction(c + off, 1 << r)
+            assert m._below_origin_top(rho) == (off <= 0), (r, off)
+            cases.append(rho)
+    for rho in cases:
+        assert m._below_origin_top(rho) == _below_origin_top_mpmath(m, rho), rho
+
+
+def test_origin_threshold_takes_no_mpmath_log(monkeypatch):
+    # the ultra-fine comparison is integer fixed point over libmp's cached
+    # ln 2, not a log at the resolution of rho (45000 bits on a backwards orbit)
+    eN = M5.table.r_exp(5)
+    r = 45005
+    below = eN - Fraction(1, 1 << (eN - 1)) - Fraction(1, 1 << r)
+    above = eN - Fraction(1, 1 << (eN + 1)) + Fraction(1, 1 << r)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("mpmath.log called")
+
+    monkeypatch.setattr(mpmath, "log", boom)
+    monkeypatch.setattr(mpmath, "ln", boom)
+    assert M5._below_origin_top(below) is True
+    assert M5._below_origin_top(above) is False
+    assert str(M5.piece_of(below)) == "origin"
+    assert str(M5.piece_of(above)) == "bump(5)"
 
 
 # power piece -------------------------------------------------------------------

@@ -205,13 +205,14 @@ def _mpf_to_frac_ref(x):
 
 
 def _lp_perturb_mpc(z, u, prec):
-    # the mpc body lp_perturb had before it ran on libmp tuples
+    # the mpc body lp_perturb had before it ran on libmp tuples, reading u
+    # at prec + 32 bits
     if z.zero:
         return z
-    u = mpmath.mpc(u)
-    if u == 0:
-        return z
     with mpmath.workprec(prec + 32):
+        u = mpmath.mpc(u)
+        if u == 0:
+            return z
         v = log1p_mpc(u, prec)
         lre = _mpf_to_frac_ref(v.real / mpmath.ln(2))
         lim = _mpf_to_frac_ref(v.imag / (2 * mpmath.pi))
@@ -244,8 +245,8 @@ def test_lp_perturb_equals_the_mpc_path(prec):
     z = LogPolar(Fraction(rng.getrandbits(80), 1 << 40) - (1 << 39),
                  Angle(Fraction(rng.getrandbits(64), 1 << 64)))
     branches = set()
-    # mpc(u) reads u at the caller's precision: the default 53 bits, and
-    # prec + 32 inside inverse_step, where u keeps all its bits
+    # an mpc u keeps all its prec + 32 bits whatever the caller's
+    # precision: the default 53 bits, or prec + 32 inside inverse_step
     for wp in (mpmath.mp.prec, prec + 32):
         with mpmath.workprec(wp):
             for u in _perturbations(rng, prec):
