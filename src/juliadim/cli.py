@@ -78,8 +78,8 @@ def cmd_verify(args) -> int:
     from .modelmap import dilatation_sup, seam_mismatch
 
     cfg = _load_config(args)
-    t = cfg.build_table()
     m = cfg.build_model()
+    t = m.table
     reports = [verify_inequalities(t)]
     summaries = {}
     khi = min(args.khi, t.kmax_shifted() - 1)
@@ -156,8 +156,9 @@ def cmd_backward(args) -> int:
     m = cfg.build_model()
     itinerary = [s.strip() for s in args.itinerary.split(";")]
     anchor = parse_point(args.anchor)
-    z = backward_construct(m, itinerary, anchor, tol=cfg.tol)
-    # the orbit the construction verified, at the same per-step precision
+    z = backward_construct(m, itinerary, anchor, tol=cfg.tol, verify=False)
+    # the construction's own verification: raises ItineraryError at the
+    # first step off the itinerary, and the printed orbit is the one checked
     rec = itinerary_orbit(m, z, itinerary)
     _emit(args, json.dumps({
         "point": render_value(z),

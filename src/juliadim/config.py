@@ -10,13 +10,16 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .numerics import ADD_GUARD, ANG_BITS, SIG_BITS
+
+
 @dataclass
 class Config:
     N: int = 10
     kmax: int = 64
-    P_sig: int = 128
-    P_ang: int = 4096
-    guard: int = 256
+    P_sig: int = SIG_BITS
+    P_ang: int = ANG_BITS
+    guard: int = ADD_GUARD
     Cprime: float = 1.0
     p: float = 2.0 * math.sqrt(2.0)
     Lpp: float = 10.0
@@ -54,9 +57,7 @@ class Config:
         for f in fields(self):
             if f.name == key:
                 cur = getattr(self, key)
-                if isinstance(cur, bool):
-                    setattr(self, key, val.lower() in ("1", "true", "yes"))
-                elif isinstance(cur, int):
+                if isinstance(cur, int):
                     setattr(self, key, int(val))
                 elif isinstance(cur, float):
                     setattr(self, key, float(val))

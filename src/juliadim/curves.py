@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import List, Tuple
@@ -147,7 +147,6 @@ class CurveTrace:
     theta_grid: List[Angle]
     inner_radii: List[Fraction]
     outer_radii: List[Fraction]
-    tangent_partials: List[complex] = field(default_factory=list)
 
     def oscillation_log2(self) -> Tuple[float, float]:
         """(inner, outer) max radial oscillation over theta, in log2 units."""
@@ -221,11 +220,8 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
                 raise DomainError(
                     f"branch inconsistency on the {name} trace in theta cell "
                     f"[{i}/{grid}, {i + 1}/{grid}]")
-    partials = tangent_products(m, phi, Angle(thetas[0]), depth, k).partials \
-        if depth >= 2 else []
     return CurveTrace(k=k, m=depth, theta_grid=[Angle(th) for th in thetas],
-                      inner_radii=inner, outer_radii=outer,
-                      tangent_partials=partials)
+                      inner_radii=inner, outer_radii=outer)
 
 
 @dataclass(frozen=True)

@@ -198,12 +198,16 @@ def layer_checks(t: ParamTable, tdim: float, Lpp: float = 10.0) -> CertificateRe
 # singleton-set tails
 # ---------------------------------------------------------------------------
 
+SINGLETON_EPS = 0.01   # z2_tail reports the first cut whose tail is below it
+
+
 def z2_tail(t: ParamTable, k: int, tdim: float, lcut: int = 1,
-            Pp: float = 10.0, eps: float = 0.01) -> CoverReport:
+            Pp: float = 10.0) -> CoverReport:
     """(P')**t R_k**t sum(j >= lcut) 2**j L_{k+j} 2**(-t n_{k+j}).
 
     Converges for every t > 0 (the ratio 4 n_{k+j} 2**(-t n_{k+j}) dies
-    super-exponentially); reports the smallest lcut with sum below eps."""
+    super-exponentially); reports the smallest lcut with sum below
+    SINGLETON_EPS."""
     if lcut < 1:
         raise DomainError("lcut must be >= 1")
     tf = _tfrac(tdim)
@@ -227,7 +231,7 @@ def z2_tail(t: ParamTable, k: int, tdim: float, lcut: int = 1,
         tail = math.inf
         verdict = "inconclusive"
     l_for_eps = None
-    eps_log2 = math.log2(eps)
+    eps_log2 = math.log2(SINGLETON_EPS)
     for l in range(1, 1 << 12):
         head = term(l)
         # past the crossover the sum is within a factor 2 of its first term
@@ -237,7 +241,7 @@ def z2_tail(t: ParamTable, k: int, tdim: float, lcut: int = 1,
     return CoverReport("singleton_tail", tdim, partial, tail, ratio, verdict,
                        constants_used={"Pp": Pp},
                        detail={"k": k, "lcut": lcut, "lcut_for_eps": l_for_eps,
-                               "eps": eps,
+                               "eps": SINGLETON_EPS,
                                "first_omitted_log2": _log2_float(nxt) + pref})
 
 
@@ -245,13 +249,13 @@ def z2_tail(t: ParamTable, k: int, tdim: float, lcut: int = 1,
 # aggregation
 # ---------------------------------------------------------------------------
 
-def min_N_for_dimension(tdim: float, Lpp: float = 10.0, Pp: float = 10.0,
-                        Nmax: int = 64) -> Optional[int]:
-    """Smallest N <= Nmax at which all certified sums pass at `tdim`."""
+def min_N_for_dimension(tdim: float, Lpp: float = 10.0,
+                        Pp: float = 10.0) -> Optional[int]:
+    """Smallest N <= 64 at which all certified sums pass at `tdim`."""
     if not 0.0 < tdim <= 1.0:
         raise DomainError("target dimension must lie in (0, 1]")
-    for N in range(5, Nmax + 1):
-        t = build_params(N, max(10, 12))
+    for N in range(5, 65):
+        t = build_params(N, 12)
         if not origin_dim_bound(t, tdim).converges:
             continue
         if not holesum_eval(t, tdim).converges:

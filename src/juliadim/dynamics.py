@@ -41,10 +41,11 @@ from .numerics import (
     pi_over_ln2_frac,
 )
 from .geometry import LOG2_2_5, LOG2_3_5, Region, classify, petal_radius_rel_log2
-from .modelmap import ModelMap, PieceId, qN_landmarks
+from .modelmap import SEAM_MARGIN_BITS, ModelMap, PieceId, qN_landmarks
 from .params import CertificateReport, omega_from_rho
 
 ONE = LogPolar(Fraction(0), 0)
+NEWTON_MAX_ITER = 64
 
 
 class BranchError(DomainError):
@@ -85,9 +86,8 @@ def _residual(got: LogPolar, target: LogPolar) -> Tuple[float, float]:
     return abs(float(got.rho - target.rho)), float(got.theta.dist(target.theta))
 
 
-def _newton_polish(m: ModelMap, z: LogPolar, target: LogPolar, tol: float,
-                   max_iter: int = 64) -> LogPolar:
-    for _ in range(max_iter):
+def _newton_polish(m: ModelMap, z: LogPolar, target: LogPolar, tol: float) -> LogPolar:
+    for _ in range(NEWTON_MAX_ITER):
         fz, _ = m.eval(z)
         dr, dth = _residual(fz, target)
         if dr < tol and dth < tol:
@@ -253,15 +253,15 @@ def _at_precision(m: ModelMap, bits: int) -> ModelMap:
     return dataclasses.replace(m, prec=max(m.prec, bits), guard=max(m.guard, bits))
 
 
-def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int,
-                  margin_bits: float = 0.0, phi_budget: bool = False,
+def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int, phi_budget: bool = False,
                   schedule: Sequence[int] = ()) -> OrbitRecord:
     """Forward orbit with region bookkeeping.
 
     Stops early on entering an escape gap (FatouEscape) or when the angular
-    amplification budget m.ang_bits runs out (Truncated).  With
-    phi_budget=True the classification margin grows by the distortion budget
-    C' omega(1/|z|) at each point, on top of `margin_bits`.
+    amplification budget m.ang_bits runs out (Truncated).  Points are
+    classified with no margin; with phi_budget=True the margin at each point
+    is the distortion budget log2(1 + C' omega(1/|z|)) plus the seam
+    deviation SEAM_MARGIN_BITS.
 
     schedule[n], where given, raises the working precision and guard of
     step n (classifying the n-th point and evaluating it) to that many
@@ -278,10 +278,10 @@ def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int,
     for n in range(nmax + 1):
         zn = points[-1]
         mn = _at_precision(m, schedule[n]) if n < len(schedule) else m
-        mb = margin_bits
+        mb = 0.0
         if phi_budget and not zn.is_zero and zn.rho > 4:
             w = t.Cprime * omega_from_rho(t.p, zn.rho_int())
-            mb += math.log2(1.0 + w) + m.seam_margin_bits
+            mb += math.log2(1.0 + w) + SEAM_MARGIN_BITS
         try:
             reg = classify(t, zn, margin=mb, model=mn)
         except DomainError:
@@ -418,8 +418,7 @@ def _petal_boundary_extrema(m: ModelMap, k: int) -> Tuple[Fraction, Fraction]:
         return const + mpf_to_frac(lo / ln2), const + mpf_to_frac(hi / ln2)
 
 
-def verify_inclusions(m: ModelMap, k: int, samples: int = 4096,
-                      margin_bits: Optional[float] = None) -> CertificateReport:
+def verify_inclusions(m: ModelMap, k: int, samples: int = 4096) -> CertificateReport:
     """Circle extrema of log2 |f| against the target annuli.
 
     A radial circle (ModelMap.radial_log2: a power piece, or the origin
@@ -430,13 +429,13 @@ def verify_inclusions(m: ModelMap, k: int, samples: int = 4096,
     take the extrema of `samples` evenly spaced points; at N = 5, k = 1..6
     there are none, so every row is the exact extremum.
     Upper-bound rows pass when max + margin < target, lower-bound rows when
-    min - margin > target; the margin defaults to the seam deviation budget.
+    min - margin > target; the margin is the seam deviation budget
+    SEAM_MARGIN_BITS.
     """
     if samples < 1 << 12:
         raise DomainError("inclusion sampling needs >= 4096 points per circle")
     t = m.table
-    mb = Fraction(m.seam_margin_bits if margin_bits is None else margin_bits
-                  ).limit_denominator(1 << 20)
+    mb = Fraction(SEAM_MARGIN_BITS)
     rep = CertificateReport(f"mapping inclusions k={k}")
 
     def upper(name, got, target_rho):
@@ -507,21 +506,13 @@ def check_singular_values(m: ModelMap) -> CertificateReport:
 # backward construction of prescribed itineraries
 # ---------------------------------------------------------------------------
 
-ItinEntry = Union[str, Region, Tuple[Union[str, Region], int]]
-
-
-def _normalize_itinerary(entries: Sequence[ItinEntry]) -> List[Tuple[Region, Optional[int]]]:
+def _normalize_itinerary(entries: Sequence[str]) -> List[Tuple[Region, Optional[int]]]:
+    """Tags such as 'V(2)' or 'P(3,17)', each with an optional root-branch
+    choice 'V(2):5', as (Region, branch or None) pairs."""
     out = []
-    for it in entries:
-        br = None
-        if isinstance(it, tuple):
-            it, br = it
-        if isinstance(it, str):
-            if ":" in it:
-                it, brs = it.split(":")
-                br = int(brs)
-            it = Region.parse(it)
-        out.append((it, br))
+    for s in entries:
+        tag, _, br = s.partition(":")
+        out.append((Region.parse(tag), int(br) if br else None))
     return out
 
 
@@ -573,34 +564,44 @@ def itinerary_precision(m: ModelMap, entries) -> List[int]:
     return need[::-1]
 
 
-def itinerary_orbit(m: ModelMap, z: LogPolar, itinerary: Sequence[ItinEntry]) -> OrbitRecord:
-    """The forward orbit of z over one step per itinerary entry, as
-    backward_construct re-verifies it: step s runs at need[s] bits of
-    :func:`itinerary_precision` (or m's own, if higher), and the angle
-    budget, which the whole orbit spends, is raised to need[0] + 64."""
+def itinerary_orbit(m: ModelMap, z: LogPolar, itinerary: Sequence[str]) -> OrbitRecord:
+    """The forward orbit of z over one step per itinerary entry, checked
+    against the entries' tags; the first step whose region differs raises
+    ItineraryError naming it.
+
+    This is how backward_construct re-verifies its point: step s runs at
+    need[s] bits of :func:`itinerary_precision` (or m's own, if higher), and
+    the angle budget, which the whole orbit spends, is raised to
+    need[0] + 64."""
     entries = _normalize_itinerary(itinerary)
     need = itinerary_precision(m, entries)
     if need[0] + 64 > m.ang_bits:
         m = dataclasses.replace(m, ang_bits=need[0] + 64)
-    return iterate_orbit(m, z, nmax=len(entries), schedule=need)
+    rec = iterate_orbit(m, z, nmax=len(entries), schedule=need)
+    for i, ((want, _), have) in enumerate(zip(entries, rec.regions)):
+        ok = want.kind == have.kind and want.k == have.k and (
+            want.kind != "P" or want.j is None or want.j == have.j)
+        if not ok:
+            raise ItineraryError(f"verification failed at step {i}: "
+                                 f"wanted {want}, got {have}")
+    return rec
 
 
-def backward_construct(m: ModelMap, itinerary: Sequence[ItinEntry],
+def backward_construct(m: ModelMap, itinerary: Sequence[str],
                        anchor: LogPolar, tol: float = 2.0 ** -64,
                        verify: bool = True,
                        budget_bits: Optional[int] = None) -> LogPolar:
     """A point whose forward orbit realizes the given region tags.
 
     itinerary[i] prescribes the region of f^i(z); `anchor` is the point the
-    orbit reaches after the last step.  Entries are regions ('V(2)',
-    'P(3,17)', Region objects) with an optional branch choice 'V(2):5'.
+    orbit reaches after the last step.  Entries are tags such as 'V(2)' or
+    'P(3,17)', with an optional root-branch choice 'V(2):5'.
 
     The inverse steps run at need[0] working bits of
     :func:`itinerary_precision`, the figure for the whole itinerary, which
     must fit the budget.  With verify=True the point's forward orbit is then
-    re-classified by :func:`itinerary_orbit`, where step s runs at need[s]
-    bits: only the first steps of a backwards itinerary need the full
-    figure.
+    checked by :func:`itinerary_orbit`, where step s runs at need[s] bits:
+    only the first steps of a backwards itinerary need the full figure.
     """
     entries = _normalize_itinerary(itinerary)
     if not entries:
@@ -611,10 +612,7 @@ def backward_construct(m: ModelMap, itinerary: Sequence[ItinEntry],
         raise DomainError(
             f"itinerary needs about {need} working bits, budget is {budget}; "
             "deep or backwards petal visits are out of the configured resolution")
-    hi = m
-    if need > m.prec or need + 64 > m.ang_bits:
-        hi = dataclasses.replace(m, prec=max(m.prec, need), guard=max(m.guard, need),
-                                 ang_bits=max(m.ang_bits, need + 64))
+    hi = _at_precision(m, need)
     for i in range(len(entries) - 1):
         cur, nxt = entries[i][0], entries[i + 1][0]
         lc, ln = region_level(cur), region_level(nxt)
@@ -638,11 +636,5 @@ def backward_construct(m: ModelMap, itinerary: Sequence[ItinEntry],
         else:
             raise ItineraryError(f"unsupported itinerary tag {reg}")
     if verify:
-        got = itinerary_orbit(m, z, entries).regions[:len(entries)]
-        for i, ((want, _), have) in enumerate(zip(entries, got)):
-            ok = want.kind == have.kind and want.k == have.k and (
-                want.kind != "P" or want.j is None or want.j == have.j)
-            if not ok:
-                raise ItineraryError(f"verification failed at step {i}: "
-                                     f"wanted {want}, got {have}")
+        itinerary_orbit(m, z, itinerary)
     return z

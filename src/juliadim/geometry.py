@@ -187,11 +187,11 @@ def _diam_log2(points: List[LogPolar], prec: int) -> Fraction:
     return best
 
 
-def level_lines(m: ModelMap, n: int, samples: int = 8,
-                branch_sample: Optional[List[List[int]]] = None) -> LevelLineReport:
+def level_lines(m: ModelMap, n: int) -> LevelLineReport:
     """Component count 2**(N n) of the n-th preimage of |z| = 4 R_1, plus a
     sampled expansion certificate: each pullback step contracts diameters by
-    at least R_1 (ratio/R_1 >= 1, up to the sampling resolution)."""
+    at least R_1 (ratio/R_1 >= 1, up to the sampling resolution), over 8
+    points and the origin-branch sequences 0, 1, 2**(N-1), (1, 0), (0, 1)."""
     from .dynamics import OriginBranch, inverse_step
 
     if n < 1:
@@ -199,14 +199,12 @@ def level_lines(m: ModelMap, n: int, samples: int = 8,
     t = m.table
     count = 1 << (t.N * n)
     deg = 1 << t.N
-    if branch_sample is None:
-        branch_sample = [[0], [1], [deg // 2], [1, 0], [0, 1]]
-    branch_sample = [b for b in branch_sample if len(b) <= n]
+    branch_sample = [b for b in ([0], [1], [deg // 2], [1, 0], [0, 1]) if len(b) <= n]
     failures = 0
     min_ratio = math.inf
     e1 = t.R_exp(1)
     for branches in branch_sample:
-        pts = [LogPolar(Fraction(e1 + 2), Fraction(i, samples)) for i in range(samples)]
+        pts = [LogPolar(Fraction(e1 + 2), Fraction(i, 8)) for i in range(8)]
         prev_diam: Fraction = Fraction(e1 + 3)  # diam of the base circle
         try:
             for b in branches:

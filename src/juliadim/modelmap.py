@@ -55,6 +55,11 @@ from .params import ParamTable
 # wide in rho (e_N >= 752), so every bump point lies inside it.
 STRADDLE_MARGIN = Fraction(1, 1 << 48)
 
+# Bits by which a seam piece may deviate from its neighbouring power maps
+# (under 2 bits, see the module docstring); inclusion certificates and
+# budgeted orbit classification carry it as a margin.
+SEAM_MARGIN_BITS = 2.0
+
 
 class AmbiguousPieceError(DomainError):
     pass
@@ -73,7 +78,6 @@ class PieceId:
 class ModelMap:
     table: ParamTable
     lam: float = 0.05      # petal conformal-ball shape constant
-    seam_margin_bits: float = 2.0
     prec: int = SIG_BITS
     guard: int = ADD_GUARD
     ang_bits: int = ANG_BITS   # angle resolution orbits and pullbacks budget against
@@ -317,8 +321,6 @@ def _strip_s_for(t, k: int, z: LogPolar, prec: int) -> mpf:
     ek = t.r_exp(k)
     d = z.rho - ek
     with mpmath.workprec(prec + 32):
-        if ek.bit_length() >= (1 << 22):
-            return mpf(0 if d < 0 else 1)
         v = mpmath.expm1(frac_to_mpf(d, prec + 32) * mpmath.ln(2))
         s = 1 + mpmath.ldexp(v, ek)
         return min(max(s, mpf(0)), mpf(1))

@@ -31,6 +31,7 @@ SIG_BITS = 128          # fractional-log2 working precision
 ANG_BITS = 4096         # default angle budget (bits of turns)
 ADD_GUARD = 256         # default dominance gap for lp_add, in bits
 MAX_EXP_BITS = 1_000_000  # bit-length budget for exponent integers
+CONST_BITS = 192        # fractional bits of the quantized log2 constants
 
 LN2 = math.log(2.0)
 
@@ -130,23 +131,24 @@ def ln_big(e: int, add: float = 0.0) -> float:
 _CONST_CACHE: dict = {}
 
 
-def const_log2_frac(num: int, den: int, bits: int = 192) -> Fraction:
-    """log2(num/den) as a Fraction quantized at `bits` fractional bits."""
-    key = (num, den, bits)
+def const_log2_frac(num: int, den: int) -> Fraction:
+    """log2(num/den) as a Fraction quantized at CONST_BITS fractional bits."""
+    key = (num, den)
     if key not in _CONST_CACHE:
-        with mpmath.workprec(bits + 16):
+        with mpmath.workprec(CONST_BITS + 16):
             v = mpmath.log(mpf(num) / mpf(den), 2)
-        _CONST_CACHE[key] = frac_quantize(mpf_to_frac(v), bits)
+        _CONST_CACHE[key] = frac_quantize(mpf_to_frac(v), CONST_BITS)
     return _CONST_CACHE[key]
 
 
-def pi_over_ln2_frac(den: int, bits: int = 192) -> Fraction:
-    """pi / (den * ln 2) quantized; the log2-width of ring j is pi/(M_j ln2)."""
-    key = ("pi_ln2", den, bits)
+def pi_over_ln2_frac(den: int) -> Fraction:
+    """pi / (den * ln 2) quantized at CONST_BITS fractional bits; the
+    log2-width of ring j is pi/(M_j ln2)."""
+    key = ("pi_ln2", den)
     if key not in _CONST_CACHE:
-        with mpmath.workprec(bits + 16):
+        with mpmath.workprec(CONST_BITS + 16):
             v = mpmath.pi / (mpmath.ln(2) * den)
-        _CONST_CACHE[key] = frac_quantize(mpf_to_frac(v), bits)
+        _CONST_CACHE[key] = frac_quantize(mpf_to_frac(v), CONST_BITS)
     return _CONST_CACHE[key]
 
 
@@ -242,14 +244,13 @@ class LogPolar:
         return cls(Fraction(e), theta)
 
     @classmethod
-    def from_mpc_scaled(cls, w: mpc, rho0: Fraction = Fraction(0),
-                        prec: int = SIG_BITS) -> "LogPolar":
-        """LogPolar of w * 2**rho0 for an mpc w of moderate size."""
+    def from_mpc(cls, w: mpc, prec: int = SIG_BITS) -> "LogPolar":
+        """LogPolar of an mpc w, its log2 modulus and turns at prec + 16 bits."""
         w = mpc(w)
         if w == 0:
             return cls.zero_point()
         with mpmath.workprec(prec + 16):
-            rho = mpf_to_frac(mpmath.log(abs(w), 2)) + rho0
+            rho = mpf_to_frac(mpmath.log(abs(w), 2))
             th = mpf_to_frac(mpmath.atan2(w.imag, w.real) / (2 * mpmath.pi))
         return cls(rho, Angle(th))
 
@@ -545,9 +546,9 @@ def expm1_lp(drho: Fraction, dtheta: Fraction, prec: int = SIG_BITS) -> LogPolar
             v = mpmath.exp(L) - 1
             if v == 0:
                 return LogPolar.zero_point()
-            return LogPolar.from_mpc_scaled(v, Fraction(0), prec)
+            return LogPolar.from_mpc(v, prec)
         v = expm1_series(L, -frac_ilog2(size), prec)
-        return LogPolar.from_mpc_scaled(v, Fraction(0), prec)
+        return LogPolar.from_mpc(v, prec)
 
 
 def pow2_minus1_log2(delta: Fraction, prec: int = SIG_BITS) -> Fraction:

@@ -145,9 +145,9 @@ class ParamTable:
         return rows
 
 
-def build_params(N: int, kmax: int, Cprime: float = 1.0, p: float = SQRT8,
-                 extra_j: int = 2) -> ParamTable:
-    """Build the exact exponent table for depth N, shifted indices up to kmax.
+def build_params(N: int, kmax: int, Cprime: float = 1.0, p: float = SQRT8) -> ParamTable:
+    """Build the exact exponent table for depth N, shifted indices up to kmax
+    (original indices up to jmax = N + kmax + 2).
 
     Exponents are exact integers; a table whose exponents outgrow the bit
     budget raises ExponentBudgetError naming the offending index.
@@ -156,7 +156,7 @@ def build_params(N: int, kmax: int, Cprime: float = 1.0, p: float = SQRT8,
         raise DomainError("depth parameter N must be >= 5")
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
-    jmax = N + kmax + extra_j
+    jmax = N + kmax + 2
     e = [0] * (jmax + 1)
     eps = [0] * (jmax + 1)
     e[1], eps[1] = 4, 0  # r_1 = 16, c_1 = 1
@@ -307,9 +307,9 @@ def omega_from_rho(p: float, rho_int: int, rho_frac: float = 0.0) -> float:
     return 0.5 ** (math.sqrt(max(lnln, 0.0)) / p)
 
 
-def compute_k0(t: ParamTable, R: float = 1.0) -> Optional[int]:
+def compute_k0(t: ParamTable) -> Optional[int]:
     """Smallest k such that ln ln (r_k / 20) >= k'/2 for every k' in [k, kmax]
-    and r_k >= 20 R.  None when no such k exists within the table."""
+    and r_k >= 20.  None when no such k exists within the table."""
     ok = [False] * (t.kmax + 2)
     for k in range(1, t.kmax + 1):
         ek = t.r_exp(k)
@@ -317,7 +317,7 @@ def compute_k0(t: ParamTable, R: float = 1.0) -> Optional[int]:
             cond = ln_big(ek, -math.log(20.0)) >= k / 2.0
         except DomainError:
             cond = False
-        size_ok = True if ek.bit_length() > 60 else ek >= math.log2(20.0 * R)
+        size_ok = True if ek.bit_length() > 60 else ek >= math.log2(20.0)
         ok[k] = cond and size_ok
     best = None
     for k in range(t.kmax, 0, -1):

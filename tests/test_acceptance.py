@@ -80,7 +80,7 @@ def test_criterion_3_mapping_inclusions():
     ok = True
     rows = 0
     for k in range(1, 7):
-        rep = verify_inclusions(m, k, samples=4096, margin_bits=2.0)
+        rep = verify_inclusions(m, k, samples=4096)
         rows += len(rep)
         ok &= rep.all_pass
     sg = check_singular_values(m)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -113,6 +114,45 @@ def test_backward_prints_the_orbit_it_verified(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["regions"] == itin
     assert doc["classification"] == "YLike(1)"
+
+
+def test_backward_iterates_the_orbit_once(tmp_path, monkeypatch):
+    # the construction's verification is the printed orbit: one forward
+    # iteration per run
+    import juliadim.dynamics as dyn
+
+    calls = []
+    real = dyn.iterate_orbit
+
+    def iterate(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "iterate_orbit", iterate)
+    out = tmp_path / "b.json"
+    rc = run(["backward", "--N", "5", "--kmax", "12",
+              "--itinerary", "V(1);V(2);V(3)",
+              "--anchor", "183764352,0.0,0.2", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["regions"] == ["V(1)", "V(2)", "V(3)"]
+    assert len(calls) == 1
+
+
+# sha256 of the stdout of `juliadim dims`: the report (with layer_checks and
+# singleton_t_sweep) and the sweep CSV
+DIMS_DIGESTS = {
+    ("dims", "--N", "5", "--t", "0.1"):
+        "de098e068a23cc8796f389c7aca4cd6b3d8d12bc3934d7246c830dceb38c8092",
+    ("dims", "--sweep", "1.0,0.1,0.01", "--sweep-Nmax", "6"):
+        "997b4da84cda227fd7da6a6b2577a8a2d6d6c392fe2c36337db2a39c5c389db7",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DIMS_DIGESTS))
+def test_dims_stdout_is_pinned(argv, capsys):
+    assert run(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == DIMS_DIGESTS[argv]
 
 
 def test_csv_stdout_matches_file(tmp_path, capsys):

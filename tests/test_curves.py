@@ -113,6 +113,16 @@ def test_trace_digests_match_reference():
         assert _trace_digest(tr, width_check(M5, tr)) == ref[key], key
 
 
+@pytest.mark.parametrize("k,depth", [(1, 6), (2, 5)])
+def test_trace_reaches_the_top_levels_of_its_table(k, depth):
+    # k + depth = 7 is one more than tangent_products accepts on a kmax = 6
+    # table; a trace uses no tangent products
+    m = ModelMap(table=build_params(5, 6))
+    for phi in (IDENT, SYN):
+        tr = trace_gamma(m, phi, k, depth)
+        assert width_check(m, tr).ok, phi.kind
+
+
 def _reference_radii(m, phi, k, depth, grid, seed_rho):
     # the per-theta pullback loop, with the angle bookkeeping in Fractions
     t = m.table

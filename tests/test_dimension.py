@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -16,6 +18,8 @@ from juliadim.params import build_params
 
 T5 = build_params(5, 12)
 T10 = build_params(10, 12)
+CURVES_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                    / "curves.json")
 
 
 def test_origin_critical_exponent_exact():
@@ -166,3 +170,20 @@ def test_holesum_inconclusive_at_vanishing_exponent():
     rep = holesum_eval(T5, 1e-12, kcut=3)
     assert rep.verdict == "inconclusive"
     assert rep.tail_bound_log2 == float("inf")
+
+
+def test_dimension_entries_match_reference():
+    # the stored dimension outputs of the benchmark's curves workload, all 64
+    # grid values t = i/64, through the same JSON round trip
+    ref = json.loads(CURVES_REFERENCE.read_text())
+    got = {}
+    for i in range(1, 65):
+        tdim = i / 64
+        got[repr(tdim)] = json.loads(json.dumps({
+            "min_N": min_N_for_dimension(tdim),
+            "origin": origin_dim_bound(T5, tdim).to_json_obj(),
+            "backwards": holesum_eval(T10, tdim).to_json_obj(),
+            "singleton": z2_tail(T10, 1, tdim).to_json_obj(),
+        }))
+    assert got == ref["dimension"]
+    assert got["1.0"]["origin"]["detail"]["critical_exponent"] == ref["t_star"] == "5/752"

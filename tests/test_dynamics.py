@@ -15,6 +15,7 @@ from juliadim.dynamics import (
     branch_of_point,
     check_singular_values,
     inverse_step,
+    itinerary_orbit,
     itinerary_precision,
     iterate_orbit,
     verify_inclusions,
@@ -281,6 +282,14 @@ def test_backwards_verification_runs_only_step_0_above_1024_bits(monkeypatch):
     assert evals[0][0] == 22683 and max(p for p, _, _ in evals[1:]) <= 1024
     # the angle budget is spent over the whole orbit: raised at every step
     assert {a for _, _, a in evals} == {need[0] + 64}
+
+
+def test_itinerary_orbit_names_the_first_step_off_the_itinerary():
+    itin = ["V(1)", "V(2)", "V(3)"]
+    z = backward_construct(M5, itin, LogPolar(Fraction(T5.R_exp(4)), Fraction(1, 5)))
+    assert itinerary_orbit(M5, z, itin).region_strs()[:3] == itin
+    with pytest.raises(ItineraryError, match="at step 2: wanted V\\(4\\), got V\\(3\\)"):
+        itinerary_orbit(M5, z, ["V(1)", "V(2)", "V(4)"])
 
 
 def test_illegal_itineraries_rejected():
