@@ -150,16 +150,15 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_backward(args) -> int:
-    from .dynamics import backward_construct, itinerary_orbit
+    from .dynamics import backward_orbit
 
     cfg = _load_config(args)
     m = cfg.build_model()
     itinerary = [s.strip() for s in args.itinerary.split(";")]
     anchor = parse_point(args.anchor)
-    z = backward_construct(m, itinerary, anchor, tol=cfg.tol, verify=False)
     # the construction's own verification: raises ItineraryError at the
     # first step off the itinerary, and the printed orbit is the one checked
-    rec = itinerary_orbit(m, z, itinerary)
+    z, rec = backward_orbit(m, itinerary, anchor, tol=cfg.tol)
     _emit(args, json.dumps({
         "point": render_value(z),
         "regions": rec.region_strs()[:len(itinerary)],

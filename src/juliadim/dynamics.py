@@ -86,15 +86,18 @@ def _residual(got: LogPolar, target: LogPolar) -> Tuple[float, float]:
     return abs(float(got.rho - target.rho)), float(got.theta.dist(target.theta))
 
 
-def _newton_polish(m: ModelMap, z: LogPolar, target: LogPolar, tol: float) -> LogPolar:
+def _newton_polish(m: ModelMap, z: LogPolar, target: LogPolar,
+                   tol: float) -> Tuple[LogPolar, LogPolar]:
+    """z polished towards f(z) = target, and f(z) from the last residual
+    check, at m's precision."""
     for _ in range(NEWTON_MAX_ITER):
         fz, _ = m.eval(z)
         dr, dth = _residual(fz, target)
         if dr < tol and dth < tol:
-            return z
+            return z, fz
         diff = lp_sub(fz, target, guard=m.guard, prec=m.prec).value
         if diff.is_zero:
-            return z
+            return z, fz
         dz, _ = m.deriv(z)
         step = diff.div(dz).div(z)  # relative correction
         if step.rho > -2:  # reject wild steps
@@ -110,6 +113,13 @@ def inverse_step(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
                  tol: float = 2.0 ** -64) -> LogPolar:
     """One inverse branch applied to `target`; the result re-evaluates to the
     target within tol both in log2 magnitude and in turns."""
+    return _inverse_image(m, target, branch, tol)[0]
+
+
+def _inverse_image(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
+                   tol: float) -> Tuple[LogPolar, Optional[LogPolar]]:
+    """inverse_step's point z and, when a Newton polish computed it, f(z) at
+    m's precision (else None)."""
     t = m.table
     if isinstance(branch, VkRoot):
         k = branch.k
@@ -119,8 +129,7 @@ def inverse_step(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
         lo, hi = t.R_exp(k + 1) - 2, t.R_exp(k + 1) + 2
         if not (lo <= target.rho <= hi):
             raise BranchError(f"V-branch target must lie in the level-{k + 1} annulus")
-        z = LogPolar(target.rho - t.C_exp(k), target.theta).root(nk, branch.branch)
-        return z
+        return LogPolar(target.rho - t.C_exp(k), target.theta).root(nk, branch.branch), None
 
     if isinstance(branch, PetalInverse):
         k, j = branch.k, branch.j
@@ -128,7 +137,7 @@ def inverse_step(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
         if not 1 <= j <= nk:
             raise BranchError(f"petal index {j} out of range")
         if target.is_zero:
-            return m.ring_zero(k + t.N - 1, j)
+            return m.ring_zero(k + t.N - 1, j), None
         if target.rho > t.R_exp(k + 1) + 2:
             raise BranchError("petal inverse defined for |target| <= 4 R_{k+1}")
         ring = k + t.N - 1
@@ -168,7 +177,7 @@ def inverse_step(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
             raise BranchError("origin inverse defined for |target| <= 4 R_1")
         if branch.index == 0:
             if target.is_zero:
-                return LogPolar.zero_point()
+                return LogPolar.zero_point(), None
             z0 = LogPolar(target.rho - t.r_exp(N), target.theta)
         else:
             lm = qN_landmarks(m)
@@ -254,7 +263,8 @@ def _at_precision(m: ModelMap, bits: int) -> ModelMap:
 
 
 def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int, phi_budget: bool = False,
-                  schedule: Sequence[int] = ()) -> OrbitRecord:
+                  schedule: Sequence[int] = (),
+                  image: Optional[LogPolar] = None) -> OrbitRecord:
     """Forward orbit with region bookkeeping.
 
     Stops early on entering an escape gap (FatouEscape) or when the angular
@@ -265,7 +275,9 @@ def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int, phi_budget: bool = False,
 
     schedule[n], where given, raises the working precision and guard of
     step n (classifying the n-th point and evaluating it) to that many
-    bits; later steps run at m's own.
+    bits; later steps run at m's own.  `image`, where given, is f(z) as
+    step 0 would evaluate it (at schedule[0] bits, if any), and stands in
+    for that evaluation.
     """
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
@@ -302,8 +314,7 @@ def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int, phi_budget: bool = False,
             truncated = f"angular budget: needs {bits_used + cost + 64} bits"
             break
         bits_used += cost
-        w, _ = mn.eval(zn)
-        points.append(w)
+        points.append(image if n == 0 and image is not None else mn.eval(zn)[0])
     regions = _backfill_negative_indices(regions)
     orbit_seq: List[Optional[int]] = [
         r.k if r.kind in ("A", "V", "P") else None for r in regions
@@ -564,7 +575,8 @@ def itinerary_precision(m: ModelMap, entries) -> List[int]:
     return need[::-1]
 
 
-def itinerary_orbit(m: ModelMap, z: LogPolar, itinerary: Sequence[str]) -> OrbitRecord:
+def itinerary_orbit(m: ModelMap, z: LogPolar, itinerary: Sequence[str],
+                    image: Optional[LogPolar] = None) -> OrbitRecord:
     """The forward orbit of z over one step per itinerary entry, checked
     against the entries' tags; the first step whose region differs raises
     ItineraryError naming it.
@@ -572,12 +584,14 @@ def itinerary_orbit(m: ModelMap, z: LogPolar, itinerary: Sequence[str]) -> Orbit
     This is how backward_construct re-verifies its point: step s runs at
     need[s] bits of :func:`itinerary_precision` (or m's own, if higher), and
     the angle budget, which the whole orbit spends, is raised to
-    need[0] + 64."""
+    need[0] + 64.  `image`, where given, is f(z) at need[0] bits; step 0
+    takes it instead of evaluating z again (:func:`backward_orbit` passes
+    the construction's own)."""
     entries = _normalize_itinerary(itinerary)
     need = itinerary_precision(m, entries)
     if need[0] + 64 > m.ang_bits:
         m = dataclasses.replace(m, ang_bits=need[0] + 64)
-    rec = iterate_orbit(m, z, nmax=len(entries), schedule=need)
+    rec = iterate_orbit(m, z, nmax=len(entries), schedule=need, image=image)
     for i, ((want, _), have) in enumerate(zip(entries, rec.regions)):
         ok = want.kind == have.kind and want.k == have.k and (
             want.kind != "P" or want.j is None or want.j == have.j)
@@ -602,8 +616,30 @@ def backward_construct(m: ModelMap, itinerary: Sequence[str],
     must fit the budget.  With verify=True the point's forward orbit is then
     checked by :func:`itinerary_orbit`, where step s runs at need[s] bits:
     only the first steps of a backwards itinerary need the full figure.
+    When the first entry is a petal, step 0 reuses the f(z_0) of its Newton
+    polish (:func:`backward_orbit`), so the verification evaluates nothing
+    at need[0] bits.
     """
-    entries = _normalize_itinerary(itinerary)
+    if verify:
+        return backward_orbit(m, itinerary, anchor, tol, budget_bits)[0]
+    return _construct(m, _normalize_itinerary(itinerary), anchor, tol, budget_bits)[0]
+
+
+def backward_orbit(m: ModelMap, itinerary: Sequence[str], anchor: LogPolar,
+                   tol: float = 2.0 ** -64,
+                   budget_bits: Optional[int] = None) -> Tuple[LogPolar, OrbitRecord]:
+    """The point of :func:`backward_construct` and the forward orbit that
+    verified it.  ModelMap.eval does not read the angle budget, so the
+    Newton polish's last f(z_0), at need[0] bits, is bit-equal to what step
+    0 of the verification would evaluate; that step takes it instead."""
+    z, image = _construct(m, _normalize_itinerary(itinerary), anchor, tol, budget_bits)
+    return z, itinerary_orbit(m, z, itinerary, image)
+
+
+def _construct(m: ModelMap, entries, anchor: LogPolar, tol: float,
+               budget_bits: Optional[int]) -> Tuple[LogPolar, Optional[LogPolar]]:
+    """The point z_0 of backward_construct and, when the first entry is a
+    petal, f(z_0) from its Newton polish at need[0] bits (else None)."""
     if not entries:
         raise ItineraryError("empty itinerary")
     budget = budget_bits if budget_bits is not None else m.ang_bits
@@ -627,14 +663,12 @@ def backward_construct(m: ModelMap, itinerary: Sequence[str],
         if cur.kind == "V" and ln != lc + 1:
             raise ItineraryError(
                 f"entry {i}: a V step moves up exactly one level ({cur} -> {nxt})")
-    z = anchor
+    z, image = anchor, None
     for reg, br in reversed(entries):
         if reg.kind == "V":
-            z = inverse_step(hi, z, VkRoot(reg.k, br or 0), tol)
+            z, image = _inverse_image(hi, z, VkRoot(reg.k, br or 0), tol)
         elif reg.kind == "P":
-            z = inverse_step(hi, z, PetalInverse(reg.k, reg.j or 1), tol)
+            z, image = _inverse_image(hi, z, PetalInverse(reg.k, reg.j or 1), tol)
         else:
             raise ItineraryError(f"unsupported itinerary tag {reg}")
-    if verify:
-        itinerary_orbit(m, z, itinerary)
-    return z
+    return z, image

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .numerics import (
+    SIG_BITS,
     DomainError,
     LogPolar,
     const_log2_frac,
@@ -95,10 +96,36 @@ def _nearest_petal_candidates(nk: int, theta: Fraction) -> List[int]:
 
 
 def petal_membership(m: ModelMap, k: int, z: LogPolar) -> Optional[int]:
-    """Index j when z lies in the petal ball B(w_j, R_k 2**-n_k), else None."""
+    """Index j when z lies in the petal ball B(w_j, R_k 2**-n_k), else None.
+
+    The test is rho <= rad_rel for rho = log2 |z/w_j - 1| = log2 |e**L - 1|,
+    L = dr ln 2 + 2 pi i dth, which expm1_lp takes.  Only the side of
+    rad_rel matters, so rho is first taken at p = min(m.prec, SIG_BITS + 64)
+    bits, and again at m.prec only when |rho_p - rad_rel| <= 2 E,
+
+        E = (|rho_p| + 1) 2**-floor(3p/4).
+
+    E bounds the error of expm1_lp's rho at p bits and at every higher
+    precision.  The prefilter leaves |dr|, |dth| < 2**(int(rad_rel) + 4)
+    <= 2**-28 (n_k >= 32 as N >= 5), so expm1_lp sums its series at a
+    scale s >= 16: |L| < 2**(4 - s), K >= (p + 48)/s terms after the
+    first.  With
+    u = 2**-(p + 64) its working unit, the relative error of e**L - 1 is
+    at most 8u from rounding L, at most 4 |L|**(K+1) <=
+    2**(2 - (s - 4)((p + 48)/s + 1)) <= 2**(-3p/4 - 46) from the dropped
+    tail ((s - 4)/s >= 3/4), and at most 8 (K + 1) u from rounding the
+    terms: under 2**(-3p/4 - 40) in all for p >= 64, which moves log2 by
+    under 2**(-3p/4 - 39).  LogPolar.from_mpc takes log2 at p + 16 bits,
+    off by under (|rho| + 1) 2**(-p - 13).  So |rho_q - rho| <=
+    2**(-3p/4 - 39) + (|rho| + 1) 2**(-p - 13) for q >= p, which is at most
+    E once |rho| is replaced by |rho_p| plus that error.  Outside the band
+    rho lies more than E from rad_rel, on rho_p's side, and so does rho at
+    m.prec: the decision is the full-precision one.
+    """
     t = m.table
     nk = t.n(k)
     rad_rel = petal_radius_rel_log2(nk)
+    p = min(m.prec, SIG_BITS + 64)
     dr = z.rho - m.ring_zero_rho(k + t.N - 1)
     if dr != 0 and frac_ilog2(abs(dr)) > int(rad_rel) + 3:
         return None
@@ -108,7 +135,11 @@ def petal_membership(m: ModelMap, k: int, z: LogPolar) -> Optional[int]:
         dth = dth if dth <= Fraction(1, 2) else dth - 1
         if dth != 0 and frac_ilog2(abs(dth)) > int(rad_rel) + 3:
             continue
-        delta = expm1_lp(dr, dth, m.prec)
+        delta = expm1_lp(dr, dth, p)
+        if p < m.prec and not delta.is_zero:
+            err = (abs(delta.rho) + 1) / (1 << (3 * p // 4))
+            if abs(delta.rho - rad_rel) <= 2 * err:
+                delta = expm1_lp(dr, dth, m.prec)
         if delta.is_zero or delta.rho <= rad_rel:
             return j
     return None

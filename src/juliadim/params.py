@@ -28,6 +28,7 @@ plus the distortion envelopes alpha_k, beta_k = 1 / (1 -+ C' 2**(-sqrt(k+N-1)/4)
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional
@@ -133,9 +134,23 @@ class ParamTable:
         return self.jmax - self.N - 1
 
     def table_rows(self, jhi: Optional[int] = None) -> List[dict]:
+        """Rows j = 0..jhi, the exponents of c_j and r_j in decimal.
+
+        Python converts an int to decimal only up to
+        sys.get_int_max_str_digits() digits (0: no limit), and a b-bit
+        exponent has at most floor(b log10 2) + 1 digits.  A row whose
+        exponents could pass the limit raises DomainError naming the
+        largest jhi that renders.
+        """
         jhi = self.jmax if jhi is None else min(jhi, self.jmax)
+        limit = sys.get_int_max_str_digits()
         rows = [{"j": 0, "M": 1, "c": None, "r": "0"}]
         for j in range(1, jhi + 1):
+            bits = max(abs(self.e[j]).bit_length(), abs(self.eps[j]).bit_length())
+            if limit and bits * 30103 // 100000 + 1 > limit:  # 0.30103 > log10 2
+                raise DomainError(
+                    f"row j={j}: a {bits}-bit exponent may pass the {limit}-digit "
+                    f"limit of decimal conversion; jhi <= {j - 1} renders")
             rows.append({
                 "j": j,
                 "M": self.M(j),

@@ -43,6 +43,19 @@ def test_params_subcommand(tmp_path, capsys):
     assert rows[1]["r"] == "2^4" and rows[2]["r"] == "2^6" and rows[3]["r"] == "2^12"
 
 
+def test_params_deep_table_raises_typed_error(tmp_path):
+    # exponents of rows j >= 170 at N = 5 pass Python's 4300-digit decimal
+    # conversion limit: a typed error names the largest --jhi that renders
+    from juliadim.numerics import DomainError
+
+    with pytest.raises(DomainError, match=r"row j=170: .* jhi <= 169 renders"):
+        run(["params", "--N", "5", "--kmax", "200"])
+    out = tmp_path / "p.json"
+    assert run(["params", "--N", "5", "--kmax", "200", "--jhi", "169", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["table"]
+    assert [r["j"] for r in rows] == list(range(170))
+
+
 def test_verify_subcommand_exit_zero(tmp_path):
     out = tmp_path / "v.json"
     rc = run(["verify", "--N", "5", "--kmax", "8", "--khi", "1",
@@ -114,6 +127,33 @@ def test_backward_prints_the_orbit_it_verified(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["regions"] == itin
     assert doc["classification"] == "YLike(1)"
+
+
+def test_backward_evaluates_once_above_1024_bits(tmp_path, monkeypatch):
+    # the backwards move of test_backward_prints_the_orbit_it_verified: the
+    # Newton polish of its petal step is the one evaluation at 22683 bits,
+    # and the verification's step 0 reuses that image
+    from juliadim.modelmap import ModelMap
+    from juliadim.params import build_params
+
+    wide, real = [], ModelMap.eval
+
+    def eval_(self, z):
+        if self.prec > 1024:
+            wide.append(self.prec)
+        return real(self, z)
+
+    monkeypatch.setattr(ModelMap, "eval", eval_)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("P_ang=65536\n")
+    itin = ["P(1,3)"] + [f"V({k})" for k in range(1, 20)]
+    out = tmp_path / "b.json"
+    rc = run(["backward", "--config", str(cfg), "--N", "5", "--kmax", "25",
+              "--itinerary", ";".join(itin),
+              "--anchor", f"{build_params(5, 25).R_exp(20)},0.5,0.2", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["regions"] == itin
+    assert wide == [22683]
 
 
 def test_backward_iterates_the_orbit_once(tmp_path, monkeypatch):

@@ -255,33 +255,54 @@ def test_itinerary_precision_per_suffix():
 
 def test_backwards_verification_runs_only_step_0_above_1024_bits(monkeypatch):
     # the construction runs at need[0] = 22683 bits; the re-verification
-    # evaluates step s at need[s], and only step 0 needs more than 1024
+    # takes step 0's image from the construction's Newton polish, evaluates
+    # step s >= 1 at need[s], all at most 1024 bits, and classifies step 0's
+    # petal at the precision of the comparison
+    import dataclasses
     import juliadim.dynamics as dyn
+    import juliadim.geometry as geo
+    import juliadim.numerics as num
 
-    evals, verifying = [], []
-    real_eval, real_iterate = ModelMap.eval, dyn.iterate_orbit
+    evals, expm1_bits, records, verifying = [], [], [], []
+    real_eval, real_iterate, real_expm1 = ModelMap.eval, dyn.iterate_orbit, num.expm1_lp
 
     def eval_(self, z):
         if verifying:
             evals.append((self.prec, self.guard, self.ang_bits))
         return real_eval(self, z)
 
+    def expm1(drho, dtheta, prec=num.SIG_BITS):
+        if verifying:
+            expm1_bits.append(prec)
+        return real_expm1(drho, dtheta, prec)
+
     def iterate(*args, **kwargs):
         verifying.append(True)
         try:
-            return real_iterate(*args, **kwargs)
+            records.append(real_iterate(*args, **kwargs))
+            return records[-1]
         finally:
             verifying.pop()
 
     monkeypatch.setattr(ModelMap, "eval", eval_)
+    monkeypatch.setattr(num, "expm1_lp", expm1)
+    monkeypatch.setattr(geo, "expm1_lp", expm1)
     monkeypatch.setattr(dyn, "iterate_orbit", iterate)
     itin, anchor = _construction_shapes(1)["backwards"]
-    backward_construct(M5, itin, anchor, tol=TOL, budget_bits=1 << 16)
+    z = backward_construct(M5, itin, anchor, tol=TOL, budget_bits=1 << 16)
     need = itinerary_precision(M5, _normalize_itinerary(itin))
-    assert [(p, g) for p, g, _ in evals] == [(max(M5.prec, b), max(M5.guard, b)) for b in need]
-    assert evals[0][0] == 22683 and max(p for p, _, _ in evals[1:]) <= 1024
+    assert need[0] == 22683
+    assert [(p, g) for p, g, _ in evals] == [(max(M5.prec, b), max(M5.guard, b))
+                                             for b in need[1:]]
+    assert max(p for p, _, _ in evals) <= 1024
+    assert expm1_bits and max(expm1_bits) <= 1024
     # the angle budget is spent over the whole orbit: raised at every step
     assert {a for _, _, a in evals} == {need[0] + 64}
+    # the image step 0 used is bit-equal to a fresh evaluation at need[0] bits
+    (rec,) = records
+    fresh, _ = real_eval(dataclasses.replace(M5, prec=need[0], guard=need[0]), z)
+    assert rec.points[0] is z
+    assert (rec.points[1].rho, rec.points[1].theta.turns) == (fresh.rho, fresh.theta.turns)
 
 
 def test_itinerary_orbit_names_the_first_step_off_the_itinerary():

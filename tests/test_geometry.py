@@ -1,17 +1,22 @@
+import dataclasses
 import math
 from fractions import Fraction
+from random import Random
 
+import mpmath
 from hypothesis import given, settings, strategies as st
 
+import juliadim.geometry as geometry
 from juliadim.geometry import (
     Region,
     classify,
     level_lines,
     petal_membership,
+    petal_radius_rel_log2,
     petal_spec,
 )
 from juliadim.modelmap import ModelMap
-from juliadim.numerics import LogPolar
+from juliadim.numerics import LogPolar, expm1_lp, frac_to_mpf, lp_perturb
 from juliadim.params import build_params
 
 M5 = ModelMap(table=build_params(5, 12))
@@ -93,6 +98,42 @@ def test_petal_membership_center_and_boundary():
     outside = LogPolar(z0.rho + Fraction(1, 1 << 30), z0.theta)
     assert petal_membership(M5, k, inside) == 5
     assert petal_membership(M5, k, outside) is None
+
+
+def test_petal_membership_escalates_only_in_its_tie_band(monkeypatch):
+    # z = w (1 + u), u = 2^rad_rel (1 + sign 2^-s) e^(2 pi i phi), around
+    # seeded ring zeros w on a 2048-bit model: the decision first taken at
+    # SIG_BITS + 64 bits is the 2048-bit one, and 2048-bit expm1_lp runs
+    # exactly for the points inside the tie band (s = 200, 400)
+    m = dataclasses.replace(M5, prec=2048, guard=2048)
+    bits = []
+
+    def expm1(drho, dtheta, prec):
+        bits.append(prec)
+        return expm1_lp(drho, dtheta, prec)
+
+    monkeypatch.setattr(geometry, "expm1_lp", expm1)
+    rng = Random(1729)
+    for k in (1, 2, 3):
+        ring, rad = k + T5.N - 1, petal_radius_rel_log2(T5.n(k))
+        for s in (4, 16, 64, 200, 400):
+            for sign in (1, -1):
+                j = rng.randrange(1, T5.n(k) + 1)
+                w = m.ring_zero(ring, j)
+                phi = frac_to_mpf(Fraction(rng.randrange(1 << 30), 1 << 30), 2600)
+                with mpmath.workprec(2600):
+                    mag = mpmath.power(2, frac_to_mpf(rad, 2600)) * (1 + sign * mpmath.ldexp(1, -s))
+                    u = mpmath.mpc(mag * mpmath.cospi(2 * phi), mag * mpmath.sinpi(2 * phi))
+                z = lp_perturb(w, u, 2400)
+                dth = z.theta.sub(w.theta).turns
+                dth = dth if dth <= Fraction(1, 2) else dth - 1
+                full = expm1_lp(z.rho - w.rho, dth, m.prec).rho <= rad
+                assert full == (sign < 0)
+                bits.clear()
+                got = petal_membership(m, k, z)
+                assert got == (j if full else None), (k, s, sign)
+                assert bits.count(m.prec) == (1 if s >= 200 else 0), (k, s, sign)
+                assert len(bits) == bits.count(m.prec) + 1
 
 
 def test_classify_petal_via_model():
