@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import Config
-from .numerics import Angle, LogPolar
+from .numerics import Angle, LogPolar, NumericsError
 from .params import (CertificateReport, alpha_beta_window, build_params,
                      check_permissible, verify_inequalities)
 from .report import make_report, pow2_str, render_value, write_csv
@@ -328,8 +328,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit status 0: done; 1: a certificate failed;
+    2: bad arguments (argparse); 3: a typed error refused the input, printed
+    as one line on stderr."""
     args = _parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except NumericsError as exc:
+        print(f"juliadim: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,12 +7,15 @@ branch-consistent root pullback
 
 seeded on circles.  With the identity correction the traces are exact
 circles: the root maps rho to (rho - C)/n at every angle, so an identity
-trace is one pullback chain per seed, not one per grid angle.  The
-synthetic correction model perturbs each pullback step by a
-seeded band-limited field epsilon with |epsilon| <= C' omega_p(1/|z|),
-the only property the downstream estimates use.  Its closed-form
-z-derivative keeps |phi' - 1| below C' omega_p as well, so tangent
-partial products are Cauchy with explicitly summable differences.
+trace is one pullback chain per seed, not one per grid angle.  Otherwise
+the chains of all grid angles form one tree of (step, angle) nodes, each
+pulled back once, and the width check evaluates only the Pareto frontier
+of the (inner radius, gap) pairs.  The synthetic correction model perturbs
+each pullback step by a seeded band-limited field epsilon with
+|epsilon| <= C' omega_p(1/|z|), the only property the downstream
+estimates use.  Its closed-form z-derivative keeps |phi' - 1| below
+C' omega_p as well, so tangent partial products are Cauchy with
+explicitly summable differences.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from .numerics import (
     Angle,
@@ -155,32 +158,41 @@ class CurveTrace:
         return i_osc, o_osc
 
 
-def _pullback_chain(m: ModelMap, phi, k: int, depth: int, theta: Fraction,
-                    seed_rho: Fraction) -> List[LogPolar]:
-    """w_0, ..., w_depth for the depth-fold pullback through angle theta of
-    the circle log2-radius seed_rho sitting at level k + depth + 1.
+def _pullback_tree(m: ModelMap, phi, k: int, depth: int, q: int, nums: Iterable[int],
+                   seed_rho: Fraction) -> List[List[LogPolar]]:
+    """For each theta = a/q, a in nums, the chain w_0, ..., w_depth of the
+    depth-fold pullback through theta of the circle log2-radius seed_rho
+    sitting at level k + depth + 1.
 
     w_depth is the seed point and w_j = f^j(w_0) lies in the level-(k+j+1)
-    curve zone; each root branch is the one containing the angle that
-    theta reaches after j steps."""
+    curve zone; each root branch is the one containing the angle
+    turns[j] / q = frac(theta n_{k+1} ... n_{k+j}) that theta reaches after
+    j steps.  Since turns[j+1] = turns[j] n_{k+j+1} mod q, the node (j,
+    turns[j]) fixes everything above it, so the chains form a tree: each
+    node is pulled back once, top-down from the seed, and shared by every
+    chain through it.  At N = 5 the grid angles i/256 meet in at most four
+    nodes after one step and in one after two."""
     t = m.table
-    theta = Fraction(theta)
-    q = theta.denominator
     ns = [t.n(k + j + 1) for j in range(depth)]
-    # frac(theta n_{k+1} ... n_{k+j}) = turns[j] / q, in integers
-    turns = [theta.numerator % q]
-    for n in ns:
-        turns.append(turns[-1] * n % q)
-    z = LogPolar(seed_rho, Angle(Fraction(turns[depth], q)))
-    chain = [z]
+    paths = []
+    for a in nums:
+        turns = [a % q]
+        for n in ns:
+            turns.append(turns[-1] * n % q)
+        paths.append(turns)
+    level = {a: LogPolar(seed_rho, Angle(Fraction(a, q))) for a in {p[depth] for p in paths}}
+    levels = [level]
     for j in range(depth - 1, -1, -1):
-        n = ns[j]
-        b = turns[j] * n // q  # floor(n frac(theta_j)), in [0, n)
-        z = LogPolar(z.rho - t.C_exp(k + j + 1), z.theta).root(n, b)
-        z = phi.phi(z, m.prec)
-        chain.append(z)
-    chain.reverse()
-    return chain
+        n, C, above, level = ns[j], t.C_exp(k + j + 1), level, {}
+        for p in paths:
+            a = p[j]
+            if a not in level:
+                z = above[p[j + 1]]
+                # floor(n turns[j] / q) is the branch, in [0, n)
+                level[a] = phi.phi(LogPolar(z.rho - C, z.theta).root(n, a * n // q), m.prec)
+        levels.append(level)
+    levels.reverse()
+    return [[lv[a] for lv, a in zip(levels, p)] for p in paths]
 
 
 def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveTrace:
@@ -202,17 +214,16 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
                           f"(budget {m.ang_bits})")
     top = t.R_exp(k + depth + 1)
     seeds = (Fraction(top - 2), top + const_log2_frac(3, 4))
-    thetas = [Fraction(i, grid) for i in range(grid)]
-    if isinstance(phi, Identity):
-        # root maps rho to (rho - C)/n whatever the angle or branch, so one
-        # chain per seed gives the radius at every theta
-        inner = [_pullback_chain(m, phi, k, depth, thetas[0], seeds[0])[0].rho] * grid
-        outer = [_pullback_chain(m, phi, k, depth, thetas[0], seeds[1])[0].rho] * grid
-    else:
-        inner = [_pullback_chain(m, phi, k, depth, th, seeds[0])[0].rho
-                 for th in thetas]
-        outer = [_pullback_chain(m, phi, k, depth, th, seeds[1])[0].rho
-                 for th in thetas]
+    radii = []
+    for seed in seeds:
+        if isinstance(phi, Identity):
+            # root maps rho to (rho - C)/n whatever the angle or branch, so
+            # one leaf per seed gives the radius at every theta
+            radii.append([_pullback_tree(m, phi, k, depth, grid, [0], seed)[0][0].rho] * grid)
+        else:
+            radii.append([chain[0].rho for chain in
+                          _pullback_tree(m, phi, k, depth, grid, range(grid), seed)])
+    inner, outer = radii
     for name, arr in (("inner", inner), ("outer", outer)):
         for i in range(grid):
             gap = abs(float(arr[(i + 1) % grid] - arr[i]))
@@ -220,7 +231,7 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
                 raise DomainError(
                     f"branch inconsistency on the {name} trace in theta cell "
                     f"[{i}/{grid}, {i + 1}/{grid}]")
-    return CurveTrace(k=k, m=depth, theta_grid=[Angle(th) for th in thetas],
+    return CurveTrace(k=k, m=depth, theta_grid=[Angle(Fraction(i, grid)) for i in range(grid)],
                       inner_radii=inner, outer_radii=outer)
 
 
@@ -236,18 +247,32 @@ class WidthCheck:
 
 def width_check(m: ModelMap, trace: CurveTrace) -> WidthCheck:
     """Max linear width of the traced annulus against the contraction bound
-    8**(m-1) R_{k+1} / (n_{k+1} ... n_{k+m})."""
+    8**(m-1) R_{k+1} / (n_{k+1} ... n_{k+m}).
+
+    The width of a radius pair is w = r_in + log2(2**gap - 1), gap = r_out
+    - r_in, which increases in r_in and in gap.  So a pair with another
+    pair at r_in' >= r_in and gap' >= gap cannot hold the maximum, and w is
+    evaluated only on the Pareto frontier of the distinct pairs: in order
+    of decreasing r_in, each pair whose gap beats every gap before it.  (The
+    computed log2(2**gap - 1) is rounded at prec + 32 bits, so it could
+    break that order only for two gaps within a few units of that
+    precision; the tests compare the frontier maximum with the all-pairs
+    one.)  An identity trace has a single pair, a synthetic one about 24
+    frontier pairs of 256.
+    """
     t = m.table
     k, depth = trace.k, trace.m
-    measured_log2 = None
-    # one evaluation per distinct pair: an identity trace has a single one
-    for r_in, r_out in dict.fromkeys(zip(trace.inner_radii, trace.outer_radii)):
-        gap = r_out - r_in
-        if gap <= 0:
-            raise DomainError("inverted trace radii")
-        w = r_in + pow2_minus1_log2(gap, m.prec)
-        if measured_log2 is None or w > measured_log2:
-            measured_log2 = w
+    pairs = sorted({(r_in, r_out - r_in)
+                    for r_in, r_out in zip(trace.inner_radii, trace.outer_radii)},
+                   reverse=True)
+    if min(gap for _, gap in pairs) <= 0:
+        raise DomainError("inverted trace radii")
+    frontier, best_gap = [], 0
+    for r_in, gap in pairs:
+        if gap > best_gap:
+            best_gap = gap
+            frontier.append((r_in, gap))
+    measured_log2 = max(r_in + pow2_minus1_log2(gap, m.prec) for r_in, gap in frontier)
     bound_log2 = Fraction(3 * (depth - 1) + t.R_exp(k + 1)
                           - sum(t.N + k + i - 1 for i in range(1, depth + 1)))
     return WidthCheck(measured_log2, bound_log2)
@@ -280,17 +305,22 @@ class TangentReport:
         return abs(self.partials[-1])
 
     def limit_lower_bound(self, N: int) -> float:
-        """exp(-sum over all steps of 2 C' 2**(-sqrt(k+N)/4)), the infinite
-        series evaluated to convergence."""
-        total = 0.0
-        kk = 0
-        while True:
-            term = 2.0 * self.Cprime * 2.0 ** (-math.sqrt(kk + N) / 4.0)
-            total += term
-            kk += 1
-            if term < 1e-12 and kk > 64:
-                break
-        return math.exp(-total)
+        """exp(-S), S = sum over k >= 0 of 2 C' f(k), f(x) = 2**(-sqrt(x+N)/4).
+
+        The terms k < K are summed (fsum), K - 1 >= 64 the first index with
+        a term below 1e-12; f decreases, so the rest is at most the
+        integral of f over [K-1, inf), which u = sqrt(x+N) turns into
+        2 e**(-aU) (U/a + 1/a**2), a = ln 2 / 4, U = sqrt(K-1+N).
+        """
+        def term(k: int) -> float:
+            return 2.0 * self.Cprime * 2.0 ** (-math.sqrt(k + N) / 4.0)
+
+        K = 65
+        while term(K - 1) >= 1e-12:
+            K += 1
+        a, U = LN2 / 4.0, math.sqrt(K - 1 + N)
+        tail = 2.0 * self.Cprime * 2.0 * math.exp(-a * U) * (U / a + 1.0 / a ** 2)
+        return math.exp(-(math.fsum(map(term, range(K))) + tail))
 
 
 def tangent_products(m: ModelMap, phi, theta0: Angle, mmax: int,
@@ -306,8 +336,9 @@ def tangent_products(m: ModelMap, phi, theta0: Angle, mmax: int,
     if k + mmax + 2 > t.kmax_shifted() + 1:
         raise DomainError("table too small for the requested depth")
     # orbit points: pull the mid-circle anchor back through the V chain
-    chain = _pullback_chain(m, phi, k, mmax, theta0.turns,
-                            Fraction(t.R_exp(k + mmax + 1) - 1))
+    turns = theta0.turns
+    chain = _pullback_tree(m, phi, k, mmax, turns.denominator, [turns.numerator],
+                           Fraction(t.R_exp(k + mmax + 1) - 1))[0]
     Cp = getattr(phi, "Cprime", 0.0)
     partials: List[complex] = []
     pair_actual: List[float] = []
@@ -336,9 +367,8 @@ def angle_check(m: ModelMap, phi, k: int, n1: int, n2: int,
         raise DomainError("need 0 <= n1 < n2")
     t = m.table
     worst = 0.0
-    for i in range(samples):
-        chain = _pullback_chain(m, phi, k, n2 + 1, Fraction(i, samples),
-                                Fraction(t.R_exp(k + n2 + 2) - 1))
+    for chain in _pullback_tree(m, phi, k, n2 + 1, samples, range(samples),
+                                Fraction(t.R_exp(k + n2 + 2) - 1)):
         prod = 1.0 + 0.0j
         for j in range(n1, n2):
             prod *= (1.0 + phi.eps(chain[j])) / phi.phi_prime(chain[j])

@@ -67,12 +67,37 @@ class Certificate:
         }
 
 
+def decimal_limit_passed(bits: int) -> int:
+    """The digit limit of int-to-decimal conversion that a bits-bit integer
+    may pass, or 0 if it renders.
+
+    Python converts an int to decimal only up to
+    sys.get_int_max_str_digits() digits (0: no limit), and a b-bit integer
+    has at most floor(b log10 2) + 1 digits.
+    """
+    limit = sys.get_int_max_str_digits()
+    return limit if limit and bits * 30103 // 100000 + 1 > limit else 0  # 0.30103 > log10 2
+
+
 @dataclass
 class CertificateReport:
     title: str
     certificates: List[Certificate] = field(default_factory=list)
 
     def add(self, name, index, passed, lhs, rhs, note=""):
+        """Append a row; an exact exponent (int or Fraction) that may pass
+        the decimal conversion limit raises DomainError naming the row."""
+        bits = 0
+        for v in (lhs, rhs):  # type(), not isinstance: an ABC check per row is slow
+            if type(v) is int:
+                bits = max(bits, v.bit_length())
+            elif type(v) is Fraction:
+                bits = max(bits, v.numerator.bit_length(), v.denominator.bit_length())
+        limit = decimal_limit_passed(bits)
+        if limit:
+            raise DomainError(
+                f"row {name}[{index}] of {self.title!r}: a {bits}-bit exponent "
+                f"may pass the {limit}-digit limit of decimal conversion")
         self.certificates.append(Certificate(name, index, bool(passed), str(lhs), str(rhs), note))
 
     @property
@@ -136,18 +161,16 @@ class ParamTable:
     def table_rows(self, jhi: Optional[int] = None) -> List[dict]:
         """Rows j = 0..jhi, the exponents of c_j and r_j in decimal.
 
-        Python converts an int to decimal only up to
-        sys.get_int_max_str_digits() digits (0: no limit), and a b-bit
-        exponent has at most floor(b log10 2) + 1 digits.  A row whose
-        exponents could pass the limit raises DomainError naming the
-        largest jhi that renders.
+        A row whose exponents may pass the limit of decimal conversion
+        (decimal_limit_passed) raises DomainError naming the largest jhi
+        that renders.
         """
         jhi = self.jmax if jhi is None else min(jhi, self.jmax)
-        limit = sys.get_int_max_str_digits()
         rows = [{"j": 0, "M": 1, "c": None, "r": "0"}]
         for j in range(1, jhi + 1):
             bits = max(abs(self.e[j]).bit_length(), abs(self.eps[j]).bit_length())
-            if limit and bits * 30103 // 100000 + 1 > limit:  # 0.30103 > log10 2
+            limit = decimal_limit_passed(bits)
+            if limit:
                 raise DomainError(
                     f"row j={j}: a {bits}-bit exponent may pass the {limit}-digit "
                     f"limit of decimal conversion; jhi <= {j - 1} renders")

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from juliadim.cli import _parser, main, parse_point
 from juliadim.config import Config
+from juliadim.params import CertificateReport, build_params
 
 VERIFY_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
                     / "verify_N5_kmax12_khi6_s4096.json")
@@ -43,17 +46,47 @@ def test_params_subcommand(tmp_path, capsys):
     assert rows[1]["r"] == "2^4" and rows[2]["r"] == "2^6" and rows[3]["r"] == "2^12"
 
 
-def test_params_deep_table_raises_typed_error(tmp_path):
+def test_params_deep_table_raises_typed_error(tmp_path, capsys):
     # exponents of rows j >= 170 at N = 5 pass Python's 4300-digit decimal
     # conversion limit: a typed error names the largest --jhi that renders
     from juliadim.numerics import DomainError
 
     with pytest.raises(DomainError, match=r"row j=170: .* jhi <= 169 renders"):
-        run(["params", "--N", "5", "--kmax", "200"])
+        build_params(5, 200).table_rows()
+    assert run(["params", "--N", "5", "--kmax", "200"]) == 3
+    assert re.fullmatch(r"juliadim: DomainError: row j=170: .* jhi <= 169 renders\n",
+                        capsys.readouterr().err)
     out = tmp_path / "p.json"
     assert run(["params", "--N", "5", "--kmax", "200", "--jhi", "169", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["table"]
     assert [r["j"] for r in rows] == list(range(170))
+
+
+@pytest.mark.parametrize("argv,row", [
+    (["params", "--N", "5", "--kmax", "200"], "row j=170"),
+    (["verify", "--N", "5", "--kmax", "200", "--khi", "1"], "row coef_power_lower[169]"),
+])
+def test_typed_errors_end_in_one_line(argv, row, capsys):
+    # a refused input exits 3, apart from a failed certificate (1) and bad
+    # arguments (2), with one line on stderr and nothing on stdout
+    assert run(argv) == 3
+    cap = capsys.readouterr()
+    assert cap.out == "" and "Traceback" not in cap.err
+    assert cap.err.count("\n") == 1
+    assert cap.err.startswith(f"juliadim: DomainError: {row}")
+    assert "4300-digit limit of decimal conversion" in cap.err
+
+
+def test_certificate_row_refuses_exponents_past_the_decimal_limit():
+    from juliadim.numerics import DomainError
+
+    rep = CertificateReport("demo")
+    rep.add("fits", 1, True, 1 << 14000, Fraction(1, 3))
+    with pytest.raises(DomainError, match=r"row deep\[7\] of 'demo': a 14365-bit"):
+        rep.add("deep", 7, True, 0, -(1 << 14364))
+    with pytest.raises(DomainError, match=r"row deep\[None\]"):
+        rep.add("deep", None, True, Fraction(1, 1 << 14364), 0)
+    assert len(rep) == 1
 
 
 def test_verify_subcommand_exit_zero(tmp_path):

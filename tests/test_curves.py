@@ -150,14 +150,15 @@ def test_identity_trace_is_one_chain_per_seed(k, monkeypatch):
         assert tr.inner_radii == _reference_radii(M5, IDENT, k, depth, 256, seeds[0])
         assert tr.outer_radii == _reference_radii(M5, IDENT, k, depth, 256, seeds[1])
         assert tr.theta_grid == [Angle(Fraction(i, 256)) for i in range(256)]
-    # the synthetic model still pulls back every theta, through the same chain
-    tr = trace_gamma(M5, SYN, k, 2, grid=256)
-    assert tr.inner_radii == _reference_radii(M5, SYN, k, 2, 256, Fraction(top(k + 3) - 2))
-
     chains, widths = [], []
-    real_chain, real_width = curves._pullback_chain, curves.pow2_minus1_log2
-    monkeypatch.setattr(curves, "_pullback_chain",
-                        lambda *a: chains.append(1) or real_chain(*a))
+    real_tree, real_width = curves._pullback_tree, curves.pow2_minus1_log2
+
+    def tree(*a):
+        out = real_tree(*a)
+        chains.extend(out)
+        return out
+
+    monkeypatch.setattr(curves, "_pullback_tree", tree)
     monkeypatch.setattr(curves, "pow2_minus1_log2",
                         lambda *a: widths.append(1) or real_width(*a))
     counts = []
@@ -166,9 +167,80 @@ def test_identity_trace_is_one_chain_per_seed(k, monkeypatch):
         tr = trace_gamma(M5, IDENT, k, 3, grid=grid)
         counts.append(len(chains))
         assert len(tr.inner_radii) == grid
-    assert counts[0] == counts[1] <= 3  # two seeds and one tangent chain
+    assert counts[0] == counts[1] <= 3  # one leaf per seed
     width_check(M5, tr)
     assert len(widths) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_synthetic_tree_matches_per_angle_chains(k):
+    # the tree makes the same exact operations on the same inputs as the
+    # per-theta loop, so every radius is bit-equal
+    top = T5.R_exp
+    for depth in (2, 4, 6):
+        tr = trace_gamma(M5, SYN, k, depth, grid=256)
+        seeds = (Fraction(top(k + depth + 1) - 2),
+                 top(k + depth + 1) + const_log2_frac(3, 4))
+        assert tr.inner_radii == _reference_radii(M5, SYN, k, depth, 256, seeds[0]), depth
+        assert tr.outer_radii == _reference_radii(M5, SYN, k, depth, 256, seeds[1]), depth
+
+
+def _distinct_nodes(t, k, depth, grid):
+    # (j, frac(theta n_{k+1} ... n_{k+j})) over the grid, for the steps
+    # j = 0..depth-1 that apply phi
+    nodes = set()
+    for i in range(grid):
+        turns = Fraction(i, grid)
+        for j in range(depth):
+            nodes.add((j, turns))
+            turns = turns * t.n(k + j + 1) % 1
+    return len(nodes)
+
+
+@pytest.mark.parametrize("k,depth", [(1, 6), (2, 3)])
+def test_synthetic_tree_applies_phi_once_per_node(k, depth):
+    calls = []
+    syn = SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=7)
+    real_phi = syn.phi
+    syn.phi = lambda z, prec: calls.append(1) or real_phi(z, prec)
+    trace_gamma(M5, syn, k, depth, grid=256)
+    nodes = _distinct_nodes(T5, k, depth, 256)
+    if (k, depth) == (1, 6):
+        assert nodes == 256 + 4 + 4 * 1
+    assert len(calls) == 2 * nodes  # two seeds
+    # angle_check: one tree of depth n2 + 1 over its samples
+    calls.clear()
+    angle_check(M5, syn, 1, 0, 3, samples=32)
+    assert len(calls) == _distinct_nodes(T5, 1, 4, 32)
+
+
+def _pareto_frontier(pairs):
+    # the pairs that no other pair matches or beats in both r_in and gap
+    return [(r, g) for r, g in pairs
+            if not any(r2 >= r and g2 >= g and (r2, g2) != (r, g) for r2, g2 in pairs)]
+
+
+@pytest.mark.parametrize("phase_seed", [1, 2])
+def test_width_check_frontier_equals_all_pairs(phase_seed, monkeypatch):
+    syn = SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=phase_seed)
+    widths = []
+    real_width = curves.pow2_minus1_log2
+    monkeypatch.setattr(curves, "pow2_minus1_log2",
+                        lambda *a: widths.append(1) or real_width(*a))
+    for k, depth in itertools.product((1, 2), range(1, 7)):
+        tr = trace_gamma(M5, syn, k, depth, grid=256)
+        pairs = set((r, o - r) for r, o in zip(tr.inner_radii, tr.outer_radii))
+        all_pairs = max(r + real_width(g, M5.prec) for r, g in pairs)
+        widths.clear()
+        assert width_check(M5, tr).measured_log2 == all_pairs, (k, depth)
+        assert len(widths) == len(_pareto_frontier(pairs)) < len(pairs)
+
+
+def test_width_check_refuses_inverted_radii():
+    tr = trace_gamma(M5, SYN, 1, 1, grid=256)
+    tr.outer_radii[100] = tr.inner_radii[100]
+    with pytest.raises(DomainError, match="inverted trace radii"):
+        width_check(M5, tr)
 
 
 def test_trace_depth_budget_reads_P_ang():
@@ -223,6 +295,17 @@ def test_synthetic_tangent_cauchy_and_limit():
     assert all(a <= b for a, b in zip(rep.pair_log_actual, rep.pair_log_budget))
     assert rep.limit_modulus() >= rep.limit_lower_bound(T5.N)
     assert rep.limit_modulus() > 0.0
+
+
+@pytest.mark.parametrize("Cprime,N", [(1.0, 5), (2.0, 8)])
+def test_limit_lower_bound_counts_the_tail(Cprime, N):
+    # exp(-S) with S the whole series: no larger than exp of minus a long
+    # direct partial sum, which the truncated series alone exceeded
+    rep = curves.TangentReport(k=1, mmax=1, theta0=Angle(0), partials=[],
+                               pair_log_actual=[], pair_log_budget=[], Cprime=Cprime)
+    direct = math.fsum(2.0 * Cprime * 2.0 ** (-math.sqrt(k + N) / 4.0)
+                       for k in range(200000))
+    assert 0.0 < rep.limit_lower_bound(N) <= math.exp(-direct)
 
 
 def test_angle_checks():
