@@ -9,10 +9,12 @@ seeded on circles.  With the identity correction the traces are exact
 circles: the root maps rho to (rho - C)/n at every angle, so an identity
 trace is one pullback chain per seed, not one per grid angle.  Otherwise
 the chains of all grid angles form one tree of (step, angle) nodes, each
-pulled back once, and the width check evaluates only the Pareto frontier
-of the (inner radius, gap) pairs.  The synthetic correction model perturbs
-each pullback step by a seeded band-limited field epsilon with
-|epsilon| <= C' omega_p(1/|z|), the only property the downstream
+pulled back once, except the grid level: the leaves below one parent
+share its radius and the rho half of the field, so a leaf adds only the
+angle half and log2|1 + eps|.  The width check evaluates only the Pareto
+frontier of the (inner radius, gap) pairs.  The synthetic correction
+model perturbs each pullback step by a seeded band-limited field epsilon
+with |epsilon| <= C' omega_p(1/|z|), the only property the downstream
 estimates use.  Its closed-form z-derivative keeps |phi' - 1| below
 C' omega_p as well, so tangent partial products are Cauchy with
 explicitly summable differences.
@@ -32,6 +34,7 @@ from .numerics import (
     DomainError,
     LogPolar,
     const_log2_frac,
+    log2_abs_1p,
     lp_perturb,
     pow2_minus1_log2,
 )
@@ -96,29 +99,36 @@ class SyntheticOmega:
     # -- field ----------------------------------------------------------------
 
     def envelope(self, z: LogPolar) -> float:
-        return self.Cprime * omega_from_rho(self.p, z.rho_int(),
-                                            z.rho_frac_float())
+        return self._envelope(z.rho)
 
-    def _amplitude(self, z: LogPolar) -> float:
-        return self.SHAPE * min(self.envelope(z), self.CAP)
+    def _envelope(self, rho: Fraction) -> float:
+        ri = rho.numerator // rho.denominator
+        return self.Cprime * omega_from_rho(self.p, ri, float(rho - ri))
 
-    def _mode_args(self, z: LogPolar) -> List[float]:
-        th = float(z.theta.turns)
-        num, den = z.rho.numerator, z.rho.denominator
-        out = []
-        for fq, mult, ph in zip(self.freqs, self._rho_mults, self.phases):
+    def rho_part(self, rho: Fraction) -> Tuple[float, List[float]]:
+        """The half of the field that depends on rho alone: the amplitude a
+        and each mode's phase frac(rho * mult)."""
+        num, den = rho.numerator, rho.denominator
+        a = self.SHAPE * min(self._envelope(rho), self.CAP)
+        rho_phases = []
+        for mult in self._rho_mults:
             # frac(rho * mult) in integers, unreduced: int / int is still
             # the correctly rounded float of the exact fraction
             d = den * mult.denominator
-            rho_phase = num * mult.numerator % d / d
-            out.append(TWO_PI * (fq * th + rho_phase) + ph)
-        return out
+            rho_phases.append(num * mult.numerator % d / d)
+        return a, rho_phases
+
+    def _modes(self, rho_phases: List[float], th: float) -> List[complex]:
+        return [w * cmath.exp(1j * (TWO_PI * (fq * th + rp) + ph))
+                for w, fq, rp, ph in zip(self.weights, self.freqs, rho_phases, self.phases)]
+
+    def eps_at(self, part: Tuple[float, List[float]], th: float) -> complex:
+        """eps at th turns on the circle whose rho_part is part."""
+        a, rho_phases = part
+        return a * sum(self._modes(rho_phases, th))
 
     def eps(self, z: LogPolar) -> complex:
-        a = self._amplitude(z)
-        args = self._mode_args(z)
-        u = sum(w * cmath.exp(1j * g) for w, g in zip(self.weights, args))
-        return a * u
+        return self.eps_at(self.rho_part(z.rho), float(z.theta.turns))
 
     def phi(self, z: LogPolar, prec: int) -> LogPolar:
         return lp_perturb(z, self.eps(z), prec)
@@ -126,9 +136,8 @@ class SyntheticOmega:
     def phi_prime(self, z: LogPolar) -> complex:
         """1 + eps + z eps_z with the Wirtinger derivative in closed form:
         z eps_z = eps_rho / (2 ln 2) + eps_theta / (4 pi i)."""
-        a = self._amplitude(z)
-        args = self._mode_args(z)
-        modes = [w * cmath.exp(1j * g) for w, g in zip(self.weights, args)]
+        a, rho_phases = self.rho_part(z.rho)
+        modes = self._modes(rho_phases, float(z.theta.turns))
         u = sum(modes)
         du_drho = sum(1j * TWO_PI * rf / self.RHO_SCALE * mode
                       for rf, mode in zip(self.rho_freqs, modes))
@@ -147,9 +156,12 @@ class SyntheticOmega:
 class CurveTrace:
     k: int
     m: int
-    theta_grid: List[Angle]
     inner_radii: List[Fraction]
     outer_radii: List[Fraction]
+
+    @property
+    def theta_grid(self) -> List[Angle]:
+        return [Angle(Fraction(i, len(self.inner_radii))) for i in range(len(self.inner_radii))]
 
     def oscillation_log2(self) -> Tuple[float, float]:
         """(inner, outer) max radial oscillation over theta, in log2 units."""
@@ -157,12 +169,18 @@ class CurveTrace:
         o_osc = float(max(self.outer_radii) - min(self.outer_radii))
         return i_osc, o_osc
 
+    def scaled(self) -> Tuple[int, List[int], List[int]]:
+        """(D, inner, outer): the radii times D, the lcm of all denominators."""
+        D = math.lcm(*(r.denominator for r in self.inner_radii + self.outer_radii))
+        def ints(rs): return [r.numerator * (D // r.denominator) for r in rs]
+        return D, ints(self.inner_radii), ints(self.outer_radii)
 
-def _pullback_tree(m: ModelMap, phi, k: int, depth: int, q: int, nums: Iterable[int],
-                   seed_rho: Fraction) -> List[List[LogPolar]]:
-    """For each theta = a/q, a in nums, the chain w_0, ..., w_depth of the
-    depth-fold pullback through theta of the circle log2-radius seed_rho
-    sitting at level k + depth + 1.
+
+def _pullback_levels(m: ModelMap, phi, k: int, depth: int, q: int, nums: Iterable[int],
+                     seed_rho: Fraction):
+    """For each theta = a/q, a in nums, the path turns[0..depth] and the node
+    tables levels[j]: turns[j] -> w_j of the depth-fold pullback through
+    theta of the circle log2-radius seed_rho sitting at level k + depth + 1.
 
     w_depth is the seed point and w_j = f^j(w_0) lies in the level-(k+j+1)
     curve zone; each root branch is the one containing the angle
@@ -192,7 +210,36 @@ def _pullback_tree(m: ModelMap, phi, k: int, depth: int, q: int, nums: Iterable[
                 level[a] = phi.phi(LogPolar(z.rho - C, z.theta).root(n, a * n // q), m.prec)
         levels.append(level)
     levels.reverse()
+    return paths, levels
+
+
+def _pullback_tree(m: ModelMap, phi, k: int, depth: int, q: int, nums: Iterable[int],
+                   seed_rho: Fraction) -> List[List[LogPolar]]:
+    """The chain w_0, ..., w_depth of each a in nums (see _pullback_levels)."""
+    paths, levels = _pullback_levels(m, phi, k, depth, q, nums, seed_rho)
     return [[lv[a] for lv, a in zip(levels, p)] for p in paths]
+
+
+def _leaf_radii(m: ModelMap, phi: SyntheticOmega, k: int, depth: int, grid: int,
+                seed_rho: Fraction) -> List[Fraction]:
+    """rho of w_0 at each grid angle a/grid.  Per parent w_1 (a leaf of the
+    depth - 1 tree one level up): r = (rho_1 - C)/n and phi.rho_part(r).
+    Per leaf: th = (turns_1 + floor(a n / grid))/n as an int-by-int division
+    (correctly rounded: the float of the root's Angle), then r plus what
+    phi.phi would add, log2|1 + eps|."""
+    n, C = m.table.n(k + 1), m.table.C_exp(k + 1)
+    _, (above, *_) = _pullback_levels(m, phi, k + 1, depth - 1, grid,
+                                      {a * n % grid for a in range(grid)}, seed_rho)
+    parents = {}
+    for c, z in above.items():
+        r = (z.rho - C) / n
+        parents[c] = r, phi.rho_part(r), z.theta.turns.numerator, z.theta.turns.denominator
+    radii = []
+    for a in range(grid):
+        r, part, pn, pd = parents[a * n % grid]
+        th = (pn + a * n // grid * pd) / (pd * n)
+        radii.append(r + log2_abs_1p(phi.eps_at(part, th), m.prec))
+    return radii
 
 
 def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveTrace:
@@ -221,18 +268,16 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
             # one leaf per seed gives the radius at every theta
             radii.append([_pullback_tree(m, phi, k, depth, grid, [0], seed)[0][0].rho] * grid)
         else:
-            radii.append([chain[0].rho for chain in
-                          _pullback_tree(m, phi, k, depth, grid, range(grid), seed)])
-    inner, outer = radii
+            radii.append(_leaf_radii(m, phi, k, depth, grid, seed))
+    tr = CurveTrace(k=k, m=depth, inner_radii=radii[0], outer_radii=radii[1])
+    D, inner, outer = tr.scaled()
     for name, arr in (("inner", inner), ("outer", outer)):
         for i in range(grid):
-            gap = abs(float(arr[(i + 1) % grid] - arr[i]))
-            if gap > 0.25:
+            if 4 * abs(arr[(i + 1) % grid] - arr[i]) > D:
                 raise DomainError(
                     f"branch inconsistency on the {name} trace in theta cell "
                     f"[{i}/{grid}, {i + 1}/{grid}]")
-    return CurveTrace(k=k, m=depth, theta_grid=[Angle(Fraction(i, grid)) for i in range(grid)],
-                      inner_radii=inner, outer_radii=outer)
+    return tr
 
 
 @dataclass(frozen=True)
@@ -257,14 +302,14 @@ def width_check(m: ModelMap, trace: CurveTrace) -> WidthCheck:
     computed log2(2**gap - 1) is rounded at prec + 32 bits, so it could
     break that order only for two gaps within a few units of that
     precision; the tests compare the frontier maximum with the all-pairs
-    one.)  An identity trace has a single pair, a synthetic one about 24
-    frontier pairs of 256.
+    one.)  The pairs are deduplicated and ordered as integers over one
+    denominator (CurveTrace.scaled).  An identity trace has a single pair,
+    a synthetic one about 24 frontier pairs of 256.
     """
     t = m.table
     k, depth = trace.k, trace.m
-    pairs = sorted({(r_in, r_out - r_in)
-                    for r_in, r_out in zip(trace.inner_radii, trace.outer_radii)},
-                   reverse=True)
+    D, inner, outer = trace.scaled()
+    pairs = sorted({(r_in, r_out - r_in) for r_in, r_out in zip(inner, outer)}, reverse=True)
     if min(gap for _, gap in pairs) <= 0:
         raise DomainError("inverted trace radii")
     frontier, best_gap = [], 0
@@ -272,7 +317,8 @@ def width_check(m: ModelMap, trace: CurveTrace) -> WidthCheck:
         if gap > best_gap:
             best_gap = gap
             frontier.append((r_in, gap))
-    measured_log2 = max(r_in + pow2_minus1_log2(gap, m.prec) for r_in, gap in frontier)
+    measured_log2 = max(Fraction(r_in, D) + pow2_minus1_log2(Fraction(gap, D), m.prec)
+                        for r_in, gap in frontier)
     bound_log2 = Fraction(3 * (depth - 1) + t.R_exp(k + 1)
                           - sum(t.N + k + i - 1 for i in range(1, depth + 1)))
     return WidthCheck(measured_log2, bound_log2)
@@ -307,20 +353,18 @@ class TangentReport:
     def limit_lower_bound(self, N: int) -> float:
         """exp(-S), S = sum over k >= 0 of 2 C' f(k), f(x) = 2**(-sqrt(x+N)/4).
 
-        The terms k < K are summed (fsum), K - 1 >= 64 the first index with
-        a term below 1e-12; f decreases, so the rest is at most the
-        integral of f over [K-1, inf), which u = sqrt(x+N) turns into
-        2 e**(-aU) (U/a + 1/a**2), a = ln 2 / 4, U = sqrt(K-1+N).
+        f(x) = e**(-a sqrt(x+N)), a = ln 2 / 4, is convex for x > -N: with
+        u = x + N, f'' = e**(-a sqrt u) (a**2/(4u) + a/(4 u**1.5)) > 0.  So
+        f(k) <= the integral of f over [k - 1/2, k + 1/2], and the tail k >=
+        K is at most the integral over [K - 1/2, inf), which u = sqrt(x+N)
+        turns into 2 e**(-aU) (U/a + 1/a**2), U = sqrt(K - 1/2 + N).  The
+        head k < K = 1024 is summed (fsum); head plus tail bound S above.
         """
-        def term(k: int) -> float:
-            return 2.0 * self.Cprime * 2.0 ** (-math.sqrt(k + N) / 4.0)
-
-        K = 65
-        while term(K - 1) >= 1e-12:
-            K += 1
-        a, U = LN2 / 4.0, math.sqrt(K - 1 + N)
-        tail = 2.0 * self.Cprime * 2.0 * math.exp(-a * U) * (U / a + 1.0 / a ** 2)
-        return math.exp(-(math.fsum(map(term, range(K))) + tail))
+        K, a = 1024, LN2 / 4.0
+        head = math.fsum(2.0 ** (-math.sqrt(k + N) / 4.0) for k in range(K))
+        U = math.sqrt(K - 0.5 + N)
+        tail = 2.0 * math.exp(-a * U) * (U / a + 1.0 / a ** 2)
+        return math.exp(-2.0 * self.Cprime * (head + tail))
 
 
 def tangent_products(m: ModelMap, phi, theta0: Angle, mmax: int,
@@ -366,12 +410,16 @@ def angle_check(m: ModelMap, phi, k: int, n1: int, n2: int,
     if not 0 <= n1 < n2:
         raise DomainError("need 0 <= n1 < n2")
     t = m.table
+    paths, levels = _pullback_levels(m, phi, k, n2 + 1, samples, range(samples),
+                                     Fraction(t.R_exp(k + n2 + 2) - 1))
+    # one factor per distinct (step, angle) node, shared by its samples
+    factors = [{a: (1.0 + phi.eps(z)) / phi.phi_prime(z) for a, z in levels[j].items()}
+               for j in range(n1, n2)]
     worst = 0.0
-    for chain in _pullback_tree(m, phi, k, n2 + 1, samples, range(samples),
-                                Fraction(t.R_exp(k + n2 + 2) - 1)):
+    for p in paths:
         prod = 1.0 + 0.0j
-        for j in range(n1, n2):
-            prod *= (1.0 + phi.eps(chain[j])) / phi.phi_prime(chain[j])
+        for f, a in zip(factors, p[n1:n2]):
+            prod *= f[a]
         worst = max(worst, abs(cmath.phase(prod)))
     Cp = getattr(phi, "Cprime", 0.0)
     budget = sum(math.atan(48.0 * Cp * 2.0 ** (-math.sqrt(l + t.N + 2) / 4.0))

@@ -470,6 +470,33 @@ def expm1_series(L: mpc, scale: int, prec: int = SIG_BITS) -> mpc:
     return L * series
 
 
+def _log1p_parts(u: Union[complex, mpc], prec: int, arg: bool = False) -> Tuple[Fraction, tuple]:
+    """(exact log2|1 + u|, libmp Im log(1 + u) or None unless arg) for |u| < 1
+    at prec + 32 bits, round-to-nearest.  An mpc u is read as ``mpc(u)`` at
+    prec + 32 bits, whatever the caller's precision.  |u| >= 2**-16 takes
+    ``mpc_log``'s parts of 1 + u (``mpf_log_hypot``, ``mpc_arg``), tiny u
+    the :func:`log1p_mpc` series."""
+    wp, rnd = prec + 32, libmp.round_nearest
+    if isinstance(u, complex):
+        ur, ui = libmp.from_float(u.real), libmp.from_float(u.imag)
+    else:
+        with mpmath.workprec(wp):
+            ur, ui = mpc(u)._mpc_
+    if _mpc_mag(ur, ui) > -16:
+        w = (libmp.mpf_add(ur, libmp.fone, wp, rnd), ui)
+        vr, vi = libmp.mpf_log_hypot(*w, wp, rnd), libmp.mpc_arg(w, wp, rnd) if arg else None
+    else:
+        with mpmath.workprec(wp):
+            vr, vi = log1p_mpc(mpmath.mp.make_mpc((ur, ui)), prec)._mpc_
+    return _frac_of(libmp.mpf_div(vr, libmp.mpf_ln2(wp, rnd), wp, rnd)), vi
+
+
+def log2_abs_1p(u: Union[complex, mpc], prec: int = SIG_BITS) -> Fraction:
+    """log2|1 + u| for a complex or mpc u, |u| < 1, as an exact dyadic: bit
+    for bit the change of rho that ``lp_perturb(z, u, prec)`` makes."""
+    return _log1p_parts(u, prec)[0]
+
+
 def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int = SIG_BITS) -> LogPolar:
     """z * (1 + u) for a complex or mpc u with |u| < 1, at any scale of u.
 
@@ -478,28 +505,13 @@ def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int = SIG_BITS) -> Log
 
     Runs on mpmath's ``libmp`` tuples at prec + 32 bits with round-to-nearest,
     step for step what ``mpmath.log(1 + u)`` divided by ``ln(2)`` and by
-    ``2 * pi`` gives at that precision, bit for bit: 1 + u by ``mpf_add``,
-    the log by ``mpc_log``, the divisions by ``mpf_ln2`` and 2 ``mpf_pi``.
-    Tiny u (|u| < 2**-16) takes the :func:`log1p_mpc` series.  An mpc u is
-    read as ``mpc(u)`` at prec + 32 bits, whatever the caller's working
-    precision, so an mpc carrying that many bits is never cut short.
+    ``2 * pi`` gives at that precision, bit for bit: rho moves by
+    :func:`log2_abs_1p`, theta by the Im part over 2 ``mpf_pi``.
     """
     if z.zero:
         return z
     wp, rnd = prec + 32, libmp.round_nearest
-    if isinstance(u, complex):
-        ur, ui = libmp.from_float(u.real), libmp.from_float(u.imag)
-    else:
-        with mpmath.workprec(wp):
-            ur, ui = mpc(u)._mpc_
-    if ur == libmp.fzero and ui == libmp.fzero:
-        return z
-    if _mpc_mag(ur, ui) > -16:
-        vr, vi = libmp.mpc_log((libmp.mpf_add(ur, libmp.fone, wp, rnd), ui), wp, rnd)
-    else:
-        with mpmath.workprec(wp):
-            vr, vi = log1p_mpc(mpmath.mp.make_mpc((ur, ui)), prec)._mpc_
-    lre = _frac_of(libmp.mpf_div(vr, libmp.mpf_ln2(wp, rnd), wp, rnd))
+    lre, vi = _log1p_parts(u, prec, arg=True)
     lim = _frac_of(libmp.mpf_div(vi, libmp.mpf_shift(libmp.mpf_pi(wp, rnd), 1), wp, rnd))
     return LogPolar(z.rho + lre, Angle(z.theta.turns + lim))
 

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import itertools
 import json
@@ -102,15 +103,19 @@ def _trace_digest(tr, wc) -> str:
 
 
 def test_trace_digests_match_reference():
-    # the stored traces of the benchmark's curves workload: one pullback for
-    # traces, tangents and angles must not move a single exact radius; depth
-    # 6 at k = 2 is the deepest chain the workload draws
+    # every stored trace of the benchmark's curves workload (identity and
+    # phase seeds 1-8): the pullback tree and the per-parent leaf level must
+    # not move a single exact radius; depth 6 at k = 2 is the deepest chain
+    # the workload draws
     ref = json.loads(CURVES_REFERENCE.read_text())["traces"]
-    for phi, k, depth in itertools.product(
-            (IDENT, SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=1)), (1, 2), range(1, 7)):
+    phis = [IDENT] + [SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=s) for s in range(1, 9)]
+    seen = set()
+    for phi, k, depth in itertools.product(phis, (1, 2), range(1, 7)):
         tr = trace_gamma(M5, phi, k, depth, grid=256)
         key = f"{phi.kind}:{getattr(phi, 'phase_seed', 0)}:{k}:{depth}"
         assert _trace_digest(tr, width_check(M5, tr)) == ref[key], key
+        seen.add(key)
+    assert seen == set(ref) and len(seen) == 108
 
 
 @pytest.mark.parametrize("k,depth", [(1, 6), (2, 5)])
@@ -198,20 +203,72 @@ def _distinct_nodes(t, k, depth, grid):
 
 
 @pytest.mark.parametrize("k,depth", [(1, 6), (2, 3)])
-def test_synthetic_tree_applies_phi_once_per_node(k, depth):
-    calls = []
+def test_synthetic_tree_applies_phi_once_per_node(k, depth, monkeypatch):
+    # the steps above the leaves run phi.phi once per node; the leaf level
+    # runs the field once per leaf, its rho part once per parent and
+    # log2|1 + eps| once per leaf
+    calls = {"phi": 0, "eps_at": 0, "rho_part": 0, "log2": 0}
     syn = SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=7)
-    real_phi = syn.phi
-    syn.phi = lambda z, prec: calls.append(1) or real_phi(z, prec)
+
+    def counted(name, fn):
+        def wrapper(*a):
+            calls[name] += 1
+            return fn(*a)
+        return wrapper
+
+    for name in ("phi", "eps_at", "rho_part"):
+        setattr(syn, name, counted(name, getattr(syn, name)))
+    monkeypatch.setattr(curves, "log2_abs_1p", counted("log2", curves.log2_abs_1p))
     trace_gamma(M5, syn, k, depth, grid=256)
     nodes = _distinct_nodes(T5, k, depth, 256)
+    parents = len({i * T5.n(k + 1) % 256 for i in range(256)})  # step-1 nodes
     if (k, depth) == (1, 6):
-        assert nodes == 256 + 4 + 4 * 1
-    assert len(calls) == 2 * nodes  # two seeds
-    # angle_check: one tree of depth n2 + 1 over its samples
-    calls.clear()
+        assert nodes == 256 + 4 + 4 * 1 and parents == 4
+    # two seeds of 256 leaves each
+    assert calls["eps_at"] == 2 * nodes
+    assert calls["phi"] == 2 * (nodes - 256)
+    assert calls["log2"] == 2 * 256
+    assert calls["rho_part"] == 2 * (nodes - 256 + parents)
+    # angle_check: one tree of depth n2 + 1 over its samples, and one
+    # factor (1 + eps)/phi' per distinct node of the steps [n1, n2)
+    calls.update(phi=0, prime=0)
+    syn.phi_prime = counted("prime", syn.phi_prime)
     angle_check(M5, syn, 1, 0, 3, samples=32)
-    assert len(calls) == _distinct_nodes(T5, 1, 4, 32)
+    assert calls["phi"] == _distinct_nodes(T5, 1, 4, 32)
+    assert calls["prime"] == _distinct_nodes(T5, 1, 3, 32) == 34
+
+
+@pytest.mark.parametrize("n1,n2,samples", [(0, 3, 32), (1, 3, 64)])
+def test_angle_check_equals_the_per_sample_products(n1, n2, samples):
+    # the per-node factors give each sample the product of its own chain
+    chains = curves._pullback_tree(M5, SYN, 1, n2 + 1, samples, range(samples),
+                                   Fraction(T5.R_exp(1 + n2 + 2) - 1))
+    worst = 0.0
+    for chain in chains:
+        prod = 1.0 + 0.0j
+        for j in range(n1, n2):
+            prod *= (1.0 + SYN.eps(chain[j])) / SYN.phi_prime(chain[j])
+        worst = max(worst, abs(cmath.phase(prod)))
+    assert angle_check(M5, SYN, 1, n1, n2, samples=samples)[0] == worst > 0.0
+
+
+@pytest.mark.parametrize("jump,fails", [(Fraction(1, 4), False),
+                                        (Fraction(1, 4) + Fraction(1, 1 << 80), True)])
+def test_branch_consistency_compares_exactly(jump, fails, monkeypatch):
+    # a jump past a quarter of a bit between grid neighbours is a branch
+    # error, decided exactly (as floats both jumps read 0.25)
+    inner = []
+
+    def leaf_radii(m, phi, k, depth, grid, seed_rho):
+        inner.append(not inner)
+        return [seed_rho] * (grid - 1) + [seed_rho + (jump if inner[-1] else 0)]
+
+    monkeypatch.setattr(curves, "_leaf_radii", leaf_radii)
+    if fails:
+        with pytest.raises(DomainError, match="branch inconsistency on the inner trace"):
+            trace_gamma(M5, SYN, 1, 1, grid=256)
+    else:
+        trace_gamma(M5, SYN, 1, 1, grid=256)
 
 
 def _pareto_frontier(pairs):
@@ -297,7 +354,7 @@ def test_synthetic_tangent_cauchy_and_limit():
     assert rep.limit_modulus() > 0.0
 
 
-@pytest.mark.parametrize("Cprime,N", [(1.0, 5), (2.0, 8)])
+@pytest.mark.parametrize("Cprime,N", [(1.0, 5), (2.0, 8), (1.0, 10)])
 def test_limit_lower_bound_counts_the_tail(Cprime, N):
     # exp(-S) with S the whole series: no larger than exp of minus a long
     # direct partial sum, which the truncated series alone exceeded
@@ -306,6 +363,8 @@ def test_limit_lower_bound_counts_the_tail(Cprime, N):
     direct = math.fsum(2.0 * Cprime * 2.0 ** (-math.sqrt(k + N) / 4.0)
                        for k in range(200000))
     assert 0.0 < rep.limit_lower_bound(N) <= math.exp(-direct)
+    # and the midpoint-integral tail keeps it tight
+    assert rep.limit_lower_bound(N) >= (1.0 - 1e-5) * math.exp(-direct)
 
 
 def test_angle_checks():

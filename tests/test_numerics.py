@@ -16,6 +16,7 @@ from juliadim.numerics import (
     expm1_lp,
     expm1_series,
     log1p_mpc,
+    log2_abs_1p,
     lp_add,
     lp_perturb,
     lp_sub,
@@ -257,6 +258,22 @@ def test_lp_perturb_equals_the_mpc_path(prec):
                     branches.add(mpmath.mag(mpmath.mpc(u)) > -16)
     assert branches == {True, False}
     assert lp_perturb(LogPolar.zero_point(), 0.25j, prec).is_zero
+
+
+@pytest.mark.parametrize("prec", [128, 2400])
+def test_log2_abs_1p_is_the_rho_step_of_lp_perturb(prec):
+    # one formula for log2|1 + u|: lp_perturb moves rho by exactly it, for
+    # complex and mpc u, on the direct and the |u| < 2^-16 series path
+    rng = random.Random(prec + 1)
+    z = LogPolar(Fraction(rng.getrandbits(80), 1 << 40) - (1 << 39),
+                 Angle(Fraction(rng.getrandbits(64), 1 << 64)))
+    kinds = set()
+    for u in _perturbations(rng, prec):
+        assert lp_perturb(z, u, prec).rho == z.rho + log2_abs_1p(u, prec), u
+        if u != 0:
+            kinds.add((type(u), mpmath.mag(mpmath.mpc(u)) > -16))
+    assert kinds == {(t, d) for t in (complex, mpmath.mpc) for d in (True, False)}
+    assert log2_abs_1p(0j, prec) == 0
 
 
 def test_lp_sub_close_scales():
