@@ -18,7 +18,7 @@ from .config import Config
 from .numerics import Angle, LogPolar, NumericsError
 from .params import (CertificateReport, alpha_beta_window, build_params,
                      check_permissible, verify_inequalities)
-from .report import make_report, pow2_str, render_value, write_csv
+from .report import make_report, pow2_str, render_value, to_json, write_csv
 
 
 def _add_common(sp):
@@ -69,7 +69,7 @@ def cmd_params(args) -> int:
     t = cfg.build_table()
     doc = {"config": cfg.to_dict(), "table": t.table_rows(args.jhi),
            "k0": t.k0}
-    _emit(args, json.dumps(doc, sort_keys=True, indent=1))
+    _emit(args, to_json(doc))
     return 0
 
 
@@ -159,11 +159,11 @@ def cmd_backward(args) -> int:
     # the construction's own verification: raises ItineraryError at the
     # first step off the itinerary, and the printed orbit is the one checked
     z, rec = backward_orbit(m, itinerary, anchor, tol=cfg.tol)
-    _emit(args, json.dumps({
+    _emit(args, to_json({
         "point": render_value(z),
         "regions": rec.region_strs()[:len(itinerary)],
         "classification": str(rec.classification),
-    }, sort_keys=True, indent=1))
+    }))
     return 0
 
 
@@ -201,7 +201,7 @@ def cmd_dims(args) -> int:
     doc = {"config": cfg.to_dict(), "t": td, "reports": reports,
            "layer_checks": [c.to_json_obj()
                             for c in layer_checks(t, td, cfg.Lpp).certificates]}
-    _emit(args, json.dumps(doc, sort_keys=True, indent=1))
+    _emit(args, to_json(doc))
     return 0
 
 

@@ -11,8 +11,9 @@ trace is one pullback chain per seed, not one per grid angle.  Otherwise
 the chains of all grid angles form one tree of (step, angle) nodes, each
 pulled back once, except the grid level: the leaves below one parent
 share its radius and the rho half of the field, so a leaf adds only the
-angle half and log2|1 + eps|.  The width check evaluates only the Pareto
-frontier of the (inner radius, gap) pairs.  The synthetic correction
+angle half and log2|1 + eps|.  The width check keeps the Pareto frontier
+of the (inner radius, gap) pairs, and of it evaluates exactly only the
+pairs a proven float screen cannot rule out.  The synthetic correction
 model perturbs each pullback step by a seeded band-limited field epsilon
 with |epsilon| <= C' omega_p(1/|z|), the only property the downstream
 estimates use.  Its closed-form z-derivative keeps |phi' - 1| below
@@ -164,15 +165,19 @@ class CurveTrace:
         return [Angle(Fraction(i, len(self.inner_radii))) for i in range(len(self.inner_radii))]
 
     def oscillation_log2(self) -> Tuple[float, float]:
-        """(inner, outer) max radial oscillation over theta, in log2 units."""
-        i_osc = float(max(self.inner_radii) - min(self.inner_radii))
-        o_osc = float(max(self.outer_radii) - min(self.outer_radii))
-        return i_osc, o_osc
+        """(inner, outer) max radial oscillation over theta, in log2 units:
+        max - min of the scaled() integers over D, as a correctly rounded
+        int-by-int division (the float of the exact Fraction difference)."""
+        D, inner, outer = self.scaled()
+        return (max(inner) - min(inner)) / D, (max(outer) - min(outer)) / D
 
     def scaled(self) -> Tuple[int, List[int], List[int]]:
-        """(D, inner, outer): the radii times D, the lcm of all denominators."""
-        D = math.lcm(*(r.denominator for r in self.inner_radii + self.outer_radii))
-        def ints(rs): return [r.numerator * (D // r.denominator) for r in rs]
+        """(D, inner, outer): the radii times D, the lcm of all denominators
+        (a trace has few distinct ones: each scale D // d is taken once)."""
+        dens = {r.denominator for r in self.inner_radii + self.outer_radii}
+        D = math.lcm(*dens)
+        scale = {d: D // d for d in dens}
+        def ints(rs): return [r.numerator * scale[r.denominator] for r in rs]
         return D, ints(self.inner_radii), ints(self.outer_radii)
 
 
@@ -290,21 +295,59 @@ class WidthCheck:
         return self.measured_log2 <= self.bound_log2
 
 
+def _width_estimate(dr: int, gap: int, D: int, prec: int):
+    """(F, margin) with |F - (w - r0)| <= margin, where w is the width
+    r_in + log2(2**gap - 1) of the pair r_in = r0 + dr/D, gap/D as
+    width_check computes it exactly; None when the floats may leave their
+    normal range (see width_check)."""
+    g = gap / D
+    if not 2.0 ** -1000 < g < 1000.0 or -dr >= D << 64:
+        return None
+    x = dr / D
+    h = math.log2(math.expm1(g * LN2))
+    return x + h, (2.0 ** -40 + 2.0 ** -(prec + 15)) * (1.0 - x + abs(h) + g)
+
+
 def width_check(m: ModelMap, trace: CurveTrace) -> WidthCheck:
     """Max linear width of the traced annulus against the contraction bound
     8**(m-1) R_{k+1} / (n_{k+1} ... n_{k+m}).
 
     The width of a radius pair is w = r_in + log2(2**gap - 1), gap = r_out
     - r_in, which increases in r_in and in gap.  So a pair with another
-    pair at r_in' >= r_in and gap' >= gap cannot hold the maximum, and w is
-    evaluated only on the Pareto frontier of the distinct pairs: in order
-    of decreasing r_in, each pair whose gap beats every gap before it.  (The
-    computed log2(2**gap - 1) is rounded at prec + 32 bits, so it could
-    break that order only for two gaps within a few units of that
-    precision; the tests compare the frontier maximum with the all-pairs
-    one.)  The pairs are deduplicated and ordered as integers over one
-    denominator (CurveTrace.scaled).  An identity trace has a single pair,
-    a synthetic one about 24 frontier pairs of 256.
+    pair at r_in' >= r_in and gap' >= gap cannot hold the maximum: only the
+    Pareto frontier of the distinct pairs is kept, in order of decreasing
+    r_in, each pair whose gap beats every gap before it.  (The computed
+    log2(2**gap - 1) is rounded at prec + 32 bits, so it could break that
+    order only for two gaps within a few units of that precision; the
+    tests compare the frontier maximum with the all-pairs one.)  The pairs
+    are deduplicated and ordered as integers over one denominator
+    (CurveTrace.scaled).
+
+    A float screen then leaves for the exact pow2_minus1_log2 only the
+    frontier pairs that may hold the maximum of the exact values E.  Per
+    pair, with r0 the largest r_in, X = (r_in - r0)/D, G = gap/D and H =
+    log2(2**G - 1), it takes x = fl(X), g = fl(G) (int-by-int divisions,
+    correctly rounded), h = log2(expm1(g LN2)) and F = fl(x + h).  Let u =
+    2**-53, and assume libm's log (for LN2), expm1 and log2 within 2**-45
+    relative of the true values (256 units in the last place; glibc
+    documents at most 2).  Then:
+      - |x - X| <= u |X|, or an absolute 2**-1075 if x is subnormal;
+      - g LN2 is G ln 2 (1 + d) with |d| <= 2**-45 + 3u.  As a function of
+        ln y, log2(expm1 y) has slope y e**y / ((e**y - 1) ln 2) <= (1 +
+        y)/ln 2, so d moves H by at most 2**-44 (1 + G);
+      - expm1's error moves h by at most 2**-44, log2's by 2**-45 |h|;
+      - the last sum adds u |x + h|.
+    In all |F - (X + H)| <= 2**-43 (1 + |x| + |h| + g).  The exact value
+    is computed at prec + 32 bits: a few roundings of G ln 2, expm1 and
+    log(v, 2), each within a few units at that precision, so with 2**12
+    units to spare |E - r0/D - (X + H)| <= 2**-(prec+16) (2 + |h| + g).
+    The margin (2**-40 + 2**-(prec+15)) (1 + |x| + |h| + g) covers both,
+    so |F - (E - r0/D)| <= margin, and a pair whose F + margin is below
+    F' - margin' of another pair has E < E': it is skipped.  The floats
+    stay normal and finite while 2**-1000 < g < 1000 and |x| < 2**64; a
+    pair outside that range is always evaluated exactly.  On the
+    synthetic traces of phase seeds 1-8 the screen leaves 1 to 3 of about
+    24 frontier pairs; an identity trace has a single pair.
     """
     t = m.table
     k, depth = trace.k, trace.m
@@ -317,8 +360,12 @@ def width_check(m: ModelMap, trace: CurveTrace) -> WidthCheck:
         if gap > best_gap:
             best_gap = gap
             frontier.append((r_in, gap))
+    r0 = frontier[0][0]
+    est = [_width_estimate(r_in - r0, gap, D, m.prec) for r_in, gap in frontier]
+    floor = max((f - e for f, e in filter(None, est)), default=-math.inf)
     measured_log2 = max(Fraction(r_in, D) + pow2_minus1_log2(Fraction(gap, D), m.prec)
-                        for r_in, gap in frontier)
+                        for (r_in, gap), fe in zip(frontier, est)
+                        if fe is None or fe[0] + fe[1] >= floor)
     bound_log2 = Fraction(3 * (depth - 1) + t.R_exp(k + 1)
                           - sum(t.N + k + i - 1 for i in range(1, depth + 1)))
     return WidthCheck(measured_log2, bound_log2)

@@ -49,19 +49,22 @@ SQRT8 = 2.0 * math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Certificate:
+    """One report row.  lhs and rhs keep the exact int, Fraction or str
+    they were given; they are rendered with str() only when a report is
+    emitted (to_json_obj, report.certificates_json)."""
     name: str
     index: Optional[int]
     passed: bool
-    lhs: str
-    rhs: str
+    lhs: object
+    rhs: object
     note: str = ""
 
     def to_json_obj(self) -> dict:
         return {
             "name": self.name,
             "index": self.index,
-            "lhs_exponent": self.lhs,
-            "rhs_exponent": self.rhs,
+            "lhs_exponent": str(self.lhs),
+            "rhs_exponent": str(self.rhs),
             "pass": self.passed,
             **({"note": self.note} if self.note else {}),
         }
@@ -85,8 +88,10 @@ class CertificateReport:
     certificates: List[Certificate] = field(default_factory=list)
 
     def add(self, name, index, passed, lhs, rhs, note=""):
-        """Append a row; an exact exponent (int or Fraction) that may pass
-        the decimal conversion limit raises DomainError naming the row."""
+        """Append a row, keeping lhs and rhs as given (Certificate).  An
+        exact exponent (int or Fraction) that may pass the decimal
+        conversion limit raises DomainError naming the row here, at add
+        time, although it is rendered only when the report is emitted."""
         bits = 0
         for v in (lhs, rhs):  # type(), not isinstance: an ABC check per row is slow
             if type(v) is int:
@@ -98,7 +103,7 @@ class CertificateReport:
             raise DomainError(
                 f"row {name}[{index}] of {self.title!r}: a {bits}-bit exponent "
                 f"may pass the {limit}-digit limit of decimal conversion")
-        self.certificates.append(Certificate(name, index, bool(passed), str(lhs), str(rhs), note))
+        self.certificates.append(Certificate(name, index, bool(passed), lhs, rhs, note))
 
     @property
     def all_pass(self) -> bool:
@@ -264,14 +269,16 @@ def verify_inequalities(t: ParamTable) -> CertificateReport:
         rep.add("ring_tower", k, Re >= (1 << (k + N - 2)), Re, 1 << (k + N - 2))
         rep.add("ring_quad", k, t.R_exp(k + 1) >= 2 + 2 * Re, t.R_exp(k + 1), 2 + 2 * Re)
 
-    # exact degree identities
+    # exact degree identities, the sums kept running
+    total = 1 << N
     for k in range(1, klim + 1):
         rep.add("degree_double", k, 2 * t.n(k) == t.n(k + 1), 2 * t.n(k), t.n(k + 1))
-        total = (1 << N) + sum(t.n(j) for j in range(1, k + 1))
+        total += t.n(k)    # 2**N + n_1 + ... + n_k
         rep.add("degree_sum", k, total == t.n(k + 1), total, t.n(k + 1))
+    msum = 1
     for k in range(2, klim + 1):
-        msum = sum(1 << j for j in range(0, k - 1))
         rep.add("degree_partial_sum", k, msum == (1 << (k - 1)) - 1, msum, (1 << (k - 1)) - 1)
+        msum += 1 << (k - 1)   # M_0 + ... + M_{k-1}, for the next k
 
     # recursion identity: r_{j+1} * 2**M_j == c_j * r_j**M_j, exactly
     for j in range(1, J):

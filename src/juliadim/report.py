@@ -3,6 +3,7 @@
 Schema: {"config": {...}, "certificates": [{name, index, pass, lhs, rhs}],
 "summaries": {...}}.  A magnitude kept as its exact log2 renders through
 pow2_str as an 'm x2^e' string with a decimal exponent of arbitrary length.
+Every indented JSON document is written by to_json.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from typing import Iterable, List, Optional
 
@@ -18,6 +20,60 @@ import mpmath
 from .config import Config
 from .numerics import LogPolar, frac_to_mpf, mpf_to_frac
 from .params import CertificateReport
+
+
+# one-line encoder (json's C encoder: indent is None) whose item separator
+# leaves a newline for to_json to indent
+_encode = json.JSONEncoder(sort_keys=True, separators=(",\n", ": ")).encode
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat(obj) -> bool:
+    """obj's items are all scalars of the exact JSON types."""
+    return _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj))
+
+
+def to_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=1), byte for byte.
+
+    json's indented encoder is pure Python.  Here a container whose items
+    are all scalars (a table row, a list of numbers) is encoded in one
+    call of the C encoder, with a newline after each separator; a JSON
+    string never holds a raw newline, so indenting is replacing each
+    newline by a newline and the container's indent.  A list of such
+    dicts (the certificate rows) is one call too: there "}," followed by
+    a newline and "{" occurs only between two rows, where the rows' own
+    indent goes.  Other containers are spliced from their items' texts.
+    """
+    return _to_json(obj, "\n")
+
+
+def _to_json(obj, nl: str) -> str:
+    """obj at the indent of nl, a newline and one space per level."""
+    if isinstance(obj, dict):
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+    else:
+        return _encode(obj)
+    if not obj:
+        return brackets
+    inner = nl + " "
+    if _flat(obj):
+        body = _encode(obj)[1:-1].replace("\n", inner)
+    elif brackets == "[]" and all(type(r) is dict and r and _flat(r) for r in obj):
+        item = inner + " "
+        rows = _encode(obj)[2:-2].replace("\n", item)
+        body = ("{" + item + rows.replace("}," + item + "{", inner + "}," + inner + "{" + item)
+                + inner + "}")
+    elif brackets == "[]":
+        body = ("," + inner).join(_to_json(v, inner) for v in obj)
+    elif all(isinstance(key, str) for key in obj):
+        body = ("," + inner).join(f"{encode_basestring_ascii(key)}: {_to_json(v, inner)}"
+                                  for key, v in sorted(obj.items()))
+    else:  # json's own rendering of non-string keys
+        return json.dumps(obj, sort_keys=True, indent=1).replace("\n", nl)
+    return brackets[0] + inner + body + nl + brackets[1]
 
 
 def pow2_str(log2) -> str:
@@ -59,8 +115,8 @@ def certificates_json(reports: Iterable[CertificateReport]) -> List[dict]:
                 "name": c.name,
                 "index": c.index,
                 "pass": c.passed,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
+                "lhs": str(c.lhs),
+                "rhs": str(c.rhs),
                 **({"note": c.note} if c.note else {}),
             })
     return out
@@ -73,7 +129,7 @@ def make_report(cfg: Config, reports: Iterable[CertificateReport],
         "certificates": certificates_json(reports),
         "summaries": summaries or {},
     }
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return to_json(doc)
 
 
 def write_csv(path, header: List[str], rows: Iterable[Iterable]) -> None:

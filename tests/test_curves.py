@@ -11,6 +11,7 @@ import pytest
 from juliadim import curves
 from juliadim.config import Config
 from juliadim.curves import (
+    CurveTrace,
     Identity,
     SyntheticOmega,
     angle_check,
@@ -271,14 +272,10 @@ def test_branch_consistency_compares_exactly(jump, fails, monkeypatch):
         trace_gamma(M5, SYN, 1, 1, grid=256)
 
 
-def _pareto_frontier(pairs):
-    # the pairs that no other pair matches or beats in both r_in and gap
-    return [(r, g) for r, g in pairs
-            if not any(r2 >= r and g2 >= g and (r2, g2) != (r, g) for r2, g2 in pairs)]
-
-
-@pytest.mark.parametrize("phase_seed", [1, 2])
+@pytest.mark.parametrize("phase_seed", range(1, 9))
 def test_width_check_frontier_equals_all_pairs(phase_seed, monkeypatch):
+    # the Pareto frontier and the float screen keep the all-pairs exact
+    # maximum, and the screen leaves at most 3 pairs to the exact evaluation
     syn = SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=phase_seed)
     widths = []
     real_width = curves.pow2_minus1_log2
@@ -290,7 +287,29 @@ def test_width_check_frontier_equals_all_pairs(phase_seed, monkeypatch):
         all_pairs = max(r + real_width(g, M5.prec) for r, g in pairs)
         widths.clear()
         assert width_check(M5, tr).measured_log2 == all_pairs, (k, depth)
-        assert len(widths) == len(_pareto_frontier(pairs)) < len(pairs)
+        assert 1 <= len(widths) <= 3, (k, depth)
+
+
+def test_width_screen_evaluates_pairs_closer_than_its_margin(monkeypatch):
+    # two frontier pairs over one D whose exact widths differ by at most
+    # 1/D = 2**-80, far below the float error: the screen cannot order
+    # them, so both are evaluated exactly, whichever float is larger
+    D = 1 << 80
+    real_width = curves.pow2_minus1_log2
+    widths = []
+    monkeypatch.setattr(curves, "pow2_minus1_log2",
+                        lambda *a: widths.append(1) or real_width(*a))
+    for g1, g2, r1 in ((D // 3, D // 5, 10 * D), (D // 2, D // 7, -3 * D), (D >> 40, D >> 41, D),
+                       (3 * D, 2 * D + 12345, 700 * D)):
+        exact = [real_width(Fraction(g, D), M5.prec) for g in (g1, g2)]
+        r2 = r1 + round((exact[0] - exact[1]) * D)      # r2 > r1, gap g2 < g1
+        want = max(Fraction(r1, D) + exact[0], Fraction(r2, D) + exact[1])
+        assert abs(Fraction(r1, D) + exact[0] - Fraction(r2, D) - exact[1]) <= Fraction(1, D)
+        tr = CurveTrace(k=1, m=1, inner_radii=[Fraction(r1, D), Fraction(r2, D)],
+                        outer_radii=[Fraction(r1 + g1, D), Fraction(r2 + g2, D)])
+        widths.clear()
+        assert width_check(M5, tr).measured_log2 == want
+        assert len(widths) == 2, (g1, g2)
 
 
 def test_width_check_refuses_inverted_radii():

@@ -253,6 +253,24 @@ def test_itinerary_precision_per_suffix():
     assert all(a >= b for a, b in zip(need, need[1:]))
 
 
+def test_backwards_step_0_image_at_need_1_bits():
+    # need[0] counts step 0's own amplification, but the error of step 0's
+    # evaluation is amplified only from step 1 on: f(z_0) of the seed-1
+    # backwards point at need[1] bits already agrees with f(z_0) at need[0]
+    # bits far below step 1's resolution (measured: 2**-22290 in rho,
+    # 2**-405 in turns)
+    import dataclasses
+    itin, anchor = _construction_shapes(1)["backwards"]
+    z = backward_construct(M5, itin, anchor, tol=TOL, budget_bits=1 << 16)
+    need = itinerary_precision(M5, _normalize_itinerary(itin))
+    lo, _ = dataclasses.replace(M5, prec=need[1], guard=need[1]).eval(z)
+    hi, _ = dataclasses.replace(M5, prec=need[0], guard=need[0]).eval(z)
+    tol = Fraction(1, 1 << (need[1] - 16))
+    assert (need[0], need[1]) == (22683, 387)
+    assert abs(lo.rho - hi.rho) <= tol
+    assert lo.theta.dist(hi.theta) <= tol
+
+
 def test_backwards_verification_runs_only_step_0_above_1024_bits(monkeypatch):
     # the construction runs at need[0] = 22683 bits; the re-verification
     # takes step 0's image from the construction's Newton polish, evaluates

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -13,6 +15,7 @@ from juliadim.params import (
     omega_from_rho,
     verify_inequalities,
 )
+from juliadim.report import certificates_json
 
 
 # hand recurrence oracle on (e_j, eps_j): e' = eps + M(e-1), eps' = eps - M e
@@ -74,19 +77,35 @@ def test_inequality_suite_passes(N):
     assert rep.all_pass, [c for c in rep.failures()][:5]
 
 
+# sha256 of the rendered (name, index, pass, lhs, rhs) rows, first 24 hex
+# digits, recorded while every row was rendered to str when added
+GROWTH_ROW_PINS = {5: (856, "0dff1f3831083ad2a519815c"),
+                   10: (888, "73fd3dad89d5dc18432c3415"),
+                   14: (912, "93debe8aed02bde3224d83a4")}
+
+
+@pytest.mark.parametrize("N", sorted(GROWTH_ROW_PINS))
+def test_growth_rows_are_pinned(N):
+    rows = [[c["name"], c["index"], c["pass"], c["lhs"], c["rhs"]]
+            for c in certificates_json([verify_inequalities(build_params(N, 64))])]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:24]
+    assert (len(rows), digest) == GROWTH_ROW_PINS[N]
+
+
 def test_specific_certificates():
     t = build_params(5, 16)
     rep = verify_inequalities(t)
     by = {(c.name, c.index): c for c in rep.certificates}
+    # rows keep the exact exponents; they render only when emitted
     # c_4 r_4^16 = 2^768 >= r_4^9 = 2^504
     c = by[("coef_power_lower", 4)]
-    assert c.passed and c.lhs == "768" and c.rhs == "504"
+    assert c.passed and (c.lhs, c.rhs) == (768, 504)
     # sqrt(r_3) >= r_2 holds with equality: 12 = 2*6
     c = by[("sqrt_growth", 2)]
-    assert c.passed and c.lhs == "12" and c.rhs == "12"
+    assert c.passed and (c.lhs, c.rhs) == (12, 12)
     # r_6 >= 2^(2^5): 23008 >= 32
     c = by[("tower_growth", 5)]
-    assert c.passed and c.lhs == "23008" and c.rhs == "32"
+    assert c.passed and (c.lhs, c.rhs) == (23008, 32)
 
 
 def test_recursion_identity_is_exact():
