@@ -498,7 +498,28 @@ def dilatation_integral(t: ParamTable, r_log2: int) -> DilatationIntegral:
 
         sum_j pi ((r_j/(r_j-1))**2 e**(2 pi/M_j) - 1)  ~  (1/2)**j(r),
 
-    compared against omega_1(r)."""
+    compared against omega_1(r).
+
+    The sum runs over the built rings and stops early at a summand below
+    2**-70; the rings i >= j that it leaves are covered by the tail
+    4.4 pi**2 / M_j.  Proof, with x_i = 2 pi / M_i, r_i = 2**e_i and
+    b_i = (1 - 2**-e_i)**-2:
+
+    * j >= 6: the loop leaves either at j = jmax + 1 >= N + 4 >= 9, or at a
+      summand below 2**-70, which needs 2 pi**2 / M_j < 2**-70, so j >= 75.
+    * e_i >= i + 4 for i >= 2, beyond the table too: the two recursions of
+      ``build_params`` give e_{i+1} = (M_i + 1) e_i - M_i - M_{i-1}
+      (2 e_{i-1} - 1), so e_{i+1} >= (2**i - 3) e_i - 2**i >= 2**(i-1) e_i
+      by induction from e_3 = 12, e_4 = 56 (e_2 = 6).
+    * For i >= 6, x_i <= pi/32 < 0.0982, so e**x_i - 1 <= x_i (1 + x_i
+      e**x_i / 2) <= 1.0542 x_i; and b_i - 1 = d (2 - d)/(1 - d)**2 <= 3.56 d
+      for d = 2**-e_i <= 1/4, so (b_i - 1) e**x_i <= 3.56 * 1.1032 / 16 *
+      2**-i <= 0.0395 x_i.  Hence b_i e**x_i - 1 <= 1.0937 x_i and the
+      summand pi (b_i e**x_i - 1) is at most 1.1 pi x_i = 2.2 pi**2 / M_i.
+    * sum_{i >= j} 2.2 pi**2 / 2**i = 4.4 pi**2 / 2**j.  The factor 1.1
+      leaves 0.5 % over 1.0937, far above the float rounding of
+      ``4.4 * pi**2 / 2**j``; past j = 1060 the divisor stays 2**1060,
+      which only widens the tail."""
     if r_log2 >= 0:
         raise DomainError("need 0 < r < 1")
     j_start = None
@@ -520,7 +541,7 @@ def dilatation_integral(t: ParamTable, r_log2: int) -> DilatationIntegral:
         if summand < 2.0 ** -70:
             break
         j += 1
-    # geometric tail over the remaining rings: summand_j <= 2.2 pi^2 / M_j
+    # geometric tail over the remaining rings (proof above): summand_i <= 2.2 pi^2 / M_i
     tail = 4.4 * math.pi ** 2 / (1 << min(j, 1060))
     om1 = omega_from_rho(1.0, -r_log2)
     return DilatationIntegral(r_log2=r_log2, j_start=j_start,

@@ -267,9 +267,3 @@ def min_N_for_dimension(tdim: float, Lpp: float = 10.0,
         return N
     return None
 
-
-def hausdorff_sum_log2(diams_log2: List[Fraction], tdim: float) -> float:
-    """log2 of sum(diam**t) over diameters given by their exact log2,
-    accumulated in log space."""
-    tf = _tfrac(tdim)
-    return log_sum_terms([tf * d for d in diams_log2])

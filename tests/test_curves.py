@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from juliadim import curves
@@ -424,6 +425,27 @@ def test_dilatation_integral_summand_shape():
     first = math.pi * (math.exp(2 * math.pi / (1 << di.j_start)) - 1.0)
     assert di.I_estimate >= first
     assert di.I_estimate <= 2.2 * first + di.tail_bound + 1e-9
+
+
+@pytest.mark.parametrize("N", [5, 10])
+def test_dilatation_tail_bounds_the_remaining_rings(N):
+    # the loop runs out of built rings (no summand falls below 2^-70 by
+    # jmax), so the tail 4.4 pi^2 / M_j covers the rings j = jmax + 1, ...;
+    # a table 64 rings longer has the same exponents and holds them
+    t, ext = build_params(N, 12), build_params(N, 12 + 64)
+    assert ext.e[:t.jmax + 1] == t.e
+    j = t.jmax + 1
+    tail = 4.4 * math.pi ** 2 / (1 << j)
+    for r_log2 in (-(2 ** 4), -(2 ** 10), -(2 ** 14)):
+        assert dilatation_integral(t, r_log2).tail_bound == tail
+    with mpmath.workprec(128):
+        pi = mpmath.pi
+        rings = mpmath.fsum(pi * ((1 - mpmath.mpf(2) ** -ext.r_exp(i)) ** -2
+                                  * mpmath.exp(2 * pi / (1 << i)) - 1)
+                            for i in range(j, ext.jmax + 1))
+        # past ext.jmax each summand is below 4 pi^2 / M_i
+        rest = 8 * pi ** 2 / (1 << ext.jmax)
+        assert 0.9 * tail < rings + rest <= tail
 
 
 def test_backward_point_sits_inside_traced_annulus():

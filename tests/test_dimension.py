@@ -1,13 +1,10 @@
 import json
 from fractions import Fraction
 from pathlib import Path
-from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from juliadim.dimension import (
-    hausdorff_sum_log2,
     holesum_eval,
     layer_checks,
     min_N_for_dimension,
@@ -104,34 +101,6 @@ def test_min_N_values_and_monotonicity():
                         and holesum_eval(tm, tdim).converges
                         and layer_checks(tm, tdim).all_pass
                         and z2_tail(tm, 1, tdim).converges)
-
-
-def test_hausdorff_sum_trivials():
-    d = -3  # log2 of 0.125
-    assert abs(2.0 ** hausdorff_sum_log2([d], 1.0) - 0.125) < 1e-12
-    assert abs(2.0 ** hausdorff_sum_log2([d] * 7, 0.5) - 7 * 0.125 ** 0.5) < 1e-12
-
-
-def test_hausdorff_sum_petal_family():
-    # n_k petals of diameter 2 R_k 2^-n_k: log2 sum = (N+k-1) + t(1 + e - n_k)
-    k, tdim = 2, 0.25
-    nk = T5.n(k)
-    diam = T5.R_exp(k) + 1 - nk
-    got = hausdorff_sum_log2([diam] * nk, tdim)
-    want = (5 + k - 1) + tdim * (1 + T5.R_exp(k) - nk)
-    assert abs(got - want) < 1e-6
-
-
-@settings(max_examples=60)
-@given(st.lists(st.integers(min_value=-300, max_value=100), min_size=1, max_size=24),
-       st.floats(min_value=0.05, max_value=1.5))
-def test_hausdorff_sum_reordering_invariant(exps, tdim):
-    rng = Random(7)
-    a = hausdorff_sum_log2(exps, tdim)
-    shuffled = exps[:]
-    rng.shuffle(shuffled)
-    b = hausdorff_sum_log2(shuffled, tdim)
-    assert abs(a - b) < 1e-9
 
 
 def test_tail_overestimate_stability():

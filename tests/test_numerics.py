@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import libmp
 
 from juliadim.numerics import (
     Angle,
@@ -274,6 +275,117 @@ def test_log2_abs_1p_is_the_rho_step_of_lp_perturb(prec):
             kinds.add((type(u), mpmath.mag(mpmath.mpc(u)) > -16))
     assert kinds == {(t, d) for t in (complex, mpmath.mpc) for d in (True, False)}
     assert log2_abs_1p(0j, prec) == 0
+
+
+# log2|1 + u| for |u| >= 2^-16: the integer kernel against mpmath ------------
+
+def _log2_abs_1p_ref(u, prec):
+    # mpmath 1.3.0's own steps: mpf_log_hypot of w = (1 + Re u rounded at
+    # wp, Im u), over mpf_ln2, at wp = prec + 32 bits, rounded to nearest
+    wp, rnd = prec + 32, libmp.round_nearest
+    with mpmath.workprec(wp):
+        u = mpmath.mpc(u)
+        assert 0 < abs(u) < 1 and mpmath.mag(u) > -16
+        ur, ui = u._mpc_
+    w = libmp.mpf_add(ur, libmp.fone, wp, rnd)
+    v = libmp.mpf_div(libmp.mpf_log_hypot(w, ui, wp, rnd), libmp.mpf_ln2(wp, rnd), wp, rnd)
+    return _mpf_to_frac_ref(mpmath.mp.make_mpf(v))
+
+
+def _wide(re, im, prec, bits):
+    # re + i im as an mpc carrying prec + 32 bits, each part times
+    # (1 + bits 2^-prec)
+    with mpmath.workprec(prec + 32):
+        f = 1 + mpmath.mpf(bits) / 2 ** prec
+        return mpmath.mpc(mpmath.mpf(re) * f, mpmath.mpf(im) * f)
+
+
+def _on_circle(theta, prec):
+    # e^(i theta) - 1 at prec + 32 bits: |1 + u| = 1 but for rounding
+    with mpmath.workprec(prec + 32):
+        return mpmath.expj(theta) - 1
+
+
+def _dyadic(re, im):
+    # the mpc (re[0] 2^re[1]) + i (im[0] 2^im[1]), exact
+    with mpmath.workprec(max(abs(re[0]).bit_length(), abs(im[0]).bit_length())):
+        return mpmath.mpc(mpmath.ldexp(*re), mpmath.ldexp(*im))
+
+
+def _near_circle(x, y, k):
+    # x/2^k - 1 + i y/2^k, exact in k bits, with x^2 + y^2 close to 4^k
+    with mpmath.workprec(k):
+        return mpmath.mpc(mpmath.ldexp(x - (1 << k), -k), mpmath.ldexp(y, -k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([128, 2400]), st.sampled_from(["both", "re", "im", "lopsided"]),
+       st.integers(min_value=-15, max_value=0), st.integers(min_value=-1074, max_value=0),
+       st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+       st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+       st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]), st.booleans(),
+       st.integers(min_value=0, max_value=(1 << 128) - 1), st.booleans())
+def test_log2_abs_1p_kernel_matches_mpf_log_hypot(prec, shape, e1, e2, a, b, signs, swap,
+                                                  bits, as_mpc):
+    # one part at least 2^-16 (the direct branch); the other as large, absent,
+    # or anywhere down to the float range
+    e2 = {"both": max(e2 // 64, -15), "lopsided": e2}.get(shape)
+    re, im = signs[0] * math.ldexp(a, e1), (signs[1] * math.ldexp(b, e2) if e2 is not None else 0.0)
+    if shape == "im" or swap:
+        re, im = im, re
+    u = complex(re, im)
+    assume(abs(u) < 1)
+    if as_mpc:
+        u = _wide(re, im, prec, bits)
+    assert log2_abs_1p(u, prec) == _log2_abs_1p_ref(u, prec), u
+
+
+@pytest.mark.parametrize("prec, case", [
+    (p, c) for p in (128, 2400) for c in (
+        "im zero", "im zero below", "re zero", "re rounds away", "re-sum", "re-sum float",
+        "h2 < 1/2", "h2 = 1/2", "h2 near 1/4", "h2 >= 2", "just above 2^-16",
+        "parts just above 2^-17", "im far below re")
+] + [(2400, "past LOG_TAYLOR_PREC"),
+     (128, "cancellation past wp + 20"), (128, "sum rounded down, not up"),
+     (128, "sum rounded down, not to nearest"), (128, "mpf_add shortcut")])
+def test_log2_abs_1p_kernel_pinned(prec, case):
+    wp = prec + 32
+    u = {
+        "im zero": complex(0.75, 0.0),
+        "im zero below": complex(-0.3, 0.0),
+        "re zero": complex(0.0, 0.6),
+        # 1 + Re u needs more than wp bits
+        "re rounds away": _wide(mpmath.ldexp(-1.2345, -(wp + 40)), 0.3, prec, 1),
+        # |1 + u|^2 within 2^-11 of 1: summed again exactly
+        "re-sum": _on_circle(0.5, prec),
+        "re-sum float": complex(math.cos(0.5) - 1, math.sin(0.5)),
+        "h2 < 1/2": complex(-0.4, -0.3),
+        "h2 = 1/2": complex(-0.5, 0.5),
+        # mpf_log measures the cancellation of x in [1/4, 1/2) from 1/4
+        "h2 near 1/4": complex(-0.5, 2.0 ** -30),
+        "h2 >= 2": complex(0.4, 0.3),
+        "just above 2^-16": complex(2.0 ** -16, 0.0),
+        "parts just above 2^-17": complex(1.5 * 2.0 ** -17, -1.5 * 2.0 ** -17),
+        # Im u^2 more than wp + 24 bits and its exponent more than 100 below
+        # (1 + Re u)^2: mpf_add's shortcut
+        "im far below re": _wide(0.3, mpmath.ldexp(1, -(wp + 60)), prec, 3),
+        # cancellation widens the log past LOG_TAYLOR_PREC: libmp.mpf_log
+        "past LOG_TAYLOR_PREC": _on_circle(0.3, prec),
+        # |1 + u|^2 - 1 below 2^-(wp + 20) relative: mpf_log returns x - 1
+        "cancellation past wp + 20": _near_circle(0xfae54b89c3f93550b089f608613dd9560a2507f3,
+                                                  0x32ddb5f34f889d58e35caae5fb25a0cbc08ca09d, 160),
+        # found by search: the sum of squares rounded up, or to nearest, at
+        # wp + 20 bits moves the result; so does adding Im u^2 exactly where
+        # mpf_add adds one unit below the larger square
+        "sum rounded down, not up": _dyadic((-39922822776179225266553399275572314802930098911, -160),
+                                            (-170765700351065549295391407270779898099971319621, -159)),
+        "sum rounded down, not to nearest": _dyadic(
+            (-30532997711475142271803923387098422027347122583, -160),
+            (602746190458258678790527227482343236783260292381, -161)),
+        "mpf_add shortcut": _dyadic((-1067172944637529865914337119722883991903427471367, -170),
+                                    (623726742995216117986538929365530013683, -222)),
+    }[case]
+    assert log2_abs_1p(u, prec) == _log2_abs_1p_ref(u, prec), u
 
 
 def test_lp_sub_close_scales():
