@@ -11,7 +11,13 @@ trace is one pullback chain per seed, not one per grid angle.  Otherwise
 the chains of all grid angles form one tree of (step, angle) nodes, each
 pulled back once, except the grid level: the leaves below one parent
 share its radius and the rho half of the field, so a leaf adds only the
-angle half and log2|1 + eps|.  The width check keeps the Pareto frontier
+angle half and log2|1 + eps|.  Radii stay integers from there on: the
+integer kernel ``numerics.log2_abs_1p_int`` gives each leaf's log as
+q 2**e, its ln 2 constant taken once per trace, and the leaf adds q to its
+parent's dyadic radius over one power-of-two denominator D per trace.  A
+CurveTrace stores only (D, inner, outer); the branch check, the width
+check and the oscillation read those integers, and Fraction radii are
+derived once, on first use.  The width check keeps the Pareto frontier
 of the (inner radius, gap) pairs, and of it evaluates exactly only the
 pairs a proven float screen cannot rule out.  The synthetic correction
 model perturbs each pullback step by a seeded band-limited field epsilon
@@ -27,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import Iterable, List, Tuple
 
@@ -35,7 +42,9 @@ from .numerics import (
     DomainError,
     LogPolar,
     const_log2_frac,
-    log2_abs_1p,
+    dyadic_parts,
+    ln2_rounded,
+    log2_abs_1p_int,
     lp_perturb,
     pow2_minus1_log2,
 )
@@ -106,9 +115,11 @@ class SyntheticOmega:
         ri = rho.numerator // rho.denominator
         return self.Cprime * omega_from_rho(self.p, ri, float(rho - ri))
 
-    def rho_part(self, rho: Fraction) -> Tuple[float, List[float]]:
-        """The half of the field that depends on rho alone: the amplitude a
-        and each mode's phase frac(rho * mult)."""
+    def rho_part(self, rho: Fraction) -> Tuple[float, complex, tuple]:
+        """The half of the field that depends on rho alone: the amplitude a,
+        the frequency-0 mode, and (weight, frequency, frac(rho * mult),
+        phase) of the other modes.  The frequency-0 mode is the same float at
+        every angle: 0 * th = 0.0 for th in [0, 1), so it is taken at 0.0."""
         num, den = rho.numerator, rho.denominator
         a = self.SHAPE * min(self._envelope(rho), self.CAP)
         rho_phases = []
@@ -117,16 +128,21 @@ class SyntheticOmega:
             # the correctly rounded float of the exact fraction
             d = den * mult.denominator
             rho_phases.append(num * mult.numerator % d / d)
-        return a, rho_phases
+        modes = tuple(zip(self.weights, self.freqs, rho_phases, self.phases))
+        w, fq, rp, ph = modes[0]
+        return a, w * cmath.exp(1j * (TWO_PI * (fq * 0.0 + rp) + ph)), modes[1:]
 
-    def _modes(self, rho_phases: List[float], th: float) -> List[complex]:
-        return [w * cmath.exp(1j * (TWO_PI * (fq * th + rp) + ph))
-                for w, fq, rp, ph in zip(self.weights, self.freqs, rho_phases, self.phases)]
+    @staticmethod
+    def _modes(part: Tuple[float, complex, tuple], th: float) -> List[complex]:
+        """The modes of the phase field at th turns on the circle whose
+        rho_part is part."""
+        _, mode0, rest = part
+        return [mode0] + [w * cmath.exp(1j * (TWO_PI * (fq * th + rp) + ph))
+                          for w, fq, rp, ph in rest]
 
-    def eps_at(self, part: Tuple[float, List[float]], th: float) -> complex:
+    def eps_at(self, part: Tuple[float, complex, tuple], th: float) -> complex:
         """eps at th turns on the circle whose rho_part is part."""
-        a, rho_phases = part
-        return a * sum(self._modes(rho_phases, th))
+        return part[0] * sum(self._modes(part, th))
 
     def eps(self, z: LogPolar) -> complex:
         return self.eps_at(self.rho_part(z.rho), float(z.theta.turns))
@@ -137,8 +153,8 @@ class SyntheticOmega:
     def phi_prime(self, z: LogPolar) -> complex:
         """1 + eps + z eps_z with the Wirtinger derivative in closed form:
         z eps_z = eps_rho / (2 ln 2) + eps_theta / (4 pi i)."""
-        a, rho_phases = self.rho_part(z.rho)
-        modes = self._modes(rho_phases, float(z.theta.turns))
+        part = self.rho_part(z.rho)
+        a, modes = part[0], self._modes(part, float(z.theta.turns))
         u = sum(modes)
         du_drho = sum(1j * TWO_PI * rf / self.RHO_SCALE * mode
                       for rf, mode in zip(self.rho_freqs, modes))
@@ -153,32 +169,58 @@ class SyntheticOmega:
 # curve traces
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CurveTrace:
+    """The inner and outer log2-radii of a traced annulus (level k, depth m)
+    at the grid angles i / len(inner), stored exactly and only as integers
+    over one common denominator D: radius i is inner[i] / D."""
+
     k: int
     m: int
-    inner_radii: List[Fraction]
-    outer_radii: List[Fraction]
+    D: int
+    inner: Tuple[int, ...]
+    outer: Tuple[int, ...]
+
+    @classmethod
+    def from_radii(cls, k: int, m: int, inner: Iterable[Fraction],
+                   outer: Iterable[Fraction]) -> "CurveTrace":
+        """The trace of exact radii, D the lcm of their denominators (a
+        trace has few distinct ones: each scale D // d is taken once)."""
+        inner, outer = tuple(inner), tuple(outer)
+        dens = {r.denominator for r in inner + outer}
+        D = math.lcm(*dens)
+        scale = {d: D // d for d in dens}
+        def ints(rs): return tuple(r.numerator * scale[r.denominator] for r in rs)
+        return cls(k, m, D, ints(inner), ints(outer))
+
+    def scaled(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """(D, inner, outer), the stored form."""
+        return self.D, self.inner, self.outer
+
+    @cached_property
+    def _radii(self) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+        # built on first use; equal integers share one Fraction
+        radius = {v: Fraction(v, self.D) for v in {*self.inner, *self.outer}}.__getitem__
+        return tuple(map(radius, self.inner)), tuple(map(radius, self.outer))
+
+    @property
+    def inner_radii(self) -> Tuple[Fraction, ...]:
+        return self._radii[0]
+
+    @property
+    def outer_radii(self) -> Tuple[Fraction, ...]:
+        return self._radii[1]
 
     @property
     def theta_grid(self) -> List[Angle]:
-        return [Angle(Fraction(i, len(self.inner_radii))) for i in range(len(self.inner_radii))]
+        return [Angle(Fraction(i, len(self.inner))) for i in range(len(self.inner))]
 
     def oscillation_log2(self) -> Tuple[float, float]:
         """(inner, outer) max radial oscillation over theta, in log2 units:
-        max - min of the scaled() integers over D, as a correctly rounded
+        max - min of the stored integers over D, as a correctly rounded
         int-by-int division (the float of the exact Fraction difference)."""
         D, inner, outer = self.scaled()
         return (max(inner) - min(inner)) / D, (max(outer) - min(outer)) / D
-
-    def scaled(self) -> Tuple[int, List[int], List[int]]:
-        """(D, inner, outer): the radii times D, the lcm of all denominators
-        (a trace has few distinct ones: each scale D // d is taken once)."""
-        dens = {r.denominator for r in self.inner_radii + self.outer_radii}
-        D = math.lcm(*dens)
-        scale = {d: D // d for d in dens}
-        def ints(rs): return [r.numerator * scale[r.denominator] for r in rs]
-        return D, ints(self.inner_radii), ints(self.outer_radii)
 
 
 def _pullback_levels(m: ModelMap, phi, k: int, depth: int, q: int, nums: Iterable[int],
@@ -226,25 +268,41 @@ def _pullback_tree(m: ModelMap, phi, k: int, depth: int, q: int, nums: Iterable[
 
 
 def _leaf_radii(m: ModelMap, phi: SyntheticOmega, k: int, depth: int, grid: int,
-                seed_rho: Fraction) -> List[Fraction]:
-    """rho of w_0 at each grid angle a/grid.  Per parent w_1 (a leaf of the
-    depth - 1 tree one level up): r = (rho_1 - C)/n and phi.rho_part(r).
-    Per leaf: th = (turns_1 + floor(a n / grid))/n as an int-by-int division
-    (correctly rounded: the float of the root's Angle), then r plus what
-    phi.phi would add, log2|1 + eps|."""
+                seeds: Iterable[Fraction]) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """(D, inner, outer): rho of w_0 at each grid angle a/grid for the inner
+    and the outer seed, times one power of two D.  Per parent w_1 (a leaf
+    of the depth - 1 tree one level up): r = (rho_1 - C)/n and
+    phi.rho_part(r); r is a dyadic rn / 2**rs, since the seeds are, n is a
+    power of two and lp_perturb adds dyadics.  Per leaf: th = (turns_1 + floor(a n /
+    grid))/n as an int-by-int division (correctly rounded: the float of the
+    root's Angle), then what phi.phi would add to r, log2|1 + eps| = q 2**e
+    from the integer kernel, its ln 2 rounded once per trace.  D = 2**S
+    with S the largest of every rs and -e, and a radius is rn 2**(S - rs) +
+    q 2**(S + e): no Fraction per leaf."""
     n, C = m.table.n(k + 1), m.table.C_exp(k + 1)
-    _, (above, *_) = _pullback_levels(m, phi, k + 1, depth - 1, grid,
-                                      {a * n % grid for a in range(grid)}, seed_rho)
-    parents = {}
-    for c, z in above.items():
-        r = (z.rho - C) / n
-        parents[c] = r, phi.rho_part(r), z.theta.turns.numerator, z.theta.turns.denominator
-    radii = []
-    for a in range(grid):
-        r, part, pn, pd = parents[a * n % grid]
-        th = (pn + a * n // grid * pd) / (pd * n)
-        radii.append(r + log2_abs_1p(phi.eps_at(part, th), m.prec))
-    return radii
+    wp = m.prec + 32
+    l2, sh = ln2_rounded(wp)
+    traces = []
+    for seed_rho in seeds:
+        _, (above, *_) = _pullback_levels(m, phi, k + 1, depth - 1, grid,
+                                          {a * n % grid for a in range(grid)}, seed_rho)
+        parents = {}
+        for c, z in above.items():
+            r, turns = (z.rho - C) / n, z.theta.turns
+            rs = r.denominator.bit_length() - 1
+            parents[c] = r.numerator, rs, phi.rho_part(r), turns.numerator, turns.denominator
+        leaves = []
+        for a in range(grid):
+            rn, rs, part, pn, pd = parents[a * n % grid]
+            rm, re, im, ie, mag = dyadic_parts(phi.eps_at(part, (pn + a * n // grid * pd)
+                                                          / (pd * n)), wp)
+            q, e = log2_abs_1p_int(rm, re, im, ie, mag, wp, l2, sh)
+            leaves.append((rn, rs, q, e))
+        traces.append(leaves)
+    S = max(max(rs, -e) for leaves in traces for _, rs, _, e in leaves)
+    inner, outer = (tuple((rn << S - rs) + (q << S + e) for rn, rs, q, e in leaves)
+                    for leaves in traces)
+    return 1 << S, inner, outer
 
 
 def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveTrace:
@@ -266,15 +324,14 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
                           f"(budget {m.ang_bits})")
     top = t.R_exp(k + depth + 1)
     seeds = (Fraction(top - 2), top + const_log2_frac(3, 4))
-    radii = []
-    for seed in seeds:
-        if isinstance(phi, Identity):
-            # root maps rho to (rho - C)/n whatever the angle or branch, so
-            # one leaf per seed gives the radius at every theta
-            radii.append([_pullback_tree(m, phi, k, depth, grid, [0], seed)[0][0].rho] * grid)
-        else:
-            radii.append(_leaf_radii(m, phi, k, depth, grid, seed))
-    tr = CurveTrace(k=k, m=depth, inner_radii=radii[0], outer_radii=radii[1])
+    if isinstance(phi, Identity):
+        # root maps rho to (rho - C)/n whatever the angle or branch, so
+        # one leaf per seed gives the radius at every theta
+        r_in, r_out = ([_pullback_tree(m, phi, k, depth, grid, [0], s)[0][0].rho] for s in seeds)
+        one = CurveTrace.from_radii(k, depth, r_in, r_out)
+        tr = CurveTrace(k, depth, one.D, one.inner * grid, one.outer * grid)
+    else:
+        tr = CurveTrace(k, depth, *_leaf_radii(m, phi, k, depth, grid, seeds))
     D, inner, outer = tr.scaled()
     for name, arr in (("inner", inner), ("outer", outer)):
         for i in range(grid):
@@ -398,7 +455,8 @@ class TangentReport:
         return abs(self.partials[-1])
 
     def limit_lower_bound(self, N: int) -> float:
-        """exp(-S), S = sum over k >= 0 of 2 C' f(k), f(x) = 2**(-sqrt(x+N)/4).
+        """A float at most exp(-S), S = sum over k >= 0 of 2 C' f(k), f(x) =
+        2**(-sqrt(x+N)/4), for 1 <= N <= 2**20.
 
         f(x) = e**(-a sqrt(x+N)), a = ln 2 / 4, is convex for x > -N: with
         u = x + N, f'' = e**(-a sqrt u) (a**2/(4u) + a/(4 u**1.5)) > 0.  So
@@ -406,12 +464,32 @@ class TangentReport:
         K is at most the integral over [K - 1/2, inf), which u = sqrt(x+N)
         turns into 2 e**(-aU) (U/a + 1/a**2), U = sqrt(K - 1/2 + N).  The
         head k < K = 1024 is summed (fsum); head plus tail bound S above.
+
+        Outward rounding.  Let u = 2**-53; sqrt and fsum round correctly,
+        and, as in width_check, libm's pow and log are taken within 2**-45
+        relative of the true values.  A head term: sqrt(k+N) is within u
+        relative, which moves the exponent sqrt(k+N)/4 by at most
+        sqrt(K+N) u / 4 <= 2**-44.5 (K + N <= 2**21), so f(k) by under
+        2**-45 relative; pow adds 2**-45; fsum adds u.  The tail: LN2
+        and a = LN2/4 are within 2**-44.9, U within u, and aU <= 178, so
+        the computed aU is within 178 (2**-44.9 + 2u) < 2**-37.4 of the
+        true one, which moves e**(-aU) by under 2**-37.3 relative; exp's own
+        error, U/a and 1/a**2 add under 2**-42.  The sum head + tail and
+        the product with 2 C' round twice more.  So the computed s is within
+        2**-37 relative of 2 C' (head + tail) >= S, and s (1 + 2**-32), one
+        more rounding, is at least S.  exp of its negative is then
+        at most exp(-S) but for exp's own rounding, which one step down
+        (math.nextafter towards 0) covers on the premise that exp errs by
+        under one unit in the last place.
         """
+        if not 1 <= N <= 1 << 20:
+            raise DomainError(f"limit_lower_bound needs 1 <= N <= 2**20, got {N}")
         K, a = 1024, LN2 / 4.0
         head = math.fsum(2.0 ** (-math.sqrt(k + N) / 4.0) for k in range(K))
         U = math.sqrt(K - 0.5 + N)
         tail = 2.0 * math.exp(-a * U) * (U / a + 1.0 / a ** 2)
-        return math.exp(-2.0 * self.Cprime * (head + tail))
+        S = 2.0 * self.Cprime * (head + tail) * (1.0 + 2.0 ** -32)
+        return math.nextafter(math.exp(-S), 0.0)
 
 
 def tangent_products(m: ModelMap, phi, theta0: Angle, mmax: int,

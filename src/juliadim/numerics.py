@@ -102,15 +102,18 @@ def mpf_to_frac(x: mpf) -> Fraction:
     return _frac_of(x._mpf_)
 
 
+def _dyadic(q: int, e: int) -> Fraction:
+    """The Fraction q 2**e."""
+    return Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e)
+
+
 def _frac_of(t: tuple) -> Fraction:
     """The exact Fraction of a finite libmp tuple (sign, man, exp, bc)."""
     sign, man, exp, _ = t
     man, exp = int(man), int(exp)  # mpmath may hand back gmpy2 mpz
     if man == 0 and exp != 0:
         raise DomainError(f"non-finite mpf {mpmath.mp.make_mpf(t)!r}")
-    if sign:
-        man = -man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return _dyadic(-man if sign else man, exp)
 
 
 def ln_big(e: int, add: float = 0.0) -> float:
@@ -476,123 +479,21 @@ def expm1_series(L: mpc, scale: int, prec: int = SIG_BITS) -> mpc:
 # mpf_log and mpf_div by mpf_ln2, bit for bit, around its own fixed-point
 # log_taylor_cached and ln2_fixed
 
-def _round_nearest(man: int, prec: int) -> Tuple[int, int]:
-    """(man rounded to prec bits, ties to even, as libmp's ``normalize``;
-    the number of bits dropped) for an int man >= 0."""
-    n = man.bit_length() - prec
-    if n <= 0:
-        return man, 0
-    t = man >> (n - 1)
-    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
-        return (t >> 1) + 1, n
-    return t >> 1, n
+def ln2_rounded(wp: int) -> Tuple[int, int]:
+    """(l2, sh): ln 2 as ``mpf_ln2(wp)`` rounds it, l2 2**(sh - wp - 20), the
+    wp + 20-bit ``ln2_fixed`` rounded to nearest at wp bits and sh the bits
+    dropped: the constant :func:`log2_abs_1p_int` divides by at working
+    precision wp, taken once by each caller (once per trace in ``curves``)."""
+    v = int(ln2_fixed(wp + 20))
+    sh = v.bit_length() - wp
+    t = v >> (sh - 1)
+    return ((t >> 1) + 1 if t & 1 and (t & 2 or v & ((1 << (sh - 1)) - 1)) else t >> 1), sh
 
 
-def _add_down(sm: int, se: int, tm: int, te: int, prec: int) -> Tuple[int, int]:
-    """sm 2**se + tm 2**te for odd sm, tm > 0, rounded down at prec bits as
-    ``mpf_add`` does, as (man, exp).  That includes mpf_add's shortcut for a
-    term whose exponent is more than 100, and whose magnitude more than
-    prec + 4, below the other's: it adds one unit at prec + 4 bits below
-    the larger mantissa, not the term itself."""
-    if se < te:
-        sm, se, tm, te = tm, te, sm, se
-    if se - te > 100 and sm.bit_length() + se - tm.bit_length() - te > prec + 4:
-        man, exp = (sm << prec + 4) + 1, se - prec - 4
-    else:
-        man, exp = (sm << se - te) + tm, te
-    n = man.bit_length() - prec
-    return (man >> n, exp + n) if n > 0 else (man, exp)
-
-
-def _ln_fixed(man: int, exp: int, wp: int) -> Tuple[int, int]:
-    """ln(man 2**exp) for an int man > 0 as (m, e), the exact value m 2**e
-    that ``mpf_log(x, wp)`` rounds to nearest at wp bits.  Like mpf_log, a
-    power of two 2**k takes k * ln 2, and x within a factor 2 of 1 widens the
-    fixed-point precision by its cancellation (mag -1 measures it from 1/4,
-    as mpf_log does) or, past wp + 20 bits of it, returns x - 1.  Only a
-    precision past ``LOG_TAYLOR_PREC`` calls ``libmp.mpf_log`` itself."""
-    bc = man.bit_length()
-    if man & (man - 1) == 0:
-        return (exp + bc - 1) * int(ln2_fixed(wp + 20)), -(wp + 20)
-    mag, wp1 = exp + bc, wp + 20
-    if -1 <= mag <= 1:
-        tman = (1 << bc) - man if mag == 0 else man - (1 << (bc - 1))
-        cancellation = bc - tman.bit_length()
-        if cancellation > wp1:
-            return (tman if mag else -tman), abs(mag) - bc
-        wp1 += cancellation
-    if wp1 > LOG_TAYLOR_PREC:
-        sign, m, e, _ = libmp.mpf_log(libmp.from_man_exp(man, exp), wp, libmp.round_nearest)
-        return (-int(m) if sign else int(m)), int(e)
-    m = int(log_taylor_cached(man << (wp1 - bc) if wp1 >= bc else man >> (bc - wp1), wp1))
-    if mag:
-        m += mag * int(ln2_fixed(wp1))
-    return m, -wp1
-
-
-def _over_ln2(m: int, e: int, wp: int) -> Fraction:
-    """(m 2**e) / ln 2 for |m| < 2**wp, rounded to nearest at wp bits as
-    ``mpf_div(x, mpf_ln2(wp), wp)`` rounds it, straight into the Fraction."""
-    if not m:
-        return Fraction(0)
-    l2, sh = _round_nearest(int(ln2_fixed(wp + 20)), wp)
-    mag = abs(m)
-    extra = max(5, wp - mag.bit_length() + l2.bit_length() + 5)
-    quot, rem = divmod(mag << extra, l2)
-    if rem:
-        quot, extra = (quot << 1) + 1, extra + 1
-    q, n = _round_nearest(quot, wp)
-    e += n - extra + wp + 20 - sh
-    if m < 0:
-        q = -q
-    return Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e)
-
-
-def _log2_hypot(am: int, ae: int, bm: int, be: int, wp: int) -> Fraction:
-    """log2 sqrt(a**2 + b**2) for a = am 2**ae, b = bm 2**be with odd
-    mantissas am, bm >= 0 (or 0): bit for bit ``mpf_log_hypot(a, b, wp)``
-    over ``mpf_ln2(wp)``, both rounded to nearest, in mpmath 1.3.0.  The
-    squares are exact and their sum is rounded down at wp + 20 bits
-    (:func:`_add_down`); where it lands within 2**-11 of 1 the sum is taken
-    again at a precision that holds it exactly.  A zero part takes the log
-    of the other part, unsquared.  The log (:func:`_ln_fixed`) is rounded
-    at wp bits, halved, and divided once by ln 2 (:func:`_over_ln2`)."""
-    if not (am and bm):
-        if not (am or bm):
-            raise DomainError("log2|1 + u| at u = -1")
-        m, e = _ln_fixed(am or bm, ae if am else be, wp)
-        half = 0
-    else:
-        a2, b2, ea2, eb2 = am * am, bm * bm, 2 * ae, 2 * be
-        hm, he = _add_down(a2, ea2, b2, eb2, wp + 20)
-        d = hm - (1 << -he) if he <= 0 else (hm << he) - 1      # h2 - 1 in units of 2**min(he, 0)
-        if not d or d.bit_length() + min(he, 0) < -10:
-            he = min(ea2, eb2)
-            hm = (a2 << ea2 - he) + (b2 << eb2 - he)
-        m, e = _ln_fixed(hm, he, wp)
-        half = 1
-    mag, n = _round_nearest(abs(m), wp)
-    return _over_ln2(mag if m >= 0 else -mag, e + n - half, wp)
-
-
-def _odd(m: int, e: int) -> Tuple[int, int]:
-    """(|m| 2**e) with the mantissa made odd, or (0, e) for m = 0."""
-    m = abs(m)
-    tz = (m & -m).bit_length() - 1
-    return (m >> tz, e + tz) if tz > 0 else (m, e)
-
-
-def _log1p_parts(u: Union[complex, mpc], prec: int, arg: bool = False) -> Tuple[Fraction, tuple]:
-    """(exact log2|1 + u|, libmp Im log(1 + u) or None unless arg) for |u| < 1
-    at prec + 32 bits, round-to-nearest.  An mpc u is read as ``mpc(u)`` at
-    prec + 32 bits, whatever the caller's precision.  |u| >= 2**-16 (by
-    ``mpmath.mag``) takes ``mpc_log``'s parts of w = 1 + u, its real part
-    rounded to nearest at prec + 32 bits as ``mpf_add`` rounds it:
-    log2|w| from the integer kernel :func:`_log2_hypot`, which is
-    ``mpf_log_hypot`` over ln 2 bit for bit in mpmath 1.3.0, and
-    ``mpc_arg(w)``.  Tiny u takes the :func:`log1p_mpc` series, its real
-    part divided by ln 2 as :func:`_over_ln2` does."""
-    wp, rnd = prec + 32, libmp.round_nearest
+def dyadic_parts(u: Union[complex, mpc], wp: int) -> Tuple[int, int, int, int, int]:
+    """(rm, re, im, ie, mag) for a finite complex or mpc u: u = rm 2**re + i
+    im 2**ie exactly, an mpc read as ``mpc(u)`` at wp bits whatever the
+    caller's precision, and mag = ``mpmath.mag(u)``."""
     if isinstance(u, complex):
         if not cmath.isfinite(u):
             raise DomainError(f"log2|1 + u| of non-finite u = {u!r}")
@@ -604,34 +505,138 @@ def _log1p_parts(u: Union[complex, mpc], prec: int, arg: bool = False) -> Tuple[
         rm, im, re, ie = -int(rm) if rs else int(rm), -int(im) if is_ else int(im), int(re), int(ie)
         if not rm and re or not im and ie:      # inf or nan: no mantissa, a nonzero exponent
             raise DomainError(f"log2|1 + u| of non-finite u = {u!r}")
-    # mpmath.mag(u): the larger part's magnitude, plus one if both are nonzero
+    # the larger part's magnitude, plus one if both are nonzero
     if rm and im:
         mag = 1 + max(re + abs(rm).bit_length(), ie + abs(im).bit_length())
     else:
         mag = re + abs(rm).bit_length() if rm else ie + abs(im).bit_length()
-    if mag > -16:
-        ws = (1 << -re) + rm if re < 0 else 1 + (rm << re)
-        wm, n = _round_nearest(abs(ws), wp)
-        wm, we = _odd(wm, min(re, 0) + n)
-        lre = _log2_hypot(wm, we, abs(im), ie, wp)     # a nonzero |Im u| < 1 has an odd mantissa
-        if not arg:
-            return lre, None
-        w = (libmp.from_man_exp(-wm if ws < 0 else wm, we), libmp.from_man_exp(im, ie))
-        return lre, libmp.mpc_arg(w, wp, rnd)
+    return rm, re, im, ie, mag
+
+
+def _log1p_series(rm: int, re: int, im: int, ie: int, wp: int) -> Tuple[Tuple[int, int], tuple]:
+    """((q, e), Im log(1 + u)) for |u| < 2**-16 by the :func:`log1p_mpc` series
+    at wp bits: log2|1 + u| = q 2**e is its real part over ``mpf_ln2(wp)``
+    by ``mpf_div``, and the imaginary part is a libmp tuple."""
+    rnd = libmp.round_nearest
     with mpmath.workprec(wp):
-        vr, vi = log1p_mpc(mpc(u), prec)._mpc_
-    sign, man, exp, _ = vr
-    return _over_ln2(-int(man) if sign else int(man), int(exp), wp), vi
+        vr, vi = log1p_mpc(mpmath.mp.make_mpc((libmp.from_man_exp(rm, re),
+                                                libmp.from_man_exp(im, ie))), wp - 32)._mpc_
+    sign, man, exp, _ = libmp.mpf_div(vr, libmp.mpf_ln2(wp, rnd), wp, rnd)
+    return (-int(man) if sign else int(man), int(exp)), vi
+
+
+def log2_abs_1p_int(rm: int, re: int, im: int, ie: int, mag: int, wp: int,
+                    l2: int, sh: int) -> Tuple[int, int]:
+    """log2|1 + u| as (q, e), the exact dyadic q 2**e, for u = rm 2**re + i im
+    2**ie with |u| < 1 and mag, as :func:`dyadic_parts` gives them, at wp
+    bits with ln 2 rounded as :func:`ln2_rounded` gives it: bit for bit
+    ``mpf_log_hypot(1 + u)`` over ``mpf_ln2(wp)`` in mpmath 1.3.0, both
+    rounded to nearest.  Tiny u (mag <= -16) takes :func:`_log1p_series`.
+
+    The steps, each mpmath's:
+
+    * 1 + Re u is rounded to nearest at wp bits, as ``mpf_add`` rounds it,
+      and its mantissa made odd.
+    * A zero part takes the log of the other part, unsquared.  Otherwise
+      the squares are exact and their sum is rounded down at wp + 20 bits,
+      with ``mpf_add``'s shortcut for a square whose exponent is more than
+      100, and whose magnitude more than wp + 24 bits, below the other's: it
+      adds one unit at wp + 24 bits below the larger square, not the square
+      itself.  Where the sum lands within 2**-11 of 1 it is taken again at a
+      precision that holds it exactly.
+    * The log of x follows ``mpf_log``: a power of two 2**k takes k ln 2; x
+      within a factor 2 of 1 widens the fixed-point precision by its
+      cancellation (mag -1 measures it from 1/4, as mpf_log does) or, past
+      wp + 20 bits of it, returns x - 1.  Otherwise mpmath's own
+      ``log_taylor_cached`` plus mag ``ln2_fixed``, and ``libmp.mpf_log``
+      only past ``LOG_TAYLOR_PREC``.
+    * The log is rounded to nearest at wp bits, halved (for a sum of
+      squares), and divided once by l2, correctly rounded at wp bits."""
+    if mag <= -16:
+        return _log1p_series(rm, re, im, ie, wp)[0]
+    # w = 1 + Re u over 2**min(re, 0), rounded to nearest at wp, ties to even
+    wm = abs((1 << -re) + rm if re < 0 else 1 + (rm << re))
+    we = min(re, 0)
+    n = wm.bit_length() - wp
+    if n > 0:
+        t = wm >> (n - 1)
+        wm = (t >> 1) + 1 if t & 1 and (t & 2 or wm & ((1 << (n - 1)) - 1)) else t >> 1
+        we += n
+    if not wm & 1 and wm:
+        n = (wm & -wm).bit_length() - 1
+        wm, we = wm >> n, we + n
+    im = abs(im)                      # a nonzero |Im u| < 1 has an odd mantissa
+    half = 0
+    if not im:
+        if not wm:
+            raise DomainError("log2|1 + u| at u = -1")
+        man, exp = wm, we
+    elif not wm:
+        man, exp = im, ie
+    else:
+        half, hp = 1, wp + 20
+        a2, ea2, b2, eb2 = wm * wm, 2 * we, im * im, 2 * ie
+        if ea2 < eb2:
+            a2, ea2, b2, eb2 = b2, eb2, a2, ea2
+        if ea2 - eb2 > 100 and a2.bit_length() + ea2 - b2.bit_length() - eb2 > hp + 4:
+            man, exp = (a2 << hp + 4) + 1, ea2 - hp - 4
+        else:
+            man, exp = (a2 << ea2 - eb2) + b2, eb2
+        n = man.bit_length() - hp
+        if n > 0:
+            man, exp = man >> n, exp + n
+        d = man - (1 << -exp) if exp <= 0 else (man << exp) - 1     # sum - 1 over 2**min(exp, 0)
+        if not d or d.bit_length() + min(exp, 0) < -10:
+            exp = min(ea2, eb2)
+            man = (a2 << ea2 - exp) + (b2 << eb2 - exp)
+    # ln(man 2**exp) as m 2**e
+    bc = man.bit_length()
+    lmag, wp1 = exp + bc, wp + 20
+    if man & (man - 1) == 0:
+        m, e = (lmag - 1) * int(ln2_fixed(wp1)), -wp1
+    else:
+        cancellation = 0
+        if -1 <= lmag <= 1:
+            tman = (1 << bc) - man if lmag == 0 else man - (1 << (bc - 1))
+            cancellation = bc - tman.bit_length()
+        if cancellation > wp1:
+            m, e = (tman if lmag else -tman), abs(lmag) - bc
+        elif wp1 + cancellation > LOG_TAYLOR_PREC:
+            sign, m, e, _ = libmp.mpf_log(libmp.from_man_exp(man, exp), wp, libmp.round_nearest)
+            m, e = (-int(m) if sign else int(m)), int(e)
+        else:
+            wp1 += cancellation
+            m = int(log_taylor_cached(man << (wp1 - bc) if wp1 >= bc else man >> (bc - wp1), wp1))
+            if lmag:
+                m += lmag * int(ln2_fixed(wp1))
+            e = -wp1
+    if not m:
+        return 0, 0
+    # round at wp, halve, and divide by l2 2**(sh - wp - 20), rounding at wp
+    q = abs(m)
+    n = q.bit_length() - wp
+    if n > 0:
+        t = q >> (n - 1)
+        q = (t >> 1) + 1 if t & 1 and (t & 2 or q & ((1 << (n - 1)) - 1)) else t >> 1
+        e += n
+    extra = max(5, wp - q.bit_length() + l2.bit_length() + 5)
+    q, rem = divmod(q << extra, l2)
+    if rem:                           # a sticky bit below the rounding position
+        q, extra = (q << 1) + 1, extra + 1
+    n = q.bit_length() - wp
+    if n > 0:
+        t = q >> (n - 1)
+        q = (t >> 1) + 1 if t & 1 and (t & 2 or q & ((1 << (n - 1)) - 1)) else t >> 1
+        e += n
+    return (-q if m < 0 else q), e - half - extra + wp + 20 - sh
 
 
 def log2_abs_1p(u: Union[complex, mpc], prec: int = SIG_BITS) -> Fraction:
-    """log2|1 + u| for a complex or mpc u, |u| < 1, as an exact dyadic: bit
-    for bit the change of rho that ``lp_perturb(z, u, prec)`` makes.  For
-    |u| >= 2**-16 that is the integer kernel :func:`_log2_hypot` (mpmath's
-    ``log_taylor_cached`` and ``ln2_fixed`` inside, ``libmp.mpf_log`` only
-    past ``LOG_TAYLOR_PREC``), which reproduces mpmath 1.3.0's
-    ``mpf_log_hypot`` divided by ``mpf_ln2`` bit for bit."""
-    return _log1p_parts(u, prec)[0]
+    """log2|1 + u| for a complex or mpc u, |u| < 1, as an exact dyadic at
+    prec + 32 bits: :func:`log2_abs_1p_int`, bit for bit the change of rho
+    that ``lp_perturb(z, u, prec)`` makes."""
+    wp = prec + 32
+    return _dyadic(*log2_abs_1p_int(*dyadic_parts(u, wp), wp, *ln2_rounded(wp)))
 
 
 def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int = SIG_BITS) -> LogPolar:
@@ -643,17 +648,21 @@ def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int = SIG_BITS) -> Log
     Runs at prec + 32 bits with round-to-nearest, step for step what
     ``mpmath.log(1 + u)`` divided by ``ln(2)`` and by ``2 * pi`` gives at
     that precision in mpmath 1.3.0, bit for bit: rho moves by
-    :func:`log2_abs_1p` (for |u| >= 2**-16 the integer kernel
-    :func:`_log2_hypot` around mpmath's ``log_taylor_cached`` and
-    ``ln2_fixed``, ``libmp.mpf_log`` only past ``LOG_TAYLOR_PREC``), theta
-    by ``mpc_arg`` over 2 ``mpf_pi``.
+    :func:`log2_abs_1p_int`, theta by ``mpc_arg(1 + u)`` (the
+    :func:`log1p_mpc` series for |u| < 2**-16) over 2 ``mpf_pi``.
     """
     if z.zero:
         return z
     wp, rnd = prec + 32, libmp.round_nearest
-    lre, vi = _log1p_parts(u, prec, arg=True)
+    rm, re, im, ie, mag = dyadic_parts(u, wp)
+    if mag <= -16:
+        (q, e), vi = _log1p_series(rm, re, im, ie, wp)
+    else:
+        q, e = log2_abs_1p_int(rm, re, im, ie, mag, wp, *ln2_rounded(wp))
+        vi = libmp.mpc_arg((libmp.mpf_add(libmp.from_man_exp(rm, re), libmp.fone, wp, rnd),
+                            libmp.from_man_exp(im, ie)), wp, rnd)
     lim = _frac_of(libmp.mpf_div(vi, libmp.mpf_shift(libmp.mpf_pi(wp, rnd), 1), wp, rnd))
-    return LogPolar(z.rho + lre, Angle(z.theta.turns + lim))
+    return LogPolar(z.rho + _dyadic(q, e), Angle(z.theta.turns + lim))
 
 
 def frac_ilog2(fr: Fraction) -> int:

@@ -99,7 +99,7 @@ def test_synthetic_trace_oscillation_within_budget():
 def _trace_digest(tr, wc) -> str:
     # sha256 over the numeric hashes of the exact radii and width log2 values
     h = hashlib.sha256()
-    for v in tr.inner_radii + tr.outer_radii + [wc.measured_log2, wc.bound_log2]:
+    for v in [*tr.inner_radii, *tr.outer_radii, wc.measured_log2, wc.bound_log2]:
         h.update(hash(v).to_bytes(8, "little", signed=True))
     return h.hexdigest()[:24]
 
@@ -154,8 +154,8 @@ def test_identity_trace_is_one_chain_per_seed(k, monkeypatch):
         tr = trace_gamma(M5, IDENT, k, depth, grid=256)
         seeds = (Fraction(top(k + depth + 1) - 2),
                  top(k + depth + 1) + const_log2_frac(3, 4))
-        assert tr.inner_radii == _reference_radii(M5, IDENT, k, depth, 256, seeds[0])
-        assert tr.outer_radii == _reference_radii(M5, IDENT, k, depth, 256, seeds[1])
+        assert list(tr.inner_radii) == _reference_radii(M5, IDENT, k, depth, 256, seeds[0])
+        assert list(tr.outer_radii) == _reference_radii(M5, IDENT, k, depth, 256, seeds[1])
         assert tr.theta_grid == [Angle(Fraction(i, 256)) for i in range(256)]
     chains, widths = [], []
     real_tree, real_width = curves._pullback_tree, curves.pow2_minus1_log2
@@ -188,8 +188,8 @@ def test_synthetic_tree_matches_per_angle_chains(k):
         tr = trace_gamma(M5, SYN, k, depth, grid=256)
         seeds = (Fraction(top(k + depth + 1) - 2),
                  top(k + depth + 1) + const_log2_frac(3, 4))
-        assert tr.inner_radii == _reference_radii(M5, SYN, k, depth, 256, seeds[0]), depth
-        assert tr.outer_radii == _reference_radii(M5, SYN, k, depth, 256, seeds[1]), depth
+        assert list(tr.inner_radii) == _reference_radii(M5, SYN, k, depth, 256, seeds[0]), depth
+        assert list(tr.outer_radii) == _reference_radii(M5, SYN, k, depth, 256, seeds[1]), depth
 
 
 def _distinct_nodes(t, k, depth, grid):
@@ -207,8 +207,8 @@ def _distinct_nodes(t, k, depth, grid):
 @pytest.mark.parametrize("k,depth", [(1, 6), (2, 3)])
 def test_synthetic_tree_applies_phi_once_per_node(k, depth, monkeypatch):
     # the steps above the leaves run phi.phi once per node; the leaf level
-    # runs the field once per leaf, its rho part once per parent and
-    # log2|1 + eps| once per leaf
+    # runs the field once per leaf, its rho part once per parent and the
+    # integer kernel for log2|1 + eps| once per leaf
     calls = {"phi": 0, "eps_at": 0, "rho_part": 0, "log2": 0}
     syn = SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=7)
 
@@ -220,7 +220,7 @@ def test_synthetic_tree_applies_phi_once_per_node(k, depth, monkeypatch):
 
     for name in ("phi", "eps_at", "rho_part"):
         setattr(syn, name, counted(name, getattr(syn, name)))
-    monkeypatch.setattr(curves, "log2_abs_1p", counted("log2", curves.log2_abs_1p))
+    monkeypatch.setattr(curves, "log2_abs_1p_int", counted("log2", curves.log2_abs_1p_int))
     trace_gamma(M5, syn, k, depth, grid=256)
     nodes = _distinct_nodes(T5, k, depth, 256)
     parents = len({i * T5.n(k + 1) % 256 for i in range(256)})  # step-1 nodes
@@ -259,11 +259,10 @@ def test_angle_check_equals_the_per_sample_products(n1, n2, samples):
 def test_branch_consistency_compares_exactly(jump, fails, monkeypatch):
     # a jump past a quarter of a bit between grid neighbours is a branch
     # error, decided exactly (as floats both jumps read 0.25)
-    inner = []
-
-    def leaf_radii(m, phi, k, depth, grid, seed_rho):
-        inner.append(not inner)
-        return [seed_rho] * (grid - 1) + [seed_rho + (jump if inner[-1] else 0)]
+    def leaf_radii(m, phi, k, depth, grid, seeds):
+        r_in, r_out = seeds
+        tr = CurveTrace.from_radii(k, depth, [r_in] * (grid - 1) + [r_in + jump], [r_out] * grid)
+        return tr.scaled()
 
     monkeypatch.setattr(curves, "_leaf_radii", leaf_radii)
     if fails:
@@ -306,8 +305,8 @@ def test_width_screen_evaluates_pairs_closer_than_its_margin(monkeypatch):
         r2 = r1 + round((exact[0] - exact[1]) * D)      # r2 > r1, gap g2 < g1
         want = max(Fraction(r1, D) + exact[0], Fraction(r2, D) + exact[1])
         assert abs(Fraction(r1, D) + exact[0] - Fraction(r2, D) - exact[1]) <= Fraction(1, D)
-        tr = CurveTrace(k=1, m=1, inner_radii=[Fraction(r1, D), Fraction(r2, D)],
-                        outer_radii=[Fraction(r1 + g1, D), Fraction(r2 + g2, D)])
+        tr = CurveTrace.from_radii(1, 1, [Fraction(r1, D), Fraction(r2, D)],
+                                   [Fraction(r1 + g1, D), Fraction(r2 + g2, D)])
         widths.clear()
         assert width_check(M5, tr).measured_log2 == want
         assert len(widths) == 2, (g1, g2)
@@ -315,9 +314,69 @@ def test_width_screen_evaluates_pairs_closer_than_its_margin(monkeypatch):
 
 def test_width_check_refuses_inverted_radii():
     tr = trace_gamma(M5, SYN, 1, 1, grid=256)
-    tr.outer_radii[100] = tr.inner_radii[100]
+    outer = list(tr.outer_radii)
+    outer[100] = tr.inner_radii[100]
+    tr = CurveTrace.from_radii(tr.k, tr.m, tr.inner_radii, outer)
     with pytest.raises(DomainError, match="inverted trace radii"):
         width_check(M5, tr)
+
+
+@pytest.mark.parametrize("phi", [IDENT, SYN], ids=["identity", "synthetic"])
+def test_curve_trace_from_radii_round_trips(phi):
+    # the stored integers over D are the only form: from_radii rebuilds the
+    # same radii (over the reduced lcm), and the width and oscillation
+    # computed from it equal those of the trace itself
+    tr = trace_gamma(M5, phi, 1, 3, grid=256)
+    again = CurveTrace.from_radii(tr.k, tr.m, tr.inner_radii, tr.outer_radii)
+    D, inner, outer = again.scaled()
+    assert [Fraction(v, D) for v in inner] == list(tr.inner_radii)
+    assert [Fraction(v, D) for v in outer] == list(tr.outer_radii)
+    assert again.inner_radii == tr.inner_radii and again.outer_radii == tr.outer_radii
+    assert width_check(M5, again) == width_check(M5, tr)
+    assert again.oscillation_log2() == tr.oscillation_log2()
+    # derived once per object, read-only
+    assert tr.inner_radii is tr.inner_radii and isinstance(tr.inner_radii, tuple)
+    with pytest.raises(AttributeError):
+        tr.D = 1
+
+
+def test_identity_trace_shares_one_fraction_per_seed():
+    tr = trace_gamma(M5, IDENT, 1, 2, grid=256)
+    assert len({id(r) for r in tr.inner_radii}) == len({id(r) for r in tr.outer_radii}) == 1
+
+
+@pytest.mark.parametrize("phi", [IDENT, SYN], ids=["identity", "synthetic"])
+def test_trace_builds_its_scaled_form_once(phi, monkeypatch):
+    # trace_gamma's branch check, width_check and oscillation_log2 all read
+    # the stored form: one lcm for an identity trace, none for a synthetic
+    # one, whose leaves sum over one power-of-two denominator
+    lcms, built, real_lcm, real_from = [], [], math.lcm, CurveTrace.from_radii.__func__
+    monkeypatch.setattr(math, "lcm", lambda *a: lcms.append(1) or real_lcm(*a))
+    monkeypatch.setattr(CurveTrace, "from_radii",
+                        classmethod(lambda cls, *a: built.append(1) or real_from(cls, *a)))
+    tr = trace_gamma(M5, phi, 2, 3, grid=256)
+    stored = tr.scaled()
+    width_check(M5, tr)
+    tr.oscillation_log2()
+    assert all(x is y for x, y in zip(tr.scaled(), stored))
+    assert len(lcms) == len(built) == (phi is IDENT)
+    if phi is SYN:
+        assert stored[0] & (stored[0] - 1) == 0
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_synthetic_trace_builds_no_fraction_per_leaf(depth, monkeypatch):
+    made, real = [], curves.Fraction
+    monkeypatch.setattr(curves, "Fraction", lambda *a: made.append(a) or real(*a))
+    for grid in (256, 1024):
+        made.clear()
+        tr = trace_gamma(M5, SYN, 1, depth, grid=grid)
+        width_check(M5, tr)
+        tr.oscillation_log2()
+        # one seed, one angle per top node of each seed's pullback tree (at
+        # most one per parent of the leaves), and the few width pairs
+        parents = len({a * T5.n(2) % grid for a in range(grid)})
+        assert 0 < len(made) <= 2 * parents + 8 < grid // 8, (grid, len(made))
 
 
 def test_trace_depth_budget_reads_P_ang():
@@ -385,6 +444,24 @@ def test_limit_lower_bound_counts_the_tail(Cprime, N):
     assert 0.0 < rep.limit_lower_bound(N) <= math.exp(-direct)
     # and the midpoint-integral tail keeps it tight
     assert rep.limit_lower_bound(N) >= (1.0 - 1e-5) * math.exp(-direct)
+
+
+@pytest.mark.parametrize("Cprime,N", [(1.0, 5), (2.0, 8), (0.125, 10), (1.0, 1 << 20)])
+def test_limit_lower_bound_rounds_outward(Cprime, N):
+    # the float bound is at most exp(-2 C' (head + tail)) evaluated at 200
+    # bits, and within 2^-20 relative of it (S is inflated by 2^-32 relative)
+    rep = curves.TangentReport(k=1, mmax=1, theta0=Angle(0), partials=[],
+                               pair_log_actual=[], pair_log_budget=[], Cprime=Cprime)
+    with mpmath.workprec(200):
+        a = mpmath.ln(2) / 4
+        head = mpmath.fsum(mpmath.mpf(2) ** (-mpmath.sqrt(k + N) / 4) for k in range(1024))
+        U = mpmath.sqrt(mpmath.mpf(1024) - mpmath.mpf(1) / 2 + N)
+        tail = 2 * mpmath.exp(-a * U) * (U / a + 1 / a ** 2)
+        exact = mpmath.exp(-2 * mpmath.mpf(Cprime) * (head + tail))
+        got = mpmath.mpf(rep.limit_lower_bound(N))
+        assert got <= exact and got >= exact * (1 - mpmath.mpf(2) ** -20)
+    with pytest.raises(DomainError, match="N <= 2"):
+        rep.limit_lower_bound((1 << 20) + 1)
 
 
 def test_angle_checks():

@@ -14,10 +14,13 @@ from juliadim.numerics import (
     LogPolar,
     SIG_BITS,
     const_log2_frac,
+    dyadic_parts,
     expm1_lp,
     expm1_series,
+    ln2_rounded,
     log1p_mpc,
     log2_abs_1p,
+    log2_abs_1p_int,
     lp_add,
     lp_perturb,
     lp_sub,
@@ -340,17 +343,19 @@ def test_log2_abs_1p_kernel_matches_mpf_log_hypot(prec, shape, e1, e2, a, b, sig
     assert log2_abs_1p(u, prec) == _log2_abs_1p_ref(u, prec), u
 
 
-@pytest.mark.parametrize("prec, case", [
+PINNED = [
     (p, c) for p in (128, 2400) for c in (
         "im zero", "im zero below", "re zero", "re rounds away", "re-sum", "re-sum float",
         "h2 < 1/2", "h2 = 1/2", "h2 near 1/4", "h2 >= 2", "just above 2^-16",
         "parts just above 2^-17", "im far below re")
 ] + [(2400, "past LOG_TAYLOR_PREC"),
      (128, "cancellation past wp + 20"), (128, "sum rounded down, not up"),
-     (128, "sum rounded down, not to nearest"), (128, "mpf_add shortcut")])
-def test_log2_abs_1p_kernel_pinned(prec, case):
+     (128, "sum rounded down, not to nearest"), (128, "mpf_add shortcut")]
+
+
+def _pinned_u(prec, case):
     wp = prec + 32
-    u = {
+    return {
         "im zero": complex(0.75, 0.0),
         "im zero below": complex(-0.3, 0.0),
         "re zero": complex(0.0, 0.6),
@@ -385,7 +390,61 @@ def test_log2_abs_1p_kernel_pinned(prec, case):
         "mpf_add shortcut": _dyadic((-1067172944637529865914337119722883991903427471367, -170),
                                     (623726742995216117986538929365530013683, -222)),
     }[case]
+
+
+@pytest.mark.parametrize("prec, case", PINNED)
+def test_log2_abs_1p_kernel_pinned(prec, case):
+    u = _pinned_u(prec, case)
     assert log2_abs_1p(u, prec) == _log2_abs_1p_ref(u, prec), u
+
+
+# the kernel's integer form, with its constants taken once ----------------------
+
+def test_ln2_rounded_is_mpf_ln2():
+    for wp in (53, 160, 288, 2432):
+        l2, sh = ln2_rounded(wp)
+        want = _mpf_to_frac_ref(mpmath.mp.make_mpf(libmp.mpf_ln2(wp, libmp.round_nearest)))
+        assert Fraction(l2, 1 << (wp + 20 - sh)) == want and l2.bit_length() == wp, wp
+
+
+def _kernel_frac(parts, wp, consts):
+    q, e = log2_abs_1p_int(*parts, wp, *consts)
+    return Fraction(q) * Fraction(2) ** e
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_kernel_integer_form_on_the_pinned_inputs(prec):
+    # each of the 31 pinned inputs, wherever it was built, read at prec
+    wp = prec + 32
+    consts = ln2_rounded(wp)
+    for built_at, case in PINNED:
+        u = _pinned_u(built_at, case)
+        got = _kernel_frac(dyadic_parts(u, wp), wp, consts)
+        assert got == log2_abs_1p(u, prec) == _log2_abs_1p_ref(u, prec), (built_at, case)
+
+
+@pytest.mark.parametrize("phase_seed", range(1, 9))
+def test_kernel_integer_form_on_every_trace_leaf(phase_seed, monkeypatch):
+    # the (q, e) a synthetic trace takes at each grid leaf, with the trace's
+    # constants, is log2_abs_1p and mpmath's mpf_log_hypot over mpf_ln2
+    from juliadim import curves
+    from juliadim.modelmap import ModelMap
+    from juliadim.params import SQRT8, build_params
+
+    m = ModelMap(table=build_params(5, 16))
+    leaves, real = [], curves.log2_abs_1p_int
+    monkeypatch.setattr(curves, "log2_abs_1p_int", lambda *a: leaves.append(a) or real(*a))
+    syn = curves.SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=phase_seed)
+    for k in (1, 2):
+        leaves.clear()
+        curves.trace_gamma(m, syn, k, 1)
+        assert len(leaves) == 2 * 256
+        for rm, re, im, ie, mag, wp, l2, sh in leaves:
+            assert (wp, l2, sh) == (m.prec + 32, *ln2_rounded(wp))
+            u = complex(math.ldexp(rm, re), math.ldexp(im, ie))
+            assert dyadic_parts(u, wp) == (rm, re, im, ie, mag) and mag > -16
+            got = _kernel_frac((rm, re, im, ie, mag), wp, (l2, sh))
+            assert got == log2_abs_1p(u, m.prec) == _log2_abs_1p_ref(u, m.prec), u
 
 
 def test_lp_sub_close_scales():
