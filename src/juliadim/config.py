@@ -10,7 +10,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .numerics import ADD_GUARD, ANG_BITS, SIG_BITS
+from .numerics import ADD_GUARD, ANG_BITS, SIG_BITS, DomainError
 
 
 @dataclass
@@ -32,7 +32,7 @@ class Config:
 
     FILE_KEYS = {"lambda": "lam"}
     # kept only because every report embeds to_dict(); nothing reads them
-    UNCONSUMED = ("delta", "output_dir")
+    UNCONSUMED = ("delta", "output_dir", "lam")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -41,30 +41,31 @@ class Config:
 
     @classmethod
     def from_file(cls, path: str) -> "Config":
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise DomainError(f"cannot read config file {path!r}: {exc.strerror}") from None
         cfg = cls()
-        for line in Path(path).read_text().splitlines():
+        for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            # a line without '=' is an unknown key or a key with an empty value
             key, _, val = line.partition("=")
             cfg.set_key(key.strip(), val.strip())
         return cfg
 
     def set_key(self, key: str, val: str):
-        key = self.FILE_KEYS.get(key, key)
-        if key in self.UNCONSUMED:
-            raise KeyError(f"config key {key!r} has no consumer")
-        for f in fields(self):
-            if f.name == key:
-                cur = getattr(self, key)
-                if isinstance(cur, int):
-                    setattr(self, key, int(val))
-                elif isinstance(cur, float):
-                    setattr(self, key, float(val))
-                else:
-                    setattr(self, key, val)
-                return
-        raise KeyError(f"unknown config key {key!r}")
+        name = self.FILE_KEYS.get(key, key)
+        if name in self.UNCONSUMED:
+            raise DomainError(f"config key {key!r} has no consumer")
+        if name not in {f.name for f in fields(self)}:
+            raise DomainError(f"unknown config key {key!r}")
+        kind = type(getattr(self, name))
+        try:
+            setattr(self, name, kind(val))
+        except ValueError:
+            raise DomainError(f"config key {key!r} needs {kind.__name__}, not {val!r}") from None
 
     def build_table(self):
         from .params import build_params
@@ -72,5 +73,5 @@ class Config:
 
     def build_model(self):
         from .modelmap import ModelMap
-        return ModelMap(table=self.build_table(), lam=self.lam, prec=self.P_sig,
-                        guard=self.guard, ang_bits=self.P_ang)
+        return ModelMap(table=self.build_table(), prec=self.P_sig, guard=self.guard,
+                        ang_bits=self.P_ang)

@@ -317,6 +317,8 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
         raise DomainError("trace grid must be >= 256")
     if depth < 1:
         raise DomainError("depth must be >= 1")
+    if k < 0:
+        raise DomainError(f"trace level k = {k} must be >= 0")
     t = m.table
     ang_cost = sum(t.N + k + j for j in range(1, depth + 1))
     if ang_cost > m.ang_bits - 64:

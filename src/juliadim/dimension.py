@@ -210,6 +210,8 @@ def z2_tail(t: ParamTable, k: int, tdim: float, lcut: int = 1,
     SINGLETON_EPS."""
     if lcut < 1:
         raise DomainError("lcut must be >= 1")
+    if Pp < 1.0:
+        raise DomainError("cover constant P' must be >= 1")
     tf = _tfrac(tdim)
     pref = tdim * math.log2(Pp) + _log2_float(tf * t.R_exp(k))
     jhi = lcut + 6

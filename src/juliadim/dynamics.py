@@ -188,26 +188,6 @@ def _inverse_image(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
     raise BranchError(f"unknown branch kind {branch!r}")
 
 
-def branch_of_point(m: ModelMap, z: LogPolar) -> Optional[InverseBranchSpec]:
-    """The inverse-branch spec that recovers z from its image, when z sits in
-    a V zone, a petal, or the origin disk."""
-    t = m.table
-    reg = classify(t, z, model=m)
-    if reg.kind == "V":
-        nk = t.n(reg.k)
-        return VkRoot(reg.k, int(z.theta.turns * nk))
-    if reg.kind == "P":
-        return PetalInverse(reg.k, reg.j)
-    if reg.kind == "D":
-        lm = qN_landmarks(m)
-        if not z.is_zero and z.rho > lm.zero_rho - 2:
-            # nearest zero: zero i sits at (i - 1/2)/d turns, so theta in
-            # ((i-1)/d, i/d] is nearest to it, ties to the lower index
-            return OriginBranch(max(1, math.ceil(z.theta.turns * lm.degree)))
-        return OriginBranch(0)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # orbits
 # ---------------------------------------------------------------------------
@@ -324,11 +304,11 @@ def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int, phi_budget: bool = False,
         if orbit_seq[n] is not None and orbit_seq[n - 1] is not None
         and orbit_seq[n] < orbit_seq[n - 1] + 1
     ]
-    cls = _classify_window(regions, orbit_seq, backwards, truncated, escaped)
+    cls = _classify_window(regions, backwards, truncated, escaped)
     return OrbitRecord(points, regions, orbit_seq, backwards, cls)
 
 
-def _classify_window(regions, orbit_seq, backwards, truncated, escaped) -> Classification:
+def _classify_window(regions, backwards, truncated, escaped) -> Classification:
     if truncated:
         return Classification("Truncated", reason=truncated)
     if escaped:
@@ -523,7 +503,11 @@ def _normalize_itinerary(entries: Sequence[str]) -> List[Tuple[Region, Optional[
     out = []
     for s in entries:
         tag, _, br = s.partition(":")
-        out.append((Region.parse(tag), int(br) if br else None))
+        try:
+            branch = int(br) if br else None
+        except ValueError:
+            raise ItineraryError(f"root branch of {s!r} is not an integer") from None
+        out.append((Region.parse(tag), branch))
     return out
 
 

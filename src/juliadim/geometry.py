@@ -1,4 +1,4 @@
-"""Annulus and petal atlas: region classification and level-line structure.
+"""Annulus and petal atlas: region classification.
 
 The plane splits into a central disk D = {|z| <= R_1/4}, open annuli
 A_k = A(R_k/4, 4 R_k) hosting all the interesting dynamics, closed gaps
@@ -11,7 +11,7 @@ irrational, far below the classification margin).
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -47,37 +47,21 @@ class Region:
         s = s.strip()
         if s in ("D", "boundary"):
             return cls(s)
-        kind, rest = s[0], s[s.index("(") + 1:-1]
-        parts = [int(x) for x in rest.split(",")]
-        if kind == "P":
-            return cls("P", parts[0], parts[1])
-        return cls(kind, parts[0])
+        tag = _TAG.fullmatch(s)
+        if tag is None:
+            raise DomainError(f"region tag {s!r} is not D, boundary, A/B/V/L(k) or P(k,j)")
+        if tag[1]:
+            return cls(tag[1], int(tag[2]))
+        return cls("P", int(tag[3]), int(tag[4]))
 
 
-@dataclass(frozen=True)
-class PetalSpec:
-    k: int
-    j: int
-    center: LogPolar
-    radius_log2: int                 # log2 R_k 2**-n_k
-    conformal_radius_log2: Fraction  # log2 lam (e**(pi/n_k) - 1) R_k
+_TAG = re.compile(r"([ABVL])\(\s*(-?\d+)\s*\)|P\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
 
 def petal_radius_rel_log2(nk: int) -> Fraction:
     """log2(petal radius / |petal center|) at a level with n_k petals: the
     ball B(w, R_k 2**-n_k) around a zero of modulus R_k e**(pi/(4 n_k))."""
     return -nk - pi_over_ln2_frac(4 * nk)
-
-
-def petal_spec(m: ModelMap, k: int, j: int) -> PetalSpec:
-    t = m.table
-    nk = t.n(k)
-    if not 1 <= j <= nk:
-        raise DomainError(f"petal index {j} out of range (n_k = {nk})")
-    center = m.ring_zero(k + t.N - 1, j)
-    shape = Fraction(m.lam * math.expm1(math.pi / nk))
-    conf = t.R_exp(k) + const_log2_frac(shape.numerator, shape.denominator)
-    return PetalSpec(k, j, center, t.R_exp(k) - nk, conf)
 
 
 LOG2_2_5 = const_log2_frac(2, 5)
@@ -188,64 +172,3 @@ def classify(t: ParamTable, z: LogPolar, margin: float = 0.0,
                 return Region("boundary")
             return Region("B", k)
     raise DomainError("point beyond the built table")
-
-
-# ---------------------------------------------------------------------------
-# level lines around the origin
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LevelLineReport:
-    n: int
-    count: int
-    expansion_check: float      # min sampled diam-ratio / R_1
-    branches_sampled: int
-    newton_failures: int
-
-
-def _diam_log2(points: List[LogPolar], prec: int) -> Fraction:
-    from .numerics import lp_sub
-    best = None
-    for i in range(len(points)):
-        for jj in range(i + 1, len(points)):
-            d = lp_sub(points[i], points[jj], guard=4096, prec=prec)
-            if d.value.is_zero:
-                continue
-            if best is None or d.value.rho > best:
-                best = d.value.rho
-    if best is None:
-        raise DomainError("degenerate sample set")
-    return best
-
-
-def level_lines(m: ModelMap, n: int) -> LevelLineReport:
-    """Component count 2**(N n) of the n-th preimage of |z| = 4 R_1, plus a
-    sampled expansion certificate: each pullback step contracts diameters by
-    at least R_1 (ratio/R_1 >= 1, up to the sampling resolution), over 8
-    points and the origin-branch sequences 0, 1, 2**(N-1), (1, 0), (0, 1)."""
-    from .dynamics import OriginBranch, inverse_step
-
-    if n < 1:
-        raise DomainError("level-line depth must be >= 1")
-    t = m.table
-    count = 1 << (t.N * n)
-    deg = 1 << t.N
-    branch_sample = [b for b in ([0], [1], [deg // 2], [1, 0], [0, 1]) if len(b) <= n]
-    failures = 0
-    min_ratio = math.inf
-    e1 = t.R_exp(1)
-    for branches in branch_sample:
-        pts = [LogPolar(Fraction(e1 + 2), Fraction(i, 8)) for i in range(8)]
-        prev_diam: Fraction = Fraction(e1 + 3)  # diam of the base circle
-        try:
-            for b in branches:
-                pts = [inverse_step(m, p, OriginBranch(b), tol=2.0 ** -64) for p in pts]
-                diam = _diam_log2(pts, m.prec)
-                ratio_over_R1 = float(prev_diam - diam - e1)
-                min_ratio = min(min_ratio, 2.0 ** ratio_over_R1)
-                prev_diam = diam
-        except DomainError:
-            failures += 1
-    return LevelLineReport(n=n, count=count, expansion_check=min_ratio,
-                           branches_sampled=len(branch_sample),
-                           newton_failures=failures)

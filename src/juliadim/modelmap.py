@@ -77,7 +77,6 @@ class PieceId:
 @dataclass(frozen=True)
 class ModelMap:
     table: ParamTable
-    lam: float = 0.05      # petal conformal-ball shape constant
     prec: int = SIG_BITS
     guard: int = ADD_GUARD
     ang_bits: int = ANG_BITS   # angle resolution orbits and pullbacks budget against

@@ -245,10 +245,6 @@ class LogPolar:
         return cls(None, zero=True)
 
     @classmethod
-    def from_pow2(cls, e: int, theta: Union[Angle, Fraction, int] = 0) -> "LogPolar":
-        return cls(Fraction(e), theta)
-
-    @classmethod
     def from_mpc(cls, w: mpc, prec: int = SIG_BITS) -> "LogPolar":
         """LogPolar of an mpc w, its log2 modulus and turns at prec + 16 bits."""
         w = mpc(w)
@@ -320,9 +316,6 @@ class LogPolar:
             mag = mpmath.power(2, frac_to_mpf(d, prec + 16))
             t = frac_to_mpf(self.theta.turns, prec + 16)
             return mpc(mag * mpmath.cospi(2 * t), mag * mpmath.sinpi(2 * t))
-
-    def to_complex(self) -> complex:
-        return complex(self.to_mpc_scaled(Fraction(0), 64))
 
     def __repr__(self) -> str:
         if self.zero:
@@ -629,14 +622,6 @@ def log2_abs_1p_int(rm: int, re: int, im: int, ie: int, mag: int, wp: int,
         q = (t >> 1) + 1 if t & 1 and (t & 2 or q & ((1 << (n - 1)) - 1)) else t >> 1
         e += n
     return (-q if m < 0 else q), e - half - extra + wp + 20 - sh
-
-
-def log2_abs_1p(u: Union[complex, mpc], prec: int = SIG_BITS) -> Fraction:
-    """log2|1 + u| for a complex or mpc u, |u| < 1, as an exact dyadic at
-    prec + 32 bits: :func:`log2_abs_1p_int`, bit for bit the change of rho
-    that ``lp_perturb(z, u, prec)`` makes."""
-    wp = prec + 32
-    return _dyadic(*log2_abs_1p_int(*dyadic_parts(u, wp), wp, *ln2_rounded(wp)))
 
 
 def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int = SIG_BITS) -> LogPolar:

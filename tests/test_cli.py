@@ -8,6 +8,7 @@ import pytest
 
 from juliadim.cli import _parser, main, parse_point
 from juliadim.config import Config
+from juliadim.numerics import DomainError
 from juliadim.params import CertificateReport, build_params
 
 VERIFY_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -26,14 +27,53 @@ def test_parse_point_big_exponent():
 
 def test_config_file_and_overrides(tmp_path):
     p = tmp_path / "cfg"
-    p.write_text("N=7\nkmax=9\nlambda=0.06\n# comment\nCprime=0.5\n")
+    p.write_text("N=7\nkmax=9\n# comment\nCprime=0.5\n")
     cfg = Config.from_file(str(p))
-    assert cfg.N == 7 and cfg.kmax == 9 and cfg.lam == 0.06 and cfg.Cprime == 0.5
+    assert cfg.N == 7 and cfg.kmax == 9 and cfg.Cprime == 0.5
     d = cfg.to_dict()
     assert "lambda" in d and "lam" not in d
-    for key in ("nope", "delta", "output_dir"):
-        with pytest.raises(KeyError):
+    for key in ("nope", "delta", "output_dir", "lambda"):
+        with pytest.raises(DomainError):
             cfg.set_key(key, "1")
+
+
+ANCHOR = "183764352,0.0,0.2"
+
+
+@pytest.mark.parametrize("config,argv", [
+    ("nope=1\n", ["dims"]),
+    ("N 5\n", ["dims"]),
+    ("N=five\n", ["dims"]),
+    ("lambda=0.06\n", ["dims"]),
+    (None, ["dims"]),
+    ("Pp=0\n", ["dims"]),
+    ("", ["eval", "--point", "1,2"]),
+    ("", ["orbit", "--point", "1,2,x"]),
+    ("", ["backward", "--itinerary", "V(1)", "--anchor", "1,2"]),
+    ("", ["backward", "--itinerary", "", "--anchor", ANCHOR]),
+    ("", ["backward", "--itinerary", "X", "--anchor", ANCHOR]),
+    ("", ["backward", "--itinerary", "V(1", "--anchor", ANCHOR]),
+    ("", ["backward", "--itinerary", "V(1):x", "--anchor", ANCHOR]),
+    ("", ["dims", "--sweep", "abc"]),
+])
+def test_malformed_input_ends_in_one_line(config, argv, tmp_path, capsys):
+    # a config file (None: missing), a point, an itinerary or a sweep list
+    # that does not parse is refused like any other typed error
+    cfg = tmp_path / "cfg"
+    if config is not None:
+        cfg.write_text(config)
+    assert run(argv + ["--N", "5", "--kmax", "12", "--config", str(cfg)]) == 3
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.count("\n") == 1
+    assert re.match(r"juliadim: (Domain|Itinerary)Error: ", cap.err), cap.err
+
+
+def test_trace_refuses_a_negative_level(tmp_path, capsys):
+    # n = 4 at k = -3 is ring j = 2, which the model never uses
+    argv = ["trace", "--N", "5", "--kmax", "12", "--k", "-3", "--depth", "1",
+            "--out", str(tmp_path / "t.csv")]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == "juliadim: DomainError: trace level k = -3 must be >= 0\n"
 
 
 def test_params_subcommand(tmp_path, capsys):

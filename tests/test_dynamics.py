@@ -12,7 +12,6 @@ from juliadim.dynamics import (
     VkRoot,
     _normalize_itinerary,
     backward_construct,
-    branch_of_point,
     check_singular_values,
     inverse_step,
     itinerary_orbit,
@@ -22,7 +21,7 @@ from juliadim.dynamics import (
 )
 from juliadim.config import Config
 from juliadim.geometry import classify
-from juliadim.modelmap import ModelMap, qN_landmarks
+from juliadim.modelmap import ModelMap
 from juliadim.numerics import DomainError, LogPolar, const_log2_frac
 from juliadim.params import build_params
 
@@ -104,40 +103,6 @@ def test_inverse_round_trips(kind):
         got, _ = M5.eval(z)
         assert abs(float(got.rho - target.rho)) < TOL
         assert float(got.theta.dist(target.theta)) < TOL
-
-
-def test_inverse_then_forward_branch_recovery():
-    rng = Random(5)
-    for _ in range(25):
-        k = rng.randrange(1, 4)
-        target = _rand_target(rng, k + 1)
-        b = rng.randrange(T5.n(k))
-        z = inverse_step(M5, target, VkRoot(k, b), TOL)
-        spec = branch_of_point(M5, z)
-        assert spec == VkRoot(k, b)
-
-
-def test_origin_branch_of_point_equals_nearest_zero():
-    # reference: the nearest of the M_N - 1 zeros by circular distance,
-    # first index on ties, against the closed form; on every tie angle
-    # i/(M_N - 1) and on 2000 seeded angles
-    lm = qN_landmarks(M5)
-    zeros = [lm.zero(i) for i in range(1, lm.degree + 1)]
-
-    def nearest(theta):
-        best, bd = 0, None
-        for i, w in enumerate(zeros, start=1):
-            d = theta.dist(w.theta)
-            if bd is None or d < bd:
-                best, bd = i, d
-        return best
-
-    rng = Random(77)
-    angles = [Fraction(i, lm.degree) for i in range(lm.degree)]
-    angles += [Fraction(rng.randrange(1 << 40), 1 << 40) for _ in range(2000)]
-    for a in angles:
-        z = LogPolar(lm.zero_rho, a)
-        assert branch_of_point(M5, z) == OriginBranch(nearest(z.theta)), a
 
 
 def test_branch_contract_violations():
@@ -473,10 +438,9 @@ def test_eval_then_inverse_identity():
         # next annulus (the branch's domain): |32 delta| < 2
         rho = Fraction(T5.R_exp(k) - 1) + Fraction(rng.randrange(-2**18, 2**18), 2**25)
         z = LogPolar(rho, Fraction(rng.randrange(2**30), 2**30))
+        assert str(classify(T5, z, model=M5)) == f"V({k})"
         w, _ = M5.eval(z)
-        spec = branch_of_point(M5, z)
-        assert spec is not None
-        back = inverse_step(M5, w, spec, TOL)
+        back = inverse_step(M5, w, VkRoot(k, int(z.theta.turns * T5.n(k))), TOL)
         assert abs(float(back.rho - z.rho)) < TOL
         assert float(back.theta.dist(z.theta)) < TOL
 
@@ -502,7 +466,7 @@ def test_petal_derivative_expansion_bound():
             j = rng.randrange(1, T5.n(k) + 1)
             w = M5.ring_zero(k + T5.N - 1, j)
             z = LogPolar(w.rho + Fraction(rng.randrange(-7, 8), 1 << (T5.n(k) + 4)),
-                         w.theta.add(LogPolar.from_pow2(0, Fraction(
+                         w.theta.add(LogPolar(0, Fraction(
                              rng.randrange(-7, 8), 1 << (T5.n(k) + 6))).theta))
             d, _ = M5.deriv(z)
             assert float(d.rho) >= floor_log2

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 from fractions import Fraction
 from random import Random
 
@@ -10,10 +9,8 @@ import juliadim.geometry as geometry
 from juliadim.geometry import (
     Region,
     classify,
-    level_lines,
     petal_membership,
     petal_radius_rel_log2,
-    petal_spec,
 )
 from juliadim.modelmap import ModelMap
 from juliadim.numerics import LogPolar, expm1_lp, frac_to_mpf, lp_perturb
@@ -67,14 +64,6 @@ def test_zero_ring_layout():
         # consecutive angles differ by exactly 1/n_k of a turn
         diffs = {zz[i + 1].theta.sub(zz[i].theta).turns for i in range(nk - 1)}
         assert diffs == {Fraction(1, nk)}
-
-
-def test_petal_spec_radii():
-    ps = petal_spec(M5, 1, 1)
-    assert ps.radius_log2 == T5.R_exp(1) - T5.n(1)
-    # ball inside the conformal ball once n_k 2^-n_k < lam pi
-    assert T5.n(1) * 2.0 ** -T5.n(1) < M5.lam * math.pi
-    assert ps.radius_log2 < ps.conformal_radius_log2
 
 
 def test_petals_disjoint_and_off_V():
@@ -139,13 +128,3 @@ def test_petal_membership_escalates_only_in_its_tie_band(monkeypatch):
 def test_classify_petal_via_model():
     z0 = M5.ring_zero(T5.N, 3)
     assert str(classify(T5, z0, model=M5)) == "P(1,3)"
-
-
-def test_level_line_counts_and_expansion():
-    rep = level_lines(M5, 1)
-    assert rep.count == 2 ** 5
-    assert rep.newton_failures == 0
-    assert rep.expansion_check >= 1.0 - 1e-9
-    rep2 = level_lines(M5, 2)
-    assert rep2.count == 2 ** 10
-    assert rep2.expansion_check >= 1.0 - 1e-9

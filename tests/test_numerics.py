@@ -19,7 +19,6 @@ from juliadim.numerics import (
     expm1_series,
     ln2_rounded,
     log1p_mpc,
-    log2_abs_1p,
     log2_abs_1p_int,
     lp_add,
     lp_perturb,
@@ -37,28 +36,28 @@ angles = st.builds(
 
 
 def test_pow2_exactness():
-    a = LogPolar.from_pow2(6)
-    b = LogPolar.from_pow2(-8)
+    a = LogPolar(6)
+    b = LogPolar(-8)
     c = a.mul(b)
     assert c.rho == -2 and c.rho.denominator == 1
 
     # huge exponents combine exactly as integers
-    big = LogPolar.from_pow2(2**60)
+    big = LogPolar(2**60)
     sq = big.mul(big)
     assert sq.rho == 2**61 and sq.rho.denominator == 1
 
 
 def test_table_recurrence_value():
     # c4 * (r4/2)**M4 = 2**-128 * (2**55)**16 = 2**752
-    c4 = LogPolar.from_pow2(-128)
-    half_r4 = LogPolar.from_pow2(55)
+    c4 = LogPolar(-128)
+    half_r4 = LogPolar(55)
     r5 = c4.mul(half_r4.pow_int(16))
     assert r5.rho == 752 and r5.rho.denominator == 1
 
 
 def test_division_by_zero_raises():
     with pytest.raises(DivisionByZero):
-        LogPolar.from_pow2(0).div(LogPolar.zero_point())
+        LogPolar(0).div(LogPolar.zero_point())
 
 
 @settings(max_examples=100)
@@ -68,7 +67,7 @@ def test_division_by_zero_raises():
        st.integers(min_value=0, max_value=9))
 def test_pow_int_matches_repeated_mul(num, shift, tnum, n):
     a = LogPolar(Fraction(num, 1 << shift), Fraction(tnum, 1 << 32))
-    acc = LogPolar.from_pow2(0)
+    acc = LogPolar(0)
     for _ in range(n):
         acc = acc.mul(a)
     assert a.pow_int(n) == acc  # exact: rho and theta are rationals
@@ -130,23 +129,23 @@ def test_lp_root_pow_roundtrip_exact(ri, tnum, n, braw):
 
 
 def test_lp_add_dominance():
-    big = LogPolar.from_pow2(752)
-    small = LogPolar.from_pow2(4)
+    big = LogPolar(752)
+    small = LogPolar(4)
     s = lp_add(big, small)
     assert s.negligible and s.value.rho == 752
 
 
 def test_lp_add_exact_cancellation():
-    a = LogPolar.from_pow2(3)
-    b = LogPolar.from_pow2(3, Fraction(1, 2))
+    a = LogPolar(3)
+    b = LogPolar(3, Fraction(1, 2))
     s = lp_add(a, b)
     assert s.cancelled and s.value.is_zero
 
 
 def test_lp_add_sixth_turn():
     # 2^3 + 2^3 e^{2pi i/3} has modulus 2^3 and angle 1/6 turn
-    a = LogPolar.from_pow2(3)
-    b = LogPolar.from_pow2(3, Fraction(1, 3))
+    a = LogPolar(3)
+    b = LogPolar(3, Fraction(1, 3))
     s = lp_add(a, b)
     assert not s.negligible and not s.cancelled
     assert abs(float(s.value.rho) - 3.0) < 1e-30
@@ -164,12 +163,12 @@ def test_lp_add_matches_complex(e1, e2, t1, t2):
     a = LogPolar(Fraction(e1, 3), Angle(Fraction(t1, 1 << 20)))
     b = LogPolar(Fraction(e2, 3), Angle(Fraction(t2, 1 << 20)))
     s = lp_add(a, b)
-    za, zb = a.to_complex(), b.to_complex()
+    za, zb = complex(a.to_mpc_scaled(0, 64)), complex(b.to_mpc_scaled(0, 64))
     zs = za + zb
     if s.cancelled:
         assert abs(zs) <= 1e-12 * max(abs(za), abs(zb))
         return
-    got = s.value.to_complex()
+    got = complex(s.value.to_mpc_scaled(0, 64))
     # the double-precision oracle itself carries cancellation error, so the
     # comparison is relative to the operand scale
     assert abs(got - zs) <= 1e-12 * max(abs(za), abs(zb))
@@ -192,7 +191,7 @@ def test_lp_add_commutes(e1, e2, t1, t2):
 def test_lp_perturb_tiny_scale():
     # perturbation far below any float: the exact rho picks it up and a
     # power magnifies it back into range
-    z = LogPolar.from_pow2(1000)
+    z = LogPolar(1000)
     u = mpmath.ldexp(mpmath.mpf(3), -1200)  # 3 * 2^-1200
     zp = lp_perturb(z, u)
     d = zp.rho - 1000
@@ -266,18 +265,19 @@ def test_lp_perturb_equals_the_mpc_path(prec):
 
 @pytest.mark.parametrize("prec", [128, 2400])
 def test_log2_abs_1p_is_the_rho_step_of_lp_perturb(prec):
-    # one formula for log2|1 + u|: lp_perturb moves rho by exactly it, for
-    # complex and mpc u, on the direct and the |u| < 2^-16 series path
+    # one formula for log2|1 + u|: lp_perturb moves rho by exactly its value
+    # at z = 1, for complex and mpc u, on the direct and the |u| < 2^-16
+    # series path
     rng = random.Random(prec + 1)
     z = LogPolar(Fraction(rng.getrandbits(80), 1 << 40) - (1 << 39),
                  Angle(Fraction(rng.getrandbits(64), 1 << 64)))
     kinds = set()
     for u in _perturbations(rng, prec):
-        assert lp_perturb(z, u, prec).rho == z.rho + log2_abs_1p(u, prec), u
+        assert lp_perturb(z, u, prec).rho == z.rho + lp_perturb(LogPolar(0), u, prec).rho, u
         if u != 0:
             kinds.add((type(u), mpmath.mag(mpmath.mpc(u)) > -16))
     assert kinds == {(t, d) for t in (complex, mpmath.mpc) for d in (True, False)}
-    assert log2_abs_1p(0j, prec) == 0
+    assert lp_perturb(LogPolar(0), 0j, prec).rho == 0
 
 
 # log2|1 + u| for |u| >= 2^-16: the integer kernel against mpmath ------------
@@ -340,7 +340,7 @@ def test_log2_abs_1p_kernel_matches_mpf_log_hypot(prec, shape, e1, e2, a, b, sig
     assume(abs(u) < 1)
     if as_mpc:
         u = _wide(re, im, prec, bits)
-    assert log2_abs_1p(u, prec) == _log2_abs_1p_ref(u, prec), u
+    assert lp_perturb(LogPolar(0), u, prec).rho == _log2_abs_1p_ref(u, prec), u
 
 
 PINNED = [
@@ -395,7 +395,7 @@ def _pinned_u(prec, case):
 @pytest.mark.parametrize("prec, case", PINNED)
 def test_log2_abs_1p_kernel_pinned(prec, case):
     u = _pinned_u(prec, case)
-    assert log2_abs_1p(u, prec) == _log2_abs_1p_ref(u, prec), u
+    assert lp_perturb(LogPolar(0), u, prec).rho == _log2_abs_1p_ref(u, prec), u
 
 
 # the kernel's integer form, with its constants taken once ----------------------
@@ -420,13 +420,14 @@ def test_kernel_integer_form_on_the_pinned_inputs(prec):
     for built_at, case in PINNED:
         u = _pinned_u(built_at, case)
         got = _kernel_frac(dyadic_parts(u, wp), wp, consts)
-        assert got == log2_abs_1p(u, prec) == _log2_abs_1p_ref(u, prec), (built_at, case)
+        assert got == lp_perturb(LogPolar(0), u, prec).rho == _log2_abs_1p_ref(u, prec), \
+            (built_at, case)
 
 
 @pytest.mark.parametrize("phase_seed", range(1, 9))
 def test_kernel_integer_form_on_every_trace_leaf(phase_seed, monkeypatch):
     # the (q, e) a synthetic trace takes at each grid leaf, with the trace's
-    # constants, is log2_abs_1p and mpmath's mpf_log_hypot over mpf_ln2
+    # constants, is lp_perturb's rho step and mpmath's mpf_log_hypot over mpf_ln2
     from juliadim import curves
     from juliadim.modelmap import ModelMap
     from juliadim.params import SQRT8, build_params
@@ -444,12 +445,13 @@ def test_kernel_integer_form_on_every_trace_leaf(phase_seed, monkeypatch):
             u = complex(math.ldexp(rm, re), math.ldexp(im, ie))
             assert dyadic_parts(u, wp) == (rm, re, im, ie, mag) and mag > -16
             got = _kernel_frac((rm, re, im, ie, mag), wp, (l2, sh))
-            assert got == log2_abs_1p(u, m.prec) == _log2_abs_1p_ref(u, m.prec), u
+            assert got == lp_perturb(LogPolar(0), u, m.prec).rho, u
+            assert got == _log2_abs_1p_ref(u, m.prec), u
 
 
 def test_lp_sub_close_scales():
-    a = LogPolar.from_pow2(58, Fraction(1, 8))
-    b = LogPolar.from_pow2(58, Fraction(1, 8) + Fraction(1, 1 << 30))
+    a = LogPolar(58, Fraction(1, 8))
+    b = LogPolar(58, Fraction(1, 8) + Fraction(1, 1 << 30))
     d = lp_sub(a, b)
     assert not d.value.is_zero
     with mpmath.workprec(220):
@@ -507,6 +509,6 @@ def test_renderings():
 def test_exponent_budget_errors():
     from juliadim.numerics import ExponentBudgetError, MAX_EXP_BITS
 
-    big = LogPolar.from_pow2(1 << (MAX_EXP_BITS - 2))
+    big = LogPolar(1 << (MAX_EXP_BITS - 2))
     with pytest.raises(ExponentBudgetError):
         big.pow_int(8)
