@@ -333,12 +333,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Exit status 0: done; 1: a certificate failed;
-    2: bad arguments (argparse); 3: a typed error refused the input, printed
-    as one line on stderr."""
+    2: bad arguments (argparse); 3: a typed error refused the input, or a
+    file could not be read or written, printed as one line on stderr."""
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except NumericsError as exc:
+    except (NumericsError, OSError) as exc:
         print(f"juliadim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

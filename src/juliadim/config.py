@@ -73,5 +73,11 @@ class Config:
 
     def build_model(self):
         from .modelmap import ModelMap
+        if self.P_sig < 64:
+            raise DomainError(f"P_sig = {self.P_sig} is below 64 bits, which the error "
+                              "bound of petal_membership assumes")
+        if self.guard < self.P_sig:
+            raise DomainError(f"guard = {self.guard} is below P_sig = {self.P_sig}: a term "
+                              "dropped as negligible must lie below the working resolution")
         return ModelMap(table=self.build_table(), prec=self.P_sig, guard=self.guard,
                         ang_bits=self.P_ang)

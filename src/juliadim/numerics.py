@@ -10,11 +10,11 @@ space:
 * an angle is an exact rational number of turns in [0, 1).
 
 All structural arithmetic (multiplying, powering, extracting roots,
-comparing) is exact.  The only rounding happens at transcendental entry
-points -- adding two complex numbers, taking a log of a sum -- and those
-run through mpmath at ``SIG_BITS`` precision and are rounded back into
-exact dyadic rationals, so every exponent comparison downstream stays
-exact.  Everything here is immutable and safe to share across threads.
+comparing) is exact.  Transcendental entry points round at a stated
+precision back into exact dyadic rationals, so every exponent comparison
+downstream stays exact.  A sum is :func:`lp_perturb` of its ratio, whose
+log(1 + u) is the integer kernel :func:`log2_abs_1p_int` or, for |u| <
+2**-16, the :func:`log1p_mpc` series.  All of it is immutable and thread-safe.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ class ExponentBudgetError(NumericsError):
 
 class DivisionByZero(NumericsError):
     pass
-
-
-class CancellationError(NumericsError):
-    """A sum cancelled below representable precision."""
 
 
 class DomainError(NumericsError):
@@ -345,54 +341,19 @@ class LpSum:
     cancelled: bool = False    # sum fell below representable precision
 
 
-def _log1p_of_scaled(drho: Fraction, dtheta: Fraction, prec: int) -> Tuple[Fraction, Fraction]:
-    """(log2 |1+r|, arg(1+r)/2pi) for r = 2**drho * e^(2pi i dtheta), drho <= 0.
-
-    Exact-rational in, exact-dyadic out.  For r down to ~2**-prec the value
-    is computed directly at working precision; far smaller r goes through a
-    scaled series so the result stays a well-formed tiny rational instead of
-    underflowing.
-    """
-    gap = -(drho.numerator // drho.denominator)
-    wp = prec + 32
-    with mpmath.workprec(wp):
-        if gap <= prec + 16:
-            r = mpmath.power(2, frac_to_mpf(drho, wp))
-            t = frac_to_mpf(frac_mod1(dtheta), wp)
-            rc = mpc(r * mpmath.cospi(2 * t), r * mpmath.sinpi(2 * t))
-            s = 1 + rc
-            if s == 0:
-                raise CancellationError("exact cancellation")
-            ls = mpmath.log(s)
-            return (mpf_to_frac(ls.real / mpmath.ln(2)),
-                    mpf_to_frac(ls.imag / (2 * mpmath.pi)))
-        # scaled series: log(1+r) = r - r^2/2 + r^3/3 - r^4/4 + O(r^5);
-        # the 2**E factor rides in exact rationals so nothing underflows
-        if gap > MAX_EXP_BITS:
-            raise ExponentBudgetError("lp_add gap beyond exponent budget")
-        E = -gap
-        m_rho = frac_to_mpf(drho - E, wp)          # in [0, 1)
-        r_m = mpmath.power(2, m_rho)               # |r| = 2**E * r_m
-        t = frac_to_mpf(frac_mod1(dtheta), wp)
-        u = mpc(r_m * mpmath.cospi(2 * t), r_m * mpmath.sinpi(2 * t))
-        scale = mpmath.ldexp(mpf(1), E)
-        w2 = u * u * scale
-        w3 = w2 * u * scale
-        w4 = w3 * u * scale
-        corr = u - w2 / 2 + w3 / 3 - w4 / 4
-        shift = Fraction(1, 1 << gap)
-        return (mpf_to_frac(corr.real / mpmath.ln(2)) * shift,
-                mpf_to_frac(corr.imag / (2 * mpmath.pi)) * shift)
-
-
 def lp_add(a: LogPolar, b: LogPolar, guard: int = ADD_GUARD,
            prec: int = SIG_BITS) -> LpSum:
-    """a + b in log-polar form.
+    """a + b = a (1 + b/a) in log-polar form, |b| <= |a|, by the first route
+    that applies:
 
-    Dominance: if log2 magnitudes differ by more than `guard` bits the
-    dominant term is returned with negligible=True.  Exact cancellation
-    (equal rho, opposite theta) returns zero with cancelled=True; a sum
-    falling below 2**(rho_max - prec + 8) is likewise flagged cancelled.
+    * negligible: the log2 magnitudes differ by more than `guard` bits; the
+      dominant term is returned with negligible=True;
+    * exact cancellation (equal rho, opposite theta): zero, cancelled=True;
+    * near-cancellation (b/a within 2**(1/4) and 1/16 turn of -1):
+      :func:`expm1_lp` of the exact rational (drho, dtheta - 1/2);
+    * :func:`lp_perturb` of a by b/a read at prec + 32 bits, after a gap
+      past ``MAX_EXP_BITS`` raises ExponentBudgetError.  A sum below
+      2**(rho_max - prec + 8) is flagged cancelled.
     """
     if a.zero:
         return LpSum(b)
@@ -416,13 +377,12 @@ def lp_add(a: LogPolar, b: LogPolar, guard: int = ADD_GUARD,
         if d.is_zero:
             return LpSum(LogPolar.zero_point(), cancelled=True)
         return LpSum(a.mul(d.neg()))
-    try:
-        lre, lim = _log1p_of_scaled(drho, dtheta, prec)
-    except CancellationError:
+    if gap > MAX_EXP_BITS:
+        raise ExponentBudgetError("lp_add gap beyond exponent budget")
+    s = lp_perturb(a, b.div(a).to_mpc_scaled(0, prec + 16), prec)
+    if s.rho - a.rho < -(prec - 8):
         return LpSum(LogPolar.zero_point(), cancelled=True)
-    if lre < -(prec - 8):
-        return LpSum(LogPolar.zero_point(), cancelled=True)
-    return LpSum(LogPolar(a.rho + lre, a.theta.add(Angle(lim))))
+    return LpSum(s)
 
 
 def lp_sub(a: LogPolar, b: LogPolar, guard: int = ADD_GUARD,
@@ -521,7 +481,7 @@ def _log1p_series(rm: int, re: int, im: int, ie: int, wp: int) -> Tuple[Tuple[in
 def log2_abs_1p_int(rm: int, re: int, im: int, ie: int, mag: int, wp: int,
                     l2: int, sh: int) -> Tuple[int, int]:
     """log2|1 + u| as (q, e), the exact dyadic q 2**e, for u = rm 2**re + i im
-    2**ie with |u| < 1 and mag, as :func:`dyadic_parts` gives them, at wp
+    2**ie with |u| <= 1 and mag, as :func:`dyadic_parts` gives them, at wp
     bits with ln 2 rounded as :func:`ln2_rounded` gives it: bit for bit
     ``mpf_log_hypot(1 + u)`` over ``mpf_ln2(wp)`` in mpmath 1.3.0, both
     rounded to nearest.  Tiny u (mag <= -16) takes :func:`_log1p_series`.
@@ -625,7 +585,7 @@ def log2_abs_1p_int(rm: int, re: int, im: int, ie: int, mag: int, wp: int,
 
 
 def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int = SIG_BITS) -> LogPolar:
-    """z * (1 + u) for a complex or mpc u with |u| < 1, at any scale of u.
+    """z * (1 + u) for a complex or mpc u with |u| <= 1, at any scale of u.
 
     The relative size of u may be far below 2**-prec; the result's rho then
     carries an exact tiny rational correction rather than losing it.

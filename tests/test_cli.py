@@ -55,10 +55,17 @@ ANCHOR = "183764352,0.0,0.2"
     ("", ["backward", "--itinerary", "V(1", "--anchor", ANCHOR]),
     ("", ["backward", "--itinerary", "V(1):x", "--anchor", ANCHOR]),
     ("", ["dims", "--sweep", "abc"]),
+    ("guard=0\n", ["verify"]),
+    ("P_sig=300\n", ["verify"]),
+    ("P_sig=8\n", ["verify"]),
+    ("P_sig=63\nguard=63\n", ["verify"]),
 ])
 def test_malformed_input_ends_in_one_line(config, argv, tmp_path, capsys):
     # a config file (None: missing), a point, an itinerary or a sweep list
-    # that does not parse is refused like any other typed error
+    # that does not parse is refused like any other typed error; so are a
+    # guard below P_sig and a P_sig below 64, which gave wrong numbers with
+    # exit 0 or 1 (guard=0 moved both poly_crit_values rows of verify, and
+    # P_sig=8 failed a row that passes at the default)
     cfg = tmp_path / "cfg"
     if config is not None:
         cfg.write_text(config)
@@ -66,6 +73,40 @@ def test_malformed_input_ends_in_one_line(config, argv, tmp_path, capsys):
     cap = capsys.readouterr()
     assert cap.out == "" and cap.err.count("\n") == 1
     assert re.match(r"juliadim: (Domain|Itinerary)Error: ", cap.err), cap.err
+
+
+def _refused_with(capsys, prefix):
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err.count("\n") == 1
+    assert cap.err.startswith(prefix), cap.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--N", "5", "--kmax", "12", "--input", "nope.csv"],
+    ["orbit", "--N", "5", "--kmax", "12", "--input", "nope.csv"],
+])
+def test_missing_input_file_ends_in_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 3
+    _refused_with(capsys, "juliadim: FileNotFoundError: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "--N", "5", "--kmax", "6"],
+    ["eval", "--N", "5", "--kmax", "12", "--point", "760,0.5,0.25"],
+    ["trace", "--N", "5", "--kmax", "12", "--depth", "1"],
+    ["render", "--N", "5", "--kmax", "12"],
+])
+def test_unwritable_output_ends_in_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out", "nodir/x"]) == 3
+    _refused_with(capsys, "juliadim: FileNotFoundError: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lowest_accepted_settings_build():
+    m = Config(N=5, kmax=12, P_sig=64, guard=64).build_model()
+    assert (m.prec, m.guard) == (64, 64)
 
 
 def test_trace_refuses_a_negative_level(tmp_path, capsys):

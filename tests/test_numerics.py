@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import libmp
 
 from juliadim.numerics import (
@@ -188,6 +188,54 @@ def test_lp_add_commutes(e1, e2, t1, t2):
     assert s1.value == s2.value
 
 
+def _mpf(fr):
+    return mpmath.mpf(fr.numerator) / fr.denominator
+
+
+@pytest.mark.parametrize("prec, guard", [(128, 300), (400, 300), (400, 700)])
+def test_lp_add_matches_mpmath_at_1200_bits(prec, guard):
+    # the lp_perturb route at every gap scale, against log(1 + b/a) at 1200
+    # bits; the near-cancellation box (expm1_lp) is left out, and a gap past
+    # the guard must take the negligible route
+    rng = random.Random(prec + guard)
+    tol = mpmath.mpf(2) ** -(prec + 24)
+    seen = set()
+    for gap in (0, 5, 15, 16, 17, 40, 100, prec + 15, prec + 17, 255):
+        for _ in range(8):
+            a = LogPolar(Fraction(rng.getrandbits(80), 1 << 64) - (1 << 15),
+                         Angle(Fraction(rng.getrandbits(64), 1 << 64)))
+            drho = -gap - Fraction(rng.getrandbits(64), 1 << 64)
+            dtheta = Fraction(rng.getrandbits(64), 1 << 64)
+            if drho >= -Fraction(1, 4) and abs(dtheta - Fraction(1, 2)) <= Fraction(1, 16):
+                continue
+            b = LogPolar(a.rho + drho, a.theta.add(Angle(dtheta)))
+            s = lp_add(a, b, guard, prec)
+            assert not s.cancelled
+            if gap >= guard:
+                assert s.negligible and s.value == a
+                continue
+            with mpmath.workprec(1200):
+                v = mpmath.log(1 + mpmath.mpf(2) ** _mpf(drho) * mpmath.expjpi(2 * _mpf(dtheta)))
+                rho_err = abs(_mpf(s.value.rho - a.rho) - v.real / mpmath.ln(2))
+                d = _mpf(s.value.theta.turns - a.theta.turns) - v.imag / (2 * mpmath.pi)
+                th_err = abs(d - mpmath.nint(d))
+            assert rho_err <= tol and th_err <= tol, (gap, rho_err, th_err)
+            seen.add(gap)
+    assert len(seen) >= 8
+
+
+def test_lp_add_gap_past_the_exponent_budget_raises():
+    # the one check that stops an N >= 8 OriginBranch step: past the budget
+    # the ratio is never converted, at it the sum is still formed
+    from juliadim.numerics import ExponentBudgetError, MAX_EXP_BITS
+
+    a, guard = LogPolar(0), MAX_EXP_BITS + 64
+    with pytest.raises(ExponentBudgetError):
+        lp_add(a, LogPolar(-(MAX_EXP_BITS + 1), Fraction(1, 3)), guard)
+    s = lp_add(a, LogPolar(-MAX_EXP_BITS, Fraction(1, 3)), guard)
+    assert not s.negligible and -1 < s.value.rho * 2 ** MAX_EXP_BITS < 0
+
+
 def test_lp_perturb_tiny_scale():
     # perturbation far below any float: the exact rho picks it up and a
     # power magnifies it back into range
@@ -328,6 +376,8 @@ def _near_circle(x, y, k):
        st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
        st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]), st.booleans(),
        st.integers(min_value=0, max_value=(1 << 128) - 1), st.booleans())
+# widening by up to 2 takes this |u| = 0.707 to 1 + 1.6e-39: the test rejects it
+@example(128, "both", 0, 0, 0.5, 0.5, (1, 1), False, 140949571415070559626692937523481902399, True)
 def test_log2_abs_1p_kernel_matches_mpf_log_hypot(prec, shape, e1, e2, a, b, signs, swap,
                                                   bits, as_mpc):
     # one part at least 2^-16 (the direct branch); the other as large, absent,
@@ -336,10 +386,8 @@ def test_log2_abs_1p_kernel_matches_mpf_log_hypot(prec, shape, e1, e2, a, b, sig
     re, im = signs[0] * math.ldexp(a, e1), (signs[1] * math.ldexp(b, e2) if e2 is not None else 0.0)
     if shape == "im" or swap:
         re, im = im, re
-    u = complex(re, im)
+    u = _wide(re, im, prec, bits) if as_mpc else complex(re, im)
     assume(abs(u) < 1)
-    if as_mpc:
-        u = _wide(re, im, prec, bits)
     assert lp_perturb(LogPolar(0), u, prec).rho == _log2_abs_1p_ref(u, prec), u
 
 
