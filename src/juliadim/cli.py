@@ -341,7 +341,3 @@ def main(argv=None) -> int:
     except (NumericsError, OSError) as exc:
         print(f"juliadim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -73,9 +73,6 @@ class Identity:
     def phi_prime(self, z: LogPolar) -> complex:
         return 1.0 + 0.0j
 
-    def envelope(self, z: LogPolar) -> float:
-        return 0.0
-
 
 class SyntheticOmega:
     """phi(z) = z (1 + eps(z)) with |eps| <= C' omega_p(1/|z|).
@@ -107,9 +104,6 @@ class SyntheticOmega:
                                 / int(self.RHO_SCALE) for rf in self.rho_freqs)
 
     # -- field ----------------------------------------------------------------
-
-    def envelope(self, z: LogPolar) -> float:
-        return self._envelope(z.rho)
 
     def _envelope(self, rho: Fraction) -> float:
         ri = rho.numerator // rho.denominator
@@ -193,10 +187,6 @@ class CurveTrace:
         def ints(rs): return tuple(r.numerator * scale[r.denominator] for r in rs)
         return cls(k, m, D, ints(inner), ints(outer))
 
-    def scaled(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-        """(D, inner, outer), the stored form."""
-        return self.D, self.inner, self.outer
-
     @cached_property
     def _radii(self) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
         # built on first use; equal integers share one Fraction
@@ -219,7 +209,7 @@ class CurveTrace:
         """(inner, outer) max radial oscillation over theta, in log2 units:
         max - min of the stored integers over D, as a correctly rounded
         int-by-int division (the float of the exact Fraction difference)."""
-        D, inner, outer = self.scaled()
+        D, inner, outer = self.D, self.inner, self.outer
         return (max(inner) - min(inner)) / D, (max(outer) - min(outer)) / D
 
 
@@ -258,13 +248,6 @@ def _pullback_levels(m: ModelMap, phi, k: int, depth: int, q: int, nums: Iterabl
         levels.append(level)
     levels.reverse()
     return paths, levels
-
-
-def _pullback_tree(m: ModelMap, phi, k: int, depth: int, q: int, nums: Iterable[int],
-                   seed_rho: Fraction) -> List[List[LogPolar]]:
-    """The chain w_0, ..., w_depth of each a in nums (see _pullback_levels)."""
-    paths, levels = _pullback_levels(m, phi, k, depth, q, nums, seed_rho)
-    return [[lv[a] for lv, a in zip(levels, p)] for p in paths]
 
 
 def _leaf_radii(m: ModelMap, phi: SyntheticOmega, k: int, depth: int, grid: int,
@@ -329,15 +312,15 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
     if isinstance(phi, Identity):
         # root maps rho to (rho - C)/n whatever the angle or branch, so
         # one leaf per seed gives the radius at every theta
-        r_in, r_out = ([_pullback_tree(m, phi, k, depth, grid, [0], s)[0][0].rho] for s in seeds)
+        r_in, r_out = ([_pullback_levels(m, phi, k, depth, grid, [0], s)[1][0][0].rho]
+                       for s in seeds)
         one = CurveTrace.from_radii(k, depth, r_in, r_out)
         tr = CurveTrace(k, depth, one.D, one.inner * grid, one.outer * grid)
     else:
         tr = CurveTrace(k, depth, *_leaf_radii(m, phi, k, depth, grid, seeds))
-    D, inner, outer = tr.scaled()
-    for name, arr in (("inner", inner), ("outer", outer)):
+    for name, arr in (("inner", tr.inner), ("outer", tr.outer)):
         for i in range(grid):
-            if 4 * abs(arr[(i + 1) % grid] - arr[i]) > D:
+            if 4 * abs(arr[(i + 1) % grid] - arr[i]) > tr.D:
                 raise DomainError(
                     f"branch inconsistency on the {name} trace in theta cell "
                     f"[{i}/{grid}, {i + 1}/{grid}]")
@@ -379,8 +362,8 @@ def width_check(m: ModelMap, trace: CurveTrace) -> WidthCheck:
     log2(2**gap - 1) is rounded at prec + 32 bits, so it could break that
     order only for two gaps within a few units of that precision; the
     tests compare the frontier maximum with the all-pairs one.)  The pairs
-    are deduplicated and ordered as integers over one denominator
-    (CurveTrace.scaled).
+    are deduplicated and ordered as the stored integers over the trace's
+    one denominator D.
 
     A float screen then leaves for the exact pow2_minus1_log2 only the
     frontier pairs that may hold the maximum of the exact values E.  Per
@@ -410,7 +393,7 @@ def width_check(m: ModelMap, trace: CurveTrace) -> WidthCheck:
     """
     t = m.table
     k, depth = trace.k, trace.m
-    D, inner, outer = trace.scaled()
+    D, inner, outer = trace.D, trace.inner, trace.outer
     pairs = sorted({(r_in, r_out - r_in) for r_in, r_out in zip(inner, outer)}, reverse=True)
     if min(gap for _, gap in pairs) <= 0:
         raise DomainError("inverted trace radii")
@@ -508,8 +491,9 @@ def tangent_products(m: ModelMap, phi, theta0: Angle, mmax: int,
         raise DomainError("table too small for the requested depth")
     # orbit points: pull the mid-circle anchor back through the V chain
     turns = theta0.turns
-    chain = _pullback_tree(m, phi, k, mmax, turns.denominator, [turns.numerator],
-                           Fraction(t.R_exp(k + mmax + 1) - 1))[0]
+    (path,), levels = _pullback_levels(m, phi, k, mmax, turns.denominator, [turns.numerator],
+                                       Fraction(t.R_exp(k + mmax + 1) - 1))
+    chain = [lv[a] for lv, a in zip(levels, path)]
     Cp = getattr(phi, "Cprime", 0.0)
     partials: List[complex] = []
     pair_actual: List[float] = []

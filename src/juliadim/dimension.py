@@ -26,8 +26,8 @@ from .params import CertificateReport, ParamTable, build_params
 
 
 def _tfrac(t: float) -> Fraction:
-    if t <= 0:
-        raise DomainError("dimension exponent must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise DomainError(f"dimension exponent t = {t} must be positive and finite")
     return Fraction(t).limit_denominator(1 << 40)
 
 

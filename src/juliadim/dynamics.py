@@ -626,6 +626,10 @@ def _construct(m: ModelMap, entries, anchor: LogPolar, tol: float,
     petal, f(z_0) from its Newton polish at need[0] bits (else None)."""
     if not entries:
         raise ItineraryError("empty itinerary")
+    for i, (reg, _) in enumerate(entries):
+        if reg.kind not in ("V", "P") or reg.k < 1:
+            raise ItineraryError(f"entry {i}: only V/P tags at level >= 1 are realizable, "
+                                 f"got {reg}")
     budget = budget_bits if budget_bits is not None else m.ang_bits
     need = itinerary_precision(m, entries)[0]
     if need > budget:
@@ -635,9 +639,7 @@ def _construct(m: ModelMap, entries, anchor: LogPolar, tol: float,
     hi = _at_precision(m, need)
     for i in range(len(entries) - 1):
         cur, nxt = entries[i][0], entries[i + 1][0]
-        lc, ln = region_level(cur), region_level(nxt)
-        if lc is None or ln is None:
-            raise ItineraryError(f"entry {i}: only V/P tags are realizable, got {cur}")
+        lc, ln = cur.k, nxt.k
         if ln > lc + 1:
             raise ItineraryError(
                 f"entry {i}: level may rise by at most one ({cur} -> {nxt})")
@@ -651,8 +653,6 @@ def _construct(m: ModelMap, entries, anchor: LogPolar, tol: float,
     for reg, br in reversed(entries):
         if reg.kind == "V":
             z, image = _inverse_image(hi, z, VkRoot(reg.k, br or 0), tol)
-        elif reg.kind == "P":
-            z, image = _inverse_image(hi, z, PetalInverse(reg.k, reg.j or 1), tol)
         else:
-            raise ItineraryError(f"unsupported itinerary tag {reg}")
+            z, image = _inverse_image(hi, z, PetalInverse(reg.k, reg.j or 1), tol)
     return z, image

@@ -243,7 +243,7 @@ class ModelMap:
         if piece.kind == "origin":
             return self._eval_origin(z).value, piece
         if piece.kind == "bump":
-            return eval_bump_gk(self, piece.index, z), piece
+            return eval_bump_gk(self, z), piece
         if piece.kind == "power":
             return self._eval_power(z, piece.index), piece
         return self._eval_seam(z, piece.index), piece
@@ -288,18 +288,15 @@ class ModelMap:
         return lead.mul(w.value), piece
 
 
-def eval_bump_gk(m: ModelMap, k: int, z: LogPolar) -> LogPolar:
-    """The blend family member g_k(z) = c_k z**M_k + r_k z eta_k(|z|) for any
-    ring index k >= 5, independent of which piece the model uses at z; the
-    model's own bump piece is g_N.
+def eval_bump_gk(m: ModelMap, z: LogPolar) -> LogPolar:
+    """The model's bump blend g_N(z) = c_N z**M_N + r_N z eta_N(|z|), at any z.
 
-    eta_k is 1 below |z| = r_k - 1 and 0 above r_k; on the strip it follows
-    the bump profile in the shifted coordinate s = |z| - (r_k - 1), computed
+    eta_N is 1 below |z| = r_N - 1 and 0 above r_N; on the strip it follows
+    the bump profile in the shifted coordinate s = |z| - (r_N - 1), computed
     from the exact rho so the strip is resolvable at any scale.
     """
-    if k < 5:
-        raise DomainError("blend family defined for ring index >= 5")
     t = m.table
+    k = t.N
     Mk = 1 << k
     if z.is_zero:
         return LogPolar.zero_point()

@@ -29,9 +29,9 @@ import mpmath
 from mpmath import libmp, mpc, mpf
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed, log_taylor_cached
 
-SIG_BITS = 128          # fractional-log2 working precision
+SIG_BITS = 128          # default fractional-log2 working precision (Config.P_sig)
 ANG_BITS = 4096         # default angle budget (bits of turns)
-ADD_GUARD = 256         # default dominance gap for lp_add, in bits
+ADD_GUARD = 256         # default dominance gap for lp_add, in bits (Config.guard)
 MAX_EXP_BITS = 1_000_000  # bit-length budget for exponent integers
 CONST_BITS = 192        # fractional bits of the quantized log2 constants
 
@@ -80,7 +80,7 @@ def frac_quantize(fr: Fraction, bits: int) -> Fraction:
     return Fraction(q, 1 << bits)
 
 
-def frac_to_mpf(fr: Fraction, prec: int = SIG_BITS) -> mpf:
+def frac_to_mpf(fr: Fraction, prec: int) -> mpf:
     """Fraction -> mpf at the given precision.
 
     Exact when the denominator is a power of two and the numerator fits in
@@ -220,16 +220,14 @@ class LogPolar:
     exactly; additions go through :func:`lp_add`.
     """
 
-    __slots__ = ("rho", "theta", "zero")
+    __slots__ = ("rho", "theta", "is_zero")
 
-    def __init__(self, rho: Union[Fraction, int, None], theta: Union[Angle, Fraction, int] = 0,
-                 zero: bool = False):
-        if zero or rho is None:
-            self.zero = True
+    def __init__(self, rho: Union[Fraction, int, None], theta: Union[Angle, Fraction, int] = 0):
+        self.is_zero = rho is None
+        if self.is_zero:
             self.rho = Fraction(0)
             self.theta = Angle(0)
             return
-        self.zero = False
         self.rho = Fraction(rho)
         _check_budget(self.rho.numerator // self.rho.denominator, "rho")
         self.theta = theta if isinstance(theta, Angle) else Angle(theta)
@@ -238,10 +236,10 @@ class LogPolar:
 
     @classmethod
     def zero_point(cls) -> "LogPolar":
-        return cls(None, zero=True)
+        return cls(None)
 
     @classmethod
-    def from_mpc(cls, w: mpc, prec: int = SIG_BITS) -> "LogPolar":
+    def from_mpc(cls, w: mpc, prec: int) -> "LogPolar":
         """LogPolar of an mpc w, its log2 modulus and turns at prec + 16 bits."""
         w = mpc(w)
         if w == 0:
@@ -253,10 +251,6 @@ class LogPolar:
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return self.zero
-
     def rho_int(self) -> int:
         return self.rho.numerator // self.rho.denominator
 
@@ -264,46 +258,46 @@ class LogPolar:
         return float(self.rho - self.rho_int())
 
     def mul(self, other: "LogPolar") -> "LogPolar":
-        if self.zero or other.zero:
+        if self.is_zero or other.is_zero:
             return LogPolar.zero_point()
         return LogPolar(self.rho + other.rho, self.theta.add(other.theta))
 
     def div(self, other: "LogPolar") -> "LogPolar":
-        if other.zero:
+        if other.is_zero:
             raise DivisionByZero("log-polar division by zero")
-        if self.zero:
+        if self.is_zero:
             return self
         return LogPolar(self.rho - other.rho, self.theta.sub(other.theta))
 
     def pow_int(self, n: int) -> "LogPolar":
-        if self.zero:
+        if self.is_zero:
             if n <= 0:
                 raise DivisionByZero("0**n for n <= 0")
             return self
         return LogPolar(self.rho * n, self.theta.mul_int(n))
 
     def root(self, n: int, branch: int = 0) -> "LogPolar":
-        if self.zero:
+        if self.is_zero:
             return self
         if n < 1:
             raise DomainError("root order must be >= 1")
         return LogPolar(self.rho / n, self.theta.div(n, branch))
 
     def neg(self) -> "LogPolar":
-        if self.zero:
+        if self.is_zero:
             return self
         return LogPolar(self.rho, self.theta.half_turn())
 
     def mul_pow2(self, e: int) -> "LogPolar":
-        if self.zero:
+        if self.is_zero:
             return self
         return LogPolar(self.rho + e, self.theta)
 
     # -- conversions --------------------------------------------------------
 
-    def to_mpc_scaled(self, rho0: Union[Fraction, int], prec: int = SIG_BITS) -> mpc:
+    def to_mpc_scaled(self, rho0: Union[Fraction, int], prec: int) -> mpc:
         """self / 2**rho0 as an mpc; |rho - rho0| must be float-safe."""
-        if self.zero:
+        if self.is_zero:
             return mpc(0)
         d = self.rho - Fraction(rho0)
         if abs(d.numerator // d.denominator) > (1 << 24):
@@ -314,7 +308,7 @@ class LogPolar:
             return mpc(mag * mpmath.cospi(2 * t), mag * mpmath.sinpi(2 * t))
 
     def __repr__(self) -> str:
-        if self.zero:
+        if self.is_zero:
             return "LogPolar(0)"
         ri = self.rho_int()
         return f"LogPolar(rho={ri}{float(self.rho - ri):+.6f}, theta={self.theta.to_float():.6f})"
@@ -322,12 +316,12 @@ class LogPolar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogPolar):
             return False
-        if self.zero or other.zero:
-            return self.zero and other.zero
+        if self.is_zero or other.is_zero:
+            return self.is_zero and other.is_zero
         return self.rho == other.rho and self.theta == other.theta
 
     def __hash__(self):
-        return hash((self.zero, self.rho, self.theta.turns))
+        return hash((self.is_zero, self.rho, self.theta.turns))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +335,7 @@ class LpSum:
     cancelled: bool = False    # sum fell below representable precision
 
 
-def lp_add(a: LogPolar, b: LogPolar, guard: int = ADD_GUARD,
-           prec: int = SIG_BITS) -> LpSum:
+def lp_add(a: LogPolar, b: LogPolar, guard: int, prec: int) -> LpSum:
     """a + b = a (1 + b/a) in log-polar form, |b| <= |a|, by the first route
     that applies:
 
@@ -355,9 +348,9 @@ def lp_add(a: LogPolar, b: LogPolar, guard: int = ADD_GUARD,
       past ``MAX_EXP_BITS`` raises ExponentBudgetError.  A sum below
       2**(rho_max - prec + 8) is flagged cancelled.
     """
-    if a.zero:
+    if a.is_zero:
         return LpSum(b)
-    if b.zero:
+    if b.is_zero:
         return LpSum(a)
     # canonical anchor so the operation is bit-exact commutative
     if (b.rho, b.theta.turns) > (a.rho, a.theta.turns):
@@ -385,12 +378,11 @@ def lp_add(a: LogPolar, b: LogPolar, guard: int = ADD_GUARD,
     return LpSum(s)
 
 
-def lp_sub(a: LogPolar, b: LogPolar, guard: int = ADD_GUARD,
-           prec: int = SIG_BITS) -> LpSum:
+def lp_sub(a: LogPolar, b: LogPolar, guard: int, prec: int) -> LpSum:
     return lp_add(a, b.neg(), guard, prec)
 
 
-def log1p_mpc(u: mpc, prec: int = SIG_BITS) -> mpc:
+def log1p_mpc(u: mpc, prec: int) -> mpc:
     """log(1 + u) for an mpc u with |u| < 1, at any scale of u.
 
     Runs at the caller's working precision (prec + 32 bits in this module).
@@ -410,7 +402,7 @@ def log1p_mpc(u: mpc, prec: int = SIG_BITS) -> mpc:
     return u * series
 
 
-def expm1_series(L: mpc, scale: int, prec: int = SIG_BITS) -> mpc:
+def expm1_series(L: mpc, scale: int, prec: int) -> mpc:
     """e**L - 1 = L (1 + L/2 + L^2/6 + ...) for |L| < 2**-scale, scale >= 16.
 
     Runs at the caller's working precision.  The term count adapts to the
@@ -584,7 +576,7 @@ def log2_abs_1p_int(rm: int, re: int, im: int, ie: int, mag: int, wp: int,
     return (-q if m < 0 else q), e - half - extra + wp + 20 - sh
 
 
-def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int = SIG_BITS) -> LogPolar:
+def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int) -> LogPolar:
     """z * (1 + u) for a complex or mpc u with |u| <= 1, at any scale of u.
 
     The relative size of u may be far below 2**-prec; the result's rho then
@@ -596,7 +588,7 @@ def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int = SIG_BITS) -> Log
     :func:`log2_abs_1p_int`, theta by ``mpc_arg(1 + u)`` (the
     :func:`log1p_mpc` series for |u| < 2**-16) over 2 ``mpf_pi``.
     """
-    if z.zero:
+    if z.is_zero:
         return z
     wp, rnd = prec + 32, libmp.round_nearest
     rm, re, im, ie, mag = dyadic_parts(u, wp)
@@ -622,7 +614,7 @@ def frac_ilog2(fr: Fraction) -> int:
     return e if (num << -e) >= den else e - 1
 
 
-def expm1_lp(drho: Fraction, dtheta: Fraction, prec: int = SIG_BITS) -> LogPolar:
+def expm1_lp(drho: Fraction, dtheta: Fraction, prec: int) -> LogPolar:
     """(2**drho * e^(2 pi i dtheta)) - 1 as a LogPolar, for small inputs.
 
     Accurate down to arbitrarily tiny (drho, dtheta): the result's rho keeps
@@ -647,7 +639,7 @@ def expm1_lp(drho: Fraction, dtheta: Fraction, prec: int = SIG_BITS) -> LogPolar
         return LogPolar.from_mpc(v, prec)
 
 
-def pow2_minus1_log2(delta: Fraction, prec: int = SIG_BITS) -> Fraction:
+def pow2_minus1_log2(delta: Fraction, prec: int) -> Fraction:
     """log2(2**delta - 1) for delta > 0, stable for arbitrarily tiny delta.
 
     mpf mantissas carry arbitrary exponents, so a single expm1 path covers

@@ -199,6 +199,10 @@ def build_params(N: int, kmax: int, Cprime: float = 1.0, p: float = SQRT8) -> Pa
         raise DomainError("depth parameter N must be >= 5")
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
+    if not (math.isfinite(Cprime) and Cprime >= 0):
+        raise DomainError(f"Cprime = {Cprime} must be finite and >= 0")
+    if not (math.isfinite(p) and p > 0):
+        raise DomainError(f"p = {p} must be finite and > 0")
     jmax = N + kmax + 2
     e = [0] * (jmax + 1)
     eps = [0] * (jmax + 1)

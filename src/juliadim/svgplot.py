@@ -13,15 +13,13 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
 
 from .modelmap import ModelMap
-from .numerics import LogPolar
+from .numerics import DomainError, LogPolar
 
 W, H, PAD = 900, 420, 40
 
 
 class LogPolarCanvas:
     def __init__(self, rho_lo: Fraction, rho_hi: Fraction, stamp: str = ""):
-        if rho_hi <= rho_lo:
-            raise ValueError("empty rho range")
         self.lo, self.hi = Fraction(rho_lo), Fraction(rho_hi)
         self.parts: List[str] = []
         self.stamp = stamp
@@ -68,6 +66,9 @@ def render_atlas(m: ModelMap, k_lo: int = 1, k_hi: int = 4,
     orbits and curve traces."""
     t = m.table
     k_hi = min(k_hi, t.kmax_shifted() - 1)
+    if not 1 <= k_lo <= k_hi:
+        raise DomainError(f"atlas levels klo = {k_lo}, khi = {k_hi} need 1 <= klo <= khi "
+                          f"(khi is at most {t.kmax_shifted() - 1} at kmax = {t.kmax})")
     lo = Fraction(t.R_exp(k_lo) - 4)
     hi = Fraction(t.R_exp(k_hi + 1) + 4)
     cv = LogPolarCanvas(lo, hi, stamp)

@@ -32,8 +32,10 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.N == 7 and cfg.kmax == 9 and cfg.Cprime == 0.5
     d = cfg.to_dict()
     assert "lambda" in d and "lam" not in d
+    assert (d["delta"], d["lambda"], d["output_dir"]) == (0.25, 0.05, ".")
+    # the three report-only values are not settings
     for key in ("nope", "delta", "output_dir", "lambda"):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"unknown config key '{key}'"):
             cfg.set_key(key, "1")
 
 
@@ -59,13 +61,27 @@ ANCHOR = "183764352,0.0,0.2"
     ("P_sig=300\n", ["verify"]),
     ("P_sig=8\n", ["verify"]),
     ("P_sig=63\nguard=63\n", ["verify"]),
+    ("", ["dims", "--t", "nan"]),
+    ("", ["dims", "--t", "inf"]),
+    ("", ["dims", "--sweep", "0.1,nan"]),
+    ("", ["verify", "--khi", "6", "--Cprime", "nan"]),
+    ("", ["trace", "--depth", "3", "--model", "synthetic", "--Cprime", "-1"]),
+    ("p=nan\n", ["params"]),
+    ("p=0\n", ["params"]),
+    ("", ["render", "--klo", "4", "--khi", "1"]),
+    ("", ["render", "--klo", "0"]),
 ])
-def test_malformed_input_ends_in_one_line(config, argv, tmp_path, capsys):
+def test_malformed_input_ends_in_one_line(config, argv, tmp_path, monkeypatch, capsys):
     # a config file (None: missing), a point, an itinerary or a sweep list
     # that does not parse is refused like any other typed error; so are a
     # guard below P_sig and a P_sig below 64, which gave wrong numbers with
     # exit 0 or 1 (guard=0 moved both poly_crit_values rows of verify, and
-    # P_sig=8 failed a row that passes at the default)
+    # P_sig=8 failed a row that passes at the default).  These ended in a
+    # traceback: a non-finite dimension exponent t, and render levels with
+    # klo > khi.  These exited 0: verify with Cprime nan wrote "Cprime": NaN,
+    # which is not JSON; trace certified a field of negative amplitude; and
+    # render drew a band for an annulus A_0 the model does not have.
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg"
     if config is not None:
         cfg.write_text(config)
@@ -73,12 +89,29 @@ def test_malformed_input_ends_in_one_line(config, argv, tmp_path, capsys):
     cap = capsys.readouterr()
     assert cap.out == "" and cap.err.count("\n") == 1
     assert re.match(r"juliadim: (Domain|Itinerary)Error: ", cap.err), cap.err
+    assert sorted(tmp_path.iterdir()) == ([cfg] if config is not None else [])
 
 
 def _refused_with(capsys, prefix):
     cap = capsys.readouterr()
     assert cap.out == "" and cap.err.count("\n") == 1
     assert cap.err.startswith(prefix), cap.err
+
+
+@pytest.mark.parametrize("itinerary,entry", [
+    ("D", "entry 0: only V/P tags at level >= 1 are realizable, got D"),
+    ("V(1);D", "entry 1: only V/P tags at level >= 1 are realizable, got D"),
+    ("A(1)", "entry 0: only V/P tags at level >= 1 are realizable, got A(1)"),
+    ("V(0)", "entry 0: only V/P tags at level >= 1 are realizable, got V(0)"),
+], ids=["D", "V(1);D", "A(1)", "V(0)"])
+def test_backward_refuses_what_it_cannot_invert(itinerary, entry, capsys):
+    # a D tag ended in a TypeError from sizing the itinerary before the tag
+    # checks, and the pair check named the entry before the bad tag
+    argv = ["backward", "--N", "5", "--kmax", "25", "--itinerary", itinerary,
+            "--anchor", "752,0,0.3"]
+    assert run(argv) == 3
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == ("", f"juliadim: ItineraryError: {entry}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -158,14 +158,14 @@ def test_identity_trace_is_one_chain_per_seed(k, monkeypatch):
         assert list(tr.outer_radii) == _reference_radii(M5, IDENT, k, depth, 256, seeds[1])
         assert tr.theta_grid == [Angle(Fraction(i, 256)) for i in range(256)]
     chains, widths = [], []
-    real_tree, real_width = curves._pullback_tree, curves.pow2_minus1_log2
+    real_tree, real_width = curves._pullback_levels, curves.pow2_minus1_log2
 
     def tree(*a):
         out = real_tree(*a)
-        chains.extend(out)
+        chains.extend(out[0])
         return out
 
-    monkeypatch.setattr(curves, "_pullback_tree", tree)
+    monkeypatch.setattr(curves, "_pullback_levels", tree)
     monkeypatch.setattr(curves, "pow2_minus1_log2",
                         lambda *a: widths.append(1) or real_width(*a))
     counts = []
@@ -243,8 +243,9 @@ def test_synthetic_tree_applies_phi_once_per_node(k, depth, monkeypatch):
 @pytest.mark.parametrize("n1,n2,samples", [(0, 3, 32), (1, 3, 64)])
 def test_angle_check_equals_the_per_sample_products(n1, n2, samples):
     # the per-node factors give each sample the product of its own chain
-    chains = curves._pullback_tree(M5, SYN, 1, n2 + 1, samples, range(samples),
-                                   Fraction(T5.R_exp(1 + n2 + 2) - 1))
+    paths, levels = curves._pullback_levels(M5, SYN, 1, n2 + 1, samples, range(samples),
+                                            Fraction(T5.R_exp(1 + n2 + 2) - 1))
+    chains = [[lv[a] for lv, a in zip(levels, p)] for p in paths]
     worst = 0.0
     for chain in chains:
         prod = 1.0 + 0.0j
@@ -262,7 +263,7 @@ def test_branch_consistency_compares_exactly(jump, fails, monkeypatch):
     def leaf_radii(m, phi, k, depth, grid, seeds):
         r_in, r_out = seeds
         tr = CurveTrace.from_radii(k, depth, [r_in] * (grid - 1) + [r_in + jump], [r_out] * grid)
-        return tr.scaled()
+        return tr.D, tr.inner, tr.outer
 
     monkeypatch.setattr(curves, "_leaf_radii", leaf_radii)
     if fails:
@@ -328,7 +329,7 @@ def test_curve_trace_from_radii_round_trips(phi):
     # computed from it equal those of the trace itself
     tr = trace_gamma(M5, phi, 1, 3, grid=256)
     again = CurveTrace.from_radii(tr.k, tr.m, tr.inner_radii, tr.outer_radii)
-    D, inner, outer = again.scaled()
+    D, inner, outer = again.D, again.inner, again.outer
     assert [Fraction(v, D) for v in inner] == list(tr.inner_radii)
     assert [Fraction(v, D) for v in outer] == list(tr.outer_radii)
     assert again.inner_radii == tr.inner_radii and again.outer_radii == tr.outer_radii
@@ -355,10 +356,10 @@ def test_trace_builds_its_scaled_form_once(phi, monkeypatch):
     monkeypatch.setattr(CurveTrace, "from_radii",
                         classmethod(lambda cls, *a: built.append(1) or real_from(cls, *a)))
     tr = trace_gamma(M5, phi, 2, 3, grid=256)
-    stored = tr.scaled()
+    stored = tr.D, tr.inner, tr.outer
     width_check(M5, tr)
     tr.oscillation_log2()
-    assert all(x is y for x, y in zip(tr.scaled(), stored))
+    assert all(x is y for x, y in zip((tr.D, tr.inner, tr.outer), stored))
     assert len(lcms) == len(built) == (phi is IDENT)
     if phi is SYN:
         assert stored[0] & (stored[0] - 1) == 0
@@ -402,7 +403,7 @@ def test_synthetic_field_envelope_invariant():
         for i in range(16):
             z = LogPolar(Fraction(T5.R_exp(k) - 1), Fraction(i, 16))
             e = SYN.eps(z)
-            assert abs(e) <= SYN.envelope(z) + 1e-15
+            assert abs(e) <= SYN._envelope(z.rho) + 1e-15
 
 
 def test_synthetic_derivative_envelope():
@@ -412,8 +413,8 @@ def test_synthetic_derivative_envelope():
         for i in range(16):
             z = LogPolar(Fraction(T5.R_exp(k) - 1), Fraction(i, 16))
             dev = abs(SYN.phi_prime(z) - 1.0)
-            assert dev <= SYN.envelope(z)
-            assert dev <= 10.0 * SYN.envelope(z)
+            assert dev <= SYN._envelope(z.rho)
+            assert dev <= 10.0 * SYN._envelope(z.rho)
 
 
 # tangent products ----------------------------------------------------------------

@@ -256,9 +256,9 @@ def test_deriv_matches_finite_difference_on_seam():
     zm = LogPolar(z.rho - h, z.theta)
     fp, _ = M5.eval(zp)
     fm, _ = M5.eval(zm)
-    num = lp_sub(fp, fm).value
+    num = lp_sub(fp, fm, M5.guard, M5.prec).value
     # dz = z * (2^h - 2^-h) = z * 2^-h (2^(2h) - 1) along the radial direction
-    dz_log2 = z.rho - h + pow2_minus1_log2(2 * h)
+    dz_log2 = z.rho - h + pow2_minus1_log2(2 * h, M5.prec)
     fd_rho = num.rho - dz_log2
     assert abs(float(fd_rho - d.rho)) < 1e-6
 
@@ -456,29 +456,22 @@ def test_seam_critical_values_modulus():
 
 
 def test_bump_family_any_ring():
+    # the model's own blend g_N, evaluated off its bump strip too
     from juliadim.modelmap import eval_bump_gk
     t = M5.table
-    for k in (5, 7):
-        ek = t.r_exp(k)
-        # above the strip: pure power
-        z = LogPolar(Fraction(ek), Fraction(1, 5))
-        w = eval_bump_gk(M5, k, z)
-        assert w.rho == t.c_exp(k) + (1 << k) * ek
-        # strip left edge (s = 0): eta = 1, full blend c z^M + r z
-        z0 = LogPolar(ek - Fraction(3, 1 << (ek.bit_length() + 680)) * 1, Fraction(1, 5))
-        # representative deep-origin point instead: eta = 1 exactly
-        zlow = LogPolar(Fraction(ek - 3), Fraction(1, 5))
-        w = eval_bump_gk(M5, k, zlow)
-        t1 = LogPolar(t.c_exp(k) + (1 << k) * zlow.rho, zlow.theta.mul_int(1 << k))
-        t2 = LogPolar(Fraction(ek) + zlow.rho, zlow.theta)
-        want = lp_sub(t1, t2.neg()).value  # t1 + t2
-        assert abs(float(w.rho - want.rho)) < 1e-20
-
-
-def test_bump_family_rejects_small_ring():
-    from juliadim.modelmap import eval_bump_gk
-    with pytest.raises(Exception):
-        eval_bump_gk(M5, 4, LogPolar(Fraction(50), 0))
+    k = t.N
+    ek = t.r_exp(k)
+    # above the strip: pure power
+    z = LogPolar(Fraction(ek), Fraction(1, 5))
+    w = eval_bump_gk(M5, z)
+    assert w.rho == t.c_exp(k) + (1 << k) * ek
+    # a deep-origin point: eta = 1 exactly, full blend c z^M + r z
+    zlow = LogPolar(Fraction(ek - 3), Fraction(1, 5))
+    w = eval_bump_gk(M5, zlow)
+    t1 = LogPolar(t.c_exp(k) + (1 << k) * zlow.rho, zlow.theta.mul_int(1 << k))
+    t2 = LogPolar(Fraction(ek) + zlow.rho, zlow.theta)
+    want = lp_sub(t1, t2.neg(), M5.guard, M5.prec).value  # t1 + t2
+    assert abs(float(w.rho - want.rho)) < 1e-20
 
 
 def test_nowhere_else_zero_on_dense_samples():
@@ -534,6 +527,6 @@ def test_deriv_finite_difference_sweep():
         d, _ = M5.deriv(z)
         fp, _ = M5.eval(LogPolar(z.rho + h, z.theta))
         fm, _ = M5.eval(LogPolar(z.rho - h, z.theta))
-        num = lp_sub(fp, fm).value
-        dz_log2 = z.rho - h + pow2_minus1_log2(2 * h)
+        num = lp_sub(fp, fm, M5.guard, M5.prec).value
+        dz_log2 = z.rho - h + pow2_minus1_log2(2 * h, M5.prec)
         assert abs(float((num.rho - dz_log2) - d.rho)) < 1e-6

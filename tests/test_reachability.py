@@ -4,8 +4,10 @@ non-test code runs: the package itself, `scripts/` or `perfbench/`.
 The scan parses each file with `ast` and follows uses from the roots: all
 of `scripts/` and `perfbench/`, and the module-level code of src.  A use is
 an identifier as a name, an attribute or a part of a dotted string constant
-(the form `perfbench/tracing.TRACED` uses).  A definition is reached when a
-reached body uses its bare name, so the scan errs towards keeping a name.
+(the form `perfbench/tracing.TRACED` uses).  A function or class is reached
+when a reached body uses its bare name in any of these forms; a method only
+through an attribute (`x.name`) or a dotted string, since a local variable
+of the same name does not call it.  The scan errs towards keeping a name.
 Dunder methods are not checked: Python calls them, and they run with their
 class.
 """
@@ -23,6 +25,7 @@ ACCEPTANCE_NAMED = {
     "DilatationIntegral": "test_criterion_7_dilatation",
     "dilatation_onset": "test_criterion_7_dilatation",
     "below_one": "test_criterion_7_dilatation",
+    "ratio": "test_criterion_7_dilatation",
     "crit_point": "test_criterion_4_polynomial_landmarks",
     "crit_value": "test_criterion_4_polynomial_landmarks",
 }
@@ -33,18 +36,19 @@ def _is_dunder(name: str) -> bool:
 
 
 def _names(node, skip=()):
-    """Identifiers used under node, as names, attributes or the parts of
-    dotted string constants, not descending into the nodes in skip."""
+    """Identifiers used under node, not descending into the nodes in skip,
+    as a set of (identifier, how): "name" for a bare name, "attr" for an
+    attribute or a part of a dotted string constant."""
     out = set()
     stack = [node]
     while stack:
         n = stack.pop()
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            out.add((n.id, "name"))
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out.add((n.attr, "attr"))
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out.update(part for part in n.value.split(".") if part.isidentifier())
+            out.update((part, "attr") for part in n.value.split(".") if part.isidentifier())
         stack.extend(c for c in ast.iter_child_nodes(n) if c not in skip)
     return out
 
@@ -67,8 +71,9 @@ def _definitions(tree):
 
 @functools.lru_cache(maxsize=None)
 def _scan(root: Path):
-    """(definitions as (module.qualname, bare name, uses), identifiers used
-    by the roots: `scripts/`, `perfbench/` and the module-level code of src)."""
+    """(definitions as (module.qualname, bare name, whether it is a method,
+    uses), the uses of the roots: `scripts/`, `perfbench/` and the
+    module-level code of src)."""
     src = sorted((root / "src" / "juliadim").glob("*.py"))
     others = sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
     defs, seen = [], set()
@@ -80,26 +85,27 @@ def _scan(root: Path):
         tops = [n for n in tree.body
                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
         seen |= _names(tree, skip=tops)
-        defs += [(f"{p.stem}.{q}", q.rsplit(".", 1)[-1], uses)
+        defs += [(f"{p.stem}.{q}", q.rsplit(".", 1)[-1], "." in q, uses)
                  for q, uses in _definitions(tree)]
     return defs, frozenset(seen)
 
 
 def unreached(root: Path = ROOT, extra=frozenset()) -> list:
     """Qualified names of the src definitions that the roots do not reach,
-    with the identifiers in extra counted as roots too."""
+    with the uses in extra counted as roots too."""
     defs, seen = _scan(root)
     seen = set(seen | extra)
     live = set()
     grown = True
     while grown:
         grown = False
-        for qual, name, uses in defs:
-            if qual not in live and name in seen:
+        for qual, name, method, uses in defs:
+            if qual not in live and ((name, "attr") in seen
+                                     or not method and (name, "name") in seen):
                 live.add(qual)
                 seen |= uses
                 grown = True
-    return [qual for qual, _, _ in defs if qual not in live]
+    return [qual for qual, *_ in defs if qual not in live]
 
 
 def _bare(quals) -> set:
