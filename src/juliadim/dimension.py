@@ -28,7 +28,10 @@ from .params import CertificateReport, ParamTable, build_params
 def _tfrac(t: float) -> Fraction:
     if not (math.isfinite(t) and t > 0):
         raise DomainError(f"dimension exponent t = {t} must be positive and finite")
-    return Fraction(t).limit_denominator(1 << 40)
+    tf = Fraction(t).limit_denominator(1 << 40)
+    if tf == 0:
+        raise DomainError(f"dimension exponent t = {t} rounds to 0 at 2**-40 resolution")
+    return tf
 
 
 def _log2_float(fr: Fraction) -> float:

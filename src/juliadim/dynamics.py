@@ -11,8 +11,11 @@ Inverse branches come in three kinds:
 * ``PetalInverse(k, j)``    -- the zero-ring blend is quadratic in z**n_k,
                                so the petal preimage is closed-form, then
                                Newton-polished,
-* ``OriginBranch(i)``       -- Newton on the origin polynomial, seeded at
-                               t/r_N (i = 0) or at zero_i + t/q'(zero_i).
+* ``OriginBranch(i)``       -- i = 0: Newton on the origin polynomial q,
+                               seeded at t/r_N; i >= 1: g(u) = tau solved
+                               in the coordinate z = w_i (1 + u) of the
+                               zero w_i, g(u) = (1 + u)**M - 1 - u, then
+                               one evaluation checks the point.
 
 The inclusion certificates take circle extrema of log2 |f| -- exact on
 radial circles and on the petal boundary, sampled elsewhere -- and compare
@@ -34,7 +37,8 @@ from .numerics import (
     DomainError,
     LogPolar,
     const_log2_frac,
-    lp_add,
+    expm1_series,
+    log1p_mpc,
     lp_sub,
     lp_perturb,
     mpf_to_frac,
@@ -118,8 +122,8 @@ def inverse_step(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
 
 def _inverse_image(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
                    tol: float) -> Tuple[LogPolar, Optional[LogPolar]]:
-    """inverse_step's point z and, when a Newton polish computed it, f(z) at
-    m's precision (else None)."""
+    """inverse_step's point z and, when the step evaluated it, f(z) at m's
+    precision (else None)."""
     t = m.table
     if isinstance(branch, VkRoot):
         k = branch.k
@@ -179,13 +183,57 @@ def _inverse_image(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
             if target.is_zero:
                 return LogPolar.zero_point(), None
             z0 = LogPolar(target.rho - t.r_exp(N), target.theta)
-        else:
-            lm = qN_landmarks(m)
-            z0 = lp_add(lm.zero(branch.index), target.div(lm.deriv_at_zero),
-                        guard=max(m.guard, 512), prec=m.prec).value
-        return _newton_polish(m, z0, target, tol)
+            return _newton_polish(m, z0, target, tol)
+        return _origin_zero_step(m, target, branch.index, tol)
 
     raise BranchError(f"unknown branch kind {branch!r}")
+
+
+def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
+                      tol: float) -> Tuple[LogPolar, Optional[LogPolar]]:
+    """OriginBranch(i), i >= 1, solved in the coordinate of the zero w = w_i.
+
+    c_N w**(M-1) = -r_N exactly (M = 2**N), so at z = w (1 + u)
+
+        q(z) = -r_N w g(u),  g(u) = (1 + u)**M - 1 - u,
+
+    and the step solves g(u) = tau = -target / (r_N w), exact in log-polar,
+    by Newton in mpc at prec + 32 bits from u = tau / (M - 1), the seed
+    t / q'(w) relative to w.  (1 + u)**M - 1 takes the scale-following
+    log1p_mpc and expm1_series (exp past 2**-16), so no term cancels at any
+    scale of u.  z = w (1 + u) is then evaluated once, and that f(z) must
+    land within tol of the target.
+    """
+    t = m.table
+    M = 1 << t.N
+    w = qN_landmarks(m).zero(i)
+    if target.is_zero:
+        return w, None
+    tau = target.div(LogPolar(t.r_exp(t.N) + w.rho, w.theta)).neg()
+    e_tau = tau.rho_int()
+    with mpmath.workprec(m.prec + 32):
+        # tau as an mpc whose exponent may lie past any float's range
+        tau_c = tau.to_mpc_scaled(e_tau, m.prec + 16) * mpmath.ldexp(1, e_tau)
+        u = tau_c / (M - 1)
+        eps = mpmath.ldexp(1, -(m.prec + 16))
+        for _ in range(NEWTON_MAX_ITER):
+            L = M * log1p_mpc(u, m.prec)
+            lmag = mpmath.mag(L)
+            e = mpmath.exp(L) - 1 if lmag > -16 else expm1_series(L, -lmag, m.prec)
+            # g(u) - tau over g'(u) = M (1 + u)**(M-1) - 1
+            du = (e - u - tau_c) / (M * (1 + e) / (1 + u) - 1)
+            u -= du
+            if abs(du) <= abs(u) * eps:
+                break
+        else:
+            raise BranchError(f"origin newton stagnated after {NEWTON_MAX_ITER} steps")
+    z = lp_perturb(w, u, m.prec)
+    fz, _ = m.eval(z)
+    dr, dth = _residual(fz, target)
+    if not (dr < tol and dth < tol):
+        raise BranchError(f"origin step missed its target: residual log2-mag {dr:.3g}, "
+                          f"turns {dth:.3g}")
+    return z, fz
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +678,11 @@ def _construct(m: ModelMap, entries, anchor: LogPolar, tol: float,
         if reg.kind not in ("V", "P") or reg.k < 1:
             raise ItineraryError(f"entry {i}: only V/P tags at level >= 1 are realizable, "
                                  f"got {reg}")
+        # 1 <= j <= n_k = 2**bits, without building n_k for a huge level
+        bits = m.table.N + reg.k - 1
+        if reg.kind == "P" and not (reg.j >= 1 and (reg.j - 1).bit_length() <= bits):
+            raise ItineraryError(f"entry {i}: petal index of {reg} outside "
+                                 f"1..n_{reg.k} = 2**{bits}")
     budget = budget_bits if budget_bits is not None else m.ang_bits
     need = itinerary_precision(m, entries)[0]
     if need > budget:
@@ -654,5 +707,5 @@ def _construct(m: ModelMap, entries, anchor: LogPolar, tol: float,
         if reg.kind == "V":
             z, image = _inverse_image(hi, z, VkRoot(reg.k, br or 0), tol)
         else:
-            z, image = _inverse_image(hi, z, PetalInverse(reg.k, reg.j or 1), tol)
+            z, image = _inverse_image(hi, z, PetalInverse(reg.k, reg.j), tol)
     return z, image

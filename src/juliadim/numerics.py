@@ -587,11 +587,16 @@ def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int) -> LogPolar:
     that precision in mpmath 1.3.0, bit for bit: rho moves by
     :func:`log2_abs_1p_int`, theta by ``mpc_arg(1 + u)`` (the
     :func:`log1p_mpc` series for |u| < 2**-16) over 2 ``mpf_pi``.
+
+    A nonzero |u| below 2**-MAX_EXP_BITS raises ExponentBudgetError before
+    the rho correction, whose denominator would outgrow the budget, is built.
     """
     if z.is_zero:
         return z
     wp, rnd = prec + 32, libmp.round_nearest
     rm, re, im, ie, mag = dyadic_parts(u, wp)
+    if mag <= -MAX_EXP_BITS:
+        raise ExponentBudgetError(f"lp_perturb of |u| < 2**{mag}, past the exponent budget")
     if mag <= -16:
         (q, e), vi = _log1p_series(rm, re, im, ie, wp)
     else:

@@ -70,6 +70,7 @@ ANCHOR = "183764352,0.0,0.2"
     ("p=0\n", ["params"]),
     ("", ["render", "--klo", "4", "--khi", "1"]),
     ("", ["render", "--klo", "0"]),
+    ("", ["dims", "--t", "1e-13"]),
 ])
 def test_malformed_input_ends_in_one_line(config, argv, tmp_path, monkeypatch, capsys):
     # a config file (None: missing), a point, an itinerary or a sweep list
@@ -103,10 +104,13 @@ def _refused_with(capsys, prefix):
     ("V(1);D", "entry 1: only V/P tags at level >= 1 are realizable, got D"),
     ("A(1)", "entry 0: only V/P tags at level >= 1 are realizable, got A(1)"),
     ("V(0)", "entry 0: only V/P tags at level >= 1 are realizable, got V(0)"),
-], ids=["D", "V(1);D", "A(1)", "V(0)"])
+    ("P(2,0)", "entry 0: petal index of P(2,0) outside 1..n_2 = 2**6"),
+    ("V(1);P(2,65)", "entry 1: petal index of P(2,65) outside 1..n_2 = 2**6"),
+], ids=["D", "V(1);D", "A(1)", "V(0)", "P(2,0)", "V(1);P(2,65)"])
 def test_backward_refuses_what_it_cannot_invert(itinerary, entry, capsys):
     # a D tag ended in a TypeError from sizing the itinerary before the tag
-    # checks, and the pair check named the entry before the bad tag
+    # checks, and the pair check named the entry before the bad tag; P(2,0)
+    # was inverted into petal 1 and only the re-verification noticed
     argv = ["backward", "--N", "5", "--kmax", "25", "--itinerary", itinerary,
             "--anchor", "752,0,0.3"]
     assert run(argv) == 3

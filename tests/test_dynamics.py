@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
+import time
 from fractions import Fraction
 from random import Random
 
+import mpmath
 import pytest
 
 from juliadim.dynamics import (
@@ -10,6 +13,7 @@ from juliadim.dynamics import (
     OriginBranch,
     PetalInverse,
     VkRoot,
+    _newton_polish,
     _normalize_itinerary,
     backward_construct,
     check_singular_values,
@@ -21,8 +25,8 @@ from juliadim.dynamics import (
 )
 from juliadim.config import Config
 from juliadim.geometry import classify
-from juliadim.modelmap import ModelMap
-from juliadim.numerics import DomainError, LogPolar, const_log2_frac
+from juliadim.modelmap import ModelMap, qN_landmarks
+from juliadim.numerics import DomainError, LogPolar, const_log2_frac, lp_add
 from juliadim.params import build_params
 
 M5 = ModelMap(table=build_params(5, 25))
@@ -79,8 +83,8 @@ def test_ecandidate_for_fixed_origin():
 
 # inverse branches --------------------------------------------------------------
 
-def _rand_target(rng, k):
-    rho = Fraction(T5.R_exp(k)) + Fraction(rng.randrange(-2**20, 2**20), 2**20)
+def _rand_target(rng, k, t=T5):
+    rho = Fraction(t.R_exp(k)) + Fraction(rng.randrange(-2**20, 2**20), 2**20)
     return LogPolar(rho, Fraction(rng.randrange(2**30), 2**30))
 
 
@@ -110,6 +114,90 @@ def test_branch_contract_violations():
         inverse_step(M5, _rand_target(Random(0), 2), VkRoot(1, T5.n(1)))
     with pytest.raises(BranchError):
         inverse_step(M5, LogPolar(Fraction(T5.R_exp(3)), 0), OriginBranch(0))
+
+
+# origin branches in the zero's coordinate -----------------------------------------
+
+def _origin_cases(rng, n, t=T5):
+    return [(_rand_target(rng, 1, t), rng.randrange(1, 1 << t.N)) for _ in range(n)]
+
+
+def test_origin_step_evaluates_once_and_never_differentiates(monkeypatch):
+    qN_landmarks(M5)   # built once per model, by its own evaluation
+    calls = {"eval": 0, "deriv": 0}
+    for name in calls:
+        def counted(self, z, _real=getattr(ModelMap, name), _name=name):
+            calls[_name] += 1
+            return _real(self, z)
+        monkeypatch.setattr(ModelMap, name, counted)
+    for n, (target, i) in enumerate(_origin_cases(Random(5), 10), 1):
+        inverse_step(M5, target, OriginBranch(i), TOL)
+        assert calls == {"eval": n, "deriv": 0}
+
+
+def test_origin_step_matches_the_absolute_newton_polish():
+    # the absolute route: seed zero_i + t/q'(zero_i), then Newton on f
+    lm = qN_landmarks(M5)
+    lim = Fraction(1, 2 ** (M5.prec - 8))
+    for target, i in _origin_cases(Random(17), 50):
+        z = inverse_step(M5, target, OriginBranch(i), TOL)
+        seed = lp_add(lm.zero(i), target.div(lm.deriv_at_zero), guard=max(M5.guard, 512),
+                      prec=M5.prec).value
+        ref, _ = _newton_polish(M5, seed, target, TOL)
+        assert abs(z.rho - ref.rho) < lim and z.theta.dist(ref.theta) < lim
+    assert inverse_step(M5, LogPolar.zero_point(), OriginBranch(3), TOL) == lm.zero(3)
+
+
+@pytest.mark.parametrize("N", [6, 7])
+def test_origin_round_trips_at_tiny_offsets(N):
+    # |u| is about 2**-768 at N = 6 and 2**-23195 at N = 7: the series
+    # follow that scale, and lp_perturb carries it into rho exactly
+    m = ModelMap(table=build_params(N, 12))
+    for target, i in _origin_cases(Random(N), 8, m.table):
+        got, _ = m.eval(inverse_step(m, target, OriginBranch(i), TOL))
+        assert abs(float(got.rho - target.rho)) < TOL
+        assert float(got.theta.dist(target.theta)) < TOL
+
+
+@pytest.mark.parametrize("prec", [128, 160, 192])
+def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeypatch):
+    # the solve stops once a step is below 2**-(prec+16) relative to u; at
+    # 160 bits the second step (about 2**-171 relative) lies between that
+    # and 2**-prec, so a stop test at 2**-prec ends one step early
+    import juliadim.dynamics as dyn
+
+    iterates = []
+    # log1p_mpc(u, prec) sees each u of the loop, lp_perturb(w, u, prec) the last
+    for name, pos in (("log1p_mpc", 0), ("lp_perturb", 1)):
+        def spy(*args, _real=getattr(dyn, name), _pos=pos):
+            iterates.append(args[_pos])
+            return _real(*args)
+        monkeypatch.setattr(dyn, name, spy)
+    m = dataclasses.replace(M5, prec=prec)
+    eps = mpmath.ldexp(1, -(prec + 16))
+    for target, i in _origin_cases(Random(3), 6):
+        iterates.clear()
+        inverse_step(m, target.mul_pow2(1), OriginBranch(i), TOL)
+        with mpmath.workprec(prec + 32):
+            small = [abs(b - a) <= abs(b) * eps for a, b in zip(iterates, iterates[1:])]
+        assert small[-1] and not any(small[:-1]), small
+
+
+def test_origin_steps_past_the_exponent_budget_raise_at_once():
+    # N = 8: |u| is about 2**-1453043, whose rho correction would need a
+    # 1.45-million-bit denominator; lp_perturb refuses it before building it.
+    # The targets are those perfbench's untimed N = 8 probe draws (seed 7)
+    from juliadim.numerics import ExponentBudgetError
+
+    m = ModelMap(table=build_params(8, 12))
+    rng = Random("inverse-probe:7")
+    for _ in range(4):
+        target = _rand_target(rng, 1, m.table)
+        branch = OriginBranch(rng.randrange(1, 1 << 8))
+        start = time.perf_counter()
+        with pytest.raises(ExponentBudgetError, match="lp_perturb"):
+            inverse_step(m, target, branch, TOL)
+        assert time.perf_counter() - start < 1.0
 
 
 # backward construction ----------------------------------------------------------

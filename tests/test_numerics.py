@@ -226,8 +226,9 @@ def test_lp_add_matches_mpmath_at_1200_bits(prec, guard):
 
 
 def test_lp_add_gap_past_the_exponent_budget_raises():
-    # the one check that stops an N >= 8 OriginBranch step: past the budget
-    # the ratio is never converted, at it the sum is still formed
+    # past the budget the ratio is never converted, at it the sum is still
+    # formed (an N >= 8 OriginBranch step stops at lp_perturb's own check,
+    # test_lp_perturb_past_the_exponent_budget_raises)
     from juliadim.numerics import ExponentBudgetError, MAX_EXP_BITS
 
     a, guard = LogPolar(0), MAX_EXP_BITS + 64
@@ -235,6 +236,20 @@ def test_lp_add_gap_past_the_exponent_budget_raises():
         lp_add(a, LogPolar(-(MAX_EXP_BITS + 1), Fraction(1, 3)), guard, SIG_BITS)
     s = lp_add(a, LogPolar(-MAX_EXP_BITS, Fraction(1, 3)), guard, SIG_BITS)
     assert not s.negligible and -1 < s.value.rho * 2 ** MAX_EXP_BITS < 0
+
+
+def test_lp_perturb_past_the_exponent_budget_raises():
+    # the rho correction of |u| below 2**-MAX_EXP_BITS would need a
+    # denominator past the budget: refused before it is built, as lp_add
+    # refuses a gap past it; at the budget the perturbation is still carried
+    from juliadim.numerics import ExponentBudgetError, MAX_EXP_BITS
+
+    with pytest.raises(ExponentBudgetError):
+        lp_perturb(LogPolar(0), mpmath.ldexp(1, -(MAX_EXP_BITS + 8)), SIG_BITS)
+    with pytest.raises(ExponentBudgetError):
+        lp_perturb(LogPolar(0), mpmath.mpc(0, mpmath.ldexp(-3, -(MAX_EXP_BITS + 2))), SIG_BITS)
+    z = lp_perturb(LogPolar(0), mpmath.ldexp(1, -MAX_EXP_BITS), SIG_BITS)
+    assert 0 < z.rho * 2 ** MAX_EXP_BITS < 2
 
 
 def test_lp_perturb_tiny_scale():
