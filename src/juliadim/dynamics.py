@@ -9,13 +9,19 @@ Inverse branches come in three kinds:
 
 * ``VkRoot(k, branch)``     -- exact root extraction of target / C_k,
 * ``PetalInverse(k, j)``    -- the zero-ring blend is quadratic in z**n_k,
-                               so the petal preimage is closed-form, then
-                               Newton-polished,
+                               so the petal preimage is closed-form (a
+                               binomial series), then Newton-polished,
 * ``OriginBranch(i)``       -- i = 0: Newton on the origin polynomial q,
                                seeded at t/r_N; i >= 1: g(u) = tau solved
                                in the coordinate z = w_i (1 + u) of the
-                               zero w_i, g(u) = (1 + u)**M - 1 - u, then
-                               one evaluation checks the point.
+                               zero w_i, g(u) = (1 + u)**M - 1 - u, by
+                               Newton with Horner sums, then one
+                               evaluation checks the point.
+
+Both the petal series and the origin solve run on libmp pairs at the
+model's prec + 32 bits, rounded to nearest, and hand their offset u to
+``lp_perturb`` as such a pair; no mpc object lies between a target and the
+point that is checked against it.
 
 The inclusion certificates take circle extrema of log2 |f| -- exact on
 radial circles and on the petal boundary, sampled elsewhere -- and compare
@@ -33,14 +39,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
+from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_mul,
+                          mpc_mul_mpf, mpc_shift, mpc_sub, mpf_div, mpf_le, mpf_mul, mpf_shift,
+                          mpf_sub)
+
 from .numerics import (
+    RND,
     DomainError,
     LogPolar,
+    NumericsError,
     const_log2_frac,
-    expm1_series,
-    log1p_mpc,
     lp_sub,
     lp_perturb,
+    mpc_mag,
     mpf_to_frac,
     pi_over_ln2_frac,
 )
@@ -151,25 +162,7 @@ def _inverse_image(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
         tau_rho = target.rho + nk * t.R_exp(k) - t.C_exp(k)
         rho_q = tau_rho + 2 - 2 * zc.rho
         q = LogPolar(rho_q, target.theta.sub(zc.theta).sub(zc.theta))
-        # h by the binomial series in mpc: a target far below the petal's
-        # full image makes q (hence the offset from the ring zero)
-        # exponentially small, which mpc exponents and the exact-rational
-        # perturbation both carry without underflow
-        q_mpc = q.to_mpc_scaled(Fraction(0), m.prec)
-        with mpmath.workprec(m.prec + 32):
-            coef = mpmath.mpf(1) / 2
-            powq = q_mpc
-            h = coef * powq
-            eps = mpmath.ldexp(mpmath.mpf(1), -(m.prec + 16))
-            for n in range(1, 200):
-                coef = coef * (mpmath.mpf(1) / 2 - n) / (n + 1)
-                powq = powq * q_mpc
-                term = coef * powq
-                h += term
-                if abs(term) <= abs(h) * eps:
-                    break
-            v = lp_perturb(zc, h / 2, m.prec)
-        z = v.root(nk, j - 1)
+        z = lp_perturb(zc, _half_sqrt1p_minus1(q, m.prec), m.prec).root(nk, j - 1)
         return _newton_polish(m, z, target, tol)
 
     if isinstance(branch, OriginBranch):
@@ -189,6 +182,36 @@ def _inverse_image(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
     raise BranchError(f"unknown branch kind {branch!r}")
 
 
+def _half_sqrt1p_minus1(q: LogPolar, prec: int) -> Tuple[tuple, tuple]:
+    """h / 2 as a libmp pair, h = sqrt(1 + q) - 1 by the binomial series.
+
+    q is read by ``to_mpc_scaled(0, prec)``; every step is rounded to
+    nearest at wp = prec + 32 bits, and the sum stops at its first term
+    whose modulus is at most 2**-(prec + 16) of the partial sum's (199
+    terms at most).  A target far below the petal's full image makes q,
+    hence the offset from the ring zero, exponentially small, which libmp
+    exponents and the exact-rational perturbation both carry without
+    underflow.
+    """
+    wp = prec + 32
+    q = q.to_mpc_scaled(0, prec)
+    half = coef = (0, 1, -1, 1)    # 1/2
+    powq, h = q, mpc_mul_mpf(q, half, wp, RND)
+    for n in range(1, 200):
+        coef = mpf_div(mpf_mul(coef, mpf_sub(half, from_int(n), wp, RND), wp, RND),
+                       from_int(n + 1), wp, RND)
+        powq = mpc_mul(powq, q, wp, RND)
+        term = mpc_mul_mpf(powq, coef, wp, RND)
+        h = mpc_add(h, term, wp, RND)
+        # |x| is within [2**(mpc_mag(x) - 2), 2**mpc_mag(x)], and within
+        # 2**-wp of it rounded: only a gap of -3..2 bits needs the moduli
+        gap = mpc_mag(term) - mpc_mag(h) + prec + 16
+        if gap < -3 or gap < 3 and mpf_le(mpc_abs(term, wp, RND),
+                                          mpf_shift(mpc_abs(h, wp, RND), -(prec + 16))):
+            break
+    return mpc_shift(h, -1)
+
+
 def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
                       tol: float) -> Tuple[LogPolar, Optional[LogPolar]]:
     """OriginBranch(i), i >= 1, solved in the coordinate of the zero w = w_i.
@@ -198,11 +221,31 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
         q(z) = -r_N w g(u),  g(u) = (1 + u)**M - 1 - u,
 
     and the step solves g(u) = tau = -target / (r_N w), exact in log-polar,
-    by Newton in mpc at prec + 32 bits from u = tau / (M - 1), the seed
-    t / q'(w) relative to w.  (1 + u)**M - 1 takes the scale-following
-    log1p_mpc and expm1_series (exp past 2**-16), so no term cancels at any
-    scale of u.  z = w (1 + u) is then evaluated once, and that f(z) must
-    land within tol of the target.
+    by Newton on libmp pairs at wp = prec + 32 bits, rounded to nearest,
+    from u = tau / (M - 1), the seed t / q'(w) relative to w.  It stops at
+    its first step below 2**-(prec + 16) relative to u.
+
+    g and g' = M (1 + u)**(M-1) - 1 are the binomial sums (M - 1) u +
+    sum_{2<=k<=K} C(M, k) u**k and M - 1 + sum k C(M, k) u**(k-1), by
+    Horner.  Where M|u| <= 2**-a, term k is below (M|u|)**(k-1) / k! of the
+    linear one, so K = max(2, ceil(wp / a)) leaves a tail under 2**-wp of
+    it: K = 3 at N = 5 and 128 bits, K = 2 from N = 6 on.
+
+    The domain check |target| <= 4 R_1 = 4 r_N admits only M|u| <= 2**-53:
+    |w| = 2**zero_rho with zero_rho = (e_N - eps_N) / (M - 1) (qN_landmarks),
+    and e_N - eps_N = M_{N-1} (2 e_{N-1} - 1) by the recurrence of
+    ``params``, so zero_rho > e_{N-1} - 1/2 >= e_4 - 1/2 = 55.5 at N >= 5
+    and |tau| = |target| / (r_N |w|) <= 2**(2 - zero_rho) < 2**-53.5.  Any
+    tau with |tau| < 2**-17 has a root with M|u| <= 2**-16: on that disk
+    |g(u) / ((M - 1) u) - 1| <= M|u| <= 2**-16, so u = tau / ((M - 1) (1 +
+    O(2**-16))) and M|u| <= (32/31) |tau| (1 + 2**-15) < 2 |tau|.  So M|u|
+    is 2**-55.2 at most at N = 5 and 2**-761.4 at N = 6, from zero_rho =
+    57.3 and 763.4.  A tau of modulus 2**-17 or more, which the domain
+    check does not admit, raises BranchError rather than summing a long
+    series.
+
+    z = w (1 + u) is then evaluated once, and that f(z) must land within
+    tol of the target.
     """
     t = m.table
     M = 1 << t.N
@@ -211,22 +254,31 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
         return w, None
     tau = target.div(LogPolar(t.r_exp(t.N) + w.rho, w.theta)).neg()
     e_tau = tau.rho_int()
-    with mpmath.workprec(m.prec + 32):
-        # tau as an mpc whose exponent may lie past any float's range
-        tau_c = tau.to_mpc_scaled(e_tau, m.prec + 16) * mpmath.ldexp(1, e_tau)
-        u = tau_c / (M - 1)
-        eps = mpmath.ldexp(1, -(m.prec + 16))
-        for _ in range(NEWTON_MAX_ITER):
-            L = M * log1p_mpc(u, m.prec)
-            lmag = mpmath.mag(L)
-            e = mpmath.exp(L) - 1 if lmag > -16 else expm1_series(L, -lmag, m.prec)
-            # g(u) - tau over g'(u) = M (1 + u)**(M-1) - 1
-            du = (e - u - tau_c) / (M * (1 + e) / (1 + u) - 1)
-            u -= du
-            if abs(du) <= abs(u) * eps:
-                break
-        else:
-            raise BranchError(f"origin newton stagnated after {NEWTON_MAX_ITER} steps")
+    if e_tau >= -17:
+        raise BranchError(f"origin step needs |tau| < 2**-17 (M|u| <= 2**-16), "
+                          f"got |tau| ~ 2**{e_tau}")
+    wp = m.prec + 32
+    # tau as a pair whose exponent may lie past any float's range
+    tau_c = mpc_shift(tau.to_mpc_scaled(e_tau, m.prec + 16), e_tau)
+    m1 = from_int(M - 1)
+    u = (mpf_div(tau_c[0], m1, wp, RND), mpf_div(tau_c[1], m1, wp, RND))
+    # M|u| < 2**(e_tau + 2) = 2**-a
+    K = min(M, max(2, -(-wp // -(e_tau + 2))))
+    coef = [math.comb(M, k) for k in range(K + 1)]
+    for _ in range(NEWTON_MAX_ITER):
+        # s = sum C(M,k) u**(k-2), d = sum k C(M,k) u**(k-2) over 2 <= k <= K
+        s, d = (from_int(coef[K]), fzero), (from_int(K * coef[K]), fzero)
+        for k in range(K - 1, 1, -1):
+            s = mpc_add_mpf(mpc_mul(s, u, wp, RND), from_int(coef[k]), wp, RND)
+            d = mpc_add_mpf(mpc_mul(d, u, wp, RND), from_int(k * coef[k]), wp, RND)
+        g = mpc_mul(u, mpc_add_mpf(mpc_mul(u, s, wp, RND), m1, wp, RND), wp, RND)
+        du = mpc_div(mpc_sub(g, tau_c, wp, RND), mpc_add_mpf(mpc_mul(u, d, wp, RND), m1, wp, RND),
+                     wp, RND)
+        u = mpc_sub(u, du, wp, RND)
+        if mpf_le(mpc_abs(du, wp, RND), mpf_shift(mpc_abs(u, wp, RND), -(m.prec + 16))):
+            break
+    else:
+        raise BranchError(f"origin newton stagnated after {NEWTON_MAX_ITER} steps")
     z = lp_perturb(w, u, m.prec)
     fz, _ = m.eval(z)
     dr, dth = _residual(fz, target)
@@ -703,9 +755,11 @@ def _construct(m: ModelMap, entries, anchor: LogPolar, tol: float,
             raise ItineraryError(
                 f"entry {i}: a V step moves up exactly one level ({cur} -> {nxt})")
     z, image = anchor, None
-    for reg, br in reversed(entries):
-        if reg.kind == "V":
-            z, image = _inverse_image(hi, z, VkRoot(reg.k, br or 0), tol)
-        else:
-            z, image = _inverse_image(hi, z, PetalInverse(reg.k, reg.j), tol)
+    for i in range(len(entries) - 1, -1, -1):
+        reg, br = entries[i]
+        spec = VkRoot(reg.k, br or 0) if reg.kind == "V" else PetalInverse(reg.k, reg.j)
+        try:
+            z, image = _inverse_image(hi, z, spec, tol)
+        except NumericsError as e:
+            raise type(e)(f"entry {i}: {reg}: {e}") from None
     return z, image

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 import mpmath
-from mpmath import mpc, mpf
+from mpmath import libmp, mpc, mpf
 
 from .numerics import (
     ADD_GUARD,
@@ -37,6 +37,7 @@ from .numerics import (
     DomainError,
     LogPolar,
     LpSum,
+    RND,
     SIG_BITS,
     below_log2_one_minus_pow2,
     const_log2_frac,
@@ -45,6 +46,7 @@ from .numerics import (
     log1p_mpc,
     lp_add,
     lp_sub,
+    mpc_mag,
     mpf_to_frac,
     pi_over_ln2_frac,
 )
@@ -207,17 +209,22 @@ class ModelMap:
 
         for every z on piece seam(j).  Both series follow the scale of u, so
         a u far below 2**-prec costs a few multiplies and loses nothing.
-        The result carries prec + 32 bits.
+        Every step runs on libmp pairs at wp = prec + 32 bits, rounded to
+        nearest, and the result carries wp bits.
         """
-        if u == 0:
+        wp, z = self.prec + 32, u._mpc_
+        if z == (libmp.fzero, libmp.fzero):
             raise DomainError(f"point is a zero of ring {j}")
-        with mpmath.workprec(self.prec + 32):
-            L = (1 << j) * log1p_mpc(u, self.prec)
-            lmag = mpmath.mag(L)
-            e = mpmath.exp(L) - 1 if lmag > -16 else expm1_series(L, -lmag, self.prec)
-            if e == 0:  # zeta (1 + u) is another zero of the ring
-                raise DomainError(f"point is a zero of ring {j}")
-            return L.real + mpmath.log(abs(e))
+        L = libmp.mpc_mul_int(log1p_mpc(z, self.prec), 1 << j, wp, RND)
+        lmag = mpc_mag(L)
+        if lmag > -16:
+            e = libmp.mpc_sub_mpf(libmp.mpc_exp(L, wp, RND), libmp.fone, wp, RND)
+        else:
+            e = expm1_series(L, -lmag, self.prec, wp)
+        if e == (libmp.fzero, libmp.fzero):  # zeta (1 + u) is another zero of the ring
+            raise DomainError(f"point is a zero of ring {j}")
+        ln_e = libmp.mpf_log(libmp.mpc_abs(e, wp, RND), wp, RND)
+        return mpmath.mp.make_mpf(libmp.mpf_add(L[0], ln_e, wp, RND))
 
     def radial_log2(self, rho: Fraction) -> Optional[Fraction]:
         """log2 |f| on the circle |z| = 2**rho when it is the same at every
@@ -317,7 +324,7 @@ def _strip_s_for(t, k: int, z: LogPolar, prec: int) -> mpf:
     ek = t.r_exp(k)
     d = z.rho - ek
     with mpmath.workprec(prec + 32):
-        v = mpmath.expm1(frac_to_mpf(d, prec + 32) * mpmath.ln(2))
+        v = mpmath.expm1(mpmath.mp.make_mpf(frac_to_mpf(d, prec + 32)) * mpmath.ln(2))
         s = 1 + mpmath.ldexp(v, ek)
         return min(max(s, mpf(0)), mpf(1))
 

@@ -15,6 +15,14 @@ precision back into exact dyadic rationals, so every exponent comparison
 downstream stays exact.  A sum is :func:`lp_perturb` of its ratio, whose
 log(1 + u) is the integer kernel :func:`log2_abs_1p_int` or, for |u| <
 2**-16, the :func:`log1p_mpc` series.  All of it is immutable and thread-safe.
+
+The transcendental kernels run on mpmath's libmp tuples (an mpf is (sign,
+man, exp, bc), an mpc a pair of them), each at an explicit precision with
+round-to-nearest, never at mpmath's ambient one: ``LogPolar.to_mpc_scaled``
+and ``LogPolar.from_mpc`` at prec + 16 bits, :func:`log1p_mpc` and
+:func:`lp_perturb` at prec + 32, :func:`expm1_lp` at prec + 64 and
+:func:`expm1_series` at the wp its caller names.  Each gives, bit for bit,
+what the mpc/mpf expressions they replaced gave under ``mpmath.workprec``.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from typing import Tuple, Union
 
 import mpmath
 from mpmath import libmp, mpc, mpf
+from mpmath.libmp import (fone, from_man_exp, fzero, mpc_abs, mpc_add, mpc_div_mpf, mpc_mul,
+                          mpf_add, mpf_div, mpf_ln2, mpf_log, mpf_mul, mpf_pi, mpf_shift)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed, log_taylor_cached
 
 SIG_BITS = 128          # default fractional-log2 working precision (Config.P_sig)
@@ -36,6 +46,8 @@ MAX_EXP_BITS = 1_000_000  # bit-length budget for exponent integers
 CONST_BITS = 192        # fractional bits of the quantized log2 constants
 
 LN2 = math.log(2.0)
+RND = libmp.round_nearest
+FTWO = from_man_exp(1, 1)
 
 
 class NumericsError(Exception):
@@ -80,17 +92,17 @@ def frac_quantize(fr: Fraction, bits: int) -> Fraction:
     return Fraction(q, 1 << bits)
 
 
-def frac_to_mpf(fr: Fraction, prec: int) -> mpf:
-    """Fraction -> mpf at the given precision.
+def frac_to_mpf(fr: Fraction, prec: int) -> tuple:
+    """Fraction -> libmp mpf tuple at prec + 8 bits, rounded to nearest.
 
-    Exact when the denominator is a power of two and the numerator fits in
-    prec bits (the common case here); otherwise correctly rounded division.
+    A power-of-two denominator shifts the rounded numerator exactly;
+    otherwise numerator and denominator are each rounded and divided, as
+    ``mpf(num) / mpf(den)`` does at that precision.
     """
-    num, den = fr.numerator, fr.denominator
-    with mpmath.workprec(prec + 8):
-        if den & (den - 1) == 0:
-            return mpmath.ldexp(mpf(num), -(den.bit_length() - 1))
-        return mpf(num) / mpf(den)
+    num, den, wp = fr.numerator, fr.denominator, prec + 8
+    if den & (den - 1) == 0:
+        return mpf_shift(from_man_exp(num, 0, wp, RND), 1 - den.bit_length())
+    return mpf_div(from_man_exp(num, 0, wp, RND), from_man_exp(den, 0, wp, RND), wp, RND)
 
 
 def mpf_to_frac(x: mpf) -> Fraction:
@@ -239,15 +251,21 @@ class LogPolar:
         return cls(None)
 
     @classmethod
-    def from_mpc(cls, w: mpc, prec: int) -> "LogPolar":
-        """LogPolar of an mpc w, its log2 modulus and turns at prec + 16 bits."""
-        w = mpc(w)
-        if w == 0:
+    def from_mpc(cls, w: Union[mpc, Tuple[tuple, tuple]], prec: int) -> "LogPolar":
+        """LogPolar of w, an mpc or a libmp pair (re, im) read exactly.
+
+        At p = prec + 16 bits, rounded to nearest: rho = ln|w| at p + 20
+        bits over ln 2 at p + 20 bits, theta = atan2 over 2 pi, the steps
+        ``mpmath.log(abs(w), 2)`` and ``mpmath.atan2(...) / (2 pi)`` take at
+        p bits.
+        """
+        re, im = w._mpc_ if isinstance(w, mpc) else w
+        if re == fzero and im == fzero:
             return cls.zero_point()
-        with mpmath.workprec(prec + 16):
-            rho = mpf_to_frac(mpmath.log(abs(w), 2))
-            th = mpf_to_frac(mpmath.atan2(w.imag, w.real) / (2 * mpmath.pi))
-        return cls(rho, Angle(th))
+        p = prec + 16
+        rho = mpf_div(mpf_log(mpc_abs((re, im), p, RND), p + 20, RND), mpf_ln2(p + 20, RND), p, RND)
+        th = mpf_div(libmp.mpf_atan2(im, re, p, RND), mpf_shift(mpf_pi(p, RND), 1), p, RND)
+        return cls(_frac_of(rho), Angle(_frac_of(th)))
 
     # -- structure ----------------------------------------------------------
 
@@ -295,17 +313,25 @@ class LogPolar:
 
     # -- conversions --------------------------------------------------------
 
-    def to_mpc_scaled(self, rho0: Union[Fraction, int], prec: int) -> mpc:
-        """self / 2**rho0 as an mpc; |rho - rho0| must be float-safe."""
+    def to_mpc_scaled(self, rho0: Union[Fraction, int], prec: int) -> Tuple[tuple, tuple]:
+        """self / 2**rho0 as a libmp pair (re, im); |rho - rho0| must be
+        float-safe.
+
+        At p = prec + 16 bits, rounded to nearest: 2**(rho - rho0) by
+        ``mpf_pow``, times cos and sin of 2 pi theta from one
+        ``mpf_cos_sin_pi`` call, each of rho - rho0 and theta read as
+        :func:`frac_to_mpf` gives it at p.
+        """
         if self.is_zero:
-            return mpc(0)
-        d = self.rho - Fraction(rho0)
+            return fzero, fzero
+        d = self.rho - rho0
         if abs(d.numerator // d.denominator) > (1 << 24):
             raise DomainError("scale gap too large for complex conversion")
-        with mpmath.workprec(prec + 16):
-            mag = mpmath.power(2, frac_to_mpf(d, prec + 16))
-            t = frac_to_mpf(self.theta.turns, prec + 16)
-            return mpc(mag * mpmath.cospi(2 * t), mag * mpmath.sinpi(2 * t))
+        p = prec + 16
+        mag = libmp.mpf_pow(FTWO, frac_to_mpf(d, p), p, RND)
+        c, s = libmp.mpf_cos_sin_pi(libmp.mpf_pos(mpf_shift(frac_to_mpf(self.theta.turns, p), 1),
+                                                  p, RND), p, RND)
+        return mpf_mul(mag, c, p, RND), mpf_mul(mag, s, p, RND)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -382,42 +408,56 @@ def lp_sub(a: LogPolar, b: LogPolar, guard: int, prec: int) -> LpSum:
     return lp_add(a, b.neg(), guard, prec)
 
 
-def log1p_mpc(u: mpc, prec: int) -> mpc:
-    """log(1 + u) for an mpc u with |u| < 1, at any scale of u.
+def mpc_mag(z: Tuple[tuple, tuple]) -> int:
+    """``mpmath.mag`` of a nonzero libmp pair: |z| <= 2**mag."""
+    (_, rm, re, rb), (_, im, ie, ib) = z
+    if not rm:
+        return ie + ib
+    if not im:
+        return re + rb
+    return 1 + max(re + rb, ie + ib)
 
-    Runs at the caller's working precision (prec + 32 bits in this module).
-    A tiny u takes the series, whose depth follows the scale of u, so 1 + u
-    never rounds the perturbation away.
+
+def log1p_mpc(u: Tuple[tuple, tuple], prec: int) -> Tuple[tuple, tuple]:
+    """log(1 + u) for a nonzero libmp pair u with |u| < 1, at any scale of u.
+
+    Every step runs at prec + 32 bits, rounded to nearest: ``mpc_log`` of
+    1 + u for |u| >= 2**-16, else the series, whose depth follows the scale
+    of u, so 1 + u never rounds the perturbation away.  Bit for bit what
+    the mpc expressions ``mpmath.log(1 + u)`` and the series give at that
+    working precision.
     """
-    emag = mpmath.mag(u)  # |u| < 2**emag
+    wp = prec + 32
+    emag = mpc_mag(u)  # |u| <= 2**emag
     if emag > -16:
-        return mpmath.log(1 + u)
+        return libmp.mpc_log(libmp.mpc_add_mpf(u, fone, wp, RND), wp, RND)
     # log(1+u) = u (1 - u/2 + u^2/3 - ...), depth set by the scale
-    nterms = max(1, (prec + 48) // max(15, -int(emag)))
-    series = mpc(1)
-    term = mpc(1)
+    nterms = max(1, (prec + 48) // max(15, -emag))
+    neg = libmp.mpc_neg(u, wp, RND)
+    series = term = (fone, fzero)
     for i in range(2, nterms + 2):
-        term = term * (-u)
-        series += term / i
-    return u * series
+        term = mpc_mul(term, neg, wp, RND)
+        series = mpc_add(series, mpc_div_mpf(term, from_man_exp(i, 0), wp, RND), wp, RND)
+    return mpc_mul(u, series, wp, RND)
 
 
-def expm1_series(L: mpc, scale: int, prec: int) -> mpc:
-    """e**L - 1 = L (1 + L/2 + L^2/6 + ...) for |L| < 2**-scale, scale >= 16.
+def expm1_series(L: Tuple[tuple, tuple], scale: int, prec: int, wp: int) -> Tuple[tuple, tuple]:
+    """e**L - 1 = L (1 + L/2 + L^2/6 + ...) for a libmp pair |L| < 2**-scale,
+    scale >= 16.
 
-    Runs at the caller's working precision.  The term count adapts to the
-    scale, so ultra-tiny inputs cost a couple of multiplies.  Larger L
-    would need more terms than this count; it takes exp(L) - 1 instead.
+    The term count, max(2, (prec + 48) // scale + 1), adapts to the scale,
+    so ultra-tiny inputs cost a couple of multiplies; every step is rounded
+    to nearest at wp bits.  Larger L would need more terms than this count;
+    it takes exp(L) - 1 instead.
     """
     if scale < 16:
         raise DomainError(f"expm1_series needs |L| < 2**-16, got scale {scale}")
     nterms = max(2, (prec + 48) // scale + 1)
-    term = mpc(1)
-    series = mpc(1)
+    series = term = (fone, fzero)
     for i in range(2, nterms + 2):
-        term = term * L / i
-        series += term
-    return L * series
+        term = mpc_div_mpf(mpc_mul(term, L, wp, RND), from_man_exp(i, 0), wp, RND)
+        series = mpc_add(series, term, wp, RND)
+    return mpc_mul(L, series, wp, RND)
 
 
 # log2|1 + u| in integers: the steps of mpmath 1.3.0's mpf_log_hypot,
@@ -435,18 +475,21 @@ def ln2_rounded(wp: int) -> Tuple[int, int]:
     return ((t >> 1) + 1 if t & 1 and (t & 2 or v & ((1 << (sh - 1)) - 1)) else t >> 1), sh
 
 
-def dyadic_parts(u: Union[complex, mpc], wp: int) -> Tuple[int, int, int, int, int]:
-    """(rm, re, im, ie, mag) for a finite complex or mpc u: u = rm 2**re + i
-    im 2**ie exactly, an mpc read as ``mpc(u)`` at wp bits whatever the
-    caller's precision, and mag = ``mpmath.mag(u)``."""
+def dyadic_parts(u: Union[complex, mpf, mpc, Tuple[tuple, tuple]],
+                 wp: int) -> Tuple[int, int, int, int, int]:
+    """(rm, re, im, ie, mag) for a finite complex, mpf, mpc or libmp pair u:
+    u = rm 2**re + i im 2**ie exactly, the mpmath forms with each part
+    rounded to nearest at wp bits whatever the caller's precision, and mag
+    = ``mpmath.mag(u)``."""
     if isinstance(u, complex):
         if not cmath.isfinite(u):
             raise DomainError(f"log2|1 + u| of non-finite u = {u!r}")
         (rm, rd), (im, idn) = u.real.as_integer_ratio(), u.imag.as_integer_ratio()
         re, ie = 1 - rd.bit_length(), 1 - idn.bit_length()
     else:
-        with mpmath.workprec(wp):
-            (rs, rm, re, _), (is_, im, ie, _) = mpc(u)._mpc_
+        if not isinstance(u, tuple):
+            u = u._mpc_ if isinstance(u, mpc) else (u._mpf_, fzero)
+        (rs, rm, re, _), (is_, im, ie, _) = (libmp.mpf_pos(x, wp, RND) for x in u)
         rm, im, re, ie = -int(rm) if rs else int(rm), -int(im) if is_ else int(im), int(re), int(ie)
         if not rm and re or not im and ie:      # inf or nan: no mantissa, a nonzero exponent
             raise DomainError(f"log2|1 + u| of non-finite u = {u!r}")
@@ -462,11 +505,8 @@ def _log1p_series(rm: int, re: int, im: int, ie: int, wp: int) -> Tuple[Tuple[in
     """((q, e), Im log(1 + u)) for |u| < 2**-16 by the :func:`log1p_mpc` series
     at wp bits: log2|1 + u| = q 2**e is its real part over ``mpf_ln2(wp)``
     by ``mpf_div``, and the imaginary part is a libmp tuple."""
-    rnd = libmp.round_nearest
-    with mpmath.workprec(wp):
-        vr, vi = log1p_mpc(mpmath.mp.make_mpc((libmp.from_man_exp(rm, re),
-                                                libmp.from_man_exp(im, ie))), wp - 32)._mpc_
-    sign, man, exp, _ = libmp.mpf_div(vr, libmp.mpf_ln2(wp, rnd), wp, rnd)
+    vr, vi = log1p_mpc((from_man_exp(rm, re), from_man_exp(im, ie)), wp - 32)
+    sign, man, exp, _ = mpf_div(vr, mpf_ln2(wp, RND), wp, RND)
     return (-int(man) if sign else int(man), int(exp)), vi
 
 
@@ -576,8 +616,10 @@ def log2_abs_1p_int(rm: int, re: int, im: int, ie: int, mag: int, wp: int,
     return (-q if m < 0 else q), e - half - extra + wp + 20 - sh
 
 
-def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int) -> LogPolar:
-    """z * (1 + u) for a complex or mpc u with |u| <= 1, at any scale of u.
+def lp_perturb(z: LogPolar, u: Union[complex, mpf, mpc, Tuple[tuple, tuple]],
+               prec: int) -> LogPolar:
+    """z * (1 + u) for a complex, mpf, mpc or libmp pair u with |u| <= 1, at
+    any scale of u.
 
     The relative size of u may be far below 2**-prec; the result's rho then
     carries an exact tiny rational correction rather than losing it.
@@ -593,7 +635,7 @@ def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int) -> LogPolar:
     """
     if z.is_zero:
         return z
-    wp, rnd = prec + 32, libmp.round_nearest
+    wp = prec + 32
     rm, re, im, ie, mag = dyadic_parts(u, wp)
     if mag <= -MAX_EXP_BITS:
         raise ExponentBudgetError(f"lp_perturb of |u| < 2**{mag}, past the exponent budget")
@@ -601,9 +643,9 @@ def lp_perturb(z: LogPolar, u: Union[complex, mpc], prec: int) -> LogPolar:
         (q, e), vi = _log1p_series(rm, re, im, ie, wp)
     else:
         q, e = log2_abs_1p_int(rm, re, im, ie, mag, wp, *ln2_rounded(wp))
-        vi = libmp.mpc_arg((libmp.mpf_add(libmp.from_man_exp(rm, re), libmp.fone, wp, rnd),
-                            libmp.from_man_exp(im, ie)), wp, rnd)
-    lim = _frac_of(libmp.mpf_div(vi, libmp.mpf_shift(libmp.mpf_pi(wp, rnd), 1), wp, rnd))
+        vi = libmp.mpc_arg((mpf_add(from_man_exp(rm, re), fone, wp, RND),
+                            from_man_exp(im, ie)), wp, RND)
+    lim = _frac_of(mpf_div(vi, mpf_shift(mpf_pi(wp, RND), 1), wp, RND))
     return LogPolar(z.rho + _dyadic(q, e), Angle(z.theta.turns + lim))
 
 
@@ -631,17 +673,15 @@ def expm1_lp(drho: Fraction, dtheta: Fraction, prec: int) -> LogPolar:
         return LogPolar.zero_point()
     size = max(abs(drho), abs(dtheta))
     wp = prec + 64
-    with mpmath.workprec(wp):
-        L = mpc(frac_to_mpf(drho, wp) * mpmath.ln(2),
-                frac_to_mpf(dtheta, wp) * 2 * mpmath.pi)
-        # at size > 2**-16, exp(L) - 1 loses at most 17 of the 64 guard bits
-        if size > Fraction(1, 1 << 16):
-            v = mpmath.exp(L) - 1
-            if v == 0:
-                return LogPolar.zero_point()
-            return LogPolar.from_mpc(v, prec)
-        v = expm1_series(L, -frac_ilog2(size), prec)
-        return LogPolar.from_mpc(v, prec)
+    L = (mpf_mul(frac_to_mpf(drho, wp), mpf_ln2(wp, RND), wp, RND),
+         mpf_mul(libmp.mpf_pos(mpf_shift(frac_to_mpf(dtheta, wp), 1), wp, RND), mpf_pi(wp, RND),
+                 wp, RND))
+    # at size > 2**-16, exp(L) - 1 loses at most 17 of the 64 guard bits
+    if size > Fraction(1, 1 << 16):
+        v = libmp.mpc_sub_mpf(libmp.mpc_exp(L, wp, RND), fone, wp, RND)
+    else:
+        v = expm1_series(L, -frac_ilog2(size), prec, wp)
+    return LogPolar.from_mpc(v, prec)
 
 
 def pow2_minus1_log2(delta: Fraction, prec: int) -> Fraction:
@@ -653,7 +693,7 @@ def pow2_minus1_log2(delta: Fraction, prec: int) -> Fraction:
     if delta <= 0:
         raise DomainError("needs delta > 0")
     with mpmath.workprec(prec + 32):
-        v = mpmath.expm1(frac_to_mpf(delta, prec + 32) * mpmath.ln(2))
+        v = mpmath.expm1(mpmath.mp.make_mpf(frac_to_mpf(delta, prec + 32)) * mpmath.ln(2))
         return mpf_to_frac(mpmath.log(v, 2))
 
 

@@ -83,7 +83,7 @@ def pow2_str(log2) -> str:
     log2 = Fraction(log2)
     e = log2.numerator // log2.denominator
     with mpmath.workprec(72):
-        sig = mpmath.power(2, frac_to_mpf(log2 - e, 72))
+        sig = mpmath.power(2, mpmath.mp.make_mpf(frac_to_mpf(log2 - e, 72)))
     man = round(mpf_to_frac(sig) * (1 << 63))  # ties to even
     if man >> 64:  # rounded up to 2
         man, e = man >> 1, e + 1

@@ -99,23 +99,26 @@ def _refused_with(capsys, prefix):
     assert cap.err.startswith(prefix), cap.err
 
 
-@pytest.mark.parametrize("itinerary,entry", [
-    ("D", "entry 0: only V/P tags at level >= 1 are realizable, got D"),
-    ("V(1);D", "entry 1: only V/P tags at level >= 1 are realizable, got D"),
-    ("A(1)", "entry 0: only V/P tags at level >= 1 are realizable, got A(1)"),
-    ("V(0)", "entry 0: only V/P tags at level >= 1 are realizable, got V(0)"),
-    ("P(2,0)", "entry 0: petal index of P(2,0) outside 1..n_2 = 2**6"),
-    ("V(1);P(2,65)", "entry 1: petal index of P(2,65) outside 1..n_2 = 2**6"),
-], ids=["D", "V(1);D", "A(1)", "V(0)", "P(2,0)", "V(1);P(2,65)"])
-def test_backward_refuses_what_it_cannot_invert(itinerary, entry, capsys):
+@pytest.mark.parametrize("itinerary,error,entry", [
+    ("D", "ItineraryError", "entry 0: only V/P tags at level >= 1 are realizable, got D"),
+    ("V(1);D", "ItineraryError", "entry 1: only V/P tags at level >= 1 are realizable, got D"),
+    ("A(1)", "ItineraryError", "entry 0: only V/P tags at level >= 1 are realizable, got A(1)"),
+    ("V(0)", "ItineraryError", "entry 0: only V/P tags at level >= 1 are realizable, got V(0)"),
+    ("P(2,0)", "ItineraryError", "entry 0: petal index of P(2,0) outside 1..n_2 = 2**6"),
+    ("V(1);P(2,65)", "ItineraryError", "entry 1: petal index of P(2,65) outside 1..n_2 = 2**6"),
+    ("P(2,64)", "ExponentBudgetError",
+     "entry 0: P(2,64): lp_perturb of |u| < 2**-1446673, past the exponent budget"),
+], ids=["D", "V(1);D", "A(1)", "V(0)", "P(2,0)", "V(1);P(2,65)", "P(2,64)"])
+def test_backward_refuses_what_it_cannot_invert(itinerary, error, entry, capsys):
     # a D tag ended in a TypeError from sizing the itinerary before the tag
     # checks, and the pair check named the entry before the bad tag; P(2,0)
-    # was inverted into petal 1 and only the re-verification noticed
+    # was inverted into petal 1 and only the re-verification noticed; a
+    # step's own error did not say which tag it came from
     argv = ["backward", "--N", "5", "--kmax", "25", "--itinerary", itinerary,
             "--anchor", "752,0,0.3"]
     assert run(argv) == 3
     cap = capsys.readouterr()
-    assert (cap.out, cap.err) == ("", f"juliadim: ItineraryError: {entry}\n")
+    assert (cap.out, cap.err) == ("", f"juliadim: {error}: {entry}\n")
 
 
 @pytest.mark.parametrize("argv", [

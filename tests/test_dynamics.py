@@ -166,21 +166,72 @@ def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeyp
     # and 2**-prec, so a stop test at 2**-prec ends one step early
     import juliadim.dynamics as dyn
 
-    iterates = []
-    # log1p_mpc(u, prec) sees each u of the loop, lp_perturb(w, u, prec) the last
-    for name, pos in (("log1p_mpc", 0), ("lp_perturb", 1)):
+    seen = []
+    # each Newton step takes mpc_abs of its step du, then of the new iterate
+    # u; lp_perturb(w, u, prec) gets the last iterate
+    for name, pos in (("mpc_abs", 0), ("lp_perturb", 1)):
         def spy(*args, _real=getattr(dyn, name), _pos=pos):
-            iterates.append(args[_pos])
+            seen.append(args[_pos])
             return _real(*args)
         monkeypatch.setattr(dyn, name, spy)
     m = dataclasses.replace(M5, prec=prec)
     eps = mpmath.ldexp(1, -(prec + 16))
     for target, i in _origin_cases(Random(3), 6):
-        iterates.clear()
+        seen.clear()
         inverse_step(m, target.mul_pow2(1), OriginBranch(i), TOL)
+        steps, iterates = seen[0:-1:2], seen[1:-1:2]
+        assert len(steps) == len(iterates) >= 2 and iterates[-1] == seen[-1]
         with mpmath.workprec(prec + 32):
-            small = [abs(b - a) <= abs(b) * eps for a, b in zip(iterates, iterates[1:])]
+            u = [mpmath.mp.make_mpc(x) for x in iterates]
+            du = [mpmath.mp.make_mpc(x) for x in steps]
+            small = [abs(d) <= abs(b) * eps for d, b in zip(du, u)]
+            # each iterate is the one before less its step
+            assert all(b == a - d for a, b, d in zip(u, u[1:], du[1:]))
         assert small[-1] and not any(small[:-1]), small
+
+
+@pytest.mark.parametrize("prec", [128, 400])
+def test_origin_solve_meets_g_within_its_stop_rule(prec, monkeypatch):
+    # the u that reaches lp_perturb solves g(u) = tau within 2**-(prec+12)
+    # of tau, with g(u) = (1 + u)**M - 1 - u at 1200 bits: the Horner sums
+    # keep every binomial term down to 2**-(prec+32) of the linear one
+    import juliadim.dynamics as dyn
+
+    seen = []
+
+    def spy(z, u, p, _real=dyn.lp_perturb):
+        seen.append(u)
+        return _real(z, u, p)
+    monkeypatch.setattr(dyn, "lp_perturb", spy)
+    m = dataclasses.replace(M5, prec=prec)
+    lm, M = qN_landmarks(m), 1 << T5.N
+    for target, i in _origin_cases(Random(23), 6):
+        seen.clear()
+        inverse_step(m, target, OriginBranch(i), TOL)
+        w = lm.zero(i)
+        tau = target.div(LogPolar(T5.r_exp(T5.N) + w.rho, w.theta)).neg()
+        with mpmath.workprec(1200):
+            u, t = mpmath.mp.make_mpc(seen[0]), mpmath.mp.make_mpc(tau.to_mpc_scaled(0, 1200))
+            assert abs((1 + u) ** M - 1 - u - t) <= abs(t) * mpmath.ldexp(1, -(prec + 12))
+
+
+def test_origin_step_refuses_tau_past_its_series_bound():
+    # |tau| >= 2**-17, where M|u| may pass 2**-16, is refused before any
+    # Newton step; the domain check |target| <= 4 R_1 admits only |tau| <
+    # 2**-53.5 (the _origin_zero_step docstring), and the solve still holds
+    # just below the bound, with 10 binomial terms at 128 bits
+    from juliadim.dynamics import _origin_zero_step
+
+    w = qN_landmarks(M5).zero(1)
+    base = T5.r_exp(T5.N) + w.rho          # |tau| = |target| / 2**base
+    assert T5.R_exp(1) + 2 - base < -53.5
+    for e in (-17, Fraction(-33, 2), -3):
+        with pytest.raises(BranchError, match=r"\|tau\| < 2\*\*-17"):
+            _origin_zero_step(M5, LogPolar(base + e, Fraction(1, 7)), 1, TOL)
+    target = LogPolar(base - Fraction(35, 2), Fraction(1, 7))
+    z, fz = _origin_zero_step(M5, target, 1, TOL)
+    assert fz == M5.eval(z)[0]
+    assert abs(float(fz.rho - target.rho)) < TOL and float(fz.theta.dist(target.theta)) < TOL
 
 
 def test_origin_steps_past_the_exponent_budget_raise_at_once():

@@ -109,9 +109,10 @@ def test_petal_membership_escalates_only_in_its_tie_band(monkeypatch):
             for sign in (1, -1):
                 j = rng.randrange(1, T5.n(k) + 1)
                 w = m.ring_zero(ring, j)
-                phi = frac_to_mpf(Fraction(rng.randrange(1 << 30), 1 << 30), 2600)
+                turns = Fraction(rng.randrange(1 << 30), 1 << 30)
+                phi, rad_mpf = (mpmath.mp.make_mpf(frac_to_mpf(x, 2600)) for x in (turns, rad))
                 with mpmath.workprec(2600):
-                    mag = mpmath.power(2, frac_to_mpf(rad, 2600)) * (1 + sign * mpmath.ldexp(1, -s))
+                    mag = mpmath.power(2, rad_mpf) * (1 + sign * mpmath.ldexp(1, -s))
                     u = mpmath.mpc(mag * mpmath.cospi(2 * phi), mag * mpmath.sinpi(2 * phi))
                 z = lp_perturb(w, u, 2400)
                 dth = z.theta.sub(w.theta).turns

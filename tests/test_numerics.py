@@ -21,6 +21,8 @@ from juliadim.numerics import (
     ln2_rounded,
     log1p_mpc,
     log2_abs_1p_int,
+    frac_ilog2,
+    frac_mod1,
     lp_add,
     lp_perturb,
     lp_sub,
@@ -153,6 +155,10 @@ def test_lp_add_sixth_turn():
     assert abs(s.value.theta.to_float() - 1.0 / 6.0) < 1e-30
 
 
+def _complex(pair):
+    return complex(mpmath.mp.make_mpc(pair))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=-90, max_value=90),
@@ -164,12 +170,12 @@ def test_lp_add_matches_complex(e1, e2, t1, t2):
     a = LogPolar(Fraction(e1, 3), Angle(Fraction(t1, 1 << 20)))
     b = LogPolar(Fraction(e2, 3), Angle(Fraction(t2, 1 << 20)))
     s = lp_add(a, b, ADD_GUARD, SIG_BITS)
-    za, zb = complex(a.to_mpc_scaled(0, 64)), complex(b.to_mpc_scaled(0, 64))
+    za, zb = _complex(a.to_mpc_scaled(0, 64)), _complex(b.to_mpc_scaled(0, 64))
     zs = za + zb
     if s.cancelled:
         assert abs(zs) <= 1e-12 * max(abs(za), abs(zb))
         return
-    got = complex(s.value.to_mpc_scaled(0, 64))
+    got = _complex(s.value.to_mpc_scaled(0, 64))
     # the double-precision oracle itself carries cancellation error, so the
     # comparison is relative to the operand scale
     assert abs(got - zs) <= 1e-12 * max(abs(za), abs(zb))
@@ -272,6 +278,101 @@ def _mpf_to_frac_ref(x):
     return -v if sign else v
 
 
+# the mpc/mpf wrapper forms of the kernels that now run on libmp pairs, as
+# they ran before: each at the working precision its callers set with
+# mpmath.workprec ------------------------------------------------------------
+
+def _frac_to_mpf_ref(fr, prec):
+    num, den = fr.numerator, fr.denominator
+    with mpmath.workprec(prec + 8):
+        if den & (den - 1) == 0:
+            return mpmath.ldexp(mpmath.mpf(num), -(den.bit_length() - 1))
+        return mpmath.mpf(num) / mpmath.mpf(den)
+
+
+def _to_mpc_scaled_ref(z, rho0, prec):
+    if z.is_zero:
+        return mpmath.mpc(0)
+    d = z.rho - Fraction(rho0)
+    if abs(d.numerator // d.denominator) > (1 << 24):
+        raise DomainError("scale gap too large for complex conversion")
+    with mpmath.workprec(prec + 16):
+        mag = mpmath.power(2, _frac_to_mpf_ref(d, prec + 16))
+        t = _frac_to_mpf_ref(z.theta.turns, prec + 16)
+        return mpmath.mpc(mag * mpmath.cospi(2 * t), mag * mpmath.sinpi(2 * t))
+
+
+def _from_mpc_ref(w, prec):
+    # mpc(w) keeps w only under a workprec that holds it, as expm1_lp's did
+    w = mpmath.mpc(w)
+    if w == 0:
+        return LogPolar.zero_point()
+    with mpmath.workprec(prec + 16):
+        rho = _mpf_to_frac_ref(mpmath.log(abs(w), 2))
+        th = _mpf_to_frac_ref(mpmath.atan2(w.imag, w.real) / (2 * mpmath.pi))
+    return LogPolar(rho, Angle(th))
+
+
+def _log1p_mpc_ref(u, prec):
+    emag = mpmath.mag(u)
+    if emag > -16:
+        return mpmath.log(1 + u)
+    nterms = max(1, (prec + 48) // max(15, -int(emag)))
+    series = mpmath.mpc(1)
+    term = mpmath.mpc(1)
+    for i in range(2, nterms + 2):
+        term = term * (-u)
+        series += term / i
+    return u * series
+
+
+def _expm1_series_ref(L, scale, prec):
+    if scale < 16:
+        raise DomainError(f"expm1_series needs |L| < 2**-16, got scale {scale}")
+    nterms = max(2, (prec + 48) // scale + 1)
+    term = mpmath.mpc(1)
+    series = mpmath.mpc(1)
+    for i in range(2, nterms + 2):
+        term = term * L / i
+        series += term
+    return L * series
+
+
+def _expm1_lp_ref(drho, dtheta, prec):
+    dtheta = frac_mod1(dtheta + Fraction(1, 2)) - Fraction(1, 2)
+    if drho == 0 and dtheta == 0:
+        return LogPolar.zero_point()
+    size = max(abs(drho), abs(dtheta))
+    wp = prec + 64
+    with mpmath.workprec(wp):
+        L = mpmath.mpc(_frac_to_mpf_ref(drho, wp) * mpmath.ln(2),
+                       _frac_to_mpf_ref(dtheta, wp) * 2 * mpmath.pi)
+        if size > Fraction(1, 1 << 16):
+            v = mpmath.exp(L) - 1
+            if v == 0:
+                return LogPolar.zero_point()
+            return _from_mpc_ref(v, prec)
+        return _from_mpc_ref(_expm1_series_ref(L, -frac_ilog2(size), prec), prec)
+
+
+def _half_sqrt1p_minus1_ref(q, prec):
+    # the petal step's binomial series for h = sqrt(1 + q) - 1, halved
+    q_mpc = _to_mpc_scaled_ref(q, Fraction(0), prec)
+    with mpmath.workprec(prec + 32):
+        coef = mpmath.mpf(1) / 2
+        powq = q_mpc
+        h = coef * powq
+        eps = mpmath.ldexp(mpmath.mpf(1), -(prec + 16))
+        for n in range(1, 200):
+            coef = coef * (mpmath.mpf(1) / 2 - n) / (n + 1)
+            powq = powq * q_mpc
+            term = coef * powq
+            h += term
+            if abs(term) <= abs(h) * eps:
+                break
+        return h / 2
+
+
 def _lp_perturb_mpc(z, u, prec):
     # the mpc body lp_perturb had before it ran on libmp tuples, reading u
     # at prec + 32 bits
@@ -281,7 +382,7 @@ def _lp_perturb_mpc(z, u, prec):
         u = mpmath.mpc(u)
         if u == 0:
             return z
-        v = log1p_mpc(u, prec)
+        v = _log1p_mpc_ref(u, prec)
         lre = _mpf_to_frac_ref(v.real / mpmath.ln(2))
         lim = _mpf_to_frac_ref(v.imag / (2 * mpmath.pi))
     return LogPolar(z.rho + lre, z.theta.add(Angle(lim)))
@@ -519,9 +620,8 @@ def test_lp_sub_close_scales():
     d = lp_sub(a, b, ADD_GUARD, SIG_BITS)
     assert not d.value.is_zero
     with mpmath.workprec(220):
-        za = a.to_mpc_scaled(Fraction(58), 200)
-        zb = b.to_mpc_scaled(Fraction(58), 200)
-        got = d.value.to_mpc_scaled(Fraction(58), 200)
+        za, zb, got = (mpmath.mp.make_mpc(x.to_mpc_scaled(Fraction(58), 200))
+                       for x in (a, b, d.value))
         err = abs(got - (za - zb)) / abs(za - zb)
         assert err < mpmath.mpf(2) ** -100
 
@@ -551,7 +651,123 @@ def test_expm1_lp_full_precision(drho, dtheta):
 
 def test_expm1_series_rejects_wide_inputs():
     with pytest.raises(DomainError):
-        expm1_series(mpmath.mpc(0, mpmath.mpf(2) ** -10), 10, SIG_BITS)
+        expm1_series(mpmath.mpc(0, mpmath.mpf(2) ** -10)._mpc_, 10, SIG_BITS, SIG_BITS + 32)
+
+
+# the libmp kernels against their mpc forms, bit for bit -----------------------
+
+def _scales(rng, n):
+    """Exponents e for |u| ~ 2^-e from 1 to 23000: the edges, both sides of
+    the series switch at 2^-16, and the rest log-uniform."""
+    return [1, 2, 15, 16, 17, 18, 23000] + [int(2 ** rng.uniform(0, math.log2(23000)))
+                                          for _ in range(n)]
+
+
+def _pair(rng, e, bits):
+    """A libmp pair of modulus about 2^-e: both parts, only the real one or
+    only the imaginary one, each a seeded bits-bit mantissa of either sign."""
+    def part():
+        return libmp.from_man_exp(rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1)),
+                                  -e - bits)
+    shape = rng.randrange(3)
+    return (part() if shape != 2 else libmp.fzero), (part() if shape != 1 else libmp.fzero)
+
+
+def _tiny_frac(rng, e, bits):
+    # +-(a bits-bit numerator) / 2^(e + bits), or over 3 2^(e + bits - 2) (a
+    # denominator that is not a power of two)
+    num = rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+    return (Fraction(num, 1 << (e + bits)) if rng.randrange(2)
+            else Fraction(num, 3 << (e + bits - 2)))
+
+
+def _mpc(pair):
+    return mpmath.mp.make_mpc(pair)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 2400])
+def test_libmp_kernels_equal_their_mpc_forms(prec):
+    from juliadim.dynamics import _half_sqrt1p_minus1
+
+    rng = random.Random(f"kernels:{prec}")
+    n = 12 if prec == 2400 else 30
+    for e in _scales(rng, n):
+        # numerators and mantissas that fit the working precision, and
+        # wider ones that each kernel rounds first
+        bits = rng.choice((64, prec + 32, prec + 100))
+        # to_mpc_scaled: 2^(rho - rho0) e^(2 pi i theta), |.| ~ 2^-e
+        rho0 = rng.randrange(-(1 << 40), 1 << 40)
+        turns = _tiny_frac(rng, rng.randrange(0, 60), bits) % 1
+        z = LogPolar(rho0 - e + _tiny_frac(rng, 0, bits) % 1, Angle(turns))
+        assert z.to_mpc_scaled(rho0, prec) == _to_mpc_scaled_ref(z, rho0, prec)._mpc_, e
+
+        # from_mpc, of w ~ 2^-e and of w = 1 + u near one
+        u = _pair(rng, e, bits)
+        for w in (u, libmp.mpc_add_mpf(u, libmp.fone, prec + 64 + e, libmp.round_nearest)):
+            with mpmath.workprec(max(x[3] for x in w) + 1):
+                want = _from_mpc_ref(_mpc(w), prec)
+            got = LogPolar.from_mpc(w, prec)
+            assert (got.rho, got.theta) == (want.rho, want.theta), e
+
+        # log1p_mpc, below 1 in modulus; the mpc forms at the workprec
+        # their callers set, the kernels at mpmath's default precision
+        u = _pair(rng, max(e, 2), bits)
+        with mpmath.workprec(prec + 32):
+            want = _log1p_mpc_ref(_mpc(u), prec)._mpc_
+        assert log1p_mpc(u, prec) == want, e
+
+        # expm1_series at both working precisions its callers set
+        L = _pair(rng, max(e, 18), bits)
+        scale = -mpmath.mag(_mpc(L))
+        for wp in (prec + 32, prec + 64):
+            with mpmath.workprec(wp):
+                want = _expm1_series_ref(_mpc(L), scale, prec)._mpc_
+            assert expm1_series(L, scale, prec, wp) == want, e
+
+        # expm1_lp of (drho, dtheta) of size ~ 2^-e, one of them possibly 0
+        drho, dtheta = _tiny_frac(rng, e, bits), _tiny_frac(rng, e, bits)
+        drho, dtheta = ((0, dtheta), (drho, 0), (drho, dtheta))[rng.randrange(3)]
+        got, want = expm1_lp(drho, dtheta, prec), _expm1_lp_ref(drho, dtheta, prec)
+        assert (got.rho, got.theta) == (want.rho, want.theta), e
+
+        # the petal step's series, for |q| ~ 2^-e
+        q = LogPolar(-e + _tiny_frac(rng, 0, bits) % 1, Angle(_tiny_frac(rng, 30, bits) % 1))
+        assert _half_sqrt1p_minus1(q, prec) == _half_sqrt1p_minus1_ref(q, prec)._mpc_, e
+
+
+def test_libmp_kernels_refuse_what_their_mpc_forms_refused():
+    # a scale gap past 2^24, a zero point, expm1 of (0, 0) and of (0, 1) (a
+    # whole turn), expm1_series past 2^-16; log1p_mpc of 0 is 0 where the
+    # mpc form ended in a ValueError from int(mag(0)), mag(0) being -inf
+    far = LogPolar((1 << 24) + 1, Fraction(1, 3))
+    for f in (lambda: far.to_mpc_scaled(0, 64), lambda: _to_mpc_scaled_ref(far, 0, 64)):
+        with pytest.raises(DomainError, match="scale gap"):
+            f()
+    zero = LogPolar.zero_point()
+    assert zero.to_mpc_scaled(5, 64) == _to_mpc_scaled_ref(zero, 5, 64)._mpc_ == (libmp.fzero,) * 2
+    assert LogPolar.from_mpc((libmp.fzero,) * 2, 64).is_zero and _from_mpc_ref(0, 64).is_zero
+    assert LogPolar.from_mpc(mpmath.mpc(0), 64).is_zero
+    for drho, dtheta in ((0, 0), (0, 1), (0, -1)):
+        assert expm1_lp(Fraction(drho), Fraction(dtheta), 64).is_zero
+        assert _expm1_lp_ref(Fraction(drho), Fraction(dtheta), 64).is_zero
+    L = mpmath.mpc(0, mpmath.ldexp(1, -16))
+    for f in (lambda: expm1_series(L._mpc_, 15, 64, 96), lambda: _expm1_series_ref(L, 15, 64)):
+        with pytest.raises(DomainError, match="2\\*\\*-16"):
+            f()
+    assert log1p_mpc((libmp.fzero,) * 2, 64) == (libmp.fzero,) * 2
+    with mpmath.workprec(96), pytest.raises(ValueError):
+        _log1p_mpc_ref(mpmath.mpc(0), 64)
+
+
+def test_from_mpc_reads_its_input_exactly():
+    # an mpc carrying 301 bits, read outside any workprec: mpc(w) used to
+    # round it to the ambient 53 bits, where 1 + 2^-200 is 1, so rho was 0
+    with mpmath.workprec(400):
+        w = mpmath.mpc(1 + mpmath.ldexp(1, -200), mpmath.ldexp(1, -300))
+    z = LogPolar.from_mpc(w, 256)
+    assert abs(float(z.rho * 2 ** 200) - 1 / math.log(2)) < 1e-12
+    assert abs(float(z.theta.turns * 2 ** 300) - 1 / (2 * math.pi)) < 1e-12
+    assert LogPolar.from_mpc(w._mpc_, 256) == z
 
 
 def test_pow2_minus1_log2_tiny():
