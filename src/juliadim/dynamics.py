@@ -15,8 +15,10 @@ Inverse branches come in three kinds:
                                seeded at t/r_N; i >= 1: g(u) = tau solved
                                in the coordinate z = w_i (1 + u) of the
                                zero w_i, g(u) = (1 + u)**M - 1 - u, by
-                               Newton with Horner sums, then one
-                               evaluation checks the point.
+                               Newton with Horner sums from the inverse
+                               series to third order (one step at N >= 5
+                               and 128 bits), then one evaluation checks
+                               the point.
 
 Both the petal series and the origin solve run on libmp pairs at the
 model's prec + 32 bits, rounded to nearest, and hand their offset u to
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from mpmath.libmp import (from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_mul,
+from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_mul,
                           mpc_mul_mpf, mpc_shift, mpc_sub, mpf_div, mpf_le, mpf_mul, mpf_shift,
                           mpf_sub)
 
@@ -158,10 +160,9 @@ def _inverse_image(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
         ring = k + t.N - 1
         zc = m.zcap(ring)
         # v = z**n_k solves v(v - Z) = tau, tau = target R_k**n_k / C_k;
-        # the zero-side root is v = Z (1 + h/2), h = sqrt(1 + 4 tau/Z^2) - 1
-        tau_rho = target.rho + nk * t.R_exp(k) - t.C_exp(k)
-        rho_q = tau_rho + 2 - 2 * zc.rho
-        q = LogPolar(rho_q, target.theta.sub(zc.theta).sub(zc.theta))
+        # the zero-side root is v = Z (1 + h/2), h = sqrt(1 + 4 tau/Z^2) - 1,
+        # and Z**2 > 0 as Z is real and negative
+        q = LogPolar(target.rho + (nk * t.R_exp(k) - t.C_exp(k) + 2) - 2 * zc.rho, target.theta)
         z = lp_perturb(zc, _half_sqrt1p_minus1(q, m.prec), m.prec).root(nk, j - 1)
         return _newton_polish(m, z, target, tol)
 
@@ -182,11 +183,18 @@ def _inverse_image(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
     raise BranchError(f"unknown branch kind {branch!r}")
 
 
+_HALF_MPF = (0, 1, -1, 1)      # 1/2 as a libmp tuple
+# wp -> [C(1/2, n)] for n = 1, 2, ..., each by C(1/2, n + 1) = C(1/2, n) (1/2 - n)
+# / (n + 1) rounded to nearest at wp; grown as the petal series reaches them
+_BINOM_HALF: dict = {}
+
+
 def _half_sqrt1p_minus1(q: LogPolar, prec: int) -> Tuple[tuple, tuple]:
     """h / 2 as a libmp pair, h = sqrt(1 + q) - 1 by the binomial series.
 
     q is read by ``to_mpc_scaled(0, prec)``; every step is rounded to
-    nearest at wp = prec + 32 bits, and the sum stops at its first term
+    nearest at wp = prec + 32 bits (the coefficients C(1/2, n) once per wp,
+    in ``_BINOM_HALF``), and the sum stops at its first term
     whose modulus is at most 2**-(prec + 16) of the partial sum's (199
     terms at most).  A target far below the petal's full image makes q,
     hence the offset from the ring zero, exponentially small, which libmp
@@ -195,21 +203,29 @@ def _half_sqrt1p_minus1(q: LogPolar, prec: int) -> Tuple[tuple, tuple]:
     """
     wp = prec + 32
     q = q.to_mpc_scaled(0, prec)
-    half = coef = (0, 1, -1, 1)    # 1/2
-    powq, h = q, mpc_mul_mpf(q, half, wp, RND)
+    coefs = _BINOM_HALF.setdefault(wp, [_HALF_MPF])
+    powq, h = q, mpc_mul_mpf(q, _HALF_MPF, wp, RND)
     for n in range(1, 200):
-        coef = mpf_div(mpf_mul(coef, mpf_sub(half, from_int(n), wp, RND), wp, RND),
-                       from_int(n + 1), wp, RND)
+        if n == len(coefs):
+            coefs.append(mpf_div(mpf_mul(coefs[-1], mpf_sub(_HALF_MPF, from_int(n), wp, RND),
+                                         wp, RND), from_int(n + 1), wp, RND))
         powq = mpc_mul(powq, q, wp, RND)
-        term = mpc_mul_mpf(powq, coef, wp, RND)
+        term = mpc_mul_mpf(powq, coefs[n], wp, RND)
         h = mpc_add(h, term, wp, RND)
-        # |x| is within [2**(mpc_mag(x) - 2), 2**mpc_mag(x)], and within
-        # 2**-wp of it rounded: only a gap of -3..2 bits needs the moduli
-        gap = mpc_mag(term) - mpc_mag(h) + prec + 16
-        if gap < -3 or gap < 3 and mpf_le(mpc_abs(term, wp, RND),
-                                          mpf_shift(mpc_abs(h, wp, RND), -(prec + 16))):
+        if _below(term, h, prec + 16, wp):
             break
     return mpc_shift(h, -1)
+
+
+def _below(x: Tuple[tuple, tuple], y: Tuple[tuple, tuple], bits: int, wp: int) -> bool:
+    """|x| <= 2**-bits |y| for libmp pairs, y nonzero, as the moduli rounded
+    at wp bits decide it.  |x| is within [2**(mpc_mag(x) - 2), 2**mpc_mag(x)],
+    and within 2**-wp of it rounded: only a gap of -3..2 bits needs them."""
+    if not x[0][1] and not x[1][1]:
+        return True
+    gap = mpc_mag(x) - mpc_mag(y) + bits
+    return gap < -3 or gap < 3 and mpf_le(mpc_abs(x, wp, RND),
+                                          mpf_shift(mpc_abs(y, wp, RND), -bits))
 
 
 def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
@@ -221,9 +237,25 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
         q(z) = -r_N w g(u),  g(u) = (1 + u)**M - 1 - u,
 
     and the step solves g(u) = tau = -target / (r_N w), exact in log-polar,
-    by Newton on libmp pairs at wp = prec + 32 bits, rounded to nearest,
-    from u = tau / (M - 1), the seed t / q'(w) relative to w.  It stops at
-    its first step below 2**-(prec + 16) relative to u.
+    by Newton on libmp pairs at wp = prec + 32 bits, rounded to nearest.  It
+    stops at its first step below 2**-(prec + 16) relative to u.
+
+    The seed is the inverse series of g to third order.  With t = tau / (M -
+    1), y = M|t| and P(u) = g(u) / (M - 1) = u + sum_{k>=2} a_k u**k, a_2 =
+    M/2, a_3 = M (M - 2)/6, the seed u0 = t - a_2 t**2 + (2 a_2**2 - a_3) t**3
+    = t - (M/2) t**2 + (M (M + 1)/3) t**3 makes P(u0) - t a power series in
+    t from t**4 on, led by M (M + 2)(2M + 1)/8 t**4.  Its coefficients are
+    at most those of Ph(Uh(|t|)): a_k <= C(M, k) / (M - 1) <= M**(k-1), so
+    Ph(u) = u + M u**2 / (1 - M u), and Uh(s) = s phi(y), phi = 1 + y/2 + (M
+    + 1) y**2 / (3M).  That tail is |t| times the y**(>=3) part of y phi**2 /
+    (1 - y phi), whose y**3 coefficient is 11/4 + 2 (M + 1) / (3M): under 4
+    y**3 for y <= 2**-50.  So |g(u0) - tau| <= 4 y**3 |tau|; with |g'(u0)| >=
+    (M - 1)(1 - 3y) and |u1| >= |t| (1 - 2y), the first step is |du| <= 4
+    y**3 (1 + 6y) |u1|, and rounding at wp bits adds under 2**-(prec + 29)
+    |u1|.  At N = 5, y <= 2**-55.2 (below): |du| < 2**-163.7 |u1| (the
+    leading term alone gives 2**-167.6), so the solve ends at its first step
+    for prec <= 147, and from N = 6 on (y <= 2**-761.4) for prec <= 2260.
+    That step leaves an error of order y (4 y**3)**2 |t|, below the rounding.
 
     g and g' = M (1 + u)**(M-1) - 1 are the binomial sums (M - 1) u +
     sum_{2<=k<=K} C(M, k) u**k and M - 1 + sum k C(M, k) u**(k-1), by
@@ -261,7 +293,11 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
     # tau as a pair whose exponent may lie past any float's range
     tau_c = mpc_shift(tau.to_mpc_scaled(e_tau, m.prec + 16), e_tau)
     m1 = from_int(M - 1)
-    u = (mpf_div(tau_c[0], m1, wp, RND), mpf_div(tau_c[1], m1, wp, RND))
+    tt = (mpf_div(tau_c[0], m1, wp, RND), mpf_div(tau_c[1], m1, wp, RND))
+    # the reverted series to third order: u = t (1 + t (-M/2 + t M (M + 1)/3))
+    c3 = mpf_div(from_int(M * (M + 1)), from_int(3), wp, RND)
+    u = mpc_add_mpf(mpc_mul_mpf(tt, c3, wp, RND), from_int(-M // 2), wp, RND)
+    u = mpc_mul(tt, mpc_add_mpf(mpc_mul(u, tt, wp, RND), fone, wp, RND), wp, RND)
     # M|u| < 2**(e_tau + 2) = 2**-a
     K = min(M, max(2, -(-wp // -(e_tau + 2))))
     coef = [math.comb(M, k) for k in range(K + 1)]
@@ -275,7 +311,7 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
         du = mpc_div(mpc_sub(g, tau_c, wp, RND), mpc_add_mpf(mpc_mul(u, d, wp, RND), m1, wp, RND),
                      wp, RND)
         u = mpc_sub(u, du, wp, RND)
-        if mpf_le(mpc_abs(du, wp, RND), mpf_shift(mpc_abs(u, wp, RND), -(m.prec + 16))):
+        if _below(du, u, m.prec + 16, wp):
             break
     else:
         raise BranchError(f"origin newton stagnated after {NEWTON_MAX_ITER} steps")
@@ -350,8 +386,10 @@ def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int, phi_budget: bool = False,
     Stops early on entering an escape gap (FatouEscape) or when the angular
     amplification budget m.ang_bits runs out (Truncated).  Points are
     classified with no margin; with phi_budget=True the margin at each point
-    is the distortion budget log2(1 + C' omega(1/|z|)) plus the seam
-    deviation SEAM_MARGIN_BITS.
+    is the distortion budget log2(1 + C' omega(1/|z|)), plus the seam
+    deviation SEAM_MARGIN_BITS where the step into the point was evaluated
+    on a seam piece: the start point and the image of any other piece take
+    the distortion term alone.
 
     schedule[n], where given, raises the working precision and guard of
     step n (classifying the n-th point and evaluating it) to that many
@@ -367,13 +405,14 @@ def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int, phi_budget: bool = False,
     bits_used = 0
     truncated: Optional[str] = None
     escaped = False
+    piece = None     # the piece the step into zn was evaluated on
     for n in range(nmax + 1):
         zn = points[-1]
         mn = _at_precision(m, schedule[n]) if n < len(schedule) else m
         mb = 0.0
         if phi_budget and not zn.is_zero and zn.rho > 4:
             w = t.Cprime * omega_from_rho(t.p, zn.rho_int())
-            mb += math.log2(1.0 + w) + SEAM_MARGIN_BITS
+            mb += math.log2(1.0 + w) + (SEAM_MARGIN_BITS if piece and piece.kind == "seam" else 0)
         try:
             reg = classify(t, zn, margin=mb, model=mn)
         except DomainError:

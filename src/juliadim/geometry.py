@@ -133,7 +133,8 @@ def classify(t: ParamTable, z: LogPolar, margin: float = 0.0,
              model: Optional[ModelMap] = None) -> Region:
     """Region of z, decided on exact rho comparisons.
 
-    `margin` (log2 units) turns a near-threshold answer into 'boundary'.
+    `margin` (log2 units, taken exactly) turns an answer less than margin
+    from a threshold into 'boundary'.
     Petal tags require a model (for its ring-zero geometry); without one the
     enclosing A tag is returned.
     """
@@ -142,7 +143,7 @@ def classify(t: ParamTable, z: LogPolar, margin: float = 0.0,
     if z.is_zero:
         return Region("D")
     rho = z.rho
-    mfr = Fraction(margin).limit_denominator(1 << 30)
+    mfr = Fraction(margin) if margin else None    # the exact value of the float
     d_top = Fraction(t.R_exp(1) - 2)
     if rho <= d_top:
         if margin and abs(rho - d_top) < mfr:

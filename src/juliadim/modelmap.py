@@ -22,6 +22,7 @@ close to a ring (relative distance 2**-r_N) still classify correctly.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from mpmath import libmp, mpc, mpf
 from .numerics import (
     ADD_GUARD,
     ANG_BITS,
+    HALF,
     Angle,
     DomainError,
     LogPolar,
@@ -98,7 +100,7 @@ class ModelMap:
         return (1 << j) * self.ring_zero_rho(j)
 
     def zcap(self, j: int) -> LogPolar:
-        return LogPolar(self.zcap_log2(j), Fraction(1, 2))
+        return LogPolar(self.zcap_log2(j), HALF)
 
     def ring_zero_rho(self, j: int) -> Fraction:
         return self.table.r_exp(j) + pi_over_ln2_frac(4 << j)
@@ -122,50 +124,49 @@ class ModelMap:
         in integer fixed point (:func:`below_log2_one_minus_pow2`).
         """
         eN = self.table.r_exp(self.table.N)
-        d = rho - eN
-        if d >= 0:
+        if rho.numerator >= eN * rho.denominator:
             return False
-        res_bits = d.denominator.bit_length()
-        if eN > res_bits + 4 or eN.bit_length() > 30:
+        if eN > rho.denominator.bit_length() + 4 or eN.bit_length() > 30:
             return True
-        return below_log2_one_minus_pow2(d, eN)
+        return below_log2_one_minus_pow2(rho - eN, eN)
 
     def _cuts(self):
-        """(threshold, piece) pairs above r_N, ascending.  They depend on the
-        table alone, so they are built lazily and stored on it (frozen
-        dataclass, hence object.__setattr__): models that differ only in
-        precision share them."""
+        """(threshold, piece) pairs above r_N, ascending, and the thresholds'
+        integer parts.  They depend on the table alone, so they are built
+        lazily and stored on it (frozen dataclass, hence object.__setattr__):
+        models that differ only in precision share them."""
         t = self.table
         cache = getattr(t, "_piece_cuts", None)
         if cache is None:
-            cache = []
+            cuts = []
             for j in range(t.N, t.jmax):
-                cache.append((self.seam_top(j), PieceId("seam", j)))
-                cache.append((Fraction(t.r_exp(j + 1)), PieceId("power", j + 1)))
+                cuts.append((self.seam_top(j), PieceId("seam", j)))
+                cuts.append((Fraction(t.r_exp(j + 1)), PieceId("power", j + 1)))
+            cache = cuts, [c.numerator // c.denominator for c, _ in cuts]
             object.__setattr__(t, "_piece_cuts", cache)
         return cache
 
     def piece_of(self, z_or_rho) -> PieceId:
-        rho = z_or_rho.rho if isinstance(z_or_rho, LogPolar) else Fraction(z_or_rho)
+        """The piece whose closed annulus in rho holds z (or rho), the lower
+        one on a shared boundary.  Thresholds are compared on integer parts
+        first, and as exact rationals only when the integer parts tie."""
         if isinstance(z_or_rho, LogPolar) and z_or_rho.is_zero:
             return PieceId("origin", None)
+        rho = z_or_rho.rho if isinstance(z_or_rho, LogPolar) else Fraction(z_or_rho)
         t = self.table
         N = t.N
-        if self._below_origin_top(rho):
+        ri = rho.numerator // rho.denominator
+        if ri < t.r_exp(N) and self._below_origin_top(rho):
             return PieceId("origin", None)
-        if rho <= t.r_exp(N):
+        if ri < t.r_exp(N) or rho == t.r_exp(N):
             return PieceId("bump", N)
-        cuts = self._cuts()
-        lo, hi = 0, len(cuts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if rho <= cuts[mid][0]:
-                hi = mid
-            else:
-                lo = mid + 1
+        cuts, floors = self._cuts()
+        # below every cut of a larger integer part, above every smaller one
+        lo = bisect.bisect_left(floors, ri)
+        while lo < len(cuts) and floors[lo] == ri and rho > cuts[lo][0]:
+            lo += 1
         if lo == len(cuts):
-            raise DomainError(
-                f"|z| beyond built table (rho ~ 2^{rho.numerator // rho.denominator})")
+            raise DomainError(f"|z| beyond built table (rho ~ 2^{ri})")
         return cuts[lo][1]
 
     # -- evaluation -----------------------------------------------------------
@@ -187,11 +188,12 @@ class ModelMap:
         t = self.table
         Mj = 1 << j
         v = z.pow_int(Mj)
-        diff = lp_sub(v, self.zcap(j), guard=max(self.guard, Mj + 64), prec=self.prec)
-        if diff.value.is_zero:
+        # Z_j is real and negative, so -Z_j = |Z_j|
+        diff = lp_add(v, LogPolar(self.zcap_log2(j)), guard=max(self.guard, Mj + 64),
+                      prec=self.prec).value
+        if diff.is_zero:
             return LogPolar.zero_point()
-        num = v.mul(diff.value)
-        return LogPolar(t.c_exp(j) + num.rho - Mj * t.r_exp(j), num.theta)
+        return LogPolar(v.rho + diff.rho + (t.c_exp(j) - Mj * t.r_exp(j)), v.theta.add(diff.theta))
 
     def seam_zero_log2_base(self, j: int) -> Fraction:
         """c_j - M_j log2 r_j + 2 log2 |Z_j|, exact: the constant part of
@@ -260,7 +262,7 @@ class ModelMap:
     def boundary_distance(self, rho: Fraction) -> Fraction:
         """Distance in log2 units from rho to the nearest piece boundary."""
         d = abs(rho - self.table.r_exp(self.table.N))
-        return min(d, min(abs(rho - c) for c, _ in self._cuts()))
+        return min(d, min(abs(rho - c) for c, _ in self._cuts()[0]))
 
     def deriv(self, z: LogPolar) -> Tuple[LogPolar, PieceId]:
         piece = self.piece_of(z)

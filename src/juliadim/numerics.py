@@ -16,6 +16,14 @@ downstream stays exact.  A sum is :func:`lp_perturb` of its ratio, whose
 log(1 + u) is the integer kernel :func:`log2_abs_1p_int` or, for |u| <
 2**-16, the :func:`log1p_mpc` series.  All of it is immutable and thread-safe.
 
+A canonical ``Fraction`` is never rebuilt: ``LogPolar`` and ``Angle`` keep
+the one they are handed, and an angle outside [0, 1) is wrapped by
+subtracting its integer floor.  Routing tests (``lp_add``'s regimes,
+``expm1_lp``'s wrap and series switch, the exponent budget) are integer
+tests on numerators and denominators, and comparisons against thresholds
+decide on integer parts first and compare rationals only on a tie
+(``ModelMap.piece_of``).
+
 The transcendental kernels run on mpmath's libmp tuples (an mpf is (sign,
 man, exp, bc), an mpc a pair of them), each at an explicit precision with
 round-to-nearest, never at mpmath's ambient one: ``LogPolar.to_mpc_scaled``
@@ -46,6 +54,7 @@ MAX_EXP_BITS = 1_000_000  # bit-length budget for exponent integers
 CONST_BITS = 192        # fractional bits of the quantized log2 constants
 
 LN2 = math.log(2.0)
+HALF = Fraction(1, 2)
 RND = libmp.round_nearest
 FTWO = from_man_exp(1, 1)
 
@@ -66,13 +75,19 @@ class DomainError(NumericsError):
     pass
 
 
-def _check_budget(e: int, context: str = "") -> int:
+def _check_budget(fr: Fraction, context: str = "") -> None:
+    """Raise ExponentBudgetError if floor(fr) needs more than MAX_EXP_BITS
+    bits.  |n| / d < 2**(len(n) - len(d) + 1), so |floor(n/d)| has at most
+    len(n) - len(d) + 2 bits; only when that passes the budget does it divide."""
+    n, d = fr.numerator, fr.denominator
+    if abs(n).bit_length() - d.bit_length() + 2 <= MAX_EXP_BITS:
+        return
+    e = n // d
     if abs(e).bit_length() > MAX_EXP_BITS:
         raise ExponentBudgetError(
             f"exponent needs {abs(e).bit_length()} bits (budget {MAX_EXP_BITS})"
             + (f" in {context}" if context else "")
         )
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +95,9 @@ def _check_budget(e: int, context: str = "") -> int:
 # ---------------------------------------------------------------------------
 
 def frac_mod1(fr: Fraction) -> Fraction:
-    return fr - (fr.numerator // fr.denominator)
+    """fr mod 1: fr itself when already in [0, 1), else fr less its floor."""
+    n, d = fr.numerator, fr.denominator
+    return fr if 0 <= n < d else fr - n // d
 
 
 def frac_quantize(fr: Fraction, bits: int) -> Fraction:
@@ -181,7 +198,7 @@ class Angle:
     __slots__ = ("turns",)
 
     def __init__(self, turns: Union[Fraction, int, str]):
-        self.turns = frac_mod1(Fraction(turns))
+        self.turns = frac_mod1(turns if type(turns) is Fraction else Fraction(turns))
 
     def add(self, other: "Angle") -> "Angle":
         return Angle(self.turns + other.turns)
@@ -200,12 +217,12 @@ class Angle:
         return Angle((self.turns + branch) / n)
 
     def half_turn(self) -> "Angle":
-        return Angle(self.turns + Fraction(1, 2))
+        return Angle(self.turns + HALF)
 
     def dist(self, other: "Angle") -> Fraction:
         """Circular distance in turns, in [0, 1/2]."""
         d = frac_mod1(self.turns - other.turns)
-        return min(d, 1 - d)
+        return d if 2 * d.numerator <= d.denominator else 1 - d
 
     def to_float(self) -> float:
         return float(self.turns)
@@ -240,8 +257,8 @@ class LogPolar:
             self.rho = Fraction(0)
             self.theta = Angle(0)
             return
-        self.rho = Fraction(rho)
-        _check_budget(self.rho.numerator // self.rho.denominator, "rho")
+        self.rho = rho if type(rho) is Fraction else Fraction(rho)
+        _check_budget(self.rho, "rho")
         self.theta = theta if isinstance(theta, Angle) else Angle(theta)
 
     # -- constructors -------------------------------------------------------
@@ -378,27 +395,31 @@ def lp_add(a: LogPolar, b: LogPolar, guard: int, prec: int) -> LpSum:
         return LpSum(b)
     if b.is_zero:
         return LpSum(a)
-    # canonical anchor so the operation is bit-exact commutative
-    if (b.rho, b.theta.turns) > (a.rho, a.theta.turns):
-        a, b = b, a
+    # canonical anchor so the operation is bit-exact commutative: a is the
+    # larger by (rho, turns), so drho = b.rho - a.rho <= 0
     drho = b.rho - a.rho
-    gap = -(drho.numerator // drho.denominator) if drho < 0 else 0
+    dn, dd = drho.numerator, drho.denominator
+    if dn > 0 or not dn and b.theta.turns > a.theta.turns:
+        a, b, drho, dn = b, a, -drho, -dn
+    gap = -(dn // dd)
     if gap > guard:
         return LpSum(a, negligible=True)
     dtheta = b.theta.sub(a.theta).turns
-    if drho == 0 and dtheta == Fraction(1, 2):
+    tn, td = dtheta.numerator, dtheta.denominator
+    if not dn and 2 * tn == td:
         return LpSum(LogPolar.zero_point(), cancelled=True)
-    # near-cancellation: 1 + r = -(e^L' - 1) with L' the log of -r; the
-    # expm1 route resolves the difference at any depth from the exact
-    # rational (drho, dtheta) instead of losing it to working precision
-    if abs(drho) <= Fraction(1, 4) and abs(dtheta - Fraction(1, 2)) <= Fraction(1, 16):
-        d = expm1_lp(drho, dtheta - Fraction(1, 2), prec)
+    # near-cancellation, |drho| <= 1/4 and |dtheta - 1/2| <= 1/16: 1 + r =
+    # -(e^L' - 1) with L' the log of -r; the expm1 route resolves the
+    # difference at any depth from the exact rational (drho, dtheta)
+    # instead of losing it to working precision
+    if -4 * dn <= dd and abs(16 * tn - 8 * td) <= td:
+        d = expm1_lp(drho, dtheta - HALF, prec)
         if d.is_zero:
             return LpSum(LogPolar.zero_point(), cancelled=True)
         return LpSum(a.mul(d.neg()))
     if gap > MAX_EXP_BITS:
         raise ExponentBudgetError("lp_add gap beyond exponent budget")
-    s = lp_perturb(a, b.div(a).to_mpc_scaled(0, prec + 16), prec)
+    s = lp_perturb(a, LogPolar(drho, Angle(dtheta)).to_mpc_scaled(0, prec + 16), prec)
     if s.rho - a.rho < -(prec - 8):
         return LpSum(LogPolar.zero_point(), cancelled=True)
     return LpSum(s)
@@ -668,19 +689,21 @@ def expm1_lp(drho: Fraction, dtheta: Fraction, prec: int) -> LogPolar:
     an exact rational value around floor(log2 |L|), L = drho ln2 + 2 pi i
     dtheta, instead of underflowing.  Used for ratios of nearby points.
     """
-    dtheta = frac_mod1(dtheta + Fraction(1, 2)) - Fraction(1, 2)  # wrap to [-1/2, 1/2)
-    if drho == 0 and dtheta == 0:
+    if not -dtheta.denominator <= 2 * dtheta.numerator < dtheta.denominator:
+        dtheta = frac_mod1(dtheta + HALF) - HALF  # wrap to [-1/2, 1/2)
+    if not drho and not dtheta:
         return LogPolar.zero_point()
-    size = max(abs(drho), abs(dtheta))
     wp = prec + 64
     L = (mpf_mul(frac_to_mpf(drho, wp), mpf_ln2(wp, RND), wp, RND),
          mpf_mul(libmp.mpf_pos(mpf_shift(frac_to_mpf(dtheta, wp), 1), wp, RND), mpf_pi(wp, RND),
                  wp, RND))
-    # at size > 2**-16, exp(L) - 1 loses at most 17 of the 64 guard bits
-    if size > Fraction(1, 1 << 16):
+    # at size = max(|drho|, |dtheta|) > 2**-16, exp(L) - 1 loses at most 17
+    # of the 64 guard bits
+    if (abs(drho.numerator) << 16 > drho.denominator
+            or abs(dtheta.numerator) << 16 > dtheta.denominator):
         v = libmp.mpc_sub_mpf(libmp.mpc_exp(L, wp, RND), fone, wp, RND)
     else:
-        v = expm1_series(L, -frac_ilog2(size), prec, wp)
+        v = expm1_series(L, -max(frac_ilog2(x) for x in (drho, dtheta) if x), prec, wp)
     return LogPolar.from_mpc(v, prec)
 
 

@@ -254,6 +254,30 @@ def test_eval_and_orbit_subcommands(tmp_path):
     assert rec["classification"] == "FatouEscape(2)"
 
 
+def _orbit_classes(tmp_path, point):
+    out = []
+    for flags in ([], ["--phi-budget"]):
+        path = tmp_path / "o.jsonl"
+        assert run(["orbit", "--N", "5", "--kmax", "12", "--point", point, "--nmax", "6",
+                    "--out", str(path), *flags]) == 0
+        out.append(json.loads(path.read_text())["classification"])
+    return out
+
+
+def test_orbit_phi_budget_classifies_an_A_start(tmp_path):
+    # 1.5 bits inside A(1): the start point takes the distortion term alone,
+    # not the 2-bit seam margin, so the budgeted orbit is the plain one
+    assert _orbit_classes(tmp_path, "752,0.5,0.1") == ["FatouEscape(2)", "FatouEscape(2)"]
+
+
+def test_orbit_phi_budget_flags_an_edge_after_a_seam_step(tmp_path):
+    # a P(1,1) start next to the first zero of ring 5, itself 1.96 bits below
+    # the top of A(1); its seam step lands 0.73 bits below the top of A(2),
+    # within the seam margin, so the budgeted orbit stops there
+    assert _orbit_classes(tmp_path, "752,0.03540906360802495,0.0156250000005800013") == [
+        "FatouEscape(3)", "Truncated(boundary at step 1)"]
+
+
 def test_backward_subcommand(tmp_path):
     out = tmp_path / "b.json"
     rc = run(["backward", "--N", "5", "--kmax", "12",

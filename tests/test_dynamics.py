@@ -161,26 +161,29 @@ def test_origin_round_trips_at_tiny_offsets(N):
 
 @pytest.mark.parametrize("prec", [128, 160, 192])
 def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeypatch):
-    # the solve stops once a step is below 2**-(prec+16) relative to u; at
-    # 160 bits the second step (about 2**-171 relative) lies between that
-    # and 2**-prec, so a stop test at 2**-prec ends one step early
+    # the solve stops once a step is below 2**-(prec+16) relative to u.  From
+    # the third-order seed the first step is under 2**-163.7 relative at N =
+    # 5: one step at 128 bits; at 160 bits it mostly lies between that
+    # threshold and 2**-prec, so a stop test at 2**-prec ends one step early
     import juliadim.dynamics as dyn
 
     seen = []
-    # each Newton step takes mpc_abs of its step du, then of the new iterate
-    # u; lp_perturb(w, u, prec) gets the last iterate
-    for name, pos in (("mpc_abs", 0), ("lp_perturb", 1)):
+    # each Newton step hands its step du and the new iterate u to the stop
+    # test _below; lp_perturb(w, u, prec) gets the last iterate
+    for name, pos in (("_below", (0, 1)), ("lp_perturb", (1,))):
         def spy(*args, _real=getattr(dyn, name), _pos=pos):
-            seen.append(args[_pos])
+            seen.extend(args[i] for i in _pos)
             return _real(*args)
         monkeypatch.setattr(dyn, name, spy)
     m = dataclasses.replace(M5, prec=prec)
     eps = mpmath.ldexp(1, -(prec + 16))
+    counts = []
     for target, i in _origin_cases(Random(3), 6):
         seen.clear()
         inverse_step(m, target.mul_pow2(1), OriginBranch(i), TOL)
         steps, iterates = seen[0:-1:2], seen[1:-1:2]
-        assert len(steps) == len(iterates) >= 2 and iterates[-1] == seen[-1]
+        assert len(steps) == len(iterates) >= 1 and iterates[-1] == seen[-1]
+        counts.append(len(steps))
         with mpmath.workprec(prec + 32):
             u = [mpmath.mp.make_mpc(x) for x in iterates]
             du = [mpmath.mp.make_mpc(x) for x in steps]
@@ -188,6 +191,30 @@ def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeyp
             # each iterate is the one before less its step
             assert all(b == a - d for a, b, d in zip(u, u[1:], du[1:]))
         assert small[-1] and not any(small[:-1]), small
+    assert (max(counts) == 1) == (prec == 128), counts
+
+
+@pytest.mark.parametrize("N", [5, 6, 7])
+def test_origin_solve_takes_one_newton_step_at_128_bits(N, monkeypatch):
+    # the third-order seed leaves a first step under 2**-163.7 relative at
+    # N = 5 (the _origin_zero_step docstring), below the 2**-144 stop rule;
+    # the targets include |target| = 4 R_1, the largest the domain admits
+    import juliadim.dynamics as dyn
+
+    steps = []
+
+    def spy(*args, _real=dyn.mpc_div):
+        steps[-1] += 1
+        return _real(*args)
+    monkeypatch.setattr(dyn, "mpc_div", spy)
+    m = M5 if N == 5 else ModelMap(table=build_params(N, 12))
+    rng = Random(100 + N)
+    top = LogPolar(Fraction(m.table.R_exp(1) + 2), Fraction(rng.randrange(2**30), 2**30))
+    cases = _origin_cases(rng, 12 if N < 7 else 4, m.table) + [(top, 1), (top, (1 << N) - 1)]
+    for target, i in cases:
+        steps.append(0)
+        inverse_step(m, target, OriginBranch(i), TOL)
+    assert steps == [1] * len(cases)
 
 
 @pytest.mark.parametrize("prec", [128, 400])

@@ -39,6 +39,16 @@ def test_classify_boundary_margin():
     assert str(classify(T5, z, margin=0.01)) == "boundary"
 
 
+def test_classify_takes_its_margin_exactly():
+    # the center of A(1) lies exactly 2 bits from both of its edges: a margin
+    # of 2 + 2**-40 flags it, 2 and 2 - 2**-40 do not
+    z = LogPolar(Fraction(T5.R_exp(1)), Fraction(1, 3))
+    assert str(classify(T5, z, margin=2 + 2.0 ** -40)) == "boundary"
+    assert str(classify(T5, z, margin=2.0)) == "A(1)"
+    assert str(classify(T5, z, margin=2 - 2.0 ** -40)) == "A(1)"
+    assert str(classify(T5, z.mul_pow2(2), margin=2 + 2.0 ** -40)) == "boundary"
+
+
 @settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=63))
 def test_partition_above_central_disk(num, den_pow):

@@ -18,8 +18,8 @@ from juliadim.modelmap import (
     qN_landmarks,
     seam_mismatch,
 )
-from juliadim.numerics import (Angle, DomainError, LogPolar, lp_sub, mpf_to_frac,
-                               pow2_minus1_log2)
+from juliadim.numerics import (Angle, DomainError, LogPolar, below_log2_one_minus_pow2,
+                               lp_sub, mpf_to_frac, pow2_minus1_log2)
 from juliadim.params import build_params
 
 
@@ -369,6 +369,49 @@ def test_boundary_distance_covers_every_cut():
     for c in cuts:
         for rho in (c, c - Fraction(1, 7), c + Fraction(1, 1 << 60)):
             assert M5.boundary_distance(rho) == min(abs(rho - x) for x in cuts)
+
+
+def _piece_ref(m, rho):
+    # exact bisect over the cuts with plain Fraction comparisons
+    t = m.table
+    eN = t.r_exp(t.N)
+    d = rho - eN
+    if d < 0 and (eN > d.denominator.bit_length() + 4 or eN.bit_length() > 30
+                  or below_log2_one_minus_pow2(d, eN)):
+        return "origin"
+    if rho <= eN:
+        return f"bump({t.N})"
+    cuts = m._cuts()[0]
+    lo, hi = 0, len(cuts)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if rho <= cuts[mid][0] else (mid + 1, hi)
+    return str(cuts[lo][1]) if lo < len(cuts) else "beyond"
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_piece_of_equals_the_exact_bisect(N):
+    # every cut, the bump strip's top and the origin threshold, each +- 2**-k,
+    # and rationals sharing a cut's integer part on either side of it
+    m = M5 if N == 5 else model(6, 8)
+    t = m.table
+    eN = t.r_exp(N)
+    rng = random.Random(2104 + N)
+    cuts = [Fraction(eN), eN - Fraction(3, 1 << (eN + 1))] + [c for c, _ in m._cuts()[0]]
+    for c in cuts:
+        fl = math.floor(c)
+        near = [c] + [c + s * Fraction(1, 1 << k) for s in (1, -1)
+                      for k in (1, 30, 200, eN - 1, eN, eN + 1, 23000)]
+        ties = [fl + Fraction(rng.randrange(1 << 64), 1 << 64) for _ in range(4)]
+        ties += [fl + Fraction(rng.randrange(31 << 40), 31 << 40) for _ in range(4)]
+        for rho in near + ties:
+            try:
+                got = str(m.piece_of(rho))
+            except DomainError:
+                got = "beyond"
+            assert got == _piece_ref(m, rho), rho
+            if got != "beyond":
+                assert str(m.piece_of(LogPolar(rho, Fraction(1, 3)))) == got
 
 
 def test_seam_zero_offset_rejects_the_zero():

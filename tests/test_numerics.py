@@ -22,7 +22,6 @@ from juliadim.numerics import (
     log1p_mpc,
     log2_abs_1p_int,
     frac_ilog2,
-    frac_mod1,
     lp_add,
     lp_perturb,
     lp_sub,
@@ -339,7 +338,7 @@ def _expm1_series_ref(L, scale, prec):
 
 
 def _expm1_lp_ref(drho, dtheta, prec):
-    dtheta = frac_mod1(dtheta + Fraction(1, 2)) - Fraction(1, 2)
+    dtheta = (dtheta + Fraction(1, 2)) % 1 - Fraction(1, 2)
     if drho == 0 and dtheta == 0:
         return LogPolar.zero_point()
     size = max(abs(drho), abs(dtheta))
@@ -770,6 +769,119 @@ def test_from_mpc_reads_its_input_exactly():
     assert LogPolar.from_mpc(w._mpc_, 256) == z
 
 
+# exact glue against plain-Fraction references ----------------------------------
+
+def _canonical(fr):
+    return type(fr) is Fraction and fr.denominator > 0 and math.gcd(fr.numerator,
+                                                                  fr.denominator) == 1
+
+
+def _glue_values(rng, n, span=4):
+    # power-of-two denominators up to 2**23000 and odd ones, 31 2**k as at the
+    # origin zeros, of either sign and up to `span` in modulus
+    out = []
+    for _ in range(n):
+        k = rng.choice([0, 1, 20, 64, 192, 1000, 23000])
+        den = rng.choice([1 << k, 31 << k])
+        out.append(Fraction(rng.randrange(-span * den, span * den + 1), den))
+    return out
+
+
+def _turns_ref(x):
+    return Fraction(x.numerator % x.denominator, x.denominator)
+
+
+def test_angle_and_logpolar_glue_equals_plain_fractions():
+    rng = random.Random(2101)
+    xs = _glue_values(rng, 200) + [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                                   Fraction(-1, 2), Fraction(3, 2), Fraction(-1, 1 << 23000)]
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        a, b = Angle(x), Angle(y)
+        assert a.turns == _turns_ref(x) and _canonical(a.turns)
+        if 0 <= x < 1:
+            assert a.turns is x          # a canonical turn is kept, not rebuilt
+        n = rng.randrange(1, 1 << 40)
+        for got, want in ((a.add(b), x + y), (a.sub(b), x - y), (a.mul_int(n), x * n),
+                          (a.div(7, 3), (_turns_ref(x) + 3) / 7),
+                          (a.half_turn(), x + Fraction(1, 2))):
+            assert got.turns == _turns_ref(want) and _canonical(got.turns)
+        d = _turns_ref(x - y)
+        assert a.dist(b) == min(d, 1 - d) and _canonical(a.dist(b))
+        z = LogPolar(x, a)
+        assert z.rho is x and z.theta is a and z.rho_int() == math.floor(x)
+        zy = LogPolar(y, b)
+        for w in (z.mul(zy), z.div(zy), z.pow_int(n), z.root(5, 2), z.neg()):
+            assert _canonical(w.rho) and _canonical(w.theta.turns) and 0 <= w.theta.turns < 1
+        assert LogPolar(3).rho == 3 and type(LogPolar(3).rho) is Fraction
+
+
+def _lp_add_ref(a, b, guard, prec):
+    # lp_add's routing with plain Fraction comparisons and % 1 wraps
+    from juliadim.numerics import LpSum
+    if a.is_zero or b.is_zero:
+        return LpSum(b if a.is_zero else a)
+    if (b.rho, b.theta.turns) > (a.rho, a.theta.turns):
+        a, b = b, a
+    drho, dtheta = b.rho - a.rho, (b.theta.turns - a.theta.turns) % 1
+    if -math.floor(drho) > guard:
+        return LpSum(a, negligible=True)
+    if drho == 0 and dtheta == Fraction(1, 2):
+        return LpSum(LogPolar.zero_point(), cancelled=True)
+    if abs(drho) <= Fraction(1, 4) and abs(dtheta - Fraction(1, 2)) <= Fraction(1, 16):
+        d = _expm1_lp_ref(drho, dtheta - Fraction(1, 2), prec)
+        if d.is_zero:
+            return LpSum(LogPolar.zero_point(), cancelled=True)
+        return LpSum(LogPolar(a.rho + d.rho, (a.theta.turns + d.theta.turns + Fraction(1, 2)) % 1))
+    s = lp_perturb(a, LogPolar(drho, dtheta).to_mpc_scaled(0, prec + 16), prec)
+    if s.rho - a.rho < -(prec - 8):
+        return LpSum(LogPolar.zero_point(), cancelled=True)
+    return LpSum(s)
+
+
+def _lp_key(s):
+    v = s.value
+    return (None if v.is_zero else (v.rho, v.theta.turns), s.negligible, s.cancelled)
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_lp_add_routing_equals_plain_fractions(prec):
+    # every route: the near-cancellation box and its edges (|drho| = 1/4,
+    # |dtheta - 1/2| = 1/16), exact cancellation, equal rho with either
+    # turn larger, the guard gap and the lp_perturb route
+    rng = random.Random(2102 + prec)
+    edges = [Fraction(0), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 16), Fraction(-1, 16)]
+    routes = {}
+    for r, t in zip(_glue_values(rng, 30), _glue_values(rng, 30)):
+        tiny = Fraction(rng.randrange(-(1 << 30), 1 << 30), 1 << rng.choice([3, 40, 300]))
+        for dr in edges[:3] + [tiny, Fraction(-rng.randrange(1, 600)), r]:
+            for dt in [Fraction(1, 2) + e for e in edges] + [Fraction(0), t, -t]:
+                a, b = LogPolar(r, Angle(t)), LogPolar(r + dr, Angle(t + dt))
+                got, want = lp_add(a, b, 256, prec), _lp_add_ref(a, b, 256, prec)
+                assert _lp_key(got) == _lp_key(want), (r, t, dr, dt)
+                assert _lp_key(lp_add(b, a, 256, prec)) == _lp_key(got)
+                if not got.value.is_zero:
+                    assert _canonical(got.value.rho) and _canonical(got.value.theta.turns)
+                routes[got.negligible, got.cancelled] = True
+    assert len(routes) == 3
+
+
+def test_expm1_lp_wrap_and_routing_equal_plain_fractions():
+    # dtheta in and out of [-1/2, 1/2) (turns >= 1, negative, exactly +-1/2),
+    # sizes on both sides of the 2**-16 switch and exactly at it
+    rng = random.Random(2103)
+    sizes = [Fraction(1, 1 << 16), Fraction(-1, 1 << 16), Fraction(0)]
+    for x in _glue_values(rng, 40, span=1) + sizes:
+        e = rng.choice([4, 16, 17, 40, 300, 22000])
+        small = x / (1 << e)
+        half = Fraction(1, 2) + rng.randrange(-2, 3)
+        for drho, dtheta in ((small, x), (x / 8, small), (small, small + rng.randrange(-3, 4)),
+                             (Fraction(0), half), (x, Fraction(0))):
+            got, want = expm1_lp(drho, dtheta, 64), _expm1_lp_ref(drho, dtheta, 64)
+            assert got == want, (drho, dtheta)
+            if not got.is_zero:
+                assert _canonical(got.rho) and _canonical(got.theta.turns)
+
+
 def test_pow2_minus1_log2_tiny():
     delta = Fraction(1, 1 << 500)
     got = pow2_minus1_log2(delta, SIG_BITS)
@@ -784,6 +896,20 @@ def test_renderings():
     assert pow2_str(-(10**6 // 2)) == "1x2^-500000"
     # a significand that rounds up to 2 carries into the exponent
     assert pow2_str(Fraction(-1, 1 << 70)) == "1x2^0"
+
+
+def test_rho_budget_is_decided_on_the_floor():
+    # the division is skipped only where the bit lengths rule out a floor past
+    # the budget: floor(-(2**(B+1) - 1) / 2) = -2**B needs B + 1 bits although
+    # |n| // d = 2**B - 1 has B
+    from juliadim.numerics import ExponentBudgetError, MAX_EXP_BITS as B
+
+    for rho in (Fraction((1 << (B + 1)) - 1, 3), Fraction(1 - (1 << B)),
+                Fraction(-(1 << B) + 1, 2)):
+        assert LogPolar(rho).rho is rho
+    for rho in (Fraction(1 << B), Fraction(-(1 << (B + 1)) + 1, 2), Fraction(-(1 << B))):
+        with pytest.raises(ExponentBudgetError, match="in rho"):
+            LogPolar(rho)
 
 
 def test_exponent_budget_errors():
