@@ -9,9 +9,12 @@ Three families of sums certify upper dimension bounds:
 * the singleton set: tails sum(j >= l) 2**j L_{k+j} 2**(-t n_{k+j}),
   convergent for every t > 0.
 
-Terms are handled as exact log2 rationals (t is taken as an exact rational
-multiplier of the integer exponents), accumulated in log-safe form; a
-verdict of 'converges' always comes with a finite tail over-estimate.
+t is taken once per public call as an exact rational a/b (b <= 2**40), so
+the log2 of every term is an integer numerator over b, and maxima,
+differences and ratio signs are exact integer operations.  Each float is the
+correctly rounded quotient num / b, bit for bit the float of the equal
+Fraction, saturating to +-inf past 2**1000; a verdict of 'converges' always
+comes with a finite tail over-estimate.
 """
 
 from __future__ import annotations
@@ -19,40 +22,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .numerics import DomainError
 from .params import CertificateReport, ParamTable, build_params
 
 
-def _tfrac(t: float) -> Fraction:
+def _tfrac(t: float) -> Tuple[int, int]:
+    """t as the exact rational a/b, b <= 2**40 (nearest), in lowest terms."""
     if not (math.isfinite(t) and t > 0):
         raise DomainError(f"dimension exponent t = {t} must be positive and finite")
     tf = Fraction(t).limit_denominator(1 << 40)
     if tf == 0:
         raise DomainError(f"dimension exponent t = {t} rounds to 0 at 2**-40 resolution")
-    return tf
+    return tf.numerator, tf.denominator
 
 
-def _log2_float(fr: Fraction) -> float:
-    """float(log2-valued Fraction), saturating far outside float range."""
-    n = fr.numerator // fr.denominator
-    if abs(n).bit_length() > 1000:
+def _log2(num: int, den: int) -> float:
+    """The log2 value num / den as a float, saturating far outside float range."""
+    n = num // den
+    if n.bit_length() > 1000:
         return math.inf if n > 0 else -math.inf
-    return float(fr)
+    return num / den
 
 
-def log_sum_terms(term_log2: List[Fraction]) -> float:
-    """log2 of sum(2**l for l in terms), dominated-term accumulation."""
-    if not term_log2:
-        return -math.inf
-    top = max(term_log2)
+def _log2_sum(nums: List[int], den: int) -> float:
+    """log2 of sum(2**(l / den) for l in nums), dominated-term accumulation."""
+    top = max(nums)
     acc = 0.0
-    for l in term_log2:
-        d = _log2_float(l - top)
+    for l in nums:
+        d = _log2(l - top, den)
         if d > -80:
             acc += 2.0 ** d
-    return _log2_float(top) + math.log2(acc)
+    return _log2(top, den) + math.log2(acc)
 
 
 @dataclass(frozen=True)
@@ -103,20 +105,20 @@ def log_sum_terms_floats(ls: List[float]) -> float:
 def origin_dim_bound(t: ParamTable, tdim: float) -> CoverReport:
     """Geometric series sum(n >= 1) (2**N R_1**(-t))**n; the critical
     exponent N / log2(R_1) is exact and reported."""
-    tf = _tfrac(tdim)
-    ratio = Fraction(t.N) - tf * t.R_exp(1)
+    return _origin(t, tdim, _tfrac(tdim))
+
+
+def _origin(t: ParamTable, tdim: float, tq: Tuple[int, int]) -> CoverReport:
+    a, b = tq
+    r = _log2(t.N * b - a * t.R_exp(1), b)
     tstar = Fraction(t.N, t.R_exp(1))
-    r = _log2_float(ratio)
     if r < 0:
         # sum = q/(1-q), q = 2**r
         total = r - math.log2(max(1.0 - 2.0 ** r, 2.0 ** -60))
-        verdict = "converges"
-        partial, tail = r, total if r > -50 else r
+        partial, tail, verdict = r, (total if r > -50 else r), "converges"
     else:
-        verdict = "diverges"
-        partial, tail = math.inf, math.inf
+        partial, tail, verdict = math.inf, math.inf, "diverges"
     return CoverReport("origin_cover", tdim, partial, tail, r, verdict,
-                       constants_used={},
                        detail={"critical_exponent": tstar,
                                "critical_exponent_float": float(tstar)})
 
@@ -125,39 +127,34 @@ def origin_dim_bound(t: ParamTable, tdim: float) -> CoverReport:
 # moving-backwards covers
 # ---------------------------------------------------------------------------
 
-def _holesum_term_log2(t: ParamTable, tf: Fraction, k: int) -> Fraction:
-    # log2 of 2**k L_k R_k**(-t), L_k = prod n_i = 2**(k N + k(k-1)/2)
-    Lk = k * t.N + k * (k - 1) // 2
-    return Fraction(k + Lk) - tf * t.R_exp(k)
-
-
 def holesum_eval(t: ParamTable, tdim: float, kcut: int = 8) -> CoverReport:
     """sum(k >= 1) 2**k L_k R_k**(-t), split at kcut with a geometric tail.
 
     The tail uses the first omitted term and the exact ratio at the cut;
     convergence requires that ratio below 1/2 (else inconclusive)."""
+    return _holesum(t, tdim, kcut, _tfrac(tdim))
+
+
+def _holesum(t: ParamTable, tdim: float, kcut: int, tq: Tuple[int, int]) -> CoverReport:
     if kcut < 3:
         raise DomainError("kcut must be >= 3")
-    tf = _tfrac(tdim)
+    a, b = tq
     kcut = min(kcut, t.kmax_shifted() - 1)
-    terms = [_holesum_term_log2(t, tf, k) for k in range(1, kcut + 1)]
-    partial = log_sum_terms(terms)
-    nxt = _holesum_term_log2(t, tf, kcut + 1)
-    ratio = nxt - terms[-1]
+    # b log2 of 2**k L_k R_k**(-t), L_k = prod n_i = 2**(k N + k(k-1)/2), k <= kcut + 1
+    terms = [(k + k * t.N + k * (k - 1) // 2) * b - a * t.R_exp(k)
+             for k in range(1, kcut + 2)]
+    nxt = terms.pop()
+    partial = _log2_sum(terms, b)
+    ratio = _log2(nxt - terms[-1], b)
     # the ratio keeps shrinking in k (terms decay like 2**(-t n_k)); the
     # coarser closed-form envelope 8 n_{k-1} 2**(-t n_{k-1}) is reported alongside
-    envelope = 3 + (t.N + kcut - 1) + _log2_float(-tf * t.n(kcut))
-    if _log2_float(ratio) < -1:
-        tail = _log2_float(nxt) - math.log2(1.0 - 2.0 ** max(_log2_float(ratio), -60.0))
-        verdict = "converges"
-    else:
-        tail = math.inf
-        verdict = "inconclusive"
-    return CoverReport("backwards_cover", tdim, partial, tail, _log2_float(ratio),
-                       verdict,
-                       constants_used={},
+    envelope = 3 + (t.N + kcut - 1) + _log2(-a * t.n(kcut), b)
+    first = _log2(nxt, b)
+    tail, verdict = ((first - math.log2(1.0 - 2.0 ** max(ratio, -60.0)), "converges")
+                     if ratio < -1 else (math.inf, "inconclusive"))
+    return CoverReport("backwards_cover", tdim, partial, tail, ratio, verdict,
                        detail={"kcut": kcut,
-                               "first_omitted_log2": _log2_float(nxt),
+                               "first_omitted_log2": first,
                                "ratio_envelope_log2": envelope})
 
 
@@ -169,28 +166,35 @@ def layer_checks(t: ParamTable, tdim: float, Lpp: float = 10.0) -> CertificateRe
     each refinement then shrinks by 1/10, so the full tally is at most
     (1/9) diam(A_1)**t.
     """
+    return _layer_checks(t, tdim, Lpp, _tfrac(tdim))
+
+
+def _layer_checks(t: ParamTable, tdim: float, Lpp: float, tq: Tuple[int, int],
+                  hs: Optional[CoverReport] = None) -> CertificateReport:
+    """layer_checks; hs is holesum_eval(t, tdim) when the caller has it."""
     if Lpp < 1.0:
         raise DomainError("distortion constant must be >= 1")
-    tf = _tfrac(tdim)
+    a, b = tq
     rep = CertificateReport("layer checks")
-    lhs_a = tdim * math.log2(Lpp) + t.N - _log2_float(tf * t.R_exp(1))
+    lhs_a = tdim * math.log2(Lpp) + t.N - _log2(a * t.R_exp(1), b)
     rhs = math.log2(1.0 / 100.0)
     note_a = ""
     if lhs_a > rhs:
         for N2 in range(t.N + 1, 65):
             t2 = build_params(N2, 1)
-            if tdim * math.log2(Lpp) + N2 - _log2_float(tf * t2.R_exp(1)) <= rhs:
+            if tdim * math.log2(Lpp) + N2 - _log2(a * t2.R_exp(1), b) <= rhs:
                 note_a = f"would pass from N = {N2}"
                 break
     rep.add("single_layer_shrink", None, lhs_a <= rhs, f"{lhs_a:.4f}", f"{rhs:.4f}",
             note=note_a)
-    hs = holesum_eval(t, tdim)
+    if hs is None:
+        hs = _holesum(t, tdim, 8, tq)
     lhs_b = hs.total_log2
     rhs_b = rhs + tdim * (1.0 - 2.0 * math.log2(Lpp))
     rep.add("hole_sum_shrink", None, hs.converges and lhs_b <= rhs_b,
             f"{lhs_b:.4f}", f"{rhs_b:.4f}")
     # layered total: geometric with ratio 1/10 on diam(A_1)**t = (8 R_1)**t
-    diam_t = tdim * (3.0 + _log2_float(Fraction(t.R_exp(1))))
+    diam_t = tdim * (3.0 + _log2(t.R_exp(1), 1))
     total = diam_t - math.log2(9.0)
     rep.add("layer_total", None, True, f"{total:.4f}", f"{diam_t:.4f} - log2(9)",
             note="geometric layers with ratio 1/10")
@@ -211,43 +215,41 @@ def z2_tail(t: ParamTable, k: int, tdim: float, lcut: int = 1,
     Converges for every t > 0 (the ratio 4 n_{k+j} 2**(-t n_{k+j}) dies
     super-exponentially); reports the smallest lcut with sum below
     SINGLETON_EPS."""
+    return _z2_tail(t, k, tdim, lcut, Pp, _tfrac(tdim))
+
+
+def _z2_tail(t: ParamTable, k: int, tdim: float, lcut: int, Pp: float,
+             tq: Tuple[int, int]) -> CoverReport:
     if lcut < 1:
         raise DomainError("lcut must be >= 1")
     if Pp < 1.0:
         raise DomainError("cover constant P' must be >= 1")
-    tf = _tfrac(tdim)
-    pref = tdim * math.log2(Pp) + _log2_float(tf * t.R_exp(k))
+    a, b = tq
+    pref = tdim * math.log2(Pp) + _log2(a * t.R_exp(k), b)
     jhi = lcut + 6
 
     # the term formula involves only degree integers, so it extends past the
-    # radii table: log2 term(j) = j + log2 L_{k+j} - t n_{k+j}
-    def term(j: int) -> Fraction:
-        Lkj = (k + j) * t.N + (k + j) * (k + j - 1) // 2
-        return Fraction(j + Lkj) - tf * t.n(k + j)
+    # radii table: b log2 term(j) = b (j + log2 L_{k+j}) - a n_{k+j}
+    def term(j: int) -> int:
+        kj = k + j
+        return (j + kj * t.N + kj * (kj - 1) // 2) * b - a * t.n(kj)
 
-    terms = [term(j) for j in range(lcut, jhi + 1)]
-    partial = log_sum_terms(terms) + pref
-    nxt = term(jhi + 1)
-    ratio = _log2_float(nxt - terms[-1])
-    if ratio < -1:
-        tail = _log2_float(nxt) + pref - math.log2(1 - 2.0 ** max(ratio, -60.0))
-        verdict = "converges"
-    else:
-        tail = math.inf
-        verdict = "inconclusive"
-    l_for_eps = None
+    terms = [term(j) for j in range(lcut, jhi + 2)]
+    nxt = terms.pop()
+    partial = _log2_sum(terms, b) + pref
+    ratio = _log2(nxt - terms[-1], b)
+    first = _log2(nxt, b)
+    tail, verdict = ((first + pref - math.log2(1 - 2.0 ** max(ratio, -60.0)), "converges")
+                     if ratio < -1 else (math.inf, "inconclusive"))
     eps_log2 = math.log2(SINGLETON_EPS)
-    for l in range(1, 1 << 12):
-        head = term(l)
-        # past the crossover the sum is within a factor 2 of its first term
-        if _log2_float(head) + pref + 1 < eps_log2:
-            l_for_eps = l
-            break
+    # past the crossover the sum is within a factor 2 of its first term
+    l_for_eps = next((l for l in range(1, 1 << 12)
+                      if _log2(term(l), b) + pref + 1 < eps_log2), None)
     return CoverReport("singleton_tail", tdim, partial, tail, ratio, verdict,
                        constants_used={"Pp": Pp},
                        detail={"k": k, "lcut": lcut, "lcut_for_eps": l_for_eps,
                                "eps": SINGLETON_EPS,
-                               "first_omitted_log2": _log2_float(nxt) + pref})
+                               "first_omitted_log2": first + pref})
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +261,13 @@ def min_N_for_dimension(tdim: float, Lpp: float = 10.0,
     """Smallest N <= 64 at which all certified sums pass at `tdim`."""
     if not 0.0 < tdim <= 1.0:
         raise DomainError("target dimension must lie in (0, 1]")
+    tq = _tfrac(tdim)
     for N in range(5, 65):
         t = build_params(N, 12)
-        if not origin_dim_bound(t, tdim).converges:
+        if not _origin(t, tdim, tq).converges:
             continue
-        if not holesum_eval(t, tdim).converges:
-            continue
-        if not layer_checks(t, tdim, Lpp).all_pass:
-            continue
-        if not z2_tail(t, 1, tdim, Pp=Pp).converges:
-            continue
-        return N
+        hs = _holesum(t, tdim, 8, tq)
+        if (hs.converges and _layer_checks(t, tdim, Lpp, tq, hs).all_pass
+                and _z2_tail(t, 1, tdim, 1, Pp, tq).converges):
+            return N
     return None
-

@@ -70,16 +70,26 @@ class Certificate:
         }
 
 
-def decimal_limit_passed(bits: int) -> int:
-    """The digit limit of int-to-decimal conversion that a bits-bit integer
-    may pass, or 0 if it renders.
+def decimal_bits_limit() -> int:
+    """The smallest bit length at which an integer may pass the digit limit
+    of int-to-decimal conversion.
 
     Python converts an int to decimal only up to
-    sys.get_int_max_str_digits() digits (0: no limit), and a b-bit integer
-    has at most floor(b log10 2) + 1 digits.
+    sys.get_int_max_str_digits() digits (0: no limit), read per call, and a
+    b-bit integer has at most floor(b log10 2) + 1 digits: that passes the
+    limit L exactly when floor(0.30103 b) >= L, i.e. 30103 b >= 100000 L.
     """
     limit = sys.get_int_max_str_digits()
-    return limit if limit and bits * 30103 // 100000 + 1 > limit else 0  # 0.30103 > log10 2
+    return -(-100000 * limit // 30103) if limit else sys.maxsize  # 0.30103 > log10 2
+
+
+def _magnitude(v) -> int:
+    """A nonnegative int as long as v's longest exact integer: |v| for an
+    int, |numerator| | denominator for a Fraction, 0 for anything else."""
+    tv = type(v)  # type(), not isinstance: an ABC check per row is slow
+    if tv is int:
+        return abs(v)
+    return abs(v.numerator) | v.denominator if tv is Fraction else 0
 
 
 @dataclass
@@ -91,18 +101,16 @@ class CertificateReport:
         """Append a row, keeping lhs and rhs as given (Certificate).  An
         exact exponent (int or Fraction) that may pass the decimal
         conversion limit raises DomainError naming the row here, at add
-        time, although it is rendered only when the report is emitted."""
-        bits = 0
-        for v in (lhs, rhs):  # type(), not isinstance: an ABC check per row is slow
-            if type(v) is int:
-                bits = max(bits, v.bit_length())
-            elif type(v) is Fraction:
-                bits = max(bits, v.numerator.bit_length(), v.denominator.bit_length())
-        limit = decimal_limit_passed(bits)
-        if limit:
+        time, although it is rendered only when the report is emitted.
+
+        The OR of the magnitudes is as long as the longest exact integer of
+        the row, so the guard is one comparison of its bit length."""
+        mag = (abs(lhs) | abs(rhs) if type(lhs) is int and type(rhs) is int
+               else _magnitude(lhs) | _magnitude(rhs))
+        if mag.bit_length() >= decimal_bits_limit():
             raise DomainError(
-                f"row {name}[{index}] of {self.title!r}: a {bits}-bit exponent "
-                f"may pass the {limit}-digit limit of decimal conversion")
+                f"row {name}[{index}] of {self.title!r}: a {mag.bit_length()}-bit exponent "
+                f"may pass the {sys.get_int_max_str_digits()}-digit limit of decimal conversion")
         self.certificates.append(Certificate(name, index, bool(passed), lhs, rhs, note))
 
     @property
@@ -167,18 +175,18 @@ class ParamTable:
         """Rows j = 0..jhi, the exponents of c_j and r_j in decimal.
 
         A row whose exponents may pass the limit of decimal conversion
-        (decimal_limit_passed) raises DomainError naming the largest jhi
+        (decimal_bits_limit) raises DomainError naming the largest jhi
         that renders.
         """
         jhi = self.jmax if jhi is None else min(jhi, self.jmax)
         rows = [{"j": 0, "M": 1, "c": None, "r": "0"}]
         for j in range(1, jhi + 1):
             bits = max(abs(self.e[j]).bit_length(), abs(self.eps[j]).bit_length())
-            limit = decimal_limit_passed(bits)
-            if limit:
+            if bits >= decimal_bits_limit():
                 raise DomainError(
-                    f"row j={j}: a {bits}-bit exponent may pass the {limit}-digit "
-                    f"limit of decimal conversion; jhi <= {j - 1} renders")
+                    f"row j={j}: a {bits}-bit exponent may pass the "
+                    f"{sys.get_int_max_str_digits()}-digit limit of decimal conversion; "
+                    f"jhi <= {j - 1} renders")
             rows.append({
                 "j": j,
                 "M": self.M(j),

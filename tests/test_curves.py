@@ -85,6 +85,19 @@ def test_width_bounds_depths():
     assert b1 - b2 >= (5 + 4 - 1) - 3
 
 
+@pytest.mark.parametrize("phi", [IDENT, SYN], ids=["identity", "synthetic"])
+@pytest.mark.parametrize("k,depth", [(3, d) for d in range(1, 7)]
+                         + [(k, d) for k in (1, 2, 3) for d in (8, 10)])
+def test_width_bounds_at_k3_and_depths_8_and_10(phi, k, depth):
+    # past the workload's k <= 2 and depth <= 6, on the kmax = 16 table:
+    # the widths stay under their bounds, and identity traces stay circles
+    tr = trace_gamma(M5, phi, k, depth, grid=256)
+    wc = width_check(M5, tr)
+    assert wc.ok and wc.measured_log2 < wc.bound_log2
+    if phi is IDENT:
+        assert max(tr.oscillation_log2()) <= 2.0 ** (-M5.prec + 8)
+
+
 def test_synthetic_trace_oscillation_within_budget():
     tr = trace_gamma(M5, SYN, 1, 3, grid=256)
     i_osc, o_osc = tr.oscillation_log2()

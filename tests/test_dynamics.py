@@ -169,19 +169,28 @@ def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeyp
 
     seen = []
     # each Newton step hands its step du and the new iterate u to the stop
-    # test _below; lp_perturb(w, u, prec) gets the last iterate
+    # test _below; lp_perturb(w, u, prec) gets the last iterate.  A residual
+    # g(u) - tau that rounds to 0 ends the solve before its step, which is
+    # then 0 and leaves u as it is: it stands here as the step (0, last u)
     for name, pos in (("_below", (0, 1)), ("lp_perturb", (1,))):
         def spy(*args, _real=getattr(dyn, name), _pos=pos):
             seen.extend(args[i] for i in _pos)
             return _real(*args)
         monkeypatch.setattr(dyn, name, spy)
+
+    def sub(*args, _real=dyn.mpc_sub):
+        out = _real(*args)
+        if not out[0][1] and not out[1][1]:
+            seen.extend((out, None))
+        return out
+    monkeypatch.setattr(dyn, "mpc_sub", sub)
     m = dataclasses.replace(M5, prec=prec)
     eps = mpmath.ldexp(1, -(prec + 16))
     counts = []
     for target, i in _origin_cases(Random(3), 6):
         seen.clear()
         inverse_step(m, target.mul_pow2(1), OriginBranch(i), TOL)
-        steps, iterates = seen[0:-1:2], seen[1:-1:2]
+        steps, iterates = seen[0:-1:2], [seen[-1] if u is None else u for u in seen[1:-1:2]]
         assert len(steps) == len(iterates) >= 1 and iterates[-1] == seen[-1]
         counts.append(len(steps))
         with mpmath.workprec(prec + 32):
@@ -198,15 +207,23 @@ def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeyp
 def test_origin_solve_takes_one_newton_step_at_128_bits(N, monkeypatch):
     # the third-order seed leaves a first step under 2**-163.7 relative at
     # N = 5 (the _origin_zero_step docstring), below the 2**-144 stop rule;
-    # the targets include |target| = 4 R_1, the largest the domain admits
+    # the targets include |target| = 4 R_1, the largest the domain admits.
+    # A step is one division, or a residual g(u) - tau that rounds to 0,
+    # where the solve stops without dividing
     import juliadim.dynamics as dyn
 
     steps = []
 
-    def spy(*args, _real=dyn.mpc_div):
+    def div(*args, _real=dyn.mpc_div):
         steps[-1] += 1
         return _real(*args)
-    monkeypatch.setattr(dyn, "mpc_div", spy)
+
+    def sub(*args, _real=dyn.mpc_sub):
+        out = _real(*args)
+        steps[-1] += not out[0][1] and not out[1][1]
+        return out
+    monkeypatch.setattr(dyn, "mpc_div", div)
+    monkeypatch.setattr(dyn, "mpc_sub", sub)
     m = M5 if N == 5 else ModelMap(table=build_params(N, 12))
     rng = Random(100 + N)
     top = LogPolar(Fraction(m.table.R_exp(1) + 2), Fraction(rng.randrange(2**30), 2**30))
@@ -215,6 +232,44 @@ def test_origin_solve_takes_one_newton_step_at_128_bits(N, monkeypatch):
         steps.append(0)
         inverse_step(m, target, OriginBranch(i), TOL)
     assert steps == [1] * len(cases)
+
+
+def test_origin_solve_skips_the_division_on_a_zero_residual(monkeypatch):
+    # 300 seeded N = 5 steps at 128 bits: where g(u0) - tau rounds to 0 at
+    # wp bits the solve stops before g', the division and the stop test.
+    # The step it skips is 0 / g' = 0, and u - 0 is u again, so the point
+    # is the one the step would have given
+    import juliadim.dynamics as dyn
+    from mpmath.libmp import fzero, round_nearest
+
+    calls, last = [], {}
+
+    def spy(name, _real):
+        def f(*args):
+            out = _real(*args)
+            calls[-1].append((name, not out[0][1] and not out[1][1])
+                             if name == "mpc_sub" else name)
+            if name == "lp_perturb":
+                last["u"] = args[1]
+            return out
+        return f
+    for name in ("mpc_sub", "mpc_div", "_below", "lp_perturb"):
+        monkeypatch.setattr(dyn, name, spy(name, getattr(dyn, name)))
+    zero_exits = 0
+    for target, i in _origin_cases(Random(29), 300):
+        calls.append([])
+        inverse_step(M5, target, OriginBranch(i), TOL)
+        seq = calls[-1]
+        if ("mpc_sub", True) in seq:
+            zero_exits += 1
+            # the residual is the last subtraction, and nothing divides
+            assert seq[-2:] == [("mpc_sub", True), "lp_perturb"], seq
+            assert "mpc_div" not in seq and "_below" not in seq
+            u, wp = last["u"], M5.prec + 32
+            assert dyn.mpc_sub(u, (fzero, fzero), wp, round_nearest) == u
+        else:
+            assert seq.count("mpc_div") == seq.count("_below") == 1, seq
+    assert 60 <= zero_exits <= 240, zero_exits
 
 
 @pytest.mark.parametrize("prec", [128, 400])

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from juliadim.numerics import DomainError
 from juliadim.params import (
     SQRT8,
+    CertificateReport,
     alpha_beta_window,
     build_params,
     check_permissible,
     compute_k0,
+    decimal_bits_limit,
     omega_from_rho,
     verify_inequalities,
 )
@@ -205,3 +209,40 @@ def test_build_params_budget_error_names_index():
     with pytest.raises(ExponentBudgetError) as ei:
         build_params(5, 3400)
     assert "j=" in str(ei.value)
+
+
+@pytest.fixture
+def restore_int_digits():
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300, 4301, 30103, 10**6])
+def test_decimal_bits_limit_is_the_digit_bound(limit, restore_int_digits):
+    # a b-bit integer has at most floor(b log10 2) + 1 digits (0.30103 >
+    # log10 2): the threshold is the first b where that bound passes the limit
+    sys.set_int_max_str_digits(limit)
+    lo = decimal_bits_limit()
+    for bits in range(max(1, lo - 20000), lo + 20000) if limit else (1, 10**9):
+        assert (bits >= lo) == bool(limit and bits * 30103 // 100000 + 1 > limit), bits
+
+
+def test_certificate_rows_read_the_digit_limit_when_added(restore_int_digits):
+    # the guard measures the longest exact integer of the row, an int or a
+    # Fraction's numerator or denominator, and reads the limit at each add
+    rep = CertificateReport("demo")
+    sys.set_int_max_str_digits(4300)
+    rep.add("fits", 1, True, -(1 << 14282), Fraction(1 << 14282, 3))
+    rep.add("words", 2, True, "x" * 20000, True)
+    # a negative part counts by its magnitude: 14285 bits pass 4300 digits
+    for rhs in (3, Fraction(1, 3)):
+        with pytest.raises(DomainError, match=r"row neg\[0\] of 'demo': a 14285-bit"):
+            rep.add("neg", 0, True, -(1 << 14284), rhs)
+    sys.set_int_max_str_digits(640)
+    with pytest.raises(DomainError, match=r"row tight\[3\] of 'demo': a 2127-bit .* 640-digit"):
+        rep.add("tight", 3, True, 5, Fraction(1, 1 << 2126))
+    rep.add("loose", 4, True, 1 << 2125, Fraction(-1, 3))
+    sys.set_int_max_str_digits(0)
+    rep.add("unlimited", 5, True, 1 << 10**6, 0)
+    assert [c.name for c in rep.certificates] == ["fits", "words", "loose", "unlimited"]
