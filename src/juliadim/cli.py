@@ -11,14 +11,14 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .config import Config
 from .numerics import Angle, DomainError, LogPolar, NumericsError
 from .params import (CertificateReport, alpha_beta_window, build_params,
                      check_permissible, verify_inequalities)
-from .report import make_report, pow2_str, render_value, to_json, write_csv
+from .report import (make_report, point_fields, pow2_str, read_decimal, render_value,
+                     to_json, write_csv)
 
 
 def _add_common(sp):
@@ -51,8 +51,7 @@ def parse_point(s: str) -> LogPolar:
     decimal integer, the others decimal fractions."""
     try:
         ri, rf, th = s.split(",")
-        rho = Fraction(int(ri)) + Fraction(rf).limit_denominator(1 << 64)
-        turns = Fraction(th).limit_denominator(1 << 64)
+        rho, turns = int(ri) + read_decimal(rf), read_decimal(th)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"point {s!r} is not rho_int,rho_frac,theta: {exc}") from None
     return LogPolar(rho, Angle(turns))
@@ -122,9 +121,8 @@ def cmd_eval(args) -> int:
     rows = []
     for z in _read_points(args):
         w, piece = m.eval(z)
-        out = ("0", "0", "0") if w.is_zero else (
-            w.rho_int(), w.rho_frac_float(), w.theta.to_float())
-        rows.append([z.rho_int(), z.rho_frac_float(), z.theta.to_float(), *out, str(piece)])
+        out = ("0", "0", "0") if w.is_zero else point_fields(w)
+        rows.append([*point_fields(z), *out, str(piece)])
     header = ["rho_int", "rho_frac", "theta", "out_rho_int", "out_rho_frac",
               "out_theta", "piece"]
     write_csv(args.out, header, rows)

@@ -9,9 +9,10 @@ seeded on circles.  With the identity correction the traces are exact
 circles: the root maps rho to (rho - C)/n at every angle, so an identity
 trace is one pullback chain per seed, not one per grid angle.  Otherwise
 the chains of all grid angles form one tree of (step, angle) nodes, each
-pulled back once, except the grid level: the leaves below one parent
-share its radius and the rho half of the field, so a leaf adds only the
-angle half and log2|1 + eps|.  Radii stay integers from there on: the
+pulled back once; the children of a node share its root's radius, so the
+field's rho half is taken once per parent, and a leaf of the grid level
+adds only the angle half, summed in place, and log2|1 + eps|.  Radii stay
+integers from there on: the
 integer kernel ``numerics.log2_abs_1p_int`` gives each leaf's log as
 q 2**e, its ln 2 constant taken once per trace, and the leaf adds q to its
 parent's dyadic radius over one power-of-two denominator D per trace.  A
@@ -64,14 +65,14 @@ class Identity:
 
     kind = "identity"
 
-    def eps(self, z: LogPolar) -> complex:
-        return 0.0 + 0.0j
+    def rho_part(self, rho: Fraction) -> None:
+        return None
 
-    def phi(self, z: LogPolar, prec: int) -> LogPolar:
+    def phi(self, z: LogPolar, prec: int, part: None) -> LogPolar:
         return z
 
-    def phi_prime(self, z: LogPolar) -> complex:
-        return 1.0 + 0.0j
+    def eps_and_prime(self, z: LogPolar) -> Tuple[complex, complex]:
+        return 0.0 + 0.0j, 1.0 + 0.0j
 
 
 class SyntheticOmega:
@@ -116,47 +117,44 @@ class SyntheticOmega:
         every angle: 0 * th = 0.0 for th in [0, 1), so it is taken at 0.0."""
         num, den = rho.numerator, rho.denominator
         a = self.SHAPE * min(self._envelope(rho), self.CAP)
-        rho_phases = []
-        for mult in self._rho_mults:
-            # frac(rho * mult) in integers, unreduced: int / int is still
-            # the correctly rounded float of the exact fraction
-            d = den * mult.denominator
-            rho_phases.append(num * mult.numerator % d / d)
+        # frac(rho * mult) in integers, unreduced: int / int is still the
+        # correctly rounded float of the exact fraction
+        rho_phases = [num * mult.numerator % (d := den * mult.denominator) / d
+                      for mult in self._rho_mults]
         modes = tuple(zip(self.weights, self.freqs, rho_phases, self.phases))
         w, fq, rp, ph = modes[0]
         return a, w * cmath.exp(1j * (TWO_PI * (fq * 0.0 + rp) + ph)), modes[1:]
 
-    @staticmethod
-    def _modes(part: Tuple[float, complex, tuple], th: float) -> List[complex]:
-        """The modes of the phase field at th turns on the circle whose
-        rho_part is part."""
-        _, mode0, rest = part
-        return [mode0] + [w * cmath.exp(1j * (TWO_PI * (fq * th + rp) + ph))
-                          for w, fq, rp, ph in rest]
-
     def eps_at(self, part: Tuple[float, complex, tuple], th: float) -> complex:
-        """eps at th turns on the circle whose rho_part is part."""
-        return part[0] * sum(self._modes(part, th))
+        """eps at th turns on the circle whose rho_part is part: a times the
+        sum 0 + mode0 + mode1 + mode2, taken in that order."""
+        a, u, rest = part
+        u = 0 + u
+        for w, fq, rp, ph in rest:
+            u += w * cmath.exp(1j * (TWO_PI * (fq * th + rp) + ph))
+        return a * u
 
-    def eps(self, z: LogPolar) -> complex:
-        return self.eps_at(self.rho_part(z.rho), float(z.theta.turns))
+    def phi(self, z: LogPolar, prec: int, part: Tuple[float, complex, tuple]) -> LogPolar:
+        """z (1 + eps(z)) at prec, part = rho_part(z.rho), which the nodes of
+        one radius share."""
+        return lp_perturb(z, self.eps_at(part, float(z.theta.turns)), prec)
 
-    def phi(self, z: LogPolar, prec: int) -> LogPolar:
-        return lp_perturb(z, self.eps(z), prec)
-
-    def phi_prime(self, z: LogPolar) -> complex:
-        """1 + eps + z eps_z with the Wirtinger derivative in closed form:
-        z eps_z = eps_rho / (2 ln 2) + eps_theta / (4 pi i)."""
-        part = self.rho_part(z.rho)
-        a, modes = part[0], self._modes(part, float(z.theta.turns))
-        u = sum(modes)
+    def eps_and_prime(self, z: LogPolar) -> Tuple[complex, complex]:
+        """(eps, phi') at z from one rho_part: phi' = 1 + eps + z eps_z, the
+        Wirtinger derivative in closed form, z eps_z = eps_rho / (2 ln 2) +
+        eps_theta / (4 pi i).  eps is eps_at's bit for bit."""
+        a, mode0, rest = self.rho_part(z.rho)
+        th = float(z.theta.turns)
+        modes = [mode0] + [w * cmath.exp(1j * (TWO_PI * (fq * th + rp) + ph))
+                           for w, fq, rp, ph in rest]
+        eps = a * sum(modes)
         du_drho = sum(1j * TWO_PI * rf / self.RHO_SCALE * mode
                       for rf, mode in zip(self.rho_freqs, modes))
         du_dth = sum(1j * TWO_PI * fq * mode
                      for fq, mode in zip(self.freqs, modes))
         # amplitude varies on the omega scale: d(log a)/d(rho) ~ 1/(rho ln rho)
         z_eps_z = a * (du_drho / (2.0 * LN2) + du_dth / (4.0 * math.pi * 1j))
-        return 1.0 + a * u + z_eps_z
+        return eps, 1.0 + eps + z_eps_z
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +223,10 @@ def _pullback_levels(m: ModelMap, phi, k: int, depth: int, q: int, nums: Iterabl
     j steps.  Since turns[j+1] = turns[j] n_{k+j+1} mod q, the node (j,
     turns[j]) fixes everything above it, so the chains form a tree: each
     node is pulled back once, top-down from the seed, and shared by every
-    chain through it.  At N = 5 the grid angles i/256 meet in at most four
-    nodes after one step and in one after two."""
+    chain through it.  The root gives the children of one node one radius,
+    (rho - C)/n, so phi's rho half is taken once per parent.  At N = 5 the
+    grid angles i/256 meet in at most four nodes after one step and in one
+    after two."""
     t = m.table
     ns = [t.n(k + j + 1) for j in range(depth)]
     paths = []
@@ -238,13 +238,16 @@ def _pullback_levels(m: ModelMap, phi, k: int, depth: int, q: int, nums: Iterabl
     level = {a: LogPolar(seed_rho, Angle(Fraction(a, q))) for a in {p[depth] for p in paths}}
     levels = [level]
     for j in range(depth - 1, -1, -1):
-        n, C, above, level = ns[j], t.C_exp(k + j + 1), level, {}
+        n, C, above, level, parts = ns[j], t.C_exp(k + j + 1), level, {}, {}
         for p in paths:
-            a = p[j]
+            a, b = p[j], p[j + 1]
             if a not in level:
-                z = above[p[j + 1]]
+                z = above[b]
                 # floor(n turns[j] / q) is the branch, in [0, n)
-                level[a] = phi.phi(LogPolar(z.rho - C, z.theta).root(n, a * n // q), m.prec)
+                w = LogPolar(z.rho - C, z.theta).root(n, a * n // q)
+                if b not in parts:
+                    parts[b] = phi.rho_part(w.rho)
+                level[a] = phi.phi(w, m.prec, parts[b])
         levels.append(level)
     levels.reverse()
     return paths, levels
@@ -259,7 +262,8 @@ def _leaf_radii(m: ModelMap, phi: SyntheticOmega, k: int, depth: int, grid: int,
     power of two and lp_perturb adds dyadics.  Per leaf: th = (turns_1 + floor(a n /
     grid))/n as an int-by-int division (correctly rounded: the float of the
     root's Angle), then what phi.phi would add to r, log2|1 + eps| = q 2**e
-    from the integer kernel, its ln 2 rounded once per trace.  D = 2**S
+    from the integer kernel, its ln 2 rounded once per trace; eps_at and
+    dyadic_parts build no list and no mpmath value on the way.  D = 2**S
     with S the largest of every rs and -e, and a radius is rn 2**(S - rs) +
     q 2**(S + e): no Fraction per leaf."""
     n, C = m.table.n(k + 1), m.table.C_exp(k + 1)
@@ -277,9 +281,8 @@ def _leaf_radii(m: ModelMap, phi: SyntheticOmega, k: int, depth: int, grid: int,
         leaves = []
         for a in range(grid):
             rn, rs, part, pn, pd = parents[a * n % grid]
-            rm, re, im, ie, mag = dyadic_parts(phi.eps_at(part, (pn + a * n // grid * pd)
-                                                          / (pd * n)), wp)
-            q, e = log2_abs_1p_int(rm, re, im, ie, mag, wp, l2, sh)
+            eps = phi.eps_at(part, (pn + a * n // grid * pd) / (pd * n))
+            q, e = log2_abs_1p_int(*dyadic_parts(eps, wp), wp, l2, sh)
             leaves.append((rn, rs, q, e))
         traces.append(leaves)
     S = max(max(rs, -e) for leaves in traces for _, rs, _, e in leaves)
@@ -428,11 +431,33 @@ class TangentReport:
     Cprime: float
 
     def cauchy_diff_ok(self) -> bool:
-        """|p_m - p_m'| <= exp(sum budget over [m', m)) - 1 for all pairs."""
+        """|p_b - p_a| <= B = exp(S) - 1, S the sum of pair_log_budget[a..b],
+        for every pair a < b of the stored partials, decided outward-rounded:
+        the computed d = abs(p_b - p_a) plus the allowance d 2**-50 +
+        min(d, 2**-1074) must be at most the computed budget times 1 - 2**-40,
+        and that must be finite.
+
+        Proof, with u = 2**-53.  Left: each part of p_b - p_a is rounded
+        within u relative, or exactly when it is subnormal, so the true
+        distance is at most H (1 + 1.01 u), H the exact hypot of the computed
+        parts.  abs rounds H to within one unit in the last place (glibc's
+        hypot does), so H < d (1 + 2**-52) for a normal H; then d (1 +
+        2**-50), even rounded down, is at least d (1 + 2**-50.2) and covers
+        the distance.  A subnormal H has exact parts and H < d + 2**-1074,
+        with d >= 2**-1074 unless H = 0, which the added min(d, 2**-1074)
+        covers.  Right: fsum rounds S correctly, so within u relative; since
+        S e**S / (e**S - 1) <= 1 + S, that moves expm1 by at most u (1 + S)
+        e**(uS) relative, under 2**-43.5 while expm1 stays finite (S <= 710).
+        With libm's expm1 within 2**-45 relative, as width_check assumes of
+        its libm calls, the computed budget is within 2**-43 relative of B for
+        S >= 0, and its product with 1 - 2**-40, rounded, is below B.  S < 0
+        gives a negative budget, which fails every pair; S = 0 passes only
+        equal partials.  A nan or infinite side fails."""
         for a in range(len(self.partials)):
             for b in range(a + 1, len(self.partials)):
-                budget = math.expm1(sum(self.pair_log_budget[a:b + 1]))
-                if abs(self.partials[b] - self.partials[a]) > budget + 1e-12:
+                budget = math.expm1(math.fsum(self.pair_log_budget[a:b + 1])) * (1.0 - 2.0 ** -40)
+                d = abs(self.partials[b] - self.partials[a])
+                if not d * (1.0 + 2.0 ** -50) + min(d, 2.0 ** -1074) <= budget < math.inf:
                     return False
         return True
 
@@ -495,13 +520,11 @@ def tangent_products(m: ModelMap, phi, theta0: Angle, mmax: int,
                                        Fraction(t.R_exp(k + mmax + 1) - 1))
     chain = [lv[a] for lv, a in zip(levels, path)]
     Cp = getattr(phi, "Cprime", 0.0)
-    partials: List[complex] = []
-    pair_actual: List[float] = []
-    pair_budget: List[float] = []
-    prod = 1.0 / phi.phi_prime(chain[0])
+    partials, pair_actual, pair_budget = [], [], []
+    prod = 1.0 / phi.eps_and_prime(chain[0])[1]
     for j in range(1, mmax):
-        f1 = 1.0 + phi.eps(chain[j])
-        f2 = 1.0 / phi.phi_prime(chain[j])
+        eps, prime = phi.eps_and_prime(chain[j])
+        f1, f2 = 1.0 + eps, 1.0 / prime
         prod *= f1 * f2
         partials.append(prod)
         pair_actual.append(abs(cmath.log(f1)) + abs(cmath.log(f2)))
@@ -524,8 +547,8 @@ def angle_check(m: ModelMap, phi, k: int, n1: int, n2: int,
     paths, levels = _pullback_levels(m, phi, k, n2 + 1, samples, range(samples),
                                      Fraction(t.R_exp(k + n2 + 2) - 1))
     # one factor per distinct (step, angle) node, shared by its samples
-    factors = [{a: (1.0 + phi.eps(z)) / phi.phi_prime(z) for a, z in levels[j].items()}
-               for j in range(n1, n2)]
+    factors = [{a: (1.0 + e) / d for a, z in levels[j].items()
+                for e, d in (phi.eps_and_prime(z),)} for j in range(n1, n2)]
     worst = 0.0
     for p in paths:
         prod = 1.0 + 0.0j

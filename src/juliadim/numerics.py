@@ -35,7 +35,6 @@ what the mpc/mpf expressions they replaced gave under ``mpmath.workprec``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -354,7 +353,7 @@ class LogPolar:
         if self.is_zero:
             return "LogPolar(0)"
         ri = self.rho_int()
-        return f"LogPolar(rho={ri}{float(self.rho - ri):+.6f}, theta={self.theta.to_float():.6f})"
+        return f"LogPolar(rho={ri}{self.rho_frac_float():+.6f}, theta={self.theta.to_float():.6f})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogPolar):
@@ -501,11 +500,13 @@ def dyadic_parts(u: Union[complex, mpf, mpc, Tuple[tuple, tuple]],
     """(rm, re, im, ie, mag) for a finite complex, mpf, mpc or libmp pair u:
     u = rm 2**re + i im 2**ie exactly, the mpmath forms with each part
     rounded to nearest at wp bits whatever the caller's precision, and mag
-    = ``mpmath.mag(u)``."""
-    if isinstance(u, complex):
-        if not cmath.isfinite(u):
-            raise DomainError(f"log2|1 + u| of non-finite u = {u!r}")
-        (rm, rd), (im, idn) = u.real.as_integer_ratio(), u.imag.as_integer_ratio()
+    = ``mpmath.mag(u)``.  A complex (a curve leaf's eps) comes first, read
+    exactly by ``as_integer_ratio``, which refuses inf and nan."""
+    if type(u) is complex:
+        try:
+            (rm, rd), (im, idn) = u.real.as_integer_ratio(), u.imag.as_integer_ratio()
+        except (OverflowError, ValueError):
+            raise DomainError(f"log2|1 + u| of non-finite u = {u!r}") from None
         re, ie = 1 - rd.bit_length(), 1 - idn.bit_length()
     else:
         if not isinstance(u, tuple):
@@ -514,12 +515,9 @@ def dyadic_parts(u: Union[complex, mpf, mpc, Tuple[tuple, tuple]],
         rm, im, re, ie = -int(rm) if rs else int(rm), -int(im) if is_ else int(im), int(re), int(ie)
         if not rm and re or not im and ie:      # inf or nan: no mantissa, a nonzero exponent
             raise DomainError(f"log2|1 + u| of non-finite u = {u!r}")
-    # the larger part's magnitude, plus one if both are nonzero
     if rm and im:
-        mag = 1 + max(re + abs(rm).bit_length(), ie + abs(im).bit_length())
-    else:
-        mag = re + abs(rm).bit_length() if rm else ie + abs(im).bit_length()
-    return rm, re, im, ie, mag
+        return rm, re, im, ie, 1 + max(re + abs(rm).bit_length(), ie + abs(im).bit_length())
+    return rm, re, im, ie, re + abs(rm).bit_length() if rm else ie + abs(im).bit_length()
 
 
 def _log1p_series(rm: int, re: int, im: int, ie: int, wp: int) -> Tuple[Tuple[int, int], tuple]:

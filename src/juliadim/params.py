@@ -31,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .numerics import (
     DomainError,
@@ -47,11 +47,11 @@ SQRT8 = 2.0 * math.sqrt(2.0)
 # certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
-    """One report row.  lhs and rhs keep the exact int, Fraction or str
-    they were given; they are rendered with str() only when a report is
-    emitted (to_json_obj, report.certificates_json)."""
+class Certificate(NamedTuple):
+    """One report row, an immutable tuple compared field by field.  lhs and
+    rhs keep the exact int, Fraction or str they were given; they are
+    rendered with str() only when a report is emitted (to_json_obj,
+    report.certificates_json)."""
     name: str
     index: Optional[int]
     passed: bool

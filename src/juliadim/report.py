@@ -91,19 +91,35 @@ def pow2_str(log2) -> str:
     return f"{(s[0] + '.' + s[1:].rstrip('0')).rstrip('.')}x2^{e}"
 
 
+def read_decimal(s) -> Fraction:
+    """A point's rho_frac or theta field s as parse_point reads it: the
+    nearest fraction with a denominator at most 2**64."""
+    return Fraction(s).limit_denominator(1 << 64)
+
+
+def point_fields(z: LogPolar) -> List[str]:
+    """rho_int, rho_frac and theta of a nonzero point, each fraction as the
+    shortest nearest decimal that reads as the fraction itself reads (39
+    digits always do: such fractions lie 2**-128 > 10**-39 apart)."""
+    ri = z.rho_int()
+    fields = [str(ri)]
+    for want in map(read_decimal, (z.rho - ri, z.theta.turns)):
+        for n in range(1, 40):
+            m = round(want * 10 ** n)
+            s = f"{m // 10 ** n}.{m % 10 ** n:0{n}d}"
+            if read_decimal(s) == want:
+                break
+        fields.append(s)
+    return fields
+
+
 def render_value(v) -> object:
     if isinstance(v, LogPolar):
-        if v.is_zero:
-            return "0"
-        ri = v.rho_int()
-        return {"rho_int": str(ri), "rho_frac": repr(v.rho_frac_float()),
-                "theta": repr(v.theta.to_float())}
+        return "0" if v.is_zero else dict(zip(("rho_int", "rho_frac", "theta"), point_fields(v)))
     if isinstance(v, Fraction):
         if abs(v.numerator // v.denominator).bit_length() > 900:
             return f"{v.numerator}/{v.denominator}"
         return repr(float(v)) if v.denominator != 1 else str(v.numerator)
-    if isinstance(v, float):
-        return repr(v)
     return v
 
 

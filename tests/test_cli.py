@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -276,6 +277,48 @@ def test_orbit_phi_budget_flags_an_edge_after_a_seam_step(tmp_path):
     # within the seam margin, so the budgeted orbit stops there
     assert _orbit_classes(tmp_path, "752,0.03540906360802495,0.0156250000005800013") == [
         "FatouEscape(3)", "Truncated(boundary at step 1)"]
+
+
+
+def _rho_theta(z):
+    return z.rho, z.theta.turns
+
+
+def test_printed_start_points_read_back_unchanged(tmp_path):
+    # orbit's "start" and eval's first three columns, fed to parse_point,
+    # give the point that was read; at 53 bits the first point's theta read
+    # back 2**-59.4 turns away.  An eval output point reads back as the
+    # point with denominators at most 2**64 nearest to it.
+    rng = random.Random(2302)
+    points = ["752,0.03540906360802495,0.0156250000005800013", "23011,0.0,0.125",
+              "760,-1.32,0.9999999999999999999", "752,0.5,0.1"]
+    points += [f"{rng.randrange(752, 760)},{rng.randrange(1 << 64)}/{1 << 64},"
+               f"{rng.randrange(1, 1 << 63)}/{rng.randrange(1 << 63, 1 << 64)}" for _ in range(6)]
+    for point in points:
+        z = parse_point(point)
+        orbit, ev = tmp_path / "o.jsonl", tmp_path / "e.csv"
+        assert run(["orbit", "--N", "5", "--kmax", "12", "--point", point, "--nmax", "1",
+                    "--out", str(orbit)]) == 0
+        start = json.loads(orbit.read_text())["start"]
+        printed = parse_point(",".join(start[key] for key in ("rho_int", "rho_frac", "theta")))
+        assert _rho_theta(printed) == _rho_theta(z), point
+        assert run(["eval", "--N", "5", "--kmax", "12", "--point", point, "--out", str(ev)]) == 0
+        row = ev.read_text().splitlines()[1].split(",")
+        assert _rho_theta(parse_point(",".join(row[:3]))) == _rho_theta(z), point
+        w, _ = Config(N=5, kmax=12).build_model().eval(z)
+        back = parse_point(",".join(row[3:6]))
+        assert back.rho - w.rho_int() == (w.rho - w.rho_int()).limit_denominator(1 << 64)
+        assert back.theta.turns == w.theta.turns.limit_denominator(1 << 64)
+    # each fraction prints as its nearest decimal with the fewest digits that
+    # reads back: a float's repr where that does, 20 digits for 2/3 (19 read
+    # as another fraction), ending in 7, not in the 6 of a truncation
+    for point, want in (("752,0.5,0.1", ["752", "0.5", "0.1"]),
+                        ("760,2/3,0.9999999999999999999",
+                         ["760", "0.66666666666666666667", "0.9999999999999999999"])):
+        assert run(["orbit", "--N", "5", "--kmax", "12", "--point", point, "--nmax", "1",
+                    "--out", str(orbit)]) == 0
+        start = json.loads(orbit.read_text())["start"]
+        assert [start[key] for key in ("rho_int", "rho_frac", "theta")] == want
 
 
 def test_backward_subcommand(tmp_path):

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,16 @@ IDENT = Identity()
 SYN = SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=7)
 CURVES_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
                     / "curves.json")
+
+
+def _eps(phi, z):
+    # eps at z by the leaf path: the rho half, then the angle half
+    return phi.eps_at(phi.rho_part(z.rho), float(z.theta.turns))
+
+
+def _hex(z):
+    # a complex bit for bit: -0.0, inf and nan included
+    return z.real.hex(), z.imag.hex()
 
 
 # traces -------------------------------------------------------------------------
@@ -155,7 +166,8 @@ def _reference_radii(m, phi, k, depth, grid, seed_rho):
         for j in range(depth - 1, -1, -1):
             n = t.n(k + j + 1)
             b = math.floor(n * (params[j] % 1))
-            z = phi.phi(LogPolar(z.rho - t.C_exp(k + j + 1), z.theta).root(n, b), m.prec)
+            w = LogPolar(z.rho - t.C_exp(k + j + 1), z.theta).root(n, b)
+            z = phi.phi(w, m.prec, phi.rho_part(w.rho))
         radii.append(z.rho)
     return radii
 
@@ -220,8 +232,10 @@ def _distinct_nodes(t, k, depth, grid):
 @pytest.mark.parametrize("k,depth", [(1, 6), (2, 3)])
 def test_synthetic_tree_applies_phi_once_per_node(k, depth, monkeypatch):
     # the steps above the leaves run phi.phi once per node; the leaf level
-    # runs the field once per leaf, its rho part once per parent and the
-    # integer kernel for log2|1 + eps| once per leaf
+    # runs the field once per leaf and the integer kernel for log2|1 + eps|
+    # once per leaf.  The children of one node share one radius, so the rho
+    # half runs once per node of the steps 1..depth: at depth 6 and k = 1,
+    # 9 times per seed where it ran 12 times, once per phi node and parent
     calls = {"phi": 0, "eps_at": 0, "rho_part": 0, "log2": 0}
     syn = SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=7)
 
@@ -243,14 +257,18 @@ def test_synthetic_tree_applies_phi_once_per_node(k, depth, monkeypatch):
     assert calls["eps_at"] == 2 * nodes
     assert calls["phi"] == 2 * (nodes - 256)
     assert calls["log2"] == 2 * 256
-    assert calls["rho_part"] == 2 * (nodes - 256 + parents)
+    assert calls["rho_part"] == 2 * (_distinct_nodes(T5, k, depth + 1, 256) - 256)
+    if (k, depth) == (1, 6):
+        assert calls["rho_part"] == 2 * 9
     # angle_check: one tree of depth n2 + 1 over its samples, and one
-    # factor (1 + eps)/phi' per distinct node of the steps [n1, n2)
-    calls.update(phi=0, prime=0)
-    syn.phi_prime = counted("prime", syn.phi_prime)
+    # factor (1 + eps)/phi' per distinct node of the steps [n1, n2), whose
+    # eps and phi' share one rho half
+    calls.update(phi=0, prime=0, rho_part=0)
+    syn.eps_and_prime = counted("prime", syn.eps_and_prime)
     angle_check(M5, syn, 1, 0, 3, samples=32)
     assert calls["phi"] == _distinct_nodes(T5, 1, 4, 32)
     assert calls["prime"] == _distinct_nodes(T5, 1, 3, 32) == 34
+    assert calls["rho_part"] == _distinct_nodes(T5, 1, 5, 32) - 32 + 34
 
 
 @pytest.mark.parametrize("n1,n2,samples", [(0, 3, 32), (1, 3, 64)])
@@ -263,7 +281,9 @@ def test_angle_check_equals_the_per_sample_products(n1, n2, samples):
     for chain in chains:
         prod = 1.0 + 0.0j
         for j in range(n1, n2):
-            prod *= (1.0 + SYN.eps(chain[j])) / SYN.phi_prime(chain[j])
+            eps, prime = SYN.eps_and_prime(chain[j])
+            assert _hex(eps) == _hex(_eps(SYN, chain[j]))
+            prod *= (1.0 + _eps(SYN, chain[j])) / prime
         worst = max(worst, abs(cmath.phase(prod)))
     assert angle_check(M5, SYN, 1, n1, n2, samples=samples)[0] == worst > 0.0
 
@@ -415,7 +435,8 @@ def test_synthetic_field_envelope_invariant():
     for k in (1, 3, 6, 10):
         for i in range(16):
             z = LogPolar(Fraction(T5.R_exp(k) - 1), Fraction(i, 16))
-            e = SYN.eps(z)
+            e = _eps(SYN, z)
+            assert _hex(e) == _hex(SYN.eps_and_prime(z)[0])
             assert abs(e) <= SYN._envelope(z.rho) + 1e-15
 
 
@@ -425,9 +446,66 @@ def test_synthetic_derivative_envelope():
     for k in (1, 4, 8):
         for i in range(16):
             z = LogPolar(Fraction(T5.R_exp(k) - 1), Fraction(i, 16))
-            dev = abs(SYN.phi_prime(z) - 1.0)
+            dev = abs(SYN.eps_and_prime(z)[1] - 1.0)
             assert dev <= SYN._envelope(z.rho)
             assert dev <= 10.0 * SYN._envelope(z.rho)
+
+
+
+def _eps_at_reference(part, th):
+    # the list-and-sum form of the field: a * sum([mode0, mode1, mode2])
+    a, mode0, rest = part
+    return a * sum([mode0] + [w * cmath.exp(1j * (curves.TWO_PI * (fq * th + rp) + ph))
+                              for w, fq, rp, ph in rest])
+
+
+def _dyadic_parts_reference(u):
+    # the complex branch as an isinstance test, cmath.isfinite and mpmath.mag
+    if not cmath.isfinite(u):
+        raise DomainError(f"non-finite {u!r}")
+    (rm, rd), (im, idn) = u.real.as_integer_ratio(), u.imag.as_integer_ratio()
+    re, ie = 1 - rd.bit_length(), 1 - idn.bit_length()
+    if rm and im:
+        return rm, re, im, ie, 1 + max(re + abs(rm).bit_length(), ie + abs(im).bit_length())
+    return rm, re, im, ie, re + abs(rm).bit_length() if rm else ie + abs(im).bit_length()
+
+
+def test_leaf_field_and_its_parts_equal_the_reference_forms():
+    # eps_at sums its modes in place and dyadic_parts reads a complex on its
+    # first branch; both must give the old forms' floats and integers bit for
+    # bit: seeded eps from 2**-60 to 2**0, parts that are 0 or -0.0, and
+    # non-finite eps, which dyadic_parts refuses
+    rng = random.Random(2301)
+    wp = M5.prec + 32
+    cases = []
+    for _ in range(400):
+        syn = SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=rng.randrange(1, 9))
+        _, mode0, rest = syn.rho_part(Fraction(rng.randrange(1, 1 << 40), 1 << 20))
+        cases.append((syn, (2.0 ** -rng.uniform(0.0, 60.0), mode0, rest), rng.random()))
+    zero = ((0.0, 1, 0.0, 0.0), (-0.0, 2, 0.5, 1.0))
+    for a in (1.0, -1.0, 0.0, -0.0, 2.0 ** -60, math.inf, -math.inf, math.nan):
+        for mode0 in (complex(0.0, 0.0), complex(-0.0, -0.0), complex(-0.0, 0.5),
+                      complex(0.25, -0.0), complex(math.inf, 0.0), complex(0.0, math.nan)):
+            cases += [(SYN, (a, mode0, rest), th) for th in (0.0, 0.25, 0.75)
+                      for rest in (zero, ())]
+    finite = nonfinite = zeros = 0
+    for syn, part, th in cases:
+        eps = syn.eps_at(part, th)
+        assert _hex(eps) == _hex(_eps_at_reference(part, th)), (part, th)
+        try:
+            want = _dyadic_parts_reference(eps)
+        except DomainError:
+            nonfinite += 1
+            with pytest.raises(DomainError):
+                curves.dyadic_parts(eps, wp)
+            continue
+        finite += 1
+        zeros += not (want[0] and want[2])
+        assert curves.dyadic_parts(eps, wp) == want, eps
+    assert finite > 400 and nonfinite > 50 and zeros > 50
+    # the seeded eps span 2**-60 to 2**0
+    mags = [curves.dyadic_parts(syn.eps_at(part, th), wp)[4] for syn, part, th in cases[:400]]
+    assert min(mags) <= -59 and max(mags) >= -1
 
 
 # tangent products ----------------------------------------------------------------
@@ -445,6 +523,40 @@ def test_synthetic_tangent_cauchy_and_limit():
     assert all(a <= b for a, b in zip(rep.pair_log_actual, rep.pair_log_budget))
     assert rep.limit_modulus() >= rep.limit_lower_bound(T5.N)
     assert rep.limit_modulus() > 0.0
+
+
+
+def _report(partials, budget):
+    return curves.TangentReport(k=1, mmax=len(partials) + 1, theta0=Angle(0),
+                                partials=partials, pair_log_actual=[0.0] * len(budget),
+                                pair_log_budget=budget, Cprime=1.0)
+
+
+def test_cauchy_check_rounds_outward_without_headroom():
+    # a distance 2**-41 past the budget: the old + 1e-12 of headroom let it
+    # through; the outward-rounded comparison refuses it, and accepts the
+    # same pair 2**-41 inside the budget
+    budget = [2.0 ** -20, 2.0 ** -20]
+    B = math.expm1(math.fsum(budget))
+    over = _report([0j, complex(B + 2.0 ** -41)], budget)
+    under = _report([0j, complex(B - 2.0 ** -41)], budget)
+    assert abs(over.partials[1] - over.partials[0]) <= B + 1e-12
+    assert not over.cauchy_diff_ok() and under.cauchy_diff_ok()
+    # the computed budget may lie 2**-43 above B, so it is rounded down by
+    # 2**-40, and the distance is rounded up by 2**-50
+    lo = B * (1.0 - 2.0 ** -40)
+    for d, ok in ((B, False), (B * (1.0 - 2.0 ** -45), False), (lo, False),
+                  (lo * (1.0 - 2.0 ** -49), True)):
+        assert _report([0j, complex(d)], budget).cauchy_diff_ok() is ok, d
+    # equal partials pass a zero budget; nothing passes a negative, an
+    # infinite or a nan budget, and a nan distance fails
+    assert _report([1 + 0j, 1 + 0j], [0.0, 0.0]).cauchy_diff_ok()
+    assert not _report([1 + 0j, complex(1.0, 2.0 ** -1074)], [0.0, 0.0]).cauchy_diff_ok()
+    for bad in (-1e-300, math.inf, math.nan):
+        assert not _report([1 + 0j, 1 + 0j], [0.0, bad]).cauchy_diff_ok(), bad
+    assert not _report([0j, complex(math.nan, 0.0)], budget).cauchy_diff_ok()
+    # a subnormal distance counts one unit more than its computed value
+    assert not _report([0j, complex(2.0 ** -1074)], [0.0, 2.0 ** -1074]).cauchy_diff_ok()
 
 
 @pytest.mark.parametrize("Cprime,N", [(1.0, 5), (2.0, 8), (1.0, 10)])

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from juliadim.numerics import DomainError
 from juliadim.params import (
     SQRT8,
+    Certificate,
     CertificateReport,
     alpha_beta_window,
     build_params,
@@ -246,3 +247,27 @@ def test_certificate_rows_read_the_digit_limit_when_added(restore_int_digits):
     sys.set_int_max_str_digits(0)
     rep.add("unlimited", 5, True, 1 << 10**6, 0)
     assert [c.name for c in rep.certificates] == ["fits", "words", "loose", "unlimited"]
+
+
+def test_certificate_rows_are_immutable_and_compare_field_by_field():
+    rep = CertificateReport("demo")
+    rep.add("row", 3, 1, 5, Fraction(7, 2))
+    rep.add("row", 3, True, 5, Fraction(7, 2), note="n")
+    c, noted = rep.certificates
+    assert (c.name, c.index, c.passed, c.lhs, c.rhs, c.note) == ("row", 3, True, 5,
+                                                                  Fraction(7, 2), "")
+    assert c.passed is True
+    for field in ("name", "index", "passed", "lhs", "rhs", "note"):
+        with pytest.raises(AttributeError):
+            setattr(c, field, None)
+    with pytest.raises(AttributeError):
+        c.extra = 1
+    assert c == Certificate("row", 3, True, 5, Fraction(7, 2)) == c._replace(note="")
+    assert hash(c) == hash(Certificate("row", 3, True, 5, Fraction(7, 2)))
+    for field, other in (("name", "rows"), ("index", 4), ("passed", False), ("lhs", 6),
+                         ("rhs", Fraction(7, 3)), ("note", "n")):
+        assert c != c._replace(**{field: other}), field
+    assert noted == c._replace(note="n")
+    assert c.to_json_obj() == {"name": "row", "index": 3, "lhs_exponent": "5",
+                               "rhs_exponent": "7/2", "pass": True}
+    assert noted.to_json_obj()["note"] == "n"
