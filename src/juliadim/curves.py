@@ -117,10 +117,12 @@ class SyntheticOmega:
         every angle: 0 * th = 0.0 for th in [0, 1), so it is taken at 0.0."""
         num, den = rho.numerator, rho.denominator
         a = self.SHAPE * min(self._envelope(rho), self.CAP)
-        # frac(rho * mult) in integers, unreduced: int / int is still the
-        # correctly rounded float of the exact fraction
-        rho_phases = [num * mult.numerator % (d := den * mult.denominator) / d
-                      for mult in self._rho_mults]
+        rho_phases = []
+        for mult in self._rho_mults:
+            # frac(rho * mult) in integers, unreduced: int / int is still
+            # the correctly rounded float of the exact fraction
+            d = den * mult.denominator
+            rho_phases.append(num * mult.numerator % d / d)
         modes = tuple(zip(self.weights, self.freqs, rho_phases, self.phases))
         w, fq, rp, ph = modes[0]
         return a, w * cmath.exp(1j * (TWO_PI * (fq * 0.0 + rp) + ph)), modes[1:]
@@ -520,7 +522,9 @@ def tangent_products(m: ModelMap, phi, theta0: Angle, mmax: int,
                                        Fraction(t.R_exp(k + mmax + 1) - 1))
     chain = [lv[a] for lv, a in zip(levels, path)]
     Cp = getattr(phi, "Cprime", 0.0)
-    partials, pair_actual, pair_budget = [], [], []
+    partials: List[complex] = []
+    pair_actual: List[float] = []
+    pair_budget: List[float] = []
     prod = 1.0 / phi.eps_and_prime(chain[0])[1]
     for j in range(1, mmax):
         eps, prime = phi.eps_and_prime(chain[j])

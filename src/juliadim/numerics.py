@@ -515,9 +515,12 @@ def dyadic_parts(u: Union[complex, mpf, mpc, Tuple[tuple, tuple]],
         rm, im, re, ie = -int(rm) if rs else int(rm), -int(im) if is_ else int(im), int(re), int(ie)
         if not rm and re or not im and ie:      # inf or nan: no mantissa, a nonzero exponent
             raise DomainError(f"log2|1 + u| of non-finite u = {u!r}")
+    # the larger part's magnitude, plus one if both are nonzero
     if rm and im:
-        return rm, re, im, ie, 1 + max(re + abs(rm).bit_length(), ie + abs(im).bit_length())
-    return rm, re, im, ie, re + abs(rm).bit_length() if rm else ie + abs(im).bit_length()
+        mag = 1 + max(re + abs(rm).bit_length(), ie + abs(im).bit_length())
+    else:
+        mag = re + abs(rm).bit_length() if rm else ie + abs(im).bit_length()
+    return rm, re, im, ie, mag
 
 
 def _log1p_series(rm: int, re: int, im: int, ie: int, wp: int) -> Tuple[Tuple[int, int], tuple]:

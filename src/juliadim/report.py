@@ -120,6 +120,8 @@ def render_value(v) -> object:
         if abs(v.numerator // v.denominator).bit_length() > 900:
             return f"{v.numerator}/{v.denominator}"
         return repr(float(v)) if v.denominator != 1 else str(v.numerator)
+    if isinstance(v, float):
+        return repr(v)
     return v
 
 
