@@ -433,11 +433,18 @@ class TangentReport:
     Cprime: float
 
     def cauchy_diff_ok(self) -> bool:
-        """|p_b - p_a| <= B = exp(S) - 1, S the sum of pair_log_budget[a..b],
-        for every pair a < b of the stored partials, decided outward-rounded:
-        the computed d = abs(p_b - p_a) plus the allowance d 2**-50 +
-        min(d, 2**-1074) must be at most the computed budget times 1 - 2**-40,
-        and that must be finite.
+        """|p_b - p_a| <= |p_a| B, B = exp(S) - 1, S the sum of
+        pair_log_budget[a+1..b], for every pair a < b of the stored partials,
+        decided outward-rounded: the computed d = abs(p_b - p_a) plus the
+        allowance d 2**-50 + min(d, 2**-1074) must be at most the rounded-down
+        |p_a| times the computed budget times 1 - 2**-40, and that must be
+        finite.
+
+        Partial a holds the factors of steps up to a + 1 and budget index a
+        is step a + 1's (tangent_products), so p_b = p_a P with P the product
+        of steps a + 2..b + 1, budget indices a + 1..b; each factor's |log|
+        within its budget gives |P - 1| <= exp(S) - 1, and |p_b - p_a| =
+        |p_a| |P - 1|.
 
         Proof, with u = 2**-53.  Left: each part of p_b - p_a is rounded
         within u relative, or exactly when it is subnormal, so the true
@@ -452,14 +459,26 @@ class TangentReport:
         e**(uS) relative, under 2**-43.5 while expm1 stays finite (S <= 710).
         With libm's expm1 within 2**-45 relative, as width_check assumes of
         its libm calls, the computed budget is within 2**-43 relative of B for
-        S >= 0, and its product with 1 - 2**-40, rounded, is below B.  S < 0
-        gives a negative budget, which fails every pair; S = 0 passes only
-        equal partials.  A nan or infinite side fails."""
+        S >= 0, and its product with 1 - 2**-40, rounded, is below B (1 -
+        2**-40.2).  |p_a|: abs is within one unit in the last place of the
+        exact modulus H of the stored p_a, so abs (1 - 2**-50), rounded, is
+        at most H when H is normal, and the one unit 2**-1074 subtracted
+        covers a subnormal H (exact there).  Their product rounds up by at
+        most 2**-53 relative, which the factor 1 - 2**-40.2 absorbs, or by
+        at most 2**-1075 below 2**-1022, which the unit subtracted there
+        (exactly) absorbs.  S < 0 gives a negative bound, which fails every
+        pair with p_a != 0; S = 0 or p_a = 0 passes only equal partials.  A
+        nan or infinite side fails."""
         for a in range(len(self.partials)):
+            pa = abs(self.partials[a]) * (1.0 - 2.0 ** -50) - 2.0 ** -1074
             for b in range(a + 1, len(self.partials)):
-                budget = math.expm1(math.fsum(self.pair_log_budget[a:b + 1])) * (1.0 - 2.0 ** -40)
+                S = math.fsum(self.pair_log_budget[a + 1:b + 1])
+                budget = math.expm1(S) * (1.0 - 2.0 ** -40)
+                bound = max(pa, 0.0) * budget
+                if 0.0 < bound < 2.0 ** -1022:
+                    bound -= 2.0 ** -1074
                 d = abs(self.partials[b] - self.partials[a])
-                if not d * (1.0 + 2.0 ** -50) + min(d, 2.0 ** -1074) <= budget < math.inf:
+                if not d * (1.0 + 2.0 ** -50) + min(d, 2.0 ** -1074) <= bound < math.inf:
                     return False
         return True
 

@@ -17,13 +17,14 @@ Inverse branches come in three kinds:
                                zero w_i, g(u) = (1 + u)**M - 1 - u, by
                                Newton with Horner sums from the inverse
                                series to third order (one step at N >= 5
-                               and 128 bits), then one evaluation checks
-                               the point.
+                               and 128 bits); the point is the
+                               AnchoredPoint (i, u), which one closed-form
+                               evaluation checks, at every N.
 
 Both the petal series and the origin solve run on libmp pairs at the
-model's prec + 32 bits, rounded to nearest, and hand their offset u to
-``lp_perturb`` as such a pair; no mpc object lies between a target and the
-point that is checked against it.
+model's prec + 32 bits, rounded to nearest; the petal step hands its
+offset to ``lp_perturb`` as such a pair, the origin step keeps it.  No mpc
+object lies between a target and the point that is checked against it.
 
 The inclusion certificates take circle extrema of log2 |f| -- exact on
 radial circles and on the petal boundary, sampled elsewhere -- and compare
@@ -48,6 +49,7 @@ from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, 
 from .numerics import (
     RND,
     DomainError,
+    ExponentBudgetError,
     LogPolar,
     NumericsError,
     const_log2_frac,
@@ -58,7 +60,8 @@ from .numerics import (
     pi_over_ln2_frac,
 )
 from .geometry import LOG2_2_5, LOG2_3_5, Region, classify, petal_radius_rel_log2
-from .modelmap import SEAM_MARGIN_BITS, ModelMap, PieceId, qN_landmarks
+from .modelmap import (SEAM_MARGIN_BITS, AnchoredPoint, ModelMap, PieceId, Point, origin_binomials,
+                       origin_g, qN_landmarks)
 from .params import CertificateReport, omega_from_rho
 
 ONE = LogPolar(Fraction(0), 0)
@@ -126,17 +129,25 @@ def _newton_polish(m: ModelMap, z: LogPolar, target: LogPolar,
     raise BranchError(f"newton stagnated: residual log2-mag {dr:.3g}, turns {dth:.3g}")
 
 
-def inverse_step(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
-                 tol: float = 2.0 ** -64) -> LogPolar:
+def inverse_step(m: ModelMap, target: Point, branch: InverseBranchSpec,
+                 tol: float = 2.0 ** -64) -> Point:
     """One inverse branch applied to `target`; the result re-evaluates to the
-    target within tol both in log2 magnitude and in turns."""
+    target within tol both in log2 magnitude and in turns.  OriginBranch(i),
+    i >= 1, returns an AnchoredPoint; an AnchoredPoint target is read as
+    its absolute LogPolar first, which from N = 8 on raises
+    ExponentBudgetError naming the step."""
     return _inverse_image(m, target, branch, tol)[0]
 
 
-def _inverse_image(m: ModelMap, target: LogPolar, branch: InverseBranchSpec,
-                   tol: float) -> Tuple[LogPolar, Optional[LogPolar]]:
+def _inverse_image(m: ModelMap, target: Point, branch: InverseBranchSpec,
+                   tol: float) -> Tuple[Point, Optional[LogPolar]]:
     """inverse_step's point z and, when the step evaluated it, f(z) at m's
     precision (else None)."""
+    if type(target) is AnchoredPoint:
+        try:
+            target = target.absolute(m.prec)
+        except ExponentBudgetError as e:
+            raise ExponentBudgetError(f"{branch}: anchored target: {e}") from None
     t = m.table
     if isinstance(branch, VkRoot):
         k = branch.k
@@ -229,8 +240,9 @@ def _below(x: Tuple[tuple, tuple], y: Tuple[tuple, tuple], bits: int, wp: int) -
 
 
 def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
-                      tol: float) -> Tuple[LogPolar, Optional[LogPolar]]:
-    """OriginBranch(i), i >= 1, solved in the coordinate of the zero w = w_i.
+                      tol: float) -> Tuple[Point, Optional[LogPolar]]:
+    """OriginBranch(i), i >= 1, solved in the coordinate of the zero w = w_i:
+    the AnchoredPoint (i, u) and its image, or w itself for target 0.
 
     c_N w**(M-1) = -r_N exactly (M = 2**N), so at z = w (1 + u)
 
@@ -261,10 +273,9 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
     That step leaves an error of order y (4 y**3)**2 |t|, below the rounding.
 
     g and g' = M (1 + u)**(M-1) - 1 are the binomial sums (M - 1) u +
-    sum_{2<=k<=K} C(M, k) u**k and M - 1 + sum k C(M, k) u**(k-1), by
-    Horner.  Where M|u| <= 2**-a, term k is below (M|u|)**(k-1) / k! of the
-    linear one, so K = max(2, ceil(wp / a)) leaves a tail under 2**-wp of
-    it: K = 3 at N = 5 and 128 bits, K = 2 from N = 6 on.
+    sum_{2<=k<=K} C(M, k) u**k (:func:`origin_g`) and M - 1 + sum k C(M, k)
+    u**(k-1), by Horner, with the K that :func:`origin_binomials` takes
+    from the seed.
 
     The domain check |target| <= 4 R_1 = 4 r_N admits only M|u| <= 2**-53:
     |w| = 2**zero_rho with zero_rho = (e_N - eps_N) / (M - 1) (qN_landmarks),
@@ -279,8 +290,10 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
     check does not admit, raises BranchError rather than summing a long
     series.
 
-    z = w (1 + u) is then evaluated once, and that f(z) must land within
-    tol of the target.
+    The point is the AnchoredPoint (i, u): no absolute LogPolar is built,
+    so the step costs the same at every N.  ModelMap.eval takes it in
+    closed form, q(z) = -r_N w g(u), with the same origin_g; that f(z) must
+    land within tol of the target.
     """
     t = m.table
     M = 1 << t.N
@@ -301,16 +314,10 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
     c3 = mpf_div(from_int(M * (M + 1)), from_int(3), wp, RND)
     u = mpc_add_mpf(mpc_mul_mpf(tt, c3, wp, RND), from_int(-M // 2), wp, RND)
     u = mpc_mul(tt, mpc_add_mpf(mpc_mul(u, tt, wp, RND), fone, wp, RND), wp, RND)
-    # M|u| < 2**(e_tau + 2) = 2**-a
-    K = min(M, max(2, -(-wp // -(e_tau + 2))))
-    coef = [math.comb(M, k) for k in range(K + 1)]
+    coef = origin_binomials(t.N, u, wp)
+    K = len(coef) - 1
     for _ in range(NEWTON_MAX_ITER):
-        # s = sum C(M,k) u**(k-2) over 2 <= k <= K, and g(u) - tau
-        s = from_int(coef[K]), fzero
-        for k in range(K - 1, 1, -1):
-            s = mpc_add_mpf(mpc_mul(s, u, wp, RND), from_int(coef[k]), wp, RND)
-        g = mpc_mul(u, mpc_add_mpf(mpc_mul(u, s, wp, RND), m1, wp, RND), wp, RND)
-        res = mpc_sub(g, tau_c, wp, RND)
+        res = mpc_sub(origin_g(u, coef, wp), tau_c, wp, RND)
         if not res[0][1] and not res[1][1]:
             break       # du would be 0 and leave u as it is
         # d = sum k C(M,k) u**(k-2) over 2 <= k <= K
@@ -323,7 +330,7 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
             break
     else:
         raise BranchError(f"origin newton stagnated after {NEWTON_MAX_ITER} steps")
-    z = lp_perturb(w, u, m.prec)
+    z = AnchoredPoint(i, w, u)
     fz, _ = m.eval(z)
     dr, dth = _residual(fz, target)
     if not (dr < tol and dth < tol):
@@ -350,7 +357,7 @@ class Classification:
 
 @dataclass
 class OrbitRecord:
-    points: List[LogPolar]
+    points: List[Point]
     regions: List[Region]
     orbit_seq: List[Optional[int]]
     backwards_events: List[int]
@@ -386,7 +393,7 @@ def _at_precision(m: ModelMap, bits: int) -> ModelMap:
     return dataclasses.replace(m, prec=max(m.prec, bits), guard=max(m.guard, bits))
 
 
-def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int, phi_budget: bool = False,
+def iterate_orbit(m: ModelMap, z: Point, nmax: int, phi_budget: bool = False,
                   schedule: Sequence[int] = (),
                   image: Optional[LogPolar] = None) -> OrbitRecord:
     """Forward orbit with region bookkeeping.
@@ -404,6 +411,10 @@ def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int, phi_budget: bool = False,
     bits; later steps run at m's own.  `image`, where given, is f(z) as
     step 0 would evaluate it (at schedule[0] bits, if any), and stands in
     for that evaluation.
+
+    An AnchoredPoint start is classified from its enclosure (geometry.classify),
+    and step 0 evaluates it in closed form; its distortion margin is taken at
+    w.rho - 1, below every log2 |z| of the enclosure, where omega is larger.
     """
     if nmax < 1:
         raise DomainError("nmax must be >= 1")
@@ -418,8 +429,9 @@ def iterate_orbit(m: ModelMap, z: LogPolar, nmax: int, phi_budget: bool = False,
         zn = points[-1]
         mn = _at_precision(m, schedule[n]) if n < len(schedule) else m
         mb = 0.0
-        if phi_budget and not zn.is_zero and zn.rho > 4:
-            w = t.Cprime * omega_from_rho(t.p, zn.rho_int())
+        rho = zn.zero.rho - 1 if type(zn) is AnchoredPoint else zn.rho
+        if phi_budget and not zn.is_zero and rho > 4:
+            w = t.Cprime * omega_from_rho(t.p, rho.numerator // rho.denominator)
             mb += math.log2(1.0 + w) + (SEAM_MARGIN_BITS if piece and piece.kind == "seam" else 0)
         try:
             reg = classify(t, zn, margin=mb, model=mn)

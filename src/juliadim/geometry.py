@@ -25,7 +25,7 @@ from .numerics import (
     frac_ilog2,
     pi_over_ln2_frac,
 )
-from .modelmap import ModelMap
+from .modelmap import AnchoredPoint, ModelMap, Point
 from .params import ParamTable
 
 
@@ -129,22 +129,27 @@ def petal_membership(m: ModelMap, k: int, z: LogPolar) -> Optional[int]:
     return None
 
 
-def classify(t: ParamTable, z: LogPolar, margin: float = 0.0,
+def classify(t: ParamTable, z: Point, margin: float = 0.0,
              model: Optional[ModelMap] = None) -> Region:
     """Region of z, decided on exact rho comparisons.
 
     `margin` (log2 units, taken exactly) turns an answer less than margin
     from a threshold into 'boundary'.
     Petal tags require a model (for its ring-zero geometry); without one the
-    enclosing A tag is returned.
+    enclosing A tag is returned.  An AnchoredPoint is D when its whole
+    enclosure w.rho +- 2|u| lies at least margin below D's top, and
+    'boundary' otherwise: an origin zero lies about 693 bits below it at
+    N = 5, and further from N = 6 on.
     """
     if margin < 0:
         raise DomainError("margin must be >= 0")
+    mfr = Fraction(margin) if margin else None    # the exact value of the float
+    d_top = Fraction(t.R_exp(1) - 2)
+    if type(z) is AnchoredPoint:
+        return Region("D") if z.below(d_top - (mfr or 0)) else Region("boundary")
     if z.is_zero:
         return Region("D")
     rho = z.rho
-    mfr = Fraction(margin) if margin else None    # the exact value of the float
-    d_top = Fraction(t.R_exp(1) - 2)
     if rho <= d_top:
         if margin and abs(rho - d_top) < mfr:
             return Region("boundary")

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import libmp, mpc, mpf
+from mpmath.libmp import from_int, fzero, mpc_add_mpf, mpc_mul, mpc_shift
 
 from .numerics import (
     ADD_GUARD,
@@ -44,9 +46,11 @@ from .numerics import (
     below_log2_one_minus_pow2,
     const_log2_frac,
     expm1_series,
+    frac_ilog2,
     frac_to_mpf,
     log1p_mpc,
     lp_add,
+    lp_perturb,
     lp_sub,
     mpc_mag,
     mpf_to_frac,
@@ -76,6 +80,74 @@ class PieceId:
 
     def __str__(self):
         return self.kind if self.index is None else f"{self.kind}({self.index})"
+
+
+@dataclass(frozen=True)
+class AnchoredPoint:
+    """z = w (1 + u): w = qN_landmarks(m).zero(index), a nonzero zero of the
+    origin polynomial, and u a nonzero libmp pair with |u| <= 1/4, held
+    exactly.
+
+    An OriginBranch preimage lies |u| ~ 2**-62 from its zero at N = 5 and
+    2**-4.7e10 at N = 10.  As a pair u that costs one libmp exponent, where
+    the absolute LogPolar (:meth:`absolute`) needs a rho denominator of that
+    many bits.  ModelMap.eval takes the point in closed form.
+
+    Its log2 modulus lies in the exact enclosure w.rho +- 2|u|, hence in
+    w.rho +- 2**(mpc_mag(u) + 1): for x = |u| <= 1/4, log2(1 + x) <= x / ln 2
+    and -log2(1 - x) <= x / ((1 - x) ln 2) <= 4x / (3 ln 2) < 2x.
+    """
+    index: int
+    zero: LogPolar
+    u: Tuple[tuple, tuple]
+    is_zero = False
+
+    def __post_init__(self):
+        if not (self.u[0][1] or self.u[1][1]) or mpc_mag(self.u) > -2:
+            raise DomainError("an anchored point needs 0 < |u| <= 1/4")
+
+    def below(self, x: Union[Fraction, int]) -> bool:
+        """Every log2 |z| of the enclosure is at most x: x - w.rho >=
+        2**(mpc_mag(u) + 1), decided exactly without building that power."""
+        d = x - self.zero.rho
+        return d > 0 and frac_ilog2(d) > mpc_mag(self.u)
+
+    def absolute(self, prec: int) -> LogPolar:
+        """z as a LogPolar, ``lp_perturb(w, u, prec)``: past the exponent
+        budget (|u| < 2**-MAX_EXP_BITS, every origin step from N = 8 on) it
+        raises ExponentBudgetError."""
+        return lp_perturb(self.zero, self.u, prec)
+
+
+Point = Union[LogPolar, AnchoredPoint]
+
+
+def origin_binomials(N: int, u: Tuple[tuple, tuple], wp: int) -> List[int]:
+    """[C(M, k) for 0 <= k <= K], M = 2**N: the binomial terms of g(u) =
+    (1 + u)**M - 1 - u that :func:`origin_g` sums at wp bits.
+
+    g = (M - 1) u + sum_{2<=k<=M} C(M, k) u**k.  Where M|u| <= 2**-a, a >= 1,
+    term k is at most (M|u|)**(k-1) M / ((M - 1) k!) <= 2**-a(k-1) / (k-1)!
+    times the linear one, so K = max(2, ceil(wp / a)) leaves a tail under
+    2**-aK <= 2**-wp of it: K = 3 at N = 5 and 128 bits, K = 2 from N = 6
+    on.  With a = -(N + mpc_mag(u)) <= 0 every term is kept (K = M) and the
+    sum is the whole polynomial.
+    """
+    M = 1 << N
+    a = -(N + mpc_mag(u))
+    K = min(M, max(2, -(-wp // a))) if a > 0 else M
+    return [math.comb(M, k) for k in range(K + 1)]
+
+
+def origin_g(u: Tuple[tuple, tuple], coef: List[int], wp: int) -> Tuple[tuple, tuple]:
+    """g(u) = u (M - 1 + u s), s = sum_{2<=k<=K} C(M, k) u**(k-2), coef =
+    :func:`origin_binomials`, by Horner on libmp pairs rounded to nearest at
+    wp bits."""
+    K = len(coef) - 1
+    s = from_int(coef[K]), fzero
+    for k in range(K - 1, 1, -1):
+        s = mpc_add_mpf(mpc_mul(s, u, wp, RND), from_int(coef[k]), wp, RND)
+    return mpc_mul(u, mpc_add_mpf(mpc_mul(u, s, wp, RND), from_int(coef[1] - 1), wp, RND), wp, RND)
 
 
 @dataclass(frozen=True)
@@ -149,12 +221,18 @@ class ModelMap:
     def piece_of(self, z_or_rho) -> PieceId:
         """The piece whose closed annulus in rho holds z (or rho), the lower
         one on a shared boundary.  Thresholds are compared on integer parts
-        first, and as exact rationals only when the integer parts tie."""
+        first, and as exact rationals only when the integer parts tie.  An
+        AnchoredPoint is on the origin piece when its enclosure lies below
+        e_N - 1 < log2(r_N - 1), and raises DomainError otherwise."""
+        t = self.table
+        N = t.N
+        if type(z_or_rho) is AnchoredPoint:
+            if z_or_rho.below(t.r_exp(N) - 1):
+                return PieceId("origin", None)
+            raise DomainError("anchored point's enclosure reaches past the origin piece")
         if isinstance(z_or_rho, LogPolar) and z_or_rho.is_zero:
             return PieceId("origin", None)
         rho = z_or_rho.rho if isinstance(z_or_rho, LogPolar) else Fraction(z_or_rho)
-        t = self.table
-        N = t.N
         ri = rho.numerator // rho.denominator
         if ri < t.r_exp(N) and self._below_origin_top(rho):
             return PieceId("origin", None)
@@ -179,6 +257,37 @@ class ModelMap:
         t1 = LogPolar(t.c_exp(N) + (1 << N) * z.rho, z.theta.mul_int(1 << N))
         t2 = LogPolar(t.r_exp(N) + z.rho, z.theta)
         return lp_add(t1, t2, guard=self.guard, prec=self.prec)
+
+    def _eval_anchored(self, z: AnchoredPoint) -> LogPolar:
+        """q(w (1 + u)) = -r_N w g(u) in closed form, g(u) = (1 + u)**M - 1 - u.
+
+        Proof: q(z) = c_N z**M + r_N z.  The anchor is a zero of q/z, c_N
+        w**(M-1) = -r_N, which holds exactly and is checked here on the
+        exact (rho, turns) of w: (M - 1) w.rho = e_N - eps_N and 2 (M - 1)
+        turns is an odd integer.  So c_N z**M = c_N w**(M-1) w (1 + u)**M =
+        -r_N w (1 + u)**M, and q(z) = -r_N w ((1 + u)**M - (1 + u)).
+
+        g(u) is :func:`origin_g` at wp = prec + 32 bits, the sum the origin
+        step solves; scaled by 2**-mpc_mag(g) (exact) it has modulus in
+        (1/4, 1], and one LogPolar.from_mpc at prec + 16 bits reads its
+        log2 modulus and turns to within a few units of 2**-(prec + 14).
+        A g that rounds to 0 (z another zero, w times an (M - 1)-th root of
+        unity) gives 0.
+        """
+        t = self.table
+        N = t.N
+        M = 1 << N
+        w = z.zero
+        x = 2 * (M - 1) * w.theta.turns
+        if (M - 1) * w.rho != t.r_exp(N) - t.c_exp(N) or x.denominator != 1 or not x.numerator & 1:
+            raise DomainError(f"anchor {w} is not a zero of the origin polynomial at N = {N}")
+        wp = self.prec + 32
+        g = origin_g(z.u, origin_binomials(N, z.u, wp), wp)
+        if not (g[0][1] or g[1][1]):
+            return LogPolar.zero_point()
+        e = mpc_mag(g)
+        v = LogPolar.from_mpc(mpc_shift(g, -e), self.prec)
+        return LogPolar(t.r_exp(N) + e + w.rho + v.rho, Angle(w.theta.turns + HALF + v.theta.turns))
 
     def _eval_power(self, z: LogPolar, j: int) -> LogPolar:
         Mj = 1 << j
@@ -247,9 +356,11 @@ class ModelMap:
                 return s.value.rho
         return None
 
-    def eval(self, z: LogPolar) -> Tuple[LogPolar, PieceId]:
+    def eval(self, z: Point) -> Tuple[LogPolar, PieceId]:
         piece = self.piece_of(z)
         if piece.kind == "origin":
+            if type(z) is AnchoredPoint:
+                return self._eval_anchored(z), piece
             return self._eval_origin(z).value, piece
         if piece.kind == "bump":
             return eval_bump_gk(self, z), piece

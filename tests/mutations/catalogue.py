@@ -1,0 +1,77 @@
+"""Source mutations the tier-1 suite kills, one entry each.
+
+An entry is (file, old, new, killed_by): `old` occurs exactly once in `file`
+(relative to the repository root), `new` replaces it, and every test named
+in `killed_by` ("tests/<file>.py::<name>", with a parameter id if any) is
+expected to run, and at least one of them to fail, on the mutated copy.
+``python tests/mutations/run.py`` applies each to a temporary copy and runs
+its tests; ``test_catalogue.py`` checks in tier-1 that every entry still
+applies and names tests that exist.  A mutation that survives stays here
+and is reported as surviving, never dropped.
+"""
+
+from typing import NamedTuple, Tuple
+
+
+class Mutation(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    killed_by: Tuple[str, ...]
+
+
+DYN = "tests/test_dynamics.py::"
+CURVES = "tests/test_curves.py::"
+
+MUTATIONS = (
+    # the closed form of an anchored origin point, q(w (1 + u)) = -r_N w g(u)
+    Mutation("closed form without its half turn", "src/juliadim/modelmap.py",
+             "Angle(w.theta.turns + HALF + v.theta.turns)", "Angle(w.theta.turns + v.theta.turns)",
+             (DYN + "test_closed_form_equals_the_absolute_route",
+              DYN + "test_inverse_round_trips[origin]")),
+    Mutation("g without its -u term", "src/juliadim/modelmap.py",
+             "from_int(coef[1] - 1)", "from_int(coef[1])",
+             (DYN + "test_closed_form_equals_the_absolute_route",
+              DYN + "test_origin_solve_meets_g_within_its_stop_rule[128]")),
+    Mutation("closed form drops the scale of g", "src/juliadim/modelmap.py",
+             "t.r_exp(N) + e + w.rho", "t.r_exp(N) + w.rho",
+             (DYN + "test_inverse_round_trips[origin]",)),
+    Mutation("closed form without the zero check", "src/juliadim/modelmap.py",
+             "if (M - 1) * w.rho != t.r_exp(N) - t.c_exp(N) or", "if False and",
+             (DYN + "test_closed_form_equals_the_absolute_route",)),
+    Mutation("region from w.rho without the |u| enclosure", "src/juliadim/modelmap.py",
+             "return d > 0 and frac_ilog2(d) > mpc_mag(self.u)", "return d > 0",
+             (DYN + "test_anchored_enclosure_decides_the_region_exactly",)),
+    Mutation("classify without the margin on an anchored point", "src/juliadim/geometry.py",
+             'z.below(d_top - (mfr or 0))', "z.below(d_top)",
+             (DYN + "test_anchored_enclosure_decides_the_region_exactly",)),
+    Mutation("anchored target refused without naming the step", "src/juliadim/dynamics.py",
+             'raise ExponentBudgetError(f"{branch}: anchored target: {e}") from None', "raise",
+             (DYN + "test_anchored_targets_end_in_typed_errors_past_the_budget",)),
+    Mutation("anchored point admits |u| up to 1/2", "src/juliadim/modelmap.py",
+             "mpc_mag(self.u) > -2", "mpc_mag(self.u) > -1",
+             (DYN + "test_anchored_enclosure_decides_the_region_exactly",)),
+    # the Cauchy row |p_b - p_a| <= |p_a| (exp(S) - 1), S over indices a + 1..b
+    Mutation("Cauchy slice back to [a:b+1]", "src/juliadim/curves.py",
+             "self.pair_log_budget[a + 1:b + 1]", "self.pair_log_budget[a:b + 1]",
+             (CURVES + "test_cauchy_check_rounds_outward_without_headroom",)),
+    Mutation("Cauchy bound without |p_a|", "src/juliadim/curves.py",
+             "bound = max(pa, 0.0) * budget", "bound = budget",
+             (CURVES + "test_cauchy_check_rounds_outward_without_headroom",)),
+    Mutation("|p_a| rounded up", "src/juliadim/curves.py",
+             "abs(self.partials[a]) * (1.0 - 2.0 ** -50) - 2.0 ** -1074",
+             "abs(self.partials[a]) * (1.0 + 2.0 ** -50)",
+             (CURVES + "test_cauchy_check_rounds_outward_without_headroom",)),
+    Mutation("subnormal Cauchy bound kept whole", "src/juliadim/curves.py",
+             "bound -= 2.0 ** -1074", "bound -= 0.0",
+             (CURVES + "test_cauchy_check_rounds_outward_without_headroom",)),
+    # recorded in earlier changes and still applicable
+    Mutation("leaf field summed without 0 +", "src/juliadim/curves.py",
+             "u = 0 + u\n", "u = u\n",
+             (CURVES + "test_leaf_field_and_its_parts_equal_the_reference_forms",)),
+    Mutation("dyadic_parts without the +1 of mag", "src/juliadim/numerics.py",
+             "mag = 1 + max(re + abs(rm).bit_length(), ie + abs(im).bit_length())",
+             "mag = max(re + abs(rm).bit_length(), ie + abs(im).bit_length())",
+             (CURVES + "test_leaf_field_and_its_parts_equal_the_reference_forms",)),
+)

@@ -533,30 +533,48 @@ def _report(partials, budget):
 
 
 def test_cauchy_check_rounds_outward_without_headroom():
-    # a distance 2**-41 past the budget: the old + 1e-12 of headroom let it
-    # through; the outward-rounded comparison refuses it, and accepts the
-    # same pair 2**-41 inside the budget
-    budget = [2.0 ** -20, 2.0 ** -20]
-    B = math.expm1(math.fsum(budget))
-    over = _report([0j, complex(B + 2.0 ** -41)], budget)
-    under = _report([0j, complex(B - 2.0 ** -41)], budget)
-    assert abs(over.partials[1] - over.partials[0]) <= B + 1e-12
-    assert not over.cauchy_diff_ok() and under.cauchy_diff_ok()
-    # the computed budget may lie 2**-43 above B, so it is rounded down by
-    # 2**-40, and the distance is rounded up by 2**-50
-    lo = B * (1.0 - 2.0 ** -40)
-    for d, ok in ((B, False), (B * (1.0 - 2.0 ** -45), False), (lo, False),
-                  (lo * (1.0 - 2.0 ** -49), True)):
-        assert _report([0j, complex(d)], budget).cauchy_diff_ok() is ok, d
-    # equal partials pass a zero budget; nothing passes a negative, an
-    # infinite or a nan budget, and a nan distance fails
+    # p_a = 3/4 and p_b = p_a + i d, so the computed distance is d exactly;
+    # the bound is |p_a| B, B = expm1 of budget index a + 1..b = [1] only
+    pa, budget = 0.75, [2.0 ** -10, 2.0 ** -20]
+    B = pa * math.expm1(budget[1])
+
+    def ok(d):
+        return _report([complex(pa), complex(pa, d)], budget).cauchy_diff_ok()
+    # a distance 2**-41 relative past the bound: the old + 1e-12 of headroom
+    # would let it through; the outward-rounded comparison refuses it
+    assert B * (1.0 + 2.0 ** -41) <= B + 1e-12
+    assert not ok(B * (1.0 + 2.0 ** -41)) and ok(B * (1.0 - 2.0 ** -30))
+    # the computed budget may lie 2**-43 above its value, so it is rounded
+    # down by 2**-40, |p_a| by 2**-50 and one unit, and the distance up by
+    # 2**-50
+    lo = (pa * (1.0 - 2.0 ** -50) - 2.0 ** -1074) * (math.expm1(budget[1]) * (1.0 - 2.0 ** -40))
+    for d, want in ((B, False), (B * (1.0 - 2.0 ** -45), False), (lo, False),
+                    (lo * (1.0 - 2.0 ** -49), True)):
+        assert ok(d) is want, d
+    # pairs the old index set a..b, or the bound without |p_a|, passed: the
+    # budget of step a + 1 (index 0) lies before p_a, and |p_a| = 1/2 halves
+    # the bound
+    assert not ok(2.0 * B)
+    assert 2.0 * B <= math.expm1(math.fsum(budget)) * (1.0 - 2.0 ** -40)
+    half = _report([0.5 + 0j, complex(0.5, 0.75 * math.expm1(budget[1]))], [0.0, budget[1]])
+    assert not half.cauchy_diff_ok()
+    assert _report([0.5 + 0j, complex(0.5, 0.49 * math.expm1(budget[1]))],
+                   [0.0, budget[1]]).cauchy_diff_ok()
+    # equal partials pass a zero budget, and a zero p_a passes only them;
+    # nothing passes a negative, an infinite or a nan budget, and a nan
+    # distance fails
     assert _report([1 + 0j, 1 + 0j], [0.0, 0.0]).cauchy_diff_ok()
+    assert _report([0j, 0j], budget).cauchy_diff_ok()
+    assert not _report([0j, complex(2.0 ** -1074)], budget).cauchy_diff_ok()
     assert not _report([1 + 0j, complex(1.0, 2.0 ** -1074)], [0.0, 0.0]).cauchy_diff_ok()
     for bad in (-1e-300, math.inf, math.nan):
         assert not _report([1 + 0j, 1 + 0j], [0.0, bad]).cauchy_diff_ok(), bad
-    assert not _report([0j, complex(math.nan, 0.0)], budget).cauchy_diff_ok()
-    # a subnormal distance counts one unit more than its computed value
-    assert not _report([0j, complex(2.0 ** -1074)], [0.0, 2.0 ** -1074]).cauchy_diff_ok()
+    assert not ok(math.nan)
+    # a subnormal bound (16 units) loses one unit, and a subnormal distance
+    # counts one unit more than its computed value
+    for units, want in ((14, True), (15, False)):
+        rep = _report([1 + 0j, complex(1.0, units * 2.0 ** -1074)], [0.0, 2.0 ** -1070])
+        assert rep.cauchy_diff_ok() is want, units
 
 
 @pytest.mark.parametrize("Cprime,N", [(1.0, 5), (2.0, 8), (1.0, 10)])

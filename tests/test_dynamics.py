@@ -6,6 +6,7 @@ from random import Random
 
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp, fzero
 
 from juliadim.dynamics import (
     BranchError,
@@ -25,8 +26,9 @@ from juliadim.dynamics import (
 )
 from juliadim.config import Config
 from juliadim.geometry import classify
-from juliadim.modelmap import ModelMap, qN_landmarks
-from juliadim.numerics import DomainError, LogPolar, const_log2_frac, lp_add
+from juliadim.modelmap import AnchoredPoint, ModelMap, qN_landmarks
+from juliadim.numerics import (DomainError, ExponentBudgetError, LogPolar, const_log2_frac, lp_add,
+                               lp_perturb, mpc_mag)
 from juliadim.params import build_params
 
 M5 = ModelMap(table=build_params(5, 25))
@@ -136,11 +138,14 @@ def test_origin_step_evaluates_once_and_never_differentiates(monkeypatch):
 
 
 def test_origin_step_matches_the_absolute_newton_polish():
-    # the absolute route: seed zero_i + t/q'(zero_i), then Newton on f
+    # the absolute route: seed zero_i + t/q'(zero_i), then Newton on f; the
+    # step's anchored point w (1 + u) is read as lp_perturb(w, u) to compare
     lm = qN_landmarks(M5)
     lim = Fraction(1, 2 ** (M5.prec - 8))
     for target, i in _origin_cases(Random(17), 50):
-        z = inverse_step(M5, target, OriginBranch(i), TOL)
+        p = inverse_step(M5, target, OriginBranch(i), TOL)
+        assert isinstance(p, AnchoredPoint) and p.index == i and p.zero == lm.zero(i)
+        z = lp_perturb(p.zero, p.u, M5.prec)
         seed = lp_add(lm.zero(i), target.div(lm.deriv_at_zero), guard=max(M5.guard, 512),
                       prec=M5.prec).value
         ref, _ = _newton_polish(M5, seed, target, TOL)
@@ -151,7 +156,7 @@ def test_origin_step_matches_the_absolute_newton_polish():
 @pytest.mark.parametrize("N", [6, 7])
 def test_origin_round_trips_at_tiny_offsets(N):
     # |u| is about 2**-768 at N = 6 and 2**-23195 at N = 7: the series
-    # follow that scale, and lp_perturb carries it into rho exactly
+    # follow that scale, and the closed form q = -r_N w g(u) keeps it
     m = ModelMap(table=build_params(N, 12))
     for target, i in _origin_cases(Random(N), 8, m.table):
         got, _ = m.eval(inverse_step(m, target, OriginBranch(i), TOL))
@@ -169,14 +174,13 @@ def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeyp
 
     seen = []
     # each Newton step hands its step du and the new iterate u to the stop
-    # test _below; lp_perturb(w, u, prec) gets the last iterate.  A residual
+    # test _below; the anchored point holds the last iterate.  A residual
     # g(u) - tau that rounds to 0 ends the solve before its step, which is
     # then 0 and leaves u as it is: it stands here as the step (0, last u)
-    for name, pos in (("_below", (0, 1)), ("lp_perturb", (1,))):
-        def spy(*args, _real=getattr(dyn, name), _pos=pos):
-            seen.extend(args[i] for i in _pos)
-            return _real(*args)
-        monkeypatch.setattr(dyn, name, spy)
+    def spy(*args, _real=dyn._below):
+        seen.extend(args[:2])
+        return _real(*args)
+    monkeypatch.setattr(dyn, "_below", spy)
 
     def sub(*args, _real=dyn.mpc_sub):
         out = _real(*args)
@@ -189,7 +193,7 @@ def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeyp
     counts = []
     for target, i in _origin_cases(Random(3), 6):
         seen.clear()
-        inverse_step(m, target.mul_pow2(1), OriginBranch(i), TOL)
+        seen.append(inverse_step(m, target.mul_pow2(1), OriginBranch(i), TOL).u)
         steps, iterates = seen[0:-1:2], [seen[-1] if u is None else u for u in seen[1:-1:2]]
         assert len(steps) == len(iterates) >= 1 and iterates[-1] == seen[-1]
         counts.append(len(steps))
@@ -242,30 +246,28 @@ def test_origin_solve_skips_the_division_on_a_zero_residual(monkeypatch):
     import juliadim.dynamics as dyn
     from mpmath.libmp import fzero, round_nearest
 
-    calls, last = [], {}
+    calls = []
 
     def spy(name, _real):
         def f(*args):
             out = _real(*args)
             calls[-1].append((name, not out[0][1] and not out[1][1])
                              if name == "mpc_sub" else name)
-            if name == "lp_perturb":
-                last["u"] = args[1]
             return out
         return f
-    for name in ("mpc_sub", "mpc_div", "_below", "lp_perturb"):
+    for name in ("mpc_sub", "mpc_div", "_below"):
         monkeypatch.setattr(dyn, name, spy(name, getattr(dyn, name)))
     zero_exits = 0
     for target, i in _origin_cases(Random(29), 300):
         calls.append([])
-        inverse_step(M5, target, OriginBranch(i), TOL)
+        p = inverse_step(M5, target, OriginBranch(i), TOL)
         seq = calls[-1]
         if ("mpc_sub", True) in seq:
             zero_exits += 1
             # the residual is the last subtraction, and nothing divides
-            assert seq[-2:] == [("mpc_sub", True), "lp_perturb"], seq
+            assert seq[-1] == ("mpc_sub", True), seq
             assert "mpc_div" not in seq and "_below" not in seq
-            u, wp = last["u"], M5.prec + 32
+            u, wp = p.u, M5.prec + 32
             assert dyn.mpc_sub(u, (fzero, fzero), wp, round_nearest) == u
         else:
             assert seq.count("mpc_div") == seq.count("_below") == 1, seq
@@ -273,27 +275,18 @@ def test_origin_solve_skips_the_division_on_a_zero_residual(monkeypatch):
 
 
 @pytest.mark.parametrize("prec", [128, 400])
-def test_origin_solve_meets_g_within_its_stop_rule(prec, monkeypatch):
-    # the u that reaches lp_perturb solves g(u) = tau within 2**-(prec+12)
+def test_origin_solve_meets_g_within_its_stop_rule(prec):
+    # the u of the anchored point solves g(u) = tau within 2**-(prec+12)
     # of tau, with g(u) = (1 + u)**M - 1 - u at 1200 bits: the Horner sums
     # keep every binomial term down to 2**-(prec+32) of the linear one
-    import juliadim.dynamics as dyn
-
-    seen = []
-
-    def spy(z, u, p, _real=dyn.lp_perturb):
-        seen.append(u)
-        return _real(z, u, p)
-    monkeypatch.setattr(dyn, "lp_perturb", spy)
     m = dataclasses.replace(M5, prec=prec)
     lm, M = qN_landmarks(m), 1 << T5.N
     for target, i in _origin_cases(Random(23), 6):
-        seen.clear()
-        inverse_step(m, target, OriginBranch(i), TOL)
+        p = inverse_step(m, target, OriginBranch(i), TOL)
         w = lm.zero(i)
         tau = target.div(LogPolar(T5.r_exp(T5.N) + w.rho, w.theta)).neg()
         with mpmath.workprec(1200):
-            u, t = mpmath.mp.make_mpc(seen[0]), mpmath.mp.make_mpc(tau.to_mpc_scaled(0, 1200))
+            u, t = mpmath.mp.make_mpc(p.u), mpmath.mp.make_mpc(tau.to_mpc_scaled(0, 1200))
             assert abs((1 + u) ** M - 1 - u - t) <= abs(t) * mpmath.ldexp(1, -(prec + 12))
 
 
@@ -316,21 +309,112 @@ def test_origin_step_refuses_tau_past_its_series_bound():
     assert abs(float(fz.rho - target.rho)) < TOL and float(fz.theta.dist(target.theta)) < TOL
 
 
-def test_origin_steps_past_the_exponent_budget_raise_at_once():
-    # N = 8: |u| is about 2**-1453043, whose rho correction would need a
-    # 1.45-million-bit denominator; lp_perturb refuses it before building it.
-    # The targets are those perfbench's untimed N = 8 probe draws (seed 7)
-    from juliadim.numerics import ExponentBudgetError
+def _budget_edge_cases():
+    # N = 8: the four targets perfbench's untimed N = 8 probe draws (seed 7),
+    # |u| about 2**-1453043; N = 10: eight seeded ones, |u| about 2**-4.7e10.
+    # An absolute LogPolar of either would need a rho denominator of that
+    # many bits, past the exponent budget
+    rng8, m8 = Random("inverse-probe:7"), ModelMap(table=build_params(8, 12))
+    m10 = ModelMap(table=build_params(10, 12))
+    cases = [(m8, _rand_target(rng8, 1, m8.table), rng8.randrange(1, 1 << 8)) for _ in range(4)]
+    return cases + [(m10, target, i) for target, i in _origin_cases(Random(10), 8, m10.table)]
 
-    m = ModelMap(table=build_params(8, 12))
-    rng = Random("inverse-probe:7")
-    for _ in range(4):
-        target = _rand_target(rng, 1, m.table)
-        branch = OriginBranch(rng.randrange(1, 1 << 8))
+
+def test_origin_steps_round_trip_past_the_exponent_budget():
+    for m, target, i in _budget_edge_cases():
         start = time.perf_counter()
-        with pytest.raises(ExponentBudgetError, match="lp_perturb"):
-            inverse_step(m, target, branch, TOL)
-        assert time.perf_counter() - start < 1.0
+        z = inverse_step(m, target, OriginBranch(i), TOL)
+        assert time.perf_counter() - start < 0.01
+        got, piece = m.eval(z)
+        assert piece.kind == "origin"
+        assert abs(float(got.rho - target.rho)) < TOL
+        assert float(got.theta.dist(target.theta)) < TOL
+
+
+def test_orbit_from_an_anchored_point_past_the_exponent_budget():
+    # step 0 is classified from the enclosure w.rho +- 2|u| and evaluated in
+    # closed form; step 1 lands in the target's region
+    for m, target, i in _budget_edge_cases()[:4]:
+        z = inverse_step(m, target, OriginBranch(i), TOL)
+        assert str(classify(m.table, z, model=m)) == "D"
+        assert str(classify(m.table, z, margin=1.5, model=m)) == "D"
+        rec = iterate_orbit(m, z, 1)
+        assert rec.points[0] is z and str(rec.regions[0]) == "A(0)"   # D, backfilled
+        assert rec.regions[1] == classify(m.table, target, model=m)
+        assert str(iterate_orbit(m, z, 1, phi_budget=True).regions[0]) in ("D", "A(0)")
+
+
+def test_anchored_enclosure_decides_the_region_exactly():
+    # the enclosure's top w.rho + 2**(mag(u) + 1) is compared exactly, and
+    # classify compares it with D's top less the margin: a margin that leaves
+    # less room than that half-width gives 'boundary', though w itself is D
+    z = inverse_step(M5, _rand_target(Random(4), 1), OriginBranch(5), TOL)
+    unit = Fraction(2) ** (mpc_mag(z.u) + 1)
+    assert z.below(z.zero.rho + unit) and not z.below(z.zero.rho + unit * Fraction(63, 64))
+    wide = AnchoredPoint(5, z.zero, (from_man_exp(1, -3), fzero))    # u = 1/8: half-width 1/2
+    room = float(T5.R_exp(1) - 2 - z.zero.rho)
+    for p in (z, wide):
+        assert str(classify(T5, p)) == "D" and M5.piece_of(p).kind == "origin"
+    assert str(classify(T5, wide, margin=room - 0.75)) == "D"
+    assert str(classify(T5, wide, margin=room - 0.25)) == "boundary"
+    assert str(classify(T5, z, margin=room - 0.25)) == "D"
+    for u in ((from_man_exp(1, -2), fzero), (fzero, fzero)):   # |u| = 1/2 and 0
+        with pytest.raises(DomainError):
+            AnchoredPoint(5, z.zero, u)
+
+
+def test_closed_form_equals_the_absolute_route():
+    # at N = 5 the closed form -r_N w g(u) equals the route it replaces,
+    # lp_perturb(w, u) then ModelMap.eval's lp_add, within 2**-(prec - 8)
+    for prec in (128, 192):
+        m = dataclasses.replace(M5, prec=prec)
+        lim = Fraction(1, 2 ** (prec - 8))
+        for target, i in _origin_cases(Random(prec), 30):
+            z = inverse_step(m, target, OriginBranch(i), TOL)
+            got, _ = m.eval(z)
+            ref, _ = m.eval(lp_perturb(z.zero, z.u, prec))
+            assert abs(got.rho - ref.rho) < lim and got.theta.dist(ref.theta) < lim
+    # the closed form refuses an anchor that is not a zero of the model's q:
+    # another model's zero, or a zero turned by half a turn
+    z = inverse_step(M5, _rand_target(Random(1), 1), OriginBranch(3), TOL)
+    for m, w in ((ModelMap(table=build_params(6, 12)), z.zero), (M5, z.zero.neg())):
+        with pytest.raises(DomainError, match="not a zero"):
+            m.eval(AnchoredPoint(3, w, z.u))
+
+
+def test_origin_step_builds_no_absolute_point(monkeypatch):
+    # neither the step nor its closed-form evaluation forms w (1 + u) as a
+    # LogPolar: no lp_perturb, and no lp_add of the polynomial's two terms
+    import juliadim.dynamics as dyn
+    import juliadim.modelmap as mm
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("absolute route taken")
+    qN_landmarks(M5)   # built once per model, by its own evaluation
+    for mod, name in ((dyn, "lp_perturb"), (mm, "lp_perturb"), (mm, "lp_add")):
+        monkeypatch.setattr(mod, name, refuse)
+    for target, i in _origin_cases(Random(31), 10):
+        got, _ = M5.eval(inverse_step(M5, target, OriginBranch(i), TOL))
+        assert abs(float(got.rho - target.rho)) < TOL
+
+
+def test_anchored_targets_end_in_typed_errors_past_the_budget():
+    # from N = 8 on an anchored target needs its absolute form, which every
+    # branch refuses with ExponentBudgetError naming the step
+    m, target, i = _budget_edge_cases()[0]
+    z = inverse_step(m, target, OriginBranch(i), TOL)
+    for branch in (OriginBranch(0), OriginBranch(i), VkRoot(1), PetalInverse(1, 1)):
+        with pytest.raises(ExponentBudgetError, match=rf"{type(branch).__name__}\(.*lp_perturb"):
+            inverse_step(m, z, branch, TOL)
+    # at N = 7 (|u| about 2**-23195) the chain still runs: an anchored
+    # target is read as lp_perturb(w, u) and inverted again
+    m7 = ModelMap(table=build_params(7, 12))
+    target = _rand_target(Random(7), 1, m7.table)
+    z1 = inverse_step(m7, target, OriginBranch(9), TOL)
+    z2 = inverse_step(m7, z1, OriginBranch(0), TOL)
+    got, _ = m7.eval(z2)
+    ref = z1.absolute(m7.prec)
+    assert abs(float(got.rho - ref.rho)) < TOL and float(got.theta.dist(ref.theta)) < TOL
 
 
 # backward construction ----------------------------------------------------------

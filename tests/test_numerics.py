@@ -232,8 +232,9 @@ def test_lp_add_matches_mpmath_at_1200_bits(prec, guard):
 
 def test_lp_add_gap_past_the_exponent_budget_raises():
     # past the budget the ratio is never converted, at it the sum is still
-    # formed (an N >= 8 OriginBranch step stops at lp_perturb's own check,
-    # test_lp_perturb_past_the_exponent_budget_raises)
+    # formed (a petal step far below its petal's image stops at lp_perturb's
+    # own check, test_lp_perturb_past_the_exponent_budget_raises; an origin
+    # step keeps its offset as an AnchoredPoint and forms neither)
     from juliadim.numerics import ExponentBudgetError, MAX_EXP_BITS
 
     a, guard = LogPolar(0), MAX_EXP_BITS + 64
