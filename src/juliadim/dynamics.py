@@ -18,8 +18,8 @@ Inverse branches come in three kinds:
                                Newton with Horner sums from the inverse
                                series to third order (one step at N >= 5
                                and 128 bits); the point is the
-                               AnchoredPoint (i, u), which one closed-form
-                               evaluation checks, at every N.
+                               AnchoredPoint (i, u), whose residual g(u) -
+                               tau the solve certifies, at every N.
 
 Both the petal series and the origin solve run on libmp pairs at the
 model's prec + 32 bits, rounded to nearest; the petal step hands its
@@ -42,11 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from mpmath.libmp import (fone, from_int, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div, mpc_mul,
-                          mpc_mul_mpf, mpc_shift, mpc_sub, mpf_div, mpf_le, mpf_mul, mpf_shift,
-                          mpf_sub)
+from mpmath.libmp import (fone, from_int, fzero, mpc_add, mpc_add_mpf, mpc_div, mpc_mul,
+                          mpc_mul_mpf, mpc_shift, mpc_sub, mpf_div, mpf_mul, mpf_sub)
 
 from .numerics import (
+    HALF,
     RND,
     DomainError,
     ExponentBudgetError,
@@ -55,13 +55,13 @@ from .numerics import (
     const_log2_frac,
     lp_sub,
     lp_perturb,
-    mpc_mag,
+    mpc_below as _below,
     mpf_to_frac,
     pi_over_ln2_frac,
 )
 from .geometry import LOG2_2_5, LOG2_3_5, Region, classify, petal_radius_rel_log2
 from .modelmap import (SEAM_MARGIN_BITS, AnchoredPoint, ModelMap, PieceId, Point, origin_binomials,
-                       origin_g, qN_landmarks)
+                       origin_g, origin_residual_below, qN_landmarks)
 from .params import CertificateReport, omega_from_rho
 
 ONE = LogPolar(Fraction(0), 0)
@@ -141,8 +141,8 @@ def inverse_step(m: ModelMap, target: Point, branch: InverseBranchSpec,
 
 def _inverse_image(m: ModelMap, target: Point, branch: InverseBranchSpec,
                    tol: float) -> Tuple[Point, Optional[LogPolar]]:
-    """inverse_step's point z and, when the step evaluated it, f(z) at m's
-    precision (else None)."""
+    """inverse_step's point z and, when its Newton polish evaluated it, f(z)
+    at m's precision; None for V and origin steps, which evaluate nothing."""
     if type(target) is AnchoredPoint:
         try:
             target = target.absolute(m.prec)
@@ -228,21 +228,10 @@ def _half_sqrt1p_minus1(q: LogPolar, prec: int) -> Tuple[tuple, tuple]:
     return mpc_shift(h, -1)
 
 
-def _below(x: Tuple[tuple, tuple], y: Tuple[tuple, tuple], bits: int, wp: int) -> bool:
-    """|x| <= 2**-bits |y| for libmp pairs, y nonzero, as the moduli rounded
-    at wp bits decide it.  |x| is within [2**(mpc_mag(x) - 2), 2**mpc_mag(x)],
-    and within 2**-wp of it rounded: only a gap of -3..2 bits needs them."""
-    if not x[0][1] and not x[1][1]:
-        return True
-    gap = mpc_mag(x) - mpc_mag(y) + bits
-    return gap < -3 or gap < 3 and mpf_le(mpc_abs(x, wp, RND),
-                                          mpf_shift(mpc_abs(y, wp, RND), -bits))
-
-
 def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
                       tol: float) -> Tuple[Point, Optional[LogPolar]]:
     """OriginBranch(i), i >= 1, solved in the coordinate of the zero w = w_i:
-    the AnchoredPoint (i, u) and its image, or w itself for target 0.
+    the AnchoredPoint (i, u), or w itself for target 0, and no image.
 
     c_N w**(M-1) = -r_N exactly (M = 2**N), so at z = w (1 + u)
 
@@ -290,17 +279,26 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
     check does not admit, raises BranchError rather than summing a long
     series.
 
-    The point is the AnchoredPoint (i, u): no absolute LogPolar is built,
-    so the step costs the same at every N.  ModelMap.eval takes it in
-    closed form, q(z) = -r_N w g(u), with the same origin_g; that f(z) must
-    land within tol of the target.
+    The point is the AnchoredPoint (i, u) and no image: nothing is built or
+    evaluated after the solve, at any N.  Its exact image -r_N w g(u) is
+    target g(u) / tau, within -log2(1 - eps) of the target in log2 modulus
+    and asin(eps) / (2 pi) < eps / 4 in turns, eps = |g(u) / tau - 1|.  u is
+    kept when res = g~ - tau~ passes |res| <= 2**-b |tau~|
+    (:func:`origin_residual_below`), 2**-b <= min(tol, 1) / 8 and b <= prec
+    + 15; else BranchError.  tau~ is within 2**-(prec + 16) |tau| (read at
+    prec + 32 bits); g~, origin_g at wp bits (the loop's if its res rounded
+    to 0, else one more sum), within 2**-(prec + 24) |g(u)| (its roundings,
+    and a tail under 2**-(wp - 1) of the linear term while u is within |u| /
+    2 of the seed that chose K); rounding res and mpc_below's moduli adds
+    2**-(wp - 4).  So eps <= 2**-b (1 + 2**-78) + 2**-(prec + 15) < 0.251
+    min(tol, 1), and -log2(1 - eps) < 1.67 eps < tol / 2.
     """
     t = m.table
     M = 1 << t.N
     w = qN_landmarks(m).zero(i)
     if target.is_zero:
         return w, None
-    tau = target.div(LogPolar(t.r_exp(t.N) + w.rho, w.theta)).neg()
+    tau = LogPolar(target.rho - t.r_exp(t.N) - w.rho, target.theta.turns - w.theta.turns + HALF)
     e_tau = tau.rho_int()
     if e_tau >= -17:
         raise BranchError(f"origin step needs |tau| < 2**-17 (M|u| <= 2**-16), "
@@ -327,16 +325,14 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
         du = mpc_div(res, mpc_add_mpf(mpc_mul(u, d, wp, RND), m1, wp, RND), wp, RND)
         u = mpc_sub(u, du, wp, RND)
         if _below(du, u, m.prec + 16, wp):
+            res = None      # g(u) - tau is still to be taken at this u
             break
     else:
         raise BranchError(f"origin newton stagnated after {NEWTON_MAX_ITER} steps")
-    z = AnchoredPoint(i, w, u)
-    fz, _ = m.eval(z)
-    dr, dth = _residual(fz, target)
-    if not (dr < tol and dth < tol):
-        raise BranchError(f"origin step missed its target: residual log2-mag {dr:.3g}, "
-                          f"turns {dth:.3g}")
-    return z, fz
+    b = 4 - math.frexp(min(tol, 1.0))[1]
+    if not (tol > 0 and origin_residual_below(u, coef, tau_c, b, m.prec, wp, res)):
+        raise BranchError(f"origin residual not certified below tol {tol:.3g} at {m.prec} bits")
+    return AnchoredPoint(i, w, u), None
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import libmp, mpc, mpf
-from mpmath.libmp import from_int, fzero, mpc_add_mpf, mpc_mul, mpc_shift
+from mpmath.libmp import from_int, fzero, mpc_add_mpf, mpc_mul, mpc_shift, mpc_sub
 
 from .numerics import (
     ADD_GUARD,
@@ -52,6 +52,7 @@ from .numerics import (
     lp_add,
     lp_perturb,
     lp_sub,
+    mpc_below,
     mpc_mag,
     mpf_to_frac,
     pi_over_ln2_frac,
@@ -148,6 +149,18 @@ def origin_g(u: Tuple[tuple, tuple], coef: List[int], wp: int) -> Tuple[tuple, t
     for k in range(K - 1, 1, -1):
         s = mpc_add_mpf(mpc_mul(s, u, wp, RND), from_int(coef[k]), wp, RND)
     return mpc_mul(u, mpc_add_mpf(mpc_mul(u, s, wp, RND), from_int(coef[1] - 1), wp, RND), wp, RND)
+
+
+def origin_residual_below(u: Tuple[tuple, tuple], coef: List[int], tau: Tuple[tuple, tuple],
+                          bits: int, prec: int, wp: int, res=None) -> bool:
+    """|g(u) - tau| <= 2**-bits |tau| as :func:`mpc_below` decides it on res =
+    origin_g(u, coef, wp) - tau at wp bits (taken here unless given), for a
+    tau within 2**-(prec + 16) |tau| of its own: no finer than prec + 15 bits."""
+    if bits > prec + 15:
+        return False
+    if res is None:
+        res = mpc_sub(origin_g(u, coef, wp), tau, wp, RND)
+    return mpc_below(res, tau, bits, wp)
 
 
 @dataclass(frozen=True)

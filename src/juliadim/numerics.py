@@ -43,7 +43,7 @@ from typing import Tuple, Union
 import mpmath
 from mpmath import libmp, mpc, mpf
 from mpmath.libmp import (fone, from_man_exp, fzero, mpc_abs, mpc_add, mpc_div_mpf, mpc_mul,
-                          mpf_add, mpf_div, mpf_ln2, mpf_log, mpf_mul, mpf_pi, mpf_shift)
+                          mpf_add, mpf_div, mpf_le, mpf_ln2, mpf_log, mpf_mul, mpf_pi, mpf_shift)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed, log_taylor_cached
 
 SIG_BITS = 128          # default fractional-log2 working precision (Config.P_sig)
@@ -436,6 +436,17 @@ def mpc_mag(z: Tuple[tuple, tuple]) -> int:
     if not im:
         return re + rb
     return 1 + max(re + rb, ie + ib)
+
+
+def mpc_below(x: Tuple[tuple, tuple], y: Tuple[tuple, tuple], bits: int, wp: int) -> bool:
+    """|x| <= 2**-bits |y| for libmp pairs, y nonzero, as the moduli rounded
+    at wp bits decide it.  |x| is within [2**(mpc_mag(x) - 2), 2**mpc_mag(x)],
+    and within 2**-wp of it rounded: only a gap of -3..2 bits needs them."""
+    if not x[0][1] and not x[1][1]:
+        return True
+    gap = mpc_mag(x) - mpc_mag(y) + bits
+    return gap < -3 or gap < 3 and mpf_le(mpc_abs(x, wp, RND),
+                                          mpf_shift(mpc_abs(y, wp, RND), -bits))
 
 
 def log1p_mpc(u: Tuple[tuple, tuple], prec: int) -> Tuple[tuple, tuple]:

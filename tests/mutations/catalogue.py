@@ -52,6 +52,15 @@ MUTATIONS = (
     Mutation("anchored point admits |u| up to 1/2", "src/juliadim/modelmap.py",
              "mpc_mag(self.u) > -2", "mpc_mag(self.u) > -1",
              (DYN + "test_anchored_enclosure_decides_the_region_exactly",)),
+    # the origin step's residual decision |g(u) - tau| <= 2**-b |tau|, b <= prec + 15
+    Mutation("origin residual never decided", "src/juliadim/dynamics.py",
+             "tol > 0 and origin_residual_below(u, coef, tau_c, b, m.prec, wp, res)", "tol > 0",
+             (DYN + "test_origin_residual_decision_is_sound[128]",
+              DYN + "test_origin_residual_decision_is_sound[400]")),
+    Mutation("tau rounding allowance dropped", "src/juliadim/modelmap.py",
+             "if bits > prec + 15:", "if False:",
+             (DYN + "test_origin_residual_decision_is_sound[128]",
+              DYN + "test_origin_residual_decision_is_sound[400]")),
     # the Cauchy row |p_b - p_a| <= |p_a| (exp(S) - 1), S over indices a + 1..b
     Mutation("Cauchy slice back to [a:b+1]", "src/juliadim/curves.py",
              "self.pair_log_budget[a + 1:b + 1]", "self.pair_log_budget[a:b + 1]",

@@ -463,6 +463,66 @@ def test_trace_and_render_subcommands(tmp_path, monkeypatch, capsys):
     assert 'id="Ak-2"' in svg and 'id="petal-1-1"' in svg
 
 
+def _polyline(svg, gid):
+    pts = re.search(rf'<polyline id="{gid}" points="([^"]*)"', svg).group(1).split()
+    return [tuple(map(float, p.split(","))) for p in pts]
+
+
+def test_render_orbit_draws_the_orbit_in_the_window(tmp_path, monkeypatch, capsys):
+    # V(1) -> A(2) -> B(3): three points, moving right through the levels
+    monkeypatch.chdir(tmp_path)
+    rc = run(["render", "--N", "5", "--kmax", "10", "--what", "orbit",
+              "--point", "751,0.0,0.3", "--nmax", "6", "--khi", "3"])
+    assert rc == 0 and capsys.readouterr().out == "atlas_orbit.svg\n"
+    pts = _polyline(Path("atlas_orbit.svg").read_text(), "orbit-0")
+    xs = [x for x, _ in pts]
+    assert len(pts) == 3 and xs == sorted(set(xs)) and 40 <= xs[0] and xs[-1] <= 860
+
+
+def test_render_trace_draws_both_radii_on_one_grid(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = run(["render", "--N", "5", "--kmax", "10", "--what", "trace",
+              "--k", "1", "--depth", "2", "--khi", "3", "--out", "t.svg"])
+    assert rc == 0 and capsys.readouterr().out == "t.svg\n"
+    svg = Path("t.svg").read_text()
+    inner, outer = _polyline(svg, "trace-inner"), _polyline(svg, "trace-outer")
+    assert len(inner) == len(outer) == 256
+    for (xi, yi), (xo, yo) in zip(inner, outer):
+        assert yi == yo and 40 <= xi <= xo <= 860
+
+
+# commands whose every verdict and exact value must not move when P_sig,
+# guard and P_ang are doubled; only the config block of a report differs
+PRECISION_GATE = {
+    "verify-N5": ["verify", "--N", "5", "--kmax", "12", "--khi", "6"],
+    "verify-N8": ["verify", "--N", "8", "--kmax", "12", "--khi", "2"],
+    "dims": ["dims", "--N", "5", "--kmax", "12", "--t", "0.1"],
+    "trace-identity": ["trace", "--N", "5", "--kmax", "10", "--depth", "2"],
+    "trace-synthetic": ["trace", "--N", "5", "--kmax", "10", "--depth", "2",
+                        "--model", "synthetic"],
+    "backward": ["backward", "--N", "5", "--kmax", "12", "--itinerary", "V(1);P(2,5);V(3)",
+                 "--anchor", ANCHOR],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECISION_GATE))
+def test_doubled_precision_moves_no_verdict_or_value(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("wide.cfg").write_text("P_sig=256\nguard=512\nP_ang=8192\n")
+    runs = []
+    for extra in ([], ["--config", "wide.cfg"]):
+        rc = run(PRECISION_GATE[name] + extra + ["--out", "o"])
+        text = Path("o").read_text()
+        doc = json.loads(text) if text.startswith("{") else {"csv": text}
+        config = doc.pop("config", None)
+        runs.append((rc, capsys.readouterr().out, doc))
+        if config:
+            assert (config["P_sig"], config["guard"], config["P_ang"]) == (
+                (128, 256, 4096) if not extra else (256, 512, 8192))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
 def test_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

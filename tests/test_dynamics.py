@@ -124,7 +124,8 @@ def _origin_cases(rng, n, t=T5):
     return [(_rand_target(rng, 1, t), rng.randrange(1, 1 << t.N)) for _ in range(n)]
 
 
-def test_origin_step_evaluates_once_and_never_differentiates(monkeypatch):
+def test_origin_step_neither_evaluates_nor_differentiates(monkeypatch):
+    # the residual is decided on g(u) - tau in the solve's own coordinate
     qN_landmarks(M5)   # built once per model, by its own evaluation
     calls = {"eval": 0, "deriv": 0}
     for name in calls:
@@ -132,9 +133,31 @@ def test_origin_step_evaluates_once_and_never_differentiates(monkeypatch):
             calls[_name] += 1
             return _real(self, z)
         monkeypatch.setattr(ModelMap, name, counted)
-    for n, (target, i) in enumerate(_origin_cases(Random(5), 10), 1):
+    for target, i in _origin_cases(Random(5), 10):
         inverse_step(M5, target, OriginBranch(i), TOL)
-        assert calls == {"eval": n, "deriv": 0}
+    assert calls == {"eval": 0, "deriv": 0}
+
+
+@pytest.mark.parametrize("prec", [128, 400])
+def test_origin_residual_decision_is_sound(prec):
+    # 60 seeded steps per tol: an accepted step re-evaluates within tol,
+    # 2**-64 is always certified, and a tol at or past 2**-(prec + 20), finer
+    # than tau's rounding at prec + 16 bits allows, never is, though g(u) -
+    # tau often rounds to 0 at prec + 32 bits
+    for N in (5, 6, 8, 10):
+        m = ModelMap(table=build_params(N, 12), prec=prec)
+        for target, i in _origin_cases(Random(f"sound:{N}"), 15, m.table):
+            for tol in (2.0 ** -64, 2.0 ** -100, 2.0 ** -(prec + 8), 2.0 ** -(prec + 20),
+                        2.0 ** -200):
+                try:
+                    z = inverse_step(m, target, OriginBranch(i), tol)
+                except BranchError:
+                    assert tol < 2.0 ** -64, (N, tol)
+                    continue
+                assert tol > 2.0 ** -(prec + 20), (N, tol)
+                got, _ = m.eval(z)
+                assert abs(float(got.rho - target.rho)) < tol, (N, tol)
+                assert float(got.theta.dist(target.theta)) < tol, (N, tol)
 
 
 def test_origin_step_matches_the_absolute_newton_polish():
@@ -304,8 +327,9 @@ def test_origin_step_refuses_tau_past_its_series_bound():
         with pytest.raises(BranchError, match=r"\|tau\| < 2\*\*-17"):
             _origin_zero_step(M5, LogPolar(base + e, Fraction(1, 7)), 1, TOL)
     target = LogPolar(base - Fraction(35, 2), Fraction(1, 7))
-    z, fz = _origin_zero_step(M5, target, 1, TOL)
-    assert fz == M5.eval(z)[0]
+    z, image = _origin_zero_step(M5, target, 1, TOL)
+    fz, _ = M5.eval(z)
+    assert image is None
     assert abs(float(fz.rho - target.rho)) < TOL and float(fz.theta.dist(target.theta)) < TOL
 
 
