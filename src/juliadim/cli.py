@@ -149,7 +149,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_backward(args) -> int:
-    from .dynamics import backward_orbit
+    from .dynamics import backward_construct, itinerary_orbit
 
     cfg = _load_config(args)
     m = cfg.build_model()
@@ -157,7 +157,8 @@ def cmd_backward(args) -> int:
     anchor = parse_point(args.anchor)
     # the construction's own verification: raises ItineraryError at the
     # first step off the itinerary, and the printed orbit is the one checked
-    z, rec = backward_orbit(m, itinerary, anchor, tol=cfg.tol)
+    z = backward_construct(m, itinerary, anchor, tol=cfg.tol, verify=False)
+    rec = itinerary_orbit(m, z, itinerary)
     _emit(args, to_json({
         "point": render_value(z),
         "regions": rec.region_strs()[:len(itinerary)],

@@ -5,26 +5,21 @@ piece of degree d multiplies the angle by d, which amplifies the input's
 angular quantization by log2(d) bits; the iterator budgets this against
 the configured angle resolution and truncates rather than guessing.
 
-Inverse branches come in three kinds:
+Inverse branches come in three kinds, each closed in its own coordinate by
+one residual decision (``modelmap.residual_below``) and no evaluation:
 
 * ``VkRoot(k, branch)``     -- exact root extraction of target / C_k,
-* ``PetalInverse(k, j)``    -- the zero-ring blend is quadratic in z**n_k,
-                               so the petal preimage is closed-form (a
-                               binomial series), then Newton-polished,
-* ``OriginBranch(i)``       -- i = 0: Newton on the origin polynomial q,
-                               seeded at t/r_N; i >= 1: g(u) = tau solved
-                               in the coordinate z = w_i (1 + u) of the
-                               zero w_i, g(u) = (1 + u)**M - 1 - u, by
-                               Newton with Horner sums from the inverse
-                               series to third order (one step at N >= 5
-                               and 128 bits); the point is the
-                               AnchoredPoint (i, u), whose residual g(u) -
-                               tau the solve certifies, at every N.
+* ``PetalInverse(k, j)``    -- the zero-ring blend is quadratic in z**n_k:
+                               z**n_k = Z (1 + s), s (1 + s) = q/4, s by a
+                               binomial series,
+* ``OriginBranch(i)``       -- i = 0: z = tau0 (1 + v), tau0 = t/r_N; i >= 1:
+                               g(u) = (1 + u)**M - 1 - u = tau in the
+                               coordinate z = w_i (1 + u) of the zero w_i,
+                               by Newton from the inverse series to third
+                               order, and the AnchoredPoint (i, u).
 
-Both the petal series and the origin solve run on libmp pairs at the
-model's prec + 32 bits, rounded to nearest; the petal step hands its
-offset to ``lp_perturb`` as such a pair, the origin step keeps it.  No mpc
-object lies between a target and the point that is checked against it.
+The series and solves run on libmp pairs at prec + 32 bits, rounded to
+nearest.
 
 The inclusion certificates take circle extrema of log2 |f| -- exact on
 radial circles and on the petal boundary, sampled elsewhere -- and compare
@@ -43,7 +38,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from mpmath.libmp import (fone, from_int, fzero, mpc_add, mpc_add_mpf, mpc_div, mpc_mul,
-                          mpc_mul_mpf, mpc_shift, mpc_sub, mpf_div, mpf_mul, mpf_sub)
+                          mpc_mul_mpf, mpc_neg, mpc_shift, mpc_sub, mpf_div, mpf_mul, mpf_sub)
 
 from .numerics import (
     HALF,
@@ -53,7 +48,6 @@ from .numerics import (
     LogPolar,
     NumericsError,
     const_log2_frac,
-    lp_sub,
     lp_perturb,
     mpc_below as _below,
     mpf_to_frac,
@@ -61,10 +55,9 @@ from .numerics import (
 )
 from .geometry import LOG2_2_5, LOG2_3_5, Region, classify, petal_radius_rel_log2
 from .modelmap import (SEAM_MARGIN_BITS, AnchoredPoint, ModelMap, PieceId, Point, origin_binomials,
-                       origin_g, origin_residual_below, qN_landmarks)
+                       origin_g, qN_landmarks, residual_below)
 from .params import CertificateReport, omega_from_rho
 
-ONE = LogPolar(Fraction(0), 0)
 NEWTON_MAX_ITER = 64
 
 
@@ -100,49 +93,13 @@ class OriginBranch:
 InverseBranchSpec = Union[VkRoot, PetalInverse, OriginBranch]
 
 
-def _residual(got: LogPolar, target: LogPolar) -> Tuple[float, float]:
-    if got.is_zero or target.is_zero:
-        return math.inf, math.inf
-    return abs(float(got.rho - target.rho)), float(got.theta.dist(target.theta))
-
-
-def _newton_polish(m: ModelMap, z: LogPolar, target: LogPolar,
-                   tol: float) -> Tuple[LogPolar, LogPolar]:
-    """z polished towards f(z) = target, and f(z) from the last residual
-    check, at m's precision."""
-    for _ in range(NEWTON_MAX_ITER):
-        fz, _ = m.eval(z)
-        dr, dth = _residual(fz, target)
-        if dr < tol and dth < tol:
-            return z, fz
-        diff = lp_sub(fz, target, guard=m.guard, prec=m.prec).value
-        if diff.is_zero:
-            return z, fz
-        dz, _ = m.deriv(z)
-        step = diff.div(dz).div(z)  # relative correction
-        if step.rho > -2:  # reject wild steps
-            raise BranchError("newton step out of basin")
-        wide = max(m.guard, 96 - step.rho_int())
-        upd = lp_sub(ONE, step, guard=wide, prec=m.prec).value
-        z = z.mul(upd)
-    dr, dth = _residual(m.eval(z)[0], target)
-    raise BranchError(f"newton stagnated: residual log2-mag {dr:.3g}, turns {dth:.3g}")
-
-
 def inverse_step(m: ModelMap, target: Point, branch: InverseBranchSpec,
                  tol: float = 2.0 ** -64) -> Point:
     """One inverse branch applied to `target`; the result re-evaluates to the
     target within tol both in log2 magnitude and in turns.  OriginBranch(i),
-    i >= 1, returns an AnchoredPoint; an AnchoredPoint target is read as
-    its absolute LogPolar first, which from N = 8 on raises
-    ExponentBudgetError naming the step."""
-    return _inverse_image(m, target, branch, tol)[0]
-
-
-def _inverse_image(m: ModelMap, target: Point, branch: InverseBranchSpec,
-                   tol: float) -> Tuple[Point, Optional[LogPolar]]:
-    """inverse_step's point z and, when its Newton polish evaluated it, f(z)
-    at m's precision; None for V and origin steps, which evaluate nothing."""
+    i >= 1, returns an AnchoredPoint; an AnchoredPoint target is read as its
+    absolute LogPolar first, which from N = 8 on raises ExponentBudgetError
+    naming the step."""
     if type(target) is AnchoredPoint:
         try:
             target = target.absolute(m.prec)
@@ -150,48 +107,141 @@ def _inverse_image(m: ModelMap, target: Point, branch: InverseBranchSpec,
             raise ExponentBudgetError(f"{branch}: anchored target: {e}") from None
     t = m.table
     if isinstance(branch, VkRoot):
-        k = branch.k
-        nk = t.n(k)
+        k, nk = branch.k, t.n(branch.k)
         if not (0 <= branch.branch < nk):
             raise BranchError(f"root branch {branch.branch} out of range")
-        lo, hi = t.R_exp(k + 1) - 2, t.R_exp(k + 1) + 2
-        if not (lo <= target.rho <= hi):
+        if not (t.R_exp(k + 1) - 2 <= target.rho <= t.R_exp(k + 1) + 2):
             raise BranchError(f"V-branch target must lie in the level-{k + 1} annulus")
-        return LogPolar(target.rho - t.C_exp(k), target.theta).root(nk, branch.branch), None
+        return LogPolar(target.rho - t.C_exp(k), target.theta).root(nk, branch.branch)
 
     if isinstance(branch, PetalInverse):
         k, j = branch.k, branch.j
-        nk = t.n(k)
-        if not 1 <= j <= nk:
+        if not 1 <= j <= t.n(k):
             raise BranchError(f"petal index {j} out of range")
         if target.is_zero:
-            return m.ring_zero(k + t.N - 1, j), None
+            return m.ring_zero(k + t.N - 1, j)
         if target.rho > t.R_exp(k + 1) + 2:
             raise BranchError("petal inverse defined for |target| <= 4 R_{k+1}")
-        ring = k + t.N - 1
-        zc = m.zcap(ring)
-        # v = z**n_k solves v(v - Z) = tau, tau = target R_k**n_k / C_k;
-        # the zero-side root is v = Z (1 + h/2), h = sqrt(1 + 4 tau/Z^2) - 1,
-        # and Z**2 > 0 as Z is real and negative
-        q = LogPolar(target.rho + (nk * t.R_exp(k) - t.C_exp(k) + 2) - 2 * zc.rho, target.theta)
-        z = lp_perturb(zc, _half_sqrt1p_minus1(q, m.prec), m.prec).root(nk, j - 1)
-        return _newton_polish(m, z, target, tol)
+        return _petal_step(m, target, k, j, tol)
 
     if isinstance(branch, OriginBranch):
-        N = t.N
-        deg = 1 << N
-        if not 0 <= branch.index < deg:
+        if not 0 <= branch.index < 1 << t.N:
             raise BranchError(f"origin branch {branch.index} out of range")
         if target.rho > t.R_exp(1) + 2:
             raise BranchError("origin inverse defined for |target| <= 4 R_1")
         if branch.index == 0:
-            if target.is_zero:
-                return LogPolar.zero_point(), None
-            z0 = LogPolar(target.rho - t.r_exp(N), target.theta)
-            return _newton_polish(m, z0, target, tol)
+            return _origin_branch0_step(m, target, tol)
         return _origin_zero_step(m, target, branch.index, tol)
 
     raise BranchError(f"unknown branch kind {branch!r}")
+
+
+def _tol_bits(tol: float):
+    """b with 2**-b <= min(tol, 1) / 8, or inf for a tol <= 0 or nan.  A step
+    keeps a point whose exact image is target (1 + delta), |delta| = eps <
+    0.251 min(tol, 1): -log2(1 - eps) < 1.67 eps < tol / 2, eps / 4 turns."""
+    return 4 - math.frexp(min(tol, 1.0))[1] if tol > 0 else math.inf
+
+
+def _newton(u: Tuple[tuple, tuple], residual, slope, prec: int, wp: int):
+    """u by Newton on libmp pairs at wp bits, and its residual: None after a
+    step below 2**-(prec + 16) |u|, or one rounded to 0 (a step of 0)."""
+    for _ in range(NEWTON_MAX_ITER):
+        res = residual(u)
+        if not res[0][1] and not res[1][1]:
+            return u, res
+        du = mpc_div(res, slope(u), wp, RND)
+        u = mpc_sub(u, du, wp, RND)
+        if _below(du, u, prec + 16, wp):
+            return u, None
+    raise BranchError(f"origin newton stagnated after {NEWTON_MAX_ITER} steps")
+
+
+def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> LogPolar:
+    """PetalInverse(k, j) next to zero j of ring i = k + N - 1, whose seam
+    piece is S(z) = K v (v - Z), v = z**n_k, K = C_k / R_k**n_k, Z = zcap(i) <
+    0.  At v = Z (1 + s), S = target s (1 + s) / (q/4), q = 4 target / (K
+    Z**2) exact in log-polar.  The step takes s = h/2, h = sqrt(1 + q~) - 1
+    (:func:`_half_sqrt1p_minus1`, q~ = ``q.to_mpc_scaled(0, prec)``), and z =
+    lp_perturb(Z, s).root(n_k, j - 1), on seam piece i: z**n_k = Z (1 + s'),
+    1 + s' = (1 + s) e**d with d the rounding of log(1 + s).
+
+    z is kept when |s (1 + s) - q~/4| <= 2**-b |q~/4| (:func:`residual_below`)
+    and b <= prec + 15 - a, a = max(5, e - 5, bits(prec) - 15), e the bit
+    length of |floor(log2 |q|)|, else BranchError.  eps = |s' (1 + s') / (q/4)
+    - 1| <= 2**-b (1 + 2**-28) + E, E summing, relative to |q/4|, prec >= 64:
+
+    * |q~ - q| < 2**(e - prec - 22) + 2**-(prec + 13): to_mpc_scaled reads
+      log2 |q| at prec + 24 bits, ln 2 at prec + 26, 2**(.), cos and sin at
+      prec + 16;
+    * |d| (1 + 2**-14) / |s| < 2**(bits(prec) - prec - 32): the domain check
+      admits only |q| <= 2**-30.27 (N = 5, k = 1; less elsewhere) and |q| >=
+      2**-16 is refused, so |s| < 2**-17.9 and lp_perturb sums its series, n
+      <= (prec + 48) / 15 terms at wp = prec + 32 bits, then divides by ln 2
+      and by 2 pi: |d| <= (1.5 n + 5) 2**-wp |s|;
+    * 2**-(wp - 4) for rounding the residual and mpc_below's moduli.
+
+    With x = max(10, e, bits(prec) - 10), E < 3 2**(x - prec - 22) < 2**-(prec
+    + 15 - a) <= 2**-b, and eps < 0.251 min(tol, 1) (:func:`_tol_bits`).
+    """
+    t, nk, zc = m.table, m.table.n(k), m.zcap(k + m.table.N - 1)
+    q = LogPolar(target.rho + (nk * t.R_exp(k) - t.C_exp(k) + 2) - 2 * zc.rho, target.theta)
+    e_q = q.rho_int()
+    if e_q >= -16:
+        raise BranchError(f"petal step needs |q| < 2**-16, got |q| ~ 2**{e_q}")
+    q_c = q.to_mpc_scaled(0, m.prec)
+    s = _half_sqrt1p_minus1(q_c, m.prec)
+    a = max(5, (-e_q).bit_length() - 5, m.prec.bit_length() - 15)
+    if not residual_below(s, mpc_shift(q_c, -2), _tol_bits(tol), m.prec + 15 - a, m.prec + 32):
+        raise BranchError(f"petal residual not certified below tol {tol:.3g} at {m.prec} bits")
+    return lp_perturb(zc, s, m.prec).root(nk, j - 1)
+
+
+def _origin_branch0_step(m: ModelMap, target: LogPolar, tol: float) -> LogPolar:
+    """OriginBranch(0): tau0 = target / r_N or tau0 (1 + v).  q(tau0 (1 + v))
+    = target (1 + F(v)), F(v) = v + sigma (1 + v)**M, sigma = (c_N / r_N)
+    tau0**(M-1) exact in log-polar, and eps = |F(v)| (:func:`_tol_bits`).  As
+    c_N |w|**(M-1) = r_N at the zeros w and |tau0| <= 4, |sigma| = |tau0 /
+    w|**(M-1) < 2**(-53.5 * 31) (|w| as in :func:`_origin_zero_step`).
+
+    * log2 |sigma| <= -(prec + 16), every step at N >= 6 and at N = 5 below
+      1643 bits: tau0, kept when log2 |sigma| <= -b exactly.
+    * Else :func:`_newton` from v = -sigma~ on F = v + sigma (1 + v + g(v)),
+      F' = 1 + sigma (1 + g'(v)), and lp_perturb(tau0, v), kept when |F~(v)|
+      <= 2**-b, b <= prec + 15 (:func:`residual_below`): sigma~ is read as
+      _origin_zero_step reads tau, within 2**-(prec + 16) |sigma|, F~ rounded
+      at wp = prec + 32 bits, and lp_perturb's rounding of log(1 + v) moves F
+      by under prec 2**-wp |v|, so eps <= 2**-b (1 + 2**-(wp - 4)) + 2**-(prec
+      + 16) < 0.251 min(tol, 1).
+
+    Otherwise BranchError.
+    """
+    if target.is_zero:
+        return LogPolar.zero_point()
+    t, M = m.table, 1 << m.table.N
+    tau0 = LogPolar(target.rho - t.r_exp(t.N), target.theta)
+    sigma = LogPolar(t.c_exp(t.N) - t.r_exp(t.N) + (M - 1) * tau0.rho, target.theta.mul_int(M - 1))
+    b = _tol_bits(tol)
+    if sigma.rho <= -(m.prec + 16):
+        if sigma.rho <= -b:
+            return tau0
+        raise BranchError(f"origin branch 0 residual |sigma| ~ 2**{sigma.rho_int()} "
+                          f"not below tol {tol:.3g}")
+    wp, e, one = m.prec + 32, sigma.rho_int(), (fone, fzero)
+    sig = mpc_shift(sigma.to_mpc_scaled(e, m.prec + 16), e)
+    coef = origin_binomials(t.N, sig, wp)
+
+    def f(x, c, y):     # x + sigma (c + y): F(v) = f(v, 1 + v, g(v)), F' = f(1, 1, g'(v))
+        return mpc_add(x, mpc_mul(sig, mpc_add(c, y, wp, RND), wp, RND), wp, RND)
+
+    def residual(v):
+        return f(v, mpc_add_mpf(v, fone, wp, RND), origin_g(v, coef, wp))
+
+    v, res = _newton(mpc_neg(sig), residual, lambda v: f(one, one, origin_g(v, coef, wp, True)),
+                     m.prec, wp)
+    if not residual_below(v, one, b, m.prec + 15, wp, res=res or residual(v)):
+        raise BranchError(f"origin residual not certified below tol {tol:.3g} at {m.prec} bits")
+    return lp_perturb(tau0, v, m.prec)
 
 
 _HALF_MPF = (0, 1, -1, 1)      # 1/2 as a libmp tuple
@@ -200,20 +250,19 @@ _HALF_MPF = (0, 1, -1, 1)      # 1/2 as a libmp tuple
 _BINOM_HALF: dict = {}
 
 
-def _half_sqrt1p_minus1(q: LogPolar, prec: int) -> Tuple[tuple, tuple]:
-    """h / 2 as a libmp pair, h = sqrt(1 + q) - 1 by the binomial series.
+def _half_sqrt1p_minus1(q: Tuple[tuple, tuple], prec: int) -> Tuple[tuple, tuple]:
+    """s = h / 2 as a libmp pair, h = sqrt(1 + q) - 1 by the binomial series,
+    for the pair q the petal step reads by ``to_mpc_scaled(0, prec)``.
 
-    q is read by ``to_mpc_scaled(0, prec)``; every step is rounded to
-    nearest at wp = prec + 32 bits (the coefficients C(1/2, n) once per wp,
-    in ``_BINOM_HALF``), and the sum stops at its first term
-    whose modulus is at most 2**-(prec + 16) of the partial sum's (199
-    terms at most).  A target far below the petal's full image makes q,
-    hence the offset from the ring zero, exponentially small, which libmp
-    exponents and the exact-rational perturbation both carry without
-    underflow.
+    Every step is rounded to nearest at wp = prec + 32 bits (the
+    coefficients C(1/2, n) once per wp, in ``_BINOM_HALF``), and the sum
+    stops at its first term whose modulus is at most 2**-(prec + 16) of the
+    partial sum's (199 terms at most).  A target far below the petal's full
+    image makes q, hence the offset from the ring zero, exponentially small,
+    which libmp exponents and the exact-rational perturbation both carry
+    without underflow.
     """
     wp = prec + 32
-    q = q.to_mpc_scaled(0, prec)
     coefs = _BINOM_HALF.setdefault(wp, [_HALF_MPF])
     powq, h = q, mpc_mul_mpf(q, _HALF_MPF, wp, RND)
     for n in range(1, 200):
@@ -228,76 +277,57 @@ def _half_sqrt1p_minus1(q: LogPolar, prec: int) -> Tuple[tuple, tuple]:
     return mpc_shift(h, -1)
 
 
-def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
-                      tol: float) -> Tuple[Point, Optional[LogPolar]]:
+def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Point:
     """OriginBranch(i), i >= 1, solved in the coordinate of the zero w = w_i:
-    the AnchoredPoint (i, u), or w itself for target 0, and no image.
+    the AnchoredPoint (i, u), or w itself for target 0.  Nothing is built or
+    evaluated after the solve, at any N.
 
-    c_N w**(M-1) = -r_N exactly (M = 2**N), so at z = w (1 + u)
-
-        q(z) = -r_N w g(u),  g(u) = (1 + u)**M - 1 - u,
-
-    and the step solves g(u) = tau = -target / (r_N w), exact in log-polar,
-    by Newton on libmp pairs at wp = prec + 32 bits, rounded to nearest.  It
-    stops at its first step below 2**-(prec + 16) relative to u, or before
-    building g' when g(u) - tau rounds to 0 at wp bits: that step would be
-    0 / g' = 0 and leave u bit for bit as it is (about 2 in 5 seeded N = 5
-    steps at 128 bits).
+    c_N w**(M-1) = -r_N exactly (M = 2**N), so at z = w (1 + u), q(z) = -r_N
+    w g(u), g(u) = (1 + u)**M - 1 - u, and the step solves g(u) = tau =
+    -target / (r_N w), exact in log-polar, by :func:`_newton` at wp = prec +
+    32 bits, with g and g' by :func:`origin_g` to the K that
+    :func:`origin_binomials` takes from the seed.
 
     The seed is the inverse series of g to third order.  With t = tau / (M -
-    1), y = M|t| and P(u) = g(u) / (M - 1) = u + sum_{k>=2} a_k u**k, a_2 =
-    M/2, a_3 = M (M - 2)/6, the seed u0 = t - a_2 t**2 + (2 a_2**2 - a_3) t**3
-    = t - (M/2) t**2 + (M (M + 1)/3) t**3 makes P(u0) - t a power series in
-    t from t**4 on, led by M (M + 2)(2M + 1)/8 t**4.  Its coefficients are
-    at most those of Ph(Uh(|t|)): a_k <= C(M, k) / (M - 1) <= M**(k-1), so
-    Ph(u) = u + M u**2 / (1 - M u), and Uh(s) = s phi(y), phi = 1 + y/2 + (M
-    + 1) y**2 / (3M).  That tail is |t| times the y**(>=3) part of y phi**2 /
-    (1 - y phi), whose y**3 coefficient is 11/4 + 2 (M + 1) / (3M): under 4
-    y**3 for y <= 2**-50.  So |g(u0) - tau| <= 4 y**3 |tau|; with |g'(u0)| >=
-    (M - 1)(1 - 3y) and |u1| >= |t| (1 - 2y), the first step is |du| <= 4
-    y**3 (1 + 6y) |u1|, and rounding at wp bits adds under 2**-(prec + 29)
-    |u1|.  At N = 5, y <= 2**-55.2 (below): |du| < 2**-163.7 |u1| (the
-    leading term alone gives 2**-167.6), so the solve ends at its first step
-    for prec <= 147, and from N = 6 on (y <= 2**-761.4) for prec <= 2260.
-    That step leaves an error of order y (4 y**3)**2 |t|, below the rounding.
-
-    g and g' = M (1 + u)**(M-1) - 1 are the binomial sums (M - 1) u +
-    sum_{2<=k<=K} C(M, k) u**k (:func:`origin_g`) and M - 1 + sum k C(M, k)
-    u**(k-1), by Horner, with the K that :func:`origin_binomials` takes
-    from the seed.
+    1), y = M|t| and P(u) = g(u) / (M - 1) = u + sum_{k>=2} a_k u**k, the seed
+    u0 = t - a_2 t**2 + (2 a_2**2 - a_3) t**3 = t - (M/2) t**2 + (M (M + 1)/3)
+    t**3 makes P(u0) - t a power series from t**4 on, led by M (M + 2)(2M +
+    1)/8 t**4, with coefficients at most those of Ph(Uh(|t|)): a_k <= C(M, k)
+    / (M - 1) <= M**(k-1), so Ph(u) = u + M u**2 / (1 - M u), and Uh(s) = s
+    phi(y), phi = 1 + y/2 + (M + 1) y**2 / (3M).  That tail is |t| times the
+    y**(>=3) part of y phi**2 / (1 - y phi), under 4 y**3 for y <= 2**-50.  So
+    |g(u0) - tau| <= 4 y**3 |tau|; with |g'(u0)| >= (M - 1)(1 - 3y) and |u1|
+    >= |t| (1 - 2y) the first step is |du| <= 4 y**3 (1 + 6y) |u1|, plus
+    2**-(prec + 29) |u1| from rounding.  At N = 5, y <= 2**-55.2 (below) and
+    |du| < 2**-163.7 |u1|: the solve ends at its first step for prec <= 147,
+    and from N = 6 on (y <= 2**-761.4) for prec <= 2260, leaving an error of
+    order y (4 y**3)**2 |t|, below the rounding.
 
     The domain check |target| <= 4 R_1 = 4 r_N admits only M|u| <= 2**-53:
-    |w| = 2**zero_rho with zero_rho = (e_N - eps_N) / (M - 1) (qN_landmarks),
-    and e_N - eps_N = M_{N-1} (2 e_{N-1} - 1) by the recurrence of
-    ``params``, so zero_rho > e_{N-1} - 1/2 >= e_4 - 1/2 = 55.5 at N >= 5
-    and |tau| = |target| / (r_N |w|) <= 2**(2 - zero_rho) < 2**-53.5.  Any
-    tau with |tau| < 2**-17 has a root with M|u| <= 2**-16: on that disk
-    |g(u) / ((M - 1) u) - 1| <= M|u| <= 2**-16, so u = tau / ((M - 1) (1 +
-    O(2**-16))) and M|u| <= (32/31) |tau| (1 + 2**-15) < 2 |tau|.  So M|u|
-    is 2**-55.2 at most at N = 5 and 2**-761.4 at N = 6, from zero_rho =
-    57.3 and 763.4.  A tau of modulus 2**-17 or more, which the domain
-    check does not admit, raises BranchError rather than summing a long
-    series.
+    |w| = 2**zero_rho, zero_rho = (e_N - eps_N) / (M - 1) = M_{N-1} (2 e_{N-1}
+    - 1) / (M - 1) > e_{N-1} - 1/2 >= 55.5 at N >= 5 (qN_landmarks and the
+    recurrence of ``params``), so |tau| <= 2**(2 - zero_rho) < 2**-53.5.  A
+    tau with |tau| < 2**-17 has a root with M|u| <= 2**-16, where |g(u) / ((M
+    - 1) u) - 1| <= M|u|, so M|u| <= (32/31) |tau| (1 + 2**-15) < 2 |tau|:
+    2**-55.2 at most at N = 5 and 2**-761.4 at N = 6 (zero_rho = 57.3 and
+    763.4).  |tau| >= 2**-17, which the domain does not admit, raises
+    BranchError rather than summing a long series.
 
-    The point is the AnchoredPoint (i, u) and no image: nothing is built or
-    evaluated after the solve, at any N.  Its exact image -r_N w g(u) is
-    target g(u) / tau, within -log2(1 - eps) of the target in log2 modulus
-    and asin(eps) / (2 pi) < eps / 4 in turns, eps = |g(u) / tau - 1|.  u is
-    kept when res = g~ - tau~ passes |res| <= 2**-b |tau~|
-    (:func:`origin_residual_below`), 2**-b <= min(tol, 1) / 8 and b <= prec
-    + 15; else BranchError.  tau~ is within 2**-(prec + 16) |tau| (read at
-    prec + 32 bits); g~, origin_g at wp bits (the loop's if its res rounded
-    to 0, else one more sum), within 2**-(prec + 24) |g(u)| (its roundings,
-    and a tail under 2**-(wp - 1) of the linear term while u is within |u| /
-    2 of the seed that chose K); rounding res and mpc_below's moduli adds
-    2**-(wp - 4).  So eps <= 2**-b (1 + 2**-78) + 2**-(prec + 15) < 0.251
-    min(tol, 1), and -log2(1 - eps) < 1.67 eps < tol / 2.
+    The exact image -r_N w g(u) is target g(u) / tau, eps = |g(u) / tau - 1|
+    (:func:`_tol_bits`).  u is kept when |g~ - tau~| <= 2**-b |tau~|
+    (:func:`residual_below`, b <= prec + 15), else BranchError.  tau~ is
+    within 2**-(prec + 16) |tau| (read at prec + 32 bits); g~, origin_g at wp
+    bits (the loop's if its residual rounded to 0, else one more sum), within
+    2**-(prec + 24) |g(u)| (its roundings, and a tail under 2**-(wp - 1) of
+    the linear term while u is within |u| / 2 of the seed that chose K);
+    rounding the residual and mpc_below's moduli adds 2**-(wp - 4).  So eps
+    <= 2**-b (1 + 2**-78) + 2**-(prec + 15) < 0.251 min(tol, 1).
     """
     t = m.table
     M = 1 << t.N
     w = qN_landmarks(m).zero(i)
     if target.is_zero:
-        return w, None
+        return w
     tau = LogPolar(target.rho - t.r_exp(t.N) - w.rho, target.theta.turns - w.theta.turns + HALF)
     e_tau = tau.rho_int()
     if e_tau >= -17:
@@ -306,33 +336,17 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int,
     wp = m.prec + 32
     # tau as a pair whose exponent may lie past any float's range
     tau_c = mpc_shift(tau.to_mpc_scaled(e_tau, m.prec + 16), e_tau)
-    m1 = from_int(M - 1)
-    tt = (mpf_div(tau_c[0], m1, wp, RND), mpf_div(tau_c[1], m1, wp, RND))
+    tt = tuple(mpf_div(x, from_int(M - 1), wp, RND) for x in tau_c)
     # the reverted series to third order: u = t (1 + t (-M/2 + t M (M + 1)/3))
     c3 = mpf_div(from_int(M * (M + 1)), from_int(3), wp, RND)
     u = mpc_add_mpf(mpc_mul_mpf(tt, c3, wp, RND), from_int(-M // 2), wp, RND)
     u = mpc_mul(tt, mpc_add_mpf(mpc_mul(u, tt, wp, RND), fone, wp, RND), wp, RND)
     coef = origin_binomials(t.N, u, wp)
-    K = len(coef) - 1
-    for _ in range(NEWTON_MAX_ITER):
-        res = mpc_sub(origin_g(u, coef, wp), tau_c, wp, RND)
-        if not res[0][1] and not res[1][1]:
-            break       # du would be 0 and leave u as it is
-        # d = sum k C(M,k) u**(k-2) over 2 <= k <= K
-        d = from_int(K * coef[K]), fzero
-        for k in range(K - 1, 1, -1):
-            d = mpc_add_mpf(mpc_mul(d, u, wp, RND), from_int(k * coef[k]), wp, RND)
-        du = mpc_div(res, mpc_add_mpf(mpc_mul(u, d, wp, RND), m1, wp, RND), wp, RND)
-        u = mpc_sub(u, du, wp, RND)
-        if _below(du, u, m.prec + 16, wp):
-            res = None      # g(u) - tau is still to be taken at this u
-            break
-    else:
-        raise BranchError(f"origin newton stagnated after {NEWTON_MAX_ITER} steps")
-    b = 4 - math.frexp(min(tol, 1.0))[1]
-    if not (tol > 0 and origin_residual_below(u, coef, tau_c, b, m.prec, wp, res)):
+    u, res = _newton(u, lambda u: mpc_sub(origin_g(u, coef, wp), tau_c, wp, RND),
+                     lambda u: origin_g(u, coef, wp, slope=True), m.prec, wp)
+    if not residual_below(u, tau_c, _tol_bits(tol), m.prec + 15, wp, coef, res):
         raise BranchError(f"origin residual not certified below tol {tol:.3g} at {m.prec} bits")
-    return AnchoredPoint(i, w, u), None
+    return AnchoredPoint(i, w, u)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +404,7 @@ def _at_precision(m: ModelMap, bits: int) -> ModelMap:
 
 
 def iterate_orbit(m: ModelMap, z: Point, nmax: int, phi_budget: bool = False,
-                  schedule: Sequence[int] = (),
-                  image: Optional[LogPolar] = None) -> OrbitRecord:
+                  schedule: Sequence[int] = ()) -> OrbitRecord:
     """Forward orbit with region bookkeeping.
 
     Stops early on entering an escape gap (FatouEscape) or when the angular
@@ -404,9 +417,7 @@ def iterate_orbit(m: ModelMap, z: Point, nmax: int, phi_budget: bool = False,
 
     schedule[n], where given, raises the working precision and guard of
     step n (classifying the n-th point and evaluating it) to that many
-    bits; later steps run at m's own.  `image`, where given, is f(z) as
-    step 0 would evaluate it (at schedule[0] bits, if any), and stands in
-    for that evaluation.
+    bits; later steps run at m's own.
 
     An AnchoredPoint start is classified from its enclosure (geometry.classify),
     and step 0 evaluates it in closed form; its distortion margin is taken at
@@ -449,7 +460,7 @@ def iterate_orbit(m: ModelMap, z: Point, nmax: int, phi_budget: bool = False,
             truncated = f"angular budget: needs {bits_used + cost + 64} bits"
             break
         bits_used += cost
-        points.append(image if n == 0 and image is not None else mn.eval(zn)[0])
+        points.append(mn.eval(zn)[0])
     regions = _backfill_negative_indices(regions)
     orbit_seq: List[Optional[int]] = [
         r.k if r.kind in ("A", "V", "P") else None for r in regions
@@ -714,8 +725,7 @@ def itinerary_precision(m: ModelMap, entries) -> List[int]:
     return need[::-1]
 
 
-def itinerary_orbit(m: ModelMap, z: LogPolar, itinerary: Sequence[str],
-                    image: Optional[LogPolar] = None) -> OrbitRecord:
+def itinerary_orbit(m: ModelMap, z: LogPolar, itinerary: Sequence[str]) -> OrbitRecord:
     """The forward orbit of z over one step per itinerary entry, checked
     against the entries' tags; the first step whose region differs raises
     ItineraryError naming it.
@@ -723,14 +733,12 @@ def itinerary_orbit(m: ModelMap, z: LogPolar, itinerary: Sequence[str],
     This is how backward_construct re-verifies its point: step s runs at
     need[s] bits of :func:`itinerary_precision` (or m's own, if higher), and
     the angle budget, which the whole orbit spends, is raised to
-    need[0] + 64.  `image`, where given, is f(z) at need[0] bits; step 0
-    takes it instead of evaluating z again (:func:`backward_orbit` passes
-    the construction's own)."""
+    need[0] + 64.  Step 0 is the only evaluation at need[0] bits."""
     entries = _normalize_itinerary(itinerary)
     need = itinerary_precision(m, entries)
     if need[0] + 64 > m.ang_bits:
         m = dataclasses.replace(m, ang_bits=need[0] + 64)
-    rec = iterate_orbit(m, z, nmax=len(entries), schedule=need, image=image)
+    rec = iterate_orbit(m, z, nmax=len(entries), schedule=need)
     for i, ((want, _), have) in enumerate(zip(entries, rec.regions)):
         ok = want.kind == have.kind and want.k == have.k and (
             want.kind != "P" or want.j is None or want.j == have.j)
@@ -755,30 +763,11 @@ def backward_construct(m: ModelMap, itinerary: Sequence[str],
     must fit the budget.  With verify=True the point's forward orbit is then
     checked by :func:`itinerary_orbit`, where step s runs at need[s] bits:
     only the first steps of a backwards itinerary need the full figure.
-    When the first entry is a petal, step 0 reuses the f(z_0) of its Newton
-    polish (:func:`backward_orbit`), so the verification evaluates nothing
-    at need[0] bits.
+    The construction evaluates no point: each inverse step decides its own
+    residual, so the verification's step 0 is the one evaluation at need[0]
+    bits.
     """
-    if verify:
-        return backward_orbit(m, itinerary, anchor, tol, budget_bits)[0]
-    return _construct(m, _normalize_itinerary(itinerary), anchor, tol, budget_bits)[0]
-
-
-def backward_orbit(m: ModelMap, itinerary: Sequence[str], anchor: LogPolar,
-                   tol: float = 2.0 ** -64,
-                   budget_bits: Optional[int] = None) -> Tuple[LogPolar, OrbitRecord]:
-    """The point of :func:`backward_construct` and the forward orbit that
-    verified it.  ModelMap.eval does not read the angle budget, so the
-    Newton polish's last f(z_0), at need[0] bits, is bit-equal to what step
-    0 of the verification would evaluate; that step takes it instead."""
-    z, image = _construct(m, _normalize_itinerary(itinerary), anchor, tol, budget_bits)
-    return z, itinerary_orbit(m, z, itinerary, image)
-
-
-def _construct(m: ModelMap, entries, anchor: LogPolar, tol: float,
-               budget_bits: Optional[int]) -> Tuple[LogPolar, Optional[LogPolar]]:
-    """The point z_0 of backward_construct and, when the first entry is a
-    petal, f(z_0) from its Newton polish at need[0] bits (else None)."""
+    entries = _normalize_itinerary(itinerary)
     if not entries:
         raise ItineraryError("empty itinerary")
     for i, (reg, _) in enumerate(entries):
@@ -809,12 +798,15 @@ def _construct(m: ModelMap, entries, anchor: LogPolar, tol: float,
         if cur.kind == "V" and ln != lc + 1:
             raise ItineraryError(
                 f"entry {i}: a V step moves up exactly one level ({cur} -> {nxt})")
-    z, image = anchor, None
+    z = anchor
     for i in range(len(entries) - 1, -1, -1):
         reg, br = entries[i]
         spec = VkRoot(reg.k, br or 0) if reg.kind == "V" else PetalInverse(reg.k, reg.j)
         try:
-            z, image = _inverse_image(hi, z, spec, tol)
+            z = inverse_step(hi, z, spec, tol)
         except NumericsError as e:
             raise type(e)(f"entry {i}: {reg}: {e}") from None
-    return z, image
+    if verify:
+        itinerary_orbit(m, z, itinerary)
+    return z
+

@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import libmp, mpc, mpf
-from mpmath.libmp import from_int, fzero, mpc_add_mpf, mpc_mul, mpc_shift, mpc_sub
+from mpmath.libmp import fone, from_int, fzero, mpc_add_mpf, mpc_mul, mpc_shift, mpc_sub
 
 from .numerics import (
     ADD_GUARD,
@@ -140,26 +140,32 @@ def origin_binomials(N: int, u: Tuple[tuple, tuple], wp: int) -> List[int]:
     return [math.comb(M, k) for k in range(K + 1)]
 
 
-def origin_g(u: Tuple[tuple, tuple], coef: List[int], wp: int) -> Tuple[tuple, tuple]:
-    """g(u) = u (M - 1 + u s), s = sum_{2<=k<=K} C(M, k) u**(k-2), coef =
-    :func:`origin_binomials`, by Horner on libmp pairs rounded to nearest at
-    wp bits."""
+def origin_g(u: Tuple[tuple, tuple], coef: List[int], wp: int,
+             slope: bool = False) -> Tuple[tuple, tuple]:
+    """g(u) = u (M - 1 + u s), s = sum_{2<=k<=K} C(M, k) u**(k-2), or g'(u) = M
+    - 1 + u s', s' = sum k C(M, k) u**(k-2) with slope, coef =
+    :func:`origin_binomials`, by Horner on libmp pairs at wp bits."""
     K = len(coef) - 1
-    s = from_int(coef[K]), fzero
+    c = [k * x for k, x in enumerate(coef)] if slope else coef
+    s = from_int(c[K]), fzero
     for k in range(K - 1, 1, -1):
-        s = mpc_add_mpf(mpc_mul(s, u, wp, RND), from_int(coef[k]), wp, RND)
-    return mpc_mul(u, mpc_add_mpf(mpc_mul(u, s, wp, RND), from_int(coef[1] - 1), wp, RND), wp, RND)
+        s = mpc_add_mpf(mpc_mul(s, u, wp, RND), from_int(c[k]), wp, RND)
+    s = mpc_add_mpf(mpc_mul(u, s, wp, RND), from_int(coef[1] - 1), wp, RND)
+    return s if slope else mpc_mul(u, s, wp, RND)
 
 
-def origin_residual_below(u: Tuple[tuple, tuple], coef: List[int], tau: Tuple[tuple, tuple],
-                          bits: int, prec: int, wp: int, res=None) -> bool:
-    """|g(u) - tau| <= 2**-bits |tau| as :func:`mpc_below` decides it on res =
-    origin_g(u, coef, wp) - tau at wp bits (taken here unless given), for a
-    tau within 2**-(prec + 16) |tau| of its own: no finer than prec + 15 bits."""
-    if bits > prec + 15:
+def residual_below(u: Tuple[tuple, tuple], tau: Tuple[tuple, tuple], bits, exact: int, wp: int,
+                   coef: Optional[List[int]] = None, res=None) -> bool:
+    """|n(u) - tau| <= 2**-bits |tau| for the normal form n of w (1 + u) at a
+    zero: g (:func:`origin_g`) at the origin's, u (1 + u) at a ring's (coef
+    None), by :func:`mpc_below` on res = n(u) - tau at wp bits (taken here
+    unless given).  Refused past `exact` bits, the caller's proven accuracy of
+    its tau and point, where a decision could accept on rounding alone."""
+    if bits > exact:
         return False
     if res is None:
-        res = mpc_sub(origin_g(u, coef, wp), tau, wp, RND)
+        n = origin_g(u, coef, wp) if coef else mpc_mul(u, mpc_add_mpf(u, fone, wp, RND), wp, RND)
+        res = mpc_sub(n, tau, wp, RND)
     return mpc_below(res, tau, bits, wp)
 
 

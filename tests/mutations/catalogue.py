@@ -54,13 +54,38 @@ MUTATIONS = (
              (DYN + "test_anchored_enclosure_decides_the_region_exactly",)),
     # the origin step's residual decision |g(u) - tau| <= 2**-b |tau|, b <= prec + 15
     Mutation("origin residual never decided", "src/juliadim/dynamics.py",
-             "tol > 0 and origin_residual_below(u, coef, tau_c, b, m.prec, wp, res)", "tol > 0",
+             "if not residual_below(u, tau_c, _tol_bits(tol), m.prec + 15, wp, coef, res):",
+             "if False:",
              (DYN + "test_origin_residual_decision_is_sound[128]",
               DYN + "test_origin_residual_decision_is_sound[400]")),
-    Mutation("tau rounding allowance dropped", "src/juliadim/modelmap.py",
-             "if bits > prec + 15:", "if False:",
+    Mutation("tau rounding allowance dropped", "src/juliadim/dynamics.py",
+             "m.prec + 15, wp, coef, res)", "10 ** 9, wp, coef, res)",
              (DYN + "test_origin_residual_decision_is_sound[128]",
               DYN + "test_origin_residual_decision_is_sound[400]")),
+    # the petal step's |s (1 + s) - q/4| <= 2**-b |q/4|, b <= prec + 15 - a
+    Mutation("petal residual never decided", "src/juliadim/dynamics.py",
+             "if not residual_below(s, mpc_shift(q_c, -2), _tol_bits(tol), m.prec + 15 - a, m.prec + 32):",
+             "if False:",
+             (DYN + "test_petal_residual_decision_is_sound[128]",
+              DYN + "test_petal_residual_decision_is_sound[400]")),
+    # a covers the reading of q and lp_perturb's rounding of log(1 + s)
+    Mutation("petal lp_perturb allowance dropped", "src/juliadim/dynamics.py",
+             "m.prec + 15 - a, m.prec + 32)", "m.prec + 15, m.prec + 32)",
+             (DYN + "test_petal_residual_decision_is_sound[128]",
+              DYN + "test_petal_residual_decision_is_sound[400]")),
+    Mutation("branch 0 keeps tau0 without deciding sigma", "src/juliadim/dynamics.py",
+             "        if sigma.rho <= -b:\n            return tau0\n", "        return tau0\n",
+             (DYN + "test_origin_branch_0_round_trips[5]",
+              DYN + "test_origin_branch_0_round_trips[8]",
+              DYN + "test_origin_branch_0_round_trips[10]")),
+    # a proven margin of the precision-doubling gate: petal_membership's
+    # escalation band |rho_p - rad_rel| <= 2 E
+    Mutation("petal_membership escalation band halved", "src/juliadim/geometry.py",
+             "if abs(delta.rho - rad_rel) <= 2 * err:", "if abs(delta.rho - rad_rel) <= err:",
+             ("tests/test_cli.py::test_doubled_precision_moves_no_verdict_or_value[verify-N5]",
+              "tests/test_cli.py::test_doubled_precision_moves_no_verdict_or_value[verify-N8]",
+              "tests/test_cli.py::test_doubled_precision_moves_no_verdict_or_value[backward]",
+              "tests/test_geometry.py::test_petal_membership_escalates_only_in_its_tie_band")),
     # the Cauchy row |p_b - p_a| <= |p_a| (exp(S) - 1), S over indices a + 1..b
     Mutation("Cauchy slice back to [a:b+1]", "src/juliadim/curves.py",
              "self.pair_log_budget[a + 1:b + 1]", "self.pair_log_budget[a:b + 1]",

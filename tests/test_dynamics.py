@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import time
 from fractions import Fraction
 from random import Random
@@ -14,7 +15,6 @@ from juliadim.dynamics import (
     OriginBranch,
     PetalInverse,
     VkRoot,
-    _newton_polish,
     _normalize_itinerary,
     backward_construct,
     check_singular_values,
@@ -28,12 +28,32 @@ from juliadim.config import Config
 from juliadim.geometry import classify
 from juliadim.modelmap import AnchoredPoint, ModelMap, qN_landmarks
 from juliadim.numerics import (DomainError, ExponentBudgetError, LogPolar, const_log2_frac, lp_add,
-                               lp_perturb, mpc_mag)
+                               lp_perturb, lp_sub, mpc_mag)
 from juliadim.params import build_params
 
 M5 = ModelMap(table=build_params(5, 25))
 T5 = M5.table
 TOL = 2.0 ** -64
+
+
+def _newton_polish(m, z, target, tol):
+    """The absolute route the inverse steps no longer take: z polished
+    towards f(z) = target by Newton on f with m.deriv, returned with f(z) at
+    its first residual below tol in log2 magnitude and in turns."""
+    one = LogPolar(Fraction(0), 0)
+    for _ in range(64):
+        fz, _ = m.eval(z)
+        if abs(float(fz.rho - target.rho)) < tol and float(fz.theta.dist(target.theta)) < tol:
+            return z, fz
+        diff = lp_sub(fz, target, guard=m.guard, prec=m.prec).value
+        if diff.is_zero:
+            return z, fz
+        dz, _ = m.deriv(z)
+        step = diff.div(dz).div(z)  # relative correction
+        assert step.rho <= -2, "newton step out of basin"
+        upd = lp_sub(one, step, guard=max(m.guard, 96 - step.rho_int()), prec=m.prec).value
+        z = z.mul(upd)
+    raise AssertionError("newton stagnated")
 
 
 # orbits ----------------------------------------------------------------------
@@ -174,6 +194,129 @@ def test_origin_step_matches_the_absolute_newton_polish():
         ref, _ = _newton_polish(M5, seed, target, TOL)
         assert abs(z.rho - ref.rho) < lim and z.theta.dist(ref.theta) < lim
     assert inverse_step(M5, LogPolar.zero_point(), OriginBranch(3), TOL) == lm.zero(3)
+
+
+# petal branches and origin branch 0 in their own coordinates ---------------------
+
+def _petal_cases(rng, n, t=T5):
+    out = []
+    for _ in range(n):
+        k = rng.randrange(1, 4)
+        out.append((_rand_target(rng, k + 1, t), PetalInverse(k, rng.randrange(1, t.n(k) + 1))))
+    return out
+
+
+def _petal_reference(m, target, spec):
+    # the closed form as it stood before the step decided its own residual:
+    # s from the binomial series, z = lp_perturb(Z, s).root(n_k, j - 1), then
+    # the Newton polish on f
+    from juliadim.dynamics import _half_sqrt1p_minus1
+
+    t, k = m.table, spec.k
+    nk, zc = t.n(k), m.zcap(k + t.N - 1)
+    q = LogPolar(target.rho + (nk * t.R_exp(k) - t.C_exp(k) + 2) - 2 * zc.rho, target.theta)
+    s = _half_sqrt1p_minus1(q.to_mpc_scaled(0, m.prec), m.prec)
+    return _newton_polish(m, lp_perturb(zc, s, m.prec).root(nk, spec.j - 1), target, TOL)[0]
+
+
+def test_petal_step_point_is_unchanged():
+    for N in (5, 6, 8):
+        for prec in (128, 400):
+            m = ModelMap(table=build_params(N, 12), prec=prec)
+            for target, spec in _petal_cases(Random(f"petal-ref:{N}:{prec}"), 8, m.table):
+                z, ref = inverse_step(m, target, spec, TOL), _petal_reference(m, target, spec)
+                assert (z.rho, z.theta.turns) == (ref.rho, ref.theta.turns), (N, prec, spec)
+
+
+def test_petal_and_branch_0_steps_neither_evaluate_nor_differentiate(monkeypatch):
+    calls = {"eval": 0, "deriv": 0}
+    for name in calls:
+        def counted(self, z, _real=getattr(ModelMap, name), _name=name):
+            calls[_name] += 1
+            return _real(self, z)
+        monkeypatch.setattr(ModelMap, name, counted)
+    m2048 = dataclasses.replace(M5, prec=2048, guard=2048)   # branch 0's Newton solve
+    for target, spec in _petal_cases(Random(6), 10):
+        inverse_step(M5, target, spec, TOL)
+    for m in (M5, m2048):
+        for target, _ in _origin_cases(Random(7), 4):
+            inverse_step(m, target, OriginBranch(0), TOL)
+    assert calls == {"eval": 0, "deriv": 0}
+
+
+@pytest.mark.parametrize("prec", [128, 400])
+def test_petal_residual_decision_is_sound(prec):
+    # 36 seeded steps per tol at N = 5, 6, 8: an accepted step re-evaluates
+    # within tol, at its precision and at 4 times it.  2**-64 and 2**-100
+    # are always certified.  At these N the allowance for reading q at
+    # prec + 16 bits is a = 5 or 6 (the _petal_step docstring), so b <= prec
+    # + 10: a tol of 2**-(prec + 8) (b = prec + 12) or finer is never
+    # certified, though s (1 + s) - q/4 rounds far below it
+    for N in (5, 6, 8):
+        m = ModelMap(table=build_params(N, 12), prec=prec)
+        hi = dataclasses.replace(m, prec=4 * prec, guard=4 * prec)
+        for target, spec in _petal_cases(Random(f"petal-sound:{N}"), 12, m.table):
+            for tol in (2.0 ** -64, 2.0 ** -100, 2.0 ** -(prec + 8), 2.0 ** -(prec + 20)):
+                try:
+                    z = inverse_step(m, target, spec, tol)
+                except BranchError:
+                    assert tol < 2.0 ** -100, (N, spec, tol)
+                    continue
+                assert tol >= 2.0 ** -100, (N, spec, tol)
+                for mm in (m, hi):
+                    got, piece = mm.eval(z)
+                    assert piece.kind == "seam"
+                    assert abs(float(got.rho - target.rho)) < tol, (N, spec, tol)
+                    assert float(got.theta.dist(target.theta)) < tol, (N, spec, tol)
+
+
+def test_petal_step_refuses_q_past_its_series_bound():
+    # |q| >= 2**-16, past which lp_perturb would leave its series branch, is
+    # refused; the domain check |target| <= 4 R_{k+1} admits only |q| <=
+    # 2**-30.27 (N = 5, k = 1), and the step still holds at |q| ~ 2**-17.27
+    from juliadim.dynamics import _petal_step
+
+    top = T5.R_exp(2) + 2
+    for e in (15, 20):
+        with pytest.raises(BranchError, match=r"\|q\| < 2\*\*-16"):
+            _petal_step(M5, LogPolar(top + e, Fraction(1, 7)), 1, 3, TOL)
+    target = LogPolar(top + 13, Fraction(1, 7))
+    got, _ = M5.eval(_petal_step(M5, target, 1, 3, TOL))
+    assert abs(float(got.rho - target.rho)) < TOL and float(got.theta.dist(target.theta)) < TOL
+
+
+@pytest.mark.parametrize("N", [5, 8, 10])
+def test_origin_branch_0_round_trips(N):
+    # z = tau0 = target / r_N wherever |sigma| <= 2**-(prec + 16): every
+    # step here at 128 bits.  At N = 5 and 2048 bits, |sigma| ~ 2**-1700 is
+    # above that and the Newton solve runs; its point re-evaluates at 8192
+    # bits, with the power term of q kept, within 2**-2000, where tau0's
+    # residual is |sigma|.  The N = 5 targets include the 50 of
+    # test_origin_step_matches_the_absolute_newton_polish, where the polish
+    # took its only Newton steps in the tests.  A tol <= 0 or nan is refused
+    m = M5 if N == 5 else ModelMap(table=build_params(N, 12))
+    targets = [target for target, _ in _origin_cases(Random(f"branch0:{N}"), 12, m.table)]
+    models = [m]
+    if N == 5:
+        targets += [target for target, _ in _origin_cases(Random(17), 50)]
+        models.append(dataclasses.replace(m, prec=2048, guard=2048))
+    for mm in models:
+        hi = dataclasses.replace(mm, prec=4 * mm.prec, guard=4096)
+        for target in targets:
+            z = inverse_step(mm, target, OriginBranch(0), TOL)
+            tau0 = LogPolar(target.rho - m.table.r_exp(N), target.theta)
+            assert (z == tau0) == (mm.prec == 128)
+            for e in (mm, hi):
+                got, piece = e.eval(z)
+                assert piece.kind == "origin"
+                assert abs(float(got.rho - target.rho)) < TOL
+                assert float(got.theta.dist(target.theta)) < TOL
+            if mm.prec == 2048:
+                assert abs(got.rho - target.rho) < Fraction(1, 1 << 2000)
+                assert got.theta.dist(target.theta) < Fraction(1, 1 << 2000)
+            for tol in (0.0, -TOL, math.nan):
+                with pytest.raises(BranchError):
+                    inverse_step(mm, target, OriginBranch(0), tol)
 
 
 @pytest.mark.parametrize("N", [6, 7])
@@ -327,9 +470,8 @@ def test_origin_step_refuses_tau_past_its_series_bound():
         with pytest.raises(BranchError, match=r"\|tau\| < 2\*\*-17"):
             _origin_zero_step(M5, LogPolar(base + e, Fraction(1, 7)), 1, TOL)
     target = LogPolar(base - Fraction(35, 2), Fraction(1, 7))
-    z, image = _origin_zero_step(M5, target, 1, TOL)
+    z = _origin_zero_step(M5, target, 1, TOL)
     fz, _ = M5.eval(z)
-    assert image is None
     assert abs(float(fz.rho - target.rho)) < TOL and float(fz.theta.dist(target.theta)) < TOL
 
 
@@ -566,55 +708,50 @@ def test_backwards_step_0_image_at_need_1_bits():
 
 
 def test_backwards_verification_runs_only_step_0_above_1024_bits(monkeypatch):
-    # the construction runs at need[0] = 22683 bits; the re-verification
-    # takes step 0's image from the construction's Newton polish, evaluates
-    # step s >= 1 at need[s], all at most 1024 bits, and classifies step 0's
-    # petal at the precision of the comparison
-    import dataclasses
+    # the construction runs at need[0] = 22683 bits and evaluates no point:
+    # each inverse step decides its own residual.  The re-verification
+    # evaluates each point once, step s at need[s]: step 0 at need[0], every
+    # later one at most 1024 bits, and it classifies step 0's petal at the
+    # precision of the comparison.  So no point is evaluated twice
     import juliadim.dynamics as dyn
     import juliadim.geometry as geo
     import juliadim.numerics as num
 
-    evals, expm1_bits, records, verifying = [], [], [], []
+    evals, expm1_bits, phase = [], [], ["construct"]
     real_eval, real_iterate, real_expm1 = ModelMap.eval, dyn.iterate_orbit, num.expm1_lp
 
     def eval_(self, z):
-        if verifying:
-            evals.append((self.prec, self.guard, self.ang_bits))
+        evals.append((phase[-1], self.prec, self.guard, self.ang_bits))
         return real_eval(self, z)
 
     def expm1(drho, dtheta, prec=num.SIG_BITS):
-        if verifying:
-            expm1_bits.append(prec)
+        expm1_bits.append((phase[-1], prec))
         return real_expm1(drho, dtheta, prec)
 
     def iterate(*args, **kwargs):
-        verifying.append(True)
+        phase.append("verify")
         try:
-            records.append(real_iterate(*args, **kwargs))
-            return records[-1]
+            return real_iterate(*args, **kwargs)
         finally:
-            verifying.pop()
+            phase.pop()
 
     monkeypatch.setattr(ModelMap, "eval", eval_)
     monkeypatch.setattr(num, "expm1_lp", expm1)
     monkeypatch.setattr(geo, "expm1_lp", expm1)
     monkeypatch.setattr(dyn, "iterate_orbit", iterate)
     itin, anchor = _construction_shapes(1)["backwards"]
-    z = backward_construct(M5, itin, anchor, tol=TOL, budget_bits=1 << 16)
+    backward_construct(M5, itin, anchor, tol=TOL, budget_bits=1 << 16)
     need = itinerary_precision(M5, _normalize_itinerary(itin))
     assert need[0] == 22683
-    assert [(p, g) for p, g, _ in evals] == [(max(M5.prec, b), max(M5.guard, b))
-                                             for b in need[1:]]
-    assert max(p for p, _, _ in evals) <= 1024
-    assert expm1_bits and max(expm1_bits) <= 1024
+    assert [e for e in evals if e[0] == "construct"] == []
+    verified = [e[1:] for e in evals]
+    assert [(p, g) for p, g, _ in verified] == [(max(M5.prec, b), max(M5.guard, b)) for b in need]
+    assert verified[0][:2] == (need[0], need[0])
+    assert max(p for p, _, _ in verified[1:]) <= 1024
     # the angle budget is spent over the whole orbit: raised at every step
-    assert {a for _, _, a in evals} == {need[0] + 64}
-    # the image step 0 used is bit-equal to a fresh evaluation at need[0] bits
-    (rec,) = records
-    fresh, _ = real_eval(dataclasses.replace(M5, prec=need[0], guard=need[0]), z)
-    assert rec.points[0] is z
-    assert (rec.points[1].rho, rec.points[1].theta.turns) == (fresh.rho, fresh.theta.turns)
+    assert {a for _, _, a in verified} == {need[0] + 64}
+    # above 1024 bits only step 0's one evaluation, through its seam's lp_add
+    assert [(ph, b) for ph, b in expm1_bits if b > 1024] == [("verify", need[0])]
 
 
 def test_itinerary_orbit_names_the_first_step_off_the_itinerary():

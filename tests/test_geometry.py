@@ -103,7 +103,9 @@ def test_petal_membership_escalates_only_in_its_tie_band(monkeypatch):
     # z = w (1 + u), u = 2^rad_rel (1 + sign 2^-s) e^(2 pi i phi), around
     # seeded ring zeros w on a 2048-bit model: the decision first taken at
     # SIG_BITS + 64 bits is the 2048-bit one, and 2048-bit expm1_lp runs
-    # exactly for the points inside the tie band (s = 200, 400)
+    # exactly for the points inside the tie band 2 E: s = 200, 400, and the
+    # s at which the point lies about 1.4 E from rad_rel, E = (|rad_rel| +
+    # 1) 2**-144 at p = 192 (the petal_membership docstring)
     m = dataclasses.replace(M5, prec=2048, guard=2048)
     bits = []
 
@@ -115,7 +117,8 @@ def test_petal_membership_escalates_only_in_its_tie_band(monkeypatch):
     rng = Random(1729)
     for k in (1, 2, 3):
         ring, rad = k + T5.N - 1, petal_radius_rel_log2(T5.n(k))
-        for s in (4, 16, 64, 200, 400):
+        edge = 145 - (int(-rad) + 1).bit_length()
+        for s in (4, 16, 64, 200, 400, edge):
             for sign in (1, -1):
                 j = rng.randrange(1, T5.n(k) + 1)
                 w = m.ring_zero(ring, j)
@@ -132,7 +135,7 @@ def test_petal_membership_escalates_only_in_its_tie_band(monkeypatch):
                 bits.clear()
                 got = petal_membership(m, k, z)
                 assert got == (j if full else None), (k, s, sign)
-                assert bits.count(m.prec) == (1 if s >= 200 else 0), (k, s, sign)
+                assert bits.count(m.prec) == (1 if s >= edge else 0), (k, s, sign)
                 assert len(bits) == bits.count(m.prec) + 1
 
 
