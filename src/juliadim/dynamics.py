@@ -30,24 +30,26 @@ deviation carried as an explicit bit margin.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-
-import mpmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from mpmath.libmp import (fone, from_int, fzero, mpc_add, mpc_add_mpf, mpc_div, mpc_mul,
-                          mpc_mul_mpf, mpc_neg, mpc_shift, mpc_sub, mpf_div, mpf_mul, mpf_sub)
+                          mpc_mul_mpf, mpc_neg, mpc_shift, mpc_sub, mpf_div, mpf_ln2, mpf_mul,
+                          mpf_neg, mpf_pow, mpf_sub)
 
 from .numerics import (
     HALF,
     RND,
     DomainError,
     ExponentBudgetError,
+    FTWO,
     LogPolar,
     NumericsError,
     const_log2_frac,
+    frac_to_mpf,
     lp_perturb,
     mpc_below as _below,
     mpf_to_frac,
@@ -552,7 +554,9 @@ def _petal_boundary_extrema(m: ModelMap, k: int) -> Tuple[Fraction, Fraction]:
     For M eps <= 2**-8 that is above eps (1.25 M - 0.27 M) > 0, so v strictly
     decreases on (0, pi), and by v(-phi) = v(phi) the minimum is at phi = pi.
     The condition is checked exactly as log2 M + rad_rel <= -8 (every table
-    with N >= 5 has M eps <= 2**-27) and a failure raises DomainError.
+    with N >= 5 has M eps <= 2**-27) and a failure raises DomainError.  So
+    the extrema are v at the real u = -eps, eps (seam_zero_offset_ln), with
+    eps and v / ln 2 rounded to nearest at prec + 32 bits.
     """
     t = m.table
     nk = t.n(k)
@@ -560,19 +564,18 @@ def _petal_boundary_extrema(m: ModelMap, k: int) -> Tuple[Fraction, Fraction]:
     rad_rel = petal_radius_rel_log2(nk)
     if j + rad_rel > -8:
         raise DomainError(f"petal boundary at level {k} too wide for its monotone extrema")
-    # |u| <= 2**-n_k, so |log2 |1 + u|| < 3 |u| bounds the boundary's rho range
-    reach = Fraction(3, 1 << nk)
+    # |log2 |1 + u|| < 3 |u| <= 3 * 2**-n_k, and any wider reach is as sound:
+    # 3 * 2**-(j + 64), far inside the ~2**-j wide piece, has a short denominator
+    reach = Fraction(3, 1 << min(nk, j + 64))
     zeta_rho = m.ring_zero_rho(j)
     seam = PieceId("seam", j)
     if m.piece_of(zeta_rho - reach) != seam or m.piece_of(zeta_rho + reach) != seam:
         raise DomainError(f"petal boundary at level {k} leaves piece {seam}")
-    with mpmath.workprec(m.prec + 32):
-        eps = mpmath.power(2, mpmath.mpf(rad_rel.numerator) / rad_rel.denominator)
-        hi = m.seam_zero_offset_ln(j, mpmath.mpc(eps))
-        lo = m.seam_zero_offset_ln(j, mpmath.mpc(-eps))
-        const = m.seam_zero_log2_base(j)
-        ln2 = mpmath.ln(2)
-        return const + mpf_to_frac(lo / ln2), const + mpf_to_frac(hi / ln2)
+    wp = m.prec + 32
+    eps = mpf_pow(FTWO, frac_to_mpf(rad_rel, wp - 8), wp, RND)
+    const, ln2 = m.seam_zero_log2_base(j), mpf_ln2(wp, RND)
+    return tuple(const + mpf_to_frac(mpf_div(m.seam_zero_offset_ln(j, x), ln2, wp, RND))
+                 for x in (mpf_neg(eps), eps))
 
 
 def verify_inclusions(m: ModelMap, k: int, samples: int = 4096) -> CertificateReport:
@@ -587,7 +590,8 @@ def verify_inclusions(m: ModelMap, k: int, samples: int = 4096) -> CertificateRe
     there are none, so every row is the exact extremum.
     Upper-bound rows pass when max + margin < target, lower-bound rows when
     min - margin > target; the margin is the seam deviation budget
-    SEAM_MARGIN_BITS.
+    SEAM_MARGIN_BITS.  Each row renders both sides as 6-decimal floats, and
+    a side past the float range raises DomainError naming the row.
     """
     if samples < 1 << 12:
         raise DomainError("inclusion sampling needs >= 4096 points per circle")
@@ -595,11 +599,15 @@ def verify_inclusions(m: ModelMap, k: int, samples: int = 4096) -> CertificateRe
     mb = Fraction(SEAM_MARGIN_BITS)
     rep = CertificateReport(f"mapping inclusions k={k}")
 
-    def upper(name, got, target_rho):
-        rep.add(name, k, got + mb < target_rho, f"{float(got):.6f}", f"{float(target_rho):.6f}")
+    def add(name, got, target_rho, upper):
+        try:
+            lhs, rhs = f"{float(got):.6f}", f"{float(target_rho):.6f}"
+        except OverflowError:
+            raise DomainError(f"row {name}[{k}] of {rep.title!r}: an exponent past the float "
+                              f"range of its 6-decimal rendering") from None
+        rep.add(name, k, got + mb < target_rho if upper else got - mb > target_rho, lhs, rhs)
 
-    def lower(name, got, target_rho):
-        rep.add(name, k, got - mb > target_rho, f"{float(got):.6f}", f"{float(target_rho):.6f}")
+    upper, lower = functools.partial(add, upper=True), functools.partial(add, upper=False)
 
     e1, e2, e3 = t.R_exp(k), t.R_exp(k + 1), t.R_exp(k + 2)
 

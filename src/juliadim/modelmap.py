@@ -30,8 +30,9 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 import mpmath
-from mpmath import libmp, mpc, mpf
-from mpmath.libmp import fone, from_int, fzero, mpc_add_mpf, mpc_mul, mpc_shift, mpc_sub
+from mpmath import libmp, mpf
+from mpmath.libmp import (fone, from_int, fzero, mpc_add_mpf, mpc_mul, mpc_shift, mpc_sub, mpf_abs,
+                          mpf_add, mpf_div, mpf_log, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub)
 
 from .numerics import (
     ADD_GUARD,
@@ -39,16 +40,15 @@ from .numerics import (
     HALF,
     Angle,
     DomainError,
+    FTWO,
     LogPolar,
     LpSum,
     RND,
     SIG_BITS,
     below_log2_one_minus_pow2,
     const_log2_frac,
-    expm1_series,
     frac_ilog2,
     frac_to_mpf,
-    log1p_mpc,
     lp_add,
     lp_perturb,
     lp_sub,
@@ -329,32 +329,41 @@ class ModelMap:
         t = self.table
         return t.c_exp(j) - (1 << j) * t.r_exp(j) + 2 * self.zcap_log2(j)
 
-    def seam_zero_offset_ln(self, j: int, u: mpc) -> mpf:
-        """Re L + ln |e**L - 1|, L = M_j log(1 + u), for an mpc u with |u| < 1.
+    def seam_zero_offset_ln(self, j: int, x: tuple) -> tuple:
+        """Re L + ln |e**L - 1|, L = M_j log(1 + x), for a real libmp mpf x,
+        0 < |x| < 1, as an mpf of wp = prec + 32 bits.
 
-        At z = zeta (1 + u), zeta a zero of ring j, zeta**M_j = Z_j exactly,
-        so z**M_j = Z_j e**L, z**M_j - Z_j = Z_j (e**L - 1) and
-
-            log2 |S_j(z)| = seam_zero_log2_base(j) + seam_zero_offset_ln(j, u) / ln 2
-
-        for every z on piece seam(j).  Both series follow the scale of u, so
-        a u far below 2**-prec costs a few multiplies and loses nothing.
-        Every step runs on libmp pairs at wp = prec + 32 bits, rounded to
-        nearest, and the result carries wp bits.
+        At z = zeta (1 + x), zeta a zero of ring j, zeta**M_j = Z_j exactly,
+        so z**M_j - Z_j = Z_j (e**L - 1) and log2 |S_j(z)| is
+        seam_zero_log2_base(j) plus this value over ln 2.  Every step is
+        rounded to nearest at wp bits: those of ``numerics.log1p_mpc`` and
+        ``numerics.expm1_series`` (``mpf_log`` and ``mpf_exp``, or below
+        2**-16 their series, whose depth follows the scale of the argument)
+        on the pair (x, 0), each reduced exactly to the real one (``mpc_exp``
+        and ``mpf_hypot`` special-case a zero imaginary part; a product of
+        pairs is exact before rounding), so the value is bit for bit theirs.
         """
-        wp, z = self.prec + 32, u._mpc_
-        if z == (libmp.fzero, libmp.fzero):
-            raise DomainError(f"point is a zero of ring {j}")
-        L = libmp.mpc_mul_int(log1p_mpc(z, self.prec), 1 << j, wp, RND)
-        lmag = mpc_mag(L)
-        if lmag > -16:
-            e = libmp.mpc_sub_mpf(libmp.mpc_exp(L, wp, RND), libmp.fone, wp, RND)
+        wp, mag = self.prec + 32, x[2] + x[3]
+        if mag > -16:
+            L = mpf_log(mpf_add(x, fone, wp, RND), wp, RND)
         else:
-            e = expm1_series(L, -lmag, self.prec, wp)
-        if e == (libmp.fzero, libmp.fzero):  # zeta (1 + u) is another zero of the ring
+            L, term, neg = fone, fone, mpf_neg(x, wp, RND)
+            for i in range(2, max(1, (self.prec + 48) // max(15, -mag)) + 2):
+                term = mpf_mul(term, neg, wp, RND)
+                L = mpf_add(L, mpf_div(term, from_int(i), wp, RND), wp, RND)
+            L = mpf_mul(x, L, wp, RND)
+        L = mpf_mul_int(L, 1 << j, wp, RND)
+        if L[2] + L[3] > -16:
+            e = mpf_sub(libmp.mpf_exp(L, wp, RND), fone, wp, RND)
+        else:
+            e = term = fone
+            for i in range(2, max(2, (self.prec + 48) // -(L[2] + L[3]) + 1) + 2):
+                term = mpf_div(mpf_mul(term, L, wp, RND), from_int(i), wp, RND)
+                e = mpf_add(e, term, wp, RND)
+            e = mpf_mul(L, e, wp, RND)
+        if not e[1]:  # x = 0, or zeta (1 + x) another zero of the ring
             raise DomainError(f"point is a zero of ring {j}")
-        ln_e = libmp.mpf_log(libmp.mpc_abs(e, wp, RND), wp, RND)
-        return mpmath.mp.make_mpf(libmp.mpf_add(L[0], ln_e, wp, RND))
+        return mpf_add(L, mpf_log(mpf_abs(e, wp, RND), wp, RND), wp, RND)
 
     def radial_log2(self, rho: Fraction) -> Optional[Fraction]:
         """log2 |f| on the circle |z| = 2**rho when it is the same at every
@@ -656,22 +665,20 @@ def seam_mismatch(m: ModelMap, j: int) -> SeamMismatch:
 
     The ratio is |v - Z_j| / |v| (inner: / r_j**M_j) with v = z**M_j, and it
     depends on z only through psi = M_j theta mod 1.  Z_j = -|Z_j|, so
-    |v - Z_j| = |Z_j| |1 + q e**(2 pi i psi)|, q = |v| / |Z_j|, which decreases
-    in psi on [0, 1/2] and is even in psi: its log2 minus a constant takes
-    its largest absolute value at psi = 0 or psi = 1/2, the only two points
-    evaluated.
+    |v - Z_j| = |v| |1 + 2**d e**(-2 pi i psi)|, d = log2 |Z_j| - log2 |v|
+    exact, which decreases in psi on [0, 1/2] and is even in psi: its log2
+    takes its largest absolute value at psi = 0 or psi = 1/2, the only two
+    points evaluated, where it is log2 (1 + 2**d) and log2 |1 - 2**d|.
+    Each is taken on mpfs at prec + 32 bits, rounded to nearest, and read
+    as the nearest float.
     """
-    t = m.table
+    wp = m.prec + 32
+    ln2 = libmp.mpf_ln2(wp, RND)
+
+    def deviation(rho) -> float:
+        x = libmp.mpf_pow(FTWO, frac_to_mpf(m.zcap_log2(j) - rho, wp - 8), wp, RND)
+        return max(abs(libmp.to_float(mpf_div(mpf_log(mpf_abs(s), wp, RND), ln2, wp, RND), rnd=RND))
+                   for s in (mpf_add(fone, x, wp, RND), mpf_sub(fone, x, wp, RND)))
+
     Mj = 1 << j
-    zc = m.zcap(j)
-    inner_max = 0.0
-    outer_max = 0.0
-    outer_rho = m.seam_top(j)
-    for psi in (Fraction(0), Fraction(1, 2)):
-        v_in = LogPolar(Fraction(Mj * t.r_exp(j)), psi)
-        d_in = lp_sub(v_in, zc, guard=m.guard, prec=m.prec).value
-        inner_max = max(inner_max, abs(float(d_in.rho - Mj * t.r_exp(j))))
-        v_out = LogPolar(Fraction(Mj) * outer_rho, psi)
-        d_out = lp_sub(v_out, zc, guard=m.guard, prec=m.prec).value
-        outer_max = max(outer_max, abs(float(d_out.rho - v_out.rho)))
-    return SeamMismatch(j, inner_max, outer_max)
+    return SeamMismatch(j, deviation(Mj * m.table.r_exp(j)), deviation(Mj * m.seam_top(j)))

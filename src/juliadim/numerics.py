@@ -121,9 +121,9 @@ def frac_to_mpf(fr: Fraction, prec: int) -> tuple:
     return mpf_div(from_man_exp(num, 0, wp, RND), from_man_exp(den, 0, wp, RND), wp, RND)
 
 
-def mpf_to_frac(x: mpf) -> Fraction:
-    """Exact conversion; every finite mpf is a dyadic rational."""
-    return _frac_of(x._mpf_)
+def mpf_to_frac(x: Union[mpf, tuple]) -> Fraction:
+    """Exact conversion of an mpf or libmp tuple: a finite mpf is dyadic."""
+    return _frac_of(x if type(x) is tuple else x._mpf_)
 
 
 def _dyadic(q: int, e: int) -> Fraction:

@@ -51,7 +51,7 @@ class Certificate(NamedTuple):
     """One report row, an immutable tuple compared field by field.  lhs and
     rhs keep the exact int, Fraction or str they were given; they are
     rendered with str() only when a report is emitted (to_json_obj,
-    report.certificates_json)."""
+    report.make_report)."""
     name: str
     index: Optional[int]
     passed: bool

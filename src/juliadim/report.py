@@ -3,7 +3,7 @@
 Schema: {"config": {...}, "certificates": [{name, index, pass, lhs, rhs}],
 "summaries": {...}}.  A magnitude kept as its exact log2 renders through
 pow2_str as an 'm x2^e' string with a decimal exponent of arbitrary length.
-Every indented JSON document is written by to_json.
+to_json writes every indented JSON document; make_report its rows itself.
 """
 
 from __future__ import annotations
@@ -19,18 +19,13 @@ import mpmath
 
 from .config import Config
 from .numerics import LogPolar, frac_to_mpf, mpf_to_frac
-from .params import CertificateReport
+from .params import Certificate, CertificateReport
 
 
 # one-line encoder (json's C encoder: indent is None) whose item separator
 # leaves a newline for to_json to indent
 _encode = json.JSONEncoder(sort_keys=True, separators=(",\n", ": ")).encode
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def _flat(obj) -> bool:
-    """obj's items are all scalars of the exact JSON types."""
-    return _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj))
 
 
 def to_json(obj) -> str:
@@ -40,10 +35,8 @@ def to_json(obj) -> str:
     are all scalars (a table row, a list of numbers) is encoded in one
     call of the C encoder, with a newline after each separator; a JSON
     string never holds a raw newline, so indenting is replacing each
-    newline by a newline and the container's indent.  A list of such
-    dicts (the certificate rows) is one call too: there "}," followed by
-    a newline and "{" occurs only between two rows, where the rows' own
-    indent goes.  Other containers are spliced from their items' texts.
+    newline by a newline and the container's indent.  Other containers are
+    spliced from their items' texts.
     """
     return _to_json(obj, "\n")
 
@@ -59,13 +52,8 @@ def _to_json(obj, nl: str) -> str:
     if not obj:
         return brackets
     inner = nl + " "
-    if _flat(obj):
+    if _SCALARS.issuperset(map(type, obj.values() if brackets == "{}" else obj)):  # all scalars
         body = _encode(obj)[1:-1].replace("\n", inner)
-    elif brackets == "[]" and all(type(r) is dict and r and _flat(r) for r in obj):
-        item = inner + " "
-        rows = _encode(obj)[2:-2].replace("\n", item)
-        body = ("{" + item + rows.replace("}," + item + "{", inner + "}," + inner + "{" + item)
-                + inner + "}")
     elif brackets == "[]":
         body = ("," + inner).join(_to_json(v, inner) for v in obj)
     elif all(isinstance(key, str) for key in obj):
@@ -125,29 +113,26 @@ def render_value(v) -> object:
     return v
 
 
-def certificates_json(reports: Iterable[CertificateReport]) -> List[dict]:
-    out = []
-    for rep in reports:
-        for c in rep.certificates:
-            out.append({
-                "name": c.name,
-                "index": c.index,
-                "pass": c.passed,
-                "lhs": str(c.lhs),
-                "rhs": str(c.rhs),
-                **({"note": c.note} if c.note else {}),
-            })
-    return out
+def _row_json(c: Certificate) -> str:
+    """One certificate row as the report's json.dumps(..., sort_keys=True,
+    indent=1) writes it, at the rows' indent: index, lhs, name, note (when
+    set), pass and rhs, with lhs and rhs rendered by str()."""
+    note = f'"note": {encode_basestring_ascii(c.note)},\n   ' if c.note else ""
+    return (f'{{\n   "index": {"null" if c.index is None else c.index},\n   '
+            f'"lhs": {encode_basestring_ascii(str(c.lhs))},\n   '
+            f'"name": {encode_basestring_ascii(c.name)},\n   {note}'
+            f'"pass": {"true" if c.passed else "false"},\n   '
+            f'"rhs": {encode_basestring_ascii(str(c.rhs))}\n  }}')
 
 
 def make_report(cfg: Config, reports: Iterable[CertificateReport],
                 summaries: Optional[dict] = None) -> str:
-    doc = {
-        "config": cfg.to_dict(),
-        "certificates": certificates_json(reports),
-        "summaries": summaries or {},
-    }
-    return to_json(doc)
+    """to_json({"certificates": rows, "config": cfg, "summaries": ...}) byte
+    for byte, each certificate row written straight from its Certificate."""
+    rows = ",\n  ".join(_row_json(c) for rep in reports for c in rep.certificates)
+    return ('{\n "certificates": ' + ("[\n  " + rows + "\n ]" if rows else "[]")
+            + ',\n "config": ' + _to_json(cfg.to_dict(), "\n ")
+            + ',\n "summaries": ' + _to_json(summaries or {}, "\n ") + "\n}")
 
 
 def write_csv(path, header: List[str], rows: Iterable[Iterable]) -> None:

@@ -100,6 +100,20 @@ MUTATIONS = (
     Mutation("subnormal Cauchy bound kept whole", "src/juliadim/curves.py",
              "bound -= 2.0 ** -1074", "bound -= 0.0",
              (CURVES + "test_cauchy_check_rounds_outward_without_headroom",)),
+    # verify's seam-zero rows on real values and its certificate row writer
+    Mutation("petal minimum taken at +eps", "src/juliadim/dynamics.py",
+             "for x in (mpf_neg(eps), eps))", "for x in (eps, eps))",
+             (DYN + "test_petal_boundary_extrema_equal_the_half_grid",)),
+    Mutation("seam mismatch keeps only the psi = 0 sum", "src/juliadim/modelmap.py",
+             "for s in (mpf_add(fone, x, wp, RND), mpf_sub(fone, x, wp, RND)))",
+             "for s in (mpf_add(fone, x, wp, RND),))",
+             ("tests/test_modelmap.py::test_seam_mismatch_equals_the_psi_grid",)),
+    Mutation("row writer passes every row", "src/juliadim/report.py",
+             '{"true" if c.passed else "false"}', "true",
+             ("tests/test_cli.py::test_verify_report_matches_reference_bytes",)),
+    Mutation("petal reach back to 3 * 2**-n_k", "src/juliadim/dynamics.py",
+             "reach = Fraction(3, 1 << min(nk, j + 64))", "reach = Fraction(3, 1 << nk)",
+             (DYN + "test_petal_reach_keeps_its_denominator_short",)),
     # recorded in earlier changes and still applicable
     Mutation("leaf field summed without 0 +", "src/juliadim/curves.py",
              "u = 0 + u\n", "u = u\n",

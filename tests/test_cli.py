@@ -232,6 +232,26 @@ def test_verify_report_matches_reference_bytes(tmp_path):
     assert out.read_bytes() == VERIFY_REFERENCE.read_bytes()
 
 
+def test_verify_reaches_deep_petal_levels(tmp_path):
+    # the petal boundary's reach no longer grows with n_k = 2**(N + k - 1):
+    # level 21 has n_k = 2**25
+    out = tmp_path / "v.json"
+    assert run(["verify", "--N", "5", "--kmax", "27", "--khi", "21", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [c["index"] for c in doc["certificates"]
+            if c["name"] == "petal_boundary_min_above_4Rk1"] == list(range(1, 22))
+
+
+def test_verify_past_the_float_range_ends_in_a_typed_error(capsys):
+    # R_exp(42) > 2**1024: the level-40 rows cannot render as 6-decimal floats
+    assert run(["verify", "--N", "5", "--kmax", "80", "--khi", "40"]) == 3
+    cap = capsys.readouterr()
+    assert cap.out == "" and "Traceback" not in cap.err
+    assert cap.err.count("\n") == 1
+    assert cap.err.startswith("juliadim: DomainError: row outer_circle_max_below_eighth_Rk2[40] "
+                              "of 'mapping inclusions k=40'")
+
+
 def test_parser_built_once_and_report_alias_gone():
     assert _parser() is _parser()
     with pytest.raises(SystemExit):

@@ -7,6 +7,7 @@ from random import Random
 
 import mpmath
 import pytest
+from mpmath import libmp
 from mpmath.libmp import from_man_exp, fzero
 
 from juliadim.dynamics import (
@@ -27,8 +28,8 @@ from juliadim.dynamics import (
 from juliadim.config import Config
 from juliadim.geometry import classify
 from juliadim.modelmap import AnchoredPoint, ModelMap, qN_landmarks
-from juliadim.numerics import (DomainError, ExponentBudgetError, LogPolar, const_log2_frac, lp_add,
-                               lp_perturb, lp_sub, mpc_mag)
+from juliadim.numerics import (RND, DomainError, ExponentBudgetError, LogPolar, const_log2_frac,
+                               expm1_series, log1p_mpc, lp_add, lp_perturb, lp_sub, mpc_mag)
 from juliadim.params import build_params
 
 M5 = ModelMap(table=build_params(5, 25))
@@ -54,6 +55,22 @@ def _newton_polish(m, z, target, tol):
         upd = lp_sub(one, step, guard=max(m.guard, 96 - step.rho_int()), prec=m.prec).value
         z = z.mul(upd)
     raise AssertionError("newton stagnated")
+
+
+def _seam_zero_offset_ln_mpc(m, j, u):
+    """The complex form of ModelMap.seam_zero_offset_ln, which the real one
+    reduces on a real u: Re L + ln |e**L - 1|, L = M_j log(1 + u), for an
+    mpc u with 0 < |u| < 1, on libmp pairs at prec + 32 bits, rounded to
+    nearest, as an mpf."""
+    wp = m.prec + 32
+    L = libmp.mpc_mul_int(log1p_mpc(u._mpc_, m.prec), 1 << j, wp, RND)
+    lmag = mpc_mag(L)
+    if lmag > -16:
+        e = libmp.mpc_sub_mpf(libmp.mpc_exp(L, wp, RND), libmp.fone, wp, RND)
+    else:
+        e = expm1_series(L, -lmag, m.prec, wp)
+    ln_e = libmp.mpf_log(libmp.mpc_abs(e, wp, RND), wp, RND)
+    return mpmath.mp.make_mpf(libmp.mpf_add(L[0], ln_e, wp, RND))
 
 
 # orbits ----------------------------------------------------------------------
@@ -809,7 +826,7 @@ def test_inclusion_extrema_match_pointwise_evaluation():
                 u = base * mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
                 old, piece = M5.eval(lp_perturb(zeta, u, M5.prec))
                 assert str(piece) == f"seam({j})"
-                new = const + mpf_to_frac(M5.seam_zero_offset_ln(j, u) / mpmath.ln(2))
+                new = const + mpf_to_frac(_seam_zero_offset_ln_mpc(M5, j, u) / mpmath.ln(2))
                 assert abs(new - old.rho) <= tol, (k, i)
                 old_vals.append(old.rho)
         if k == 1:
@@ -833,29 +850,63 @@ def test_petal_boundary_must_lie_on_its_seam_piece(monkeypatch):
 
 
 def test_petal_boundary_extrema_equal_the_half_grid():
-    # the two closed-form points against the 2049-point half grid of
-    # 4096 samples that the conjugation symmetry leaves to evaluate
-    import mpmath
+    # the two real closed-form points against the complex form on the
+    # 2049-point half grid of 4096 samples that the conjugation symmetry
+    # leaves to evaluate
     from juliadim.dynamics import _petal_boundary_extrema
     from juliadim.numerics import mpf_to_frac, pi_over_ln2_frac
 
     samples = 4096
-    for k in (1, 2):
-        nk, j = T5.n(k), k + T5.N - 1
-        rad_rel = -nk - pi_over_ln2_frac(4 * nk)
-        with mpmath.workprec(M5.prec + 32):
-            base = mpmath.power(2, mpmath.mpf(rad_rel.numerator) / rad_rel.denominator)
-            vals = []
-            for i in range(samples // 2 + 1):
-                ang = mpmath.mpf(2) * mpmath.pi * i / samples
-                u = base * mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
-                vals.append(M5.seam_zero_offset_ln(j, u))
-            const, ln2 = M5.seam_zero_log2_base(j), mpmath.ln(2)
-            want = (const + mpf_to_frac(min(vals) / ln2),
-                    const + mpf_to_frac(max(vals) / ln2))
-        # the grid is monotone, as the docstring's argument says
-        assert vals == sorted(vals, reverse=True)
-        assert _petal_boundary_extrema(M5, k) == want
+    for m in (M5, ModelMap(table=build_params(6, 25)), ModelMap(table=build_params(8, 25))):
+        t = m.table
+        for k in (1, 2):
+            nk, j = t.n(k), k + t.N - 1
+            rad_rel = -nk - pi_over_ln2_frac(4 * nk)
+            with mpmath.workprec(m.prec + 32):
+                base = mpmath.power(2, mpmath.mpf(rad_rel.numerator) / rad_rel.denominator)
+                vals = []
+                for i in range(samples // 2 + 1):
+                    ang = mpmath.mpf(2) * mpmath.pi * i / samples
+                    u = base * mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
+                    vals.append(_seam_zero_offset_ln_mpc(m, j, u))
+                const, ln2 = m.seam_zero_log2_base(j), mpmath.ln(2)
+                want = (const + mpf_to_frac(min(vals) / ln2),
+                        const + mpf_to_frac(max(vals) / ln2))
+            # the grid is monotone, as the docstring's argument says
+            assert vals == sorted(vals, reverse=True)
+            assert _petal_boundary_extrema(m, k) == want, (t.N, k)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 400])
+def test_seam_zero_offset_equals_its_complex_form(prec):
+    # every branch of the real form (log of 1 + x or its series, exp(L) - 1
+    # or its series) against the complex form at (x, 0), bit for bit
+    m = ModelMap(table=T5, prec=prec)
+    wp = prec + 32
+    for j in (5, 6, 9):
+        for e in (Fraction(3, 2), Fraction(7), Fraction(31, 2), Fraction(17), Fraction(40),
+                  Fraction(301, 3), Fraction(900)):
+            with mpmath.workprec(wp):
+                x = mpmath.power(2, -mpmath.mpf(e.numerator) / e.denominator)
+                for u in (x, -x):
+                    got = m.seam_zero_offset_ln(j, u._mpf_)
+                    assert got == _seam_zero_offset_ln_mpc(m, j, mpmath.mpc(u))._mpf_, (j, e)
+
+
+def test_petal_reach_keeps_its_denominator_short(monkeypatch):
+    # the boundary's rho reach handed to piece_of is 3 * 2**-min(n_k, j + 64):
+    # at k = 12 (n_k = 2**16) a reach of 3 * 2**-n_k has a 65,537-bit denominator
+    from juliadim.dynamics import _petal_boundary_extrema
+    seen, piece_of = [], ModelMap.piece_of
+
+    def spy(self, z):
+        seen.append(z)
+        return piece_of(self, z)
+
+    monkeypatch.setattr(ModelMap, "piece_of", spy)
+    _petal_boundary_extrema(M5, 12)
+    assert len(seen) == 2
+    assert all(rho.denominator.bit_length() < 1024 for rho in seen)
 
 
 def test_petal_boundary_monotonicity_guard(monkeypatch):
@@ -884,7 +935,7 @@ def test_origin_circles_are_radial_and_exact():
 
 
 def test_inclusion_requires_enough_samples():
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match="4096"):
         verify_inclusions(M5, 1, samples=512)
 
 

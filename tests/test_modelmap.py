@@ -415,10 +415,10 @@ def test_piece_of_equals_the_exact_bisect(N):
 
 
 def test_seam_zero_offset_rejects_the_zero():
-    import mpmath
+    from mpmath.libmp import fzero
     from juliadim.numerics import DomainError
     with pytest.raises(DomainError):
-        M5.seam_zero_offset_ln(6, mpmath.mpc(0))
+        M5.seam_zero_offset_ln(6, fzero)
 
 
 # seam mismatch -------------------------------------------------------------------
@@ -458,7 +458,7 @@ def _sampled_seam_mismatch(m, j, samples=256):
 
 
 def test_seam_mismatch_equals_the_psi_grid():
-    for j in (5, 6):
+    for j in (5, 6, 8, 10, 14):
         sm = seam_mismatch(M5, j)
         assert (sm.inner_max_log2_ratio, sm.outer_max_log2_ratio) == _sampled_seam_mismatch(M5, j)
 

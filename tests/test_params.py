@@ -20,7 +20,6 @@ from juliadim.params import (
     omega_from_rho,
     verify_inequalities,
 )
-from juliadim.report import certificates_json
 
 
 # hand recurrence oracle on (e_j, eps_j): e' = eps + M(e-1), eps' = eps - M e
@@ -91,8 +90,8 @@ GROWTH_ROW_PINS = {5: (856, "0dff1f3831083ad2a519815c"),
 
 @pytest.mark.parametrize("N", sorted(GROWTH_ROW_PINS))
 def test_growth_rows_are_pinned(N):
-    rows = [[c["name"], c["index"], c["pass"], c["lhs"], c["rhs"]]
-            for c in certificates_json([verify_inequalities(build_params(N, 64))])]
+    rows = [[c.name, c.index, c.passed, str(c.lhs), str(c.rhs)]
+            for c in verify_inequalities(build_params(N, 64)).certificates]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:24]
     assert (len(rows), digest) == GROWTH_ROW_PINS[N]
 
