@@ -99,9 +99,10 @@ def inverse_step(m: ModelMap, target: Point, branch: InverseBranchSpec,
                  tol: float = 2.0 ** -64) -> Point:
     """One inverse branch applied to `target`; the result re-evaluates to the
     target within tol both in log2 magnitude and in turns.  OriginBranch(i),
-    i >= 1, returns an AnchoredPoint; an AnchoredPoint target is read as its
-    absolute LogPolar first, which from N = 8 on raises ExponentBudgetError
-    naming the step."""
+    i >= 1, and PetalInverse return an AnchoredPoint, the chart of their
+    zero; an AnchoredPoint target is read as its absolute LogPolar first,
+    which from N = 8 on (or for a petal step far below its petal's image)
+    raises ExponentBudgetError naming the step."""
     if type(target) is AnchoredPoint:
         try:
             target = target.absolute(m.prec)
@@ -145,33 +146,35 @@ def _tol_bits(tol: float):
     return 4 - math.frexp(min(tol, 1.0))[1] if tol > 0 else math.inf
 
 
-def _newton(u: Tuple[tuple, tuple], residual, slope, prec: int, wp: int):
-    """u by Newton on libmp pairs at wp bits, and its residual: None after a
-    step below 2**-(prec + 16) |u|, or one rounded to 0 (a step of 0)."""
+def _newton(u: Tuple[tuple, tuple], residual, slope, scale: Tuple[tuple, tuple], prec: int,
+            wp: int):
+    """u by Newton on libmp pairs at wp bits, and its residual F~(u): the
+    first iterate whose |F~(u)| <= 2**-(prec + 16) |scale| (:func:`_below`),
+    before its slope is built or divided by."""
     for _ in range(NEWTON_MAX_ITER):
         res = residual(u)
-        if not res[0][1] and not res[1][1]:
+        if _below(res, scale, prec + 16, wp):
             return u, res
-        du = mpc_div(res, slope(u), wp, RND)
-        u = mpc_sub(u, du, wp, RND)
-        if _below(du, u, prec + 16, wp):
-            return u, None
+        u = mpc_sub(u, mpc_div(res, slope(u), wp, RND), wp, RND)
     raise BranchError(f"origin newton stagnated after {NEWTON_MAX_ITER} steps")
 
 
-def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> LogPolar:
-    """PetalInverse(k, j) next to zero j of ring i = k + N - 1, whose seam
-    piece is S(z) = K v (v - Z), v = z**n_k, K = C_k / R_k**n_k, Z = zcap(i) <
-    0.  At v = Z (1 + s), S = target s (1 + s) / (q/4), q = 4 target / (K
-    Z**2) exact in log-polar.  The step takes s = h/2, h = sqrt(1 + q~) - 1
-    (:func:`_half_sqrt1p_minus1`, q~ = ``q.to_mpc_scaled(0, prec)``), and z =
-    lp_perturb(Z, s).root(n_k, j - 1), on seam piece i: z**n_k = Z (1 + s'),
-    1 + s' = (1 + s) e**d with d the rounding of log(1 + s).
+def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> AnchoredPoint:
+    """PetalInverse(k, j) in the chart of zero j of ring i = k + N - 1, whose
+    seam piece is S(z) = K v (v - Z), v = z**n_k, K = C_k / R_k**n_k, Z =
+    zcap(i) < 0.  At v = Z (1 + s), S = target s (1 + s) / (q/4), q = 4
+    target / (K Z**2) exact in log-polar.  The step takes s = h/2, h =
+    sqrt(1 + q~) - 1 (:func:`_half_sqrt1p_minus1`, q~ = ``q.to_mpc_scaled(0,
+    prec)``), and returns the chart point (j, s) of ring i: z = w_j (1 +
+    s)**(1/n_k), z**n_k = Z (1 + s).  Its absolute form (what a construction
+    or a target reads) has z**n_k = Z (1 + s'), 1 + s' = (1 + s) e**d, d the
+    rounding of log(1 + s) in lp_perturb; s' = s on the chart.
 
-    z is kept when |s (1 + s) - q~/4| <= 2**-b |q~/4| (:func:`residual_below`)
-    and b <= prec + 15 - a, a = max(5, e - 5, bits(prec) - 15), e the bit
-    length of |floor(log2 |q|)|, else BranchError.  eps = |s' (1 + s') / (q/4)
-    - 1| <= 2**-b (1 + 2**-28) + E, E summing, relative to |q/4|, prec >= 64:
+    The point is kept when |s (1 + s) - q~/4| <= 2**-b |q~/4|
+    (:func:`residual_below`) and b <= prec + 15 - a, a = max(5, e - 5,
+    bits(prec) - 15), e the bit length of |floor(log2 |q|)|, else
+    BranchError.  eps = |s' (1 + s') / (q/4) - 1| <= 2**-b (1 + 2**-28) + E,
+    E summing, relative to |q/4|, prec >= 64:
 
     * |q~ - q| < 2**(e - prec - 22) + 2**-(prec + 13): to_mpc_scaled reads
       log2 |q| at prec + 24 bits, ln 2 at prec + 26, 2**(.), cos and sin at
@@ -186,8 +189,8 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> Lo
     With x = max(10, e, bits(prec) - 10), E < 3 2**(x - prec - 22) < 2**-(prec
     + 15 - a) <= 2**-b, and eps < 0.251 min(tol, 1) (:func:`_tol_bits`).
     """
-    t, nk, zc = m.table, m.table.n(k), m.zcap(k + m.table.N - 1)
-    q = LogPolar(target.rho + (nk * t.R_exp(k) - t.C_exp(k) + 2) - 2 * zc.rho, target.theta)
+    t, nk, i = m.table, m.table.n(k), k + m.table.N - 1
+    q = LogPolar(target.rho + (nk * t.R_exp(k) - t.C_exp(k) + 2) - 2 * m.zcap_log2(i), target.theta)
     e_q = q.rho_int()
     if e_q >= -16:
         raise BranchError(f"petal step needs |q| < 2**-16, got |q| ~ 2**{e_q}")
@@ -196,7 +199,7 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> Lo
     a = max(5, (-e_q).bit_length() - 5, m.prec.bit_length() - 15)
     if not residual_below(s, mpc_shift(q_c, -2), _tol_bits(tol), m.prec + 15 - a, m.prec + 32):
         raise BranchError(f"petal residual not certified below tol {tol:.3g} at {m.prec} bits")
-    return lp_perturb(zc, s, m.prec).root(nk, j - 1)
+    return AnchoredPoint(j, m.ring_zero(i, j), s, i)
 
 
 def _origin_branch0_step(m: ModelMap, target: LogPolar, tol: float) -> LogPolar:
@@ -240,8 +243,8 @@ def _origin_branch0_step(m: ModelMap, target: LogPolar, tol: float) -> LogPolar:
         return f(v, mpc_add_mpf(v, fone, wp, RND), origin_g(v, coef, wp))
 
     v, res = _newton(mpc_neg(sig), residual, lambda v: f(one, one, origin_g(v, coef, wp, True)),
-                     m.prec, wp)
-    if not residual_below(v, one, b, m.prec + 15, wp, res=res or residual(v)):
+                     one, m.prec, wp)
+    if not residual_below(v, one, b, m.prec + 15, wp, res=res):
         raise BranchError(f"origin residual not certified below tol {tol:.3g} at {m.prec} bits")
     return lp_perturb(tau0, v, m.prec)
 
@@ -288,7 +291,8 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
     w g(u), g(u) = (1 + u)**M - 1 - u, and the step solves g(u) = tau =
     -target / (r_N w), exact in log-polar, by :func:`_newton` at wp = prec +
     32 bits, with g and g' by :func:`origin_g` to the K that
-    :func:`origin_binomials` takes from the seed.
+    :func:`origin_binomials` takes from the seed, stopping at the first
+    iterate whose |g~ - tau~| <= 2**-(prec + 16) |tau~|.
 
     The seed is the inverse series of g to third order.  With t = tau / (M -
     1), y = M|t| and P(u) = g(u) / (M - 1) = u + sum_{k>=2} a_k u**k, the seed
@@ -298,12 +302,11 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
     / (M - 1) <= M**(k-1), so Ph(u) = u + M u**2 / (1 - M u), and Uh(s) = s
     phi(y), phi = 1 + y/2 + (M + 1) y**2 / (3M).  That tail is |t| times the
     y**(>=3) part of y phi**2 / (1 - y phi), under 4 y**3 for y <= 2**-50.  So
-    |g(u0) - tau| <= 4 y**3 |tau|; with |g'(u0)| >= (M - 1)(1 - 3y) and |u1|
-    >= |t| (1 - 2y) the first step is |du| <= 4 y**3 (1 + 6y) |u1|, plus
-    2**-(prec + 29) |u1| from rounding.  At N = 5, y <= 2**-55.2 (below) and
-    |du| < 2**-163.7 |u1|: the solve ends at its first step for prec <= 147,
-    and from N = 6 on (y <= 2**-761.4) for prec <= 2260, leaving an error of
-    order y (4 y**3)**2 |t|, below the rounding.
+    |g(u0) - tau| <= 4 y**3 |tau| (for the tau~ the seed is built from), and
+    rounding adds under 2**-(prec + 23) |tau| (below).  At N = 5, y <= 2**-55.2 (below) and 4
+    y**3 < 2**-163.6: the seed meets the stop rule as it stands for prec <=
+    147, and from N = 6 on (y <= 2**-761.4) for prec <= 2260, with neither
+    g' nor a division built.
 
     The domain check |target| <= 4 R_1 = 4 r_N admits only M|u| <= 2**-53:
     |w| = 2**zero_rho, zero_rho = (e_N - eps_N) / (M - 1) = M_{N-1} (2 e_{N-1}
@@ -318,12 +321,12 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
     The exact image -r_N w g(u) is target g(u) / tau, eps = |g(u) / tau - 1|
     (:func:`_tol_bits`).  u is kept when |g~ - tau~| <= 2**-b |tau~|
     (:func:`residual_below`, b <= prec + 15), else BranchError.  tau~ is
-    within 2**-(prec + 16) |tau| (read at prec + 32 bits); g~, origin_g at wp
-    bits (the loop's if its residual rounded to 0, else one more sum), within
-    2**-(prec + 24) |g(u)| (its roundings, and a tail under 2**-(wp - 1) of
-    the linear term while u is within |u| / 2 of the seed that chose K);
-    rounding the residual and mpc_below's moduli adds 2**-(wp - 4).  So eps
-    <= 2**-b (1 + 2**-78) + 2**-(prec + 15) < 0.251 min(tol, 1).
+    within 2**-(prec + 16) |tau| (read at prec + 32 bits); g~, the loop's
+    last origin_g sum at wp bits, within 2**-(prec + 24) |g(u)| (its
+    roundings, and a tail under 2**-(wp - 1) of the linear term while u is
+    within |u| / 2 of the seed that chose K); rounding the residual and
+    mpc_below's moduli adds 2**-(wp - 4).  So eps <= 2**-b (1 + 2**-78) +
+    2**-(prec + 15) < 0.251 min(tol, 1).
     """
     t = m.table
     M = 1 << t.N
@@ -345,7 +348,7 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
     u = mpc_mul(tt, mpc_add_mpf(mpc_mul(u, tt, wp, RND), fone, wp, RND), wp, RND)
     coef = origin_binomials(t.N, u, wp)
     u, res = _newton(u, lambda u: mpc_sub(origin_g(u, coef, wp), tau_c, wp, RND),
-                     lambda u: origin_g(u, coef, wp, slope=True), m.prec, wp)
+                     lambda u: origin_g(u, coef, wp, slope=True), tau_c, m.prec, wp)
     if not residual_below(u, tau_c, _tol_bits(tol), m.prec + 15, wp, coef, res):
         raise BranchError(f"origin residual not certified below tol {tol:.3g} at {m.prec} bits")
     return AnchoredPoint(i, w, u)
@@ -812,6 +815,8 @@ def backward_construct(m: ModelMap, itinerary: Sequence[str],
         spec = VkRoot(reg.k, br or 0) if reg.kind == "V" else PetalInverse(reg.k, reg.j)
         try:
             z = inverse_step(hi, z, spec, tol)
+            if type(z) is AnchoredPoint:   # a petal step's chart, read as the point it stands for
+                z = z.absolute(hi.prec)
         except NumericsError as e:
             raise type(e)(f"entry {i}: {reg}: {e}") from None
     if verify:

@@ -19,7 +19,6 @@ from typing import List, Optional
 from .numerics import (
     SIG_BITS,
     DomainError,
-    LogPolar,
     const_log2_frac,
     expm1_lp,
     frac_ilog2,
@@ -79,8 +78,10 @@ def _nearest_petal_candidates(nk: int, theta: Fraction) -> List[int]:
     return out
 
 
-def petal_membership(m: ModelMap, k: int, z: LogPolar) -> Optional[int]:
-    """Index j when z lies in the petal ball B(w_j, R_k 2**-n_k), else None.
+def petal_membership(m: ModelMap, k: int, z: Point) -> Optional[int]:
+    """Index j when z lies in the petal ball B(w_j, R_k 2**-n_k), else None:
+    exactly for a chart point at zero j of ring k + N - 1 whose |z / w_j - 1|
+    < 2**reach (AnchoredPoint) is within the radius, else on z's absolute form.
 
     The test is rho <= rad_rel for rho = log2 |z/w_j - 1| = log2 |e**L - 1|,
     L = dr ln 2 + 2 pi i dth, which expm1_lp takes.  Only the side of
@@ -109,6 +110,10 @@ def petal_membership(m: ModelMap, k: int, z: LogPolar) -> Optional[int]:
     t = m.table
     nk = t.n(k)
     rad_rel = petal_radius_rel_log2(nk)
+    if type(z) is AnchoredPoint:
+        if z.ring == k + t.N - 1 and z.reach() <= rad_rel:
+            return z.index
+        z = z.absolute(m.prec)
     p = min(m.prec, SIG_BITS + 64)
     dr = z.rho - m.ring_zero_rho(k + t.N - 1)
     if dr != 0 and frac_ilog2(abs(dr)) > int(rad_rel) + 3:
@@ -136,17 +141,26 @@ def classify(t: ParamTable, z: Point, margin: float = 0.0,
     `margin` (log2 units, taken exactly) turns an answer less than margin
     from a threshold into 'boundary'.
     Petal tags require a model (for its ring-zero geometry); without one the
-    enclosing A tag is returned.  An AnchoredPoint is D when its whole
-    enclosure w.rho +- 2|u| lies at least margin below D's top, and
-    'boundary' otherwise: an origin zero lies about 693 bits below it at
-    N = 5, and further from N = 6 on.
+    enclosing A tag is returned.  An AnchoredPoint at an origin zero is D
+    when its whole enclosure w.rho +- 2**reach lies at least margin below
+    D's top, and 'boundary' otherwise: an origin zero lies about 693 bits
+    below it at N = 5, and further from N = 6 on.  One at a ring zero of
+    level k is P(k, j) when its enclosure lies more than margin inside A_k
+    and petal_membership places it, else its absolute form decides.
     """
     if margin < 0:
         raise DomainError("margin must be >= 0")
     mfr = Fraction(margin) if margin else None    # the exact value of the float
     d_top = Fraction(t.R_exp(1) - 2)
     if type(z) is AnchoredPoint:
-        return Region("D") if z.below(d_top - (mfr or 0)) else Region("boundary")
+        if not z.ring:
+            return Region("D") if z.below(d_top - (mfr or 0)) else Region("boundary")
+        k, e, mg = z.ring - t.N + 1, t.r_exp(z.ring), mfr or 0
+        if model is not None and k <= t.kmax and z.above(e - 2 + mg) and z.below(e + 2 - mg):
+            pj = petal_membership(model, k, z)
+            if pj is not None:
+                return Region("P", k, pj)
+        z = z.absolute(model.prec if model is not None else SIG_BITS)
     if z.is_zero:
         return Region("D")
     rho = z.rho

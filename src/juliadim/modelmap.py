@@ -85,39 +85,53 @@ class PieceId:
 
 @dataclass(frozen=True)
 class AnchoredPoint:
-    """z = w (1 + u): w = qN_landmarks(m).zero(index), a nonzero zero of the
-    origin polynomial, and u a nonzero libmp pair with |u| <= 1/4, held
-    exactly.
+    """z = w (1 + u)**(1/M), M = 2**ring (principal root), in the chart of
+    the zero w, u a nonzero libmp pair with |u| <= 1/4, held exactly: w =
+    qN_landmarks(m).zero(index) for ring 0, the origin's normal form g(u) =
+    (1 + u)**M_N - 1 - u, and w = m.ring_zero(j, index) for ring j, whose
+    normal form is u (1 + u) (ModelMap.eval takes both in closed form).
 
     An OriginBranch preimage lies |u| ~ 2**-62 from its zero at N = 5 and
     2**-4.7e10 at N = 10.  As a pair u that costs one libmp exponent, where
     the absolute LogPolar (:meth:`absolute`) needs a rho denominator of that
-    many bits.  ModelMap.eval takes the point in closed form.
-
-    Its log2 modulus lies in the exact enclosure w.rho +- 2|u|, hence in
-    w.rho +- 2**(mpc_mag(u) + 1): for x = |u| <= 1/4, log2(1 + x) <= x / ln 2
-    and -log2(1 - x) <= x / ((1 - x) ln 2) <= 4x / (3 ln 2) < 2x.
+    many bits.  log2 |z| - w.rho = log2 |1 + u| / M and |z / w - 1| lie
+    within 2**reach, reach = mpc_mag(u) + 1 - ring: for x = |u| <= 1/4, |L|
+    = |log(1 + u)| <= 4x/3, so |Re L| / (M ln 2) and |e**(L/M) - 1| are
+    under 2x / M.
     """
     index: int
     zero: LogPolar
     u: Tuple[tuple, tuple]
+    ring: int = 0
     is_zero = False
 
     def __post_init__(self):
         if not (self.u[0][1] or self.u[1][1]) or mpc_mag(self.u) > -2:
             raise DomainError("an anchored point needs 0 < |u| <= 1/4")
 
+    def reach(self) -> int:
+        return mpc_mag(self.u) + 1 - self.ring
+
     def below(self, x: Union[Fraction, int]) -> bool:
-        """Every log2 |z| of the enclosure is at most x: x - w.rho >=
-        2**(mpc_mag(u) + 1), decided exactly without building that power."""
-        d = x - self.zero.rho
-        return d > 0 and frac_ilog2(d) > mpc_mag(self.u)
+        """Every log2 |z| of the enclosure is below x (above x: :meth:`above`):
+        x - w.rho >= 2**reach, decided exactly without building that power."""
+        return self._clears(x - self.zero.rho)
+
+    def above(self, x: Union[Fraction, int]) -> bool:
+        return self._clears(self.zero.rho - x)
+
+    def _clears(self, d: Fraction) -> bool:
+        return d > 0 and frac_ilog2(d) >= self.reach()
 
     def absolute(self, prec: int) -> LogPolar:
-        """z as a LogPolar, ``lp_perturb(w, u, prec)``: past the exponent
-        budget (|u| < 2**-MAX_EXP_BITS, every origin step from N = 8 on) it
-        raises ExponentBudgetError."""
-        return lp_perturb(self.zero, self.u, prec)
+        """z as a LogPolar, ``lp_perturb(w**M, u, prec).root(M, index - 1)``
+        (``lp_perturb(w, u, prec)`` at the origin): past the exponent budget
+        (|u| < 2**-MAX_EXP_BITS, every origin step from N = 8 on) it raises
+        ExponentBudgetError."""
+        if not self.ring:
+            return lp_perturb(self.zero, self.u, prec)
+        M = 1 << self.ring
+        return lp_perturb(self.zero.pow_int(M), self.u, prec).root(M, self.index - 1)
 
 
 Point = Union[LogPolar, AnchoredPoint]
@@ -242,13 +256,18 @@ class ModelMap:
         one on a shared boundary.  Thresholds are compared on integer parts
         first, and as exact rationals only when the integer parts tie.  An
         AnchoredPoint is on the origin piece when its enclosure lies below
-        e_N - 1 < log2(r_N - 1), and raises DomainError otherwise."""
+        e_N - 1 < log2(r_N - 1), on seam piece j when it lies above r_j and
+        below the seam's top (a ring zero sits 1.13 / M_j above r_j, and
+        2**reach <= 1 / (2 M_j)), and raises DomainError otherwise."""
         t = self.table
         N = t.N
         if type(z_or_rho) is AnchoredPoint:
-            if z_or_rho.below(t.r_exp(N) - 1):
+            z, j = z_or_rho, z_or_rho.ring
+            if not j and z.below(t.r_exp(N) - 1):
                 return PieceId("origin", None)
-            raise DomainError("anchored point's enclosure reaches past the origin piece")
+            if j and z.above(t.r_exp(j)) and z.below(self.seam_top(j)):
+                return PieceId("seam", j)
+            raise DomainError("anchored point's enclosure reaches past its piece")
         if isinstance(z_or_rho, LogPolar) and z_or_rho.is_zero:
             return PieceId("origin", None)
         rho = z_or_rho.rho if isinstance(z_or_rho, LogPolar) else Fraction(z_or_rho)
@@ -278,35 +297,41 @@ class ModelMap:
         return lp_add(t1, t2, guard=self.guard, prec=self.prec)
 
     def _eval_anchored(self, z: AnchoredPoint) -> LogPolar:
-        """q(w (1 + u)) = -r_N w g(u) in closed form, g(u) = (1 + u)**M - 1 - u.
+        """q(w (1 + u)) = -r_N w g(u) at the origin, S_j(z) = c_j r_j**(-M_j)
+        Z_j**2 u (1 + u) on ring j, in closed form.
 
-        Proof: q(z) = c_N z**M + r_N z.  The anchor is a zero of q/z, c_N
-        w**(M-1) = -r_N, which holds exactly and is checked here on the
-        exact (rho, turns) of w: (M - 1) w.rho = e_N - eps_N and 2 (M - 1)
-        turns is an odd integer.  So c_N z**M = c_N w**(M-1) w (1 + u)**M =
-        -r_N w (1 + u)**M, and q(z) = -r_N w ((1 + u)**M - (1 + u)).
+        Proof: q(z) = c_N z**M + r_N z and c_N w**(M-1) = -r_N, so c_N z**M =
+        -r_N w (1 + u)**M and q(z) = -r_N w ((1 + u)**M - (1 + u)); on ring j,
+        v = z**M_j = Z_j (1 + u) as w**M_j = Z_j, and S_j = c_j r_j**(-M_j) v
+        (v - Z_j).  The identity on w is checked on its exact (rho, turns): D
+        w.rho = e_N - eps_N (D = M - 1) or log2 |Z_j| (D = M_j), and 2 D turns
+        is an odd integer.
 
-        g(u) is :func:`origin_g` at wp = prec + 32 bits, the sum the origin
-        step solves; scaled by 2**-mpc_mag(g) (exact) it has modulus in
-        (1/4, 1], and one LogPolar.from_mpc at prec + 16 bits reads its
-        log2 modulus and turns to within a few units of 2**-(prec + 14).
-        A g that rounds to 0 (z another zero, w times an (M - 1)-th root of
-        unity) gives 0.
+        The normal form, g(u) (:func:`origin_g`, the sum the origin step
+        solves) or u (1 + u), is taken at wp = prec + 32 bits; scaled by
+        2**-mpc_mag (exact) it has modulus in (1/4, 1], and one
+        LogPolar.from_mpc at prec + 16 bits reads its log2 modulus and turns
+        to within a few units of 2**-(prec + 14).  A g that rounds to 0 (z
+        another zero, w times an (M - 1)-th root of unity) gives 0.
         """
-        t = self.table
+        t, w, j = self.table, z.zero, z.ring
         N = t.N
-        M = 1 << N
-        w = z.zero
-        x = 2 * (M - 1) * w.theta.turns
-        if (M - 1) * w.rho != t.r_exp(N) - t.c_exp(N) or x.denominator != 1 or not x.numerator & 1:
-            raise DomainError(f"anchor {w} is not a zero of the origin polynomial at N = {N}")
+        D, top = (1 << j, self.zcap_log2(j)) if j else ((1 << N) - 1, t.r_exp(N) - t.c_exp(N))
+        x = 2 * D * w.theta.turns
+        if D * w.rho != top or x.denominator != 1 or not x.numerator & 1:
+            raise DomainError(f"anchor {w} is not a zero of the model at ring {j}, N = {N}")
         wp = self.prec + 32
-        g = origin_g(z.u, origin_binomials(N, z.u, wp), wp)
-        if not (g[0][1] or g[1][1]):
+        if j:
+            s, base, turns = z.u, self.seam_zero_log2_base(j), 0
+            n = mpc_mul(s, mpc_add_mpf(s, fone, wp, RND), wp, RND)
+        else:
+            n = origin_g(z.u, origin_binomials(N, z.u, wp), wp)
+            base, turns = t.r_exp(N) + w.rho, w.theta.turns + HALF
+        if not (n[0][1] or n[1][1]):
             return LogPolar.zero_point()
-        e = mpc_mag(g)
-        v = LogPolar.from_mpc(mpc_shift(g, -e), self.prec)
-        return LogPolar(t.r_exp(N) + e + w.rho + v.rho, Angle(w.theta.turns + HALF + v.theta.turns))
+        e = mpc_mag(n)
+        v = LogPolar.from_mpc(mpc_shift(n, -e), self.prec)
+        return LogPolar(base + e + v.rho, Angle(turns + v.theta.turns))
 
     def _eval_power(self, z: LogPolar, j: int) -> LogPolar:
         Mj = 1 << j
@@ -386,9 +411,9 @@ class ModelMap:
 
     def eval(self, z: Point) -> Tuple[LogPolar, PieceId]:
         piece = self.piece_of(z)
+        if type(z) is AnchoredPoint:
+            return self._eval_anchored(z), piece
         if piece.kind == "origin":
-            if type(z) is AnchoredPoint:
-                return self._eval_anchored(z), piece
             return self._eval_origin(z).value, piece
         if piece.kind == "bump":
             return eval_bump_gk(self, z), piece

@@ -741,15 +741,17 @@ def below_log2_one_minus_pow2(d: Fraction, e: int) -> bool:
     < S + K + 2: each term is short by under one unit and the dropped tail
     is under two.  libmp's cached ``ln2_fixed(p)`` is within one unit of
     2**p ln 2 (the premise of mpmath's own directed roundings of ln 2);
-    2**16 units are allowed.  That encloses both sides in integer
-    intervals; p starts 64 bits past d's resolution and doubles until the
-    intervals separate, which they do because the threshold is irrational.
+    2**16 units are allowed.  That encloses both sides in integer intervals
+    at any p, so the verdict is exact whatever p starts at: p starts at 64 +
+    min(bits of d's denominator, e), 64 bits past d's resolution or past the
+    threshold's distance 2**-e from 0, and doubles until the intervals
+    separate, which they do because the threshold is irrational.
     """
     if d >= 0:
         return False
     a, b = -d.numerator, d.denominator
     slack = 1 << 16
-    p = b.bit_length() + 64
+    p = 64 + min(b.bit_length(), e)
     while True:
         terms = [(1 << (p - k * e)) // k for k in range(1, p // e + 1)]
         s_lo = sum(terms)

@@ -104,10 +104,12 @@ class CertificateReport:
         time, although it is rendered only when the report is emitted.
 
         The OR of the magnitudes is as long as the longest exact integer of
-        the row, so the guard is one comparison of its bit length."""
-        mag = (abs(lhs) | abs(rhs) if type(lhs) is int and type(rhs) is int
+        the row, so the guard is one comparison of its bit length, skipped
+        where it is 0 (every row of two strings)."""
+        tl, tr = type(lhs), type(rhs)
+        mag = (0 if tl is str and tr is str else abs(lhs) | abs(rhs) if tl is int and tr is int
                else _magnitude(lhs) | _magnitude(rhs))
-        if mag.bit_length() >= decimal_bits_limit():
+        if mag and mag.bit_length() >= decimal_bits_limit():
             raise DomainError(
                 f"row {name}[{index}] of {self.title!r}: a {mag.bit_length()}-bit exponent "
                 f"may pass the {sys.get_int_max_str_digits()}-digit limit of decimal conversion")

@@ -27,7 +27,7 @@ CURVES = "tests/test_curves.py::"
 MUTATIONS = (
     # the closed form of an anchored origin point, q(w (1 + u)) = -r_N w g(u)
     Mutation("closed form without its half turn", "src/juliadim/modelmap.py",
-             "Angle(w.theta.turns + HALF + v.theta.turns)", "Angle(w.theta.turns + v.theta.turns)",
+             "w.theta.turns + HALF\n", "w.theta.turns\n",
              (DYN + "test_closed_form_equals_the_absolute_route",
               DYN + "test_inverse_round_trips[origin]")),
     Mutation("g without its -u term", "src/juliadim/modelmap.py",
@@ -35,13 +35,13 @@ MUTATIONS = (
              (DYN + "test_closed_form_equals_the_absolute_route",
               DYN + "test_origin_solve_meets_g_within_its_stop_rule[128]")),
     Mutation("closed form drops the scale of g", "src/juliadim/modelmap.py",
-             "t.r_exp(N) + e + w.rho", "t.r_exp(N) + w.rho",
+             "LogPolar(base + e + v.rho", "LogPolar(base + v.rho",
              (DYN + "test_inverse_round_trips[origin]",)),
     Mutation("closed form without the zero check", "src/juliadim/modelmap.py",
-             "if (M - 1) * w.rho != t.r_exp(N) - t.c_exp(N) or", "if False and",
+             "if D * w.rho != top or", "if False and",
              (DYN + "test_closed_form_equals_the_absolute_route",)),
     Mutation("region from w.rho without the |u| enclosure", "src/juliadim/modelmap.py",
-             "return d > 0 and frac_ilog2(d) > mpc_mag(self.u)", "return d > 0",
+             "return d > 0 and frac_ilog2(d) >= self.reach()", "return d > 0",
              (DYN + "test_anchored_enclosure_decides_the_region_exactly",)),
     Mutation("classify without the margin on an anchored point", "src/juliadim/geometry.py",
              'z.below(d_top - (mfr or 0))', "z.below(d_top)",
@@ -114,6 +114,29 @@ MUTATIONS = (
     Mutation("petal reach back to 3 * 2**-n_k", "src/juliadim/dynamics.py",
              "reach = Fraction(3, 1 << min(nk, j + 64))", "reach = Fraction(3, 1 << nk)",
              (DYN + "test_petal_reach_keeps_its_denominator_short",)),
+    # petal steps in their ring zero's chart, z = w (1 + s)**(1/M_j)
+    Mutation("chart eval without the (1 + s) factor", "src/juliadim/modelmap.py",
+             "n = mpc_mul(s, mpc_add_mpf(s, fone, wp, RND), wp, RND)", "n = s",
+             (DYN + "test_petal_chart_eval_equals_the_absolute_route",
+              DYN + "test_inverse_round_trips[petal]")),
+    Mutation("chart enclosure 2**(mag(s) + 1 - j) loosened to 2**(mag(s) - j)",
+             "src/juliadim/modelmap.py",
+             "return mpc_mag(self.u) + 1 - self.ring", "return mpc_mag(self.u) - self.ring",
+             (DYN + "test_petal_chart_is_placed_as_its_absolute_point",
+              DYN + "test_anchored_enclosure_decides_the_region_exactly")),
+    # the origin solve stops on its residual, |F~(u)| <= 2**-(prec + 16) |scale|
+    Mutation("residual stop at 2**-prec", "src/juliadim/dynamics.py",
+             "if _below(res, scale, prec + 16, wp):", "if _below(res, scale, prec, wp):",
+             (DYN + "test_origin_newton_stops_at_its_first_step_below_the_threshold[160]",
+              DYN + "test_origin_newton_stops_at_its_first_step_below_the_threshold[192]")),
+    # the same margin as "petal_membership escalation band halved", shrunk
+    # further and held against the precision-doubling gate alone
+    Mutation("petal_membership escalation band shrunk to E / 4, precision gate only",
+             "src/juliadim/geometry.py",
+             "if abs(delta.rho - rad_rel) <= 2 * err:", "if abs(delta.rho - rad_rel) <= err / 4:",
+             ("tests/test_cli.py::test_doubled_precision_moves_no_verdict_or_value[verify-N5]",
+              "tests/test_cli.py::test_doubled_precision_moves_no_verdict_or_value[verify-N8]",
+              "tests/test_cli.py::test_doubled_precision_moves_no_verdict_or_value[backward]")),
     # recorded in earlier changes and still applicable
     Mutation("leaf field summed without 0 +", "src/juliadim/curves.py",
              "u = 0 + u\n", "u = u\n",

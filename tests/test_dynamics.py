@@ -26,8 +26,8 @@ from juliadim.dynamics import (
     verify_inclusions,
 )
 from juliadim.config import Config
-from juliadim.geometry import classify
-from juliadim.modelmap import AnchoredPoint, ModelMap, qN_landmarks
+from juliadim.geometry import Region, classify
+from juliadim.modelmap import AnchoredPoint, ModelMap, PieceId, qN_landmarks
 from juliadim.numerics import (RND, DomainError, ExponentBudgetError, LogPolar, const_log2_frac,
                                expm1_series, log1p_mpc, lp_add, lp_perturb, lp_sub, mpc_mag)
 from juliadim.params import build_params
@@ -237,12 +237,76 @@ def _petal_reference(m, target, spec):
 
 
 def test_petal_step_point_is_unchanged():
+    # the chart point (ring, zero index, s) read as its absolute form is,
+    # bit for bit, the point the step built before it kept its chart
     for N in (5, 6, 8):
         for prec in (128, 400):
             m = ModelMap(table=build_params(N, 12), prec=prec)
             for target, spec in _petal_cases(Random(f"petal-ref:{N}:{prec}"), 8, m.table):
-                z, ref = inverse_step(m, target, spec, TOL), _petal_reference(m, target, spec)
+                p, ref = inverse_step(m, target, spec, TOL), _petal_reference(m, target, spec)
+                assert isinstance(p, AnchoredPoint) and p.ring == spec.k + N - 1, spec
+                assert (p.index, p.zero) == (spec.j, m.ring_zero(p.ring, spec.j))
+                z = p.absolute(prec)
                 assert (z.rho, z.theta.turns) == (ref.rho, ref.theta.turns), (N, prec, spec)
+
+
+def test_petal_chart_eval_equals_the_absolute_route():
+    # S_j(z) = c_j r_j**(-M_j) Z_j**2 s (1 + s) in closed form equals the
+    # route it replaces, lp_perturb(Z, s).root(n_k, j - 1) through the
+    # seam's lp_add, within 2**-(prec - 8)
+    for N in (5, 6, 8):
+        for prec in (128, 400):
+            m = ModelMap(table=build_params(N, 12), prec=prec)
+            lim = Fraction(1, 2 ** (prec - 8))
+            for target, spec in _petal_cases(Random(f"chart-eval:{N}:{prec}"), 8, m.table):
+                z = inverse_step(m, target, spec, TOL)
+                (got, piece), (ref, ref_piece) = m.eval(z), m.eval(z.absolute(prec))
+                assert piece == ref_piece == PieceId("seam", z.ring)
+                assert abs(got.rho - ref.rho) < lim and got.theta.dist(ref.theta) < lim, (N, spec)
+    # the closed form refuses an anchor that is not a zero of its ring: a
+    # zero turned by a quarter of the zeros' spacing
+    w = z.zero.mul(LogPolar(0, Fraction(1, 4 << z.ring)))
+    with pytest.raises(DomainError, match="not a zero"):
+        m.eval(AnchoredPoint(z.index, w, z.u, z.ring))
+
+
+def test_petal_chart_is_placed_as_its_absolute_point():
+    # piece_of, classify (with and without margins) and iterate_orbit place
+    # the chart point from its exact enclosure w.rho +- 2**reach, reach =
+    # mag(s) + 1 - j, where its absolute form lands; a margin that leaves less
+    # room than that falls back to the absolute form
+    for N in (5, 6, 8):
+        m = ModelMap(table=build_params(N, 12))
+        t = m.table
+        for target, spec in _petal_cases(Random(f"chart-place:{N}"), 12, t):
+            z = inverse_step(m, target, spec, TOL)
+            a = z.absolute(m.prec)
+            assert m.piece_of(z) == m.piece_of(a) == PieceId("seam", z.ring)
+            assert classify(t, z, model=m) == classify(t, a, model=m) == Region("P", spec.k, spec.j)
+            for margin in (1.5, 1.96, 1.97, 2.5):
+                assert classify(t, z, margin, m) == classify(t, a, margin, m), margin
+            assert classify(t, z) == classify(t, a) == Region("A", spec.k)
+            assert iterate_orbit(m, z, 1).regions == iterate_orbit(m, a, 1).regions
+            unit = Fraction(2) ** (mpc_mag(z.u) + 1 - z.ring)
+            for d, side in ((unit, z.below), (-unit, z.above)):
+                assert side(z.zero.rho + d) and not side(z.zero.rho + d * Fraction(63, 64))
+
+
+def test_chart_target_is_read_as_its_absolute_point():
+    # inverse_step reads a petal chart target through absolute(m.prec): every
+    # branch returns for it what it returns for that absolute target
+    rng = Random(41)
+    for k in (2, 3, 1):
+        spec = PetalInverse(k, rng.randrange(1, T5.n(k) + 1))
+        z = inverse_step(M5, _rand_target(rng, k + 1), spec, TOL)
+        a = z.absolute(M5.prec)
+        if k > 1:
+            branches = (VkRoot(k - 1, rng.randrange(T5.n(k - 1))),
+                        PetalInverse(k - 1, rng.randrange(1, T5.n(k - 1) + 1)))
+        else:   # a level-1 petal lies in the origin branches' domain
+            branches = (OriginBranch(0), OriginBranch(rng.randrange(1, 32)))
+        for branch in branches:
+            assert inverse_step(M5, z, branch, TOL) == inverse_step(M5, a, branch, TOL), branch
 
 
 def test_petal_and_branch_0_steps_neither_evaluate_nor_differentiate(monkeypatch):
@@ -347,113 +411,82 @@ def test_origin_round_trips_at_tiny_offsets(N):
         assert float(got.theta.dist(target.theta)) < TOL
 
 
-@pytest.mark.parametrize("prec", [128, 160, 192])
-def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeypatch):
-    # the solve stops once a step is below 2**-(prec+16) relative to u.  From
-    # the third-order seed the first step is under 2**-163.7 relative at N =
-    # 5: one step at 128 bits; at 160 bits it mostly lies between that
-    # threshold and 2**-prec, so a stop test at 2**-prec ends one step early
+def _spy(monkeypatch, calls, *names):
+    # each call of dynamics.<name> is appended to calls[-1] as (name, first
+    # argument, result); origin_g's slope sums are named "origin_g'"
     import juliadim.dynamics as dyn
 
-    seen = []
-    # each Newton step hands its step du and the new iterate u to the stop
-    # test _below; the anchored point holds the last iterate.  A residual
-    # g(u) - tau that rounds to 0 ends the solve before its step, which is
-    # then 0 and leaves u as it is: it stands here as the step (0, last u)
-    def spy(*args, _real=dyn._below):
-        seen.extend(args[:2])
-        return _real(*args)
-    monkeypatch.setattr(dyn, "_below", spy)
+    def spy(name, real):
+        def f(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls[-1].append((name + "'" * bool(kwargs.get("slope")), args[0], out))
+            return out
+        return f
+    for name in names:
+        monkeypatch.setattr(dyn, name, spy(name, getattr(dyn, name)))
 
-    def sub(*args, _real=dyn.mpc_sub):
-        out = _real(*args)
-        if not out[0][1] and not out[1][1]:
-            seen.extend((out, None))
-        return out
-    monkeypatch.setattr(dyn, "mpc_sub", sub)
+
+@pytest.mark.parametrize("prec", [128, 160, 192])
+def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeypatch):
+    # the solve stops at the first iterate u whose |g(u) - tau| is at most
+    # 2**-(prec + 16) |tau|, recomputed here with mpmath at 2 prec bits, and
+    # never one iterate later.  The third-order seed leaves under 2**-163.6
+    # |tau| at N = 5 (the _origin_zero_step docstring): at 128 bits it is
+    # kept as it stands, at 160 and 192 bits these targets need one step
+    calls = []
+    _spy(monkeypatch, calls, "origin_g")
     m = dataclasses.replace(M5, prec=prec)
-    eps = mpmath.ldexp(1, -(prec + 16))
+    lm, M = qN_landmarks(m), 1 << T5.N
     counts = []
     for target, i in _origin_cases(Random(3), 6):
-        seen.clear()
-        seen.append(inverse_step(m, target.mul_pow2(1), OriginBranch(i), TOL).u)
-        steps, iterates = seen[0:-1:2], [seen[-1] if u is None else u for u in seen[1:-1:2]]
-        assert len(steps) == len(iterates) >= 1 and iterates[-1] == seen[-1]
-        counts.append(len(steps))
-        with mpmath.workprec(prec + 32):
-            u = [mpmath.mp.make_mpc(x) for x in iterates]
-            du = [mpmath.mp.make_mpc(x) for x in steps]
-            small = [abs(d) <= abs(b) * eps for d, b in zip(du, u)]
-            # each iterate is the one before less its step
-            assert all(b == a - d for a, b, d in zip(u, u[1:], du[1:]))
-        assert small[-1] and not any(small[:-1]), small
-    assert (max(counts) == 1) == (prec == 128), counts
+        target = target.mul_pow2(1)
+        calls.append([])
+        p = inverse_step(m, target, OriginBranch(i), TOL)
+        iterates = [u for name, u, _ in calls[-1] if name == "origin_g"]
+        assert iterates[-1] == p.u
+        w = lm.zero(i)
+        tau = target.div(LogPolar(T5.r_exp(T5.N) + w.rho, w.theta)).neg()
+        with mpmath.workprec(2 * prec):
+            t = mpmath.mp.make_mpc(tau.to_mpc_scaled(0, 2 * prec))
+            within = [abs((1 + u) ** M - 1 - u - t) <= abs(t) * mpmath.ldexp(1, -(prec + 16))
+                      for u in map(mpmath.mp.make_mpc, iterates)]
+        assert within[-1] and not any(within[:-1]), within
+        counts.append(len(iterates) - 1)
+    assert counts == [0] * 6 if prec == 128 else counts == [1] * 6, counts
 
 
 @pytest.mark.parametrize("N", [5, 6, 7])
-def test_origin_solve_takes_one_newton_step_at_128_bits(N, monkeypatch):
-    # the third-order seed leaves a first step under 2**-163.7 relative at
-    # N = 5 (the _origin_zero_step docstring), below the 2**-144 stop rule;
-    # the targets include |target| = 4 R_1, the largest the domain admits.
-    # A step is one division, or a residual g(u) - tau that rounds to 0,
-    # where the solve stops without dividing
-    import juliadim.dynamics as dyn
-
-    steps = []
-
-    def div(*args, _real=dyn.mpc_div):
-        steps[-1] += 1
-        return _real(*args)
-
-    def sub(*args, _real=dyn.mpc_sub):
-        out = _real(*args)
-        steps[-1] += not out[0][1] and not out[1][1]
-        return out
-    monkeypatch.setattr(dyn, "mpc_div", div)
-    monkeypatch.setattr(dyn, "mpc_sub", sub)
+def test_origin_solve_keeps_its_seed_at_128_bits(N, monkeypatch):
+    # the third-order seed leaves |g(u0) - tau| under 2**-163.6 |tau| at N =
+    # 5, and far less from N = 6 on (the _origin_zero_step docstring), within
+    # the 2**-144 stop rule: one residual, and neither g' nor a division.
+    # The targets include |target| = 4 R_1, the largest the domain admits
+    calls = []
+    _spy(monkeypatch, calls, "origin_g", "mpc_div")
     m = M5 if N == 5 else ModelMap(table=build_params(N, 12))
     rng = Random(100 + N)
     top = LogPolar(Fraction(m.table.R_exp(1) + 2), Fraction(rng.randrange(2**30), 2**30))
     cases = _origin_cases(rng, 12 if N < 7 else 4, m.table) + [(top, 1), (top, (1 << N) - 1)]
     for target, i in cases:
-        steps.append(0)
-        inverse_step(m, target, OriginBranch(i), TOL)
-    assert steps == [1] * len(cases)
+        calls.append([])
+        p = inverse_step(m, target, OriginBranch(i), TOL)
+        assert [(name, u) for name, u, _ in calls[-1]] == [("origin_g", p.u)]
 
 
 def test_origin_solve_skips_the_division_on_a_zero_residual(monkeypatch):
-    # 300 seeded N = 5 steps at 128 bits: where g(u0) - tau rounds to 0 at
-    # wp bits the solve stops before g', the division and the stop test.
-    # The step it skips is 0 / g' = 0, and u - 0 is u again, so the point
-    # is the one the step would have given
-    import juliadim.dynamics as dyn
-    from mpmath.libmp import fzero, round_nearest
-
+    # 300 seeded N = 5 steps at 128 bits: g(u0) - tau rounds to 0 at wp bits
+    # in about a third of them.  That residual, like every other one here,
+    # is within the stop rule: the solve returns its seed u0, the one the
+    # residual was taken at, with no g' and no division
     calls = []
-
-    def spy(name, _real):
-        def f(*args):
-            out = _real(*args)
-            calls[-1].append((name, not out[0][1] and not out[1][1])
-                             if name == "mpc_sub" else name)
-            return out
-        return f
-    for name in ("mpc_sub", "mpc_div", "_below"):
-        monkeypatch.setattr(dyn, name, spy(name, getattr(dyn, name)))
+    _spy(monkeypatch, calls, "origin_g", "mpc_sub", "mpc_div")
     zero_exits = 0
     for target, i in _origin_cases(Random(29), 300):
         calls.append([])
         p = inverse_step(M5, target, OriginBranch(i), TOL)
-        seq = calls[-1]
-        if ("mpc_sub", True) in seq:
-            zero_exits += 1
-            # the residual is the last subtraction, and nothing divides
-            assert seq[-1] == ("mpc_sub", True), seq
-            assert "mpc_div" not in seq and "_below" not in seq
-            u, wp = p.u, M5.prec + 32
-            assert dyn.mpc_sub(u, (fzero, fzero), wp, round_nearest) == u
-        else:
-            assert seq.count("mpc_div") == seq.count("_below") == 1, seq
+        (g, u0, _), (sub, _, res) = calls[-1]
+        assert (g, sub, u0) == ("origin_g", "mpc_sub", p.u)
+        zero_exits += not res[0][1] and not res[1][1]
     assert 60 <= zero_exits <= 240, zero_exits
 
 
@@ -963,15 +996,18 @@ def test_eval_then_inverse_identity():
 
 
 def test_petal_inverse_lands_in_petal_ball():
-    # the preimage of anything up to modulus 4 R_{k+1} sits inside the ball
-    from juliadim.geometry import petal_membership
+    # the preimage of anything up to modulus 4 R_{k+1} sits inside the ball:
+    # the chart point's enclosure |z / w_j - 1| < 2**reach decides it exactly,
+    # and its absolute form agrees
+    from juliadim.geometry import petal_membership, petal_radius_rel_log2
     rng = Random(13)
     for _ in range(10):
         k = rng.randrange(1, 4)
         target = LogPolar(Fraction(T5.R_exp(k + 1) + 2), Fraction(rng.randrange(997), 997))
         j = rng.randrange(1, T5.n(k) + 1)
         z = inverse_step(M5, target, PetalInverse(k, j), TOL)
-        assert petal_membership(M5, k, z) == j
+        assert isinstance(z, AnchoredPoint) and z.reach() <= petal_radius_rel_log2(T5.n(k))
+        assert petal_membership(M5, k, z) == j == petal_membership(M5, k, z.absolute(M5.prec))
 
 
 def test_petal_derivative_expansion_bound():

@@ -14,6 +14,7 @@ from juliadim.numerics import (
     DomainError,
     LogPolar,
     SIG_BITS,
+    below_log2_one_minus_pow2,
     const_log2_frac,
     dyadic_parts,
     expm1_lp,
@@ -25,6 +26,7 @@ from juliadim.numerics import (
     lp_add,
     lp_perturb,
     lp_sub,
+    mpf_to_frac,
     pow2_minus1_log2,
 )
 
@@ -920,3 +922,45 @@ def test_exponent_budget_errors():
     big = LogPolar(1 << (MAX_EXP_BITS - 2))
     with pytest.raises(ExponentBudgetError):
         big.pow_int(8)
+
+
+def _below_log2_one_minus_pow2_from_resolution(d, e):
+    # the rule below_log2_one_minus_pow2 started from before: p = 64 bits
+    # past d's resolution, whatever e is
+    if d >= 0:
+        return False
+    a, b = -d.numerator, d.denominator
+    p = b.bit_length() + 64
+    while True:
+        terms = [(1 << (p - k * e)) // k for k in range(1, p // e + 1)]
+        s_lo = sum(terms)
+        ln2 = libmp.ln2_fixed(p)
+        if a * (ln2 - (1 << 16)) > b * (s_lo + len(terms) + 2):
+            return True
+        if a * (ln2 + (1 << 16)) < b * s_lo:
+            return False
+        p *= 2
+
+
+def test_threshold_verdict_does_not_depend_on_its_start():
+    # 400 seeded (d, e): d within 2**-60 relative of log2(1 - 2**-e) (some
+    # as close as d's own resolution, where the start at e + 64 bits must
+    # double) or further, on either side, with denominators of e + 72 to e +
+    # 271 bits or of 45004 bits (the backwards orbit's, where e = 752).  The
+    # start at 64 + min(bits, e) gives the verdict of the start past d's
+    # resolution
+    rng = random.Random(29)
+    cases = [(Fraction(-103, 100) + Fraction(1, (1 << 45003) + 1), 752)]
+    with mpmath.workprec(256):
+        for n in range(399):
+            big = n % 10 == 0
+            e = rng.randrange(600, 1200) if big else rng.randrange(1, 1200)
+            rel = mpmath.ldexp(rng.uniform(1, 2), -rng.choice((60, 100)) if n % 2 else -rng.randrange(60))
+            thr = mpmath.log1p(-mpmath.ldexp(1, -e)) / mpmath.ln(2)
+            x = mpf_to_frac(thr * (1 + rel * rng.choice((-1, 1))))
+            bits = 45004 if big else e + rng.randrange(72, 200)
+            b = (1 << (bits - 1)) | rng.getrandbits(bits - 1) | 1
+            cases.append((Fraction(round(x * b), b), e))
+    for d, e in cases:
+        assert below_log2_one_minus_pow2(d, e) == _below_log2_one_minus_pow2_from_resolution(d, e)
+    assert sum(below_log2_one_minus_pow2(d, e) for d, e in cases) not in (0, len(cases))
