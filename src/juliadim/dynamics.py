@@ -57,7 +57,7 @@ from .numerics import (
 )
 from .geometry import LOG2_2_5, LOG2_3_5, Region, classify, petal_radius_rel_log2
 from .modelmap import (SEAM_MARGIN_BITS, AnchoredPoint, ModelMap, PieceId, Point, origin_binomials,
-                       origin_g, qN_landmarks, residual_below)
+                       origin_g, qN_landmarks, residual_below, table_consts)
 from .params import CertificateReport, omega_from_rho
 
 NEWTON_MAX_ITER = 64
@@ -119,11 +119,12 @@ def inverse_step(m: ModelMap, target: Point, branch: InverseBranchSpec,
 
     if isinstance(branch, PetalInverse):
         k, j = branch.k, branch.j
-        if not 1 <= j <= t.n(k):
+        nk, i, _, top = _petal_consts(m, k)
+        if not 1 <= j <= nk:
             raise BranchError(f"petal index {j} out of range")
         if target.is_zero:
-            return m.ring_zero(k + t.N - 1, j)
-        if target.rho > t.R_exp(k + 1) + 2:
+            return m.ring_zero(i, j)
+        if target.rho > top:
             raise BranchError("petal inverse defined for |target| <= 4 R_{k+1}")
         return _petal_step(m, target, k, j, tol)
 
@@ -159,11 +160,20 @@ def _newton(u: Tuple[tuple, tuple], residual, slope, scale: Tuple[tuple, tuple],
     raise BranchError(f"origin newton stagnated after {NEWTON_MAX_ITER} steps")
 
 
+def _petal_consts(m: ModelMap, k: int) -> tuple:
+    """(n_k, ring i = k + N - 1, q.rho - target.rho, the domain top R_{k+1} +
+    2) of petal level k, exact table constants (:func:`table_consts`)."""
+    t, nk, i = m.table, m.table.n(k), k + m.table.N - 1
+    return table_consts(t, ("petal", k), lambda: (
+        nk, i, nk * t.R_exp(k) - t.C_exp(k) + 2 - 2 * m.zcap_log2(i), t.R_exp(k + 1) + 2))
+
+
 def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> AnchoredPoint:
     """PetalInverse(k, j) in the chart of zero j of ring i = k + N - 1, whose
     seam piece is S(z) = K v (v - Z), v = z**n_k, K = C_k / R_k**n_k, Z =
     zcap(i) < 0.  At v = Z (1 + s), S = target s (1 + s) / (q/4), q = 4
-    target / (K Z**2) exact in log-polar.  The step takes s = h/2, h =
+    target / (K Z**2) exact in log-polar, its offset q.rho - target.rho a
+    table constant (:func:`_petal_consts`).  The step takes s = h/2, h =
     sqrt(1 + q~) - 1 (:func:`_half_sqrt1p_minus1`, q~ = ``q.to_mpc_scaled(0,
     prec)``), and returns the chart point (j, s) of ring i: z = w_j (1 +
     s)**(1/n_k), z**n_k = Z (1 + s).  Its absolute form (what a construction
@@ -189,8 +199,8 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> An
     With x = max(10, e, bits(prec) - 10), E < 3 2**(x - prec - 22) < 2**-(prec
     + 15 - a) <= 2**-b, and eps < 0.251 min(tol, 1) (:func:`_tol_bits`).
     """
-    t, nk, i = m.table, m.table.n(k), k + m.table.N - 1
-    q = LogPolar(target.rho + (nk * t.R_exp(k) - t.C_exp(k) + 2) - 2 * m.zcap_log2(i), target.theta)
+    nk, i, off, _ = _petal_consts(m, k)
+    q = LogPolar(target.rho + off, target.theta)
     e_q = q.rho_int()
     if e_q >= -16:
         raise BranchError(f"petal step needs |q| < 2**-16, got |q| ~ 2**{e_q}")
@@ -292,7 +302,10 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
     -target / (r_N w), exact in log-polar, by :func:`_newton` at wp = prec +
     32 bits, with g and g' by :func:`origin_g` to the K that
     :func:`origin_binomials` takes from the seed, stopping at the first
-    iterate whose |g~ - tau~| <= 2**-(prec + 16) |tau~|.
+    iterate whose |g~ - tau~| <= 2**-(prec + 16) |tau~|.  What depends on the
+    table alone, w and tau's exact offsets -r_N - w.rho and 1/2 - w.turns, and
+    the seed's M - 1, M (M + 1)/3 and -M/2 at wp, is built once per table
+    (:func:`table_consts`).
 
     The seed is the inverse series of g to third order.  With t = tau / (M -
     1), y = M|t| and P(u) = g(u) / (M - 1) = u + sum_{k>=2} a_k u**k, the seed
@@ -328,23 +341,25 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
     mpc_below's moduli adds 2**-(wp - 4).  So eps <= 2**-b (1 + 2**-78) +
     2**-(prec + 15) < 0.251 min(tol, 1).
     """
-    t = m.table
-    M = 1 << t.N
-    w = qN_landmarks(m).zero(i)
+    t, wp = m.table, m.prec + 32
+    # w, and tau's offsets from the target: table constants
+    w, off_rho, off_turns = table_consts(t, ("origin", i), lambda: (
+        w := qN_landmarks(m).zero(i), -t.r_exp(t.N) - w.rho, HALF - w.theta.turns))
     if target.is_zero:
         return w
-    tau = LogPolar(target.rho - t.r_exp(t.N) - w.rho, target.theta.turns - w.theta.turns + HALF)
+    tau = LogPolar(target.rho + off_rho, target.theta.turns + off_turns)
     e_tau = tau.rho_int()
     if e_tau >= -17:
         raise BranchError(f"origin step needs |tau| < 2**-17 (M|u| <= 2**-16), "
                           f"got |tau| ~ 2**{e_tau}")
-    wp = m.prec + 32
     # tau as a pair whose exponent may lie past any float's range
     tau_c = mpc_shift(tau.to_mpc_scaled(e_tau, m.prec + 16), e_tau)
-    tt = tuple(mpf_div(x, from_int(M - 1), wp, RND) for x in tau_c)
     # the reverted series to third order: u = t (1 + t (-M/2 + t M (M + 1)/3))
-    c3 = mpf_div(from_int(M * (M + 1)), from_int(3), wp, RND)
-    u = mpc_add_mpf(mpc_mul_mpf(tt, c3, wp, RND), from_int(-M // 2), wp, RND)
+    M = 1 << t.N
+    m1, c3, c2 = table_consts(t, ("seed", wp), lambda: (
+        from_int(M - 1), mpf_div(from_int(M * (M + 1)), from_int(3), wp, RND), from_int(-M // 2)))
+    tt = tuple(mpf_div(x, m1, wp, RND) for x in tau_c)
+    u = mpc_add_mpf(mpc_mul_mpf(tt, c3, wp, RND), c2, wp, RND)
     u = mpc_mul(tt, mpc_add_mpf(mpc_mul(u, tt, wp, RND), fone, wp, RND), wp, RND)
     coef = origin_binomials(t.N, u, wp)
     u, res = _newton(u, lambda u: mpc_sub(origin_g(u, coef, wp), tau_c, wp, RND),

@@ -183,6 +183,18 @@ def residual_below(u: Tuple[tuple, tuple], tau: Tuple[tuple, tuple], bits, exact
     return mpc_below(res, tau, bits, wp)
 
 
+def table_consts(t: ParamTable, key, build):
+    """build(), run once per table and key and stored on the table (frozen,
+    so in its __dict__): values of the table alone, or of the table at a
+    working precision the key names, never of an input point.  Models that
+    differ only in precision share them."""
+    store = t.__dict__.setdefault("_consts", {})
+    v = store.get(key)
+    if v is None:
+        v = store[key] = build()
+    return v
+
+
 @dataclass(frozen=True)
 class ModelMap:
     table: ParamTable
@@ -208,7 +220,8 @@ class ModelMap:
         return LogPolar(self.zcap_log2(j), HALF)
 
     def ring_zero_rho(self, j: int) -> Fraction:
-        return self.table.r_exp(j) + pi_over_ln2_frac(4 << j)
+        t = self.table
+        return table_consts(t, ("zero_rho", j), lambda: t.r_exp(j) + pi_over_ln2_frac(4 << j))
 
     def ring_zero(self, j: int, i: int) -> LogPolar:
         """i-th zero on ring j, i = 1..M_j; angle (2i-1)/(2 M_j) turns."""
@@ -237,19 +250,15 @@ class ModelMap:
 
     def _cuts(self):
         """(threshold, piece) pairs above r_N, ascending, and the thresholds'
-        integer parts.  They depend on the table alone, so they are built
-        lazily and stored on it (frozen dataclass, hence object.__setattr__):
-        models that differ only in precision share them."""
-        t = self.table
-        cache = getattr(t, "_piece_cuts", None)
-        if cache is None:
-            cuts = []
-            for j in range(t.N, t.jmax):
-                cuts.append((self.seam_top(j), PieceId("seam", j)))
-                cuts.append((Fraction(t.r_exp(j + 1)), PieceId("power", j + 1)))
-            cache = cuts, [c.numerator // c.denominator for c, _ in cuts]
-            object.__setattr__(t, "_piece_cuts", cache)
-        return cache
+        integer parts: table constants (:func:`table_consts`)."""
+        return table_consts(self.table, "cuts", self._build_cuts)
+
+    def _build_cuts(self):
+        t, cuts = self.table, []
+        for j in range(t.N, t.jmax):
+            cuts.append((self.seam_top(j), PieceId("seam", j)))
+            cuts.append((Fraction(t.r_exp(j + 1)), PieceId("power", j + 1)))
+        return cuts, [c.numerator // c.denominator for c, _ in cuts]
 
     def piece_of(self, z_or_rho) -> PieceId:
         """The piece whose closed annulus in rho holds z (or rho), the lower

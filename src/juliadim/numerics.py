@@ -333,10 +333,13 @@ class LogPolar:
         """self / 2**rho0 as a libmp pair (re, im); |rho - rho0| must be
         float-safe.
 
-        At p = prec + 16 bits, rounded to nearest: 2**(rho - rho0) by
-        ``mpf_pow``, times cos and sin of 2 pi theta from one
-        ``mpf_cos_sin_pi`` call, each of rho - rho0 and theta read as
-        :func:`frac_to_mpf` gives it at p.
+        At p = prec + 16 bits, rounded to nearest: 2**d, d = rho - rho0,
+        times cos and sin of 2 pi theta from one ``mpf_cos_sin_pi`` call, each
+        of d and theta read as :func:`frac_to_mpf` gives it at p.  2**d is
+        ``mpf_pow(2, d, p)`` bit for bit: ``mpf_pow`` for the integer and
+        half-integer d it special-cases, else its general branch inlined,
+        ``mpf_exp(d ln 2, p)`` with ln 2 at p + 10 bits (``mpf_log(2, p + 10)``
+        is ``mpf_ln2(p + 10)``), one ``mpf_exp`` without the wrapper.
         """
         if self.is_zero:
             return fzero, fzero
@@ -344,7 +347,9 @@ class LogPolar:
         if abs(d.numerator // d.denominator) > (1 << 24):
             raise DomainError("scale gap too large for complex conversion")
         p = prec + 16
-        mag = libmp.mpf_pow(FTWO, frac_to_mpf(d, p), p, RND)
+        d = frac_to_mpf(d, p)
+        mag = (libmp.mpf_pow(FTWO, d, p, RND) if d[2] >= -1
+               else libmp.mpf_exp(mpf_mul(d, mpf_ln2(p + 10, RND)), p, RND))
         c, s = libmp.mpf_cos_sin_pi(libmp.mpf_pos(mpf_shift(frac_to_mpf(self.theta.turns, p), 1),
                                                   p, RND), p, RND)
         return mpf_mul(mag, c, p, RND), mpf_mul(mag, s, p, RND)

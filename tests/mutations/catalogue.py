@@ -137,6 +137,14 @@ MUTATIONS = (
              ("tests/test_cli.py::test_doubled_precision_moves_no_verdict_or_value[verify-N5]",
               "tests/test_cli.py::test_doubled_precision_moves_no_verdict_or_value[verify-N8]",
               "tests/test_cli.py::test_doubled_precision_moves_no_verdict_or_value[backward]")),
+    # table constants of the inverse steps, and 2**x through one mpf_exp
+    Mutation("petal constants keyed on k alone, shared across tables", "src/juliadim/dynamics.py",
+             'table_consts(t, ("petal", k),', 'table_consts(_petal_consts, ("petal", k),',
+             (DYN + "test_step_constants_are_kept_per_table",)),
+    Mutation("2**x with ln 2 at p instead of p + 10", "src/juliadim/numerics.py",
+             "mpf_ln2(p + 10, RND)", "mpf_ln2(p, RND)",
+             tuple(f"tests/test_numerics.py::test_to_mpc_scaled_takes_2_to_the_d_as_mpf_pow[{p}]"
+                   for p in (64, 128, 2400))),
     # recorded in earlier changes and still applicable
     Mutation("leaf field summed without 0 +", "src/juliadim/curves.py",
              "u = 0 + u\n", "u = u\n",

@@ -411,6 +411,63 @@ def test_origin_round_trips_at_tiny_offsets(N):
         assert float(got.theta.dist(target.theta)) < TOL
 
 
+def _step_fields(z):
+    if type(z) is AnchoredPoint:
+        return (z.index, z.ring, z.zero.rho, z.zero.theta.turns) + z.u
+    return z.rho, z.theta.turns
+
+
+# digest of seeded OriginBranch points, i >= 1 and i = 0 (its Newton solve
+# at N = 5 and 2048 bits), recorded before the step kept its constants on
+# the table and read 2**x through one mpf_exp
+ORIGIN_STEP_PIN = "4224a59cc05d8080ef0b14a1"
+
+
+def test_origin_step_points_are_pinned():
+    h = hashlib.sha256()
+    for N in (5, 6, 8, 10):
+        t = build_params(N, 12)
+        for prec in (128, 400) + ((2048,) if N == 5 else ()):
+            m = ModelMap(table=t, prec=prec, guard=max(256, prec))
+            rng = Random(f"origin-digest:{N}:{prec}")
+            for _ in range(8):
+                target = _rand_target(rng, 1, t)
+                for i in (0, rng.randrange(1, 1 << N)):
+                    z = inverse_step(m, target, OriginBranch(i), TOL)
+                    h.update(repr(_step_fields(z)).encode())
+    assert h.hexdigest()[:24] == ORIGIN_STEP_PIN
+
+
+def test_step_constants_are_kept_per_table():
+    # petal and origin steps on N = 5 and N = 6 models at 128 and 400 bits,
+    # interleaved in one process (two models share each table), equal the
+    # same steps on fresh tables, and each re-evaluates to its target
+    tables = {N: build_params(N, 12) for N in (5, 6)}
+    configs = [(N, prec) for N in (5, 6) for prec in (128, 400)]
+
+    def cases(N, prec):
+        rng, t = Random(f"isolation:{N}:{prec}"), tables[N]
+        out = _petal_cases(rng, 6, t)
+        return out + [(target, OriginBranch(i)) for target, i in _origin_cases(rng, 4, t)]
+
+    def steps(m, N, prec):
+        return [inverse_step(m, target, spec, TOL) for target, spec in cases(N, prec)]
+
+    shared = {c: ModelMap(table=tables[c[0]], prec=c[1]) for c in configs}
+    got = {c: [] for c in configs}
+    for n in range(10):
+        for c in configs:
+            target, spec = cases(*c)[n]
+            got[c].append(inverse_step(shared[c], target, spec, TOL))
+    for c in configs:
+        fresh = ModelMap(table=build_params(c[0], 12), prec=c[1])
+        assert got[c] == steps(fresh, *c), c
+        for (target, spec), z in zip(cases(*c), got[c]):
+            back, _ = shared[c].eval(z)
+            assert abs(float(back.rho - target.rho)) < TOL, (c, spec)
+            assert float(back.theta.dist(target.theta)) < TOL, (c, spec)
+
+
 def _spy(monkeypatch, calls, *names):
     # each call of dynamics.<name> is appended to calls[-1] as (name, first
     # argument, result); origin_g's slope sums are named "origin_g'"

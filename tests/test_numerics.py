@@ -738,6 +738,29 @@ def test_libmp_kernels_equal_their_mpc_forms(prec):
         assert got == _half_sqrt1p_minus1_ref(q, prec)._mpc_, e
 
 
+@pytest.mark.parametrize("prec", [64, 128, 2400])
+def test_to_mpc_scaled_takes_2_to_the_d_as_mpf_pow(prec):
+    # 2**d, d = rho - rho0, is mpf_pow(2, d, p)'s value bit for bit at p =
+    # prec + 16: d = 0, integer d and d = n +- 1/2, which mpf_pow special-cases,
+    # and seeded fractional d, where to_mpc_scaled inlines its general branch
+    from juliadim.numerics import FTWO, RND, frac_to_mpf
+
+    rng, p = random.Random(f"pow2:{prec}"), prec + 16
+    ds = [Fraction(0), Fraction(1), Fraction(-3), Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 2)]
+    ds += [Fraction(rng.randrange(-(1 << 24), 1 << 24)) for _ in range(20)]
+    ds += [Fraction(2 * rng.randrange(-(1 << 20), 1 << 20) + 1, 2) for _ in range(20)]
+    ds += [rng.randrange(-(1 << 20), 1 << 20)
+           + _tiny_frac(rng, rng.randrange(0, 40), rng.choice((64, p + 32))) for _ in range(150)]
+    for d in ds:
+        rho0 = rng.randrange(-(1 << 40), 1 << 40)
+        z = LogPolar(rho0 + d, Angle(Fraction(rng.randrange(1 << 30), 1 << 30)))
+        mag = libmp.mpf_pow(FTWO, frac_to_mpf(d, p), p, RND)
+        turns = libmp.mpf_pos(libmp.mpf_shift(frac_to_mpf(z.theta.turns, p), 1), p, RND)
+        c, s = libmp.mpf_cos_sin_pi(turns, p, RND)
+        want = libmp.mpf_mul(mag, c, p, RND), libmp.mpf_mul(mag, s, p, RND)
+        assert z.to_mpc_scaled(rho0, prec) == want, d
+
+
 def test_libmp_kernels_refuse_what_their_mpc_forms_refused():
     # a scale gap past 2^24, a zero point, expm1 of (0, 0) and of (0, 1) (a
     # whole turn), expm1_series past 2^-16; log1p_mpc of 0 is 0 where the
