@@ -174,21 +174,22 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> An
     zcap(i) < 0.  At v = Z (1 + s), S = target s (1 + s) / (q/4), q = 4
     target / (K Z**2) exact in log-polar, its offset q.rho - target.rho a
     table constant (:func:`_petal_consts`).  The step takes s = h/2, h =
-    sqrt(1 + q~) - 1 (:func:`_half_sqrt1p_minus1`, q~ = ``q.to_mpc_scaled(0,
-    prec)``), and returns the chart point (j, s) of ring i: z = w_j (1 +
-    s)**(1/n_k), z**n_k = Z (1 + s).  Its absolute form (what a construction
-    or a target reads) has z**n_k = Z (1 + s'), 1 + s' = (1 + s) e**d, d the
-    rounding of log(1 + s) in lp_perturb; s' = s on the chart.
+    sqrt(1 + q~) - 1 (:func:`_half_sqrt1p_minus1`, q~ read at its integer
+    scale, as the origin step reads tau), and returns the chart point (j, s)
+    of ring i: z = w_j (1 + s)**(1/n_k), z**n_k = Z (1 + s).  Its absolute
+    form (what a construction or a target reads) has z**n_k = Z (1 + s'), 1 +
+    s' = (1 + s) e**d, d the rounding of log(1 + s) in lp_perturb; s' = s on
+    the chart.
 
     The point is kept when |s (1 + s) - q~/4| <= 2**-b |q~/4|
-    (:func:`residual_below`) and b <= prec + 15 - a, a = max(5, e - 5,
-    bits(prec) - 15), e the bit length of |floor(log2 |q|)|, else
-    BranchError.  eps = |s' (1 + s') / (q/4) - 1| <= 2**-b (1 + 2**-28) + E,
-    E summing, relative to |q/4|, prec >= 64:
+    (:func:`residual_below`) and b <= prec + 15 - a, a = max(5, bits(prec) -
+    15), else BranchError.  eps = |s' (1 + s') / (q/4) - 1| <= 2**-b (1 +
+    2**-28) + E, E summing, relative to |q/4|, prec >= 64:
 
-    * |q~ - q| < 2**(e - prec - 22) + 2**-(prec + 13): to_mpc_scaled reads
-      log2 |q| at prec + 24 bits, ln 2 at prec + 26, 2**(.), cos and sin at
-      prec + 16;
+    * |q~ - q| < 2**-(prec + 13): to_mpc_scaled reads q / 2**e_q, e_q =
+      floor(log2 |q|), of modulus in [1, 2), its exponent in [0, 1) at prec +
+      24 bits, ln 2 at prec + 26, 2**(.), cos and sin at prec + 16, and the
+      shift by e_q is exact;
     * |d| (1 + 2**-14) / |s| < 2**(bits(prec) - prec - 32): the domain check
       admits only |q| <= 2**-30.27 (N = 5, k = 1; less elsewhere) and |q| >=
       2**-16 is refused, so |s| < 2**-17.9 and lp_perturb sums its series, n
@@ -196,17 +197,17 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> An
       and by 2 pi: |d| <= (1.5 n + 5) 2**-wp |s|;
     * 2**-(wp - 4) for rounding the residual and mpc_below's moduli.
 
-    With x = max(10, e, bits(prec) - 10), E < 3 2**(x - prec - 22) < 2**-(prec
-    + 15 - a) <= 2**-b, and eps < 0.251 min(tol, 1) (:func:`_tol_bits`).
+    With x = max(10, bits(prec) - 10), E < 2**(x - prec - 21) < 2**-(prec + 15
+    - a) <= 2**-b, and eps < 0.251 min(tol, 1) (:func:`_tol_bits`).
     """
     nk, i, off, _ = _petal_consts(m, k)
     q = LogPolar(target.rho + off, target.theta)
     e_q = q.rho_int()
     if e_q >= -16:
         raise BranchError(f"petal step needs |q| < 2**-16, got |q| ~ 2**{e_q}")
-    q_c = q.to_mpc_scaled(0, m.prec)
+    q_c = mpc_shift(q.to_mpc_scaled(e_q, m.prec), e_q)
     s = _half_sqrt1p_minus1(q_c, m.prec)
-    a = max(5, (-e_q).bit_length() - 5, m.prec.bit_length() - 15)
+    a = max(5, m.prec.bit_length() - 15)
     if not residual_below(s, mpc_shift(q_c, -2), _tol_bits(tol), m.prec + 15 - a, m.prec + 32):
         raise BranchError(f"petal residual not certified below tol {tol:.3g} at {m.prec} bits")
     return AnchoredPoint(j, m.ring_zero(i, j), s, i)
@@ -267,7 +268,7 @@ _BINOM_HALF: dict = {}
 
 def _half_sqrt1p_minus1(q: Tuple[tuple, tuple], prec: int) -> Tuple[tuple, tuple]:
     """s = h / 2 as a libmp pair, h = sqrt(1 + q) - 1 by the binomial series,
-    for the pair q the petal step reads by ``to_mpc_scaled(0, prec)``.
+    for the pair q the petal step reads at its integer scale.
 
     Every step is rounded to nearest at wp = prec + 32 bits (the
     coefficients C(1/2, n) once per wp, in ``_BINOM_HALF``), and the sum

@@ -70,7 +70,7 @@ MUTATIONS = (
               DYN + "test_petal_residual_decision_is_sound[400]")),
     # a covers the reading of q and lp_perturb's rounding of log(1 + s)
     Mutation("petal lp_perturb allowance dropped", "src/juliadim/dynamics.py",
-             "m.prec + 15 - a, m.prec + 32)", "m.prec + 15, m.prec + 32)",
+             "a = max(5, m.prec.bit_length() - 15)", "a = 0",
              (DYN + "test_petal_residual_decision_is_sound[128]",
               DYN + "test_petal_residual_decision_is_sound[400]")),
     Mutation("branch 0 keeps tau0 without deciding sigma", "src/juliadim/dynamics.py",

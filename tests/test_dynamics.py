@@ -232,7 +232,8 @@ def _petal_reference(m, target, spec):
     t, k = m.table, spec.k
     nk, zc = t.n(k), m.zcap(k + t.N - 1)
     q = LogPolar(target.rho + (nk * t.R_exp(k) - t.C_exp(k) + 2) - 2 * zc.rho, target.theta)
-    s = _half_sqrt1p_minus1(q.to_mpc_scaled(0, m.prec), m.prec)
+    e_q = q.rho_int()
+    s = _half_sqrt1p_minus1(libmp.mpc_shift(q.to_mpc_scaled(e_q, m.prec), e_q), m.prec)
     return _newton_polish(m, lp_perturb(zc, s, m.prec).root(nk, spec.j - 1), target, TOL)[0]
 
 
@@ -329,9 +330,8 @@ def test_petal_and_branch_0_steps_neither_evaluate_nor_differentiate(monkeypatch
 def test_petal_residual_decision_is_sound(prec):
     # 36 seeded steps per tol at N = 5, 6, 8: an accepted step re-evaluates
     # within tol, at its precision and at 4 times it.  2**-64 and 2**-100
-    # are always certified.  At these N the allowance for reading q at
-    # prec + 16 bits is a = 5 or 6 (the _petal_step docstring), so b <= prec
-    # + 10: a tol of 2**-(prec + 8) (b = prec + 12) or finer is never
+    # are always certified.  The allowance for reading q at prec + 16 bits
+    # is a = 5 (the _petal_step docstring), so b <= prec + 10: a tol of 2**-(prec + 8) (b = prec + 12) or finer is never
     # certified, though s (1 + s) - q/4 rounds far below it
     for N in (5, 6, 8):
         m = ModelMap(table=build_params(N, 12), prec=prec)
@@ -349,6 +349,46 @@ def test_petal_residual_decision_is_sound(prec):
                     assert piece.kind == "seam"
                     assert abs(float(got.rho - target.rho)) < tol, (N, spec, tol)
                     assert float(got.theta.dist(target.theta)) < tol, (N, spec, tol)
+
+
+@pytest.mark.parametrize("prec", [128, 400])
+def test_petal_step_reads_q_at_its_integer_scale(monkeypatch, prec):
+    # 900 seeded steps whose e, the bit length of |floor(log2 |q|)|, runs
+    # from the smallest the domain admits (6 at k = 1) to 24: the q~ the step hands its series is within 2**-(prec + 13)
+    # |q| of q at prec + 200 bits, and its decision cap prec + 15 - a is
+    # prec + 10 whatever e (a read of log2 |q| itself lost e bits of q~)
+    import juliadim.dynamics as dyn
+
+    seen = {"q": [], "exact": []}
+    series, decide = dyn._half_sqrt1p_minus1, dyn.residual_below
+
+    def series_spy(q, p):
+        seen["q"].append(q)
+        return series(q, p)
+
+    def decide_spy(s, tau, bits, exact, wp):
+        seen["exact"].append(exact)
+        return decide(s, tau, bits, exact, wp)
+
+    monkeypatch.setattr(dyn, "_half_sqrt1p_minus1", series_spy)
+    monkeypatch.setattr(dyn, "residual_below", decide_spy)
+    m, t, rng = dataclasses.replace(M5, prec=prec), T5, Random(f"q-scale:{prec}")
+    for n in range(900):
+        k = rng.randrange(1, 4)
+        off = t.n(k) * t.R_exp(k) - t.C_exp(k) + 2 - 2 * m.zcap_log2(k + t.N - 1)
+        low = 1 - math.floor(t.R_exp(k + 1) + 2 + off)    # the least e_q the domain admits
+        e = low.bit_length() + n % (25 - low.bit_length())
+        e_q = rng.randrange(max(1 << (e - 1), low), 1 << e)
+        q_rho = -e_q + Fraction(rng.getrandbits(64), 1 << 64)
+        theta = Fraction(rng.getrandbits(64), 1 << 64)
+        inverse_step(m, LogPolar(q_rho - off, theta), PetalInverse(k, rng.randrange(1, t.n(k) + 1)),
+                     TOL)
+        with mpmath.workprec(prec + 240):
+            q = (mpmath.mpf(2) ** (mpmath.mpf(q_rho.numerator) / q_rho.denominator)
+                 * mpmath.expjpi(2 * mpmath.mpf(theta.numerator) / theta.denominator))
+            err = abs(mpmath.mp.make_mpc(seen["q"][-1]) - q) / abs(q)
+            assert err <= mpmath.mpf(2) ** -(prec + 13), (k, e)
+    assert seen["exact"] == [prec + 10] * 900
 
 
 def test_petal_step_refuses_q_past_its_series_bound():
@@ -765,14 +805,15 @@ def _point_digest(z):
 
 
 # digests of the constructed points and the whole-itinerary precision need[0],
-# recorded before the re-verification ran at a per-step precision
+# recorded before the re-verification ran at a per-step precision; the
+# backwards digests again after the petal step read q at its integer scale
 CONSTRUCTION_PINS = {
     1: {"climb": "b6878cd2715ee9d95c340b93", "forward": "b06f88ad3426f55b7af940a1",
-        "backwards": "56dd4f9eabbcf7165996703c"},
+        "backwards": "21db8b18f543a1643bc1691f"},
     2: {"climb": "a212a61078ccbfb39f1dffef", "forward": "236f366bc553724cf4c44d60",
-        "backwards": "00b3595138a01dbf60cc4b72"},
+        "backwards": "473f1ad7aafbbb4ab833a955"},
     3: {"climb": "bcd13583797fbe0473b5cf99", "forward": "8207bbc321a65ab2f583225a",
-        "backwards": "f60ea8f3ca6ffea725d0ebf6"},
+        "backwards": "95c7058a60834b5b5ceb9fc1"},
 }
 NEED0_PINS = {"climb": 410, "forward": 732, "backwards": 22683}
 
