@@ -161,8 +161,7 @@ def _newton(u: Tuple[tuple, tuple], residual, slope, scale: Tuple[tuple, tuple],
 
 
 def _petal_consts(m: ModelMap, k: int) -> tuple:
-    """(n_k, ring i = k + N - 1, q.rho - target.rho, the domain top R_{k+1} +
-    2) of petal level k, exact table constants (:func:`table_consts`)."""
+    """(n_k, ring i = k + N - 1, q.rho - target.rho, top R_{k+1} + 2): table constants."""
     t, nk, i = m.table, m.table.n(k), k + m.table.N - 1
     return table_consts(t, ("petal", k), lambda: (
         nk, i, nk * t.R_exp(k) - t.C_exp(k) + 2 - 2 * m.zcap_log2(i), t.R_exp(k + 1) + 2))
@@ -187,9 +186,8 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> An
     2**-28) + E, E summing, relative to |q/4|, prec >= 64:
 
     * |q~ - q| < 2**-(prec + 13): to_mpc_scaled reads q / 2**e_q, e_q =
-      floor(log2 |q|), of modulus in [1, 2), its exponent in [0, 1) at prec +
-      24 bits, ln 2 at prec + 26, 2**(.), cos and sin at prec + 16, and the
-      shift by e_q is exact;
+      floor(log2 |q|) (the shift is exact), at prec + 16 bits, its exponent in
+      [0, 1) at prec + 24 and ln 2 at prec + 26;
     * |d| (1 + 2**-14) / |s| < 2**(bits(prec) - prec - 32): the domain check
       admits only |q| <= 2**-30.27 (N = 5, k = 1; less elsewhere) and |q| >=
       2**-16 is refused, so |s| < 2**-17.9 and lp_perturb sums its series, n
@@ -200,7 +198,7 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> An
     With x = max(10, bits(prec) - 10), E < 2**(x - prec - 21) < 2**-(prec + 15
     - a) <= 2**-b, and eps < 0.251 min(tol, 1) (:func:`_tol_bits`).
     """
-    nk, i, off, _ = _petal_consts(m, k)
+    _, i, off, _ = _petal_consts(m, k)
     q = LogPolar(target.rho + off, target.theta)
     e_q = q.rho_int()
     if e_q >= -16:
@@ -303,10 +301,8 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
     -target / (r_N w), exact in log-polar, by :func:`_newton` at wp = prec +
     32 bits, with g and g' by :func:`origin_g` to the K that
     :func:`origin_binomials` takes from the seed, stopping at the first
-    iterate whose |g~ - tau~| <= 2**-(prec + 16) |tau~|.  What depends on the
-    table alone, w and tau's exact offsets -r_N - w.rho and 1/2 - w.turns, and
-    the seed's M - 1, M (M + 1)/3 and -M/2 at wp, is built once per table
-    (:func:`table_consts`).
+    iterate whose |g~ - tau~| <= 2**-(prec + 16) |tau~|.  w, tau - target (-r_N -
+    w.rho, 1/2 - w.turns) and the seed's coefficients are table constants.
 
     The seed is the inverse series of g to third order.  With t = tau / (M -
     1), y = M|t| and P(u) = g(u) / (M - 1) = u + sum_{k>=2} a_k u**k, the seed
@@ -343,7 +339,6 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
     2**-(prec + 15) < 0.251 min(tol, 1).
     """
     t, wp = m.table, m.prec + 32
-    # w, and tau's offsets from the target: table constants
     w, off_rho, off_turns = table_consts(t, ("origin", i), lambda: (
         w := qN_landmarks(m).zero(i), -t.r_exp(t.N) - w.rho, HALF - w.theta.turns))
     if target.is_zero:

@@ -146,7 +146,8 @@ def classify(t: ParamTable, z: Point, margin: float = 0.0,
     D's top, and 'boundary' otherwise: an origin zero lies about 693 bits
     below it at N = 5, and further from N = 6 on.  One at a ring zero of
     level k is P(k, j) when its enclosure lies more than margin inside A_k
-    and petal_membership places it, else its absolute form decides.
+    and petal_membership places it; without a model, A(k) when it lies above
+    V_k's top and margin inside A_k.  Otherwise its absolute form decides.
     """
     if margin < 0:
         raise DomainError("margin must be >= 0")
@@ -156,9 +157,11 @@ def classify(t: ParamTable, z: Point, margin: float = 0.0,
         if not z.ring:
             return Region("D") if z.below(d_top - (mfr or 0)) else Region("boundary")
         k, e, mg = z.ring - t.N + 1, t.r_exp(z.ring), mfr or 0
-        if model is not None and k <= t.kmax and z.above(e - 2 + mg) and z.below(e + 2 - mg):
-            pj = petal_membership(model, k, z)
-            if pj is not None:
+        inside = k <= t.kmax and z.below(e + 2 - mg)
+        if model is None and inside and z.above(e + max(LOG2_3_5, mg - 2)):
+            return Region("A", k)
+        if model is not None and inside and z.above(e - 2 + mg):
+            if (pj := petal_membership(model, k, z)) is not None:
                 return Region("P", k, pj)
         z = z.absolute(model.prec if model is not None else SIG_BITS)
     if z.is_zero:

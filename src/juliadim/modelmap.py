@@ -184,10 +184,8 @@ def residual_below(u: Tuple[tuple, tuple], tau: Tuple[tuple, tuple], bits, exact
 
 
 def table_consts(t: ParamTable, key, build):
-    """build(), run once per table and key and stored on the table (frozen,
-    so in its __dict__): values of the table alone, or of the table at a
-    working precision the key names, never of an input point.  Models that
-    differ only in precision share them."""
+    """build() of a value of table t alone (or at a working precision the key
+    names), run once and stored on t, which models of any precision share."""
     store = t.__dict__.setdefault("_consts", {})
     v = store.get(key)
     if v is None:

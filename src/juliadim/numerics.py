@@ -333,13 +333,12 @@ class LogPolar:
         """self / 2**rho0 as a libmp pair (re, im); |rho - rho0| must be
         float-safe.
 
-        At p = prec + 16 bits, rounded to nearest: 2**d, d = rho - rho0,
-        times cos and sin of 2 pi theta from one ``mpf_cos_sin_pi`` call, each
-        of d and theta read as :func:`frac_to_mpf` gives it at p.  2**d is
-        ``mpf_pow(2, d, p)`` bit for bit: ``mpf_pow`` for the integer and
-        half-integer d it special-cases, else its general branch inlined,
-        ``mpf_exp(d ln 2, p)`` with ln 2 at p + 10 bits (``mpf_log(2, p + 10)``
-        is ``mpf_ln2(p + 10)``), one ``mpf_exp`` without the wrapper.
+        At p = prec + 16 bits, rounded to nearest: 2**d, d = rho - rho0, as
+        ``mpf_pow(2, d, p)`` gives it (its general branch inlined, one mpf_exp
+        with ln 2 at p + 10 bits, but for the integer and half-integer d it
+        special-cases), times cos and sin of 2 pi theta from one
+        ``mpf_cos_sin_pi`` call, d and theta read as :func:`frac_to_mpf` gives
+        them at p.
         """
         if self.is_zero:
             return fzero, fzero

@@ -286,11 +286,29 @@ def test_petal_chart_is_placed_as_its_absolute_point():
             assert classify(t, z, model=m) == classify(t, a, model=m) == Region("P", spec.k, spec.j)
             for margin in (1.5, 1.96, 1.97, 2.5):
                 assert classify(t, z, margin, m) == classify(t, a, margin, m), margin
+                assert classify(t, z, margin) == classify(t, a, margin), margin
             assert classify(t, z) == classify(t, a) == Region("A", spec.k)
             assert iterate_orbit(m, z, 1).regions == iterate_orbit(m, a, 1).regions
             unit = Fraction(2) ** (mpc_mag(z.u) + 1 - z.ring)
             for d, side in ((unit, z.below), (-unit, z.above)):
                 assert side(z.zero.rho + d) and not side(z.zero.rho + d * Fraction(63, 64))
+
+
+def test_far_petal_chart_is_placed_without_a_model(monkeypatch):
+    # a chart 2**-1446673 from its zero, whose absolute form is past the
+    # exponent budget: without a model its enclosure alone places it in A(2),
+    # with a margin that leaves it room, and absolute() is never called
+    m = ModelMap(table=build_params(5, 25))
+    z = inverse_step(m, LogPolar(752, Fraction(3, 10)), PetalInverse(2, 64), TOL)
+    with pytest.raises(ExponentBudgetError):
+        z.absolute(m.prec)
+    assert classify(m.table, z, model=m) == Region("P", 2, 64)
+
+    def refused(self, prec):
+        raise AssertionError("absolute form read")
+    monkeypatch.setattr(AnchoredPoint, "absolute", refused)
+    for margin in (0.0, 1.5, 1.97):
+        assert classify(m.table, z, margin) == Region("A", 2), margin
 
 
 def test_chart_target_is_read_as_its_absolute_point():
