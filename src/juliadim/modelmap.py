@@ -186,11 +186,10 @@ def residual_below(u: Tuple[tuple, tuple], tau: Tuple[tuple, tuple], bits, exact
 def table_consts(t: ParamTable, key, build):
     """build() of a value of table t alone (or at a working precision the key
     names), run once and stored on t, which models of any precision share."""
-    store = t.__dict__.setdefault("_consts", {})
-    v = store.get(key)
-    if v is None:
-        v = store[key] = build()
-    return v
+    store = getattr(t, "_consts", None)
+    if store is None:   # t is frozen; reading t.__dict__ would slow its attribute reads
+        object.__setattr__(t, "_consts", store := {})
+    return store[key] if key in store else store.setdefault(key, build())
 
 
 @dataclass(frozen=True)
