@@ -349,8 +349,9 @@ def test_petal_residual_decision_is_sound(prec):
     # 36 seeded steps per tol at N = 5, 6, 8: an accepted step re-evaluates
     # within tol, at its precision and at 4 times it.  2**-64 and 2**-100
     # are always certified.  The allowance for reading q at prec + 16 bits
-    # is a = 5 (the _petal_step docstring), so b <= prec + 10: a tol of 2**-(prec + 8) (b = prec + 12) or finer is never
-    # certified, though s (1 + s) - q/4 rounds far below it
+    # is a = 5 (the _petal_step docstring), so b <= prec + 10: a tol of
+    # 2**-(prec + 8) (b = prec + 12) or finer is never certified, though
+    # s (1 + s) - q/4 rounds far below it
     for N in (5, 6, 8):
         m = ModelMap(table=build_params(N, 12), prec=prec)
         hi = dataclasses.replace(m, prec=4 * prec, guard=4 * prec)
@@ -372,9 +373,10 @@ def test_petal_residual_decision_is_sound(prec):
 @pytest.mark.parametrize("prec", [128, 400])
 def test_petal_step_reads_q_at_its_integer_scale(monkeypatch, prec):
     # 900 seeded steps whose e, the bit length of |floor(log2 |q|)|, runs
-    # from the smallest the domain admits (6 at k = 1) to 24: the q~ the step hands its series is within 2**-(prec + 13)
-    # |q| of q at prec + 200 bits, and its decision cap prec + 15 - a is
-    # prec + 10 whatever e (a read of log2 |q| itself lost e bits of q~)
+    # from the smallest the domain admits (6 at k = 1) to 24: the q~ the
+    # step hands its series is within 2**-(prec + 13) |q| of q at prec + 240
+    # bits, and its decision cap prec + 15 - a is prec + 10 whatever e (a
+    # read of log2 |q| itself lost e bits of q~)
     import juliadim.dynamics as dyn
 
     seen = {"q": [], "exact": []}
