@@ -162,9 +162,10 @@ def _newton(u: Tuple[tuple, tuple], residual, slope, scale: Tuple[tuple, tuple],
 
 def _petal_consts(m: ModelMap, k: int) -> tuple:
     """(n_k, ring i = k + N - 1, q.rho - target.rho, top R_{k+1} + 2): table constants."""
-    t, nk, i = m.table, m.table.n(k), k + m.table.N - 1
+    t = m.table
     return table_consts(t, ("petal", k), lambda: (
-        nk, i, nk * t.R_exp(k) - t.C_exp(k) + 2 - 2 * m.zcap_log2(i), t.R_exp(k + 1) + 2))
+        nk := t.n(k), i := k + t.N - 1, nk * t.R_exp(k) - t.C_exp(k) + 2 - 2 * m.zcap_log2(i),
+        t.R_exp(k + 1) + 2))
 
 
 def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> AnchoredPoint:
@@ -278,7 +279,7 @@ def _half_sqrt1p_minus1(q: Tuple[tuple, tuple], prec: int) -> Tuple[tuple, tuple
     """
     wp = prec + 32
     coefs = _BINOM_HALF.setdefault(wp, [_HALF_MPF])
-    powq, h = q, mpc_mul_mpf(q, _HALF_MPF, wp, RND)
+    powq, h = q, mpc_shift(q, -1)     # q/2 exactly: q has at most prec + 16 bits
     for n in range(1, 200):
         if n == len(coefs):
             coefs.append(mpf_div(mpf_mul(coefs[-1], mpf_sub(_HALF_MPF, from_int(n), wp, RND),
