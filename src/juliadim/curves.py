@@ -10,12 +10,12 @@ circles: the root maps rho to (rho - C)/n at every angle, so an identity
 trace is one pullback chain per seed, not one per grid angle.  Otherwise
 the chains of all grid angles form one tree of (step, angle) nodes, each
 pulled back once; the children of a node share its root's radius, so the
-field's rho half is taken once per parent, and a leaf of the grid level
-adds only the angle half, summed in place, and log2|1 + eps|.  Radii stay
-integers from there on: the
-integer kernel ``numerics.log2_abs_1p_int`` gives each leaf's log as
-q 2**e, its ln 2 constant taken once per trace, and the leaf adds q to its
-parent's dyadic radius over one power-of-two denominator D per trace.  A
+field's rho half is taken once per parent, and the leaves of the grid level
+add only the angle half, summed in place, and log2|1 + eps|, one batch per
+parent.  Radii stay integers from there on: the integer kernel
+``numerics.log2_abs_1p_int`` takes a parent's leaf eps in one call and gives
+each leaf's log as q 2**e, and the leaf adds q to its parent's dyadic
+radius over one power-of-two denominator D per trace.  A
 CurveTrace stores only (D, inner, outer); the branch check, the width
 check and the oscillation read those integers, and Fraction radii are
 derived once, on first use.  The width check keeps the Pareto frontier
@@ -43,8 +43,6 @@ from .numerics import (
     DomainError,
     LogPolar,
     const_log2_frac,
-    dyadic_parts,
-    ln2_rounded,
     log2_abs_1p_int,
     lp_perturb,
     pow2_minus1_log2,
@@ -127,14 +125,22 @@ class SyntheticOmega:
         w, fq, rp, ph = modes[0]
         return a, w * cmath.exp(1j * (TWO_PI * (fq * 0.0 + rp) + ph)), modes[1:]
 
-    def eps_at(self, part: Tuple[float, complex, tuple], th: float) -> complex:
-        """eps at th turns on the circle whose rho_part is part: a times the
-        sum 0 + mode0 + mode1 + mode2, taken in that order."""
+    def eps_list(self, part: Tuple[float, complex, tuple], ths: Iterable[float]) -> List[complex]:
+        """eps at each th turns of ths on the circle whose rho_part is part: a
+        times the sum 0 + mode0 + mode1 + mode2, taken in that order."""
         a, u, rest = part
         u = 0 + u
-        for w, fq, rp, ph in rest:
-            u += w * cmath.exp(1j * (TWO_PI * (fq * th + rp) + ph))
-        return a * u
+        out = []
+        for th in ths:
+            s = u
+            for w, fq, rp, ph in rest:
+                s += w * cmath.exp(1j * (TWO_PI * (fq * th + rp) + ph))
+            out.append(a * s)
+        return out
+
+    def eps_at(self, part: Tuple[float, complex, tuple], th: float) -> complex:
+        """eps at th turns: eps_list of the one angle."""
+        return self.eps_list(part, (th,))[0]
 
     def phi(self, z: LogPolar, prec: int, part: Tuple[float, complex, tuple]) -> LogPolar:
         """z (1 + eps(z)) at prec, part = rho_part(z.rho), which the nodes of
@@ -261,33 +267,31 @@ def _leaf_radii(m: ModelMap, phi: SyntheticOmega, k: int, depth: int, grid: int,
     and the outer seed, times one power of two D.  Per parent w_1 (a leaf
     of the depth - 1 tree one level up): r = (rho_1 - C)/n and
     phi.rho_part(r); r is a dyadic rn / 2**rs, since the seeds are, n is a
-    power of two and lp_perturb adds dyadics.  Per leaf: th = (turns_1 + floor(a n /
-    grid))/n as an int-by-int division (correctly rounded: the float of the
-    root's Angle), then what phi.phi would add to r, log2|1 + eps| = q 2**e
-    from the integer kernel, its ln 2 rounded once per trace; eps_at and
-    dyadic_parts build no list and no mpmath value on the way.  D = 2**S
-    with S the largest of every rs and -e, and a radius is rn 2**(S - rs) +
-    q 2**(S + e): no Fraction per leaf."""
-    n, C = m.table.n(k + 1), m.table.C_exp(k + 1)
-    wp = m.prec + 32
-    l2, sh = ln2_rounded(wp)
-    traces = []
+    power of two and lp_perturb adds dyadics.  Its leaves a, those with a n
+    = turns_1 mod grid, take th = (turns_1 + floor(a n / grid))/n as an
+    int-by-int division (correctly rounded: the float of the root's Angle),
+    then what phi.phi would add to r, in one batch per parent: eps_list,
+    and log2|1 + eps| = q 2**e from the integer kernel, which reads each
+    complex eps itself.  D = 2**S with S the largest of every rs and -e,
+    and a radius is rn 2**(S - rs) + q 2**(S + e): no Fraction per leaf."""
+    n, C, wp = m.table.n(k + 1), m.table.C_exp(k + 1), m.prec + 32
+    kids = {}
+    for a in range(grid):
+        kids.setdefault(a * n % grid, []).append(a)
+    S, traces = 0, []
     for seed_rho in seeds:
-        _, (above, *_) = _pullback_levels(m, phi, k + 1, depth - 1, grid,
-                                          {a * n % grid for a in range(grid)}, seed_rho)
-        parents = {}
+        _, (above, *_) = _pullback_levels(m, phi, k + 1, depth - 1, grid, kids, seed_rho)
+        leaves = [None] * grid
         for c, z in above.items():
             r, turns = (z.rho - C) / n, z.theta.turns
-            rs = r.denominator.bit_length() - 1
-            parents[c] = r.numerator, rs, phi.rho_part(r), turns.numerator, turns.denominator
-        leaves = []
-        for a in range(grid):
-            rn, rs, part, pn, pd = parents[a * n % grid]
-            eps = phi.eps_at(part, (pn + a * n // grid * pd) / (pd * n))
-            q, e = log2_abs_1p_int(*dyadic_parts(eps, wp), wp, l2, sh)
-            leaves.append((rn, rs, q, e))
+            pn, pd = turns.numerator, turns.denominator
+            ths = [(pn + a * n // grid * pd) / (pd * n) for a in kids[c]]
+            qe = log2_abs_1p_int(phi.eps_list(phi.rho_part(r), ths), wp)
+            rn, rs = r.numerator, r.denominator.bit_length() - 1
+            S = max(S, rs, -min(e for _, e in qe))
+            for a, (q, e) in zip(kids[c], qe):
+                leaves[a] = rn, rs, q, e
         traces.append(leaves)
-    S = max(max(rs, -e) for leaves in traces for _, rs, _, e in leaves)
     inner, outer = (tuple((rn << S - rs) + (q << S + e) for rn, rs, q, e in leaves)
                     for leaves in traces)
     return 1 << S, inner, outer
@@ -299,7 +303,8 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
     Seeds are the enclosing-annulus radii (1/4 and 3/4 of R_{k+depth+1});
     with the identity model the outputs are the closed-form pullback radii,
     constant in theta.  Adjacent grid cells are checked for branch
-    consistency.
+    consistency in one pass over the neighbour differences, which names the
+    first offending cell only when it fails.
     """
     if grid < 256:
         raise DomainError("trace grid must be >= 256")
@@ -324,11 +329,11 @@ def trace_gamma(m: ModelMap, phi, k: int, depth: int, grid: int = 256) -> CurveT
     else:
         tr = CurveTrace(k, depth, *_leaf_radii(m, phi, k, depth, grid, seeds))
     for name, arr in (("inner", tr.inner), ("outer", tr.outer)):
-        for i in range(grid):
-            if 4 * abs(arr[(i + 1) % grid] - arr[i]) > tr.D:
-                raise DomainError(
-                    f"branch inconsistency on the {name} trace in theta cell "
-                    f"[{i}/{grid}, {i + 1}/{grid}]")
+        jumps = [abs(b - a) for a, b in zip(arr, arr[1:] + arr[:1])]
+        if 4 * max(jumps) > tr.D:
+            i = next(i for i, d in enumerate(jumps) if 4 * d > tr.D)
+            raise DomainError(f"branch inconsistency on the {name} trace in theta cell "
+                              f"[{i}/{grid}, {i + 1}/{grid}]")
     return tr
 
 

@@ -14,7 +14,8 @@ comparing) is exact.  Transcendental entry points round at a stated
 precision back into exact dyadic rationals, so every exponent comparison
 downstream stays exact.  A sum is :func:`lp_perturb` of its ratio, whose
 log(1 + u) is the integer kernel :func:`log2_abs_1p_int` or, for |u| <
-2**-16, the :func:`log1p_mpc` series.  All of it is immutable and thread-safe.
+2**-16, the :func:`log1p_mpc` series; the kernel takes a batch of u (a
+curve node's leaves).  All of it is immutable and thread-safe.
 
 A canonical ``Fraction`` is never rebuilt: ``LogPolar`` and ``Angle`` keep
 the one they are handed, and an angle outside [0, 1) is wrapped by
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 import mpmath
 from mpmath import libmp, mpc, mpf
@@ -497,13 +498,17 @@ def expm1_series(L: Tuple[tuple, tuple], scale: int, prec: int, wp: int) -> Tupl
 
 # log2|1 + u| in integers: the steps of mpmath 1.3.0's mpf_log_hypot,
 # mpf_log and mpf_div by mpf_ln2, bit for bit, around its own fixed-point
-# log_taylor_cached and ln2_fixed
+# log_taylor_cached and ln2_fixed.  _LOG_TAYLOR keeps (a, log a, ln 2) at wp1
+# bits per (n, wp1): log_taylor_cached's table point a = n 2**(wp1 - 9) of
+# an x whose leading 9 bits are n, its log and ln2_fixed(wp1)
+_LOG_TAYLOR: dict = {}
+
 
 def ln2_rounded(wp: int) -> Tuple[int, int]:
     """(l2, sh): ln 2 as ``mpf_ln2(wp)`` rounds it, l2 2**(sh - wp - 20), the
     wp + 20-bit ``ln2_fixed`` rounded to nearest at wp bits and sh the bits
     dropped: the constant :func:`log2_abs_1p_int` divides by at working
-    precision wp, taken once by each caller (once per trace in ``curves``)."""
+    precision wp, taken once per batch."""
     v = int(ln2_fixed(wp + 20))
     sh = v.bit_length() - wp
     t = v >> (sh - 1)
@@ -532,7 +537,8 @@ def dyadic_parts(u: Union[complex, mpf, mpc, Tuple[tuple, tuple]],
             raise DomainError(f"log2|1 + u| of non-finite u = {u!r}")
     # the larger part's magnitude, plus one if both are nonzero
     if rm and im:
-        mag = 1 + max(re + abs(rm).bit_length(), ie + abs(im).bit_length())
+        mr, mi = re + abs(rm).bit_length(), ie + abs(im).bit_length()
+        mag = 1 + (mr if mr > mi else mi)
     else:
         mag = re + abs(rm).bit_length() if rm else ie + abs(im).bit_length()
     return rm, re, im, ie, mag
@@ -547,13 +553,15 @@ def _log1p_series(rm: int, re: int, im: int, ie: int, wp: int) -> Tuple[Tuple[in
     return (-int(man) if sign else int(man), int(exp)), vi
 
 
-def log2_abs_1p_int(rm: int, re: int, im: int, ie: int, mag: int, wp: int,
-                    l2: int, sh: int) -> Tuple[int, int]:
-    """log2|1 + u| as (q, e), the exact dyadic q 2**e, for u = rm 2**re + i im
-    2**ie with |u| <= 1 and mag, as :func:`dyadic_parts` gives them, at wp
-    bits with ln 2 rounded as :func:`ln2_rounded` gives it: bit for bit
+def log2_abs_1p_int(us: Iterable[Union[complex, Tuple[int, int, int, int, int]]],
+                    wp: int) -> List[Tuple[int, int]]:
+    """log2|1 + u| as (q, e), the exact dyadic q 2**e, for each u in us with
+    |u| <= 1, a complex or the (rm, re, im, ie, mag) of :func:`dyadic_parts`
+    (u = rm 2**re + i im 2**ie), at wp bits: bit for bit
     ``mpf_log_hypot(1 + u)`` over ``mpf_ln2(wp)`` in mpmath 1.3.0, both
-    rounded to nearest.  Tiny u (mag <= -16) takes :func:`_log1p_series`.
+    rounded to nearest.  One call takes a batch, a curve node's leaves or
+    lp_perturb's one u, and rounds ln 2 once for it (:func:`ln2_rounded`).
+    Tiny u (mag <= -16) takes :func:`_log1p_series`.
 
     The steps, each mpmath's:
 
@@ -567,90 +575,107 @@ def log2_abs_1p_int(rm: int, re: int, im: int, ie: int, mag: int, wp: int,
       itself.  Where the sum lands within 2**-11 of 1 it is taken again at a
       precision that holds it exactly.
     * The log of x follows ``mpf_log``: a power of two 2**k takes k ln 2; x
-      within a factor 2 of 1 widens the fixed-point precision by its
+      within a factor 2 of 1 widens the fixed-point precision wp1 by its
       cancellation (mag -1 measures it from 1/4, as mpf_log does) or, past
-      wp + 20 bits of it, returns x - 1.  Otherwise mpmath's own
-      ``log_taylor_cached`` plus mag ``ln2_fixed``, and ``libmp.mpf_log``
-      only past ``LOG_TAYLOR_PREC``.
+      wp + 20 bits of it, returns x - 1.  Otherwise ``log_taylor_cached``'s
+      steps, its table point a and log a from ``_LOG_TAYLOR``, plus mag
+      ``ln2_fixed``, and ``libmp.mpf_log`` only past ``LOG_TAYLOR_PREC``.
     * The log is rounded to nearest at wp bits, halved (for a sum of
-      squares), and divided once by l2, correctly rounded at wp bits."""
-    if mag <= -16:
-        return _log1p_series(rm, re, im, ie, wp)[0]
-    # w = 1 + Re u over 2**min(re, 0), rounded to nearest at wp, ties to even
-    wm = abs((1 << -re) + rm if re < 0 else 1 + (rm << re))
-    we = min(re, 0)
-    n = wm.bit_length() - wp
-    if n > 0:
-        t = wm >> (n - 1)
-        wm = (t >> 1) + 1 if t & 1 and (t & 2 or wm & ((1 << (n - 1)) - 1)) else t >> 1
-        we += n
-    if not wm & 1 and wm:
-        n = (wm & -wm).bit_length() - 1
-        wm, we = wm >> n, we + n
-    im = abs(im)                      # a nonzero |Im u| < 1 has an odd mantissa
-    half = 0
-    if not im:
-        if not wm:
-            raise DomainError("log2|1 + u| at u = -1")
-        man, exp = wm, we
-    elif not wm:
-        man, exp = im, ie
-    else:
-        half, hp = 1, wp + 20
-        a2, ea2, b2, eb2 = wm * wm, 2 * we, im * im, 2 * ie
-        if ea2 < eb2:
-            a2, ea2, b2, eb2 = b2, eb2, a2, ea2
-        if ea2 - eb2 > 100 and a2.bit_length() + ea2 - b2.bit_length() - eb2 > hp + 4:
-            man, exp = (a2 << hp + 4) + 1, ea2 - hp - 4
-        else:
-            man, exp = (a2 << ea2 - eb2) + b2, eb2
-        n = man.bit_length() - hp
+      squares), and divided once by ln 2, correctly rounded at wp bits."""
+    l2, sh = ln2_rounded(wp)
+    out = []
+    for u in us:
+        rm, re, im, ie, mag = dyadic_parts(u, wp) if type(u) is complex else u
+        if mag <= -16:
+            out.append(_log1p_series(rm, re, im, ie, wp)[0])
+            continue
+        # w = 1 + Re u over 2**min(re, 0), rounded to nearest at wp, ties to even
+        wm, we = (abs((1 << -re) + rm), re) if re < 0 else (abs(1 + (rm << re)), 0)
+        n = wm.bit_length() - wp
         if n > 0:
-            man, exp = man >> n, exp + n
-        d = man - (1 << -exp) if exp <= 0 else (man << exp) - 1     # sum - 1 over 2**min(exp, 0)
-        if not d or d.bit_length() + min(exp, 0) < -10:
-            exp = min(ea2, eb2)
-            man = (a2 << ea2 - exp) + (b2 << eb2 - exp)
-    # ln(man 2**exp) as m 2**e
-    bc = man.bit_length()
-    lmag, wp1 = exp + bc, wp + 20
-    if man & (man - 1) == 0:
-        m, e = (lmag - 1) * int(ln2_fixed(wp1)), -wp1
-    else:
-        cancellation = 0
-        if -1 <= lmag <= 1:
-            tman = (1 << bc) - man if lmag == 0 else man - (1 << (bc - 1))
-            cancellation = bc - tman.bit_length()
-        if cancellation > wp1:
-            m, e = (tman if lmag else -tman), abs(lmag) - bc
-        elif wp1 + cancellation > LOG_TAYLOR_PREC:
-            sign, m, e, _ = libmp.mpf_log(libmp.from_man_exp(man, exp), wp, libmp.round_nearest)
-            m, e = (-int(m) if sign else int(m)), int(e)
+            t = wm >> (n - 1)
+            wm = (t >> 1) + 1 if t & 1 and (t & 2 or wm & ((1 << (n - 1)) - 1)) else t >> 1
+            we += n
+        if not wm & 1 and wm:
+            n = (wm & -wm).bit_length() - 1
+            wm, we = wm >> n, we + n
+        im = abs(im)                      # a nonzero |Im u| < 1 has an odd mantissa
+        half = 0
+        if not im:
+            if not wm:
+                raise DomainError("log2|1 + u| at u = -1")
+            man, exp = wm, we
+        elif not wm:
+            man, exp = im, ie
         else:
-            wp1 += cancellation
-            m = int(log_taylor_cached(man << (wp1 - bc) if wp1 >= bc else man >> (bc - wp1), wp1))
-            if lmag:
-                m += lmag * int(ln2_fixed(wp1))
-            e = -wp1
-    if not m:
-        return 0, 0
-    # round at wp, halve, and divide by l2 2**(sh - wp - 20), rounding at wp
-    q = abs(m)
-    n = q.bit_length() - wp
-    if n > 0:
-        t = q >> (n - 1)
-        q = (t >> 1) + 1 if t & 1 and (t & 2 or q & ((1 << (n - 1)) - 1)) else t >> 1
-        e += n
-    extra = max(5, wp - q.bit_length() + l2.bit_length() + 5)
-    q, rem = divmod(q << extra, l2)
-    if rem:                           # a sticky bit below the rounding position
-        q, extra = (q << 1) + 1, extra + 1
-    n = q.bit_length() - wp
-    if n > 0:
-        t = q >> (n - 1)
-        q = (t >> 1) + 1 if t & 1 and (t & 2 or q & ((1 << (n - 1)) - 1)) else t >> 1
-        e += n
-    return (-q if m < 0 else q), e - half - extra + wp + 20 - sh
+            half, hp = 1, wp + 20
+            a2, ea2, b2, eb2 = wm * wm, 2 * we, im * im, 2 * ie
+            if ea2 < eb2:
+                a2, ea2, b2, eb2 = b2, eb2, a2, ea2
+            if ea2 - eb2 > 100 and a2.bit_length() + ea2 - b2.bit_length() - eb2 > hp + 4:
+                man, exp = (a2 << hp + 4) + 1, ea2 - hp - 4
+            else:
+                man, exp = (a2 << ea2 - eb2) + b2, eb2
+            n = man.bit_length() - hp
+            if n > 0:
+                man, exp = man >> n, exp + n
+            d = man - (1 << -exp) if exp <= 0 else (man << exp) - 1     # sum - 1 over 2**min(exp, 0)
+            if not d or exp < 0 and d.bit_length() + exp < -10:
+                man, exp = (a2 << ea2 - eb2) + b2, eb2
+        # ln(man 2**exp) as m 2**e
+        bc = man.bit_length()
+        lmag, wp1 = exp + bc, wp + 20
+        if man & (man - 1) == 0:
+            m, e = (lmag - 1) * int(ln2_fixed(wp1)), -wp1
+        else:
+            cancellation = 0
+            if -1 <= lmag <= 1:
+                tman = (1 << bc) - man if lmag == 0 else man - (1 << (bc - 1))
+                cancellation = bc - tman.bit_length()
+            if cancellation > wp1:
+                m, e = (tman if lmag else -tman), abs(lmag) - bc
+            elif wp1 + cancellation > LOG_TAYLOR_PREC:
+                sign, m, e, _ = libmp.mpf_log(libmp.from_man_exp(man, exp), wp, libmp.round_nearest)
+                m, e = (-int(m) if sign else int(m)), int(e)
+            else:
+                wp1 += cancellation
+                x = man << (wp1 - bc) if wp1 >= bc else man >> (bc - wp1)
+                n = x >> (wp1 - 9)
+                key = n, wp1
+                if key not in _LOG_TAYLOR:      # log_taylor_cached(a, wp1) is log a
+                    a = n << (wp1 - 9)
+                    _LOG_TAYLOR[key] = a, int(log_taylor_cached(a, wp1)), int(ln2_fixed(wp1))
+                a, m, ln2 = _LOG_TAYLOR[key]
+                # log(x / a) = 2 (v + v**3/3 + ...), as log_taylor_cached sums it
+                u = ((x - a) << wp1) // a
+                v = (u << wp1) // ((2 << wp1) + u)
+                v2 = (v * v) >> wp1
+                v4 = (v2 * v2) >> wp1
+                s0, s1, v, k = v, v // 3, (v * v4) >> wp1, 5
+                while v:
+                    s0, s1, v, k = s0 + v // k, s1 + v // (k + 2), (v * v4) >> wp1, k + 4
+                m, e = m + ((s0 + ((s1 * v2) >> wp1)) << 1) + lmag * ln2, -wp1
+        if not m:
+            out.append((0, 0))
+            continue
+        # round at wp, halve, and divide by l2 2**(sh - wp - 20), rounding at wp
+        q = abs(m)
+        n = q.bit_length() - wp
+        if n > 0:
+            t = q >> (n - 1)
+            q = (t >> 1) + 1 if t & 1 and (t & 2 or q & ((1 << (n - 1)) - 1)) else t >> 1
+            e += n
+        extra = wp - q.bit_length() + l2.bit_length() + 5      # at least 5: q < 2**(wp + 1)
+        q, rem = divmod(q << extra, l2)
+        if rem:                           # a sticky bit below the rounding position
+            q, extra = (q << 1) + 1, extra + 1
+        n = q.bit_length() - wp
+        if n > 0:
+            t = q >> (n - 1)
+            q = (t >> 1) + 1 if t & 1 and (t & 2 or q & ((1 << (n - 1)) - 1)) else t >> 1
+            e += n
+        out.append(((-q if m < 0 else q), e - half - extra + wp + 20 - sh))
+    return out
 
 
 def lp_perturb(z: LogPolar, u: Union[complex, mpf, mpc, Tuple[tuple, tuple]],
@@ -679,7 +704,7 @@ def lp_perturb(z: LogPolar, u: Union[complex, mpf, mpc, Tuple[tuple, tuple]],
     if mag <= -16:
         (q, e), vi = _log1p_series(rm, re, im, ie, wp)
     else:
-        q, e = log2_abs_1p_int(rm, re, im, ie, mag, wp, *ln2_rounded(wp))
+        (q, e), = log2_abs_1p_int([(rm, re, im, ie, mag)], wp)
         vi = libmp.mpc_arg((mpf_add(from_man_exp(rm, re), fone, wp, RND),
                             from_man_exp(im, ie)), wp, RND)
     lim = _frac_of(mpf_div(vi, mpf_shift(mpf_pi(wp, RND), 1), wp, RND))

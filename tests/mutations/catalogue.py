@@ -145,12 +145,25 @@ MUTATIONS = (
              "mpf_ln2(p + 10, RND)", "mpf_ln2(p, RND)",
              tuple(f"tests/test_numerics.py::test_to_mpc_scaled_takes_2_to_the_d_as_mpf_pow[{p}]"
                    for p in (64, 128, 2400))),
+    # the batch kernel of log2|1 + eps| and the curve leaves that feed it
+    Mutation("log table keyed on n without wp1", "src/juliadim/numerics.py",
+             "key = n, wp1\n", "key = n\n",
+             # alone: once a point of a wider wp1 is kept, the mutated series
+             # may never end
+             ("tests/test_numerics.py::test_log_table_is_kept_per_working_precision",)),
+    Mutation("log series without v**2 in its odd sum", "src/juliadim/numerics.py",
+             "m + ((s0 + ((s1 * v2) >> wp1)) << 1)", "m + ((s0 + s1) << 1)",
+             ("tests/test_numerics.py::test_batch_kernel_on_every_leaf_of_the_reference_traces",
+              "tests/test_numerics.py::test_kernel_branches_match_mpmath[128-a zero part]")),
+    Mutation("leaf eps taken from the neighbouring parent", "src/juliadim/curves.py",
+             "kids.setdefault(a * n % grid, []).append(a)",
+             "kids.setdefault((a + 1) * n % grid, []).append(a)",
+             (CURVES + "test_trace_digests_match_reference",)),
     # recorded in earlier changes and still applicable
     Mutation("leaf field summed without 0 +", "src/juliadim/curves.py",
              "u = 0 + u\n", "u = u\n",
              (CURVES + "test_leaf_field_and_its_parts_equal_the_reference_forms",)),
     Mutation("dyadic_parts without the +1 of mag", "src/juliadim/numerics.py",
-             "mag = 1 + max(re + abs(rm).bit_length(), ie + abs(im).bit_length())",
-             "mag = max(re + abs(rm).bit_length(), ie + abs(im).bit_length())",
+             "mag = 1 + (mr if mr > mi else mi)", "mag = (mr if mr > mi else mi)",
              (CURVES + "test_leaf_field_and_its_parts_equal_the_reference_forms",)),
 )

@@ -23,7 +23,8 @@ from juliadim.curves import (
     width_check,
 )
 from juliadim.modelmap import ModelMap
-from juliadim.numerics import Angle, DomainError, LogPolar, const_log2_frac
+from juliadim.numerics import (Angle, DomainError, LogPolar, const_log2_frac, dyadic_parts,
+                               log2_abs_1p_int)
 from juliadim.params import SQRT8, build_params, omega_from_rho
 
 M5 = ModelMap(table=build_params(5, 16))
@@ -233,30 +234,36 @@ def _distinct_nodes(t, k, depth, grid):
 def test_synthetic_tree_applies_phi_once_per_node(k, depth, monkeypatch):
     # the steps above the leaves run phi.phi once per node; the leaf level
     # runs the field once per leaf and the integer kernel for log2|1 + eps|
-    # once per leaf.  The children of one node share one radius, so the rho
-    # half runs once per node of the steps 1..depth: at depth 6 and k = 1,
-    # 9 times per seed where it ran 12 times, once per phi node and parent
-    calls = {"phi": 0, "eps_at": 0, "rho_part": 0, "log2": 0}
+    # once per leaf, in one batch of each for the leaves of a parent.  The
+    # children of one node share one radius, so the rho half runs once per
+    # node of the steps 1..depth: at depth 6 and k = 1, 9 times per seed
+    # where it ran 12 times, once per phi node and parent
+    calls = {"phi": 0, "eps": 0, "eps_list": 0, "rho_part": 0, "log2": 0, "log2_batches": 0}
     syn = SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=7)
 
-    def counted(name, fn):
+    def counted(name, fn, size=lambda a: 1):
         def wrapper(*a):
-            calls[name] += 1
+            calls[name] += size(a)
             return fn(*a)
         return wrapper
 
-    for name in ("phi", "eps_at", "rho_part"):
+    for name in ("phi", "rho_part"):
         setattr(syn, name, counted(name, getattr(syn, name)))
-    monkeypatch.setattr(curves, "log2_abs_1p_int", counted("log2", curves.log2_abs_1p_int))
+    # eps_at is eps_list of one angle: count the angles the field is taken at
+    syn.eps_list = counted("eps_list", counted("eps", syn.eps_list, lambda a: len(a[1])))
+    log2 = counted("log2", curves.log2_abs_1p_int, lambda a: len(a[0]))
+    monkeypatch.setattr(curves, "log2_abs_1p_int", counted("log2_batches", log2))
     trace_gamma(M5, syn, k, depth, grid=256)
     nodes = _distinct_nodes(T5, k, depth, 256)
     parents = len({i * T5.n(k + 1) % 256 for i in range(256)})  # step-1 nodes
     if (k, depth) == (1, 6):
         assert nodes == 256 + 4 + 4 * 1 and parents == 4
     # two seeds of 256 leaves each
-    assert calls["eps_at"] == 2 * nodes
+    assert calls["eps"] == 2 * nodes
     assert calls["phi"] == 2 * (nodes - 256)
+    assert calls["eps_list"] == 2 * (nodes - 256 + parents)
     assert calls["log2"] == 2 * 256
+    assert calls["log2_batches"] == 2 * parents
     assert calls["rho_part"] == 2 * (_distinct_nodes(T5, k, depth + 1, 256) - 256)
     if (k, depth) == (1, 6):
         assert calls["rho_part"] == 2 * 9
@@ -300,9 +307,24 @@ def test_branch_consistency_compares_exactly(jump, fails, monkeypatch):
 
     monkeypatch.setattr(curves, "_leaf_radii", leaf_radii)
     if fails:
-        with pytest.raises(DomainError, match="branch inconsistency on the inner trace"):
+        # the first offending cell is named: the jump also returns at 255 -> 0
+        with pytest.raises(DomainError, match=r"branch inconsistency on the inner trace "
+                                              r"in theta cell \[254/256, 255/256\]$"):
             trace_gamma(M5, SYN, 1, 1, grid=256)
     else:
+        trace_gamma(M5, SYN, 1, 1, grid=256)
+
+
+def test_branch_check_names_the_first_offending_cell(monkeypatch):
+    # the outer trace jumps at cells 3 and 200, the inner one nowhere
+    def leaf_radii(m, phi, k, depth, grid, seeds):
+        r_in, r_out = seeds
+        outer = [r_out + (i >= 4) + (i >= 201) for i in range(grid)]
+        tr = CurveTrace.from_radii(k, depth, [r_in] * grid, outer)
+        return tr.D, tr.inner, tr.outer
+
+    monkeypatch.setattr(curves, "_leaf_radii", leaf_radii)
+    with pytest.raises(DomainError, match=r"on the outer trace in theta cell \[3/256, 4/256\]$"):
         trace_gamma(M5, SYN, 1, 1, grid=256)
 
 
@@ -471,10 +493,11 @@ def _dyadic_parts_reference(u):
 
 
 def test_leaf_field_and_its_parts_equal_the_reference_forms():
-    # eps_at sums its modes in place and dyadic_parts reads a complex on its
-    # first branch; both must give the old forms' floats and integers bit for
+    # eps_list sums its modes in place, eps_at is its one-angle case, and
+    # dyadic_parts reads a complex on its first branch, as the kernel reads a
+    # leaf's eps; all must give the old forms' floats and integers bit for
     # bit: seeded eps from 2**-60 to 2**0, parts that are 0 or -0.0, and
-    # non-finite eps, which dyadic_parts refuses
+    # non-finite eps, which dyadic_parts and the kernel refuse
     rng = random.Random(2301)
     wp = M5.prec + 32
     cases = []
@@ -492,19 +515,23 @@ def test_leaf_field_and_its_parts_equal_the_reference_forms():
     for syn, part, th in cases:
         eps = syn.eps_at(part, th)
         assert _hex(eps) == _hex(_eps_at_reference(part, th)), (part, th)
+        assert list(map(_hex, syn.eps_list(part, (th, th / 3)))) == [
+            _hex(eps), _hex(_eps_at_reference(part, th / 3))], (part, th)
         try:
             want = _dyadic_parts_reference(eps)
         except DomainError:
             nonfinite += 1
             with pytest.raises(DomainError):
-                curves.dyadic_parts(eps, wp)
+                dyadic_parts(eps, wp)
+            with pytest.raises(DomainError):
+                log2_abs_1p_int([eps], wp)
             continue
         finite += 1
         zeros += not (want[0] and want[2])
-        assert curves.dyadic_parts(eps, wp) == want, eps
+        assert dyadic_parts(eps, wp) == want, eps
     assert finite > 400 and nonfinite > 50 and zeros > 50
     # the seeded eps span 2**-60 to 2**0
-    mags = [curves.dyadic_parts(syn.eps_at(part, th), wp)[4] for syn, part, th in cases[:400]]
+    mags = [dyadic_parts(syn.eps_at(part, th), wp)[4] for syn, part, th in cases[:400]]
     assert min(mags) <= -59 and max(mags) >= -1
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -457,9 +458,14 @@ def _log2_abs_1p_ref(u, prec):
         u = mpmath.mpc(u)
         assert 0 < abs(u) < 1 and mpmath.mag(u) > -16
         ur, ui = u._mpc_
+    return _mpf_to_frac_ref(mpmath.mp.make_mpf(_log2_abs_1p_steps(ur, ui, wp)))
+
+
+def _log2_abs_1p_steps(ur, ui, wp):
+    # the libmp tuple mpf_log_hypot(1 + ur, ui) / mpf_ln2 at wp
+    rnd = libmp.round_nearest
     w = libmp.mpf_add(ur, libmp.fone, wp, rnd)
-    v = libmp.mpf_div(libmp.mpf_log_hypot(w, ui, wp, rnd), libmp.mpf_ln2(wp, rnd), wp, rnd)
-    return _mpf_to_frac_ref(mpmath.mp.make_mpf(v))
+    return libmp.mpf_div(libmp.mpf_log_hypot(w, ui, wp, rnd), libmp.mpf_ln2(wp, rnd), wp, rnd)
 
 
 def _wide(re, im, prec, bits):
@@ -565,7 +571,7 @@ def test_log2_abs_1p_kernel_pinned(prec, case):
     assert lp_perturb(LogPolar(0), u, prec).rho == _log2_abs_1p_ref(u, prec), u
 
 
-# the kernel's integer form, with its constants taken once ----------------------
+# the kernel's integer form: one batch per call, ln 2 rounded once per batch ----
 
 def test_ln2_rounded_is_mpf_ln2():
     for wp in (53, 160, 288, 2432):
@@ -574,46 +580,219 @@ def test_ln2_rounded_is_mpf_ln2():
         assert Fraction(l2, 1 << (wp + 20 - sh)) == want and l2.bit_length() == wp, wp
 
 
-def _kernel_frac(parts, wp, consts):
-    q, e = log2_abs_1p_int(*parts, wp, *consts)
-    return Fraction(q) * Fraction(2) ** e
+def _qe_frac(q, e):
+    return Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e)
+
+
+def _kernel_frac(u, wp):
+    # the kernel on the one input u, a complex or dyadic_parts' tuple
+    (q, e), = log2_abs_1p_int([u], wp)
+    return _qe_frac(q, e)
 
 
 @pytest.mark.parametrize("prec", [128, 256])
 def test_kernel_integer_form_on_the_pinned_inputs(prec):
     # each of the 31 pinned inputs, wherever it was built, read at prec
     wp = prec + 32
-    consts = ln2_rounded(wp)
     for built_at, case in PINNED:
         u = _pinned_u(built_at, case)
-        got = _kernel_frac(dyadic_parts(u, wp), wp, consts)
+        got = _kernel_frac(dyadic_parts(u, wp), wp)
         assert got == lp_perturb(LogPolar(0), u, prec).rho == _log2_abs_1p_ref(u, prec), \
             (built_at, case)
 
 
-@pytest.mark.parametrize("phase_seed", range(1, 9))
-def test_kernel_integer_form_on_every_trace_leaf(phase_seed, monkeypatch):
-    # the (q, e) a synthetic trace takes at each grid leaf, with the trace's
-    # constants, is lp_perturb's rho step and mpmath's mpf_log_hypot over mpf_ln2
+def _kernel_batches(m, syn, k, depth):
+    # (us, wp, out) of every batch the kernel takes in syn's trace (k, depth)
     from juliadim import curves
+
+    batches, real = [], curves.log2_abs_1p_int
+
+    def spy(us, wp):
+        out = real(us, wp)
+        batches.append((list(us), wp, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "log2_abs_1p_int", spy)
+        curves.trace_gamma(m, syn, k, depth)
+    return batches
+
+
+def _model_and_field(phase_seed):
+    from juliadim.curves import SyntheticOmega
     from juliadim.modelmap import ModelMap
     from juliadim.params import SQRT8, build_params
 
-    m = ModelMap(table=build_params(5, 16))
-    leaves, real = [], curves.log2_abs_1p_int
-    monkeypatch.setattr(curves, "log2_abs_1p_int", lambda *a: leaves.append(a) or real(*a))
-    syn = curves.SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=phase_seed)
+    return (ModelMap(table=build_params(5, 16)),
+            SyntheticOmega(Cprime=1.0, p=SQRT8, phase_seed=phase_seed))
+
+
+@pytest.mark.parametrize("phase_seed", range(1, 9))
+def test_kernel_integer_form_on_every_trace_leaf(phase_seed):
+    # a synthetic trace hands the kernel one batch per parent node, the
+    # node's leaf eps as complex values; the (q, e) of each leaf equals the
+    # kernel's on that leaf alone, lp_perturb's rho step and mpmath's
+    # mpf_log_hypot over mpf_ln2
+    m, syn = _model_and_field(phase_seed)
     for k in (1, 2):
-        leaves.clear()
-        curves.trace_gamma(m, syn, k, 1)
-        assert len(leaves) == 2 * 256
-        for rm, re, im, ie, mag, wp, l2, sh in leaves:
-            assert (wp, l2, sh) == (m.prec + 32, *ln2_rounded(wp))
-            u = complex(math.ldexp(rm, re), math.ldexp(im, ie))
-            assert dyadic_parts(u, wp) == (rm, re, im, ie, mag) and mag > -16
-            got = _kernel_frac((rm, re, im, ie, mag), wp, (l2, sh))
-            assert got == lp_perturb(LogPolar(0), u, m.prec).rho, u
-            assert got == _log2_abs_1p_ref(u, m.prec), u
+        batches = _kernel_batches(m, syn, k, 1)
+        parents = len({a * m.table.n(k + 1) % 256 for a in range(256)})
+        assert len(batches) == 2 * parents
+        assert sum(len(us) for us, _, _ in batches) == 2 * 256
+        for us, wp, out in batches:
+            assert wp == m.prec + 32
+            for u, (q, e) in zip(us, out, strict=True):
+                assert type(u) is complex and dyadic_parts(u, wp)[4] > -16
+                got = _qe_frac(q, e)
+                assert got == _kernel_frac(u, wp) == _kernel_frac(dyadic_parts(u, wp), wp), u
+                assert got == lp_perturb(LogPolar(0), u, m.prec).rho, u
+                assert got == _log2_abs_1p_ref(u, m.prec), u
+
+
+def test_batch_kernel_on_every_leaf_of_the_reference_traces():
+    # the 96 synthetic traces perfbench stores (phase seeds 1-8, k = 1, 2,
+    # depths 1-6): all 49,152 leaves, in the batches the traces take them,
+    # against _log2_abs_1p_ref's libmp steps on each complex eps, read exactly
+    n = 0
+    for phase_seed in range(1, 9):
+        m, syn = _model_and_field(phase_seed)
+        for k, depth in itertools.product((1, 2), range(1, 7)):
+            for us, wp, out in _kernel_batches(m, syn, k, depth):
+                for u, (q, e) in zip(us, out, strict=True):
+                    want = _log2_abs_1p_steps(libmp.from_float(u.real), libmp.from_float(u.imag), wp)
+                    assert libmp.from_man_exp(q, e) == want, (phase_seed, k, depth, u)
+                    n += 1
+    assert n == 96 * 512
+
+
+def test_log_table_is_kept_per_working_precision():
+    # x's leading 9 bits n name the same table point a = n 2**(wp1 - 9) at
+    # every precision, but a and log a are kept at wp1 bits: leaf-like u at
+    # 128 bits and then at 129, where a table keyed on n alone would hand
+    # the kernel a point of half the scale, each equal mpmath's
+    us = [complex(0.01, 0.005), complex(-0.003, 0.002), complex(0.0007, -0.009)]
+    for u in us:
+        for prec in (128, 129):
+            assert _kernel_frac(u, prec + 32) == _log2_abs_1p_ref(u, prec), (u, prec)
+
+
+def _sum_of_squares(u, wp):
+    # |w + i Im u|^2 exactly, w = 1 + Re u rounded as mpf_add rounds it at wp
+    with mpmath.workprec(wp):
+        ur, ui = mpmath.mpc(u)._mpc_
+    w = _mpf_to_frac_ref(mpmath.mp.make_mpf(libmp.mpf_add(ur, libmp.fone, wp, libmp.round_nearest)))
+    v = _mpf_to_frac_ref(mpmath.mp.make_mpf(ui))
+    return w, v, w * w + v * v
+
+
+def _is_pow2(x):
+    return x.numerator & (x.numerator - 1) == 0 and x.denominator & (x.denominator - 1) == 0
+
+
+def _odd_bits(x):
+    # significant bits of a dyadic x
+    num = abs(x.numerator)
+    return (num >> ((num & -num).bit_length() - 1)).bit_length()
+
+
+def _circle(theta, wp):
+    # e^(i theta) - 1 at 2 wp bits: read at wp, |1 + u| is 1 up to rounding
+    with mpmath.workprec(2 * wp):
+        return mpmath.expj(theta) - 1
+
+
+def _branch_inputs(branch, prec, rng):
+    """Seeded u that take the kernel's branch, with the predicate that says
+    they do, decided exactly on the sum of squares."""
+    wp = prec + 32
+    sign = lambda: rng.choice((-1, 1))                           # noqa: E731
+    part = lambda lo, hi: sign() * math.ldexp(rng.uniform(0.5, 1), rng.randint(lo, hi))  # noqa: E731
+    if branch == "|u| < 2^-16":
+        e = [rng.randint(-400, -17) for _ in range(40)]
+        return ([complex(part(x, x), part(x, x)) for x in e]
+                + [_wide(part(x, x), part(x, x), prec, rng.getrandbits(prec)) for x in e],
+                lambda u: mpmath.mag(mpmath.mpc(u)) <= -16)
+    if branch == "a zero part":
+        us = [complex(part(-15, -1), 0.0) for _ in range(20)]
+        us += [complex(0.0, part(-15, -1)) for _ in range(20)]
+        us += [_wide(u.real, u.imag, prec, rng.getrandbits(prec)) for u in us[::4]]
+        return us, lambda u: not (mpmath.mpc(u).real and mpmath.mpc(u).imag)
+    if branch == "a power-of-two sum":
+        us = []
+        for k in rng.sample(range(1, 50), 30):
+            us += [complex(2.0 ** -k - 1, 0.0), complex(2.0 ** -k - 1, sign() * 2.0 ** -k)]
+        return us, lambda u: _is_pow2(_sum_of_squares(u, wp)[2])
+    if branch == "squares more than 100 exponents apart":
+        us = [complex(part(-15, -1), part(-1000, -(wp // 2 + 20))) for _ in range(30)]
+        us += [_wide(u.real, u.imag, prec, rng.getrandbits(prec)) for u in us[:10]]
+
+        def far(u):
+            w, v, _ = _sum_of_squares(u, wp)
+            return frac_ilog2(w * w) - frac_ilog2(v * v) > wp + 30
+        return us, far
+    if branch == "a truncated sum":
+        us = [_wide(part(-8, -2), part(-8, -2), prec, rng.getrandbits(prec)) for _ in range(40)]
+        return us, lambda u: (_odd_bits(_sum_of_squares(u, wp)[2]) > wp + 20
+                              and abs(_sum_of_squares(u, wp)[2] - 1) > Fraction(1, 1 << 11))
+    if branch == "the near-1 retake":
+        ths = [rng.uniform(2.0 ** -10, 1.0) for _ in range(30)]
+        us = [complex(math.cos(t) - 1, math.sin(t)) for t in ths]
+        us += [_circle(t, wp) for t in ths[:10]]
+        return us, lambda u: 0 < abs(_sum_of_squares(u, wp)[2] - 1) < Fraction(1, 1 << 11)
+    if branch == "cancellation past wp1":
+        # 1 + Re u = 1 - d exact at wp bits, d near 2**-30, and Im u the
+        # wp-bit rounding of sqrt(2 d - d**2): |1 + u|**2 - 1 is near 2**-188
+        us = []
+        for _ in range(30):
+            with mpmath.workprec(wp):
+                d = mpmath.ldexp(rng.getrandbits(wp - 30) | 1 << (wp - 31), -wp)
+                us.append(mpmath.mpc(-d, sign() * mpmath.sqrt(2 * d - d * d)))
+        return us, lambda u: 0 < abs(_sum_of_squares(u, wp)[2] - 1) < Fraction(1, 1 << (wp + 22))
+    if branch == "wp1 past LOG_TAYLOR_PREC":
+        us = [_circle(rng.uniform(0.1, 1.0), wp) for _ in range(10)]
+        return us, lambda u: (Fraction(1, 1 << (wp + 19))
+                              < abs(_sum_of_squares(u, wp)[2] - 1) < Fraction(1, 1 << 100))
+    raise AssertionError(branch)
+
+
+KERNEL_BRANCHES = [(128, b) for b in (
+    "|u| < 2^-16", "a zero part", "a power-of-two sum", "squares more than 100 exponents apart",
+    "a truncated sum", "the near-1 retake", "cancellation past wp1")] + [
+    (2400, "wp1 past LOG_TAYLOR_PREC")]
+
+
+def _kernel_ref(u, prec):
+    # mpmath's mpf_log_hypot over mpf_ln2; below 2^-16, the log1p series
+    # over ln 2 that lp_perturb's mpc form took
+    with mpmath.workprec(prec + 32):
+        tiny = mpmath.mag(mpmath.mpc(u)) <= -16
+    return _lp_perturb_mpc(LogPolar(0), u, prec).rho if tiny else _log2_abs_1p_ref(u, prec)
+
+
+def _kernel_input(u, wp):
+    # a complex as it is, any other form as dyadic_parts' tuple
+    return u if type(u) is complex else dyadic_parts(u, wp)
+
+
+@pytest.mark.parametrize("prec, branch", KERNEL_BRANCHES)
+def test_kernel_branches_match_mpmath(prec, branch):
+    wp = prec + 32
+    us, takes_branch = _branch_inputs(branch, prec, random.Random(f"{branch}:{prec}"))
+    assert len(us) >= 10
+    for u in us:
+        assert takes_branch(u), u
+        assert _kernel_frac(_kernel_input(u, wp), wp) == _kernel_ref(u, prec), u
+
+
+@pytest.mark.parametrize("prec", sorted({p for p, _ in KERNEL_BRANCHES}))
+def test_mixed_kernel_batch_equals_its_inputs_one_at_a_time(prec):
+    # every branch's inputs at prec, complex and parts forms interleaved
+    wp = prec + 32
+    rng = random.Random(prec)
+    us = [_kernel_input(u, wp) for p, b in KERNEL_BRANCHES if p == prec
+          for u in _branch_inputs(b, prec, rng)[0]]
+    rng.shuffle(us)
+    assert log2_abs_1p_int(us, wp) == [log2_abs_1p_int([u], wp)[0] for u in us]
 
 
 def test_lp_sub_close_scales():
