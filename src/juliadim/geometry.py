@@ -11,6 +11,7 @@ irrational, far below the classification margin).
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,7 @@ from .numerics import (
     frac_ilog2,
     pi_over_ln2_frac,
 )
-from .modelmap import AnchoredPoint, ModelMap, Point
+from .modelmap import AnchoredPoint, ModelMap, Point, table_consts
 from .params import ParamTable
 
 
@@ -115,7 +116,11 @@ def petal_membership(m: ModelMap, k: int, z: Point) -> Optional[int]:
             return z.index
         z = z.absolute(m.prec)
     p = min(m.prec, SIG_BITS + 64)
-    dr = z.rho - m.ring_zero_rho(k + t.N - 1)
+    zr = m.ring_zero_rho(k + t.N - 1)
+    # integer parts two apart put |dr| past 1, far past the petal's reach
+    if abs(z.rho.numerator // z.rho.denominator - zr.numerator // zr.denominator) > 1:
+        return None
+    dr = z.rho - zr
     if dr != 0 and frac_ilog2(abs(dr)) > int(rad_rel) + 3:
         return None
     for j in _nearest_petal_candidates(nk, z.theta.turns):
@@ -136,7 +141,9 @@ def petal_membership(m: ModelMap, k: int, z: Point) -> Optional[int]:
 
 def classify(t: ParamTable, z: Point, margin: float = 0.0,
              model: Optional[ModelMap] = None) -> Region:
-    """Region of z, decided on exact rho comparisons.
+    """Region of z, decided on exact rho comparisons: rho's integer part
+    finds the level among the thresholds R_k +- 2, kept per table, and
+    rationals are compared only there, for V_k's edges and the margin.
 
     `margin` (log2 units, taken exactly) turns an answer less than margin
     from a threshold into 'boundary'.
@@ -167,31 +174,32 @@ def classify(t: ParamTable, z: Point, margin: float = 0.0,
     if z.is_zero:
         return Region("D")
     rho = z.rho
-    if rho <= d_top:
+    # D's top R_1 - 2, then the edges R_k - 2 < R_k + 2 of A_k, k = 1..kmax
+    cuts = table_consts(t, "level_cuts", lambda: [
+        c for k in range(1, t.kmax + 1) for c in (t.R_exp(k) - 2, t.R_exp(k) + 2)])
+    ri, rem = divmod(rho.numerator, rho.denominator)
+    # rho lies above i cuts: on R_k + 2 it is in B_k, on R_k - 2 below it
+    i = bisect.bisect_right(cuts, ri)
+    if i % 2 and not rem and cuts[i - 1] == ri:
+        i -= 1
+    if not i:
         if margin and abs(rho - d_top) < mfr:
             return Region("boundary")
         return Region("D")
-    for k in range(1, t.kmax + 1):
-        e = t.R_exp(k)
-        lo, hi = Fraction(e - 2), Fraction(e + 2)
-        nxt = Fraction(t.R_exp(k + 1) - 2) if k < t.kmax else None
-        if rho < hi:
-            if margin and (abs(rho - lo) < mfr or abs(rho - hi) < mfr):
-                return Region("boundary")
-            if model is not None:
-                pj = petal_membership(model, k, z)
-                if pj is not None:
-                    return Region("P", k, pj)
-            v_lo, v_hi = e + LOG2_2_5, e + LOG2_3_5
-            if v_lo < rho < v_hi:
-                if margin and (abs(rho - v_lo) < mfr or abs(rho - v_hi) < mfr):
-                    return Region("boundary")
-                return Region("V", k)
-            return Region("A", k)
-        if nxt is None:
-            break
-        if rho <= nxt:
-            if margin and (abs(rho - hi) < mfr or abs(rho - nxt) < mfr):
-                return Region("boundary")
-            return Region("B", k)
-    raise DomainError("point beyond the built table")
+    if i == len(cuts):
+        raise DomainError("point beyond the built table")
+    k, lo, hi = (i + 1) // 2, cuts[i - 1], cuts[i]
+    if margin and (abs(rho - lo) < mfr or abs(rho - hi) < mfr):
+        return Region("boundary")
+    if not i % 2:
+        return Region("B", k)
+    if model is not None:
+        pj = petal_membership(model, k, z)
+        if pj is not None:
+            return Region("P", k, pj)
+    v_lo, v_hi = lo + 2 + LOG2_2_5, lo + 2 + LOG2_3_5
+    if v_lo < rho < v_hi:
+        if margin and (abs(rho - v_lo) < mfr or abs(rho - v_hi) < mfr):
+            return Region("boundary")
+        return Region("V", k)
+    return Region("A", k)

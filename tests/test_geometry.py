@@ -142,3 +142,81 @@ def test_petal_membership_escalates_only_in_its_tie_band(monkeypatch):
 def test_classify_petal_via_model():
     z0 = M5.ring_zero(T5.N, 3)
     assert str(classify(T5, z0, model=M5)) == "P(1,3)"
+
+
+def _classify_scan(t, z, margin=0.0, model=None):
+    # classify's level search for a LogPolar point before the integer cuts:
+    # k = 1..kmax in turn, an exact Fraction comparison at each threshold
+    mfr = Fraction(margin) if margin else None
+    d_top = Fraction(t.R_exp(1) - 2)
+    if z.is_zero:
+        return Region("D")
+    rho = z.rho
+    if rho <= d_top:
+        if margin and abs(rho - d_top) < mfr:
+            return Region("boundary")
+        return Region("D")
+    for k in range(1, t.kmax + 1):
+        e = t.R_exp(k)
+        lo, hi = Fraction(e - 2), Fraction(e + 2)
+        nxt = Fraction(t.R_exp(k + 1) - 2) if k < t.kmax else None
+        if rho < hi:
+            if margin and (abs(rho - lo) < mfr or abs(rho - hi) < mfr):
+                return Region("boundary")
+            if model is not None:
+                pj = petal_membership(model, k, z)
+                if pj is not None:
+                    return Region("P", k, pj)
+            v_lo, v_hi = e + geometry.LOG2_2_5, e + geometry.LOG2_3_5
+            if v_lo < rho < v_hi:
+                if margin and (abs(rho - v_lo) < mfr or abs(rho - v_hi) < mfr):
+                    return Region("boundary")
+                return Region("V", k)
+            return Region("A", k)
+        if nxt is None:
+            break
+        if rho <= nxt:
+            if margin and (abs(rho - hi) < mfr or abs(rho - nxt) < mfr):
+                return Region("boundary")
+            return Region("B", k)
+    raise geometry.DomainError("point beyond the built table")
+
+
+def _region_or_error(f, *args):
+    try:
+        return str(f(*args))
+    except geometry.DomainError as e:
+        return f"DomainError: {e}"
+
+
+def test_classify_equals_the_level_scan():
+    # seeded points at every level: on each integer threshold R_k +- 2 and
+    # D's top, on V_k's edges, a hair either side of each, at random in D,
+    # A_k, V_k and B_k, past the table, and next to ring zeros (petals);
+    # margin 0 and three positive margins, with and without a model
+    rng = Random(31)
+    t, n = T5, T5.N
+    rhos = [Fraction(0), Fraction(rng.randrange(1, 1 << 40), 1 << 20)]
+    hair = (0, Fraction(1, 1 << 200), -Fraction(1, 1 << 200), Fraction(1, 3), -Fraction(1, 3))
+    for k in range(1, t.kmax + 1):
+        e = t.R_exp(k)
+        edges = [Fraction(e - 2), Fraction(e + 2), e + geometry.LOG2_2_5, e + geometry.LOG2_3_5]
+        rhos += [x + h for x in edges for h in hair]
+        top = t.R_exp(k + 1) - 2 if k < t.kmax else e + 40
+        rhos += [Fraction(rng.randrange((e - 2) << 64, top << 64), 1 << 64) for _ in range(4)]
+        rhos += [e - 2 + Fraction(rng.randrange(1, 1 << 64), 1 << 64) for _ in range(4)]
+    points = [LogPolar(r, Fraction(rng.randrange(1 << 32), 1 << 32)) for r in rhos]
+    points.append(LogPolar.zero_point())
+    for k in range(1, t.kmax - 1):
+        for j in rng.sample(range(1, t.n(k) + 1), 3):
+            w = M5.ring_zero(k + n - 1, j)
+            for d in (0, Fraction(1, 1 << 40), Fraction(1, 1 << 20), Fraction(3, 2)):
+                points.append(LogPolar(w.rho + d, w.theta.turns + d / 7))
+    kinds = set()
+    for z in points:
+        for margin in (0.0, 2.0 ** -60, 0.01, 0.5):
+            for model in (None, M5):
+                want = _region_or_error(_classify_scan, t, z, margin, model)
+                assert _region_or_error(classify, t, z, margin, model) == want, (z, margin)
+                kinds.add(want.split("(")[0].split(":")[0])
+    assert kinds == {"D", "A", "V", "B", "P", "boundary", "DomainError"}
