@@ -370,6 +370,23 @@ def test_backward_prints_the_orbit_it_verified(tmp_path):
     assert doc["classification"] == "YLike(1)"
 
 
+def test_backward_past_the_angle_budget_exits_3(tmp_path, capsys):
+    # the backwards move at the default P_ang = 4096: its 22683 working bits
+    # are past the budget, a typed error with exit status 3 and one line
+    from juliadim.numerics import ANG_BITS
+    from juliadim.params import build_params
+
+    itin = ["P(1,3)"] + [f"V({k})" for k in range(1, 20)]
+    out = tmp_path / "b.json"
+    rc = run(["backward", "--N", "5", "--kmax", "25", "--itinerary", ";".join(itin),
+              "--anchor", f"{build_params(5, 25).R_exp(20)},0.5,0.2", "--out", str(out)])
+    cap = capsys.readouterr()
+    assert rc == 3 and not out.exists() and cap.out == ""
+    assert cap.err == (f"juliadim: DomainError: itinerary needs about 22683 working bits, "
+                       f"budget is {ANG_BITS}; deep or backwards petal visits are out of "
+                       f"the configured resolution\n")
+
+
 def test_backward_evaluates_once_above_1024_bits(tmp_path, monkeypatch):
     # the backwards move of test_backward_prints_the_orbit_it_verified: the
     # Newton polish of its petal step is the one evaluation at 22683 bits,

@@ -847,6 +847,23 @@ def test_constructed_points_are_pinned(seed):
         assert need[0] == NEED0_PINS[name], name
 
 
+def test_backward_construct_refuses_an_itinerary_past_its_budget(monkeypatch):
+    # the backwards shape P(1, j) V(1..19) needs 22683 working bits: at a
+    # 1000-bit budget the construction refuses it before any inverse step
+    import juliadim.dynamics as dynamics
+
+    def no_step(*a, **k):
+        raise AssertionError("an inverse step ran past the budget")
+
+    monkeypatch.setattr(dynamics, "inverse_step", no_step)
+    itin, anchor = _construction_shapes(1)["backwards"]
+    assert itin[0].startswith("P(1,") and itin[1:] == [f"V({k})" for k in range(1, 20)]
+    with pytest.raises(DomainError, match=r"^itinerary needs about 22683 working bits, "
+                                          r"budget is 1000; deep or backwards petal visits "
+                                          r"are out of the configured resolution$"):
+        backward_construct(M5, itin, anchor, tol=TOL, budget_bits=1000)
+
+
 def test_itinerary_precision_per_suffix():
     # need[s] is the figure of the suffix entries[s:] on its own
     itin = _normalize_itinerary(_construction_shapes(1)["forward"][0])
