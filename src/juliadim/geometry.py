@@ -23,6 +23,7 @@ from .numerics import (
     const_log2_frac,
     expm1_lp,
     frac_ilog2,
+    frac_sub,
     pi_over_ln2_frac,
 )
 from .modelmap import AnchoredPoint, ModelMap, Point, table_consts
@@ -69,8 +70,8 @@ LOG2_3_5 = const_log2_frac(3, 5)
 
 
 def _nearest_petal_candidates(nk: int, theta: Fraction) -> List[int]:
-    x = theta * nk  # zero angles at i - 1/2, i = 1..nk
-    i0 = (x.numerator + x.denominator) // x.denominator  # floor(x)+1
+    # zero angles at i - 1/2 in units of 1/nk, i = 1..nk; i0 = floor(theta nk) + 1
+    i0 = theta.numerator * nk // theta.denominator + 1
     out = []
     for i in (i0 - 1, i0, i0 + 1):
         ii = ((i - 1) % nk) + 1
@@ -120,7 +121,7 @@ def petal_membership(m: ModelMap, k: int, z: Point) -> Optional[int]:
     # integer parts two apart put |dr| past 1, far past the petal's reach
     if abs(z.rho.numerator // z.rho.denominator - zr.numerator // zr.denominator) > 1:
         return None
-    dr = z.rho - zr
+    dr = frac_sub(z.rho, zr)
     if dr != 0 and frac_ilog2(abs(dr)) > int(rad_rel) + 3:
         return None
     for j in _nearest_petal_candidates(nk, z.theta.turns):

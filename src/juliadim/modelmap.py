@@ -352,7 +352,7 @@ class ModelMap:
                       prec=self.prec).value
         if diff.is_zero:
             return LogPolar.zero_point()
-        return LogPolar(v.rho + diff.rho + (t.c_exp(j) - Mj * t.r_exp(j)), v.theta.add(diff.theta))
+        return v.mul(diff).mul_pow2(t.c_exp(j) - Mj * t.r_exp(j))
 
     def seam_zero_log2_base(self, j: int) -> Fraction:
         """c_j - M_j log2 r_j + 2 log2 |Z_j|, exact: the constant part of

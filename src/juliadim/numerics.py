@@ -19,7 +19,14 @@ curve node's leaves).  All of it is immutable and thread-safe.
 
 A canonical ``Fraction`` is never rebuilt: ``LogPolar`` and ``Angle`` keep
 the one they are handed, and an angle outside [0, 1) is wrapped by
-subtracting its integer floor.  Routing tests (``lp_add``'s regimes,
+subtracting its integer floor.  A sum or difference of two values whose
+denominators are powers of two, neither 1, is formed in integers
+(:func:`frac_add`): both are shifted to the larger denominator 2**k, added,
+and stripped of min(trailing zeros, k) bits.  That is the whole common
+factor, as the only prime in 2**k is 2, so the result is the reduced
+``Fraction`` a gcd would give, and is built without one, as ``_dyadic``
+(so ``_frac_of``) and :func:`frac_quantize` build theirs; every other pair
+takes ``Fraction``'s own arithmetic.  Routing tests (``lp_add``'s regimes,
 ``expm1_lp``'s wrap and series switch, the exponent budget) are integer
 tests on numerators and denominators, and comparisons against thresholds
 decide on integer parts first and compare rationals only on a tie
@@ -37,6 +44,7 @@ what the mpc/mpf expressions they replaced gave under ``mpmath.workprec``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
@@ -94,6 +102,48 @@ def _check_budget(fr: Fraction, context: str = "") -> None:
 # small integer / Fraction helpers
 # ---------------------------------------------------------------------------
 
+class _Lowest:
+    """n / d with d > 0 and gcd(n, d) = 1, registered as ``numbers.Rational``:
+    ``Fraction`` of one Rational copies its numerator and denominator as
+    they are, without the gcd it takes of an (n, d) pair."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, n: int, d: int):
+        self.numerator, self.denominator = n, d
+
+
+numbers.Rational.register(_Lowest)
+
+
+def _over_pow2(n: int, k: int) -> Fraction:
+    """n / 2**k in lowest terms, k >= 0: n and 2**k lose min(trailing zeros
+    of n, k) bits, all their common factor, and zero comes out 0 / 1."""
+    z = (n & -n).bit_length() - 1 if n else k
+    if z > k:
+        z = k
+    return Fraction(_Lowest(n >> z, 1 << (k - z)))
+
+
+def frac_add(a: Fraction, b: Fraction, sign: int = 1) -> Fraction:
+    """a + sign b (sign 1 or -1) in lowest terms: in integers when both
+    denominators are powers of two and neither is 1 (shifted to the larger
+    2**k, added and reduced by :func:`_over_pow2`), else ``Fraction``'s own
+    sum or difference."""
+    da, db = a.denominator, b.denominator
+    if da & (da - 1) or db & (db - 1) or da == 1 or db == 1:
+        return a + b if sign > 0 else a - b
+    na, nb, ka, kb = a.numerator, sign * b.numerator, da.bit_length(), db.bit_length()
+    if ka < kb:
+        na, nb, ka, kb = nb, na, kb, ka
+    return _over_pow2(na + (nb << (ka - kb)), ka - 1)
+
+
+def frac_sub(a: Fraction, b: Fraction) -> Fraction:
+    """a - b in lowest terms, by the rule of :func:`frac_add`."""
+    return frac_add(a, b, -1)
+
+
 def frac_mod1(fr: Fraction) -> Fraction:
     """fr mod 1: fr itself when already in [0, 1), else fr less its floor."""
     n, d = fr.numerator, fr.denominator
@@ -102,11 +152,9 @@ def frac_mod1(fr: Fraction) -> Fraction:
 
 def frac_quantize(fr: Fraction, bits: int) -> Fraction:
     """Round to the nearest multiple of 2**-bits."""
-    scaled = fr * (1 << bits)
-    n = scaled.numerator
-    d = scaled.denominator
+    n, d = fr.numerator << bits, fr.denominator
     q = (2 * n + d) // (2 * d) if n >= 0 else -((2 * (-n) + d) // (2 * d))
-    return Fraction(q, 1 << bits)
+    return _dyadic(q, -bits)
 
 
 def frac_to_mpf(fr: Fraction, prec: int) -> tuple:
@@ -129,7 +177,7 @@ def mpf_to_frac(x: Union[mpf, tuple]) -> Fraction:
 
 def _dyadic(q: int, e: int) -> Fraction:
     """The Fraction q 2**e."""
-    return Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e)
+    return Fraction(q << e) if e >= 0 else _over_pow2(q, -e)
 
 
 def _frac_of(t: tuple) -> Fraction:
@@ -201,10 +249,10 @@ class Angle:
         self.turns = frac_mod1(turns if type(turns) is Fraction else Fraction(turns))
 
     def add(self, other: "Angle") -> "Angle":
-        return Angle(self.turns + other.turns)
+        return Angle(frac_add(self.turns, other.turns))
 
     def sub(self, other: "Angle") -> "Angle":
-        return Angle(self.turns - other.turns)
+        return Angle(frac_sub(self.turns, other.turns))
 
     def mul_int(self, n: int) -> "Angle":
         return Angle(self.turns * n)
@@ -221,7 +269,7 @@ class Angle:
 
     def dist(self, other: "Angle") -> Fraction:
         """Circular distance in turns, in [0, 1/2]."""
-        d = frac_mod1(self.turns - other.turns)
+        d = frac_mod1(frac_sub(self.turns, other.turns))
         return d if 2 * d.numerator <= d.denominator else 1 - d
 
     def to_float(self) -> float:
@@ -295,14 +343,14 @@ class LogPolar:
     def mul(self, other: "LogPolar") -> "LogPolar":
         if self.is_zero or other.is_zero:
             return LogPolar.zero_point()
-        return LogPolar(self.rho + other.rho, self.theta.add(other.theta))
+        return LogPolar(frac_add(self.rho, other.rho), self.theta.add(other.theta))
 
     def div(self, other: "LogPolar") -> "LogPolar":
         if other.is_zero:
             raise DivisionByZero("log-polar division by zero")
         if self.is_zero:
             return self
-        return LogPolar(self.rho - other.rho, self.theta.sub(other.theta))
+        return LogPolar(frac_sub(self.rho, other.rho), self.theta.sub(other.theta))
 
     def pow_int(self, n: int) -> "LogPolar":
         if self.is_zero:
@@ -401,7 +449,7 @@ def lp_add(a: LogPolar, b: LogPolar, guard: int, prec: int) -> LpSum:
         return LpSum(a)
     # canonical anchor so the operation is bit-exact commutative: a is the
     # larger by (rho, turns), so drho = b.rho - a.rho <= 0
-    drho = b.rho - a.rho
+    drho = frac_sub(b.rho, a.rho)
     dn, dd = drho.numerator, drho.denominator
     if dn > 0 or not dn and b.theta.turns > a.theta.turns:
         a, b, drho, dn = b, a, -drho, -dn
@@ -708,7 +756,7 @@ def lp_perturb(z: LogPolar, u: Union[complex, mpf, mpc, Tuple[tuple, tuple]],
         vi = libmp.mpc_arg((mpf_add(from_man_exp(rm, re), fone, wp, RND),
                             from_man_exp(im, ie)), wp, RND)
     lim = _frac_of(mpf_div(vi, mpf_shift(mpf_pi(wp, RND), 1), wp, RND))
-    return LogPolar(z.rho + _dyadic(q, e), Angle(z.theta.turns + lim))
+    return LogPolar(frac_add(z.rho, _dyadic(q, e)), Angle(frac_add(z.theta.turns, lim)))
 
 
 def frac_ilog2(fr: Fraction) -> int:

@@ -159,6 +159,13 @@ MUTATIONS = (
              "kids.setdefault(a * n % grid, []).append(a)",
              "kids.setdefault((a + 1) * n % grid, []).append(a)",
              (CURVES + "test_trace_digests_match_reference",)),
+    # sums of two dyadic Fractions, reduced by trailing zeros
+    Mutation("dyadic sum strips past its denominator", "src/juliadim/numerics.py",
+             "    if z > k:\n        z = k\n", "",
+             ("tests/test_numerics.py::test_angle_and_logpolar_glue_equals_plain_fractions",)),
+    Mutation("dyadic difference drops b's sign", "src/juliadim/numerics.py",
+             "sign * b.numerator", "b.numerator",
+             ("tests/test_numerics.py::test_angle_and_logpolar_glue_equals_plain_fractions",)),
     # recorded in earlier changes and still applicable
     Mutation("leaf field summed without 0 +", "src/juliadim/curves.py",
              "u = 0 + u\n", "u = u\n",

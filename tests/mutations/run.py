@@ -4,8 +4,10 @@ run only the tests that should kill it, at most nproc copies at a time.
 
     python tests/mutations/run.py [-j JOBS] [NAME_SUBSTRING ...]
 
-Prints one line per mutation (killed, SURVIVED or ERROR) and exits non-zero
-unless every selected mutation is killed.
+Prints one line per mutation (killed, TIMEOUT, SURVIVED or ERROR) and exits
+non-zero unless every selected mutation is killed.  A mutation whose tests are
+still running after TIMEOUT_S seconds is stopped and printed as TIMEOUT: it
+made a loop endless, and it counts as killed.
 """
 
 import argparse
@@ -22,6 +24,7 @@ ROOT = HERE.parents[1]
 sys.path.insert(0, str(HERE))
 from catalogue import MUTATIONS  # noqa: E402
 
+TIMEOUT_S = 300     # the slowest catalogued tests take well under a minute
 COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                      "out", "*.pyc")
 
@@ -36,8 +39,12 @@ def run_one(mut) -> tuple:
             return mut, "ERROR", f"old text occurs {text.count(mut.old)} times in {mut.file}"
         path.write_text(text.replace(mut.old, mut.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                               *mut.killed_by], cwd=copy, env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                   *mut.killed_by], cwd=copy, env=env, capture_output=True,
+                                  text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return mut, "TIMEOUT", f"tests still running after {TIMEOUT_S} s, stopped"
     tail = proc.stdout.strip().splitlines()[-1:] or [proc.stderr.strip()[-200:]]
     # pytest: 0 all passed, 1 some failed; anything else is a usage or collection error
     status = {0: "SURVIVED", 1: "killed"}.get(proc.returncode, "ERROR")
@@ -54,7 +61,7 @@ def main() -> int:
     bad = 0
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         for mut, status, tail in pool.map(run_one, chosen):
-            bad += status != "killed"
+            bad += status not in ("killed", "TIMEOUT")
             print(f"{status:8s} {mut.name}: {tail}", flush=True)
     print(f"{len(chosen) - bad} of {len(chosen)} killed")
     return 1 if bad else 0

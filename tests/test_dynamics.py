@@ -864,6 +864,24 @@ def test_backward_construct_refuses_an_itinerary_past_its_budget(monkeypatch):
         backward_construct(M5, itin, anchor, tol=TOL, budget_bits=1000)
 
 
+def test_backwards_shape_takes_no_gcd_of_two_long_integers(monkeypatch):
+    # its values carry 22683-bit power-of-two denominators; a sum of two is
+    # reduced by trailing zeros (numerics.frac_add), never by a gcd, and the
+    # conversions build their Fractions in lowest terms
+    gcd, long_calls = math.gcd, []
+
+    def spy(*args):
+        if len(args) == 2 and min(abs(x).bit_length() for x in args) > 1024:
+            long_calls.append(tuple(abs(x).bit_length() for x in args))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", spy)
+    itin, anchor = _construction_shapes(1)["backwards"]
+    z = backward_construct(M5, itin, anchor, tol=TOL, verify=True, budget_bits=1 << 16)
+    assert str(classify(T5, z, model=M5)) == itin[0]
+    assert long_calls == []
+
+
 def test_itinerary_precision_per_suffix():
     # need[s] is the figure of the suffix entries[s:] on its own
     itin = _normalize_itinerary(_construction_shapes(1)["forward"][0])

@@ -1019,6 +1019,36 @@ def test_angle_and_logpolar_glue_equals_plain_fractions():
         for w in (z.mul(zy), z.div(zy), z.pow_int(n), z.root(5, 2), z.neg()):
             assert _canonical(w.rho) and _canonical(w.theta.turns) and 0 <= w.theta.turns < 1
         assert LogPolar(3).rho == 3 and type(LogPolar(3).rho) is Fraction
+    # sums frac_add forms in integers: 2**k denominators past 22000 bits
+    # whose low bits cancel, sums that are exactly 0 or an integer, either
+    # sign; and the pairs it leaves to Fraction, an int and 31 2**k
+    from juliadim.numerics import _dyadic, frac_add, frac_quantize, frac_sub
+    k = 23000
+    x = Fraction(rng.getrandbits(k + 2) | 1, 1 << k)
+    cancel = Fraction((rng.getrandbits(k) << 100 | 1 << 99) - x.numerator, 1 << k)
+    pairs = [(x, cancel), (x, -x), (x, 12 - x), (x, -5 - x), (x, x),
+             (x, Fraction(rng.getrandbits(k) | 1, 1 << (k - 7))), (x, Fraction(3, 4)),
+             (x, 7), (x, Fraction(-2)), (x, Fraction(rng.getrandbits(40) | 1, 31 << 20)),
+             (Fraction(5, 31 << k), Fraction(-3, 1 << k)), (Fraction(1, 2), Fraction(1, 2))]
+    for a, b in pairs + [(-a, -b) for a, b in pairs] + [(b, a) for a, b in pairs]:
+        for got, want in ((frac_add(a, b), a + b), (frac_sub(a, b), a - b)):
+            assert got == want and _canonical(got) and hash(got) == hash(want), (a, b)
+        if type(b) is Fraction:
+            assert Angle(a).add(Angle(b)).turns == _turns_ref(a + b)
+            assert Angle(a).sub(Angle(b)).turns == _turns_ref(a - b)
+            za, zb = LogPolar(a, Angle(a)), LogPolar(b, Angle(b))
+            assert za.mul(zb).rho == a + b and za.div(zb).rho == a - b
+    assert frac_add(x, cancel).denominator == 1 << (k - 99)
+    for q in (0, 1, -1, 12 << 40, -(5 << 300), 1 << 23000, -(3 << 22999), rng.getrandbits(k) << 77):
+        for e in (0, -1, -40, -77, -78, -300, -23000, -23001):
+            got, want = _dyadic(q, e), Fraction(q, 1 << -e)
+            assert got == want and _canonical(got) and hash(got) == hash(want), (q, e)
+    for fr in (x, -x, cancel, Fraction(1, 3), Fraction(-5, 2), Fraction(7, 31 << 200)):
+        for bits in (0, 1, 64, 192):
+            s = fr * (1 << bits)
+            want = Fraction(math.floor(abs(s) + Fraction(1, 2)) * (1 if s >= 0 else -1), 1 << bits)
+            got = frac_quantize(fr, bits)
+            assert got == want and _canonical(got) and hash(got) == hash(want), (fr, bits)
 
 
 def _lp_add_ref(a, b, guard, prec):
