@@ -70,8 +70,8 @@ LOG2_3_5 = const_log2_frac(3, 5)
 
 
 def _nearest_petal_candidates(nk: int, theta: Fraction) -> List[int]:
-    # zero angles at i - 1/2 in units of 1/nk, i = 1..nk; i0 = floor(theta nk) + 1
-    i0 = theta.numerator * nk // theta.denominator + 1
+    x = theta * nk  # zero angles at i - 1/2, i = 1..nk
+    i0 = (x.numerator + x.denominator) // x.denominator  # floor(x)+1
     out = []
     for i in (i0 - 1, i0, i0 + 1):
         ii = ((i - 1) % nk) + 1

@@ -24,9 +24,9 @@ denominators are powers of two, neither 1, is formed in integers
 (:func:`frac_add`): both are shifted to the larger denominator 2**k, added,
 and stripped of min(trailing zeros, k) bits.  That is the whole common
 factor, as the only prime in 2**k is 2, so the result is the reduced
-``Fraction`` a gcd would give, and is built without one, as ``_dyadic``
-(so ``_frac_of``) and :func:`frac_quantize` build theirs; every other pair
-takes ``Fraction``'s own arithmetic.  Routing tests (``lp_add``'s regimes,
+``Fraction`` a gcd would give, built without one by ``_dyadic``, which
+``_frac_of`` and :func:`frac_quantize` build theirs with too; every other
+pair takes ``Fraction``'s own arithmetic.  Routing tests (``lp_add``'s regimes,
 ``expm1_lp``'s wrap and series switch, the exponent budget) are integer
 tests on numerators and denominators, and comparisons against thresholds
 decide on integer parts first and compare rationals only on a tie
@@ -116,19 +116,21 @@ class _Lowest:
 numbers.Rational.register(_Lowest)
 
 
-def _over_pow2(n: int, k: int) -> Fraction:
-    """n / 2**k in lowest terms, k >= 0: n and 2**k lose min(trailing zeros
-    of n, k) bits, all their common factor, and zero comes out 0 / 1."""
-    z = (n & -n).bit_length() - 1 if n else k
-    if z > k:
-        z = k
-    return Fraction(_Lowest(n >> z, 1 << (k - z)))
+def _dyadic(q: int, e: int) -> Fraction:
+    """The Fraction q 2**e.  For e < 0, q and 2**-e lose min(trailing zeros
+    of q, -e) bits, all their common factor, and zero comes out 0 / 1."""
+    if e >= 0:
+        return Fraction(q << e)
+    z = (q & -q).bit_length() - 1 if q else -e
+    if z > -e:
+        z = -e
+    return Fraction(_Lowest(q >> z, 1 << (-e - z)))
 
 
 def frac_add(a: Fraction, b: Fraction, sign: int = 1) -> Fraction:
     """a + sign b (sign 1 or -1) in lowest terms: in integers when both
     denominators are powers of two and neither is 1 (shifted to the larger
-    2**k, added and reduced by :func:`_over_pow2`), else ``Fraction``'s own
+    2**k, added and reduced by :func:`_dyadic`), else ``Fraction``'s own
     sum or difference."""
     da, db = a.denominator, b.denominator
     if da & (da - 1) or db & (db - 1) or da == 1 or db == 1:
@@ -136,7 +138,7 @@ def frac_add(a: Fraction, b: Fraction, sign: int = 1) -> Fraction:
     na, nb, ka, kb = a.numerator, sign * b.numerator, da.bit_length(), db.bit_length()
     if ka < kb:
         na, nb, ka, kb = nb, na, kb, ka
-    return _over_pow2(na + (nb << (ka - kb)), ka - 1)
+    return _dyadic(na + (nb << (ka - kb)), 1 - ka)
 
 
 def frac_sub(a: Fraction, b: Fraction) -> Fraction:
@@ -173,11 +175,6 @@ def frac_to_mpf(fr: Fraction, prec: int) -> tuple:
 def mpf_to_frac(x: Union[mpf, tuple]) -> Fraction:
     """Exact conversion of an mpf or libmp tuple: a finite mpf is dyadic."""
     return _frac_of(x if type(x) is tuple else x._mpf_)
-
-
-def _dyadic(q: int, e: int) -> Fraction:
-    """The Fraction q 2**e."""
-    return Fraction(q << e) if e >= 0 else _over_pow2(q, -e)
 
 
 def _frac_of(t: tuple) -> Fraction:

@@ -161,7 +161,7 @@ MUTATIONS = (
              (CURVES + "test_trace_digests_match_reference",)),
     # sums of two dyadic Fractions, reduced by trailing zeros
     Mutation("dyadic sum strips past its denominator", "src/juliadim/numerics.py",
-             "    if z > k:\n        z = k\n", "",
+             "    if z > -e:\n        z = -e\n", "",
              ("tests/test_numerics.py::test_angle_and_logpolar_glue_equals_plain_fractions",)),
     Mutation("dyadic difference drops b's sign", "src/juliadim/numerics.py",
              "sign * b.numerator", "b.numerator",
