@@ -42,6 +42,7 @@ from .numerics import (
     Angle,
     DomainError,
     LogPolar,
+    _dyadic,
     const_log2_frac,
     log2_abs_1p_int,
     lp_perturb,
@@ -195,8 +196,15 @@ class CurveTrace:
 
     @cached_property
     def _radii(self) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
-        # built on first use; equal integers share one Fraction
-        radius = {v: Fraction(v, self.D) for v in {*self.inner, *self.outer}}.__getitem__
+        # built on first use; equal integers share one Fraction, reduced by
+        # trailing zeros, not by a gcd, over a power-of-two D (every trace of
+        # trace_gamma)
+        D = self.D
+        if D & (D - 1):
+            radius = {v: Fraction(v, D) for v in {*self.inner, *self.outer}}.__getitem__
+        else:
+            S = 1 - D.bit_length()
+            radius = {v: _dyadic(v, S) for v in {*self.inner, *self.outer}}.__getitem__
         return tuple(map(radius, self.inner)), tuple(map(radius, self.outer))
 
     @property

@@ -36,9 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from mpmath.libmp import (fone, from_int, fzero, mpc_add, mpc_add_mpf, mpc_div, mpc_mul,
-                          mpc_mul_mpf, mpc_neg, mpc_shift, mpc_sub, mpf_div, mpf_ln2, mpf_mul,
-                          mpf_neg, mpf_pow, mpf_sub)
+from mpmath.libmp import mpc_div, mpf_div, mpf_ln2, mpf_neg, mpf_pow
 
 from .numerics import (
     HALF,
@@ -46,13 +44,26 @@ from .numerics import (
     DomainError,
     ExponentBudgetError,
     FTWO,
+    PAIR_ONE,
     LogPolar,
     NumericsError,
     const_log2_frac,
+    cpair_add,
+    cpair_add_real,
+    cpair_below as _below,
+    cpair_div_int,
+    cpair_mpc,
+    cpair_mul,
+    cpair_mul_real,
+    cpair_of,
+    cpair_shift,
+    cpair_sub,
     frac_to_mpf,
     lp_perturb,
-    mpc_below as _below,
     mpf_to_frac,
+    pair_div_int,
+    pair_of_int,
+    pair_round,
     pi_over_ln2_frac,
 )
 from .geometry import LOG2_2_5, LOG2_3_5, Region, classify, petal_radius_rel_log2
@@ -147,16 +158,16 @@ def _tol_bits(tol: float):
     return 4 - math.frexp(min(tol, 1.0))[1] if tol > 0 else math.inf
 
 
-def _newton(u: Tuple[tuple, tuple], residual, slope, scale: Tuple[tuple, tuple], prec: int,
-            wp: int):
-    """u by Newton on libmp pairs at wp bits, and its residual F~(u): the
-    first iterate whose |F~(u)| <= 2**-(prec + 16) |scale| (:func:`_below`),
-    before its slope is built or divided by."""
+def _newton(u, residual, slope, scale, prec: int, wp: int):
+    """u by Newton on complex integer pairs at wp bits, and its residual
+    F~(u): the first iterate whose |F~(u)| <= 2**-(prec + 16) |scale|
+    (:func:`_below`), before its slope is built or divided by.  The division
+    is libmp's ``mpc_div``, which rounds inside."""
     for _ in range(NEWTON_MAX_ITER):
         res = residual(u)
         if _below(res, scale, prec + 16, wp):
             return u, res
-        u = mpc_sub(u, mpc_div(res, slope(u), wp, RND), wp, RND)
+        u = cpair_sub(u, cpair_of(mpc_div(cpair_mpc(res), cpair_mpc(slope(u)), wp, RND)), wp)
     raise BranchError(f"origin newton stagnated after {NEWTON_MAX_ITER} steps")
 
 
@@ -204,12 +215,12 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> An
     e_q = q.rho_int()
     if e_q >= -16:
         raise BranchError(f"petal step needs |q| < 2**-16, got |q| ~ 2**{e_q}")
-    q_c = mpc_shift(q.to_mpc_scaled(e_q, m.prec), e_q)
+    q_c = cpair_shift(cpair_of(q.to_mpc_scaled(e_q, m.prec)), e_q)
     s = _half_sqrt1p_minus1(q_c, m.prec)
     a = max(5, m.prec.bit_length() - 15)
-    if not residual_below(s, mpc_shift(q_c, -2), _tol_bits(tol), m.prec + 15 - a, m.prec + 32):
+    if not residual_below(s, cpair_shift(q_c, -2), _tol_bits(tol), m.prec + 15 - a, m.prec + 32):
         raise BranchError(f"petal residual not certified below tol {tol:.3g} at {m.prec} bits")
-    return AnchoredPoint(j, m.ring_zero(i, j), s, i)
+    return AnchoredPoint(j, m.ring_zero(i, j), cpair_mpc(s), i)
 
 
 def _origin_branch0_step(m: ModelMap, target: LogPolar, tol: float) -> LogPolar:
@@ -242,54 +253,55 @@ def _origin_branch0_step(m: ModelMap, target: LogPolar, tol: float) -> LogPolar:
             return tau0
         raise BranchError(f"origin branch 0 residual |sigma| ~ 2**{sigma.rho_int()} "
                           f"not below tol {tol:.3g}")
-    wp, e, one = m.prec + 32, sigma.rho_int(), (fone, fzero)
-    sig = mpc_shift(sigma.to_mpc_scaled(e, m.prec + 16), e)
+    wp, e, one = m.prec + 32, sigma.rho_int(), PAIR_ONE
+    sig = cpair_shift(cpair_of(sigma.to_mpc_scaled(e, m.prec + 16)), e)
     coef = origin_binomials(t.N, sig, wp)
 
     def f(x, c, y):     # x + sigma (c + y): F(v) = f(v, 1 + v, g(v)), F' = f(1, 1, g'(v))
-        return mpc_add(x, mpc_mul(sig, mpc_add(c, y, wp, RND), wp, RND), wp, RND)
+        return cpair_add(x, cpair_mul(sig, cpair_add(c, y, wp), wp), wp)
 
     def residual(v):
-        return f(v, mpc_add_mpf(v, fone, wp, RND), origin_g(v, coef, wp))
+        return f(v, cpair_add_real(v, (1, 0), wp), origin_g(v, coef, wp))
 
-    v, res = _newton(mpc_neg(sig), residual, lambda v: f(one, one, origin_g(v, coef, wp, True)),
-                     one, m.prec, wp)
+    (sm, se), (tm, te) = sig
+    v, res = _newton(((-sm, se), (-tm, te)), residual,
+                     lambda v: f(one, one, origin_g(v, coef, wp, True)), one, m.prec, wp)
     if not residual_below(v, one, b, m.prec + 15, wp, res=res):
         raise BranchError(f"origin residual not certified below tol {tol:.3g} at {m.prec} bits")
-    return lp_perturb(tau0, v, m.prec)
+    return lp_perturb(tau0, cpair_mpc(v), m.prec)
 
 
-_HALF_MPF = (0, 1, -1, 1)      # 1/2 as a libmp tuple
 # wp -> [C(1/2, n)] for n = 1, 2, ..., each by C(1/2, n + 1) = C(1/2, n) (1/2 - n)
-# / (n + 1) rounded to nearest at wp; grown as the petal series reaches them
+# / (n + 1) rounded to nearest at wp, as integer pairs; grown as the petal
+# series reaches them
 _BINOM_HALF: dict = {}
 
 
-def _half_sqrt1p_minus1(q: Tuple[tuple, tuple], prec: int) -> Tuple[tuple, tuple]:
-    """s = h / 2 as a libmp pair, h = sqrt(1 + q) - 1 by the binomial series,
-    for the pair q the petal step reads at its integer scale.
+def _half_sqrt1p_minus1(q, prec: int):
+    """s = h / 2, h = sqrt(1 + q) - 1 by the binomial series, for the complex
+    of integer pairs q the petal step reads at its integer scale.
 
     Every step is rounded to nearest at wp = prec + 32 bits (the
-    coefficients C(1/2, n) once per wp, in ``_BINOM_HALF``), and the sum
-    stops at its first term whose modulus is at most 2**-(prec + 16) of the
-    partial sum's (199 terms at most).  A target far below the petal's full
-    image makes q, hence the offset from the ring zero, exponentially small,
-    which libmp exponents and the exact-rational perturbation both carry
-    without underflow.
+    coefficients C(1/2, n) once per wp, in ``_BINOM_HALF``), as the libmp
+    series it replaces rounded them, and the sum stops at its first term
+    whose modulus is at most 2**-(prec + 16) of the partial sum's (199 terms
+    at most).  A target far below the petal's full image makes q, hence the
+    offset from the ring zero, exponentially small, which pair exponents and
+    the exact-rational perturbation both carry without underflow.
     """
     wp = prec + 32
-    coefs = _BINOM_HALF.setdefault(wp, [_HALF_MPF])
-    powq, h = q, mpc_shift(q, -1)     # q/2 exactly: q has at most prec + 16 bits
+    coefs = _BINOM_HALF.setdefault(wp, [(1, -1)])
+    powq, h = q, cpair_shift(q, -1)     # q/2 exactly: q has at most prec + 16 bits
     for n in range(1, 200):
         if n == len(coefs):
-            coefs.append(mpf_div(mpf_mul(coefs[-1], mpf_sub(_HALF_MPF, from_int(n), wp, RND),
-                                         wp, RND), from_int(n + 1), wp, RND))
-        powq = mpc_mul(powq, q, wp, RND)
-        term = mpc_mul_mpf(powq, coefs[n], wp, RND)
-        h = mpc_add(h, term, wp, RND)
+            cm, ce = pair_round(coefs[-1][0] * (1 - 2 * n), coefs[-1][1] - 1, wp)
+            coefs.append(pair_div_int(cm, ce, n + 1, wp))
+        powq = cpair_mul(powq, q, wp)
+        term = cpair_mul_real(powq, coefs[n], wp)
+        h = cpair_add(h, term, wp)
         if _below(term, h, prec + 16, wp):
             break
-    return mpc_shift(h, -1)
+    return cpair_shift(h, -1)
 
 
 def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Point:
@@ -350,20 +362,20 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
         raise BranchError(f"origin step needs |tau| < 2**-17 (M|u| <= 2**-16), "
                           f"got |tau| ~ 2**{e_tau}")
     # tau as a pair whose exponent may lie past any float's range
-    tau_c = mpc_shift(tau.to_mpc_scaled(e_tau, m.prec + 16), e_tau)
+    tau_c = cpair_shift(cpair_of(tau.to_mpc_scaled(e_tau, m.prec + 16)), e_tau)
     # the reverted series to third order: u = t (1 + t (-M/2 + t M (M + 1)/3))
     M = 1 << t.N
-    m1, c3, c2 = table_consts(t, ("seed", wp), lambda: (
-        from_int(M - 1), mpf_div(from_int(M * (M + 1)), from_int(3), wp, RND), from_int(-M // 2)))
-    tt = tuple(mpf_div(x, m1, wp, RND) for x in tau_c)
-    u = mpc_add_mpf(mpc_mul_mpf(tt, c3, wp, RND), c2, wp, RND)
-    u = mpc_mul(tt, mpc_add_mpf(mpc_mul(u, tt, wp, RND), fone, wp, RND), wp, RND)
+    c3, c2 = table_consts(t, ("seed", wp), lambda: (
+        pair_div_int(M + 1, t.N, 3, wp), pair_of_int(-M // 2)))
+    tt = cpair_div_int(tau_c, M - 1, wp)
+    u = cpair_add_real(cpair_mul_real(tt, c3, wp), c2, wp)
+    u = cpair_mul(tt, cpair_add_real(cpair_mul(u, tt, wp), (1, 0), wp), wp)
     coef = origin_binomials(t.N, u, wp)
-    u, res = _newton(u, lambda u: mpc_sub(origin_g(u, coef, wp), tau_c, wp, RND),
+    u, res = _newton(u, lambda u: cpair_sub(origin_g(u, coef, wp), tau_c, wp),
                      lambda u: origin_g(u, coef, wp, slope=True), tau_c, m.prec, wp)
     if not residual_below(u, tau_c, _tol_bits(tol), m.prec + 15, wp, coef, res):
         raise BranchError(f"origin residual not certified below tol {tol:.3g} at {m.prec} bits")
-    return AnchoredPoint(i, w, u)
+    return AnchoredPoint(i, w, cpair_mpc(u))
 
 
 # ---------------------------------------------------------------------------

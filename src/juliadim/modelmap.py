@@ -31,8 +31,7 @@ from typing import List, Optional, Tuple, Union
 
 import mpmath
 from mpmath import libmp, mpf
-from mpmath.libmp import (fone, from_int, fzero, mpc_add_mpf, mpc_mul, mpc_shift, mpc_sub, mpf_abs,
-                          mpf_add, mpf_div, mpf_log, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub)
+from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_div, mpf_log, mpf_sub
 
 from .numerics import (
     ADD_GUARD,
@@ -47,14 +46,27 @@ from .numerics import (
     SIG_BITS,
     below_log2_one_minus_pow2,
     const_log2_frac,
+    cpair_add_real,
+    cpair_below,
+    cpair_mag,
+    cpair_mpc,
+    cpair_mul,
+    cpair_of,
+    cpair_shift,
+    cpair_sub,
     frac_ilog2,
     frac_to_mpf,
     lp_add,
     lp_perturb,
     lp_sub,
-    mpc_below,
     mpc_mag,
     mpf_to_frac,
+    pair_add,
+    pair_div_int,
+    pair_mpf,
+    pair_of,
+    pair_of_int,
+    pair_round,
     pi_over_ln2_frac,
 )
 from .params import ParamTable
@@ -137,7 +149,7 @@ class AnchoredPoint:
 Point = Union[LogPolar, AnchoredPoint]
 
 
-def origin_binomials(N: int, u: Tuple[tuple, tuple], wp: int) -> List[int]:
+def origin_binomials(N: int, u, wp: int) -> List[int]:
     """[C(M, k) for 0 <= k <= K], M = 2**N: the binomial terms of g(u) =
     (1 + u)**M - 1 - u that :func:`origin_g` sums at wp bits.
 
@@ -145,42 +157,43 @@ def origin_binomials(N: int, u: Tuple[tuple, tuple], wp: int) -> List[int]:
     term k is at most (M|u|)**(k-1) M / ((M - 1) k!) <= 2**-a(k-1) / (k-1)!
     times the linear one, so K = max(2, ceil(wp / a)) leaves a tail under
     2**-aK <= 2**-wp of it: K = 3 at N = 5 and 128 bits, K = 2 from N = 6
-    on.  With a = -(N + mpc_mag(u)) <= 0 every term is kept (K = M) and the
-    sum is the whole polynomial.
+    on.  With a = -(N + mag(u)) <= 0 every term is kept (K = M) and the
+    sum is the whole polynomial.  u is a complex of integer pairs.
     """
     M = 1 << N
-    a = -(N + mpc_mag(u))
+    a = -(N + cpair_mag(u))
     K = min(M, max(2, -(-wp // a))) if a > 0 else M
     return [math.comb(M, k) for k in range(K + 1)]
 
 
-def origin_g(u: Tuple[tuple, tuple], coef: List[int], wp: int,
-             slope: bool = False) -> Tuple[tuple, tuple]:
+def origin_g(u, coef: List[int], wp: int, slope: bool = False):
     """g(u) = u (M - 1 + u s), s = sum_{2<=k<=K} C(M, k) u**(k-2), or g'(u) = M
     - 1 + u s', s' = sum k C(M, k) u**(k-2) with slope, coef =
-    :func:`origin_binomials`, by Horner on libmp pairs at wp bits."""
+    :func:`origin_binomials`, by Horner on complex integer pairs at wp bits,
+    each constant read as ``from_int`` reads it."""
     K = len(coef) - 1
     c = [k * x for k, x in enumerate(coef)] if slope else coef
-    s = from_int(c[K]), fzero
+    s = pair_of_int(c[K]), (0, 0)
     for k in range(K - 1, 1, -1):
-        s = mpc_add_mpf(mpc_mul(s, u, wp, RND), from_int(c[k]), wp, RND)
-    s = mpc_add_mpf(mpc_mul(u, s, wp, RND), from_int(coef[1] - 1), wp, RND)
-    return s if slope else mpc_mul(u, s, wp, RND)
+        s = cpair_add_real(cpair_mul(s, u, wp), pair_of_int(c[k]), wp)
+    s = cpair_add_real(cpair_mul(u, s, wp), pair_of_int(coef[1] - 1), wp)
+    return s if slope else cpair_mul(u, s, wp)
 
 
-def residual_below(u: Tuple[tuple, tuple], tau: Tuple[tuple, tuple], bits, exact: int, wp: int,
-                   coef: Optional[List[int]] = None, res=None) -> bool:
+def residual_below(u, tau, bits, exact: int, wp: int, coef: Optional[List[int]] = None,
+                   res=None) -> bool:
     """|n(u) - tau| <= 2**-bits |tau| for the normal form n of w (1 + u) at a
     zero: g (:func:`origin_g`) at the origin's, u (1 + u) at a ring's (coef
-    None), by :func:`mpc_below` on res = n(u) - tau at wp bits (taken here
-    unless given).  Refused past `exact` bits, the caller's proven accuracy of
-    its tau and point, where a decision could accept on rounding alone."""
+    None), by :func:`cpair_below` on res = n(u) - tau at wp bits (taken here
+    unless given), u and tau complex integer pairs.  Refused past `exact`
+    bits, the caller's proven accuracy of its tau and point, where a decision
+    could accept on rounding alone."""
     if bits > exact:
         return False
     if res is None:
-        n = origin_g(u, coef, wp) if coef else mpc_mul(u, mpc_add_mpf(u, fone, wp, RND), wp, RND)
-        res = mpc_sub(n, tau, wp, RND)
-    return mpc_below(res, tau, bits, wp)
+        n = origin_g(u, coef, wp) if coef else cpair_mul(u, cpair_add_real(u, (1, 0), wp), wp)
+        res = cpair_sub(n, tau, wp)
+    return cpair_below(res, tau, bits, wp)
 
 
 def table_consts(t: ParamTable, key, build):
@@ -326,17 +339,17 @@ class ModelMap:
         x = 2 * D * w.theta.turns
         if D * w.rho != top or x.denominator != 1 or not x.numerator & 1:
             raise DomainError(f"anchor {w} is not a zero of the model at ring {j}, N = {N}")
-        wp = self.prec + 32
+        wp, u = self.prec + 32, cpair_of(z.u)
         if j:
-            s, base, turns = z.u, self.seam_zero_log2_base(j), 0
-            n = mpc_mul(s, mpc_add_mpf(s, fone, wp, RND), wp, RND)
+            base, turns = self.seam_zero_log2_base(j), 0
+            n = cpair_mul(u, cpair_add_real(u, (1, 0), wp), wp)
         else:
-            n = origin_g(z.u, origin_binomials(N, z.u, wp), wp)
+            n = origin_g(u, origin_binomials(N, u, wp), wp)
             base, turns = t.r_exp(N) + w.rho, w.theta.turns + HALF
-        if not (n[0][1] or n[1][1]):
+        if not (n[0][0] or n[1][0]):
             return LogPolar.zero_point()
-        e = mpc_mag(n)
-        v = LogPolar.from_mpc(mpc_shift(n, -e), self.prec)
+        e = cpair_mag(n)
+        v = LogPolar.from_mpc(cpair_mpc(cpair_shift(n, -e)), self.prec)
         return LogPolar(base + e + v.rho, Angle(turns + v.theta.turns))
 
     def _eval_power(self, z: LogPolar, j: int) -> LogPolar:
@@ -373,28 +386,34 @@ class ModelMap:
         on the pair (x, 0), each reduced exactly to the real one (``mpc_exp``
         and ``mpf_hypot`` special-case a zero imaginary part; a product of
         pairs is exact before rounding), so the value is bit for bit theirs.
+        The series run on integer pairs (``numerics.pair_add``), the logs and
+        the exponential on libmp.
         """
         wp, mag = self.prec + 32, x[2] + x[3]
         if mag > -16:
-            L = mpf_log(mpf_add(x, fone, wp, RND), wp, RND)
+            L = pair_of(mpf_log(mpf_add(x, fone, wp, RND), wp, RND))
         else:
-            L, term, neg = fone, fone, mpf_neg(x, wp, RND)
+            xm, xe = pair_of(x)
+            L = term = 1, 0
+            neg = pair_round(-xm, xe, wp)
             for i in range(2, max(1, (self.prec + 48) // max(15, -mag)) + 2):
-                term = mpf_mul(term, neg, wp, RND)
-                L = mpf_add(L, mpf_div(term, from_int(i), wp, RND), wp, RND)
-            L = mpf_mul(x, L, wp, RND)
-        L = mpf_mul_int(L, 1 << j, wp, RND)
-        if L[2] + L[3] > -16:
-            e = mpf_sub(libmp.mpf_exp(L, wp, RND), fone, wp, RND)
+                term = pair_round(term[0] * neg[0], term[1] + neg[1], wp)
+                L = pair_add(*L, *pair_div_int(*term, i, wp), wp)
+            L = pair_round(xm * L[0], xe + L[1], wp)
+        # L times 2**j: exact, as mpf_mul_int rounds no bit of a wp-bit mantissa
+        L = (L[0], L[1] + j) if L[0] else L
+        lmag = L[1] + abs(L[0]).bit_length()
+        if lmag > -16:
+            e = mpf_sub(libmp.mpf_exp(pair_mpf(*L), wp, RND), fone, wp, RND)
         else:
-            e = term = fone
-            for i in range(2, max(2, (self.prec + 48) // -(L[2] + L[3]) + 1) + 2):
-                term = mpf_div(mpf_mul(term, L, wp, RND), from_int(i), wp, RND)
-                e = mpf_add(e, term, wp, RND)
-            e = mpf_mul(L, e, wp, RND)
+            e = term = 1, 0
+            for i in range(2, max(2, (self.prec + 48) // -lmag + 1) + 2):
+                term = pair_div_int(*pair_round(term[0] * L[0], term[1] + L[1], wp), i, wp)
+                e = pair_add(*e, *term, wp)
+            e = pair_mpf(*pair_round(L[0] * e[0], L[1] + e[1], wp))
         if not e[1]:  # x = 0, or zeta (1 + x) another zero of the ring
             raise DomainError(f"point is a zero of ring {j}")
-        return mpf_add(L, mpf_log(mpf_abs(e, wp, RND), wp, RND), wp, RND)
+        return mpf_add(pair_mpf(*L), mpf_log(mpf_abs(e, wp, RND), wp, RND), wp, RND)
 
     def radial_log2(self, rho: Fraction) -> Optional[Fraction]:
         """log2 |f| on the circle |z| = 2**rho when it is the same at every

@@ -21,12 +21,14 @@ A canonical ``Fraction`` is never rebuilt: ``LogPolar`` and ``Angle`` keep
 the one they are handed, and an angle outside [0, 1) is wrapped by
 subtracting its integer floor.  A sum or difference of two values whose
 denominators are powers of two, neither 1, is formed in integers
-(:func:`frac_add`): both are shifted to the larger denominator 2**k, added,
-and stripped of min(trailing zeros, k) bits.  That is the whole common
-factor, as the only prime in 2**k is 2, so the result is the reduced
-``Fraction`` a gcd would give, built without one by ``_dyadic``, which
-``_frac_of`` and :func:`frac_quantize` build theirs with too; every other
-pair takes ``Fraction``'s own arithmetic.  Routing tests (``lp_add``'s regimes,
+(:func:`frac_add`): both are shifted to the larger denominator 2**k and
+added.  Over unequal denominators the sum is odd, so already reduced; over
+equal ones it is stripped of min(trailing zeros, k) bits.  That is the
+whole common factor, as the only prime in 2**k is 2, so the result is the
+reduced ``Fraction`` a gcd would give, built without one through
+``_Lowest``, as ``_dyadic``, ``_frac_of`` and :func:`frac_quantize` build
+theirs; every other pair takes ``Fraction``'s own arithmetic.  Routing
+tests (``lp_add``'s regimes,
 ``expm1_lp``'s wrap and series switch, the exponent budget) are integer
 tests on numerators and denominators, and comparisons against thresholds
 decide on integer parts first and compare rationals only on a tie
@@ -39,6 +41,23 @@ and ``LogPolar.from_mpc`` at prec + 16 bits, :func:`log1p_mpc` and
 :func:`lp_perturb` at prec + 32, :func:`expm1_lp` at prec + 64 and
 :func:`expm1_series` at the wp its caller names.  Each gives, bit for bit,
 what the mpc/mpf expressions they replaced gave under ``mpmath.workprec``.
+
+Series, Horner sums and Newton updates (here, in ``dynamics``' inverse
+steps and in ``modelmap``'s normal forms) run on integer pairs instead: a
+real is (m, e), the dyadic m 2**e in libmp's canonical form (m odd, or (0,
+0)), a complex a pair of them.  Each pair op returns, tuple for tuple, what
+the libmp op it names returns at wp bits with round_nearest: the exact
+result (products exact, sums exact before rounding) rounded once to
+nearest, ties to even, a quotient to wp + 5 or more bits with a sticky bit
+below them, and :func:`pair_add` takes ``mpf_add``'s shortcut for an
+operand whose exponent is more than 100 and whose magnitude is more than wp
++ 4 bits above the other's, which rounds that operand moved one unit
+toward the other, not the exact sum.  An op is one Python call or two,
+where libmp's makes a chain of them.  Pairs meet libmp tuples only where
+libmp still works: transcendentals
+(``to_mpc_scaled``, ``from_mpc``, ``mpf_log``, ``mpf_exp``), a stored
+``AnchoredPoint.u``, and the two ops that round inside, ``mpc_div`` (a
+Newton division) and ``mpc_abs`` (:func:`cpair_below`'s close case).
 """
 
 from __future__ import annotations
@@ -51,8 +70,8 @@ from typing import Iterable, List, Tuple, Union
 
 import mpmath
 from mpmath import libmp, mpc, mpf
-from mpmath.libmp import (fone, from_man_exp, fzero, mpc_abs, mpc_add, mpc_div_mpf, mpc_mul,
-                          mpf_add, mpf_div, mpf_le, mpf_ln2, mpf_log, mpf_mul, mpf_pi, mpf_shift)
+from mpmath.libmp import (fone, from_man_exp, fzero, mpc_abs, mpf_add, mpf_div, mpf_le, mpf_ln2,
+                          mpf_log, mpf_mul, mpf_pi, mpf_shift)
 from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed, log_taylor_cached
 
 SIG_BITS = 128          # default fractional-log2 working precision (Config.P_sig)
@@ -129,16 +148,20 @@ def _dyadic(q: int, e: int) -> Fraction:
 
 def frac_add(a: Fraction, b: Fraction, sign: int = 1) -> Fraction:
     """a + sign b (sign 1 or -1) in lowest terms: in integers when both
-    denominators are powers of two and neither is 1 (shifted to the larger
-    2**k, added and reduced by :func:`_dyadic`), else ``Fraction``'s own
-    sum or difference."""
+    denominators are powers of two and neither is 1, else ``Fraction``'s own
+    sum or difference.  Over equal denominators 2**k the numerators are added
+    and the sum reduced by :func:`_dyadic`.  Over unequal ones the odd
+    numerator of the larger denominator plus the other's shifted to it is
+    odd, so that sum is in lowest terms as it stands."""
     da, db = a.denominator, b.denominator
     if da & (da - 1) or db & (db - 1) or da == 1 or db == 1:
         return a + b if sign > 0 else a - b
-    na, nb, ka, kb = a.numerator, sign * b.numerator, da.bit_length(), db.bit_length()
-    if ka < kb:
-        na, nb, ka, kb = nb, na, kb, ka
-    return _dyadic(na + (nb << (ka - kb)), 1 - ka)
+    na, nb = a.numerator, sign * b.numerator
+    if da == db:
+        return _dyadic(na + nb, 1 - da.bit_length())
+    if da < db:
+        na, nb, da, db = nb, na, db, da
+    return Fraction(_Lowest(na + (nb << (da.bit_length() - db.bit_length())), da))
 
 
 def frac_sub(a: Fraction, b: Fraction) -> Fraction:
@@ -488,25 +511,197 @@ def mpc_mag(z: Tuple[tuple, tuple]) -> int:
     return 1 + max(re + rb, ie + ib)
 
 
-def mpc_below(x: Tuple[tuple, tuple], y: Tuple[tuple, tuple], bits: int, wp: int) -> bool:
-    """|x| <= 2**-bits |y| for libmp pairs, y nonzero, as the moduli rounded
-    at wp bits decide it.  |x| is within [2**(mpc_mag(x) - 2), 2**mpc_mag(x)],
-    and within 2**-wp of it rounded: only a gap of -3..2 bits needs them."""
-    if not x[0][1] and not x[1][1]:
+# ---------------------------------------------------------------------------
+# integer pairs: libmp's round-to-nearest arithmetic without its call chains
+# ---------------------------------------------------------------------------
+#
+# A real is an integer pair (m, e), the dyadic m 2**e, in libmp's canonical
+# form: m odd, or (0, 0) for zero.  A complex is a pair of them, as an mpc is
+# a pair of mpf tuples.  Every op below returns, tuple for tuple, what the
+# libmp op it names returns at wp bits with round_nearest on the same values
+# (the equality test in tests/test_numerics.py holds them to it).
+
+PAIR_ONE = ((1, 0), (0, 0))
+
+
+def pair_round(m: int, e: int, wp: int) -> Tuple[int, int]:
+    """m 2**e rounded to nearest at wp bits, ties to even, its trailing zeros
+    stripped: libmp's ``normalize`` with round_nearest."""
+    if m > 0:
+        a = m
+    elif m:
+        a = -m
+    else:
+        return 0, 0
+    n = a.bit_length() - wp
+    if n > 0:
+        t = a >> (n - 1)
+        a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)) else t >> 1
+        e += n
+    if not a & 1:
+        n = (a & -a).bit_length() - 1
+        a >>= n
+        e += n
+    return (a, e) if m > 0 else (-a, e)
+
+
+def pair_add(am: int, ae: int, bm: int, be: int, wp: int) -> Tuple[int, int]:
+    """``mpf_add`` of two canonical pairs at wp bits: the exact sum rounded,
+    except where the exponents are more than 100 apart and the operand of the
+    larger exponent leads the other by more than wp + 4 bits of magnitude.
+    libmp then shifts that operand up wp + 4 bits, moves it one unit toward
+    the other's sign and rounds that, which differs from the rounded sum when
+    the operand is longer than wp bits (an exact product inside mpc_mul)."""
+    if not am:
+        return pair_round(bm, be, wp)
+    if not bm:
+        return pair_round(am, ae, wp)
+    d = ae - be
+    if d < 0:
+        am, ae, bm, be, d = bm, be, am, ae, -d
+    if d > 100 and ((am if am > 0 else -am).bit_length() + d
+                    - (bm if bm > 0 else -bm).bit_length() > wp + 4):
+        return pair_round((am << (wp + 4)) + (1 if bm > 0 else -1), ae - wp - 4, wp)
+    return pair_round((am << d) + bm, be, wp)
+
+
+def pair_of_int(n: int) -> Tuple[int, int]:
+    """The canonical pair of an integer, ``from_int``'s tuple."""
+    if not n:
+        return 0, 0
+    z = (n & -n).bit_length() - 1
+    return n >> z, z
+
+
+def pair_div_int(m: int, e: int, n: int, wp: int) -> Tuple[int, int]:
+    """``mpf_div`` of a canonical pair by the integer n > 0 at wp bits: the
+    quotient of the odd part of n to wp + 5 or more bits, a sticky bit below
+    it when the division leaves a remainder, rounded once."""
+    if not m:
+        return 0, 0
+    k = (n & -n).bit_length() - 1
+    t = n >> k
+    if t == 1:
+        return pair_round(m, e - k, wp)
+    a = -m if m < 0 else m
+    extra = wp - a.bit_length() + t.bit_length() + 5
+    if extra < 5:
+        extra = 5
+    q, r = divmod(a << extra, t)
+    if r:
+        q, extra = (q << 1) + 1, extra + 1
+    return pair_round(-q if m < 0 else q, e - k - extra, wp)
+
+
+def pair_of(x: tuple) -> Tuple[int, int]:
+    """The integer pair of a finite libmp mpf, exactly."""
+    return (-x[1] if x[0] else x[1]), x[2]
+
+
+def pair_mpf(m: int, e: int) -> tuple:
+    """The libmp mpf of a canonical pair, exactly."""
+    if not m:
+        return fzero
+    return (1, -m, e, (-m).bit_length()) if m < 0 else (0, m, e, m.bit_length())
+
+
+def cpair_of(z: Tuple[tuple, tuple]) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The integer pairs of a finite libmp pair, exactly."""
+    (rs, rm, re, _), (is_, im, ie, _) = z
+    return (-rm if rs else rm, re), (-im if is_ else im, ie)
+
+
+def cpair_mpc(x) -> Tuple[tuple, tuple]:
+    """The libmp pair of a complex of integer pairs, exactly."""
+    return pair_mpf(*x[0]), pair_mpf(*x[1])
+
+
+def cpair_add(x, y, wp: int):
+    """``mpc_add``: each part by :func:`pair_add`."""
+    (am, ae), (bm, be) = x
+    (cm, ce), (dm, de) = y
+    return pair_add(am, ae, cm, ce, wp), pair_add(bm, be, dm, de, wp)
+
+
+def cpair_sub(x, y, wp: int):
+    """``mpc_sub``."""
+    (am, ae), (bm, be) = x
+    (cm, ce), (dm, de) = y
+    return pair_add(am, ae, -cm, ce, wp), pair_add(bm, be, -dm, de, wp)
+
+
+def cpair_mul(x, y, wp: int):
+    """``mpc_mul``: the four products exact, each part summed and rounded once
+    by :func:`pair_add`."""
+    (am, ae), (bm, be) = x
+    (cm, ce), (dm, de) = y
+    return (pair_add(am * cm, ae + ce, -bm * dm, be + de, wp),
+            pair_add(am * dm, ae + de, bm * cm, be + ce, wp))
+
+
+def cpair_mul_real(x, c: Tuple[int, int], wp: int):
+    """``mpc_mul_mpf`` by the real pair c: each part's product rounded."""
+    (am, ae), (bm, be) = x
+    cm, ce = c
+    return pair_round(am * cm, ae + ce, wp), pair_round(bm * cm, be + ce, wp)
+
+
+def cpair_add_real(x, c: Tuple[int, int], wp: int):
+    """``mpc_add_mpf``: the real part plus c, the imaginary part as it is."""
+    (am, ae), b = x
+    return pair_add(am, ae, c[0], c[1], wp), b
+
+
+def cpair_div_int(x, n: int, wp: int):
+    """``mpc_div_mpf`` by ``from_int(n)``, n > 0: each part by :func:`pair_div_int`."""
+    (am, ae), (bm, be) = x
+    return pair_div_int(am, ae, n, wp), pair_div_int(bm, be, n, wp)
+
+
+def cpair_neg(x, wp: int):
+    """``mpc_neg`` rounded at wp bits."""
+    (am, ae), (bm, be) = x
+    return pair_round(-am, ae, wp), pair_round(-bm, be, wp)
+
+
+def cpair_shift(x, n: int):
+    """``mpc_shift``: x 2**n exactly."""
+    (am, ae), (bm, be) = x
+    return (am, ae + n if am else 0), (bm, be + n if bm else 0)
+
+
+def cpair_mag(x) -> int:
+    """``mpmath.mag`` of a nonzero complex of pairs: |x| <= 2**mag."""
+    (am, ae), (bm, be) = x
+    if not am:
+        return be + (bm if bm > 0 else -bm).bit_length()
+    ra = ae + (am if am > 0 else -am).bit_length()
+    if not bm:
+        return ra
+    rb = be + (bm if bm > 0 else -bm).bit_length()
+    return 1 + (ra if ra > rb else rb)
+
+
+def cpair_below(x, y, bits: int, wp: int) -> bool:
+    """|x| <= 2**-bits |y|, y nonzero, as the moduli rounded at wp bits
+    decide it.  |x| is within [2**(mag(x) - 2), 2**mag(x)], and within
+    2**-wp of it rounded: only a gap of -3..2 bits needs them, which
+    ``mpc_abs`` takes on the libmp pairs."""
+    if not x[0][0] and not x[1][0]:
         return True
-    gap = mpc_mag(x) - mpc_mag(y) + bits
-    return gap < -3 or gap < 3 and mpf_le(mpc_abs(x, wp, RND),
-                                          mpf_shift(mpc_abs(y, wp, RND), -bits))
+    gap = cpair_mag(x) - cpair_mag(y) + bits
+    return gap < -3 or gap < 3 and mpf_le(mpc_abs(cpair_mpc(x), wp, RND),
+                                          mpf_shift(mpc_abs(cpair_mpc(y), wp, RND), -bits))
 
 
 def log1p_mpc(u: Tuple[tuple, tuple], prec: int) -> Tuple[tuple, tuple]:
     """log(1 + u) for a nonzero libmp pair u with |u| < 1, at any scale of u.
 
     Every step runs at prec + 32 bits, rounded to nearest: ``mpc_log`` of
-    1 + u for |u| >= 2**-16, else the series, whose depth follows the scale
-    of u, so 1 + u never rounds the perturbation away.  Bit for bit what
-    the mpc expressions ``mpmath.log(1 + u)`` and the series give at that
-    working precision.
+    1 + u for |u| >= 2**-16, else the series on integer pairs, whose depth
+    follows the scale of u, so 1 + u never rounds the perturbation away.  Bit
+    for bit what the mpc expressions ``mpmath.log(1 + u)`` and the series
+    give at that working precision.
     """
     wp = prec + 32
     emag = mpc_mag(u)  # |u| <= 2**emag
@@ -514,12 +709,13 @@ def log1p_mpc(u: Tuple[tuple, tuple], prec: int) -> Tuple[tuple, tuple]:
         return libmp.mpc_log(libmp.mpc_add_mpf(u, fone, wp, RND), wp, RND)
     # log(1+u) = u (1 - u/2 + u^2/3 - ...), depth set by the scale
     nterms = max(1, (prec + 48) // max(15, -emag))
-    neg = libmp.mpc_neg(u, wp, RND)
-    series = term = (fone, fzero)
+    u = cpair_of(u)
+    neg = cpair_neg(u, wp)
+    series = term = PAIR_ONE
     for i in range(2, nterms + 2):
-        term = mpc_mul(term, neg, wp, RND)
-        series = mpc_add(series, mpc_div_mpf(term, from_man_exp(i, 0), wp, RND), wp, RND)
-    return mpc_mul(u, series, wp, RND)
+        term = cpair_mul(term, neg, wp)
+        series = cpair_add(series, cpair_div_int(term, i, wp), wp)
+    return cpair_mpc(cpair_mul(u, series, wp))
 
 
 def expm1_series(L: Tuple[tuple, tuple], scale: int, prec: int, wp: int) -> Tuple[tuple, tuple]:
@@ -528,17 +724,18 @@ def expm1_series(L: Tuple[tuple, tuple], scale: int, prec: int, wp: int) -> Tupl
 
     The term count, max(2, (prec + 48) // scale + 1), adapts to the scale,
     so ultra-tiny inputs cost a couple of multiplies; every step is rounded
-    to nearest at wp bits.  Larger L would need more terms than this count;
-    it takes exp(L) - 1 instead.
+    to nearest at wp bits, on integer pairs.  Larger L would need more terms
+    than this count; it takes exp(L) - 1 instead.
     """
     if scale < 16:
         raise DomainError(f"expm1_series needs |L| < 2**-16, got scale {scale}")
     nterms = max(2, (prec + 48) // scale + 1)
-    series = term = (fone, fzero)
+    L = cpair_of(L)
+    series = term = PAIR_ONE
     for i in range(2, nterms + 2):
-        term = mpc_div_mpf(mpc_mul(term, L, wp, RND), from_man_exp(i, 0), wp, RND)
-        series = mpc_add(series, term, wp, RND)
-    return mpc_mul(L, series, wp, RND)
+        term = cpair_div_int(cpair_mul(term, L, wp), i, wp)
+        series = cpair_add(series, term, wp)
+    return cpair_mpc(cpair_mul(L, series, wp))
 
 
 # log2|1 + u| in integers: the steps of mpmath 1.3.0's mpf_log_hypot,

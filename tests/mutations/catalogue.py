@@ -31,7 +31,7 @@ MUTATIONS = (
              (DYN + "test_closed_form_equals_the_absolute_route",
               DYN + "test_inverse_round_trips[origin]")),
     Mutation("g without its -u term", "src/juliadim/modelmap.py",
-             "from_int(coef[1] - 1)", "from_int(coef[1])",
+             "pair_of_int(coef[1] - 1)", "pair_of_int(coef[1])",
              (DYN + "test_closed_form_equals_the_absolute_route",
               DYN + "test_origin_solve_meets_g_within_its_stop_rule[128]")),
     Mutation("closed form drops the scale of g", "src/juliadim/modelmap.py",
@@ -64,7 +64,8 @@ MUTATIONS = (
               DYN + "test_origin_residual_decision_is_sound[400]")),
     # the petal step's |s (1 + s) - q/4| <= 2**-b |q/4|, b <= prec + 15 - a
     Mutation("petal residual never decided", "src/juliadim/dynamics.py",
-             "if not residual_below(s, mpc_shift(q_c, -2), _tol_bits(tol), m.prec + 15 - a, m.prec + 32):",
+             "if not residual_below(s, cpair_shift(q_c, -2), _tol_bits(tol), m.prec + 15 - a, "
+             "m.prec + 32):",
              "if False:",
              (DYN + "test_petal_residual_decision_is_sound[128]",
               DYN + "test_petal_residual_decision_is_sound[400]")),
@@ -116,7 +117,7 @@ MUTATIONS = (
              (DYN + "test_petal_reach_keeps_its_denominator_short",)),
     # petal steps in their ring zero's chart, z = w (1 + s)**(1/M_j)
     Mutation("chart eval without the (1 + s) factor", "src/juliadim/modelmap.py",
-             "n = mpc_mul(s, mpc_add_mpf(s, fone, wp, RND), wp, RND)", "n = s",
+             "n = cpair_mul(u, cpair_add_real(u, (1, 0), wp), wp)", "n = u",
              (DYN + "test_petal_chart_eval_equals_the_absolute_route",
               DYN + "test_inverse_round_trips[petal]")),
     Mutation("chart enclosure 2**(mag(s) + 1 - j) loosened to 2**(mag(s) - j)",
@@ -166,6 +167,20 @@ MUTATIONS = (
     Mutation("dyadic difference drops b's sign", "src/juliadim/numerics.py",
              "sign * b.numerator", "b.numerator",
              ("tests/test_numerics.py::test_angle_and_logpolar_glue_equals_plain_fractions",)),
+    # the integer-pair kernel, held tuple for tuple to libmp's round_nearest
+    Mutation("pair sum skips mpf_add's far-operand shortcut", "src/juliadim/numerics.py",
+             "    if d > 100 and (", "    if False and (",
+             tuple(f"tests/test_numerics.py::test_integer_pairs_equal_libmp_tuple_for_tuple[{wp}]"
+                   for wp in (53, 160, 22715))),
+    Mutation("pair rounding breaks ties away from zero", "src/juliadim/numerics.py",
+             "a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)) else t >> 1",
+             "a = (t >> 1) + 1 if t & 1 else t >> 1",
+             tuple(f"tests/test_numerics.py::test_integer_pairs_equal_libmp_tuple_for_tuple[{wp}]"
+                   for wp in (53, 160, 22715))),
+    Mutation("pair quotient drops its sticky bit", "src/juliadim/numerics.py",
+             "    if r:\n        q, extra = (q << 1) + 1, extra + 1\n", "",
+             tuple(f"tests/test_numerics.py::test_integer_pairs_equal_libmp_tuple_for_tuple[{wp}]"
+                   for wp in (53, 160, 22715))),
     # recorded in earlier changes and still applicable
     Mutation("leaf field summed without 0 +", "src/juliadim/curves.py",
              "u = 0 + u\n", "u = u\n",

@@ -396,6 +396,23 @@ def test_curve_trace_from_radii_round_trips(phi):
         tr.D = 1
 
 
+@pytest.mark.parametrize("phi", [IDENT, SYN], ids=["identity", "synthetic"])
+def test_trace_radii_equal_their_fractions_over_d(phi):
+    # over a power-of-two D the radii are reduced by trailing zeros, not by
+    # a gcd: the same canonical Fractions as Fraction(v, D), and over any
+    # other D they are Fraction(v, D) itself
+    tr = trace_gamma(M5, phi, 1, 3, grid=256)
+    assert tr.D & (tr.D - 1) == 0
+    odd = CurveTrace(tr.k, tr.m, 3 * tr.D, tuple(3 * v for v in tr.inner),
+                     tuple(3 * v for v in tr.outer))
+    for t in (tr, odd):
+        for got, v in zip(t.inner_radii + t.outer_radii, t.inner + t.outer):
+            want = Fraction(v, t.D)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            assert math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+    assert odd.inner_radii == tr.inner_radii and odd.outer_radii == tr.outer_radii
+
+
 def test_identity_trace_shares_one_fraction_per_seed():
     tr = trace_gamma(M5, IDENT, 1, 2, grid=256)
     assert len({id(r) for r in tr.inner_radii}) == len({id(r) for r in tr.outer_radii}) == 1

@@ -4,6 +4,7 @@ from random import Random
 
 import mpmath
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
 import juliadim.geometry as geometry
 from juliadim.geometry import (
@@ -12,7 +13,8 @@ from juliadim.geometry import (
     petal_membership,
     petal_radius_rel_log2,
 )
-from juliadim.modelmap import ModelMap
+from juliadim.dynamics import OriginBranch, PetalInverse, inverse_step
+from juliadim.modelmap import AnchoredPoint, ModelMap
 from juliadim.numerics import LogPolar, expm1_lp, frac_to_mpf, lp_perturb
 from juliadim.params import build_params
 
@@ -137,6 +139,37 @@ def test_petal_membership_escalates_only_in_its_tie_band(monkeypatch):
                 assert got == (j if full else None), (k, s, sign)
                 assert bits.count(m.prec) == (1 if s >= edge else 0), (k, s, sign)
                 assert len(bits) == bits.count(m.prec) + 1
+
+
+def test_petal_membership_reads_other_charts_as_their_absolute_points():
+    # the absolute fallback: origin charts (ring 0), petal charts asked about
+    # another level's ring, and charts on the level's own ring whose |u|
+    # reaches past the petal radius answer as z.absolute(prec) does, inside
+    # a petal and outside every one
+    rng, tol, answers = Random(4141), 2.0 ** -64, set()
+
+    def target(k):
+        return LogPolar(T5.R_exp(k) + Fraction(rng.randrange(-(1 << 20), 0), 1 << 20),
+                        Fraction(rng.randrange(1 << 30), 1 << 30))
+
+    charts = [inverse_step(M5, target(1), OriginBranch(rng.randrange(1, 1 << T5.N)), tol)
+              for _ in range(3)]
+    charts += [inverse_step(M5, target(k + 1), PetalInverse(k, rng.randrange(1, T5.n(k) + 1)), tol)
+               for k in (1, 2, 3)]
+    for k in (1, 2, 3):
+        ring, j = k + T5.N - 1, rng.randrange(1, T5.n(k) + 1)
+        # |u| = 1.5 2**e, |z / w - 1| ~ |u| / 2**ring, and reach = e + 2 - ring
+        for e in (-ring - 24, -ring - 20, -12):
+            u = (from_man_exp(3, e - 1), from_man_exp(rng.choice((-1, 1)) * 5, e - 4))
+            charts.append(AnchoredPoint(j, M5.ring_zero(ring, j), u, ring))
+    for z in charts:
+        for k in (1, 2, 3):
+            if z.ring == k + T5.N - 1 and z.reach() <= petal_radius_rel_log2(T5.n(k)):
+                continue    # decided on the chart itself
+            got = petal_membership(M5, k, z)
+            assert got == petal_membership(M5, k, z.absolute(M5.prec)), (z, k)
+            answers.add(got is None)
+    assert answers == {True, False}
 
 
 def test_classify_petal_via_model():

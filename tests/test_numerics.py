@@ -17,6 +17,18 @@ from juliadim.numerics import (
     SIG_BITS,
     below_log2_one_minus_pow2,
     const_log2_frac,
+    cpair_add,
+    cpair_add_real,
+    cpair_below,
+    cpair_div_int,
+    cpair_mag,
+    cpair_mpc,
+    cpair_mul,
+    cpair_mul_real,
+    cpair_neg,
+    cpair_of,
+    cpair_shift,
+    cpair_sub,
     dyadic_parts,
     expm1_lp,
     expm1_series,
@@ -28,8 +40,16 @@ from juliadim.numerics import (
     lp_perturb,
     lp_sub,
     mpf_to_frac,
+    pair_add,
+    pair_div_int,
+    pair_mpf,
+    pair_of,
+    pair_of_int,
+    pair_round,
     pow2_minus1_log2,
 )
+
+RND = libmp.round_nearest
 
 # strategies -----------------------------------------------------------------
 
@@ -913,8 +933,107 @@ def test_libmp_kernels_equal_their_mpc_forms(prec):
 
         # the petal step's series, for |q| ~ 2^-e
         q = LogPolar(-e + _tiny_frac(rng, 0, bits) % 1, Angle(_tiny_frac(rng, 30, bits) % 1))
-        got = _half_sqrt1p_minus1(q.to_mpc_scaled(0, prec), prec)
+        got = cpair_mpc(_half_sqrt1p_minus1(cpair_of(q.to_mpc_scaled(0, prec)), prec))
         assert got == _half_sqrt1p_minus1_ref(q, prec)._mpc_, e
+
+
+def _odd(rng, bits):
+    # a random odd mantissa of exactly `bits` bits, either sign
+    return rng.choice((-1, 1)) * (rng.getrandbits(bits - 1) << 1 | 1 | 1 << (bits - 1)
+                                  if bits > 1 else 1)
+
+
+def _ties(rng, wp):
+    # integer pairs (m, e) that pair_round meets at wp bits: exact ties, a tie
+    # with a sticky bit below it, one under a tie, and all-ones mantissas
+    # whose round-up carries into a new bit
+    for _ in range(4):
+        x = rng.getrandbits(wp - 1) | 1 << (wp - 1)
+        for n in (1, 2, 9, 70):
+            half = 1 << (n - 1)
+            for low in (half, half + 1, half - 1, (1 << n) - 1):
+                yield rng.choice((-1, 1)) * ((x << n) + low), rng.randrange(-500, 500)
+    for n in (1, 2, 33):
+        yield rng.choice((-1, 1)) * ((1 << (wp + n)) - 1), rng.randrange(-500, 500)
+
+
+def _operands(rng, wp, count):
+    # pairs of canonical reals: wp-bit values and the exact products mpc_mul
+    # sums (up to 3 wp bits), their exponents 0..400 apart, and zeros
+    for _ in range(count):
+        bits = [rng.choice((1, 2, wp - 1, wp, wp + 1, 2 * wp, 3 * wp)) for _ in range(2)]
+        e = rng.randrange(-3 * wp, 3 * wp)
+        d = rng.choice((0, 1, -1, 100, -100, 101, -101, rng.randrange(-400, 400)))
+        x, y = (_odd(rng, bits[0]), e), (_odd(rng, bits[1]), e - d)
+        yield x, y
+        yield x, (-x[0], x[1])                  # exact cancellation
+        yield x, (0, 0)
+    # mpf_add's far-operand shortcut: a longer than wp bits, leading b by
+    # more than wp + 4 bits, exponents more than 100 apart.  Where the n bits
+    # of a below its rounding point lie one unit from a tie and b moves the
+    # sum across it, libmp's one unit toward b does not, and the two differ
+    for _ in range(count):
+        la = rng.choice((wp + 1, 2 * wp, 3 * wp))
+        d = rng.randrange(101, 200)
+        lb = la + d - wp - 5 - rng.randrange(1, 60)
+        if lb >= 1:
+            yield (_odd(rng, la), 7), (_odd(rng, lb), 7 - d)
+        n, sign, toward = rng.choice((8, 40, wp)), rng.choice((-1, 1)), rng.choice((-1, 1))
+        x = rng.getrandbits(wp - 1) | 1 << (wp - 1)
+        a = sign * ((x << n) + (1 << (n - 1)) - toward)
+        yield (a, 7), (sign * toward * _odd(rng, d + rng.randrange(2, n - 5)), 7 - d)
+
+
+def _mpc_below_ref(x, y, bits, wp):
+    if not x[0][1] and not x[1][1]:
+        return True
+    return libmp.mpf_le(libmp.mpc_abs(x, wp, RND), libmp.mpf_shift(libmp.mpc_abs(y, wp, RND), -bits))
+
+
+@pytest.mark.parametrize("wp", [53, 64, 96, 160, 192, 400, 2432, 22715])
+def test_integer_pairs_equal_libmp_tuple_for_tuple(wp):
+    # every op of the integer-pair kernel against the libmp op it names, at
+    # wp bits with round_nearest: random operands, ties with and without a
+    # sticky bit, round-ups that carry into a new bit, exact cancellation,
+    # zeros, both signs, and mpf_add's far-operand shortcut on operands
+    # longer than wp bits, where it differs from the rounded exact sum
+    rng = random.Random(f"pairs:{wp}")
+    for m, e in _ties(rng, wp):
+        assert pair_mpf(*pair_round(m, e, wp)) == libmp.from_man_exp(m, e, wp, RND), (m, e)
+    shortcut = 0
+    ops = list(_operands(rng, wp, 40 if wp < 5000 else 4))
+    for (x, y), (z, w) in zip(ops, ops[1:] + ops[:1]):
+        xf, yf = pair_mpf(*x), pair_mpf(*y)
+        assert pair_of(xf) == x and pair_of_int(x[0] << 5) == pair_of(libmp.from_int(x[0] << 5))
+        got, want = pair_add(*x, *y, wp), libmp.mpf_add(xf, yf, wp, RND)
+        assert pair_mpf(*got) == want, (x, y)
+        exact = libmp.from_man_exp(x[0] * 2 ** (x[1] - min(x[1], y[1]))
+                                   + y[0] * 2 ** (y[1] - min(x[1], y[1])), min(x[1], y[1]), wp, RND)
+        shortcut += want != exact
+        assert pair_mpf(*pair_add(*x, -y[0], y[1], wp)) == libmp.mpf_sub(xf, yf, wp, RND), (x, y)
+        for n in (2, 3, 6, 7, 31, 96, 199, rng.randrange(3, 1 << 70)):
+            assert (pair_mpf(*pair_div_int(*x, n, wp))
+                    == libmp.mpf_div(xf, libmp.from_int(n), wp, RND)), (x, n)
+        a, b = (x, y), (z, w)
+        am, bm = cpair_mpc(a), cpair_mpc(b)
+        assert cpair_of(am) == a
+        for pair_op, libmp_op in ((cpair_add, libmp.mpc_add), (cpair_sub, libmp.mpc_sub),
+                                  (cpair_mul, libmp.mpc_mul)):
+            assert cpair_mpc(pair_op(a, b, wp)) == libmp_op(am, bm, wp, RND), (a, b, pair_op)
+        assert cpair_mpc(cpair_mul_real(a, z, wp)) == libmp.mpc_mul_mpf(am, pair_mpf(*z), wp, RND)
+        assert cpair_mpc(cpair_add_real(a, z, wp)) == libmp.mpc_add_mpf(am, pair_mpf(*z), wp, RND)
+        assert (cpair_mpc(cpair_div_int(a, 31, wp))
+                == libmp.mpc_div_mpf(am, libmp.from_int(31), wp, RND))
+        assert cpair_mpc(cpair_neg(a, wp)) == libmp.mpc_neg(am, wp, RND)
+        assert cpair_mpc(cpair_shift(a, -77)) == libmp.mpc_shift(am, -77)
+        if x[0] or y[0]:
+            assert cpair_mag(a) == mpmath.mag(mpmath.mp.make_mpc(am))
+        if z[0] or w[0]:
+            for bits in range(-6, 8, 1):
+                # the screen's gap, -3..2 bits, and either side of it
+                bits += cpair_mag(b) - cpair_mag(a) if x[0] or y[0] else 0
+                assert cpair_below(a, b, bits, wp) == _mpc_below_ref(am, bm, bits, wp), (a, b)
+    assert shortcut, "no far-operand case where libmp's sum is not the rounded exact sum"
 
 
 @pytest.mark.parametrize("prec", [64, 128, 2400])

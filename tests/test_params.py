@@ -142,6 +142,17 @@ def test_alpha_beta_monotone_toward_one():
     assert len(rep) == 1  # reported threshold, pass/fail depends on Cprime
 
 
+def test_alpha_beta_window_names_the_first_k_of_its_tail():
+    # a small distortion constant puts every envelope of the table inside
+    # (99/100, 101/100): the row passes and names the least k of the tail
+    t = build_params(5, 12, Cprime=1e-3)
+    (row,) = alpha_beta_window(t).certificates
+    first = min(k for k in range(1, t.kmax + 1)
+                if all(0.99 < t.beta[i] < 1.0 < t.alpha[i] < 1.01 for i in range(k, t.kmax + 1)))
+    assert row.passed and row.index == first
+    assert row.lhs == f"holds for k >= {first}"
+
+
 # omega ------------------------------------------------------------------------
 
 def omega_at(p, log2_inv_r):
