@@ -1029,9 +1029,9 @@ def test_integer_pairs_equal_libmp_tuple_for_tuple(wp):
         if x[0] or y[0]:
             assert cpair_mag(a) == mpmath.mag(mpmath.mp.make_mpc(am))
         if z[0] or w[0]:
-            for bits in range(-6, 8, 1):
-                # the screen's gap, -3..2 bits, and either side of it
-                bits += cpair_mag(b) - cpair_mag(a) if x[0] or y[0] else 0
+            base = cpair_mag(b) - cpair_mag(a) if x[0] or y[0] else 0
+            for gap in range(-6, 8):    # the screen's -3..2-bit gap and either side of it
+                bits = base + gap
                 assert cpair_below(a, b, bits, wp) == _mpc_below_ref(am, bm, bits, wp), (a, b)
     assert shortcut, "no far-operand case where libmp's sum is not the rounded exact sum"
 
