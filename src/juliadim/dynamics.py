@@ -18,8 +18,8 @@ one residual decision (``modelmap.residual_below``) and no evaluation:
                                by Newton from the inverse series to third
                                order, and the AnchoredPoint (i, u).
 
-The series and solves run on libmp pairs at prec + 32 bits, rounded to
-nearest.
+The series and solves run on ``numerics``' integer pairs at prec + 32 bits,
+rounded to nearest as libmp rounds.
 
 The inclusion certificates take circle extrema of log2 |f| -- exact on
 radial circles and on the petal boundary, sampled elsewhere -- and compare
@@ -205,7 +205,7 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> An
       2**-16 is refused, so |s| < 2**-17.9 and lp_perturb sums its series, n
       <= (prec + 48) / 15 terms at wp = prec + 32 bits, then divides by ln 2
       and by 2 pi: |d| <= (1.5 n + 5) 2**-wp |s|;
-    * 2**-(wp - 4) for rounding the residual and mpc_below's moduli.
+    * 2**-(wp - 4) for rounding the residual and cpair_below's moduli.
 
     With x = max(10, bits(prec) - 10), E < 2**(x - prec - 21) < 2**-(prec + 15
     - a) <= 2**-b, and eps < 0.251 min(tol, 1) (:func:`_tol_bits`).
@@ -348,7 +348,7 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
     last origin_g sum at wp bits, within 2**-(prec + 24) |g(u)| (its
     roundings, and a tail under 2**-(wp - 1) of the linear term while u is
     within |u| / 2 of the seed that chose K); rounding the residual and
-    mpc_below's moduli adds 2**-(wp - 4).  So eps <= 2**-b (1 + 2**-78) +
+    cpair_below's moduli adds 2**-(wp - 4).  So eps <= 2**-b (1 + 2**-78) +
     2**-(prec + 15) < 0.251 min(tol, 1).
     """
     t, wp = m.table, m.prec + 32

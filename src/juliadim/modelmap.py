@@ -328,7 +328,7 @@ class ModelMap:
 
         The normal form, g(u) (:func:`origin_g`, the sum the origin step
         solves) or u (1 + u), is taken at wp = prec + 32 bits; scaled by
-        2**-mpc_mag (exact) it has modulus in (1/4, 1], and one
+        2**-mag (exact) it has modulus in (1/4, 1], and one
         LogPolar.from_mpc at prec + 16 bits reads its log2 modulus and turns
         to within a few units of 2**-(prec + 14).  A g that rounds to 0 (z
         another zero, w times an (M - 1)-th root of unity) gives 0.
