@@ -47,6 +47,7 @@ from .numerics import (
     PAIR_ONE,
     LogPolar,
     NumericsError,
+    check_budget,
     const_log2_frac,
     cpair_add,
     cpair_add_real,
@@ -65,6 +66,7 @@ from .numerics import (
     pair_of_int,
     pair_round,
     pi_over_ln2_frac,
+    polar_pair,
 )
 from .geometry import LOG2_2_5, LOG2_3_5, Region, classify, petal_radius_rel_log2
 from .modelmap import (SEAM_MARGIN_BITS, AnchoredPoint, ModelMap, PieceId, Point, origin_binomials,
@@ -130,14 +132,14 @@ def inverse_step(m: ModelMap, target: Point, branch: InverseBranchSpec,
 
     if isinstance(branch, PetalInverse):
         k, j = branch.k, branch.j
-        nk, i, _, top = _petal_consts(m, k)
+        consts = nk, i, _, top = _petal_consts(m, k)
         if not 1 <= j <= nk:
             raise BranchError(f"petal index {j} out of range")
         if target.is_zero:
             return m.ring_zero(i, j)
         if target.rho > top:
             raise BranchError("petal inverse defined for |target| <= 4 R_{k+1}")
-        return _petal_step(m, target, k, j, tol)
+        return _petal_step(m, target, k, j, tol, consts)
 
     if isinstance(branch, OriginBranch):
         if not 0 <= branch.index < 1 << t.N:
@@ -179,15 +181,16 @@ def _petal_consts(m: ModelMap, k: int) -> tuple:
         t.R_exp(k + 1) + 2))
 
 
-def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> AnchoredPoint:
+def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float,
+                consts: Optional[tuple] = None) -> AnchoredPoint:
     """PetalInverse(k, j) in the chart of zero j of ring i = k + N - 1, whose
     seam piece is S(z) = K v (v - Z), v = z**n_k, K = C_k / R_k**n_k, Z =
     zcap(i) < 0.  At v = Z (1 + s), S = target s (1 + s) / (q/4), q = 4
-    target / (K Z**2) exact in log-polar, its offset q.rho - target.rho a
-    table constant (:func:`_petal_consts`).  The step takes s = h/2, h =
-    sqrt(1 + q~) - 1 (:func:`_half_sqrt1p_minus1`, q~ read at its integer
-    scale, as the origin step reads tau), and returns the chart point (j, s)
-    of ring i: z = w_j (1 + s)**(1/n_k), z**n_k = Z (1 + s).  Its absolute
+    target / (K Z**2) exact, log2 |q| - target.rho a dyadic table constant
+    (:func:`_petal_consts`, or ``consts``) added in integers.  The step takes
+    s = h/2, h = sqrt(1 + q~) - 1 (:func:`_half_sqrt1p_minus1`, q~ read at its
+    integer scale, as the origin step reads tau), and returns the chart point
+    (j, s) of ring i: z = w_j (1 + s)**(1/n_k), z**n_k = Z (1 + s).  Its absolute
     form (what a construction or a target reads) has z**n_k = Z (1 + s'), 1 +
     s' = (1 + s) e**d, d the rounding of log(1 + s) in lp_perturb; s' = s on
     the chart.
@@ -197,9 +200,9 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> An
     15), else BranchError.  eps = |s' (1 + s') / (q/4) - 1| <= 2**-b (1 +
     2**-28) + E, E summing, relative to |q/4|, prec >= 64:
 
-    * |q~ - q| < 2**-(prec + 13): to_mpc_scaled reads q / 2**e_q, e_q =
-      floor(log2 |q|) (the shift is exact), at prec + 16 bits, its exponent in
-      [0, 1) at prec + 24 and ln 2 at prec + 26;
+    * |q~ - q| < 2**-(prec + 13): polar_pair reads q / 2**e_q, e_q =
+      floor(log2 |q|) (the shift is exact), at prec + 16 bits, its exponent
+      log2 |q| - e_q in [0, 1) at prec + 24 and ln 2 at prec + 26;
     * |d| (1 + 2**-14) / |s| < 2**(bits(prec) - prec - 32): the domain check
       admits only |q| <= 2**-30.27 (N = 5, k = 1; less elsewhere) and |q| >=
       2**-16 is refused, so |s| < 2**-17.9 and lp_perturb sums its series, n
@@ -210,12 +213,12 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> An
     With x = max(10, bits(prec) - 10), E < 2**(x - prec - 21) < 2**-(prec + 15
     - a) <= 2**-b, and eps < 0.251 min(tol, 1) (:func:`_tol_bits`).
     """
-    _, i, off, _ = _petal_consts(m, k)
-    q = LogPolar(target.rho + off, target.theta)
-    e_q = q.rho_int()
+    _, i, off, _ = consts or _petal_consts(m, k)
+    f, d, e_q = _split(target.rho, off)
     if e_q >= -16:
         raise BranchError(f"petal step needs |q| < 2**-16, got |q| ~ 2**{e_q}")
-    q_c = cpair_shift(cpair_of(q.to_mpc_scaled(e_q, m.prec)), e_q)
+    turns = target.theta.turns
+    q_c = cpair_shift(polar_pair(f, d, turns.numerator, turns.denominator, m.prec), e_q)
     s = _half_sqrt1p_minus1(q_c, m.prec)
     a = max(5, m.prec.bit_length() - 15)
     if not residual_below(s, cpair_shift(q_c, -2), _tol_bits(tol), m.prec + 15 - a, m.prec + 32):
@@ -223,10 +226,17 @@ def _petal_step(m: ModelMap, target: LogPolar, k: int, j: int, tol: float) -> An
     return AnchoredPoint(j, m.ring_zero(i, j), cpair_mpc(s), i)
 
 
+def _split(x: Fraction, y: Fraction) -> Tuple[int, int, int]:
+    """x + y = e + f / d as (f, d, e), e its floor, unreduced; budget-checked as a rho."""
+    n, d = x.numerator * y.denominator + y.numerator * x.denominator, x.denominator * y.denominator
+    check_budget(n, d, "rho")
+    return n % d, d, n // d
+
+
 def _origin_branch0_step(m: ModelMap, target: LogPolar, tol: float) -> LogPolar:
     """OriginBranch(0): tau0 = target / r_N or tau0 (1 + v).  q(tau0 (1 + v))
     = target (1 + F(v)), F(v) = v + sigma (1 + v)**M, sigma = (c_N / r_N)
-    tau0**(M-1) exact in log-polar, and eps = |F(v)| (:func:`_tol_bits`).  As
+    tau0**(M-1) exact in integers, and eps = |F(v)| (:func:`_tol_bits`).  As
     c_N |w|**(M-1) = r_N at the zeros w and |tau0| <= 4, |sigma| = |tau0 /
     w|**(M-1) < 2**(-53.5 * 31) (|w| as in :func:`_origin_zero_step`).
 
@@ -244,17 +254,17 @@ def _origin_branch0_step(m: ModelMap, target: LogPolar, tol: float) -> LogPolar:
     """
     if target.is_zero:
         return LogPolar.zero_point()
-    t, M = m.table, 1 << m.table.N
-    tau0 = LogPolar(target.rho - t.r_exp(t.N), target.theta)
-    sigma = LogPolar(t.c_exp(t.N) - t.r_exp(t.N) + (M - 1) * tau0.rho, target.theta.mul_int(M - 1))
-    b = _tol_bits(tol)
-    if sigma.rho <= -(m.prec + 16):
-        if sigma.rho <= -b:
-            return tau0
-        raise BranchError(f"origin branch 0 residual |sigma| ~ 2**{sigma.rho_int()} "
-                          f"not below tol {tol:.3g}")
-    wp, e, one = m.prec + 32, sigma.rho_int(), PAIR_ONE
-    sig = cpair_shift(cpair_of(sigma.to_mpc_scaled(e, m.prec + 16)), e)
+    t, M, turns, r = m.table, 1 << m.table.N, target.theta.turns, m.table.r_exp(m.table.N)
+    a, d, e = _split(target.rho, -r)        # log2 |tau0| = e + a / d
+    n = (M - 1) * (e * d + a) + (t.c_exp(t.N) - r) * d      # log2 |sigma| = n / d
+    check_budget(n, d, "rho")
+    b, e, ceil = _tol_bits(tol), n // d, -(-n // d)
+    if ceil <= -(m.prec + 16):
+        if ceil <= -b:
+            return LogPolar(target.rho - r, target.theta)
+        raise BranchError(f"origin branch 0 residual |sigma| ~ 2**{e} not below tol {tol:.3g}")
+    wp, one, td = m.prec + 32, PAIR_ONE, turns.denominator
+    sig = cpair_shift(polar_pair(n - e * d, d, (M - 1) * turns.numerator % td, td, m.prec + 16), e)
     coef = origin_binomials(t.N, sig, wp)
 
     def f(x, c, y):     # x + sigma (c + y): F(v) = f(v, 1 + v, g(v)), F' = f(1, 1, g'(v))
@@ -268,7 +278,7 @@ def _origin_branch0_step(m: ModelMap, target: LogPolar, tol: float) -> LogPolar:
                      lambda v: f(one, one, origin_g(v, coef, wp, True)), one, m.prec, wp)
     if not residual_below(v, one, b, m.prec + 15, wp, res=res):
         raise BranchError(f"origin residual not certified below tol {tol:.3g} at {m.prec} bits")
-    return lp_perturb(tau0, cpair_mpc(v), m.prec)
+    return lp_perturb(LogPolar(target.rho - r, target.theta), cpair_mpc(v), m.prec)
 
 
 # wp -> [C(1/2, n)] for n = 1, 2, ..., each by C(1/2, n + 1) = C(1/2, n) (1/2 - n)
@@ -315,7 +325,8 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
     32 bits, with g and g' by :func:`origin_g` to the K that
     :func:`origin_binomials` takes from the seed, stopping at the first
     iterate whose |g~ - tau~| <= 2**-(prec + 16) |tau~|.  w, tau - target (-r_N -
-    w.rho, 1/2 - w.turns) and the seed's coefficients are table constants.
+    w.rho, 1/2 - w.turns, over (M - 1) 2**k, added in integers) and the
+    seed's coefficients are table constants.
 
     The seed is the inverse series of g to third order.  With t = tau / (M -
     1), y = M|t| and P(u) = g(u) / (M - 1) = u + sum_{k>=2} a_k u**k, the seed
@@ -356,13 +367,13 @@ def _origin_zero_step(m: ModelMap, target: LogPolar, i: int, tol: float) -> Poin
         w := qN_landmarks(m).zero(i), -t.r_exp(t.N) - w.rho, HALF - w.theta.turns))
     if target.is_zero:
         return w
-    tau = LogPolar(target.rho + off_rho, target.theta.turns + off_turns)
-    e_tau = tau.rho_int()
+    f, d, e_tau = _split(target.rho, off_rho)
     if e_tau >= -17:
         raise BranchError(f"origin step needs |tau| < 2**-17 (M|u| <= 2**-16), "
                           f"got |tau| ~ 2**{e_tau}")
     # tau as a pair whose exponent may lie past any float's range
-    tau_c = cpair_shift(cpair_of(tau.to_mpc_scaled(e_tau, m.prec + 16)), e_tau)
+    tn, td, _ = _split(target.theta.turns, off_turns)
+    tau_c = cpair_shift(polar_pair(f, d, tn, td, m.prec + 16), e_tau)
     # the reverted series to third order: u = t (1 + t (-M/2 + t M (M + 1)/3))
     M = 1 << t.N
     c3, c2 = table_consts(t, ("seed", wp), lambda: (

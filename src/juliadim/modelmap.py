@@ -234,11 +234,12 @@ class ModelMap:
         return table_consts(t, ("zero_rho", j), lambda: t.r_exp(j) + pi_over_ln2_frac(4 << j))
 
     def ring_zero(self, j: int, i: int) -> LogPolar:
-        """i-th zero on ring j, i = 1..M_j; angle (2i-1)/(2 M_j) turns."""
+        """i-th zero on ring j, i = 1..M_j; angle (2i-1)/(2 M_j) turns; a table constant."""
         Mj = 1 << j
         if not 1 <= i <= Mj:
             raise DomainError(f"zero index {i} out of range for ring {j}")
-        return LogPolar(self.ring_zero_rho(j), Fraction(2 * i - 1, 2 * Mj))
+        return table_consts(self.table, ("zero", j, i), lambda: LogPolar(
+            self.ring_zero_rho(j), Fraction(2 * i - 1, 2 * Mj)))
 
     # -- piece selection ------------------------------------------------------
 

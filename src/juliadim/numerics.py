@@ -36,11 +36,12 @@ decide on integer parts first and compare rationals only on a tie
 
 The transcendental kernels run on mpmath's libmp tuples (an mpf is (sign,
 man, exp, bc), an mpc a pair of them), each at an explicit precision with
-round-to-nearest, never at mpmath's ambient one: ``LogPolar.to_mpc_scaled``
-and ``LogPolar.from_mpc`` at prec + 16 bits, :func:`log1p_mpc` and
-:func:`lp_perturb` at prec + 32, :func:`expm1_lp` at prec + 64 and
-:func:`expm1_series` at the wp its caller names.  Each gives, bit for bit,
-what the mpc/mpf expressions they replaced gave under ``mpmath.workprec``.
+round-to-nearest, never at mpmath's ambient one: ``LogPolar.from_mpc`` and
+:func:`polar_pair` (2**d e**(2 pi i t) into pairs, around libmp's fixed-point
+exp and cos/sin) at prec + 16 bits, :func:`log1p_mpc` and :func:`lp_perturb`
+at prec + 32, :func:`expm1_lp` at prec + 64 and :func:`expm1_series` at the
+wp its caller names.  Each gives, bit for bit, what the mpc/mpf expressions
+they replaced gave under ``mpmath.workprec``.
 
 Series, Horner sums and Newton updates (here, in ``dynamics``' inverse
 steps and in ``modelmap``'s normal forms) run on integer pairs instead: a
@@ -55,13 +56,14 @@ operand whose exponent is more than 100 and whose magnitude is more than wp
 toward the other, not the exact sum.  An op is one Python call or two,
 where libmp's makes a chain of them.  Pairs meet libmp tuples only where
 libmp still works: transcendentals
-(``to_mpc_scaled``, ``from_mpc``, ``mpf_log``, ``mpf_exp``), a stored
+(``from_mpc``, ``mpf_log``, ``mpf_exp``), a stored
 ``AnchoredPoint.u``, and the two ops that round inside, ``mpc_div`` (a
 Newton division) and ``mpc_abs`` (:func:`cpair_below`'s close case).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -72,7 +74,8 @@ import mpmath
 from mpmath import libmp, mpc, mpf
 from mpmath.libmp import (fone, from_man_exp, fzero, mpc_abs, mpf_add, mpf_div, mpf_le, mpf_ln2,
                           mpf_log, mpf_mul, mpf_pi, mpf_shift)
-from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed, log_taylor_cached
+from mpmath.libmp.libelefun import (LOG_TAYLOR_PREC, cos_sin_basecase, exp_basecase, ln2_fixed,
+                                    log_taylor_cached, pi_fixed)
 
 SIG_BITS = 128          # default fractional-log2 working precision (Config.P_sig)
 ANG_BITS = 4096         # default angle budget (bits of turns)
@@ -102,11 +105,10 @@ class DomainError(NumericsError):
     pass
 
 
-def _check_budget(fr: Fraction, context: str = "") -> None:
-    """Raise ExponentBudgetError if floor(fr) needs more than MAX_EXP_BITS
+def check_budget(n: int, d: int, context: str = "") -> None:
+    """Raise ExponentBudgetError if floor(n/d), d > 0, needs more than MAX_EXP_BITS
     bits.  |n| / d < 2**(len(n) - len(d) + 1), so |floor(n/d)| has at most
     len(n) - len(d) + 2 bits; only when that passes the budget does it divide."""
-    n, d = fr.numerator, fr.denominator
     if abs(n).bit_length() - d.bit_length() + 2 <= MAX_EXP_BITS:
         return
     e = n // d
@@ -183,16 +185,10 @@ def frac_quantize(fr: Fraction, bits: int) -> Fraction:
 
 
 def frac_to_mpf(fr: Fraction, prec: int) -> tuple:
-    """Fraction -> libmp mpf tuple at prec + 8 bits, rounded to nearest.
-
-    A power-of-two denominator shifts the rounded numerator exactly;
-    otherwise numerator and denominator are each rounded and divided, as
-    ``mpf(num) / mpf(den)`` does at that precision.
-    """
-    num, den, wp = fr.numerator, fr.denominator, prec + 8
-    if den & (den - 1) == 0:
-        return mpf_shift(from_man_exp(num, 0, wp, RND), 1 - den.bit_length())
-    return mpf_div(from_man_exp(num, 0, wp, RND), from_man_exp(den, 0, wp, RND), wp, RND)
+    """Fraction -> libmp mpf tuple at prec + 8 bits, rounded to nearest: a
+    power-of-two denominator shifts the rounded numerator, otherwise both are
+    rounded and divided, as ``mpf(num) / mpf(den)`` does (:func:`_frac_pair`)."""
+    return pair_mpf(*_frac_pair(fr.numerator, fr.denominator, prec + 8))
 
 
 def mpf_to_frac(x: Union[mpf, tuple]) -> Fraction:
@@ -326,7 +322,7 @@ class LogPolar:
             self.theta = Angle(0)
             return
         self.rho = rho if type(rho) is Fraction else Fraction(rho)
-        _check_budget(self.rho, "rho")
+        check_budget(self.rho.numerator, self.rho.denominator, "rho")
         self.theta = theta if isinstance(theta, Angle) else Angle(theta)
 
     # -- constructors -------------------------------------------------------
@@ -395,32 +391,6 @@ class LogPolar:
         if self.is_zero:
             return self
         return LogPolar(self.rho + e, self.theta)
-
-    # -- conversions --------------------------------------------------------
-
-    def to_mpc_scaled(self, rho0: Union[Fraction, int], prec: int) -> Tuple[tuple, tuple]:
-        """self / 2**rho0 as a libmp pair (re, im); |rho - rho0| must be
-        float-safe.
-
-        At p = prec + 16 bits, rounded to nearest: 2**d, d = rho - rho0, as
-        ``mpf_pow(2, d, p)`` gives it (its general branch inlined, one mpf_exp
-        with ln 2 at p + 10 bits, but for the integer and half-integer d it
-        special-cases), times cos and sin of 2 pi theta from one
-        ``mpf_cos_sin_pi`` call, d and theta read as :func:`frac_to_mpf` gives
-        them at p.
-        """
-        if self.is_zero:
-            return fzero, fzero
-        d = self.rho - rho0
-        if abs(d.numerator // d.denominator) > (1 << 24):
-            raise DomainError("scale gap too large for complex conversion")
-        p = prec + 16
-        d = frac_to_mpf(d, p)
-        mag = (libmp.mpf_pow(FTWO, d, p, RND) if d[2] >= -1
-               else libmp.mpf_exp(mpf_mul(d, mpf_ln2(p + 10, RND)), p, RND))
-        c, s = libmp.mpf_cos_sin_pi(libmp.mpf_pos(mpf_shift(frac_to_mpf(self.theta.turns, p), 1),
-                                                  p, RND), p, RND)
-        return mpf_mul(mag, c, p, RND), mpf_mul(mag, s, p, RND)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -491,7 +461,7 @@ def lp_add(a: LogPolar, b: LogPolar, guard: int, prec: int) -> LpSum:
         return LpSum(a.mul(d.neg()))
     if gap > MAX_EXP_BITS:
         raise ExponentBudgetError("lp_add gap beyond exponent budget")
-    s = lp_perturb(a, LogPolar(drho, Angle(dtheta)).to_mpc_scaled(0, prec + 16), prec)
+    s = lp_perturb(a, cpair_mpc(polar_pair(dn, dd, tn, td, prec + 16)), prec)
     if s.rho - a.rho < -(prec - 8):
         return LpSum(LogPolar.zero_point(), cancelled=True)
     return LpSum(s)
@@ -694,6 +664,63 @@ def cpair_below(x, y, bits: int, wp: int) -> bool:
                                           mpf_shift(mpc_abs(cpair_mpc(y), wp, RND), -bits))
 
 
+def _frac_pair(n: int, d: int, wp: int) -> Tuple[int, int]:
+    """:func:`frac_to_mpf` of n / d, d > 0, at wp - 8 bits as a pair.  A power
+    of two common to n and d moves no rounding; an odd common factor is
+    divided out (a gcd with the odd part of d) before n and d are rounded."""
+    o = d >> (d & -d).bit_length() - 1
+    if o > 1 and (g := math.gcd(n, o)) > 1:
+        n, d, o = n // g, d // g, o // g
+    m, e = pair_round(n, 0, wp)
+    if o == 1:
+        return (m, e + 1 - d.bit_length()) if m else (0, 0)
+    b, eb = pair_round(d, 0, wp)
+    return pair_div_int(m, e - eb, b, wp)
+
+
+def polar_pair(dn: int, dd: int, tn: int, td: int, prec: int):
+    """2**d e**(2 pi i t), d = dn / dd with |floor(d)| <= 2**24, t = tn / td in
+    [0, 1), as a complex of integer pairs: tuple for tuple ``mpf_pow(2, d~,
+    p)`` times ``mpf_cos_sin_pi(x, p)``, p = prec + 16, round_nearest, d~ and
+    2 t~ read by :func:`_frac_pair` at p and x = 2 t~ rounded at p.  Only
+    integer and half-integer d stay on ``mpf_pow``; the rest repeats mpmath
+    1.3.0's steps in integers around ``exp_basecase`` (``mpf_exp`` of d~ ln 2)
+    and ``cos_sin_basecase`` (``mpf_cos_sin`` by pi: x less its nearest half-
+    integer, at the precision ``libmp.bitcount`` of that sets, 0 if negative)."""
+    if abs(dn // dd) > 1 << 24:
+        raise DomainError("scale gap too large for complex conversion")
+    p = prec + 16
+    m, e = _frac_pair(dn, dd, p + 8)
+    if e >= -1:
+        g = pair_of(libmp.mpf_pow(FTWO, pair_mpf(m, e), p, RND))
+    else:
+        l2, sh = ln2_rounded(p + 10)
+        x, e, wp = m * l2, e + sh - p - 30, p + 14
+        mag = (x if x > 0 else -x).bit_length() + e
+        g, n, sh = (1, 0), 0, e + wp + (mag if mag > 1 else 0)
+        if mag >= -wp:
+            x = x << sh if sh >= 0 else x >> -sh
+            if mag > 1:     # x - n ln 2 at wp + mag bits, then at wp
+                n, x = divmod(x, ln2_fixed(wp + mag))
+                x >>= mag
+            g = pair_round(exp_basecase(x, wp), n - wp, p)
+    x, e = pair_round(*_frac_pair(2 * tn, td, p + 8), p)
+    if e >= -1:     # 0 and the multiples of 1/2
+        c, s = ((0, 0), (1 - (x & 2), 0)) if e < 0 else ((1 - 2 * (e == 0 < x), 0), (0, 0))
+    elif x.bit_length() + e < -p - 10:      # sin pi x as x times mpf_pi(p + 10), rounded down
+        k = (v := pi_fixed(p + 30)).bit_length() - p - 10
+        c, s = (1, 0), pair_round(x * (v >> k), e + k - p - 30, p)
+    else:
+        n = ((x >> (-e - 2)) + 1) >> 1
+        x -= n << (-e - 1)
+        wp = p + 10 - libmp.bitcount(x) - e
+        x = x << (e + wp) if e + wp >= 0 else x >> -(e + wp)
+        c, s = cos_sin_basecase((x * pi_fixed(wp)) >> wp, wp)
+        c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n & 3]
+        c, s = pair_round(c, -wp, p), pair_round(s, -wp, p)
+    return pair_round(g[0] * c[0], g[1] + c[1], p), pair_round(g[0] * s[0], g[1] + s[1], p)
+
+
 def log1p_mpc(u: Tuple[tuple, tuple], prec: int) -> Tuple[tuple, tuple]:
     """log(1 + u) for a nonzero libmp pair u with |u| < 1, at any scale of u.
 
@@ -746,11 +773,12 @@ def expm1_series(L: Tuple[tuple, tuple], scale: int, prec: int, wp: int) -> Tupl
 _LOG_TAYLOR: dict = {}
 
 
+@functools.cache
 def ln2_rounded(wp: int) -> Tuple[int, int]:
     """(l2, sh): ln 2 as ``mpf_ln2(wp)`` rounds it, l2 2**(sh - wp - 20), the
     wp + 20-bit ``ln2_fixed`` rounded to nearest at wp bits and sh the bits
     dropped: the constant :func:`log2_abs_1p_int` divides by at working
-    precision wp, taken once per batch."""
+    precision wp and :func:`polar_pair` multiplies by, kept per wp."""
     v = int(ln2_fixed(wp + 20))
     sh = v.bit_length() - wp
     t = v >> (sh - 1)

@@ -30,7 +30,7 @@ from juliadim.geometry import Region, classify
 from juliadim.modelmap import AnchoredPoint, ModelMap, PieceId, qN_landmarks
 from juliadim.numerics import (RND, DomainError, ExponentBudgetError, LogPolar, const_log2_frac,
                                cpair_mpc, cpair_of, cpair_shift, expm1_series, log1p_mpc, lp_add,
-                               lp_perturb, lp_sub, mpc_mag)
+                               lp_perturb, lp_sub, mpc_mag, polar_pair)
 from juliadim.params import build_params
 
 M5 = ModelMap(table=build_params(5, 25))
@@ -224,6 +224,12 @@ def _petal_cases(rng, n, t=T5):
     return out
 
 
+def _read(z, rho0, prec):
+    # polar_pair of z / 2**rho0, a nonzero LogPolar: the step's read
+    d, t = z.rho - rho0, z.theta.turns
+    return polar_pair(d.numerator, d.denominator, t.numerator, t.denominator, prec)
+
+
 def _petal_reference(m, target, spec):
     # the closed form as it stood before the step decided its own residual:
     # s from the binomial series, z = lp_perturb(Z, s).root(n_k, j - 1), then
@@ -234,7 +240,7 @@ def _petal_reference(m, target, spec):
     nk, zc = t.n(k), m.zcap(k + t.N - 1)
     q = LogPolar(target.rho + (nk * t.R_exp(k) - t.C_exp(k) + 2) - 2 * zc.rho, target.theta)
     e_q = q.rho_int()
-    s = _half_sqrt1p_minus1(cpair_shift(cpair_of(q.to_mpc_scaled(e_q, m.prec)), e_q), m.prec)
+    s = _half_sqrt1p_minus1(cpair_shift(_read(q, e_q, m.prec), e_q), m.prec)
     return _newton_polish(m, lp_perturb(zc, cpair_mpc(s), m.prec).root(nk, spec.j - 1), target,
                           TOL)[0]
 
@@ -413,6 +419,43 @@ def test_petal_step_reads_q_at_its_integer_scale(monkeypatch, prec):
     assert seen["exact"] == [prec + 10] * 900
 
 
+def test_petal_and_origin_steps_read_without_libmp_wrappers_or_fractions(monkeypatch):
+    # a seeded petal step and origin step at N = 5 and 128 bits read q and
+    # tau through numerics.polar_pair: no mpf_exp, mpf_cos_sin_pi or mpf_div
+    # under any name a module of mpmath or juliadim binds them to, and no
+    # Fraction built, once the steps' table constants exist
+    import sys
+    import juliadim.numerics as num
+
+    rng = Random("read-spy")
+    (pt, spec), (ot, i) = _petal_cases(rng, 1)[0], _origin_cases(rng, 1)[0]
+    steps = [lambda: inverse_step(M5, pt, spec, TOL),
+             lambda: inverse_step(M5, ot, OriginBranch(i), TOL)]
+    want = [step() for step in steps]
+    calls = []
+    for real in (libmp.mpf_exp, libmp.mpf_cos_sin_pi, libmp.mpf_div):
+        def spy(*args, _real=real, **kwargs):
+            calls.append(_real.__name__)
+            return _real(*args, **kwargs)
+        for mod in [m for name, m in sys.modules.items() if name.startswith(("mpmath", "juliadim"))]:
+            for name, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, name, spy)
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        calls.append("Fraction")
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    num.mpf_div(libmp.fone, libmp.fone, 53, RND), Fraction(1, 3)   # the spies see these
+    assert calls == ["mpf_div", "Fraction"]
+    calls.clear()
+    got = [step() for step in steps]
+    assert calls == []
+    assert [(p.index, p.zero, p.u, p.ring) for p in got] == [
+        (p.index, p.zero, p.u, p.ring) for p in want]
+
+
 def test_petal_step_refuses_q_past_its_series_bound():
     # |q| >= 2**-16, past which lp_perturb would leave its series branch, is
     # refused; the domain check |target| <= 4 R_{k+1} admits only |q| <=
@@ -566,7 +609,7 @@ def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeyp
         w = lm.zero(i)
         tau = target.div(LogPolar(T5.r_exp(T5.N) + w.rho, w.theta)).neg()
         with mpmath.workprec(2 * prec):
-            t = mpmath.mp.make_mpc(tau.to_mpc_scaled(0, 2 * prec))
+            t = mpmath.mp.make_mpc(cpair_mpc(_read(tau, 0, 2 * prec)))
             within = [abs((1 + u) ** M - 1 - u - t) <= abs(t) * mpmath.ldexp(1, -(prec + 16))
                       for u in map(mpmath.mp.make_mpc, iterates)]
         assert within[-1] and not any(within[:-1]), within
@@ -621,7 +664,7 @@ def test_origin_solve_meets_g_within_its_stop_rule(prec):
         w = lm.zero(i)
         tau = target.div(LogPolar(T5.r_exp(T5.N) + w.rho, w.theta)).neg()
         with mpmath.workprec(1200):
-            u, t = mpmath.mp.make_mpc(p.u), mpmath.mp.make_mpc(tau.to_mpc_scaled(0, 1200))
+            u, t = mpmath.mp.make_mpc(p.u), mpmath.mp.make_mpc(cpair_mpc(_read(tau, 0, 1200)))
             assert abs((1 + u) ** M - 1 - u - t) <= abs(t) * mpmath.ldexp(1, -(prec + 12))
 
 

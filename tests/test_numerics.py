@@ -46,6 +46,7 @@ from juliadim.numerics import (
     pair_of,
     pair_of_int,
     pair_round,
+    polar_pair,
     pow2_minus1_log2,
 )
 
@@ -177,10 +178,6 @@ def test_lp_add_sixth_turn():
     assert abs(s.value.theta.to_float() - 1.0 / 6.0) < 1e-30
 
 
-def _complex(pair):
-    return complex(mpmath.mp.make_mpc(pair))
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=-90, max_value=90),
@@ -192,12 +189,12 @@ def test_lp_add_matches_complex(e1, e2, t1, t2):
     a = LogPolar(Fraction(e1, 3), Angle(Fraction(t1, 1 << 20)))
     b = LogPolar(Fraction(e2, 3), Angle(Fraction(t2, 1 << 20)))
     s = lp_add(a, b, ADD_GUARD, SIG_BITS)
-    za, zb = _complex(a.to_mpc_scaled(0, 64)), _complex(b.to_mpc_scaled(0, 64))
+    za, zb = complex(_to_mpc_scaled_ref(a, 0, 64)), complex(_to_mpc_scaled_ref(b, 0, 64))
     zs = za + zb
     if s.cancelled:
         assert abs(zs) <= 1e-12 * max(abs(za), abs(zb))
         return
-    got = _complex(s.value.to_mpc_scaled(0, 64))
+    got = complex(_to_mpc_scaled_ref(s.value, 0, 64))
     # the double-precision oracle itself carries cancellation error, so the
     # comparison is relative to the operand scale
     assert abs(got - zs) <= 1e-12 * max(abs(za), abs(zb))
@@ -311,6 +308,12 @@ def _frac_to_mpf_ref(fr, prec):
         if den & (den - 1) == 0:
             return mpmath.ldexp(mpmath.mpf(num), -(den.bit_length() - 1))
         return mpmath.mpf(num) / mpmath.mpf(den)
+
+
+def _polar(z, rho0, prec):
+    # polar_pair of z / 2^rho0, a nonzero LogPolar
+    d, t = z.rho - rho0, z.theta.turns
+    return polar_pair(d.numerator, d.denominator, t.numerator, t.denominator, prec)
 
 
 def _to_mpc_scaled_ref(z, rho0, prec):
@@ -821,8 +824,7 @@ def test_lp_sub_close_scales():
     d = lp_sub(a, b, ADD_GUARD, SIG_BITS)
     assert not d.value.is_zero
     with mpmath.workprec(220):
-        za, zb, got = (mpmath.mp.make_mpc(x.to_mpc_scaled(Fraction(58), 200))
-                       for x in (a, b, d.value))
+        za, zb, got = (_to_mpc_scaled_ref(x, 58, 200) for x in (a, b, d.value))
         err = abs(got - (za - zb)) / abs(za - zb)
         assert err < mpmath.mpf(2) ** -100
 
@@ -896,11 +898,11 @@ def test_libmp_kernels_equal_their_mpc_forms(prec):
         # numerators and mantissas that fit the working precision, and
         # wider ones that each kernel rounds first
         bits = rng.choice((64, prec + 32, prec + 100))
-        # to_mpc_scaled: 2^(rho - rho0) e^(2 pi i theta), |.| ~ 2^-e
+        # polar_pair: 2^(rho - rho0) e^(2 pi i theta), |.| ~ 2^-e
         rho0 = rng.randrange(-(1 << 40), 1 << 40)
         turns = _tiny_frac(rng, rng.randrange(0, 60), bits) % 1
         z = LogPolar(rho0 - e + _tiny_frac(rng, 0, bits) % 1, Angle(turns))
-        assert z.to_mpc_scaled(rho0, prec) == _to_mpc_scaled_ref(z, rho0, prec)._mpc_, e
+        assert cpair_mpc(_polar(z, rho0, prec)) == _to_mpc_scaled_ref(z, rho0, prec)._mpc_, e
 
         # from_mpc, of w ~ 2^-e and of w = 1 + u near one
         u = _pair(rng, e, bits)
@@ -933,7 +935,7 @@ def test_libmp_kernels_equal_their_mpc_forms(prec):
 
         # the petal step's series, for |q| ~ 2^-e
         q = LogPolar(-e + _tiny_frac(rng, 0, bits) % 1, Angle(_tiny_frac(rng, 30, bits) % 1))
-        got = cpair_mpc(_half_sqrt1p_minus1(cpair_of(q.to_mpc_scaled(0, prec)), prec))
+        got = cpair_mpc(_half_sqrt1p_minus1(_polar(q, 0, prec), prec))
         assert got == _half_sqrt1p_minus1_ref(q, prec)._mpc_, e
 
 
@@ -1037,10 +1039,10 @@ def test_integer_pairs_equal_libmp_tuple_for_tuple(wp):
 
 
 @pytest.mark.parametrize("prec", [64, 128, 2400])
-def test_to_mpc_scaled_takes_2_to_the_d_as_mpf_pow(prec):
+def test_polar_pair_takes_2_to_the_d_as_mpf_pow(prec):
     # 2**d, d = rho - rho0, is mpf_pow(2, d, p)'s value bit for bit at p =
     # prec + 16: d = 0, integer d and d = n +- 1/2, which mpf_pow special-cases,
-    # and seeded fractional d, where to_mpc_scaled inlines its general branch
+    # and seeded fractional d, where polar_pair repeats its general branch
     from juliadim.numerics import FTWO, RND, frac_to_mpf
 
     rng, p = random.Random(f"pow2:{prec}"), prec + 16
@@ -1056,7 +1058,63 @@ def test_to_mpc_scaled_takes_2_to_the_d_as_mpf_pow(prec):
         turns = libmp.mpf_pos(libmp.mpf_shift(frac_to_mpf(z.theta.turns, p), 1), p, RND)
         c, s = libmp.mpf_cos_sin_pi(turns, p, RND)
         want = libmp.mpf_mul(mag, c, p, RND), libmp.mpf_mul(mag, s, p, RND)
-        assert z.to_mpc_scaled(rho0, prec) == want, d
+        assert cpair_mpc(_polar(z, rho0, prec)) == want, d
+
+
+def _polar_inputs(rng, prec):
+    """Seeded (d, turns) for polar_pair at p = prec + 16 bits.  d: integers
+    and half-integers (mpf_pow's own cases), below 2**-(p + 14) (exp of it is
+    1), within 2 and past 2 in modulus (mpf_exp's ln 2 reduction), numerators
+    wider than p + 8 bits, over 2**k, 31 2**k and 63 2**k.  turns: 0, 1/4, 1/2
+    and 3/4 (mpf_cos_sin's exp >= -1 cases), below 2**-(p + 11) (sin pi x as
+    pi x), a few bits either side of a quarter turn, and seeded in each
+    quadrant."""
+    p = prec + 16
+
+    def frac(lo, den):      # a seeded fraction of modulus about 2**-lo over den
+        bits = rng.choice((20, p + 40))
+        return Fraction(rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1), den << (bits + lo))
+
+    ds = [Fraction(n) for n in (0, 1, -3, 5)] + [Fraction(n, 2) for n in (1, -7, 9)]
+    ds += [frac(p + 15 + rng.randrange(8), 1) for _ in range(3)]
+    for den in (1, 31, 63):
+        ds += [frac(rng.randrange(-1, 30), den) for _ in range(4)]
+        ds += [rng.randrange(-(1 << 20), 1 << 20) + frac(0, den) for _ in range(3)]
+    ts = [Fraction(n, 4) for n in range(4)] + [Fraction(1, 1 << (p + 12 + rng.randrange(9)))]
+    for q in range(4):
+        ts += [Fraction(q, 4) + abs(frac(rng.randrange(2, p), 1)) % Fraction(1, 4) for _ in range(3)]
+        ts += [(Fraction(q, 4) + frac(rng.randrange(3, 80), den)) % 1 for den in (1, 31, 63)]
+    return ([(d, rng.choice(ts)) for d in ds] + [(rng.choice(ds), t) for t in ts])
+
+
+@pytest.mark.parametrize("prec", [64, 128, 144, 400, 2048])
+def test_polar_pair_equals_the_libmp_read(prec):
+    # tuple for tuple the read _to_mpc_scaled_ref composes from mpmath, on
+    # d = rho - rho0 and turns handed over in lowest terms and times 3, 7 2**5
+    # or 2**9 (polar_pair divides the odd factor out before rounding); at 64
+    # bits 4000 more seeded reads, where the cos/sin precision libmp.bitcount
+    # sets for a negative remainder decides the last bit of a few
+    rng = random.Random(f"polar:{prec}")
+    cases = _polar_inputs(rng, prec)
+    if prec == 64:
+        cases += [(Fraction(rng.randrange(-(1 << 70), 1 << 70), 1 << 66),
+                   Fraction(rng.getrandbits(90), 1 << 90)) for _ in range(4000)]
+    for d, t in cases:
+        want = cpair_of(_to_mpc_scaled_ref(LogPolar(d, Angle(t)), 0, prec)._mpc_)
+        f, g = rng.choice((1, 3, 7 << 5, 1 << 9)), rng.choice((1, 3, 7 << 5, 1 << 9))
+        got = polar_pair(d.numerator * f, d.denominator * f, t.numerator * g, t.denominator * g,
+                         prec)
+        assert got == want, (d, t, f, g)
+
+
+def test_polar_pair_equals_the_libmp_read_at_the_backwards_precision():
+    # one read at 22699 bits, the backwards construction's petal step at
+    # need[0] = 22683: 64-bit-wide d and turns, d over 31 2**k
+    rng = random.Random("polar:22683")
+    d = Fraction(rng.getrandbits(64), 31 << 60)
+    t = Fraction(rng.getrandbits(64), 1 << 64)
+    want = cpair_of(_to_mpc_scaled_ref(LogPolar(d, Angle(t)), 0, 22683)._mpc_)
+    assert polar_pair(d.numerator, d.denominator, t.numerator, t.denominator, 22683) == want
 
 
 def test_libmp_kernels_refuse_what_their_mpc_forms_refused():
@@ -1064,11 +1122,9 @@ def test_libmp_kernels_refuse_what_their_mpc_forms_refused():
     # whole turn), expm1_series past 2^-16; log1p_mpc of 0 is 0 where the
     # mpc form ended in a ValueError from int(mag(0)), mag(0) being -inf
     far = LogPolar((1 << 24) + 1, Fraction(1, 3))
-    for f in (lambda: far.to_mpc_scaled(0, 64), lambda: _to_mpc_scaled_ref(far, 0, 64)):
+    for f in (lambda: _polar(far, 0, 64), lambda: _to_mpc_scaled_ref(far, 0, 64)):
         with pytest.raises(DomainError, match="scale gap"):
             f()
-    zero = LogPolar.zero_point()
-    assert zero.to_mpc_scaled(5, 64) == _to_mpc_scaled_ref(zero, 5, 64)._mpc_ == (libmp.fzero,) * 2
     assert LogPolar.from_mpc((libmp.fzero,) * 2, 64).is_zero and _from_mpc_ref(0, 64).is_zero
     assert LogPolar.from_mpc(mpmath.mpc(0), 64).is_zero
     for drho, dtheta in ((0, 0), (0, 1), (0, -1)):
@@ -1187,7 +1243,7 @@ def _lp_add_ref(a, b, guard, prec):
         if d.is_zero:
             return LpSum(LogPolar.zero_point(), cancelled=True)
         return LpSum(LogPolar(a.rho + d.rho, (a.theta.turns + d.theta.turns + Fraction(1, 2)) % 1))
-    s = lp_perturb(a, LogPolar(drho, dtheta).to_mpc_scaled(0, prec + 16), prec)
+    s = lp_perturb(a, _to_mpc_scaled_ref(LogPolar(drho, dtheta), 0, prec + 16)._mpc_, prec)
     if s.rho - a.rho < -(prec - 8):
         return LpSum(LogPolar.zero_point(), cancelled=True)
     return LpSum(s)
