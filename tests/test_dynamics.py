@@ -437,7 +437,8 @@ def test_petal_and_origin_steps_read_without_libmp_wrappers_or_fractions(monkeyp
         def spy(*args, _real=real, **kwargs):
             calls.append(_real.__name__)
             return _real(*args, **kwargs)
-        for mod in [m for name, m in sys.modules.items() if name.startswith(("mpmath", "juliadim"))]:
+        for mod in [m for name, m in sys.modules.items()
+                    if m is not None and name.startswith(("mpmath", "juliadim"))]:
             for name, value in list(vars(mod).items()):
                 if value is real:
                     monkeypatch.setattr(mod, name, spy)
