@@ -616,6 +616,25 @@ def _petal_boundary_extrema(m: ModelMap, k: int) -> Tuple[Fraction, Fraction]:
                  for x in (mpf_neg(eps), eps))
 
 
+def _inclusion_row(rep: CertificateReport, k: int, upper: bool, name: str, got: Fraction,
+                   target: int) -> None:
+    """Add row name[k] to rep: max + margin < target for an upper-bound row,
+    min - margin > target for a lower-bound one, the margin being the seam
+    deviation budget SEAM_MARGIN_BITS = mn / md.  With got = n / d both sides
+    are multiplied by d md > 0, so one integer comparison decides.  Both sides
+    render as 6-decimal floats, got as n / d (float of the Fraction), and a
+    side past the float range raises DomainError naming the row."""
+    n, d = got.as_integer_ratio()
+    try:
+        lhs, rhs = f"{n / d:.6f}", f"{float(target):.6f}"
+    except OverflowError:
+        raise DomainError(f"row {name}[{k}] of {rep.title!r}: an exponent past the float "
+                          f"range of its 6-decimal rendering") from None
+    mn, md = SEAM_MARGIN_BITS.as_integer_ratio()
+    x, y = n * md, target * d * md
+    rep.add(name, k, x + mn * d < y if upper else x - mn * d > y, lhs, rhs)
+
+
 def verify_inclusions(m: ModelMap, k: int, samples: int = 4096) -> CertificateReport:
     """Circle extrema of log2 |f| against the target annuli.
 
@@ -625,37 +644,23 @@ def verify_inclusions(m: ModelMap, k: int, samples: int = 4096) -> CertificateRe
     whole circle at u = +-|u|, where _petal_boundary_extrema shows they
     lie.  Only the other circles (bump, seam, origin with both terms alive)
     take the extrema of `samples` evenly spaced points; at N = 5, k = 1..6
-    there are none, so every row is the exact extremum.
-    Upper-bound rows pass when max + margin < target, lower-bound rows when
-    min - margin > target; the margin is the seam deviation budget
-    SEAM_MARGIN_BITS.  Each row renders both sides as 6-decimal floats, and
-    a side past the float range raises DomainError naming the row.
+    there are none, so every row is the exact extremum; _inclusion_row decides it.
     """
     if samples < 1 << 12:
         raise DomainError("inclusion sampling needs >= 4096 points per circle")
     t = m.table
-    mb = Fraction(SEAM_MARGIN_BITS)
     rep = CertificateReport(f"mapping inclusions k={k}")
-
-    def add(name, got, target_rho, upper):
-        try:
-            lhs, rhs = f"{float(got):.6f}", f"{float(target_rho):.6f}"
-        except OverflowError:
-            raise DomainError(f"row {name}[{k}] of {rep.title!r}: an exponent past the float "
-                              f"range of its 6-decimal rendering") from None
-        rep.add(name, k, got + mb < target_rho if upper else got - mb > target_rho, lhs, rhs)
-
-    upper, lower = functools.partial(add, upper=True), functools.partial(add, upper=False)
+    upper, lower = (functools.partial(_inclusion_row, rep, k, up) for up in (True, False))
 
     e1, e2, e3 = t.R_exp(k), t.R_exp(k + 1), t.R_exp(k + 2)
 
     lo, hi = _circle_extrema(m, e1 + LOG2_2_5, samples)
-    upper("inner_circle_max_below_quarter_next", hi, Fraction(e2 - 2))
-    lower("inner_circle_min_above_8Rk", lo, Fraction(e1 + 3))
+    upper("inner_circle_max_below_quarter_next", hi, e2 - 2)
+    lower("inner_circle_min_above_8Rk", lo, e1 + 3)
 
     lo, hi = _circle_extrema(m, e1 + LOG2_3_5, samples)
-    lower("outer_circle_min_above_4Rk1", lo, Fraction(e2 + 2))
-    upper("outer_circle_max_below_eighth_Rk2", hi, Fraction(e3 - 3))
+    lower("outer_circle_min_above_4Rk1", lo, e2 + 2)
+    upper("outer_circle_max_below_eighth_Rk2", hi, e3 - 3)
 
     for name, rho in (
         ("gap_inner_circle", Fraction(e1 + 2)),
@@ -663,12 +668,12 @@ def verify_inclusions(m: ModelMap, k: int, samples: int = 4096) -> CertificateRe
         ("ring54_circle", e1 + const_log2_frac(5, 4)),
     ):
         lo, hi = _circle_extrema(m, rho, samples)
-        lower(f"{name}_min_above_8Rk1", lo, Fraction(e2 + 3))
-        upper(f"{name}_max_below_eighth_Rk2", hi, Fraction(e3 - 3))
+        lower(f"{name}_min_above_8Rk1", lo, e2 + 3)
+        upper(f"{name}_max_below_eighth_Rk2", hi, e3 - 3)
 
     lo, hi = _petal_boundary_extrema(m, k)
-    lower("petal_boundary_min_above_4Rk1", lo, Fraction(e2 + 2))
-    upper("petal_boundary_max_below_quarter_Rk2", hi, Fraction(e3 - 2))
+    lower("petal_boundary_min_above_4Rk1", lo, e2 + 2)
+    upper("petal_boundary_max_below_quarter_Rk2", hi, e3 - 2)
     return rep
 
 
@@ -677,30 +682,29 @@ def check_singular_values(m: ModelMap) -> CertificateReport:
     t = m.table
     rep = CertificateReport("singular values")
     lm = qN_landmarks(m)
-    lo = Fraction(t.r_exp(t.N) + 3)
-    hi = Fraction(t.r_exp(t.N + 1)) - 4 - Fraction(1, 2)
-    cv_rho = lm.first_crit_value.rho   # every critical value has this modulus
-    rep.add("poly_crit_values_above_8rN", t.N, cv_rho > lo,
-            f"{float(cv_rho):.6f}", f"{float(lo):.6f}")
-    rep.add("poly_crit_values_below_rN1_16sqrt2", t.N, cv_rho < hi,
-            f"{float(cv_rho):.6f}", f"{float(hi):.6f}")
+    # every row decided in integers over its sides' denominators, rendered by n / d
+    n, d = lm.first_crit_value.rho.as_integer_ratio()   # every critical value's modulus
+    lo, hi2 = t.r_exp(t.N) + 3, 2 * t.r_exp(t.N + 1) - 9   # 8 r_N, and twice r_{N+1} / 16 sqrt 2
+    rep.add("poly_crit_values_above_8rN", t.N, n > lo * d, f"{n / d:.6f}", f"{float(lo):.6f}")
+    rep.add("poly_crit_values_below_rN1_16sqrt2", t.N, 2 * n < hi2 * d,
+            f"{n / d:.6f}", f"{hi2 / 2:.6f}")
 
-    half_pi_log2e = pi_over_ln2_frac(2)
+    a, b = pi_over_ln2_frac(2).as_integer_ratio()   # log2 e**(pi/2)
     for k in range(1, min(t.kmax_shifted(), t.kmax) + 1):
-        nk = t.n(k)
+        nk, r1, r2 = t.n(k), t.R_exp(k + 1), t.R_exp(k + 2)
         # exact exponent identity C_k R_k^{n_k} = 2^{n_k} R_{k+1}
         lhs = t.C_exp(k) + nk * t.R_exp(k)
-        rhs = nk + t.R_exp(k + 1)
+        rhs = nk + r1
         rep.add("power_identity", k, lhs == rhs, lhs, rhs)
-        cv = Fraction(rhs) + half_pi_log2e - 2   # modulus (e^(pi/2)/4) 2^{n_k} R_{k+1}
-        rep.add("ring_crit_value_above_8Rk1", k, cv > t.R_exp(k + 1) + 3,
-                f"{float(cv - t.R_exp(k + 1)):.4f}+e(R_{k + 1})", t.R_exp(k + 1) + 3)
-        rep.add("ring_crit_value_below_eighth_Rk2", k, cv < t.R_exp(k + 2) - 3,
-                str(cv.numerator // cv.denominator), t.R_exp(k + 2) - 3)
-        # stand-in critical circle sits a 1/n_k-order factor above the ring
-        shift = pi_over_ln2_frac(4 * nk) - Fraction(1, nk)
-        rep.add("ring_crit_point_radius_shift", k, abs(shift) < Fraction(1, nk),
-                f"2^({float(shift):.3g}) relative", "within 2^(1/n_k)",
+        y = (rhs - 2) * b + a   # cv b: modulus 2**cv = (e^(pi/2)/4) 2^{n_k} R_{k+1}
+        rep.add("ring_crit_value_above_8Rk1", k, y > (r1 + 3) * b,
+                f"{(y - r1 * b) / b:.4f}+e(R_{k + 1})", r1 + 3)
+        rep.add("ring_crit_value_below_eighth_Rk2", k, y < (r2 - 3) * b, str(y // b), r2 - 3)
+        # stand-in critical circle sits a 1/n_k-order factor above the ring:
+        # shift = p / q - 1 / n_k, and |shift| < 1 / n_k iff |p n_k - q| < q
+        p, q = pi_over_ln2_frac(4 * nk).as_integer_ratio()
+        rep.add("ring_crit_point_radius_shift", k, abs(p * nk - q) < q,
+                f"2^({(p * nk - q) / (q * nk):.3g}) relative", "within 2^(1/n_k)",
                 note="ring radius vs blend critical circle; both reported")
     return rep
 

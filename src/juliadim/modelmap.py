@@ -45,6 +45,7 @@ from .numerics import (
     RND,
     SIG_BITS,
     below_log2_one_minus_pow2,
+    check_budget,
     const_log2_frac,
     cpair_add_real,
     cpair_below,
@@ -420,17 +421,20 @@ class ModelMap:
         """log2 |f| on the circle |z| = 2**rho when it is the same at every
         angle, else None.
 
-        On a power piece |f| = |c_j| |z|**M_j.  On the origin piece the ratio
+        On a power piece |f| = |c_j| |z|**M_j, read as c_j + M_j rho under the
+        exponent budget of a LogPolar's rho.  On the origin piece the ratio
         |r_N z| / |c_N z**M_N| depends on rho alone, so whether lp_add drops
         one term as negligible is decided the same way at every angle, and
         then |f| is the modulus of the dominant term.
         """
         piece = self.piece_of(rho)
-        z = LogPolar(rho, 0)
         if piece.kind == "power":
-            return self._eval_power(z, piece.index).rho
+            n, d = rho.as_integer_ratio()
+            v = Fraction(self.table.c_exp(piece.index) * d + (n << piece.index), d)
+            check_budget(v.numerator, v.denominator, "rho")
+            return v
         if piece.kind == "origin":
-            s = self._eval_origin(z)
+            s = self._eval_origin(LogPolar(rho))
             if s.negligible:
                 return s.value.rho
         return None

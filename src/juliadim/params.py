@@ -105,11 +105,12 @@ class CertificateReport:
 
         The OR of the magnitudes is as long as the longest exact integer of
         the row, so the guard is one comparison of its bit length, skipped
-        where it is 0 (every row of two strings)."""
+        where it is 0 (every row of two strings) or under 2127 bits, which is
+        decimal_bits_limit() at 640 digits, the lowest limit Python accepts."""
         tl, tr = type(lhs), type(rhs)
         mag = (0 if tl is str and tr is str else abs(lhs) | abs(rhs) if tl is int and tr is int
                else _magnitude(lhs) | _magnitude(rhs))
-        if mag and mag.bit_length() >= decimal_bits_limit():
+        if mag.bit_length() >= 2127 and mag.bit_length() >= decimal_bits_limit():
             raise DomainError(
                 f"row {name}[{index}] of {self.title!r}: a {mag.bit_length()}-bit exponent "
                 f"may pass the {sys.get_int_max_str_digits()}-digit limit of decimal conversion")

@@ -199,6 +199,17 @@ MUTATIONS = (
              "    if r:\n        q, extra = (q << 1) + 1, extra + 1\n", "",
              tuple(f"tests/test_numerics.py::test_integer_pairs_equal_libmp_tuple_for_tuple[{wp}]"
                    for wp in (53, 160, 22715))),
+    # verify's inclusion rows and power circles, decided and read in integers
+    Mutation("upper inclusion row without the seam margin", "src/juliadim/dynamics.py",
+             "x + mn * d < y", "x < y",
+             (DYN + "test_inclusion_row_edges_are_strict[True]",)),
+    Mutation("lower inclusion row decided with >=", "src/juliadim/dynamics.py",
+             "x - mn * d > y", "x - mn * d >= y",
+             (DYN + "test_inclusion_row_edges_are_strict[False]",)),
+    Mutation("radial power value with M_{j-1}", "src/juliadim/modelmap.py",
+             "(n << piece.index)", "(n << piece.index - 1)",
+             ("tests/test_modelmap.py::test_radial_circles",
+              DYN + "test_inclusion_extrema_match_pointwise_evaluation")),
     # recorded in earlier changes and still applicable
     Mutation("leaf field summed without 0 +", "src/juliadim/curves.py",
              "u = 0 + u\n", "u = u\n",

@@ -232,6 +232,23 @@ def test_verify_report_matches_reference_bytes(tmp_path):
     assert out.read_bytes() == VERIFY_REFERENCE.read_bytes()
 
 
+# sha256 of the stdout of `juliadim verify --N <N> --kmax 12 --khi 6`, beside
+# the N = 5 reference above
+VERIFY_DIGESTS = {
+    6: "ea825f1494e169e20e141fdc3323367f91b310744590b72e645e0e44d44dedf8",
+    8: "265480cddaa25cc8758199b09f287f034187fe43479e4498a068e594f2aafa97",
+    10: "e9e124f8e7b005c1f1449c34072917a665867049a854e439ae52487866ba1eb8",
+    14: "5f87e0f4e6307169c5edbfd5c6ad66fc459756394c32b8e896ea87c27e17aced",
+}
+
+
+@pytest.mark.parametrize("N", sorted(VERIFY_DIGESTS))
+def test_verify_stdout_is_pinned(N, capsys):
+    assert run(["verify", "--N", str(N), "--kmax", "12", "--khi", "6"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == VERIFY_DIGESTS[N]
+
+
 def test_verify_reaches_deep_petal_levels(tmp_path):
     # the petal boundary's reach no longer grows with n_k = 2**(N + k - 1):
     # level 21 has n_k = 2**25

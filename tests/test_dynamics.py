@@ -27,11 +27,11 @@ from juliadim.dynamics import (
 )
 from juliadim.config import Config
 from juliadim.geometry import Region, classify
-from juliadim.modelmap import AnchoredPoint, ModelMap, PieceId, qN_landmarks
+from juliadim.modelmap import SEAM_MARGIN_BITS, AnchoredPoint, ModelMap, PieceId, qN_landmarks
 from juliadim.numerics import (RND, DomainError, ExponentBudgetError, LogPolar, const_log2_frac,
                                cpair_mpc, cpair_of, cpair_shift, expm1_series, log1p_mpc, lp_add,
                                lp_perturb, lp_sub, mpc_mag, polar_pair)
-from juliadim.params import build_params
+from juliadim.params import CertificateReport, build_params
 
 M5 = ModelMap(table=build_params(5, 25))
 T5 = M5.table
@@ -1169,6 +1169,156 @@ def test_origin_circles_are_radial_and_exact():
 def test_inclusion_requires_enough_samples():
     with pytest.raises(DomainError, match="4096"):
         verify_inclusions(M5, 1, samples=512)
+
+
+def test_circle_extrema_samples_a_non_radial_circle():
+    # a seam circle is not radial, so its extrema come from the sample loop;
+    # the origin circle through the polynomial's zeros meets one at angle 0
+    from juliadim.dynamics import _circle_extrema
+    rho = T5.r_exp(5) + Fraction(1, 10**9)
+    assert M5.piece_of(rho).kind == "seam" and M5.radial_log2(rho) is None
+    assert _circle_extrema(M5, rho, 4096) == _sampled_circle_extrema(M5, rho, 4096)
+    rho = qN_landmarks(M5).zero_rho
+    assert M5.piece_of(rho).kind == "origin" and M5.radial_log2(rho) is None
+    with pytest.raises(DomainError, match="circle passes through a zero"):
+        _circle_extrema(M5, rho, 4096)
+
+
+# the CLI's verify tables (--kmax 12) and its default --khi
+VERIFY_MODELS = {N: ModelMap(table=build_params(N, 12)) for N in (5, 6, 8, 10, 14)}
+VERIFY_KHI = 6
+
+
+def _fraction_row(got, target, upper):
+    """An inclusion row's verdict and rendered sides, as the Fraction
+    expressions that decided them: got +- margin against the target."""
+    mb, target = Fraction(SEAM_MARGIN_BITS), Fraction(target)
+    return (got + mb < target if upper else got - mb > target,
+            f"{float(got):.6f}", f"{float(target):.6f}")
+
+
+@pytest.mark.parametrize("N", sorted(VERIFY_MODELS))
+def test_inclusion_rows_equal_their_fraction_expressions(N, monkeypatch):
+    import juliadim.dynamics as dyn
+
+    m, seen, real = VERIFY_MODELS[N], [], dyn._inclusion_row
+
+    def spy(rep, k, upper, name, got, target):
+        real(rep, k, upper, name, got, target)
+        seen.append((rep.certificates[-1], upper, got, target))
+
+    monkeypatch.setattr(dyn, "_inclusion_row", spy)
+    khi = min(VERIFY_KHI, m.table.kmax_shifted() - 1)
+    assert khi == 6
+    for k in range(1, khi + 1):
+        rep = verify_inclusions(m, k)
+        assert rep.certificates == [c for c, *_ in seen[-len(rep):]]
+    assert len(seen) == 12 * khi
+    assert {upper for _, upper, *_ in seen} == {True, False}
+    for c, upper, got, target in seen:
+        assert type(got) is Fraction and type(target) is int, c
+        assert (c.passed, c.lhs, c.rhs) == _fraction_row(got, target, upper), c
+
+
+@pytest.mark.parametrize("upper", [True, False])
+def test_inclusion_row_edges_are_strict(upper):
+    # an upper row needs got + margin < target, a lower one got - margin >
+    # target: a row exactly at target -+ margin fails, one unit of got's
+    # denominator inside passes, one outside fails
+    from juliadim.dynamics import _inclusion_row
+
+    rep = CertificateReport("edges")
+    inward = Fraction(-1 if upper else 1)
+    for target in (T5.R_exp(2) - 2, -7):
+        edge = target + inward * Fraction(SEAM_MARGIN_BITS)
+        for d in (1, 1 << 40, 3 << 70):
+            for got, want in ((edge, False), (edge + inward / d, True),
+                              (edge - inward / d, False)):
+                _inclusion_row(rep, 1, upper, "edge", got, target)
+                c = rep.certificates[-1]
+                assert c.passed is want, (target, d, got)
+                assert (c.passed, c.lhs, c.rhs) == _fraction_row(got, target, upper)
+
+
+def test_power_circles_and_inclusion_rows_build_no_logpolar_angle_or_fraction(monkeypatch):
+    # at N = 5, k = 2 every inclusion circle is on a power piece: radial_log2
+    # reads each in closed form, building no LogPolar or Angle, and every
+    # row is decided and rendered in integers, building no Fraction
+    import juliadim.dynamics as dyn
+    from juliadim.geometry import LOG2_2_5, LOG2_3_5
+    from juliadim.numerics import Angle
+
+    k = 2
+    e1, e2 = T5.R_exp(k), T5.R_exp(k + 1)
+    circles = (e1 + LOG2_2_5, e1 + LOG2_3_5, Fraction(e1 + 2), Fraction(e2 - 2),
+               e1 + const_log2_frac(5, 4))
+    assert {M5.piece_of(rho).kind for rho in circles} == {"power"}
+    want = verify_inclusions(M5, k).certificates
+    inside, built = [], []
+
+    def within(label, fn):
+        def wrapped(*args, **kwargs):
+            inside.append(label)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def counted(label, fn):
+        def wrapped(*args, **kwargs):
+            built.append((label, inside[-1] if inside else None))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ModelMap, "radial_log2", within("radial_log2", ModelMap.radial_log2))
+    monkeypatch.setattr(dyn, "_inclusion_row", within("row", dyn._inclusion_row))
+    monkeypatch.setattr(LogPolar, "__init__", counted("LogPolar", LogPolar.__init__))
+    monkeypatch.setattr(Angle, "__init__", counted("Angle", Angle.__init__))
+    monkeypatch.setattr(Fraction, "__new__", counted("Fraction", Fraction.__new__))
+    LogPolar(1)   # the spies see it
+    assert set(built) == {("LogPolar", None), ("Angle", None), ("Fraction", None)}
+    built.clear()
+    assert verify_inclusions(M5, k).certificates == want
+    assert {label for label, _ in built} == {"Fraction"}   # the circles' rho and pieces
+    assert [b for b in built if b[1] == "row" or b[0] != "Fraction"] == []
+
+
+def _fraction_singular_rows(m):
+    """check_singular_values' rows as (name, index, pass, lhs, rhs), from
+    the Fraction expressions that decided and rendered them."""
+    from juliadim.numerics import pi_over_ln2_frac
+
+    t = m.table
+    lo = Fraction(t.r_exp(t.N) + 3)
+    hi = Fraction(t.r_exp(t.N + 1)) - 4 - Fraction(1, 2)
+    cv_rho = qN_landmarks(m).first_crit_value.rho
+    rows = [("poly_crit_values_above_8rN", t.N, cv_rho > lo,
+             f"{float(cv_rho):.6f}", f"{float(lo):.6f}"),
+            ("poly_crit_values_below_rN1_16sqrt2", t.N, cv_rho < hi,
+             f"{float(cv_rho):.6f}", f"{float(hi):.6f}")]
+    for k in range(1, min(t.kmax_shifted(), t.kmax) + 1):
+        nk = t.n(k)
+        lhs, rhs = t.C_exp(k) + nk * t.R_exp(k), nk + t.R_exp(k + 1)
+        cv = Fraction(rhs) + pi_over_ln2_frac(2) - 2
+        shift = pi_over_ln2_frac(4 * nk) - Fraction(1, nk)
+        rows += [("power_identity", k, lhs == rhs, lhs, rhs),
+                 ("ring_crit_value_above_8Rk1", k, cv > t.R_exp(k + 1) + 3,
+                  f"{float(cv - t.R_exp(k + 1)):.4f}+e(R_{k + 1})", t.R_exp(k + 1) + 3),
+                 ("ring_crit_value_below_eighth_Rk2", k, cv < t.R_exp(k + 2) - 3,
+                  str(cv.numerator // cv.denominator), t.R_exp(k + 2) - 3),
+                 ("ring_crit_point_radius_shift", k, abs(shift) < Fraction(1, nk),
+                  f"2^({float(shift):.3g}) relative", "within 2^(1/n_k)")]
+    return rows
+
+
+@pytest.mark.parametrize("N", sorted(VERIFY_MODELS))
+def test_singular_value_rows_equal_their_fraction_expressions(N):
+    for m in (VERIFY_MODELS[N], ModelMap(table=build_params(N, 25))):
+        rep = check_singular_values(m)
+        assert len(rep) == 2 + 4 * min(m.table.kmax_shifted(), m.table.kmax)
+        assert [(c.name, c.index, c.passed, c.lhs, c.rhs)
+                for c in rep.certificates] == _fraction_singular_rows(m)
 
 
 def test_singular_values_all_in_gaps():

@@ -259,6 +259,27 @@ def test_certificate_rows_read_the_digit_limit_when_added(restore_int_digits):
     assert [c.name for c in rep.certificates] == ["fits", "words", "loose", "unlimited"]
 
 
+def test_rows_under_2127_bits_skip_the_digit_limit(monkeypatch, restore_int_digits):
+    # 640 digits is the lowest limit Python accepts, and 2127 bits its
+    # decimal_bits_limit(): a shorter row cannot pass any limit, so add
+    # decides it without reading the limit
+    import juliadim.params as params
+
+    sys.set_int_max_str_digits(640)
+    assert decimal_bits_limit() == 2127
+    with pytest.raises(ValueError):
+        sys.set_int_max_str_digits(639)
+    reads = []
+    monkeypatch.setattr(params, "decimal_bits_limit", lambda: reads.append(1) or 2127)
+    rep = CertificateReport("demo")
+    rep.add("short", 1, True, 1 << 2125, Fraction(-1, 3))
+    rep.add("strings", 2, True, "a", "b")
+    assert reads == []
+    with pytest.raises(DomainError, match=r"row long\[3\] of 'demo': a 2127-bit"):
+        rep.add("long", 3, True, 5, Fraction(1, 1 << 2126))
+    assert reads == [1] and len(rep) == 2
+
+
 def test_certificate_rows_are_immutable_and_compare_field_by_field():
     rep = CertificateReport("demo")
     rep.add("row", 3, 1, 5, Fraction(7, 2))
