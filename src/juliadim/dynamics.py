@@ -21,10 +21,11 @@ one residual decision (``modelmap.residual_below``) and no evaluation:
 The series and solves run on ``numerics``' integer pairs at prec + 32 bits,
 rounded to nearest as libmp rounds.
 
-The inclusion certificates take circle extrema of log2 |f| -- exact on
-radial circles and on the petal boundary, sampled elsewhere -- and compare
-them against the target annuli in exact exponent arithmetic, with the seam
-deviation carried as an explicit bit margin.
+The inclusion certificates bound log2 |f| on circles -- one exact value on
+a radial circle, an exact enclosure on the petal boundary, sampled
+extrema elsewhere -- and compare the bounds against the target annuli in
+exact exponent arithmetic, with the seam deviation carried as an explicit
+bit margin.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from mpmath.libmp import mpc_div, mpf_div, mpf_ln2, mpf_neg, mpf_pow
+from mpmath.libmp import mpc_div
 
 from .numerics import (
     HALF,
     RND,
     DomainError,
     ExponentBudgetError,
-    FTWO,
     PAIR_ONE,
     LogPolar,
     NumericsError,
@@ -59,9 +59,7 @@ from .numerics import (
     cpair_of,
     cpair_shift,
     cpair_sub,
-    frac_to_mpf,
     lp_perturb,
-    mpf_to_frac,
     pair_div_int,
     pair_of_int,
     pair_round,
@@ -567,41 +565,34 @@ def _circle_extrema(m: ModelMap, rho: Fraction, samples: int) -> Tuple[Fraction,
 
 
 def _petal_boundary_extrema(m: ModelMap, k: int) -> Tuple[Fraction, Fraction]:
-    """Exact extrema of log2 |f| over the whole level-k petal boundary.
+    """An exact enclosure [c - delta, c + delta] of log2 |f| over the whole
+    level-k petal boundary.
 
     The blend depends on z only through z**n_k, so every petal is an exact
     rotation of the first.  On its boundary z = zeta (1 + u), u = eps e**(i phi),
-    eps = 2**rad_rel, log2 |f| is an exact constant plus v(phi) / ln 2 with
-    (ModelMap.seam_zero_offset_ln, M = n_k)
+    eps = 2**rad_rel, M = n_k = 2**j, log2 |f| is seam_zero_log2_base(j) plus
+    v(phi) / ln 2 with
 
-        v(phi) = M ln |1 + u| + ln |(1 + u)**M - 1|.
+        v(phi) = M ln |1 + u| + ln |(1 + u)**M - 1| = ln eps + Re F(u),
 
-    Maximum: |1 + u| <= 1 + eps, and by the triangle inequality on the
-    binomial sum |(1 + u)**M - 1| <= (1 + eps)**M - 1; both hold with
-    equality at phi = 0.
-
-    Minimum: v = ln eps + Re F(u), F(u) = M log(1 + u) + log(((1 + u)**M - 1) / u)
-    a power series sum b_k u**k with real coefficients, b_1 = (3M - 1) / 2.
-    On |u| = 1/(4M), |F - F(0)| < 1/2, so Cauchy's bound gives |b_k| <= (4M)**k.
-    So v = const + sum b_k eps**k cos(k phi) and, U the Chebyshev polynomials
-    of the second kind,
-
-        dv/dphi = -sin(phi) sum k b_k eps**k U_{k-1}(cos phi),  |U_{k-1}| <= k,
-
-    whose sum is at least eps (b_1 - 4M ((1+x)/(1-x)**3 - 1)), x = 4 M eps.
-    For M eps <= 2**-8 that is above eps (1.25 M - 0.27 M) > 0, so v strictly
-    decreases on (0, pi), and by v(-phi) = v(phi) the minimum is at phi = pi.
-    The condition is checked exactly as log2 M + rad_rel <= -8 (every table
-    with N >= 5 has M eps <= 2**-27) and a failure raises DomainError.  So
-    the extrema are v at the real u = -eps, eps (seam_zero_offset_ln), with
-    eps and v / ln 2 rounded to nearest at prec + 32 bits.
+    F(u) = M log(1 + u) + log(((1 + u)**M - 1) / u) a power series sum b_k u**k
+    with real coefficients and F(0) = ln M.  On |u| = 1/(4M), |F - F(0)| < 1/2,
+    so Cauchy's bound gives |b_k| <= (4M)**k and, x = 4 M eps,
+    |F(u) - F(0)| <= x / (1 - x).  So at every point of the boundary log2 |f|
+    is within x / ((1 - x) ln 2) < 4x of c = seam_zero_log2_base(j) + j +
+    rad_rel, exact, once x <= 1/2.  That is checked exactly as j + rad_rel <=
+    -8 (every table with N >= 5 has M eps <= 2**-27) and a failure raises
+    DomainError.  As rad_rel < -n_k, 4x < 2**(j + 4 - n_k), and any wider
+    dyadic delta is as sound: delta = 2**-(min(n_k, j + 64) - j - 4) keeps its
+    denominator short at any level, as the reach's cap does.
     """
     t = m.table
     nk = t.n(k)
     j = k + t.N - 1
     rad_rel = petal_radius_rel_log2(nk)
     if j + rad_rel > -8:
-        raise DomainError(f"petal boundary at level {k} too wide for its monotone extrema")
+        raise DomainError(f"petal boundary at level {k} too wide for its remainder bound, "
+                          f"which needs 4 n_k eps <= 1/2")
     # |log2 |1 + u|| < 3 |u| <= 3 * 2**-n_k, and any wider reach is as sound:
     # 3 * 2**-(j + 64), far inside the ~2**-j wide piece, has a short denominator
     reach = Fraction(3, 1 << min(nk, j + 64))
@@ -609,11 +600,9 @@ def _petal_boundary_extrema(m: ModelMap, k: int) -> Tuple[Fraction, Fraction]:
     seam = PieceId("seam", j)
     if m.piece_of(zeta_rho - reach) != seam or m.piece_of(zeta_rho + reach) != seam:
         raise DomainError(f"petal boundary at level {k} leaves piece {seam}")
-    wp = m.prec + 32
-    eps = mpf_pow(FTWO, frac_to_mpf(rad_rel, wp - 8), wp, RND)
-    const, ln2 = m.seam_zero_log2_base(j), mpf_ln2(wp, RND)
-    return tuple(const + mpf_to_frac(mpf_div(m.seam_zero_offset_ln(j, x), ln2, wp, RND))
-                 for x in (mpf_neg(eps), eps))
+    c = m.seam_zero_log2_base(j) + j + rad_rel
+    delta = Fraction(1, 1 << min(nk, j + 64) - j - 4)
+    return c - delta, c + delta
 
 
 def _inclusion_row(rep: CertificateReport, k: int, upper: bool, name: str, got: Fraction,
@@ -640,11 +629,11 @@ def verify_inclusions(m: ModelMap, k: int, samples: int = 4096) -> CertificateRe
 
     A radial circle (ModelMap.radial_log2: a power piece, or the origin
     piece where one term of the polynomial is negligible) has one exact
-    value of log2 |f|; the petal boundary takes its exact extrema over the
-    whole circle at u = +-|u|, where _petal_boundary_extrema shows they
-    lie.  Only the other circles (bump, seam, origin with both terms alive)
-    take the extrema of `samples` evenly spaced points; at N = 5, k = 1..6
-    there are none, so every row is the exact extremum; _inclusion_row decides it.
+    value of log2 |f|; the petal boundary has an exact enclosure of log2 |f|
+    over the whole circle (_petal_boundary_extrema).  A circle that is
+    neither would take the extrema of `samples` evenly spaced points, but at
+    N = 5..14, k = 1..12 every inclusion circle is radial, so each row is
+    decided by _inclusion_row on an exact value or an outward bound.
     """
     if samples < 1 << 12:
         raise DomainError("inclusion sampling needs >= 4096 points per circle")

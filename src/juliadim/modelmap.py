@@ -62,12 +62,7 @@ from .numerics import (
     lp_sub,
     mpc_mag,
     mpf_to_frac,
-    pair_add,
-    pair_div_int,
-    pair_mpf,
-    pair_of,
     pair_of_int,
-    pair_round,
     pi_over_ln2_frac,
 )
 from .params import ParamTable
@@ -371,51 +366,10 @@ class ModelMap:
 
     def seam_zero_log2_base(self, j: int) -> Fraction:
         """c_j - M_j log2 r_j + 2 log2 |Z_j|, exact: the constant part of
-        log2 |S_j| near the zeros of ring j (see :meth:`seam_zero_offset_ln`)."""
+        log2 |S_j| near the zeros of ring j: at z = zeta (1 + u), zeta**M_j = Z_j,
+        log2 |S_j(z)| is this plus M_j log2 |1 + u| + log2 |(1 + u)**M_j - 1|."""
         t = self.table
         return t.c_exp(j) - (1 << j) * t.r_exp(j) + 2 * self.zcap_log2(j)
-
-    def seam_zero_offset_ln(self, j: int, x: tuple) -> tuple:
-        """Re L + ln |e**L - 1|, L = M_j log(1 + x), for a real libmp mpf x,
-        0 < |x| < 1, as an mpf of wp = prec + 32 bits.
-
-        At z = zeta (1 + x), zeta a zero of ring j, zeta**M_j = Z_j exactly,
-        so z**M_j - Z_j = Z_j (e**L - 1) and log2 |S_j(z)| is
-        seam_zero_log2_base(j) plus this value over ln 2.  Every step is
-        rounded to nearest at wp bits: those of ``numerics.log1p_mpc`` and
-        ``numerics.expm1_series`` (``mpf_log`` and ``mpf_exp``, or below
-        2**-16 their series, whose depth follows the scale of the argument)
-        on the pair (x, 0), each reduced exactly to the real one (``mpc_exp``
-        and ``mpf_hypot`` special-case a zero imaginary part; a product of
-        pairs is exact before rounding), so the value is bit for bit theirs.
-        The series run on integer pairs (``numerics.pair_add``), the logs and
-        the exponential on libmp.
-        """
-        wp, mag = self.prec + 32, x[2] + x[3]
-        if mag > -16:
-            L = pair_of(mpf_log(mpf_add(x, fone, wp, RND), wp, RND))
-        else:
-            xm, xe = pair_of(x)
-            L = term = 1, 0
-            neg = pair_round(-xm, xe, wp)
-            for i in range(2, max(1, (self.prec + 48) // max(15, -mag)) + 2):
-                term = pair_round(term[0] * neg[0], term[1] + neg[1], wp)
-                L = pair_add(*L, *pair_div_int(*term, i, wp), wp)
-            L = pair_round(xm * L[0], xe + L[1], wp)
-        # L times 2**j: exact, as mpf_mul_int rounds no bit of a wp-bit mantissa
-        L = (L[0], L[1] + j) if L[0] else L
-        lmag = L[1] + abs(L[0]).bit_length()
-        if lmag > -16:
-            e = mpf_sub(libmp.mpf_exp(pair_mpf(*L), wp, RND), fone, wp, RND)
-        else:
-            e = term = 1, 0
-            for i in range(2, max(2, (self.prec + 48) // -lmag + 1) + 2):
-                term = pair_div_int(*pair_round(term[0] * L[0], term[1] + L[1], wp), i, wp)
-                e = pair_add(*e, *term, wp)
-            e = pair_mpf(*pair_round(L[0] * e[0], L[1] + e[1], wp))
-        if not e[1]:  # x = 0, or zeta (1 + x) another zero of the ring
-            raise DomainError(f"point is a zero of ring {j}")
-        return mpf_add(pair_mpf(*L), mpf_log(mpf_abs(e, wp, RND), wp, RND), wp, RND)
 
     def radial_log2(self, rho: Fraction) -> Optional[Fraction]:
         """log2 |f| on the circle |z| = 2**rho when it is the same at every

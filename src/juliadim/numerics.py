@@ -453,12 +453,10 @@ def lp_add(a: LogPolar, b: LogPolar, guard: int, prec: int) -> LpSum:
     # near-cancellation, |drho| <= 1/4 and |dtheta - 1/2| <= 1/16: 1 + r =
     # -(e^L' - 1) with L' the log of -r; the expm1 route resolves the
     # difference at any depth from the exact rational (drho, dtheta)
-    # instead of losing it to working precision
+    # instead of losing it to working precision; it is never 0, as
+    # (drho, dtheta) = (0, 1/2) returned above
     if -4 * dn <= dd and abs(16 * tn - 8 * td) <= td:
-        d = expm1_lp(drho, dtheta - HALF, prec)
-        if d.is_zero:
-            return LpSum(LogPolar.zero_point(), cancelled=True)
-        return LpSum(a.mul(d.neg()))
+        return LpSum(a.mul(expm1_lp(drho, dtheta - HALF, prec).neg()))
     if gap > MAX_EXP_BITS:
         raise ExponentBudgetError("lp_add gap beyond exponent budget")
     s = lp_perturb(a, cpair_mpc(polar_pair(dn, dd, tn, td, prec + 16)), prec)

@@ -101,10 +101,14 @@ MUTATIONS = (
     Mutation("subnormal Cauchy bound kept whole", "src/juliadim/curves.py",
              "bound -= 2.0 ** -1074", "bound -= 0.0",
              (CURVES + "test_cauchy_check_rounds_outward_without_headroom",)),
-    # verify's seam-zero rows on real values and its certificate row writer
-    Mutation("petal minimum taken at +eps", "src/juliadim/dynamics.py",
-             "for x in (mpf_neg(eps), eps))", "for x in (eps, eps))",
+    # verify's petal-boundary enclosure, its seam rows and its certificate row writer
+    Mutation("petal half-width without its factor 16", "src/juliadim/dynamics.py",
+             "min(nk, j + 64) - j - 4)", "min(nk, j + 64) - j)",
              (DYN + "test_petal_boundary_extrema_equal_the_half_grid",)),
+    Mutation("petal centre without log2 n_k", "src/juliadim/dynamics.py",
+             "m.seam_zero_log2_base(j) + j + rad_rel", "m.seam_zero_log2_base(j) + rad_rel",
+             (DYN + "test_petal_boundary_extrema_equal_the_half_grid",
+              DYN + "test_petal_boundary_enclosure_holds_the_real_points")),
     Mutation("seam mismatch keeps only the psi = 0 sum", "src/juliadim/modelmap.py",
              "for s in (mpf_add(fone, x, wp, RND), mpf_sub(fone, x, wp, RND)))",
              "for s in (mpf_add(fone, x, wp, RND),))",

@@ -59,10 +59,10 @@ def _newton_polish(m, z, target, tol):
 
 
 def _seam_zero_offset_ln_mpc(m, j, u):
-    """The complex form of ModelMap.seam_zero_offset_ln, which the real one
-    reduces on a real u: Re L + ln |e**L - 1|, L = M_j log(1 + u), for an
-    mpc u with 0 < |u| < 1, on libmp pairs at prec + 32 bits, rounded to
-    nearest, as an mpf."""
+    """ln |S_j(zeta (1 + u))| - seam_zero_log2_base(j) ln 2, zeta a zero of
+    ring j: Re L + ln |e**L - 1|, L = M_j log(1 + u), for an mpc u with
+    0 < |u| < 1, on libmp pairs at prec + 32 bits, rounded to nearest, as an
+    mpf.  The petal boundary's enclosure is held against it."""
     wp = m.prec + 32
     L = libmp.mpc_mul_int(log1p_mpc(u._mpc_, m.prec), 1 << j, wp, RND)
     lmag = mpc_mag(L)
@@ -618,6 +618,23 @@ def test_origin_newton_stops_at_its_first_step_below_the_threshold(prec, monkeyp
     assert counts == [0] * 6 if prec == 128 else counts == [1] * 6, counts
 
 
+def test_newton_stagnation_raises_after_its_step_budget():
+    # a residual that never falls below 2**-(prec + 16) of its scale: the
+    # solve refuses after NEWTON_MAX_ITER steps instead of returning a point
+    from juliadim.dynamics import NEWTON_MAX_ITER, _newton
+    one, zero = (1, 0), (0, 0)
+    seen = []
+
+    def residual(u):
+        seen.append(u)
+        return one, zero
+
+    with pytest.raises(BranchError, match=f"stagnated after {NEWTON_MAX_ITER} steps"):
+        _newton((zero, zero), residual, lambda u: (one, zero), (one, zero), 128, 160)
+    # one residual per step, each step subtracting residual / slope = 1
+    assert [Fraction(m) * 2 ** e for (m, e), _ in seen] == [-i for i in range(NEWTON_MAX_ITER)]
+
+
 @pytest.mark.parametrize("N", [5, 6, 7])
 def test_origin_solve_keeps_its_seed_at_128_bits(N, monkeypatch):
     # the third-order seed leaves |g(u0) - tau| under 2**-163.6 |tau| at N =
@@ -1082,9 +1099,9 @@ def test_petal_boundary_must_lie_on_its_seam_piece(monkeypatch):
 
 
 def test_petal_boundary_extrema_equal_the_half_grid():
-    # the two real closed-form points against the complex form on the
-    # 2049-point half grid of 4096 samples that the conjugation symmetry
-    # leaves to evaluate
+    # the enclosure holds the complex form on the 2049-point half grid of
+    # 4096 samples that the conjugation symmetry leaves to evaluate, and is
+    # 2 delta wide
     from juliadim.dynamics import _petal_boundary_extrema
     from juliadim.numerics import mpf_to_frac, pi_over_ln2_frac
 
@@ -1094,35 +1111,37 @@ def test_petal_boundary_extrema_equal_the_half_grid():
         for k in (1, 2):
             nk, j = t.n(k), k + t.N - 1
             rad_rel = -nk - pi_over_ln2_frac(4 * nk)
+            lo, hi = _petal_boundary_extrema(m, k)
+            assert hi - lo == Fraction(2, 1 << min(nk, j + 64) - j - 4), (t.N, k)
             with mpmath.workprec(m.prec + 32):
                 base = mpmath.power(2, mpmath.mpf(rad_rel.numerator) / rad_rel.denominator)
-                vals = []
+                const, ln2 = m.seam_zero_log2_base(j), mpmath.ln(2)
                 for i in range(samples // 2 + 1):
                     ang = mpmath.mpf(2) * mpmath.pi * i / samples
                     u = base * mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang))
-                    vals.append(_seam_zero_offset_ln_mpc(m, j, u))
+                    v = const + mpf_to_frac(_seam_zero_offset_ln_mpc(m, j, u) / ln2)
+                    assert lo <= v <= hi, (t.N, k, i)
+
+
+def test_petal_boundary_enclosure_holds_the_real_points():
+    # u = -eps and u = eps, where the old series took the boundary's
+    # extrema, lie inside the enclosure at every N = 5..14 and level k <= 12
+    from juliadim.dynamics import _petal_boundary_extrema
+    from juliadim.numerics import mpf_to_frac, pi_over_ln2_frac
+
+    for N in range(5, 15):
+        m = ModelMap(table=build_params(N, 12))
+        t = m.table
+        for k in range(1, min(12, t.kmax_shifted() - 1) + 1):
+            nk, j = t.n(k), k + N - 1
+            rad_rel = -nk - pi_over_ln2_frac(4 * nk)
+            lo, hi = _petal_boundary_extrema(m, k)
+            with mpmath.workprec(m.prec + 32):
+                eps = mpmath.power(2, mpmath.mpf(rad_rel.numerator) / rad_rel.denominator)
                 const, ln2 = m.seam_zero_log2_base(j), mpmath.ln(2)
-                want = (const + mpf_to_frac(min(vals) / ln2),
-                        const + mpf_to_frac(max(vals) / ln2))
-            # the grid is monotone, as the docstring's argument says
-            assert vals == sorted(vals, reverse=True)
-            assert _petal_boundary_extrema(m, k) == want, (t.N, k)
-
-
-@pytest.mark.parametrize("prec", [64, 128, 400])
-def test_seam_zero_offset_equals_its_complex_form(prec):
-    # every branch of the real form (log of 1 + x or its series, exp(L) - 1
-    # or its series) against the complex form at (x, 0), bit for bit
-    m = ModelMap(table=T5, prec=prec)
-    wp = prec + 32
-    for j in (5, 6, 9):
-        for e in (Fraction(3, 2), Fraction(7), Fraction(31, 2), Fraction(17), Fraction(40),
-                  Fraction(301, 3), Fraction(900)):
-            with mpmath.workprec(wp):
-                x = mpmath.power(2, -mpmath.mpf(e.numerator) / e.denominator)
-                for u in (x, -x):
-                    got = m.seam_zero_offset_ln(j, u._mpf_)
-                    assert got == _seam_zero_offset_ln_mpc(m, j, mpmath.mpc(u))._mpf_, (j, e)
+                for u in (-eps, eps):
+                    v = const + mpf_to_frac(_seam_zero_offset_ln_mpc(m, j, mpmath.mpc(u)) / ln2)
+                    assert lo <= v <= hi, (N, k, u > 0)
 
 
 def test_petal_reach_keeps_its_denominator_short(monkeypatch):
@@ -1142,12 +1161,12 @@ def test_petal_reach_keeps_its_denominator_short(monkeypatch):
 
 
 def test_petal_boundary_monotonicity_guard(monkeypatch):
-    # a table whose petal radius eps has M eps > 2**-8 voids the
-    # monotonicity argument: the extrema must refuse, not guess
+    # a table whose petal radius eps has M eps > 2**-8 voids the remainder
+    # bound, which needs 4 M eps <= 1/2: the enclosure must refuse, not guess
     from juliadim.dynamics import _petal_boundary_extrema
     m = ModelMap(table=build_params(5, 25))
     monkeypatch.setattr(type(m.table), "n", lambda self, k: 4)
-    with pytest.raises(DomainError, match="monotone extrema"):
+    with pytest.raises(DomainError, match=r"remainder bound, which needs 4 n_k eps <= 1/2"):
         _petal_boundary_extrema(m, 1)
 
 

@@ -414,13 +414,6 @@ def test_piece_of_equals_the_exact_bisect(N):
                 assert str(m.piece_of(LogPolar(rho, Fraction(1, 3)))) == got
 
 
-def test_seam_zero_offset_rejects_the_zero():
-    from mpmath.libmp import fzero
-    from juliadim.numerics import DomainError
-    with pytest.raises(DomainError):
-        M5.seam_zero_offset_ln(6, fzero)
-
-
 # seam mismatch -------------------------------------------------------------------
 
 def test_seam_mismatch_bounds():

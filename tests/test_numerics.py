@@ -162,10 +162,23 @@ def test_lp_add_dominance():
 
 
 def test_lp_add_exact_cancellation():
+    # equal moduli half a turn apart cancel to zero, in either order
     a = LogPolar(3)
     b = LogPolar(3, Fraction(1, 2))
-    s = lp_add(a, b, ADD_GUARD, SIG_BITS)
-    assert s.cancelled and s.value.is_zero
+    for x, y in ((a, b), (b, a)):
+        s = lp_add(x, y, ADD_GUARD, SIG_BITS)
+        assert s.cancelled and not s.negligible and s.value.is_zero
+
+
+def test_lp_add_zero_operand():
+    # a zero operand returns the other one as it is, in either order
+    a = LogPolar(Fraction(-7, 3), Fraction(2, 5))
+    for x, y in ((a, LogPolar.zero_point()), (LogPolar.zero_point(), a)):
+        s = lp_add(x, y, ADD_GUARD, SIG_BITS)
+        assert (s.value.rho, s.value.theta.turns) == (a.rho, a.theta.turns)
+        assert not s.negligible and not s.cancelled
+    s = lp_add(LogPolar.zero_point(), LogPolar.zero_point(), ADD_GUARD, SIG_BITS)
+    assert s.value.is_zero and not s.negligible and not s.cancelled
 
 
 def test_lp_add_sixth_turn():
