@@ -1124,8 +1124,8 @@ def test_petal_boundary_extrema_equal_the_half_grid():
 
 
 def test_petal_boundary_enclosure_holds_the_real_points():
-    # u = -eps and u = eps, where the old series took the boundary's
-    # extrema, lie inside the enclosure at every N = 5..14 and level k <= 12
+    # the reference at the two real points u = -eps and u = eps lies inside
+    # the enclosure at every N = 5..14 and level k <= 12
     from juliadim.dynamics import _petal_boundary_extrema
     from juliadim.numerics import mpf_to_frac, pi_over_ln2_frac
 
